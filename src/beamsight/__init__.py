@@ -7,6 +7,8 @@ beam-only baseline, and evaluates proactive handoff between two
 basestations.
 """
 
+import importlib
+
 from .config import (
     DatasetConfig,
     ExperimentConfig,
@@ -16,31 +18,23 @@ from .config import (
     load_scenario_config,
 )
 from .errors import BeamsightError, DataError, NumericError
-from .scene import (
-    Basestation,
-    Camera,
-    Detection,
-    DetectorNoiseModel,
-    SceneObject,
-    UlaGeometry,
-    VehicleClass,
-    World,
-    build_world,
-    detect,
-    project_object,
-    step_world,
-)
-from .phy import (
-    ChannelPath,
-    Codebook,
-    array_response,
-    channel_vector,
-    los_status,
-    received_power,
-    select_beam,
-    steering_vector,
-    synthesize_paths,
-)
+
+# Re-exports from the numpy modules load on first use, so that importing
+# ``beamsight.cli`` leaves numpy unloaded until ``--threads`` has capped
+# the BLAS thread pools.
+_LAZY = dict.fromkeys(
+    ("Basestation", "Camera", "Detection", "DetectorNoiseModel", "SceneObject",
+     "UlaGeometry", "VehicleClass", "World", "build_world", "detect",
+     "project_object", "step_world"), "scene") | dict.fromkeys(
+    ("ChannelPath", "Codebook", "array_response", "channel_vector", "los_status",
+     "received_power", "select_beam", "steering_vector", "synthesize_paths"), "phy")
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
 
 __version__ = "0.1.0"
 

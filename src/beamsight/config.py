@@ -16,6 +16,8 @@ from pathlib import Path
 
 from .errors import DataError
 
+BBOX_FEATURE_SIZE = 6     # [x_cent, y_cent, x1, y1, x2, y2] per detection box
+
 
 @dataclass
 class ScenarioConfig:
@@ -104,6 +106,11 @@ class TrainConfig:
     table_seed: int = 11      # beam embedding lookup table
 
     def __post_init__(self):
+        if self.hidden < 1 or self.layers < 1:
+            raise DataError("hidden and layers must be >= 1")
+        if self.embed_dim < BBOX_FEATURE_SIZE:
+            raise DataError(f"embed_dim must be >= {BBOX_FEATURE_SIZE} to hold "
+                            "one detection box")
         if self.learning_rate <= 0:
             raise DataError("learning rate must be > 0")
         if not 0.0 <= self.dropout < 1.0:
@@ -159,8 +166,8 @@ def _convert(value: str, target_type):
         return int(value)
     if target_type is float:
         return float(value)
-    if target_type is bool:
-        return value.strip().lower() in ("1", "true", "yes", "on")
+    if target_type is tuple:
+        return tuple(int(v) for v in value.replace(",", " ").split())
     return value
 
 
@@ -177,67 +184,45 @@ def _read_ini(path: str | Path) -> configparser.ConfigParser:
     return parser
 
 
-def _apply_sections(parser, cls, sections, overrides):
-    defaults = cls()
-    types = {f.name: type(getattr(defaults, f.name)) for f in dataclasses.fields(cls)}
+def _load(path, cls, sections: dict[str, tuple[str, ...]], **fields):
+    """Build ``cls`` from the given INI sections; every error names the file."""
+    parser = _read_ini(path)
+    types = {f.name: type(f.default) for f in dataclasses.fields(cls)}
     for section, options in sections.items():
         if not parser.has_section(section):
             continue
         for option in parser.options(section):
-            name = option.strip()
-            if name not in options:
-                raise DataError(f"unknown option [{section}] {name}")
-            overrides[name] = _convert(parser.get(section, option), types[name])
-    return overrides
+            if option not in options:
+                raise DataError(f"{path}: unknown option [{section}] {option}")
+            raw = parser.get(section, option)
+            try:
+                fields[option] = _convert(raw, types[option])
+            except ValueError as exc:
+                raise DataError(f"{path}: [{section}] {option} = {raw!r} is not "
+                                f"a valid {types[option].__name__}") from exc
+    try:
+        return cls(**fields)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def load_scenario_config(path: str | Path) -> ScenarioConfig:
-    parser = _read_ini(path)
-    overrides = _apply_sections(parser, ScenarioConfig, _SCENARIO_SECTIONS, {})
-    return ScenarioConfig(**overrides)
+    return _load(path, ScenarioConfig, _SCENARIO_SECTIONS)
 
 
 def load_dataset_config(path: str | Path) -> DatasetConfig:
-    parser = _read_ini(path)
-    overrides: dict = {}
-    if parser.has_section("dataset"):
-        for option in parser.options("dataset"):
-            if option not in _DATASET_OPTIONS:
-                raise DataError(f"unknown option [dataset] {option}")
-            raw = parser.get("dataset", option)
-            if option == "overlap_cameras":
-                overrides[option] = tuple(int(v) for v in raw.replace(",", " ").split())
-            elif option in ("split_fraction",):
-                overrides[option] = float(raw)
-            else:
-                overrides[option] = int(raw)
-    return DatasetConfig(**overrides)
+    return _load(path, DatasetConfig, {"dataset": _DATASET_OPTIONS})
 
 
 def load_train_config(path: str | Path) -> TrainConfig:
-    parser = _read_ini(path)
-    overrides: dict = {}
-    if parser.has_section("train"):
-        types = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
-        for option in parser.options("train"):
-            if option not in _TRAIN_OPTIONS:
-                raise DataError(f"unknown option [train] {option}")
-            overrides[option] = _convert(parser.get("train", option), types[option])
-    return TrainConfig(**overrides)
+    return _load(path, TrainConfig, {"train": _TRAIN_OPTIONS})
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
-    parser = _read_ini(path)
-    scenario = load_scenario_config(path)
-    dataset = load_dataset_config(path)
-    train = load_train_config(path)
-    overrides: dict = {}
-    if parser.has_section("experiment"):
-        for option in parser.options("experiment"):
-            if option not in _EXPERIMENT_OPTIONS:
-                raise DataError(f"unknown option [experiment] {option}")
-            overrides[option] = int(parser.get("experiment", option))
-    return ExperimentConfig(scenario=scenario, dataset=dataset, train=train, **overrides)
+    return _load(path, ExperimentConfig, {"experiment": _EXPERIMENT_OPTIONS},
+                 scenario=load_scenario_config(path),
+                 dataset=load_dataset_config(path),
+                 train=load_train_config(path))
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:

@@ -12,12 +12,11 @@ import logging
 
 import numpy as np
 
+from .config import BBOX_FEATURE_SIZE
 from .pipeline import LabeledSample
 from .scene import Detection
 
 log = logging.getLogger(__name__)
-
-BBOX_FEATURE_SIZE = 6
 
 
 class BeamEmbeddingTable:
@@ -47,10 +46,6 @@ class BeamEmbeddingTable:
         if not 1 <= beam <= self.n_beams:
             raise IndexError(f"beam index {beam} outside 1..{self.n_beams}")
         return self._entries[beam - 1]
-
-
-def embed_beam(table: BeamEmbeddingTable, beam: int) -> np.ndarray:
-    return table.vector(beam)
 
 
 def bbox_feature(det: Detection) -> np.ndarray:

@@ -181,27 +181,6 @@ def select_beam(channel: np.ndarray, codebook: Codebook) -> int:
 # Link-status geometry
 # ---------------------------------------------------------------------------
 
-def segment_intersects_box(p0: np.ndarray, p1: np.ndarray,
-                           box_min: np.ndarray, box_max: np.ndarray) -> bool:
-    """Exact slab test for a segment against an axis-aligned box."""
-    d = p1 - p0
-    t_enter, t_exit = 0.0, 1.0
-    for axis in range(3):
-        if d[axis] == 0.0:
-            if p0[axis] < box_min[axis] or p0[axis] > box_max[axis]:
-                return False
-            continue
-        t0 = (box_min[axis] - p0[axis]) / d[axis]
-        t1 = (box_max[axis] - p0[axis]) / d[axis]
-        if t0 > t1:
-            t0, t1 = t1, t0
-        t_enter = max(t_enter, t0)
-        t_exit = min(t_exit, t1)
-        if t_enter > t_exit:
-            return False
-    return True
-
-
 def los_status(bs: Basestation, user: SceneObject, world: World) -> int:
     """0 when the antenna-to-antenna segment is clear, 1 when blocked."""
     p0 = bs.position

@@ -6,17 +6,24 @@ manual backprop through time; optimization is Adam with bias correction.
 Everything runs in float64 numpy so training is reproducible bit-for-bit
 for a fixed seed.
 
-Gate convention:
-    z = sigmoid(x Wz^T + h U z^T + bz)
-    r = sigmoid(x Wr^T + h Ur^T + br)
-    c = tanh(x Wc^T + r * (h Uc^T) + bc)
+Each layer k keeps one fused parameter set, ``l{k}.W`` (3H, in),
+``l{k}.U`` (3H, H) and ``l{k}.b`` (3H,), whose row blocks are the z, r
+and c gates in that order.  With a = x W^T + b and u = h U^T split into
+the same blocks:
+    z = sigmoid(a_z + u_z)
+    r = sigmoid(a_r + u_r)
+    c = tanh(a_c + r * u_c)
     h' = (1 - z) * h + z * c
+The input projection a is one GEMM over all steps of a layer, as are dW,
+dU, db and dx after the backward time loop (Appleyard et al.,
+arXiv:1604.01946); only h U^T and its gradient run step by step.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -25,16 +32,9 @@ import numpy as np
 from .config import TrainConfig
 from .errors import DataError, NumericError
 
-GATE_NAMES = ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wc", "Uc", "bc")
-
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -43,77 +43,51 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return ex / ex.sum(axis=-1, keepdims=True)
 
 
+def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return float(-log_probs[np.arange(len(y)), y].mean())
+
+
 def init_params(input_dim: int, hidden: int, layers: int = 2, classes: int = 2,
                 seed: int = 0) -> dict[str, np.ndarray]:
-    """Seeded uniform(+-1/sqrt(fan_in)) weights, zero biases."""
+    """Seeded uniform(+-1/sqrt(fan_in)) weights, zero biases.
+
+    Gate blocks are drawn W then U for z, r and c in turn.
+    """
     rng = np.random.default_rng([seed, 7])
     params: dict[str, np.ndarray] = {}
     for layer in range(layers):
         in_dim = input_dim if layer == 0 else hidden
         wb = 1.0 / np.sqrt(in_dim)
         ub = 1.0 / np.sqrt(hidden)
-        for gate in ("z", "r", "c"):
-            params[f"l{layer}.W{gate}"] = rng.uniform(-wb, wb, size=(hidden, in_dim))
-            params[f"l{layer}.U{gate}"] = rng.uniform(-ub, ub, size=(hidden, hidden))
-            params[f"l{layer}.b{gate}"] = np.zeros(hidden)
+        blocks = [(rng.uniform(-wb, wb, size=(hidden, in_dim)),
+                   rng.uniform(-ub, ub, size=(hidden, hidden))) for _ in "zrc"]
+        params[f"l{layer}.W"] = np.concatenate([w for w, _ in blocks])
+        params[f"l{layer}.U"] = np.concatenate([u for _, u in blocks])
+        params[f"l{layer}.b"] = np.zeros(3 * hidden)
     cb = 1.0 / np.sqrt(hidden)
     params["out.W"] = rng.uniform(-cb, cb, size=(classes, hidden))
     params["out.b"] = np.zeros(classes)
     return params
 
 
-def gru_cell(x: np.ndarray, h_prev: np.ndarray, params: dict, layer: int):
-    """One GRU step.  Inputs may be (dim,) vectors or (batch, dim) arrays.
+def gru_cell(a: np.ndarray, h_prev: np.ndarray, U: np.ndarray):
+    """One GRU step from the input projection ``a = x W^T + b``.
 
-    Returns the new hidden state plus the intermediates needed by the
-    backward pass.
+    ``a`` is (3H,) or (batch, 3H) and ``h_prev`` (H,) or (batch, H).
+    Returns the new hidden state plus the (z, r, c, u_c) blocks needed by
+    the backward pass.
     """
-    p = lambda name: params[f"l{layer}.{name}"]
-    if x.shape[-1] != p("Wz").shape[1] or h_prev.shape[-1] != p("Uz").shape[1]:
-        raise ValueError(
-            f"shape mismatch: x {x.shape}, h {h_prev.shape} vs layer {layer} params"
-        )
-    z = sigmoid(x @ p("Wz").T + h_prev @ p("Uz").T + p("bz"))
-    r = sigmoid(x @ p("Wr").T + h_prev @ p("Ur").T + p("br"))
-    uh = h_prev @ p("Uc").T
-    c = np.tanh(x @ p("Wc").T + r * uh + p("bc"))
-    h = (1.0 - z) * h_prev + z * c
-    return h, (x, h_prev, z, r, c, uh)
-
-
-def _cell_backward(dh: np.ndarray, cache, params: dict, grads: dict, layer: int):
-    """Backprop one GRU step; returns (dx, dh_prev) and accumulates grads."""
-    x, h_prev, z, r, c, uh = cache
-    p = lambda name: params[f"l{layer}.{name}"]
-    g = lambda name: grads[f"l{layer}.{name}"]
-
-    dz = dh * (c - h_prev)
-    dc = dh * z
-    dh_prev = dh * (1.0 - z)
-
-    dac = dc * (1.0 - c * c)
-    grads[f"l{layer}.Wc"] += dac.T @ x
-    grads[f"l{layer}.bc"] += dac.sum(axis=0)
-    dr = dac * uh
-    duh = dac * r
-    grads[f"l{layer}.Uc"] += duh.T @ h_prev
-    dh_prev = dh_prev + duh @ p("Uc")
-    dx = dac @ p("Wc")
-
-    daz = dz * z * (1.0 - z)
-    grads[f"l{layer}.Wz"] += daz.T @ x
-    grads[f"l{layer}.Uz"] += daz.T @ h_prev
-    grads[f"l{layer}.bz"] += daz.sum(axis=0)
-    dx += daz @ p("Wz")
-    dh_prev = dh_prev + daz @ p("Uz")
-
-    dar = dr * r * (1.0 - r)
-    grads[f"l{layer}.Wr"] += dar.T @ x
-    grads[f"l{layer}.Ur"] += dar.T @ h_prev
-    grads[f"l{layer}.br"] += dar.sum(axis=0)
-    dx += dar @ p("Wr")
-    dh_prev = dh_prev + dar @ p("Ur")
-    return dx, dh_prev
+    hidden = U.shape[1]
+    if a.shape[-1] != 3 * hidden or h_prev.shape[-1] != hidden:
+        raise ValueError(f"shape mismatch: a {a.shape}, h {h_prev.shape}, U {U.shape}")
+    u = h_prev @ U.T
+    zr = sigmoid(a[..., :2 * hidden] + u[..., :2 * hidden])
+    z, r = zr[..., :hidden], zr[..., hidden:]
+    uc = u[..., 2 * hidden:].copy()  # a view would keep all of u alive in caches
+    c = np.tanh(a[..., 2 * hidden:] + r * uc)
+    return (1.0 - z) * h_prev + z * c, (z, r, c, uc)
 
 
 class GruPredictor:
@@ -132,34 +106,40 @@ class GruPredictor:
         self.params = params if params is not None else init_params(
             input_dim, hidden, layers, classes, seed)
 
-    def _run(self, x: np.ndarray, train: bool, rng: np.random.Generator | None):
-        """Forward pass over a (batch, T, input_dim) array with caches."""
+    def _run(self, x: np.ndarray, train: bool, rng: np.random.Generator | None,
+             caches: list | None = None):
+        """Forward pass over a (batch, T, input_dim) array.
+
+        Appends to ``caches``, if given, each layer's input, hidden states
+        (batch, T+1, H) from zeros and per-step gates, for the backward pass.
+        """
         if x.ndim != 3 or x.shape[2] != self.input_dim:
             raise ValueError(f"expected (batch, steps, {self.input_dim}), got {x.shape}")
         batch, steps, _ = x.shape
-        caches = [[] for _ in range(self.layers)]
-        masks = []
+        masks = {}  # dropout mask per layer output, train only
         layer_input = x
         for layer in range(self.layers):
-            h = np.zeros((batch, self.hidden))
-            outputs = np.empty((batch, steps, self.hidden))
+            W, U, b = (self.params[f"l{layer}.{n}"] for n in "WUb")
+            a = layer_input.reshape(batch * steps, W.shape[1]) @ W.T + b
+            a = a.reshape(batch, steps, 3 * self.hidden)
+            hs = np.zeros((batch, steps + 1, self.hidden))
+            gates = []
             for t in range(steps):
-                h, cache = gru_cell(layer_input[:, t, :], h, self.params, layer)
-                caches[layer].append(cache)
-                outputs[:, t, :] = h
-            if layer < self.layers - 1:
-                if train and self.dropout > 0.0:
-                    if rng is None:
-                        raise ValueError("training forward pass needs an rng for dropout")
-                    keep = 1.0 - self.dropout
-                    mask = (rng.random(outputs.shape) < keep) / keep
-                    outputs = outputs * mask
-                    masks.append(mask)
-                else:
-                    masks.append(None)
+                hs[:, t + 1], step_gates = gru_cell(a[:, t], hs[:, t], U)
+                if caches is not None:
+                    gates.append(step_gates)
+            if caches is not None:
+                caches.append((layer_input, hs, gates))
+            outputs = hs[:, 1:]
+            if layer < self.layers - 1 and train and self.dropout > 0.0:
+                if rng is None:
+                    raise ValueError("training forward pass needs an rng for dropout")
+                keep = 1.0 - self.dropout
+                masks[layer] = (rng.random(outputs.shape) < keep) / keep
+                outputs = outputs * masks[layer]
             layer_input = outputs
         logits = layer_input[:, -1, :] @ self.params["out.W"].T + self.params["out.b"]
-        return logits, layer_input[:, -1, :], caches, masks
+        return logits, layer_input[:, -1, :], masks
 
     def forward(self, x: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
@@ -167,52 +147,63 @@ class GruPredictor:
         single = x.ndim == 2
         if single:
             x = x[None, ...]
-        logits, _, _, _ = self._run(x, train, rng)
-        probs = softmax(logits)
+        probs = softmax(self._run(x, train, rng)[0])
         return probs[0] if single else probs
+
+    def _logits(self, x: np.ndarray, batch_size: int = 512) -> np.ndarray:
+        """Eval-mode logits (n, classes), computed in batches."""
+        chunks = [self._run(x[start:start + batch_size], False, None)[0]
+                  for start in range(0, len(x), batch_size)]
+        return np.concatenate(chunks) if chunks else np.empty((0, self.classes))
 
     def predict(self, x: np.ndarray, batch_size: int = 512) -> np.ndarray:
         """Argmax class per sample, evaluated in eval mode."""
-        out = []
-        for start in range(0, len(x), batch_size):
-            probs = self.forward(x[start:start + batch_size])
-            out.append(np.argmax(probs, axis=1))
-        return np.concatenate(out) if out else np.empty(0, dtype=int)
+        return np.argmax(softmax(self._logits(x, batch_size)), axis=1)
 
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray, train: bool = False,
                        rng: np.random.Generator | None = None):
         """Mean cross-entropy and gradients for every parameter."""
         if len(x) == 0:
             raise DataError("empty batch")
-        logits, last_hidden, caches, masks = self._run(x, train, rng)
-        batch = len(x)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        loss = float(-log_probs[np.arange(batch), y].mean())
+        caches = []
+        logits, last_hidden, masks = self._run(x, train, rng, caches)
+        batch, steps, _ = x.shape
+        hidden = self.hidden
+        loss = _cross_entropy(logits, y)
 
-        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         dlogits = softmax(logits)
         dlogits[np.arange(batch), y] -= 1.0
         dlogits /= batch
-        grads["out.W"] += dlogits.T @ last_hidden
-        grads["out.b"] += dlogits.sum(axis=0)
+        grads = {"out.W": dlogits.T @ last_hidden, "out.b": dlogits.sum(axis=0)}
 
-        steps = x.shape[1]
-        top_dh = dlogits @ self.params["out.W"]
-        dinput = None
+        # gradient reaching each layer's outputs, one (batch, H) row per step
+        dout = np.zeros((batch, steps, hidden))
+        dout[:, -1] = dlogits @ self.params["out.W"]
         for layer in reversed(range(self.layers)):
-            dh = top_dh if layer == self.layers - 1 else np.zeros((batch, self.hidden))
-            dxs = np.empty((batch, steps, caches[layer][0][0].shape[-1]))
+            W, U = self.params[f"l{layer}.W"], self.params[f"l{layer}.U"]
+            layer_input, hs, gates = caches[layer]
+            da = np.empty((batch, steps, 3 * hidden))  # d loss / d a
+            du = np.empty_like(da)                     # d loss / d u
+            dh = np.zeros((batch, hidden))
             for t in reversed(range(steps)):
-                if layer < self.layers - 1:
-                    extra = dinput[:, t, :]
-                    if masks[layer] is not None:
-                        extra = extra * masks[layer][:, t, :]
-                    dh = dh + extra
-                dx, dh = _cell_backward(dh, caches[layer][t], self.params, grads, layer)
-                dxs[:, t, :] = dx
-                # dh now carries the gradient flowing to step t-1
-            dinput = dxs
+                dh = dh + dout[:, t]
+                z, r, c, uc = gates[t]
+                dc = dh * z * (1.0 - c * c)
+                da[:, t, :hidden] = dh * (c - hs[:, t]) * z * (1.0 - z)
+                da[:, t, hidden:2 * hidden] = dc * uc * r * (1.0 - r)
+                da[:, t, 2 * hidden:] = dc
+                du[:, t, :2 * hidden] = da[:, t, :2 * hidden]
+                du[:, t, 2 * hidden:] = dc * r
+                dh = dh * (1.0 - z) + du[:, t] @ U
+            da = da.reshape(batch * steps, 3 * hidden)
+            grads[f"l{layer}.W"] = da.T @ layer_input.reshape(batch * steps, -1)
+            grads[f"l{layer}.U"] = (du.reshape(batch * steps, 3 * hidden).T
+                                    @ hs[:, :-1].reshape(batch * steps, hidden))
+            grads[f"l{layer}.b"] = da.sum(axis=0)
+            if layer > 0:
+                dout = (da @ W).reshape(batch, steps, -1)
+                if layer - 1 in masks:
+                    dout = dout * masks[layer - 1]
         return loss, grads
 
 
@@ -293,9 +284,10 @@ def train_model(
                 raise NumericError(f"non-finite loss at epoch {epoch}")
             adam_step(model.params, grads, state, cfg.learning_rate)
             losses.append(loss)
-        val_pred = model.predict(val_x)
-        val_top1 = float(np.mean(val_pred == val_y))
-        val_loss = _eval_loss(model, val_x, val_y)
+        # one eval pass gives the val loss and predictions equal to predict()
+        val_logits = model._logits(val_x)
+        val_top1 = float(np.mean(np.argmax(softmax(val_logits), axis=1) == val_y))
+        val_loss = _cross_entropy(val_logits, val_y)
         train_pred = model.predict(train_x)
         row = {
             "epoch": epoch + 1,
@@ -313,23 +305,12 @@ def train_model(
     return result
 
 
-def _eval_loss(model: GruPredictor, x: np.ndarray, y: np.ndarray,
-               batch_size: int = 512) -> float:
-    total, count = 0.0, 0
-    for start in range(0, len(x), batch_size):
-        xb, yb = x[start:start + batch_size], y[start:start + batch_size]
-        loss, _ = model.loss_and_grads(xb, yb, train=False)
-        total += loss * len(xb)
-        count += len(xb)
-    return total / count
-
-
 # ---------------------------------------------------------------------------
 # Checkpoint format (versioned binary)
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = b"BSCK"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2  # 2: fused l{k}.W, l{k}.U, l{k}.b per layer
 
 
 def save_checkpoint(path, params: dict[str, np.ndarray], meta: dict) -> None:
@@ -349,21 +330,38 @@ def save_checkpoint(path, params: dict[str, np.ndarray], meta: dict) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _CKPT_MAGIC:
-            raise DataError(f"not a checkpoint file: {path}")
-        version, header_len = struct.unpack("<IQ", fh.read(12))
-        if version != _CKPT_VERSION:
-            raise DataError(f"unsupported checkpoint version {version}")
-        header = json.loads(fh.read(header_len).decode())
+    """Read a checkpoint; a malformed, truncated or older file raises DataError."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+    if data[:4] != _CKPT_MAGIC:
+        raise DataError(f"not a checkpoint file: {path}")
+    if len(data) < 16:
+        raise DataError(f"truncated checkpoint header: {path}")
+    version, header_len = struct.unpack_from("<IQ", data, 4)
+    if version != _CKPT_VERSION:
+        raise DataError(f"unsupported checkpoint version {version} "
+                        f"(expected {_CKPT_VERSION}): {path}")
+    offset = 16 + header_len
+    try:
+        if offset > len(data):
+            raise ValueError("header runs past the end of the file")
+        header = json.loads(data[16:offset])
         params = {}
         for entry in header["params"]:
             shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            params[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    return params, header["meta"]
+            count = math.prod(shape)
+            if offset + 8 * count > len(data):
+                raise ValueError(f"tensor {entry['name']} runs past the end of the file")
+            params[entry["name"]] = np.frombuffer(
+                data, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
+            offset += 8 * count
+        meta = header["meta"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"corrupt checkpoint {path}: {exc}") from exc
+    return params, meta
 
 
 def model_from_checkpoint(path) -> tuple[GruPredictor, dict]:

@@ -216,10 +216,6 @@ class DetectorNoiseModel:
         if self.jitter_sigma < 0:
             raise ValueError("jitter_sigma must be >= 0")
 
-    @property
-    def is_noiseless(self) -> bool:
-        return self.p_miss == 0.0 and self.jitter_sigma == 0.0 and self.p_false_positive == 0.0
-
 
 NOISELESS = DetectorNoiseModel()
 

@@ -4,7 +4,6 @@ import pytest
 from beamsight.embedding import (
     BeamEmbeddingTable,
     bbox_feature,
-    embed_beam,
     embed_bboxes,
     sequence_inputs,
 )
@@ -35,9 +34,9 @@ class TestBeamTable:
     def test_out_of_range_index(self):
         table = BeamEmbeddingTable(8, 16, seed=0)
         with pytest.raises(IndexError):
-            embed_beam(table, 0)
+            table.vector(0)
         with pytest.raises(IndexError):
-            embed_beam(table, 9)
+            table.vector(9)
 
     def test_table_is_immutable(self):
         table = BeamEmbeddingTable(8, 16, seed=0)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ from beamsight.experiment import (
     run_experiment,
     simulate_stage,
 )
+from beamsight.predictor import GruPredictor, save_checkpoint
 
 MINI = Path(__file__).resolve().parent.parent / "configs" / "mini.ini"
 
@@ -144,3 +148,40 @@ class TestCli:
     def test_threads_flag_validated(self):
         assert main(["--threads", "0", "simulate", "--config", "x",
                      "--frames", "1", "--out", "y"]) == 1
+
+    def test_truncated_checkpoint_is_data_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "cut.ckpt"
+        save_checkpoint(ckpt, GruPredictor(input_dim=6, hidden=4).params, {"layers": 2})
+        ckpt.write_bytes(ckpt.read_bytes()[:-20])
+        assert main(["eval", "--ckpt", str(ckpt), "--dataset", str(tmp_path),
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        assert str(ckpt) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["hidden = 0", "layers = 0", "embed_dim = 5"])
+    def test_bad_train_config_is_data_error(self, tmp_path, capsys, line):
+        ini = tmp_path / "train.ini"
+        ini.write_text(f"[train]\n{line}\n")
+        assert main(["train", "--dataset", str(tmp_path), "--mode", "bimodal",
+                     "--config", str(ini), "--out", str(tmp_path / "m.ckpt")]) == 2
+        assert str(ini) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, section, option", [
+        (["simulate", "--frames", "5"], "vehicles", "cars"),
+        (["build-dataset", "--trace", "t"], "dataset", "quota"),
+        (["train", "--dataset", "d", "--mode", "bimodal"], "train", "hidden"),
+        (["run-experiment"], "experiment", "frames"),
+    ])
+    def test_unparsable_value_names_file_section_option(self, tmp_path, capsys,
+                                                        command, section, option):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"[{section}]\n{option} = abc\n")
+        argv = command + ["--config", str(ini), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(ini) in err and f"[{section}] {option}" in err
+
+    def test_importing_cli_leaves_numpy_unloaded(self):
+        # numpy must load only after --threads has set the BLAS thread caps
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        code = "import sys, beamsight.cli; sys.exit('numpy' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

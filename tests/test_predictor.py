@@ -1,4 +1,6 @@
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -23,17 +25,23 @@ def zero_params(input_dim, hidden, layers=2, classes=2):
     return {k: np.zeros_like(v) for k, v in params.items()}
 
 
+def cell(x, h_prev, params, layer=0):
+    """One step of ``gru_cell`` from a raw input, as the forward pass feeds it."""
+    W, U, b = (params[f"l{layer}.{n}"] for n in "WUb")
+    return gru_cell(x @ W.T + b, h_prev, U)
+
+
 class TestGruCell:
     def test_zero_everything_is_fixed_point(self):
         params = zero_params(3, 2)
-        h, _ = gru_cell(np.zeros(3), np.zeros(2), params, layer=0)
+        h, _ = cell(np.zeros(3), np.zeros(2), params)
         assert np.allclose(h, 0.0)
 
     def test_saturated_update_gate_keeps_hidden_state(self):
         params = zero_params(3, 2)
-        params["l0.bz"][:] = -50.0  # z -> 0, so h' = h_prev
+        params["l0.b"][:2] = -50.0  # z block -> 0, so h' = h_prev
         h_prev = np.array([0.3, -0.7])
-        h, _ = gru_cell(np.ones(3), h_prev, params, layer=0)
+        h, _ = cell(np.ones(3), h_prev, params)
         assert np.allclose(h, h_prev, atol=1e-12)
 
     def test_matches_scalar_oracle(self):
@@ -42,14 +50,16 @@ class TestGruCell:
         for _ in range(20):
             x = rng.normal(size=3)
             h_prev = rng.normal(size=2)
-            got, _ = gru_cell(x, h_prev, params, layer=0)
+            got, _ = cell(x, h_prev, params)
             want = _scalar_gru_step(params, 0, x, h_prev)
             assert np.max(np.abs(got - want)) < 1e-12
 
     def test_shape_mismatch_rejected(self):
         params = zero_params(3, 2)
         with pytest.raises(ValueError):
-            gru_cell(np.zeros(4), np.zeros(2), params, layer=0)
+            gru_cell(np.zeros(4), np.zeros(2), params["l0.U"])  # needs 3H = 6
+        with pytest.raises(ValueError):
+            gru_cell(np.zeros(6), np.zeros(3), params["l0.U"])
 
 
 def _scalar_gru_step(params, layer, x, h_prev):
@@ -57,10 +67,11 @@ def _scalar_gru_step(params, layer, x, h_prev):
     def sig(v):
         return 1.0 / (1.0 + math.exp(-v))
 
-    Wz, Uz, bz = (params[f"l{layer}.{n}"] for n in ("Wz", "Uz", "bz"))
-    Wr, Ur, br = (params[f"l{layer}.{n}"] for n in ("Wr", "Ur", "br"))
-    Wc, Uc, bc = (params[f"l{layer}.{n}"] for n in ("Wc", "Uc", "bc"))
-    hidden = len(bz)
+    W, U, b = (params[f"l{layer}.{n}"] for n in "WUb")
+    hidden = len(b) // 3
+    Wz, Wr, Wc = W[:hidden], W[hidden:2 * hidden], W[2 * hidden:]
+    Uz, Ur, Uc = U[:hidden], U[hidden:2 * hidden], U[2 * hidden:]
+    bz, br, bc = b[:hidden], b[hidden:2 * hidden], b[2 * hidden:]
     h = np.zeros(hidden)
     for i in range(hidden):
         az = sum(Wz[i][j] * x[j] for j in range(len(x))) \
@@ -283,7 +294,20 @@ class TestCheckpoint:
         assert np.array_equal(model.forward(x), loaded.forward(x))
 
     def test_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.ckpt"
-        path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(DataError):
-            load_checkpoint(path)
+        good = tmp_path / "good.ckpt"
+        save_checkpoint(good, GruPredictor(input_dim=6, hidden=4).params, {"layers": 2})
+        blob = good.read_bytes()
+        header_end = 16 + struct.unpack_from("<Q", blob, 8)[0]
+        cases = {
+            "magic": b"NOPE" + b"\x00" * 32,
+            "short_header": blob[:10],
+            "header_past_end": blob[:header_end - 1],
+            "undecodable_header": blob[:16] + b"\xff" * (header_end - 16) + blob[header_end:],
+            "short_tensors": blob[:-8],
+            "version_1": blob[:4] + struct.pack("<I", 1) + blob[8:],
+        }
+        for name, data in cases.items():
+            path = tmp_path / f"{name}.ckpt"
+            path.write_bytes(data)
+            with pytest.raises(DataError, match=re.escape(str(path))):
+                load_checkpoint(path)
