@@ -52,7 +52,6 @@ class ScenarioConfig:
     carrier_hz: float = 28e9
     spacing_wavelengths: float = 0.5
     reflection_loss_db: float = 10.0
-    tx_power: float = 1.0
     # [detector]
     p_miss: float = 0.0
     jitter_sigma: float = 0.0
@@ -73,6 +72,19 @@ class ScenarioConfig:
                 "basestation separation must exceed the cross-street distance "
                 f"({width + 2 * self.bs_setback:.1f} m)"
             )
+        for name in ("cars", "buses", "trucks"):
+            if getattr(self, name) < 0:
+                raise DataError(f"{name} must be >= 0")
+        for name in ("elements", "beams", "subcarriers", "cyclic_prefix"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be >= 1")
+        if self.sample_time <= 0 or self.carrier_hz <= 0:
+            raise DataError("sample_time and carrier_hz must be > 0")
+        for name in ("p_miss", "p_false_positive", "min_visible_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise DataError(f"{name} must be in [0, 1]")
+        if self.jitter_sigma < 0:
+            raise DataError("jitter_sigma must be >= 0")
 
 
 @dataclass
@@ -141,7 +153,8 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()
 
 
-# Section/option -> dataclass field maps for the INI format.
+# The scenario spreads over these INI sections; every other config reads its
+# plain fields from one section named after it.
 _SCENARIO_SECTIONS = {
     "street": ("lanes", "lane_width", "street_length", "wall_setback"),
     "vehicles": ("cars", "buses", "trucks", "min_speed", "max_speed"),
@@ -149,16 +162,10 @@ _SCENARIO_SECTIONS = {
     "cameras": ("image_width", "image_height", "hfov_deg", "vfov_deg",
                 "pitch_deg", "side_yaw_deg"),
     "phy": ("elements", "beams", "subcarriers", "cyclic_prefix", "sample_time",
-            "carrier_hz", "spacing_wavelengths", "reflection_loss_db", "tx_power"),
+            "carrier_hz", "spacing_wavelengths", "reflection_loss_db"),
     "detector": ("p_miss", "jitter_sigma", "p_false_positive", "min_visible_fraction"),
     "simulation": ("seed", "dt"),
 }
-
-_DATASET_OPTIONS = ("quota", "seed", "observed", "future", "split_fraction",
-                    "overlap_cameras")
-_TRAIN_OPTIONS = ("hidden", "embed_dim", "layers", "learning_rate", "batch_size",
-                  "epochs", "dropout", "seed", "table_seed")
-_EXPERIMENT_OPTIONS = ("frames",)
 
 
 def _convert(value: str, target_type):
@@ -184,10 +191,29 @@ def _read_ini(path: str | Path) -> configparser.ConfigParser:
     return parser
 
 
-def _load(path, cls, sections: dict[str, tuple[str, ...]], **fields):
-    """Build ``cls`` from the given INI sections; every error names the file."""
+def _plain_fields(cls) -> dict[str, type]:
+    """Option name -> type for every field of ``cls`` with a plain default."""
+    return {f.name: type(f.default) for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING}
+
+
+def _construct(path, cls, fields: dict):
+    try:
+        return cls(**fields)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def _load(path, cls, sections: dict[str, tuple[str, ...]] | str, **fields):
+    """Build ``cls`` from INI sections; every error names the file.
+
+    ``sections`` maps section names to their options, or names the one
+    section that holds every field of ``cls`` with a plain default.
+    """
     parser = _read_ini(path)
-    types = {f.name: type(f.default) for f in dataclasses.fields(cls)}
+    types = _plain_fields(cls)
+    if isinstance(sections, str):
+        sections = {sections: tuple(types)}
     for section, options in sections.items():
         if not parser.has_section(section):
             continue
@@ -200,10 +226,7 @@ def _load(path, cls, sections: dict[str, tuple[str, ...]], **fields):
             except ValueError as exc:
                 raise DataError(f"{path}: [{section}] {option} = {raw!r} is not "
                                 f"a valid {types[option].__name__}") from exc
-    try:
-        return cls(**fields)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    return _construct(path, cls, fields)
 
 
 def load_scenario_config(path: str | Path) -> ScenarioConfig:
@@ -211,19 +234,33 @@ def load_scenario_config(path: str | Path) -> ScenarioConfig:
 
 
 def load_dataset_config(path: str | Path) -> DatasetConfig:
-    return _load(path, DatasetConfig, {"dataset": _DATASET_OPTIONS})
+    return _load(path, DatasetConfig, "dataset")
 
 
 def load_train_config(path: str | Path) -> TrainConfig:
-    return _load(path, TrainConfig, {"train": _TRAIN_OPTIONS})
+    return _load(path, TrainConfig, "train")
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
-    return _load(path, ExperimentConfig, {"experiment": _EXPERIMENT_OPTIONS},
+    return _load(path, ExperimentConfig, "experiment",
                  scenario=load_scenario_config(path),
                  dataset=load_dataset_config(path),
                  train=load_train_config(path))
 
 
-def scenario_from_dict(data: dict) -> ScenarioConfig:
-    return ScenarioConfig(**data)
+def scenario_from_json(path, data) -> ScenarioConfig:
+    """The scenario echoed in a trace manifest: every option, no other key.
+
+    ``path`` names the manifest in every error.
+    """
+    types = _plain_fields(ScenarioConfig)
+    if not isinstance(data, dict) or data.keys() != types.keys():
+        known = data.keys() if isinstance(data, dict) else set()
+        raise DataError(f"{path}: scenario keys differ from the scenario config: "
+                        f"unknown {sorted(known - types.keys())}, "
+                        f"missing {sorted(types.keys() - known)}")
+    for key, value in data.items():
+        if type(value) not in ((int,) if types[key] is int else (int, float)):
+            raise DataError(f"{path}: scenario {key} = {value!r} is not "
+                            f"a valid {types[key].__name__}")
+    return _construct(path, ScenarioConfig, data)

@@ -183,8 +183,14 @@ def train_stage(dataset_dir, mode: str, cfg: TrainConfig, out_ckpt,
 
 def _load_model_and_table(ckpt_path):
     model, meta = model_from_checkpoint(ckpt_path)
-    table = BeamEmbeddingTable(meta["n_beams"], meta["embed_dim"],
-                               meta["table_seed"])
+    try:
+        if meta["mode"] not in ("bimodal", "beam-only") or \
+                meta["embed_dim"] != model.input_dim:
+            raise ValueError("mode or embed_dim does not fit the model")
+        table = BeamEmbeddingTable(meta["n_beams"], meta["embed_dim"],
+                                   meta["table_seed"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"checkpoint {ckpt_path}: bad header: {exc!r}") from exc
     return model, meta, table
 
 

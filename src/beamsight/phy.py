@@ -9,7 +9,6 @@ arrival angles, combined over cyclic-prefix taps with a sinc pulse shape.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,20 +150,6 @@ def received_power(channel: np.ndarray, beam: np.ndarray, power: float = 1.0) ->
     return float(np.sum(np.abs(channel @ beam) ** 2) * power)
 
 
-def sample_received_signal(
-    channel: np.ndarray,
-    beam: np.ndarray,
-    symbol: complex,
-    noise_var: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Noisy per-subcarrier samples y_k = h_k^T f x + n_k, n_k ~ CN(0, var)."""
-    clean = channel @ beam * symbol
-    sigma = math.sqrt(noise_var / 2.0)
-    noise = rng.normal(0.0, sigma, size=clean.shape) + 1j * rng.normal(0.0, sigma, size=clean.shape)
-    return clean + noise
-
-
 def select_beam(channel: np.ndarray, codebook: Codebook) -> int:
     """1-based index of the codebook beam maximizing received power.
 
@@ -261,41 +246,3 @@ def synthesize_paths(
                                  azimuth=az, elevation=el))
     return paths
 
-
-# ---------------------------------------------------------------------------
-# Channel dump (debugging interface)
-# ---------------------------------------------------------------------------
-
-_DUMP_MAGIC = b"BSCH"
-_DUMP_VERSION = 1
-
-
-def write_channel_dump(path, channels: np.ndarray) -> None:
-    """Write channel records as little-endian float64 (re, im) pairs.
-
-    ``channels`` has shape (records, K, M).
-    """
-    channels = np.asarray(channels, dtype=complex)
-    if channels.ndim != 3:
-        raise ValueError("expected an array of shape (records, K, M)")
-    count, k, m = channels.shape
-    interleaved = np.empty((count, k, m, 2), dtype="<f8")
-    interleaved[..., 0] = channels.real
-    interleaved[..., 1] = channels.imag
-    with open(path, "wb") as fh:
-        fh.write(_DUMP_MAGIC)
-        fh.write(struct.pack("<HHQII", _DUMP_VERSION, 0, count, k, m))
-        fh.write(interleaved.tobytes())
-
-
-def read_channel_dump(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _DUMP_MAGIC:
-            raise ValueError("not a channel dump file")
-        version, _, count, k, m = struct.unpack("<HHQII", fh.read(20))
-        if version != _DUMP_VERSION:
-            raise ValueError(f"unsupported channel dump version {version}")
-        raw = np.frombuffer(fh.read(count * k * m * 16), dtype="<f8")
-    raw = raw.reshape(count, k, m, 2)
-    return raw[..., 0] + 1j * raw[..., 1]

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ScenarioConfig, scenario_from_dict
+from .config import ScenarioConfig, scenario_from_json
 from .errors import DataError
 from .phy import Codebook, channel_vector, los_status, select_beam, synthesize_paths
 from .scene import (
@@ -53,7 +53,6 @@ class SeedTuple:
     detections: list[Detection]   # full frame detections of the owning camera
     beam: int                     # 1-based codebook index
     link_status: int              # 0 = LOS, 1 = NLOS
-    position: np.ndarray
 
 
 @dataclass
@@ -197,7 +196,7 @@ def build_seed(worlds: list[World], cfg: ScenarioConfig) -> list[SeedStream]:
                 tup = SeedTuple(
                     user_id=user.object_id, frame=frame,
                     detections=det_cache[owner.camera_id],
-                    beam=beam, link_status=status, position=user.center.copy(),
+                    beam=beam, link_status=status,
                 )
                 stream = active.get(key)
                 if (stream is None or stream.camera_id != owner.camera_id
@@ -365,6 +364,10 @@ def sample_to_record(sample: LabeledSample) -> dict:
 
 
 def record_to_sample(record: dict) -> LabeledSample:
+    integers = (record["camera"], record["user"], record["t_end"], record["label"],
+                *record["beams"], *record["window"])
+    if not all(type(v) is int for v in integers):
+        raise TypeError("camera, user, t_end, label, beams and window must be integers")
     sequence = ObservedSequence(
         camera_id=record["camera"],
         user_id=record["user"],
@@ -404,11 +407,23 @@ def _write_ndjson(path: Path, records) -> None:
             fh.write("\n")
 
 
-def _read_ndjson(path: Path):
+def _read_ndjson(path: Path, parse) -> list:
+    """``parse`` of each record; a bad line raises DataError naming file and line."""
     if not path.is_file():
         raise DataError(f"missing file: {path}")
+    parsed = []
     with path.open() as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                parsed.append(parse(json.loads(line)))
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}: line {number} is not JSON: {exc}") from exc
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                raise DataError(f"{path}: line {number} is not a valid record: "
+                                f"{exc!r}") from exc
+    return parsed
 
 
 def write_dataset(out_dir, train: LabeledDataset, val: LabeledDataset,
@@ -423,12 +438,11 @@ def write_dataset(out_dir, train: LabeledDataset, val: LabeledDataset,
 
 def read_split(dataset_dir, split: str) -> LabeledDataset:
     path = Path(dataset_dir) / f"{split}.ndrec"
-    samples = [record_to_sample(r) for r in _read_ndjson(path)]
-    return LabeledDataset(samples, split)
+    return LabeledDataset(_read_ndjson(path, record_to_sample), split)
 
 
 def read_pairs(path) -> list[ConjugateSample]:
-    return [record_to_pair(r) for r in _read_ndjson(Path(path))]
+    return _read_ndjson(Path(path), record_to_pair)
 
 
 def read_manifest(dataset_dir) -> dict:
@@ -463,12 +477,13 @@ def read_trace(trace_dir) -> tuple[ScenarioConfig, list[World]]:
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
         raise DataError(f"not a trace directory: {trace_dir}")
-    manifest = json.loads(manifest_path.read_text())
-    cfg = scenario_from_dict(manifest["scenario"])
-    worlds = []
-    for record in _read_ndjson(root / "frames.ndjson"):
-        objects = [object_from_record(r) for r in record["objects"]]
-        worlds.append(world_from_objects(cfg, objects))
+    try:
+        scenario = json.loads(manifest_path.read_text())["scenario"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{manifest_path}: not a trace manifest: {exc!r}") from exc
+    cfg = scenario_from_json(manifest_path, scenario)
+    worlds = _read_ndjson(root / "frames.ndjson", lambda record: world_from_objects(
+        cfg, [object_from_record(r) for r in record["objects"]]))
     if not worlds:
         raise DataError(f"trace has no frames: {trace_dir}")
     return cfg, worlds

@@ -244,7 +244,6 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
 @dataclass
 class TrainResult:
     params: dict[str, np.ndarray]          # best-validation parameters
-    final_params: dict[str, np.ndarray]
     history: list[dict] = field(default_factory=list)
     best_epoch: int = 0
     best_val_top1: float = 0.0
@@ -270,8 +269,7 @@ def train_model(
     state = AdamState.for_params(model.params)
     rng = np.random.default_rng([cfg.seed, 23])
 
-    result = TrainResult(params=copy.deepcopy(model.params),
-                         final_params=model.params, best_val_top1=-1.0)
+    result = TrainResult(params=copy.deepcopy(model.params), best_val_top1=-1.0)
     n = len(train_x)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
@@ -301,7 +299,6 @@ def train_model(
             result.best_val_top1 = val_top1
             result.best_epoch = epoch + 1
             result.params = copy.deepcopy(model.params)
-    result.final_params = model.params
     return result
 
 
@@ -359,16 +356,38 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
                 data, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
             offset += 8 * count
         meta = header["meta"]
+        if not isinstance(meta, dict):
+            raise TypeError("header meta is not an object")
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"corrupt checkpoint {path}: {exc}") from exc
     return params, meta
 
 
 def model_from_checkpoint(path) -> tuple[GruPredictor, dict]:
+    """The model a checkpoint holds; header sizes must match its tensors."""
     params, meta = load_checkpoint(path)
-    model = GruPredictor(
-        input_dim=meta["input_dim"], hidden=meta["hidden"],
-        layers=meta["layers"], classes=meta.get("classes", 2),
-        dropout=meta.get("dropout", 0.0), params=params,
-    )
+    sizes = {key: meta.get(key) for key in ("input_dim", "hidden", "layers")}
+    sizes["classes"] = meta.get("classes", 2)
+    for key, value in sizes.items():
+        if type(value) is not int or value < 1:
+            raise DataError(f"checkpoint {path}: header {key} = {value!r} "
+                            "is not a positive integer")
+    input_dim, hidden, layers, classes = sizes.values()
+    if len(params) != 3 * layers + 2:
+        raise DataError(f"checkpoint {path}: {len(params)} tensors do not fit "
+                        f"header layers = {layers}")
+    expected = {"out.W": (classes, hidden), "out.b": (classes,)}
+    for layer in range(layers):
+        expected[f"l{layer}.W"] = (3 * hidden, input_dim if layer == 0 else hidden)
+        expected[f"l{layer}.U"] = (3 * hidden, hidden)
+        expected[f"l{layer}.b"] = (3 * hidden,)
+    shapes = {name: p.shape for name, p in params.items()}
+    wrong = sorted(n for n in shapes.keys() | expected.keys()
+                   if shapes.get(n) != expected.get(n))
+    if wrong:
+        raise DataError(f"checkpoint {path}: tensors {wrong} disagree with the "
+                        f"header sizes {sizes}")
+    model = GruPredictor(input_dim=input_dim, hidden=hidden, layers=layers,
+                         classes=classes, dropout=meta.get("dropout", 0.0),
+                         params=params)
     return model, meta

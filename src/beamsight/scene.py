@@ -66,15 +66,6 @@ class SceneObject:
         """Roof-centre point used as the user antenna location."""
         return self.center + np.array([0.0, 0.0, self.dims[2] / 2.0])
 
-    def corners(self) -> np.ndarray:
-        """The 8 corners of the axis-aligned box, shape (8, 3)."""
-        half = self.dims / 2.0
-        signs = np.array(
-            [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
-            dtype=float,
-        )
-        return self.center + signs * half
-
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         half = self.dims / 2.0
         return self.center - half, self.center + half
@@ -317,16 +308,7 @@ def build_world(cfg: ScenarioConfig) -> World:
             ))
     objects.sort(key=lambda o: o.object_id)
 
-    basestations, wall_south, wall_north = build_geometry(cfg)
-    return World(
-        objects=objects,
-        street_length=cfg.street_length,
-        lanes=cfg.lanes,
-        lane_width=cfg.lane_width,
-        basestations=basestations,
-        wall_south=wall_south,
-        wall_north=wall_north,
-    )
+    return world_from_objects(cfg, objects)
 
 
 def step_world(world: World, dt: float) -> World:
@@ -345,86 +327,58 @@ def step_world(world: World, dt: float) -> World:
 # Pinhole projection
 # ---------------------------------------------------------------------------
 
-_BOX_EDGES = [
+# corner k has sign bits (x, y, z) = (k >> 2, k >> 1, k) & 1; each edge
+# joins two corners that differ in one bit
+_BOX_SIGNS = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1)
+                       for sz in (-1, 1)], dtype=float)
+_EDGE_START, _EDGE_END = np.array([
     (0, 1), (0, 2), (1, 3), (2, 3),
     (4, 5), (4, 6), (5, 7), (6, 7),
     (0, 4), (1, 5), (2, 6), (3, 7),
-]
+]).T
 
 
 def project_object(cam: Camera, obj: SceneObject):
-    """Project a box onto the image plane.
-
-    Returns the normalized axis-aligned hull (x1, y1, x2, y2) of the
-    projected corners, clipped to the image, or None when the object is
-    behind the camera or entirely outside the field of view.
-    """
-    corners = (obj.corners() - cam.position) @ cam.rotation.T  # (8, 3) cam frame
-    depths = corners[:, 2]
-    if np.all(depths <= NEAR_PLANE):
-        return None
-    if np.all(depths > NEAR_PLANE):
-        points = corners
-    else:
-        # clip box edges crossing the near plane so partially-behind objects
-        # still produce a correct hull
-        points = [corners[i] for i in range(8) if depths[i] > NEAR_PLANE]
-        for i, j in _BOX_EDGES:
-            zi, zj = depths[i], depths[j]
-            if (zi > NEAR_PLANE) != (zj > NEAR_PLANE):
-                t = (NEAR_PLANE - zi) / (zj - zi)
-                points.append(corners[i] + t * (corners[j] - corners[i]))
-        points = np.asarray(points)
-
-    fx, fy = cam.focal
-    u = fx * points[:, 0] / points[:, 2] + cam.image_width / 2.0
-    v = fy * points[:, 1] / points[:, 2] + cam.image_height / 2.0
-    x1 = max(float(u.min()), 0.0)
-    x2 = min(float(u.max()), float(cam.image_width))
-    y1 = max(float(v.min()), 0.0)
-    y2 = min(float(v.max()), float(cam.image_height))
-    if x1 >= x2 or y1 >= y2:
-        return None
-    return (x1 / cam.image_width, y1 / cam.image_height,
-            x2 / cam.image_width, y2 / cam.image_height)
+    """project_objects for a single box."""
+    return project_objects(cam, [obj])[0]
 
 
 def project_objects(cam: Camera, objects: list[SceneObject]) -> list:
-    """Batched project_object: one normalized bbox (or None) per object.
+    """Project boxes onto the image plane: one normalized bbox (or None) each.
 
-    The fully-in-front case is vectorized; objects straddling the near
-    plane fall back to the edge-clipping scalar path.
+    A bbox is the axis-aligned hull (x1, y1, x2, y2) of the box's corners in
+    front of the near plane plus the points where its 12 edges cross that
+    plane, clipped to the image; None when the object is behind the camera
+    or entirely outside the field of view.  All boxes are clipped at once:
+    the hull is a min and max over the corners and edge cuts under a mask.
     """
     if not objects:
         return []
     centers = np.stack([o.center for o in objects])
     half = np.stack([o.dims for o in objects]) / 2.0
-    signs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1)
-                      for sz in (-1, 1)], dtype=float)
-    corners = centers[:, None, :] + signs[None, :, :] * half[:, None, :]  # (n, 8, 3)
-    cam_pts = (corners - cam.position) @ cam.rotation.T
-    depths = cam_pts[:, :, 2]
-    front = depths > NEAR_PLANE
+    corners = centers[:, None, :] + _BOX_SIGNS[None, :, :] * half[:, None, :]
+    cam_pts = (corners - cam.position) @ cam.rotation.T         # (n, 8, 3)
+    front = cam_pts[:, :, 2] > NEAR_PLANE
+    start, end = cam_pts[:, _EDGE_START], cam_pts[:, _EDGE_END]  # (n, 12, 3)
+    cut = front[:, _EDGE_START] != front[:, _EDGE_END]
+    z0, z1 = start[:, :, 2], end[:, :, 2]
+    t = (NEAR_PLANE - z0) / np.where(cut, z1 - z0, 1.0)
+    points = np.concatenate([cam_pts, start + t[:, :, None] * (end - start)], axis=1)
+    keep = np.concatenate([front, cut], axis=1)                  # (n, 20)
+    depth = np.where(keep, points[:, :, 2], 1.0)
+
     fx, fy = cam.focal
-    results: list = [None] * len(objects)
-    all_front = np.all(front, axis=1)
-    if np.any(all_front):
-        pts = cam_pts[all_front]
-        u = fx * pts[:, :, 0] / pts[:, :, 2] + cam.image_width / 2.0
-        v = fy * pts[:, :, 1] / pts[:, :, 2] + cam.image_height / 2.0
-        x1 = np.maximum(u.min(axis=1), 0.0)
-        x2 = np.minimum(u.max(axis=1), float(cam.image_width))
-        y1 = np.maximum(v.min(axis=1), 0.0)
-        y2 = np.minimum(v.max(axis=1), float(cam.image_height))
-        for slot, idx in enumerate(np.nonzero(all_front)[0]):
-            if x1[slot] >= x2[slot] or y1[slot] >= y2[slot]:
-                continue
-            results[idx] = (x1[slot] / cam.image_width, y1[slot] / cam.image_height,
-                            x2[slot] / cam.image_width, y2[slot] / cam.image_height)
-    for idx in np.nonzero(~all_front)[0]:
-        if np.any(front[idx]):
-            results[idx] = project_object(cam, objects[idx])
-    return results
+    u = fx * points[:, :, 0] / depth + cam.image_width / 2.0
+    v = fy * points[:, :, 1] / depth + cam.image_height / 2.0
+    x1 = np.maximum(np.where(keep, u, np.inf).min(axis=1), 0.0)
+    x2 = np.minimum(np.where(keep, u, -np.inf).max(axis=1), float(cam.image_width))
+    y1 = np.maximum(np.where(keep, v, np.inf).min(axis=1), 0.0)
+    y2 = np.minimum(np.where(keep, v, -np.inf).max(axis=1), float(cam.image_height))
+    boxes = np.stack([x1 / cam.image_width, y1 / cam.image_height,
+                      x2 / cam.image_width, y2 / cam.image_height], axis=1)
+    visible = (x1 < x2) & (y1 < y2)
+    return [tuple(box) if ok else None
+            for box, ok in zip(boxes.tolist(), visible.tolist())]
 
 
 def object_depth(cam: Camera, obj: SceneObject) -> float:

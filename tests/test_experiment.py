@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -156,6 +157,100 @@ class TestCli:
         assert main(["eval", "--ckpt", str(ckpt), "--dataset", str(tmp_path),
                      "--out", str(tmp_path / "out.csv")]) == 2
         assert str(ckpt) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("meta", [
+        {"hidden": 4, "layers": 1},                        # input_dim missing
+        {"input_dim": 6, "hidden": 0, "layers": 1},        # not positive
+        {"input_dim": 6, "hidden": 4, "layers": "1"},      # not an int
+        {"input_dim": 6, "hidden": 5, "layers": 1},        # disagrees with l0.U
+        {"input_dim": 7, "hidden": 4, "layers": 1},        # disagrees with l0.W
+        {"input_dim": 6, "hidden": 4, "layers": 2},        # no l1 tensors
+        {"input_dim": 6, "hidden": 4, "layers": 10**12},   # never built
+        {"input_dim": 6, "hidden": 4, "layers": 1},        # no embedding keys
+    ])
+    @pytest.mark.parametrize("command", ["eval", "handoff-eval"])
+    def test_checkpoint_header_sizes_are_data_error(self, tmp_path, capsys, mini_run,
+                                                    meta, command):
+        out, _ = mini_run
+        ckpt = tmp_path / "sizes.ckpt"
+        save_checkpoint(ckpt, GruPredictor(input_dim=6, hidden=4, layers=1).params,
+                        dict(meta, mode="bimodal"))
+        if command == "eval":
+            argv = ["eval", "--ckpt", str(ckpt), "--dataset", str(out / "dataset")]
+        else:
+            argv = ["handoff-eval", "--ckpt1", str(ckpt), "--ckpt2", str(ckpt),
+                    "--pairs", str(out / "dataset" / "pairs.ndrec")]
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+        assert str(ckpt) in capsys.readouterr().err
+
+    def test_truncated_split_line_is_data_error(self, tmp_path, capsys, mini_run):
+        out, _ = mini_run
+        ds = tmp_path / "ds"
+        shutil.copytree(out / "dataset", ds)
+        val = ds / "val.ndrec"
+        val.write_text(val.read_text()[:-40] + "\n")
+        assert main(["train", "--dataset", str(ds), "--mode", "beam-only",
+                     "--out", str(tmp_path / "m.ckpt")]) == 2
+        err = capsys.readouterr().err
+        assert str(val) in err and "line" in err
+
+    def test_pair_missing_key_is_data_error(self, tmp_path, capsys, mini_run):
+        out, _ = mini_run
+        pairs = tmp_path / "pairs.ndrec"
+        pairs.write_text('{"user": 1}\n')
+        ckpt = str(out / "bimodal.ckpt")
+        assert main(["handoff-eval", "--ckpt1", ckpt, "--ckpt2", ckpt,
+                     "--pairs", str(pairs), "--out", str(tmp_path / "h.csv")]) == 2
+        assert str(pairs) in capsys.readouterr().err
+
+    def test_unknown_trace_scenario_key_is_data_error(self, tmp_path, capsys):
+        trace = tmp_path / "trace"
+        assert main(["simulate", "--config", str(MINI), "--frames", "3",
+                     "--out", str(trace)]) == 0
+        manifest_path = trace / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["scenario"]["antenna_gain"] = 1.0
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["build-dataset", "--trace", str(trace),
+                     "--out", str(tmp_path / "ds")]) == 2
+        err = capsys.readouterr().err
+        assert str(manifest_path) in err and "antenna_gain" in err
+
+    def test_truncated_trace_frame_is_data_error(self, tmp_path, capsys):
+        trace = tmp_path / "trace"
+        assert main(["simulate", "--config", str(MINI), "--frames", "3",
+                     "--out", str(trace)]) == 0
+        frames = trace / "frames.ndjson"
+        frames.write_text(frames.read_text()[:-40] + "\n")
+        assert main(["build-dataset", "--trace", str(trace),
+                     "--out", str(tmp_path / "ds")]) == 2
+        err = capsys.readouterr().err
+        assert str(frames) in err and "line 3" in err
+
+    @pytest.mark.parametrize("section, option, value", [
+        ("detector", "p_miss", "1.5"),
+        ("detector", "p_false_positive", "-0.1"),
+        ("detector", "min_visible_fraction", "1.2"),
+        ("detector", "jitter_sigma", "-1"),
+        ("phy", "beams", "0"),
+        ("phy", "elements", "0"),
+        ("phy", "subcarriers", "0"),
+        ("phy", "cyclic_prefix", "0"),
+        ("phy", "sample_time", "0"),
+        ("phy", "carrier_hz", "-28e9"),
+        ("vehicles", "cars", "-3"),
+        ("vehicles", "buses", "-1"),
+        ("vehicles", "trucks", "-1"),
+    ])
+    def test_bad_scenario_range_is_data_error(self, tmp_path, capsys,
+                                              section, option, value):
+        ini = tmp_path / "scenario.ini"
+        ini.write_text(f"[{section}]\n{option} = {value}\n")
+        assert main(["simulate", "--config", str(ini), "--frames", "2",
+                     "--out", str(tmp_path / "trace")]) == 2
+        err = capsys.readouterr().err
+        assert str(ini) in err and option in err
+        assert not (tmp_path / "trace").exists()
 
     @pytest.mark.parametrize("line", ["hidden = 0", "layers = 0", "embed_dim = 5"])
     def test_bad_train_config_is_data_error(self, tmp_path, capsys, line):

@@ -11,13 +11,10 @@ from beamsight.phy import (
     array_response,
     channel_vector,
     los_status,
-    read_channel_dump,
     received_power,
-    sample_received_signal,
     select_beam,
     steering_vector,
     synthesize_paths,
-    write_channel_dump,
 )
 from beamsight.scene import Basestation, SceneObject, UlaGeometry, VehicleClass, World
 
@@ -305,39 +302,3 @@ class TestSynthesizePaths:
         expected = abs(direct.gain) * dist / length * 10 ** (-10 / 20)
         assert abs(first_refl.gain) == pytest.approx(expected, rel=1e-9)
 
-
-class TestSignalAndDump:
-    def test_noiseless_signal(self):
-        rng = np.random.default_rng(0)
-        h = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
-        f = rng.normal(size=4) + 1j * rng.normal(size=4)
-        y = sample_received_signal(h, f, symbol=1.5 + 0.5j, noise_var=0.0,
-                                   rng=np.random.default_rng(1))
-        assert np.allclose(y, h @ f * (1.5 + 0.5j))
-
-    def test_noise_variance(self):
-        h = np.zeros((4, 2), dtype=complex)
-        f = np.zeros(2, dtype=complex)
-        rng = np.random.default_rng(7)
-        samples = np.concatenate([
-            sample_received_signal(h, f, 1.0, 2.0, rng) for _ in range(4000)
-        ])
-        var = np.mean(np.abs(samples) ** 2)
-        assert var == pytest.approx(2.0, rel=0.05)
-
-    def test_channel_dump_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(13)
-        channels = rng.normal(size=(5, 8, 4)) + 1j * rng.normal(size=(5, 8, 4))
-        path = tmp_path / "channels.bin"
-        write_channel_dump(path, channels)
-        back = read_channel_dump(path)
-        assert np.array_equal(back, channels)
-
-    def test_channel_dump_is_little_endian_float64(self, tmp_path):
-        channels = np.array([[[1.0 + 2.0j]]])
-        path = tmp_path / "one.bin"
-        write_channel_dump(path, channels)
-        raw = path.read_bytes()
-        assert raw[:4] == b"BSCH"
-        payload = np.frombuffer(raw[24:], dtype="<f8")
-        assert payload.tolist() == [1.0, 2.0]

@@ -115,8 +115,7 @@ class TestBuildSeed:
 def make_stream(statuses, camera_id=2, user_id=0, beams=None, start_frame=0):
     tuples = [
         SeedTuple(user_id=user_id, frame=start_frame + i, detections=[],
-                  beam=(beams[i] if beams else 1), link_status=int(a),
-                  position=np.zeros(3))
+                  beam=(beams[i] if beams else 1), link_status=int(a))
         for i, a in enumerate(statuses)
     ]
     return SeedStream(bs_id=camera_to_bs(camera_id), camera_id=camera_id,
@@ -336,3 +335,16 @@ class TestSerialization:
         assert [s.key for s in read_split(tmp_path, "train").samples] == \
             [s.key for s in train.samples]
         assert read_pairs(tmp_path / "pairs.ndrec") == []
+
+    @pytest.mark.parametrize("change", [
+        {"t_end": "9"}, {"beams": 3}, {"window": [0, "1", 0, 0, 0]},
+        {"detections": [[["car", 0.1]]] * 8}, {"label": None},
+    ])
+    def test_malformed_record_names_file_and_line(self, tmp_path, change):
+        good = sample_to_record(make_sample(1, 0, 20, 1))
+        bad = dict(good, **change)
+        path = tmp_path / "val.ndrec"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(DataError) as err:
+            read_split(tmp_path, "val")
+        assert f"{path}: line 2 " in str(err.value)

@@ -240,8 +240,8 @@ class TestTrainModel:
                           dropout=0.3, seed=5)
         a = train_model(x[:16], y[:16], x[16:], y[16:], cfg)
         b = train_model(x[:16], y[:16], x[16:], y[16:], cfg)
-        for key in a.final_params:
-            assert np.array_equal(a.final_params[key], b.final_params[key])
+        for key in a.params:
+            assert np.array_equal(a.params[key], b.params[key])
         assert a.history == b.history
 
     def test_small_dataset_overfits(self):

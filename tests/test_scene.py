@@ -145,6 +145,42 @@ class TestProjectObject:
             checked += 1
         assert checked == 1000
 
+    def test_near_plane_straddlers_contain_dense_hull(self):
+        # Boxes cut by the near plane: the bbox must contain the dense hull
+        # of the surface points in front of the camera, and may be None
+        # only when that hull misses the image.
+        rng = np.random.default_rng(11)
+        straddlers = visible = 0
+        while straddlers < 300:
+            cam = make_camera(position=rng.uniform(-3, 3, size=3) + [0, 0, 3],
+                              yaw=rng.uniform(-math.pi, math.pi),
+                              pitch=rng.uniform(-0.4, 0.1))
+            offset = rng.uniform([-3.0, -2.0, -2.0], [3.0, 2.0, 2.0])
+            center = cam.position + offset @ cam.rotation[[2, 0, 1]]
+            obj = make_object(center=center, dims=rng.uniform(1.0, 8.0, size=3))
+            lo, hi = obj.bounds()
+            corners = np.array([[x, y, z] for x in (lo[0], hi[0])
+                                for y in (lo[1], hi[1]) for z in (lo[2], hi[2])])
+            depths = (corners - cam.position) @ cam.rotation[2]
+            if not (np.any(depths > 1e-3) and np.any(depths <= 1e-3)):
+                continue
+            straddlers += 1
+            bbox = project_object(cam, obj)
+            us, vs = dense_projection_hull(cam, obj, per_edge=25)
+            misses = us is None or (us.max() <= 0 or us.min() >= cam.image_width
+                                    or vs.max() <= 0 or vs.min() >= cam.image_height)
+            if bbox is None:
+                assert misses
+                continue
+            visible += 1
+            assert not misses
+            x1, y1, x2, y2 = bbox
+            assert x1 * cam.image_width <= max(us.min(), 0.0) + 1.0
+            assert x2 * cam.image_width >= min(us.max(), float(cam.image_width)) - 1.0
+            assert y1 * cam.image_height <= max(vs.min(), 0.0) + 1.0
+            assert y2 * cam.image_height >= min(vs.max(), float(cam.image_height)) - 1.0
+        assert visible >= 100
+
 
 class TestDetect:
     def test_single_unobstructed_car(self):
