@@ -53,4 +53,4 @@ print(f"\none pivotal sample (camera {record['camera']}, user {record['user']}, 
 print(f"    beams    {record['beams']}")
 print(f"    window   {record['window']} -> label {record['label']}, "
       f"blockage instance {record['instance']}")
-print(f"    detections in last observed frame: {len(record['detections'][-1])}")
+print(f"    detections in last observed frame: {len(sample.sequence.detections[-1])}")

@@ -60,6 +60,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _encode(samples, table: BeamEmbeddingTable, mode: str, path):
+    """``encode_dataset``, after checking each beam index against the table;
+    ``path`` names the dataset file the samples came from."""
+    for s in samples:
+        if not all(1 <= b <= table.n_beams for b in s.sequence.beams):
+            raise DataError(f"{path}: window {s.key} has a beam index outside "
+                            f"1..{table.n_beams}: {s.sequence.beams}")
+    return encode_dataset(samples, table, mode)
+
+
 def _write_csv(path, header: list[str], rows: list[list]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -151,8 +161,9 @@ def train_stage(dataset_dir, mode: str, cfg: TrainConfig, out_ckpt,
         raise DataError("empty dataset")
     table = BeamEmbeddingTable(manifest["codebook"]["beams"], cfg.embed_dim,
                                cfg.table_seed)
-    train_x, train_y = encode_dataset(train_ds.samples, table, mode)
-    val_x, val_y = encode_dataset(val_ds.samples, table, mode)
+    train_x, train_y = _encode(train_ds.samples, table, mode,
+                               Path(dataset_dir) / "train.ndrec")
+    val_x, val_y = _encode(val_ds.samples, table, mode, Path(dataset_dir) / "val.ndrec")
     result = train_model(train_x, train_y, val_x, val_y, cfg)
 
     meta = {
@@ -204,7 +215,7 @@ def eval_stage(ckpt_path, dataset_dir, out_csv) -> tuple[MetricReport, dict]:
     val_ds = read_split(dataset_dir, "val")
     if not val_ds.samples:
         raise DataError("empty validation split")
-    x, y = encode_dataset(val_ds.samples, table, meta["mode"])
+    x, y = _encode(val_ds.samples, table, meta["mode"], Path(dataset_dir) / "val.ndrec")
     preds = model.predict(x)
     rep, cm = report(preds, val_ds.samples, future=meta.get("future", 5))
 
@@ -245,7 +256,7 @@ def handoff_eval(ckpt1_path, ckpt2_path, pairs_path) -> HandoffReport:
     model2, meta2, table2 = _load_model_and_table(ckpt2_path)
 
     def batch_predict(model, meta, table, samples):
-        x, _ = encode_dataset(samples, table, meta["mode"])
+        x, _ = _encode(samples, table, meta["mode"], pairs_path)
         preds = model.predict(x)
         return {s.key: int(p) for s, p in zip(samples, preds)}
 

@@ -6,7 +6,8 @@ labels, per-camera balanced sampling with a stratified train/validation
 split, and conjugate-pair extraction for the handoff evaluation.
 
 Dataset files are newline-delimited JSON records with a fixed field order,
-so identical inputs produce byte-identical files.
+so identical inputs produce byte-identical files.  ``frames.ndrec`` holds
+each camera frame's detections once; window records look them up there.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ def camera_to_bs(camera_id: int) -> int:
 class SeedTuple:
     """One user's per-frame observation at one basestation."""
 
-    user_id: int
     frame: int
     detections: list[Detection]   # full frame detections of the owning camera
     beam: int                     # 1-based codebook index
@@ -194,8 +194,7 @@ def build_seed(worlds: list[World], cfg: ScenarioConfig) -> list[SeedStream]:
                                          cfg.cyclic_prefix, cfg.sample_time)
                 beam = select_beam(channel, codebook)
                 tup = SeedTuple(
-                    user_id=user.object_id, frame=frame,
-                    detections=det_cache[owner.camera_id],
+                    frame=frame, detections=det_cache[owner.camera_id],
                     beam=beam, link_status=status,
                 )
                 stream = active.get(key)
@@ -340,15 +339,6 @@ def conjugate_pairs(
 # Record (de)serialization
 # ---------------------------------------------------------------------------
 
-def _detection_to_list(det: Detection) -> list:
-    return [det.object_class.value, *det.bbox, det.confidence]
-
-
-def _detection_from_list(data: list) -> Detection:
-    return Detection(object_class=VehicleClass(data[0]),
-                     bbox=tuple(data[1:5]), confidence=data[5])
-
-
 def sample_to_record(sample: LabeledSample) -> dict:
     seq, lab = sample.sequence, sample.label
     return {
@@ -356,25 +346,24 @@ def sample_to_record(sample: LabeledSample) -> dict:
         "user": seq.user_id,
         "t_end": seq.t_end,
         "beams": seq.beams,
-        "detections": [[_detection_to_list(d) for d in frame] for frame in seq.detections],
         "label": lab.status,
         "window": list(lab.window),
         "instance": lab.blockage_instance,
     }
 
 
-def record_to_sample(record: dict) -> LabeledSample:
+def record_to_sample(record: dict, frames: dict) -> LabeledSample:
     integers = (record["camera"], record["user"], record["t_end"], record["label"],
                 *record["beams"], *record["window"])
     if not all(type(v) is int for v in integers):
         raise TypeError("camera, user, t_end, label, beams and window must be integers")
+    first = record["t_end"] - len(record["beams"]) + 1
     sequence = ObservedSequence(
         camera_id=record["camera"],
         user_id=record["user"],
         t_end=record["t_end"],
         beams=list(record["beams"]),
-        detections=[[_detection_from_list(d) for d in frame]
-                    for frame in record["detections"]],
+        detections=[frames[record["camera"], t] for t in range(first, record["t_end"] + 1)],
     )
     label = FutureLabel(record["label"], tuple(record["window"]), record["instance"])
     return LabeledSample(sequence, label)
@@ -390,14 +379,25 @@ def pair_to_record(pair: ConjugateSample) -> dict:
     }
 
 
-def record_to_pair(record: dict) -> ConjugateSample:
+def record_to_pair(record: dict, frames: dict) -> ConjugateSample:
     return ConjugateSample(
         user_id=record["user"],
         t_end=record["t_end"],
-        sample_bs1=record_to_sample(record["bs1"]),
-        sample_bs2=record_to_sample(record["bs2"]),
+        sample_bs1=record_to_sample(record["bs1"], frames),
+        sample_bs2=record_to_sample(record["bs2"], frames),
         category=record["category"],
     )
+
+
+def _read_frames(dataset_dir: Path) -> dict:
+    def parse(record):
+        if type(record["camera"]) is not int or type(record["frame"]) is not int:
+            raise TypeError("camera and frame must be integers")
+        detections = [Detection(object_class=VehicleClass(d[0]), bbox=tuple(d[1:5]),
+                                confidence=d[5]) for d in record["detections"]]
+        return (record["camera"], record["frame"]), detections
+
+    return dict(_read_ndjson(dataset_dir / "frames.ndrec", parse))
 
 
 def _write_ndjson(path: Path, records) -> None:
@@ -430,6 +430,16 @@ def write_dataset(out_dir, train: LabeledDataset, val: LabeledDataset,
                   pairs: list[ConjugateSample], manifest: dict) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    windows = [*train.samples, *val.samples,
+               *(s for p in pairs for s in (p.sample_bs1, p.sample_bs2))]
+    frames: dict[tuple[int, int], list[Detection]] = {}
+    for seq in (w.sequence for w in windows):
+        for t, detections in enumerate(seq.detections, seq.t_end - len(seq.beams) + 1):
+            frames.setdefault((seq.camera_id, t), detections)
+    _write_ndjson(out / "frames.ndrec", (
+        {"camera": camera, "frame": frame,
+         "detections": [[d.object_class.value, *d.bbox, d.confidence] for d in detections]}
+        for (camera, frame), detections in sorted(frames.items())))
     _write_ndjson(out / "train.ndrec", (sample_to_record(s) for s in train.samples))
     _write_ndjson(out / "val.ndrec", (sample_to_record(s) for s in val.samples))
     _write_ndjson(out / "pairs.ndrec", (pair_to_record(p) for p in pairs))
@@ -437,19 +447,31 @@ def write_dataset(out_dir, train: LabeledDataset, val: LabeledDataset,
 
 
 def read_split(dataset_dir, split: str) -> LabeledDataset:
+    frames = _read_frames(Path(dataset_dir))
     path = Path(dataset_dir) / f"{split}.ndrec"
-    return LabeledDataset(_read_ndjson(path, record_to_sample), split)
+    return LabeledDataset(_read_ndjson(path, lambda r: record_to_sample(r, frames)), split)
 
 
 def read_pairs(path) -> list[ConjugateSample]:
-    return _read_ndjson(Path(path), record_to_pair)
+    frames = _read_frames(Path(path).parent)
+    return _read_ndjson(Path(path), lambda r: record_to_pair(r, frames))
 
 
 def read_manifest(dataset_dir) -> dict:
+    """The dataset manifest; the codebook size and the observed and future
+    window lengths are checked, since training and evaluation size by them."""
     path = Path(dataset_dir) / "manifest.json"
     if not path.is_file():
         raise DataError(f"missing manifest: {path}")
-    return json.loads(path.read_text())
+    try:
+        manifest = json.loads(path.read_text())
+        sizes = (manifest["codebook"]["beams"], manifest["observed"], manifest["future"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{path}: not a dataset manifest: {exc!r}") from exc
+    if not all(type(v) is int and v > 0 for v in sizes):
+        raise DataError(f"{path}: codebook.beams, observed and future must be "
+                        f"positive integers, got {sizes}")
+    return manifest
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,7 @@ class TestCriterion4LabelLaw:
         mismatches = 0
         for bits in itertools.product((0, 1), repeat=5):
             stream = SeedStream(bs_id=1, camera_id=2, user_id=0, tuples=[
-                SeedTuple(user_id=0, frame=i, detections=[], beam=1,
+                SeedTuple(frame=i, detections=[], beam=1,
                           link_status=(list(bits)[i - 8] if i >= 8 else 0))
                 for i in range(13)
             ])

@@ -40,7 +40,7 @@ class TestRunExperiment:
     def test_all_artifacts_present(self, mini_run):
         out, manifest = mini_run
         for name in ("trace/manifest.json", "trace/frames.ndjson",
-                     "dataset/train.ndrec", "dataset/val.ndrec",
+                     "dataset/frames.ndrec", "dataset/train.ndrec", "dataset/val.ndrec",
                      "dataset/pairs.ndrec", "dataset/manifest.json",
                      "bimodal.ckpt", "beam_only.ckpt",
                      "eval_bimodal.csv", "eval_bimodal_confusion.csv",
@@ -196,12 +196,83 @@ class TestCli:
 
     def test_pair_missing_key_is_data_error(self, tmp_path, capsys, mini_run):
         out, _ = mini_run
+        shutil.copy(out / "dataset" / "frames.ndrec", tmp_path)
         pairs = tmp_path / "pairs.ndrec"
         pairs.write_text('{"user": 1}\n')
         ckpt = str(out / "bimodal.ckpt")
         assert main(["handoff-eval", "--ckpt1", ckpt, "--ckpt2", ckpt,
                      "--pairs", str(pairs), "--out", str(tmp_path / "h.csv")]) == 2
         assert str(pairs) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, name, beam", [
+        ("eval", "val.ndrec", 0), ("handoff-eval", "pairs.ndrec", 0),
+        ("eval", "val.ndrec", 10**6), ("handoff-eval", "pairs.ndrec", 10**6),
+    ])
+    def test_beam_out_of_range_is_data_error(self, tmp_path, capsys, mini_run,
+                                             command, name, beam):
+        out, _ = mini_run
+        ds = tmp_path / "ds"
+        shutil.copytree(out / "dataset", ds)
+        path = ds / name
+        first, *rest = path.read_text().splitlines()
+        record = json.loads(first)
+        (record["bs2"] if name == "pairs.ndrec" else record)["beams"][0] = beam
+        path.write_text("\n".join([json.dumps(record), *rest]) + "\n")
+        ckpt = str(out / "bimodal.ckpt")
+        if command == "eval":
+            argv = ["eval", "--ckpt", ckpt, "--dataset", str(ds)]
+        else:
+            argv = ["handoff-eval", "--ckpt1", ckpt, "--ckpt2", ckpt, "--pairs", str(path)]
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "beam index" in err
+
+    @pytest.mark.parametrize("command", ["eval", "handoff-eval"])
+    def test_old_layout_dataset_is_data_error(self, tmp_path, capsys, mini_run, command):
+        # the older layout: no frames.ndrec, each window carries its detections
+        out, _ = mini_run
+        ds = tmp_path / "ds"
+        shutil.copytree(out / "dataset", ds)
+        frames = {}
+        for line in (ds / "frames.ndrec").read_text().splitlines():
+            record = json.loads(line)
+            frames[record["camera"], record["frame"]] = record["detections"]
+        (ds / "frames.ndrec").unlink()
+
+        def old(window):
+            first = window["t_end"] - len(window["beams"]) + 1
+            return dict(window, detections=[frames[window["camera"], t]
+                                            for t in range(first, window["t_end"] + 1)])
+
+        for name in ("val.ndrec", "pairs.ndrec"):
+            records = [json.loads(line) for line in (ds / name).read_text().splitlines()]
+            records = [old(r) if name == "val.ndrec" else
+                       dict(r, bs1=old(r["bs1"]), bs2=old(r["bs2"])) for r in records]
+            (ds / name).write_text("".join(json.dumps(r) + "\n" for r in records))
+        ckpt = str(out / "bimodal.ckpt")
+        if command == "eval":
+            argv = ["eval", "--ckpt", ckpt, "--dataset", str(ds)]
+        else:
+            argv = ["handoff-eval", "--ckpt1", ckpt, "--ckpt2", ckpt,
+                    "--pairs", str(ds / "pairs.ndrec")]
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+        assert str(ds / "frames.ndrec") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: '{"observed": 8}',                       # keys missing
+        lambda m: m[:-20],                                 # not JSON
+        lambda m: json.dumps(dict(json.loads(m), observed=0)),
+        lambda m: json.dumps(dict(json.loads(m), future="5")),
+    ])
+    def test_bad_dataset_manifest_is_data_error(self, tmp_path, capsys, mini_run, edit):
+        out, _ = mini_run
+        ds = tmp_path / "ds"
+        shutil.copytree(out / "dataset", ds)
+        manifest = ds / "manifest.json"
+        manifest.write_text(edit(manifest.read_text()))
+        assert main(["train", "--dataset", str(ds), "--mode", "beam-only",
+                     "--out", str(tmp_path / "m.ckpt")]) == 2
+        assert str(manifest) in capsys.readouterr().err
 
     def test_unknown_trace_scenario_key_is_data_error(self, tmp_path, capsys):
         trace = tmp_path / "trace"

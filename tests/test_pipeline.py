@@ -14,6 +14,7 @@ from beamsight.phy import (
 )
 from beamsight.pipeline import (
     FutureLabel,
+    LabeledDataset,
     LabeledSample,
     ObservedSequence,
     SeedStream,
@@ -26,7 +27,6 @@ from beamsight.pipeline import (
     read_pairs,
     read_split,
     read_trace,
-    record_to_sample,
     sample_to_record,
     window_sequences,
     write_dataset,
@@ -89,7 +89,7 @@ class TestBuildSeed:
             bs = next(b for b in world.basestations if b.bs_id == stream.bs_id)
             codebook = Codebook.build(bs.ula, cfg.beams)
             for tup in stream.tuples:
-                user = world.object_by_id(tup.user_id)
+                user = world.object_by_id(stream.user_id)
                 paths = synthesize_paths(bs, user, world, cfg.reflection_loss_db)
                 h = channel_vector(paths, bs.ula, cfg.subcarriers,
                                    cfg.cyclic_prefix, cfg.sample_time)
@@ -114,7 +114,7 @@ class TestBuildSeed:
 
 def make_stream(statuses, camera_id=2, user_id=0, beams=None, start_frame=0):
     tuples = [
-        SeedTuple(user_id=user_id, frame=start_frame + i, detections=[],
+        SeedTuple(frame=start_frame + i, detections=[],
                   beam=(beams[i] if beams else 1), link_status=int(a))
         for i, a in enumerate(statuses)
     ]
@@ -278,8 +278,26 @@ class TestConjugatePairs:
         assert conjugate_pairs(w1, w2, exclude_keys=excluded) == []
 
 
+def write_street_dataset(out_dir):
+    """A dataset written from a short simulated street; returns its windows."""
+    cfg = small_cfg(cars=4, buses=1, trucks=0, seed=8, p_miss=0.1, jitter_sigma=1.0)
+    from beamsight.scene import build_world, step_world
+
+    worlds = [build_world(cfg)]
+    for _ in range(25):
+        worlds.append(step_world(worlds[-1], cfg.dt))
+    streams = build_seed(worlds, cfg)
+    windows = collect_windows(streams)
+    everything = windows[1] + windows[2]
+    train, val = balance_and_split(everything, quota=5, seed=3)
+    pairs = conjugate_pairs(windows[1], windows[2])
+    write_dataset(out_dir, train, val, pairs, {"seed": 3})
+    return train.samples + val.samples + [s for p in pairs
+                                          for s in (p.sample_bs1, p.sample_bs2)]
+
+
 class TestSerialization:
-    def test_sample_roundtrip(self):
+    def test_sample_roundtrip(self, tmp_path):
         from beamsight.scene import Detection
 
         dets = [[Detection(VehicleClass.CAR, (0.1, 0.2, 0.3, 0.4), 0.9)]] + \
@@ -287,29 +305,37 @@ class TestSerialization:
         seq = ObservedSequence(camera_id=5, user_id=3, t_end=42,
                                beams=[1, 2, 3, 4, 5, 6, 7, 8], detections=dets)
         sample = LabeledSample(seq, FutureLabel(1, (0, 1, 0, 0, 1), 2))
-        back = record_to_sample(sample_to_record(sample))
-        assert back == sample
+        write_dataset(tmp_path, LabeledDataset([], "train"),
+                      LabeledDataset([sample], "val"), [], {})
+        assert read_split(tmp_path, "val").samples == [sample]
 
     def test_dataset_files_byte_identical_for_same_inputs(self, tmp_path):
-        cfg = small_cfg(cars=4, buses=1, trucks=0, seed=8, p_miss=0.1, jitter_sigma=1.0)
-        from beamsight.scene import build_world, step_world
-
-        worlds = [build_world(cfg)]
-        for _ in range(25):
-            worlds.append(step_world(worlds[-1], cfg.dt))
-
-        def run(out_dir):
-            streams = build_seed(worlds, cfg)
-            windows = collect_windows(streams)
-            everything = windows[1] + windows[2]
-            train, val = balance_and_split(everything, quota=5, seed=3)
-            pairs = conjugate_pairs(windows[1], windows[2])
-            write_dataset(out_dir, train, val, pairs, {"seed": 3})
-
-        run(tmp_path / "a")
-        run(tmp_path / "b")
-        for name in ("train.ndrec", "val.ndrec", "pairs.ndrec", "manifest.json"):
+        write_street_dataset(tmp_path / "a")
+        write_street_dataset(tmp_path / "b")
+        for name in ("frames.ndrec", "train.ndrec", "val.ndrec", "pairs.ndrec",
+                     "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_one_frame_line_per_observed_camera_frame(self, tmp_path):
+        windows = write_street_dataset(tmp_path)
+        observed = {(s.sequence.camera_id, t)
+                    for s in windows
+                    for t in range(s.sequence.t_end - 7, s.sequence.t_end + 1)}
+        lines = [json.loads(line) for line in
+                 (tmp_path / "frames.ndrec").read_text().splitlines()]
+        keys = [(line["camera"], line["frame"]) for line in lines]
+        assert keys == sorted(observed)
+        for name in ("train.ndrec", "val.ndrec"):
+            for line in (tmp_path / name).read_text().splitlines():
+                assert "detections" not in json.loads(line)
+        # within one read, windows that observe one frame share its detection list
+        for split in ("train", "val"):
+            lists = {}
+            samples = read_split(tmp_path, split).samples
+            for s in samples:
+                for t, frame in enumerate(s.sequence.detections, s.sequence.t_end - 7):
+                    assert lists.setdefault((s.sequence.camera_id, t), frame) is frame
+            assert len(samples) * 8 > len(lists)   # some frames are shared
 
     def test_trace_roundtrip(self, tmp_path):
         cfg = small_cfg(cars=3, buses=1, trucks=1, seed=4)
@@ -338,13 +364,39 @@ class TestSerialization:
 
     @pytest.mark.parametrize("change", [
         {"t_end": "9"}, {"beams": 3}, {"window": [0, "1", 0, 0, 0]},
-        {"detections": [[["car", 0.1]]] * 8}, {"label": None},
+        {"t_end": 500},   # observes frames that frames.ndrec lacks
+        {"label": None},
     ])
     def test_malformed_record_names_file_and_line(self, tmp_path, change):
-        good = sample_to_record(make_sample(1, 0, 20, 1))
+        sample = make_sample(1, 0, 20, 1)
+        write_dataset(tmp_path, LabeledDataset([sample], "train"),
+                      LabeledDataset([], "val"), [], {})
+        good = sample_to_record(sample)
         bad = dict(good, **change)
         path = tmp_path / "val.ndrec"
         path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
         with pytest.raises(DataError) as err:
             read_split(tmp_path, "val")
         assert f"{path}: line 2 " in str(err.value)
+
+    @pytest.mark.parametrize("change", [
+        {"detections": [["car", 0.1]]}, {"detections": [["boat", 0.1, 0.2, 0.3, 0.4, 0.9]]},
+        {"camera": "1"}, {"frame": None}, None,
+    ])
+    @pytest.mark.parametrize("reader", ["split", "pairs"])
+    def test_malformed_frame_line_names_file_and_line(self, tmp_path, change, reader):
+        sample = make_sample(1, 0, 20, 1)
+        write_dataset(tmp_path, LabeledDataset([sample], "train"),
+                      LabeledDataset([], "val"), [], {})
+        path = tmp_path / "frames.ndrec"
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1][:-10] if change is None else \
+            json.dumps(dict(json.loads(lines[1]), **change))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError) as err:
+            if reader == "split":
+                read_split(tmp_path, "train")
+            else:
+                read_pairs(tmp_path / "pairs.ndrec")
+        assert f"{path}: line 2 " in str(err.value)
+
