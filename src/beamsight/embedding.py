@@ -3,7 +3,8 @@
 Beam indices go through a frozen Gaussian lookup table (no training);
 per-frame detection lists become zero-padded stacks of 6-number box
 features.  Both land in the same N-dimensional space consumed by the
-recurrent predictor.
+recurrent predictor.  ``encode_dataset``, the one encoder, embeds each
+camera frame once and gathers every window's rows.
 """
 
 from __future__ import annotations
@@ -41,12 +42,6 @@ class BeamEmbeddingTable:
     def entries(self) -> np.ndarray:
         return self._entries
 
-    def vector(self, beam: int) -> np.ndarray:
-        """Embedding for a 1-based beam index."""
-        if not 1 <= beam <= self.n_beams:
-            raise IndexError(f"beam index {beam} outside 1..{self.n_beams}")
-        return self._entries[beam - 1]
-
 
 def bbox_feature(det: Detection) -> np.ndarray:
     """[x_cent, y_cent, x1, y1, x2, y2] for one detection."""
@@ -82,28 +77,40 @@ def embed_bboxes(detections: list[Detection], dim: int) -> np.ndarray:
     return out
 
 
-def sequence_inputs(sample: LabeledSample, table: BeamEmbeddingTable,
-                    mode: str) -> np.ndarray:
-    """Model input for one sample: (2r, N) bimodal or (r, N) beam-only.
-
-    Bimodal order is the block form: all box embeddings first, then all
-    beam embeddings.
-    """
-    seq = sample.sequence
-    beam_rows = [table.vector(b) for b in seq.beams]
-    if mode == "beam-only":
-        return np.stack(beam_rows)
-    if mode == "bimodal":
-        box_rows = [embed_bboxes(frame, table.dim) for frame in seq.detections]
-        return np.stack(box_rows + beam_rows)
-    raise ValueError(f"unknown mode {mode!r} (expected 'bimodal' or 'beam-only')")
-
-
 def encode_dataset(samples: list[LabeledSample], table: BeamEmbeddingTable,
                    mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Stack inputs and labels for a list of samples: (n, T, N), (n,)."""
+    """Inputs and labels for a list of windows: (n, T, N), (n,).
+
+    Every window needs as many beam indices as the first, at least one,
+    each in 1..Q; a ValueError names the first window that breaks this.
+    Beam-only inputs are the r beam rows (T = r).  Bimodal inputs are the
+    r box rows, then the r beam rows (T = 2r).  Box rows come from a
+    (frames, N) matrix that embeds each distinct detection list once:
+    windows that observe one camera frame share its list object, so the
+    list's identity is the frame key.
+    """
+    if mode not in ("bimodal", "beam-only"):
+        raise ValueError(f"unknown mode {mode!r} (expected 'bimodal' or 'beam-only')")
     if not samples:
         raise ValueError("no samples to encode")
-    inputs = np.stack([sequence_inputs(s, table, mode) for s in samples])
+    first = samples[0]
+    r = len(first.sequence.beams)
+    for s in samples:
+        beams = s.sequence.beams
+        if len(beams) != r or r == 0 or not all(1 <= b <= table.n_beams for b in beams):
+            raise ValueError(f"window {s.key} has beams {beams}: expected as many as "
+                             f"window {first.key} ({r}, at least 1), each beam index "
+                             f"in 1..{table.n_beams}")
+    beam_index = np.array([s.sequence.beams for s in samples]) - 1
+    if mode == "beam-only":
+        inputs = table.entries[beam_index]
+    else:
+        distinct = {id(d): d for s in samples for d in s.sequence.detections}
+        row_of = {key: row for row, key in enumerate(distinct)}
+        matrix = np.array([embed_bboxes(d, table.dim) for d in distinct.values()])
+        rows = np.array([[row_of[id(d)] for d in s.sequence.detections] for s in samples])
+        inputs = np.empty((len(samples), 2 * r, table.dim))
+        inputs[:, :r] = matrix[rows]
+        inputs[:, r:] = table.entries[beam_index]
     labels = np.array([s.label.status for s in samples], dtype=np.int64)
     return inputs, labels

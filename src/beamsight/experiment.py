@@ -61,13 +61,12 @@ def _fmt(value) -> str:
 
 
 def _encode(samples, table: BeamEmbeddingTable, mode: str, path):
-    """``encode_dataset``, after checking each beam index against the table;
-    ``path`` names the dataset file the samples came from."""
-    for s in samples:
-        if not all(1 <= b <= table.n_beams for b in s.sequence.beams):
-            raise DataError(f"{path}: window {s.key} has a beam index outside "
-                            f"1..{table.n_beams}: {s.sequence.beams}")
-    return encode_dataset(samples, table, mode)
+    """``encode_dataset``; a window it rejects becomes a DataError naming
+    ``path``, the dataset file the samples came from."""
+    try:
+        return encode_dataset(samples, table, mode)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def _write_csv(path, header: list[str], rows: list[list]) -> None:
@@ -212,12 +211,13 @@ def eval_stage(ckpt_path, dataset_dir, out_csv) -> tuple[MetricReport, dict]:
     per-instance tables become sibling files with suffixed names.
     """
     model, meta, table = _load_model_and_table(ckpt_path)
+    future = read_manifest(dataset_dir)["future"]
     val_ds = read_split(dataset_dir, "val")
     if not val_ds.samples:
         raise DataError("empty validation split")
     x, y = _encode(val_ds.samples, table, meta["mode"], Path(dataset_dir) / "val.ndrec")
     preds = model.predict(x)
-    rep, cm = report(preds, val_ds.samples, future=meta.get("future", 5))
+    rep, cm = report(preds, val_ds.samples, future=future)
 
     out_csv = Path(out_csv)
     _write_csv(out_csv, ["metric", "value"], [
@@ -249,11 +249,11 @@ def handoff_eval(ckpt1_path, ckpt2_path, pairs_path) -> HandoffReport:
     An empty pairs file yields an all-undefined report (n/a categories),
     mirroring the per-category degenerate case.
     """
+    model1, meta1, table1 = _load_model_and_table(ckpt1_path)
+    model2, meta2, table2 = _load_model_and_table(ckpt2_path)
     pairs = read_pairs(pairs_path)
     if not pairs:
         return evaluate_handoff(lambda s: 0, lambda s: 0, pairs)
-    model1, meta1, table1 = _load_model_and_table(ckpt1_path)
-    model2, meta2, table2 = _load_model_and_table(ckpt2_path)
 
     def batch_predict(model, meta, table, samples):
         x, _ = _encode(samples, table, meta["mode"], pairs_path)

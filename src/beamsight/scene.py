@@ -147,10 +147,6 @@ class World:
     wall_south: float
     wall_north: float
 
-    @property
-    def street_width(self) -> float:
-        return self.lanes * self.lane_width
-
     def object_boxes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(ids, mins, maxs) arrays over all objects, cached per world.
 
@@ -379,11 +375,6 @@ def project_objects(cam: Camera, objects: list[SceneObject]) -> list:
     visible = (x1 < x2) & (y1 < y2)
     return [tuple(box) if ok else None
             for box, ok in zip(boxes.tolist(), visible.tolist())]
-
-
-def object_depth(cam: Camera, obj: SceneObject) -> float:
-    """Forward distance of the object centre from the camera."""
-    return float((obj.center - cam.position) @ cam.rotation[2])
 
 
 def unoccluded_fraction(bbox, depth: float, others) -> float:

@@ -1,24 +1,47 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import beamsight.embedding
+from beamsight.config import load_experiment_config
 from beamsight.embedding import (
     BeamEmbeddingTable,
     bbox_feature,
     embed_bboxes,
-    sequence_inputs,
+    encode_dataset,
 )
-from beamsight.pipeline import FutureLabel, LabeledSample, ObservedSequence
+from beamsight.experiment import build_dataset_stage, simulate_stage
+from beamsight.pipeline import (
+    FutureLabel,
+    LabeledSample,
+    ObservedSequence,
+    build_seed,
+    collect_windows,
+    read_pairs,
+    read_split,
+    read_trace,
+)
 from beamsight.scene import Detection, VehicleClass
+
+MINI = Path(__file__).resolve().parent.parent / "configs" / "mini.ini"
 
 
 def det(x1, y1, x2, y2, conf=1.0, cls=VehicleClass.CAR):
     return Detection(cls, (x1, y1, x2, y2), conf)
 
 
+def window(frames, beams, camera_id=1, user_id=0, t_end=20, status=0):
+    seq = ObservedSequence(camera_id=camera_id, user_id=user_id, t_end=t_end,
+                           beams=beams, detections=frames)
+    future = (1, 0, 0, 0, 0) if status else (0, 0, 0, 0, 0)
+    return LabeledSample(seq, FutureLabel(status, future, 1 if status else None))
+
+
 class TestBeamTable:
     def test_lookup_determinism(self):
         table = BeamEmbeddingTable(n_beams=16, dim=32, seed=5)
-        assert np.array_equal(table.vector(7), table.vector(7))
+        assert np.array_equal(table.entries[7 - 1], table.entries[7 - 1])
 
     def test_regeneration_from_seed(self):
         a = BeamEmbeddingTable(64, 256, seed=11)
@@ -33,10 +56,10 @@ class TestBeamTable:
 
     def test_out_of_range_index(self):
         table = BeamEmbeddingTable(8, 16, seed=0)
-        with pytest.raises(IndexError):
-            table.vector(0)
-        with pytest.raises(IndexError):
-            table.vector(9)
+        for beam in (0, 9):
+            sample = window([[]] * 3, beams=[1, beam, 2])
+            with pytest.raises(ValueError, match="beam index"):
+                encode_dataset([sample], table, "beam-only")
 
     def test_table_is_immutable(self):
         table = BeamEmbeddingTable(8, 16, seed=0)
@@ -106,38 +129,36 @@ class TestSequenceInputs:
     def make_sample(self):
         frames = [[det(0.2, 0.2, 0.4, 0.4)], [], [det(0.5, 0.5, 0.7, 0.9)],
                   [], [], [], [], []]
-        seq = ObservedSequence(camera_id=1, user_id=0, t_end=20,
-                               beams=[3, 1, 4, 1, 5, 2, 6, 2], detections=frames)
-        return LabeledSample(seq, FutureLabel(0, (0, 0, 0, 0, 0), None))
+        return window(frames, beams=[3, 1, 4, 1, 5, 2, 6, 2])
 
     def test_bimodal_block_order(self):
         table = BeamEmbeddingTable(8, 30, seed=1)
         sample = self.make_sample()
-        x = sequence_inputs(sample, table, "bimodal")
+        x = encode_dataset([sample], table, "bimodal")[0][0]
         assert x.shape == (16, 30)
         # first 8 rows are box embeddings, last 8 rows the beam lookups
         assert np.allclose(x[0][:6], bbox_feature(det(0.2, 0.2, 0.4, 0.4)))
         assert np.all(x[1] == 0)
         for i, b in enumerate(sample.sequence.beams):
-            assert np.array_equal(x[8 + i], table.vector(b))
+            assert np.array_equal(x[8 + i], table.entries[b - 1])
 
     def test_beam_only_inputs(self):
         table = BeamEmbeddingTable(8, 30, seed=1)
         sample = self.make_sample()
-        x = sequence_inputs(sample, table, "beam-only")
+        x = encode_dataset([sample], table, "beam-only")[0][0]
         assert x.shape == (8, 30)
         for i, b in enumerate(sample.sequence.beams):
-            assert np.array_equal(x[i], table.vector(b))
+            assert np.array_equal(x[i], table.entries[b - 1])
 
     def test_unknown_mode_rejected(self):
         table = BeamEmbeddingTable(8, 30, seed=1)
         with pytest.raises(ValueError):
-            sequence_inputs(self.make_sample(), table, "fused")
+            encode_dataset([self.make_sample()], table, "fused")
 
     def test_table_unchanged_after_use(self):
         table = BeamEmbeddingTable(8, 30, seed=1)
         before = table.entries.copy()
-        sequence_inputs(self.make_sample(), table, "bimodal")
+        encode_dataset([self.make_sample()], table, "bimodal")
         assert np.array_equal(table.entries, before)
 
     def test_table_bit_identical_through_training(self):
@@ -147,9 +168,96 @@ class TestSequenceInputs:
         table = BeamEmbeddingTable(8, 24, seed=2)
         before = table.entries.copy()
         rng = np.random.default_rng(0)
-        x = np.stack([[table.vector(int(b) + 1) for b in rng.integers(0, 8, size=4)]
+        x = np.stack([[table.entries[int(b)] for b in rng.integers(0, 8, size=4)]
                       for _ in range(12)])
         y = rng.integers(0, 2, size=12)
         train_model(x, y, x, y, TrainConfig(hidden=6, embed_dim=24, epochs=3,
                                             batch_size=6))
         assert np.array_equal(table.entries, before)
+
+
+def reference_inputs(samples, table, mode):
+    """Per-window oracle: embed every frame of every window, look up every
+    beam, stack the rows of each window and then the windows."""
+    per_window = []
+    for s in samples:
+        beam_rows = [table.entries[b - 1] for b in s.sequence.beams]
+        box_rows = ([embed_bboxes(frame, table.dim) for frame in s.sequence.detections]
+                    if mode == "bimodal" else [])
+        per_window.append(np.stack(box_rows + beam_rows))
+    return np.stack(per_window)
+
+
+@pytest.fixture(scope="module")
+def mini_windows(tmp_path_factory):
+    """The mini config's val windows, both sides of its pairs (read back
+    from disk) and the seed-pass windows of its first 40 frames."""
+    cfg = load_experiment_config(MINI)
+    out = tmp_path_factory.mktemp("mini")
+    simulate_stage(cfg.scenario, cfg.frames, out / "trace")
+    build_dataset_stage(out / "trace", out / "dataset", cfg.dataset)
+    pairs = read_pairs(out / "dataset" / "pairs.ndrec")
+    scenario, worlds = read_trace(out / "trace")
+    seeded = collect_windows(build_seed(worlds[:40], scenario),
+                             cfg.dataset.observed, cfg.dataset.future)
+    table = BeamEmbeddingTable(scenario.beams, cfg.train.embed_dim, cfg.train.table_seed)
+    return table, {
+        "val": read_split(out / "dataset", "val").samples,
+        "bs1": [p.sample_bs1 for p in pairs],
+        "bs2": [p.sample_bs2 for p in pairs],
+        "seed": seeded[1] + seeded[2],
+    }
+
+
+class TestEncodeDataset:
+    @pytest.mark.parametrize("mode", ["bimodal", "beam-only"])
+    @pytest.mark.parametrize("windows", ["val", "bs1", "bs2", "seed"])
+    def test_byte_identical_to_per_window_reference(self, mini_windows, windows, mode):
+        table, sets = mini_windows
+        samples = sets[windows]
+        assert samples
+        x, y = encode_dataset(samples, table, mode)
+        expected = reference_inputs(samples, table, mode)
+        assert x.dtype == expected.dtype and x.shape == expected.shape
+        assert x.tobytes() == expected.tobytes()
+        assert np.array_equal(y, [s.label.status for s in samples])
+
+    @pytest.mark.parametrize("mode", ["bimodal", "beam-only"])
+    def test_equal_content_and_shared_lists(self, mode):
+        a = [det(0.1, 0.1, 0.3, 0.4), det(0.5, 0.2, 0.6, 0.3, conf=0.5)]
+        b, c = [det(0.4, 0.4, 0.9, 0.8)], []
+        copies = [list(a), list(b), list(c)]        # equal content, distinct objects
+        samples = [window([a, b, c], [1, 2, 3]),
+                   window(copies, [3, 2, 1], t_end=21, status=1),
+                   window([c, a, a], [2, 2, 4], t_end=22),  # ``a`` at 1, 2; above at 0
+                   window([b, c, a], [4, 3, 2], user_id=1)]
+        table = BeamEmbeddingTable(4, 18, seed=6)
+        x, _ = encode_dataset(samples, table, mode)
+        assert x.tobytes() == reference_inputs(samples, table, mode).tobytes()
+
+    def test_embeds_each_distinct_list_once_per_call(self, mini_windows, monkeypatch):
+        table, sets = mini_windows
+        samples = sets["val"] + sets["bs1"]
+        distinct = {id(d) for s in samples for d in s.sequence.detections}
+        assert len(distinct) < sum(len(s.sequence.detections) for s in samples)
+        calls = []
+
+        def counted(detections, dim):
+            calls.append(id(detections))
+            return embed_bboxes(detections, dim)
+
+        monkeypatch.setattr(beamsight.embedding, "embed_bboxes", counted)
+        encode_dataset(samples, table, "bimodal")
+        assert sorted(calls) == sorted(distinct)
+        encode_dataset(samples, table, "bimodal")
+        assert len(calls) == 2 * len(distinct)
+        encode_dataset(samples, table, "beam-only")
+        assert len(calls) == 2 * len(distinct)
+
+    @pytest.mark.parametrize("beams", [[1, 2], [1, 2, 3, 4], []])
+    def test_ragged_window_names_its_key(self, beams):
+        table = BeamEmbeddingTable(4, 12, seed=0)
+        samples = [window([[]] * 3, [1, 2, 3]),
+                   window([[]] * len(beams), beams, user_id=5, t_end=30)]
+        with pytest.raises(ValueError, match=r"window \(1, 5, 30\).*beam index"):
+            encode_dataset(samples, table, "bimodal")

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from beamsight.experiment import (
     run_experiment,
     simulate_stage,
 )
-from beamsight.predictor import GruPredictor, save_checkpoint
+from beamsight.predictor import GruPredictor, load_checkpoint, save_checkpoint
 
 MINI = Path(__file__).resolve().parent.parent / "configs" / "mini.ini"
 
@@ -194,6 +195,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert str(val) in err and "line" in err
 
+    def test_empty_val_split_under_train_is_data_error(self, tmp_path, capsys, mini_run):
+        out, _ = mini_run
+        ds = tmp_path / "ds"
+        shutil.copytree(out / "dataset", ds)
+        (ds / "val.ndrec").write_text("")
+        assert main(["train", "--dataset", str(ds), "--mode", "beam-only",
+                     "--out", str(tmp_path / "m.ckpt")]) == 2
+        assert str(ds / "val.ndrec") in capsys.readouterr().err
+
     def test_pair_missing_key_is_data_error(self, tmp_path, capsys, mini_run):
         out, _ = mini_run
         shutil.copy(out / "dataset" / "frames.ndrec", tmp_path)
@@ -226,6 +236,59 @@ class TestCli:
         assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and "beam index" in err
+
+    @pytest.mark.parametrize("command, name", [("eval", "val.ndrec"),
+                                               ("handoff-eval", "pairs.ndrec")])
+    def test_ragged_window_is_data_error(self, tmp_path, capsys, mini_run, command, name):
+        # a val window one beam short; a pairs bs1 window one beam long
+        out, _ = mini_run
+        ds = tmp_path / "ds"
+        shutil.copytree(out / "dataset", ds)
+        path = ds / name
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        if name == "val.ndrec":
+            records[0]["beams"] = records[0]["beams"][1:]
+        else:
+            # a window whose camera has the frame before it, so that only
+            # the length is wrong
+            frames = {(f["camera"], f["frame"]) for f in
+                      map(json.loads, (ds / "frames.ndrec").read_text().splitlines())}
+            longer = next(r["bs1"] for r in records
+                          if (r["bs1"]["camera"],
+                              r["bs1"]["t_end"] - len(r["bs1"]["beams"])) in frames)
+            longer["beams"] = [1, *longer["beams"]]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        ckpt = str(out / "bimodal.ckpt")
+        if command == "eval":
+            argv = ["eval", "--ckpt", ckpt, "--dataset", str(ds)]
+        else:
+            argv = ["handoff-eval", "--ckpt1", ckpt, "--ckpt2", ckpt, "--pairs", str(path)]
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "beam index" in err
+
+    def test_bad_checkpoint_with_empty_pairs_is_data_error(self, tmp_path, capsys, mini_run):
+        out, _ = mini_run
+        shutil.copy(out / "dataset" / "frames.ndrec", tmp_path)
+        pairs = tmp_path / "pairs.ndrec"
+        pairs.write_text("")
+        ckpt = tmp_path / "garbage.ckpt"
+        ckpt.write_bytes(b"garbage")
+        assert main(["handoff-eval", "--ckpt1", str(ckpt), "--ckpt2", str(ckpt),
+                     "--pairs", str(pairs), "--out", str(tmp_path / "h.csv")]) == 2
+        assert str(ckpt) in capsys.readouterr().err
+
+    def test_eval_bins_instances_by_dataset_future(self, tmp_path, mini_run):
+        # a checkpoint header without ``future``, a dataset with future = 3
+        out, _ = mini_run
+        ds = tmp_path / "ds"
+        build_dataset_stage(out / "trace", ds, replace(mini_config().dataset, future=3))
+        params, meta = load_checkpoint(out / "bimodal.ckpt")
+        del meta["future"]
+        ckpt = tmp_path / "no_future.ckpt"
+        save_checkpoint(ckpt, params, meta)
+        rep, _ = eval_stage(ckpt, ds, tmp_path / "eval.csv")
+        assert sorted(rep.per_instance) == [1, 2, 3]
 
     @pytest.mark.parametrize("command", ["eval", "handoff-eval"])
     def test_old_layout_dataset_is_data_error(self, tmp_path, capsys, mini_run, command):

@@ -264,7 +264,9 @@ class TestDetect:
 
 def _raster_visible_fraction(cam, target, occluders, grid=256):
     """Per-pixel occlusion oracle: paint boxes into a global depth raster."""
-    from beamsight.scene import object_depth
+    def object_depth(cam, obj):
+        """Forward distance of the object centre from the camera."""
+        return float((obj.center - cam.position) @ cam.rotation[2])
 
     boxes = [(project_object(cam, o), object_depth(cam, o)) for o in occluders]
     tb = project_object(cam, target)
@@ -300,7 +302,8 @@ class TestBuildWorld:
         assert bs1.position[2] == pytest.approx(4.5)
         assert bs2.position[2] == pytest.approx(4.5)
         # opposite sides of the street
-        assert bs1.position[1] < 0 < world.street_width < bs2.position[1]
+        street_width = world.lanes * world.lane_width
+        assert bs1.position[1] < 0 < street_width < bs2.position[1]
         assert [c.camera_id for c in bs1.cameras] == [1, 2, 3]
         assert [c.camera_id for c in bs2.cameras] == [4, 5, 6]
 
