@@ -60,13 +60,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _encode(samples, table: BeamEmbeddingTable, mode: str, path):
-    """``encode_dataset``; a window it rejects becomes a DataError naming
-    ``path``, the dataset file the samples came from."""
+def _encode(samples, table: BeamEmbeddingTable, mode: str, path, observed: int):
+    """``encode_dataset``; a window it rejects, or windows that do not observe
+    ``observed`` frames, become a DataError naming ``path``, the dataset
+    file the samples came from."""
     try:
-        return encode_dataset(samples, table, mode)
+        encoded = encode_dataset(samples, table, mode)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
+    if len(samples[0].sequence.beams) != observed:
+        raise DataError(f"{path}: windows observe {len(samples[0].sequence.beams)} "
+                        f"frames, the model takes {observed}")
+    return encoded
 
 
 def _write_csv(path, header: list[str], rows: list[list]) -> None:
@@ -157,12 +162,14 @@ def train_stage(dataset_dir, mode: str, cfg: TrainConfig, out_ckpt,
     train_ds = read_split(dataset_dir, "train")
     val_ds = read_split(dataset_dir, "val")
     if not train_ds.samples:
-        raise DataError("empty dataset")
+        raise DataError(f"empty dataset: {Path(dataset_dir) / 'train.ndrec'} "
+                        f"has no windows")
     table = BeamEmbeddingTable(manifest["codebook"]["beams"], cfg.embed_dim,
                                cfg.table_seed)
     train_x, train_y = _encode(train_ds.samples, table, mode,
-                               Path(dataset_dir) / "train.ndrec")
-    val_x, val_y = _encode(val_ds.samples, table, mode, Path(dataset_dir) / "val.ndrec")
+                               Path(dataset_dir) / "train.ndrec", manifest["observed"])
+    val_x, val_y = _encode(val_ds.samples, table, mode, Path(dataset_dir) / "val.ndrec",
+                           manifest["observed"])
     result = train_model(train_x, train_y, val_x, val_y, cfg)
 
     meta = {
@@ -197,6 +204,8 @@ def _load_model_and_table(ckpt_path):
         if meta["mode"] not in ("bimodal", "beam-only") or \
                 meta["embed_dim"] != model.input_dim:
             raise ValueError("mode or embed_dim does not fit the model")
+        if type(meta["observed"]) is not int or meta["observed"] < 1:
+            raise ValueError(f"observed = {meta['observed']!r} is not a positive int")
         table = BeamEmbeddingTable(meta["n_beams"], meta["embed_dim"],
                                    meta["table_seed"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -213,9 +222,10 @@ def eval_stage(ckpt_path, dataset_dir, out_csv) -> tuple[MetricReport, dict]:
     model, meta, table = _load_model_and_table(ckpt_path)
     future = read_manifest(dataset_dir)["future"]
     val_ds = read_split(dataset_dir, "val")
+    val_path = Path(dataset_dir) / "val.ndrec"
     if not val_ds.samples:
-        raise DataError("empty validation split")
-    x, y = _encode(val_ds.samples, table, meta["mode"], Path(dataset_dir) / "val.ndrec")
+        raise DataError(f"empty validation split: {val_path} has no windows")
+    x, y = _encode(val_ds.samples, table, meta["mode"], val_path, meta["observed"])
     preds = model.predict(x)
     rep, cm = report(preds, val_ds.samples, future=future)
 
@@ -256,7 +266,7 @@ def handoff_eval(ckpt1_path, ckpt2_path, pairs_path) -> HandoffReport:
         return evaluate_handoff(lambda s: 0, lambda s: 0, pairs)
 
     def batch_predict(model, meta, table, samples):
-        x, _ = _encode(samples, table, meta["mode"], pairs_path)
+        x, _ = _encode(samples, table, meta["mode"], pairs_path, meta["observed"])
         preds = model.predict(x)
         return {s.key: int(p) for s, p in zip(samples, preds)}
 

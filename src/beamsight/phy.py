@@ -96,6 +96,31 @@ def array_response(ula: UlaGeometry, azimuth: float, elevation: float) -> np.nda
     return np.exp(1j * 2.0 * np.pi / ula.wavelength * ula.spacing * m * proj)
 
 
+def tap_amplitudes(gains, delays, azimuths, elevations, ula: UlaGeometry,
+                   cyclic_prefix: int, sample_time: float) -> np.ndarray:
+    """Per-tap array amplitudes t_d = sum_l gain_l * p(d*Ts - tau_l) * a_l.
+
+    Paths run along the last axis of the four path arrays; the result has
+    shape (..., cyclic_prefix, elements).  Every delay must satisfy
+    tau < D*Ts; a path with gain 0 adds nothing.
+    """
+    if np.any(delays >= cyclic_prefix * sample_time):
+        raise ValueError(
+            f"path delay {np.max(delays):.3e} s exceeds the cyclic prefix span "
+            f"{cyclic_prefix * sample_time:.3e} s"
+        )
+    cos_el = np.cos(elevations)
+    proj = np.stack([cos_el * np.cos(azimuths), cos_el * np.sin(azimuths),
+                     np.sin(elevations)], axis=-1) @ ula.axis_vector
+    m = np.arange(ula.elements)
+    responses = np.exp(
+        1j * 2.0 * np.pi / ula.wavelength * ula.spacing * (proj[..., None] * m))
+    taps = np.arange(cyclic_prefix)
+    pulse = np.sinc(taps - delays[..., None] / sample_time)          # (..., L, D)
+    # contract paths: per-tap array amplitudes (..., D, M)
+    return np.swapaxes(pulse * gains[..., None], -1, -2) @ responses
+
+
 def channel_vector(
     paths: list[ChannelPath],
     ula: UlaGeometry,
@@ -112,30 +137,15 @@ def channel_vector(
         raise ValueError("subcarriers, cyclic_prefix, sample_time must be positive")
     if not paths:
         return np.zeros((subcarriers, ula.elements), dtype=complex)
-    delays = np.array([p.delay for p in paths])
-    if np.any(delays >= cyclic_prefix * sample_time):
-        raise ValueError(
-            f"path delay {delays.max():.3e} s exceeds the cyclic prefix span "
-            f"{cyclic_prefix * sample_time:.3e} s"
-        )
-    gains = np.array([p.gain for p in paths], dtype=complex)
-    azimuths = np.array([p.azimuth for p in paths])
-    elevations = np.array([p.elevation for p in paths])
-    directions = np.stack([
-        np.cos(elevations) * np.cos(azimuths),
-        np.cos(elevations) * np.sin(azimuths),
-        np.sin(elevations),
-    ], axis=1)
-    proj = directions @ ula.axis_vector
-    m = np.arange(ula.elements)
-    responses = np.exp(
-        1j * 2.0 * np.pi / ula.wavelength * ula.spacing * np.outer(proj, m))
-    taps = np.arange(cyclic_prefix)
-    pulse = np.sinc(taps[None, :] - delays[:, None] / sample_time)      # (L, D)
+    tap_amps = tap_amplitudes(
+        np.array([p.gain for p in paths], dtype=complex),
+        np.array([p.delay for p in paths]),
+        np.array([p.azimuth for p in paths]),
+        np.array([p.elevation for p in paths]),
+        ula, cyclic_prefix, sample_time)
     k = np.arange(subcarriers)
+    taps = np.arange(cyclic_prefix)
     phase = np.exp(-2j * np.pi * np.outer(k, taps) / subcarriers)       # (K, D)
-    # contract paths first: per-tap array amplitudes, then the DFT over taps
-    tap_amps = (pulse * gains[:, None]).T @ responses                   # (D, M)
     return phase @ tap_amps
 
 
@@ -162,38 +172,88 @@ def select_beam(channel: np.ndarray, codebook: Codebook) -> int:
     return int(np.argmax(powers)) + 1
 
 
+def tap_beams(taps: np.ndarray, codebook: Codebook, subcarriers: int) -> np.ndarray:
+    """``select_beam`` of each channel given by its tap amplitudes (..., D, M).
+
+    With the taps folded modulo K (tap d adds into row d mod K), Parseval
+    gives sum_k |h_k . f|^2 = K * sum_r |T_r . f|^2, so the scan runs over
+    the folded taps and never forms the (K, M) channel.  The fold leaves
+    the taps as they are when K >= D.  Ties break toward the lowest index.
+    """
+    folded = taps[..., :subcarriers, :].copy()
+    for start in range(subcarriers, taps.shape[-2], subcarriers):
+        chunk = taps[..., start:start + subcarriers, :]
+        folded[..., :chunk.shape[-2], :] += chunk
+    projections = folded @ codebook.vectors.T          # (..., R, Q)
+    powers = np.sum(np.abs(projections) ** 2, axis=-2)
+    return np.argmax(powers, axis=-1) + 1
+
+
 # ---------------------------------------------------------------------------
 # Link-status geometry
 # ---------------------------------------------------------------------------
 
+def segments_blocked(p0: np.ndarray, p1: np.ndarray, mins: np.ndarray,
+                     maxs: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    """Slab test of the segments p0 -> p1[i] against closed boxes.
+
+    ``p1`` is (pairs, 3), ``mins``/``maxs`` are (boxes, 3) and ``skip``
+    (pairs, boxes) masks the boxes a segment is not tested against.
+    Returns 1 for each segment that meets a box, else 0.
+    """
+    d = p1 - p0
+    ok, t_enter, t_exit = ~skip, np.zeros(skip.shape), np.ones(skip.shape)
+    for axis in range(3):
+        # a segment parallel to the slab must start inside it
+        flat = d[:, axis, None] == 0.0
+        step = np.where(flat, 1.0, d[:, axis, None])
+        t0 = (mins[:, axis] - p0[axis]) / step
+        t1 = (maxs[:, axis] - p0[axis]) / step
+        t_enter = np.where(flat, t_enter, np.maximum(t_enter, np.minimum(t0, t1)))
+        t_exit = np.where(flat, t_exit, np.minimum(t_exit, np.maximum(t0, t1)))
+        ok &= ~flat | ((p0[axis] >= mins[:, axis]) & (p0[axis] <= maxs[:, axis]))
+    return np.any(ok & (t_enter <= t_exit), axis=1).astype(int)
+
+
 def los_status(bs: Basestation, user: SceneObject, world: World) -> int:
     """0 when the antenna-to-antenna segment is clear, 1 when blocked."""
-    p0 = bs.position
-    p1 = user.antenna_point
-    ids, all_mins, all_maxs = world.object_boxes()
-    keep = ids != user.object_id
-    if not np.any(keep):
-        return 0
-    mins, maxs = all_mins[keep], all_maxs[keep]
-    d = p1 - p0
-    ok = np.ones(len(mins), dtype=bool)
-    t_enter = np.zeros(len(mins))
-    t_exit = np.ones(len(mins))
-    for axis in range(3):
-        if d[axis] == 0.0:
-            ok &= (p0[axis] >= mins[:, axis]) & (p0[axis] <= maxs[:, axis])
-            continue
-        t0 = (mins[:, axis] - p0[axis]) / d[axis]
-        t1 = (maxs[:, axis] - p0[axis]) / d[axis]
-        t_enter = np.maximum(t_enter, np.minimum(t0, t1))
-        t_exit = np.minimum(t_exit, np.maximum(t0, t1))
-    return 1 if bool(np.any(ok & (t_enter <= t_exit))) else 0
+    ids, mins, maxs = world.object_boxes()
+    return int(segments_blocked(bs.position, user.antenna_point[None], mins, maxs,
+                                ids[None] == user.object_id)[0])
 
 
-def _direction_angles(vec: np.ndarray) -> tuple[float, float]:
-    azimuth = math.atan2(vec[1], vec[0])
-    elevation = math.atan2(vec[2], math.hypot(vec[0], vec[1]))
-    return azimuth, elevation
+def path_arrays(bs: Basestation, targets: np.ndarray, los: np.ndarray, world: World,
+                reflection_loss_db: float = 10.0) -> tuple[np.ndarray, ...]:
+    """Gain, delay, azimuth and elevation, each (targets, 3), of the direct
+    path (where ``los`` is 0) and the south and north wall reflections.
+
+    Reflections use the image-source construction off the two building
+    faces; they carry a fixed loss on top of free-space attenuation and are
+    not occlusion-checked.  A path that does not exist has gain 0.
+    """
+    wavelength = bs.ula.wavelength
+    loss = 10.0 ** (-reflection_loss_db / 20.0)
+    direct = targets - bs.position
+    paths = [(direct, direct, los == 0)]           # (span, direction, used)
+    for wall_y in (world.wall_south, world.wall_north):
+        image = bs.position.copy()
+        image[1] = 2.0 * wall_y - image[1]
+        span = targets - image
+        flat = span[:, 1] == 0.0
+        t = (wall_y - image[1]) / np.where(flat, 1.0, span[:, 1])
+        bounce = image + t[:, None] * span
+        paths.append((span, bounce - bs.position,
+                      ~flat & (0.0 < t) & (t < 1.0) & (0.0 <= bounce[:, 0])
+                      & (bounce[:, 0] <= world.street_length) & (bounce[:, 2] >= 0.0)))
+    span, direction, used = (np.stack(a, axis=1) for a in zip(*paths))
+    length = np.sqrt(np.vecdot(span, span))
+    gain = (wavelength / (4.0 * np.pi * length) * np.array([1.0, loss, loss])
+            * np.exp(-2j * np.pi * length / wavelength))
+    unit = direction / np.sqrt(np.vecdot(direction, direction))[..., None]
+    azimuth = np.arctan2(unit[..., 1], unit[..., 0])
+    elevation = np.arctan2(unit[..., 2], np.hypot(unit[..., 0], unit[..., 1]))
+    return tuple(np.where(used, a, 0.0)
+                 for a in (gain, length / SPEED_OF_LIGHT, azimuth, elevation))
 
 
 def synthesize_paths(
@@ -203,46 +263,14 @@ def synthesize_paths(
     reflection_loss_db: float = 10.0,
     los: int | None = None,
 ) -> list[ChannelPath]:
-    """Direct path (when unblocked) plus up to two wall-reflection paths.
-
-    Reflections use the image-source construction off the two building
-    faces; they carry a fixed loss on top of free-space attenuation and
-    are not occlusion-checked.  ``los`` may carry a precomputed
+    """Direct path (when unblocked) plus up to two wall-reflection paths,
+    as ``path_arrays`` builds them.  ``los`` may carry a precomputed
     los_status value to avoid re-testing the segment.
     """
-    wavelength = bs.ula.wavelength
-    target = user.antenna_point
-    paths: list[ChannelPath] = []
-
     if los is None:
         los = los_status(bs, user, world)
-    if los == 0:
-        vec = target - bs.position
-        dist = float(np.linalg.norm(vec))
-        gain = wavelength / (4.0 * np.pi * dist) * np.exp(-2j * np.pi * dist / wavelength)
-        az, el = _direction_angles(vec / dist)
-        paths.append(ChannelPath(gain=gain, delay=dist / SPEED_OF_LIGHT,
-                                 azimuth=az, elevation=el))
-
-    loss = 10.0 ** (-reflection_loss_db / 20.0)
-    for wall_y in (world.wall_south, world.wall_north):
-        image = bs.position.copy()
-        image[1] = 2.0 * wall_y - image[1]
-        span = target - image
-        if span[1] == 0.0:
-            continue
-        t = (wall_y - image[1]) / span[1]
-        if not 0.0 < t < 1.0:
-            continue
-        bounce = image + t * span
-        if not (0.0 <= bounce[0] <= world.street_length and bounce[2] >= 0.0):
-            continue
-        length = float(np.linalg.norm(span))
-        gain = (wavelength / (4.0 * np.pi * length) * loss
-                * np.exp(-2j * np.pi * length / wavelength))
-        direction = (bounce - bs.position)
-        az, el = _direction_angles(direction / np.linalg.norm(direction))
-        paths.append(ChannelPath(gain=gain, delay=length / SPEED_OF_LIGHT,
-                                 azimuth=az, elevation=el))
-    return paths
-
+    arrays = path_arrays(bs, user.antenna_point[None], np.array([los]), world,
+                         reflection_loss_db)
+    return [ChannelPath(gain=complex(g), delay=float(d), azimuth=float(az),
+                        elevation=float(el))
+            for g, d, az, el in zip(*(a[0] for a in arrays)) if g != 0]

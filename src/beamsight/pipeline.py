@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import ScenarioConfig, scenario_from_json
 from .errors import DataError
-from .phy import Codebook, channel_vector, los_status, select_beam, synthesize_paths
+from .phy import Codebook, path_arrays, segments_blocked, tap_amplitudes, tap_beams
 from .scene import (
     Detection,
     DetectorNoiseModel,
@@ -127,10 +127,10 @@ class ConjugateSample:
 def build_seed(worlds: list[World], cfg: ScenarioConfig) -> list[SeedStream]:
     """Per-user, per-camera seed streams for a sequence of world states.
 
-    At every frame, each user is owned by the basestation camera with the
-    largest projected bbox area; the owning camera's detection list stands
-    in for the frame.  A stream breaks whenever ownership changes or the
-    user falls out of every camera's view.
+    At every frame, each user is owned by the basestation camera that sees
+    it closest to its optical axis; the owning camera's detection list
+    stands in for the frame.  A stream breaks whenever ownership changes or
+    the user falls out of every camera's view.
     """
     if not worlds:
         raise DataError("empty world trace")
@@ -145,8 +145,6 @@ def build_seed(worlds: list[World], cfg: ScenarioConfig) -> list[SeedStream]:
 
     finished: list[SeedStream] = []
     active: dict[tuple[int, int], SeedStream] = {}
-    seen_users: set[int] = set()
-    all_users: set[int] = set()
 
     def close(key):
         stream = active.pop(key, None)
@@ -155,7 +153,7 @@ def build_seed(worlds: list[World], cfg: ScenarioConfig) -> list[SeedStream]:
 
     for frame, world in enumerate(worlds):
         det_cache = {}
-        user_bboxes = {}
+        visible = {}
         users = world.users
         for bs in world.basestations:
             for cam in bs.cameras:
@@ -164,51 +162,57 @@ def build_seed(worlds: list[World], cfg: ScenarioConfig) -> list[SeedStream]:
                     cam, world, noise, rng=rng,
                     min_visible_fraction=cfg.min_visible_fraction,
                 )
-                user_bboxes[cam.camera_id] = project_objects(cam, users)
+                visible[cam.camera_id] = np.array(
+                    [b is not None for b in project_objects(cam, users)], dtype=bool)
+        if not users:
+            continue
+        ids, mins, maxs = world.object_boxes()
+        user_ids = np.array([u.object_id for u in users])
+        centers = np.stack([u.center for u in users])
+        antennas = np.stack([u.antenna_point for u in users])
         for bs in world.basestations:
-            codebook = codebooks[bs.bs_id]
+            # ownership: the visible camera whose optical axis points
+            # closest at the user (projected-area ranking degenerates:
+            # perspective stretch near the FOV edge always inflates the
+            # side cameras' boxes, starving the central camera)
+            owner, best_align = np.full(len(users), -1), np.full(len(users), -2.0)
+            for c, cam in enumerate(bs.cameras):
+                to_user = centers - cam.position
+                align = np.vecdot(to_user, cam.rotation[2]) / np.sqrt(
+                    np.vecdot(to_user, to_user))
+                better = visible[cam.camera_id] & (align > best_align)
+                owner[better], best_align[better] = c, align[better]
+            # link status and serving beam of every owned user at once
+            owned = np.flatnonzero(owner >= 0)
+            status = segments_blocked(bs.position, antennas[owned], mins, maxs,
+                                      user_ids[owned, None] == ids[None, :])
+            taps = tap_amplitudes(
+                *path_arrays(bs, antennas[owned], status, world, cfg.reflection_loss_db),
+                bs.ula, cfg.cyclic_prefix, cfg.sample_time)
+            beams = tap_beams(taps, codebooks[bs.bs_id], cfg.subcarriers)
+            results = zip(status.tolist(), beams.tolist())
             for u_idx, user in enumerate(users):
-                all_users.add(user.object_id)
                 key = (bs.bs_id, user.object_id)
-                # ownership: the visible camera whose optical axis points
-                # closest at the user (projected-area ranking degenerates:
-                # perspective stretch near the FOV edge always inflates the
-                # side cameras' boxes, starving the central camera)
-                owner, best_align = None, -2.0
-                for cam in bs.cameras:
-                    if user_bboxes[cam.camera_id][u_idx] is None:
-                        continue
-                    to_user = user.center - cam.position
-                    align = float(to_user @ cam.rotation[2]) / float(
-                        np.linalg.norm(to_user))
-                    if align > best_align:
-                        owner, best_align = cam, align
-                if owner is None:
+                if owner[u_idx] < 0:
                     close(key)
                     continue
-                seen_users.add(user.object_id)
-                status = los_status(bs, user, world)
-                paths = synthesize_paths(bs, user, world, cfg.reflection_loss_db,
-                                         los=status)
-                channel = channel_vector(paths, bs.ula, cfg.subcarriers,
-                                         cfg.cyclic_prefix, cfg.sample_time)
-                beam = select_beam(channel, codebook)
-                tup = SeedTuple(
-                    frame=frame, detections=det_cache[owner.camera_id],
-                    beam=beam, link_status=status,
-                )
+                link_status, beam = next(results)
+                camera_id = bs.cameras[owner[u_idx]].camera_id
+                tup = SeedTuple(frame=frame, detections=det_cache[camera_id],
+                                beam=beam, link_status=link_status)
                 stream = active.get(key)
-                if (stream is None or stream.camera_id != owner.camera_id
+                if (stream is None or stream.camera_id != camera_id
                         or stream.tuples[-1].frame != frame - 1):
                     close(key)
-                    stream = SeedStream(bs_id=bs.bs_id, camera_id=owner.camera_id,
+                    stream = SeedStream(bs_id=bs.bs_id, camera_id=camera_id,
                                         user_id=user.object_id)
                     active[key] = stream
                 stream.tuples.append(tup)
 
     for key in sorted(active):
         finished.append(active[key])
-    skipped = len(all_users - seen_users)
+    skipped = len({u.object_id for w in worlds for u in w.users}
+                  - {s.user_id for s in finished})
     if skipped:
         log.info("skipped %d users never visible to any camera", skipped)
     finished.sort(key=lambda s: (s.bs_id, s.camera_id, s.user_id,

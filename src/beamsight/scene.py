@@ -377,27 +377,27 @@ def project_objects(cam: Camera, objects: list[SceneObject]) -> list:
             for box, ok in zip(boxes.tolist(), visible.tolist())]
 
 
-def unoccluded_fraction(bbox, depth: float, others) -> float:
-    """Fraction of a bbox's raster cells not covered by any nearer bbox.
+def _visible_fractions(boxes: np.ndarray, depths: np.ndarray) -> np.ndarray:
+    """Fraction of each bbox's raster cells not covered by any nearer bbox.
 
-    ``others`` holds (bbox, depth) pairs for every other object; strictly
-    smaller depth occludes.  The test raster is OCCLUSION_GRID^2 cell
-    centres spread across the bbox, which keeps the check deterministic
-    and independent of object ordering.
+    ``boxes`` is (n, 4); a box occludes another when its depth is strictly
+    smaller and the two overlap.  The test raster is OCCLUSION_GRID^2 cell
+    centres spread across each box.  With X and Y the (occluders, grid)
+    masks of the centre columns and rows each occluder spans, a target's
+    covered cells are ``(Y.T @ X) > 0``.
     """
-    x1, y1, x2, y2 = bbox
-    n = OCCLUSION_GRID
-    cx = x1 + (np.arange(n) + 0.5) / n * (x2 - x1)
-    cy = y1 + (np.arange(n) + 0.5) / n * (y2 - y1)
-    gx, gy = np.meshgrid(cx, cy)
-    covered = np.zeros((n, n), dtype=bool)
-    for (ox1, oy1, ox2, oy2), odepth in others:
-        if odepth >= depth:
-            continue
-        if ox2 <= x1 or ox1 >= x2 or oy2 <= y1 or oy1 >= y2:
-            continue
-        covered |= (gx >= ox1) & (gx <= ox2) & (gy >= oy1) & (gy <= oy2)
-    return 1.0 - float(covered.mean())
+    x1, y1, x2, y2 = boxes.T
+    ticks = (np.arange(OCCLUSION_GRID) + 0.5) / OCCLUSION_GRID
+    cx = x1[:, None] + ticks * (x2 - x1)[:, None]                 # (targets, grid)
+    cy = y1[:, None] + ticks * (y2 - y1)[:, None]
+    occludes = ((depths[None, :] < depths[:, None]) & (x2[None, :] > x1[:, None])
+                & (x1[None, :] < x2[:, None]) & (y2[None, :] > y1[:, None])
+                & (y1[None, :] < y2[:, None]))                    # (targets, occluders)
+    xs = occludes[:, :, None] & (cx[:, None, :] >= x1[None, :, None]) \
+        & (cx[:, None, :] <= x2[None, :, None])
+    ys = (cy[:, None, :] >= y1[None, :, None]) & (cy[:, None, :] <= y2[None, :, None])
+    covered = np.swapaxes(ys, 1, 2).astype(np.float32) @ xs.astype(np.float32) > 0
+    return 1.0 - covered.mean(axis=(1, 2))
 
 
 def detect(
@@ -421,16 +421,13 @@ def detect(
     bboxes = project_objects(cam, ordered)
     centers = np.stack([o.center for o in ordered]) if ordered else np.zeros((0, 3))
     depths = (centers - cam.position) @ cam.rotation[2]
-    projected = [
-        (obj, bbox, float(depth))
-        for obj, bbox, depth in zip(ordered, bboxes, depths)
-        if bbox is not None
-    ]
+    shown = np.array([bbox is not None for bbox in bboxes], dtype=bool)
+    projected = [(obj, bbox) for obj, bbox in zip(ordered, bboxes) if bbox is not None]
+    fractions = _visible_fractions(
+        np.array([bbox for _, bbox in projected]).reshape(-1, 4), depths[shown])
 
     detections: list[Detection] = []
-    for obj, bbox, depth in projected:
-        others = [(b, d) for o, b, d in projected if o.object_id != obj.object_id]
-        fraction = unoccluded_fraction(bbox, depth, others)
+    for (obj, bbox), fraction in zip(projected, fractions.tolist()):
         if fraction < min_visible_fraction:
             continue
         if noise.p_miss > 0.0 and rng.random() < noise.p_miss:

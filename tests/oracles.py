@@ -2,13 +2,16 @@
 
 These deliberately avoid the library's code paths: scalar loops instead of
 vectorized sums, point sampling plus a separating-axis test instead of slab
-clipping, per-beam power scans instead of a batched argmax.
+clipping, per-beam power scans instead of a batched argmax, and a per-box
+raster loop instead of a coverage-mask product.
 """
 
 import cmath
 import math
 
 import numpy as np
+
+from beamsight.scene import OCCLUSION_GRID
 
 
 def scalar_channel(paths, ula, subcarriers, cyclic_prefix, sample_time):
@@ -44,6 +47,29 @@ def exhaustive_beam_scan(channel, codebook):
         if power > best_power:
             best, best_power = q + 1, power
     return best
+
+
+def unoccluded_fraction(bbox, depth: float, others) -> float:
+    """Fraction of a bbox's raster cells not covered by any nearer bbox.
+
+    ``others`` holds (bbox, depth) pairs for every other object; strictly
+    smaller depth occludes.  The test raster is OCCLUSION_GRID^2 cell
+    centres spread across the bbox, which keeps the check deterministic
+    and independent of object ordering.
+    """
+    x1, y1, x2, y2 = bbox
+    n = OCCLUSION_GRID
+    cx = x1 + (np.arange(n) + 0.5) / n * (x2 - x1)
+    cy = y1 + (np.arange(n) + 0.5) / n * (y2 - y1)
+    gx, gy = np.meshgrid(cx, cy)
+    covered = np.zeros((n, n), dtype=bool)
+    for (ox1, oy1, ox2, oy2), odepth in others:
+        if odepth >= depth:
+            continue
+        if ox2 <= x1 or ox1 >= x2 or oy2 <= y1 or oy1 >= y2:
+            continue
+        covered |= (gx >= ox1) & (gx <= ox2) & (gy >= oy1) & (gy <= oy2)
+    return 1.0 - float(covered.mean())
 
 
 def sat_segment_box(p0, p1, lo, hi) -> bool:

@@ -18,6 +18,7 @@ from beamsight.experiment import (
     run_experiment,
     simulate_stage,
 )
+from beamsight.pipeline import read_pairs
 from beamsight.predictor import GruPredictor, load_checkpoint, save_checkpoint
 
 MINI = Path(__file__).resolve().parent.parent / "configs" / "mini.ini"
@@ -289,6 +290,61 @@ class TestCli:
         save_checkpoint(ckpt, params, meta)
         rep, _ = eval_stage(ckpt, ds, tmp_path / "eval.csv")
         assert sorted(rep.per_instance) == [1, 2, 3]
+
+    @pytest.mark.parametrize("command, name", [("eval", "val.ndrec"),
+                                               ("handoff-eval", "pairs.ndrec")])
+    def test_window_length_other_than_checkpoint_is_data_error(
+            self, tmp_path, capsys, mini_run, command, name):
+        # windows of 4 frames against a checkpoint trained on 8
+        out, _ = mini_run
+        ds = tmp_path / "ds"
+        build_dataset_stage(out / "trace", ds, replace(mini_config().dataset, observed=4))
+        assert read_pairs(ds / "pairs.ndrec")
+        ckpt = str(out / "bimodal.ckpt")
+        if command == "eval":
+            argv = ["eval", "--ckpt", ckpt, "--dataset", str(ds)]
+        else:
+            argv = ["handoff-eval", "--ckpt1", ckpt, "--ckpt2", ckpt,
+                    "--pairs", str(ds / name)]
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert str(ds / name) in err and "observe 4 frames" in err
+
+    @pytest.mark.parametrize("observed", [None, 0, -8, "8", 8.0, True])
+    @pytest.mark.parametrize("command", ["eval", "handoff-eval"])
+    def test_checkpoint_observed_is_data_error(self, tmp_path, capsys, mini_run,
+                                               observed, command):
+        out, _ = mini_run
+        params, meta = load_checkpoint(out / "bimodal.ckpt")
+        if observed is None:
+            del meta["observed"]
+        else:
+            meta["observed"] = observed
+        ckpt = tmp_path / "observed.ckpt"
+        save_checkpoint(ckpt, params, meta)
+        if command == "eval":
+            argv = ["eval", "--ckpt", str(ckpt), "--dataset", str(out / "dataset")]
+        else:
+            argv = ["handoff-eval", "--ckpt1", str(ckpt), "--ckpt2", str(ckpt),
+                    "--pairs", str(out / "dataset" / "pairs.ndrec")]
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+        assert str(ckpt) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, name", [("train", "train.ndrec"),
+                                               ("eval", "val.ndrec")])
+    def test_empty_split_names_file(self, tmp_path, capsys, mini_run, command, name):
+        out, _ = mini_run
+        ds = tmp_path / "ds"
+        shutil.copytree(out / "dataset", ds)
+        (ds / name).write_text("")
+        if command == "train":
+            argv = ["train", "--dataset", str(ds), "--mode", "beam-only",
+                    "--out", str(tmp_path / "m.ckpt")]
+        else:
+            argv = ["eval", "--ckpt", str(out / "bimodal.ckpt"), "--dataset", str(ds),
+                    "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 2
+        assert str(ds / name) in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval", "handoff-eval"])
     def test_old_layout_dataset_is_data_error(self, tmp_path, capsys, mini_run, command):

@@ -15,6 +15,8 @@ from beamsight.phy import (
     select_beam,
     steering_vector,
     synthesize_paths,
+    tap_amplitudes,
+    tap_beams,
 )
 from beamsight.scene import Basestation, SceneObject, UlaGeometry, VehicleClass, World
 
@@ -114,6 +116,26 @@ class TestChannelVector:
                       for p in paths]
             hs = channel_vector(scaled, ula, 8, 8, 1e-7)
             assert np.max(np.abs(hs - c * h)) < 1e-10
+
+
+class TestTapBeams:
+    @pytest.mark.parametrize("subcarriers", [1, 3, 5, 8, 15, 16, 17, 64])
+    def test_matches_k_domain_scan(self, subcarriers):
+        # D = 16 taps: K < D folds the taps, K >= D leaves them as they are
+        rng = np.random.default_rng(subcarriers)
+        ula = make_ula(elements=8)
+        cb = Codebook.build(ula, 16)
+        paths = [random_paths(rng, 3, max_delay=16e-7) for _ in range(40)]
+        taps = tap_amplitudes(*(np.array([[getattr(p, key) for p in ps] for ps in paths])
+                                for key in ("gain", "delay", "azimuth", "elevation")),
+                              ula, 16, 1e-7)
+        want = [select_beam(channel_vector(ps, ula, subcarriers, 16, 1e-7), cb)
+                for ps in paths]
+        assert tap_beams(taps, cb, subcarriers).tolist() == want
+
+    def test_tie_breaks_to_lowest_index(self):
+        cb = Codebook.build(make_ula(elements=4), 8)
+        assert tap_beams(np.zeros((2, 16, 4), dtype=complex), cb, 64).tolist() == [1, 1]
 
 
 class TestReceivedPower:

@@ -1,15 +1,19 @@
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from beamsight.config import ScenarioConfig
+from oracles import exhaustive_beam_scan, sat_segment_box, scalar_channel
+
+from beamsight.config import ScenarioConfig, load_experiment_config
 from beamsight.errors import DataError
 from beamsight.phy import (
     Codebook,
     channel_vector,
     received_power,
+    select_beam,
     synthesize_paths,
 )
 from beamsight.pipeline import (
@@ -32,7 +36,15 @@ from beamsight.pipeline import (
     write_dataset,
     write_trace,
 )
-from beamsight.scene import SceneObject, VehicleClass, world_from_objects
+from beamsight.scene import (
+    SceneObject,
+    VehicleClass,
+    build_world,
+    step_world,
+    world_from_objects,
+)
+
+DESK = Path(__file__).resolve().parent.parent / "configs" / "desk.ini"
 
 
 def small_cfg(**kwargs):
@@ -110,6 +122,76 @@ class TestBuildSeed:
             assert camera_to_bs(s.camera_id) == s.bs_id
         for cams in per_bs.values():
             assert len(cams) == 1  # static user keeps one owner
+
+
+def street(cfg, frames):
+    worlds = [build_world(cfg)]
+    for _ in range(frames - 1):
+        worlds.append(step_world(worlds[-1], cfg.dt))
+    return worlds
+
+
+def seed_rows(worlds, cfg):
+    """(world, basestation, user, tuple) for every tuple build_seed emits."""
+    for stream in build_seed(worlds, cfg):
+        for tup in stream.tuples:
+            world = worlds[tup.frame]
+            bs = next(b for b in world.basestations if b.bs_id == stream.bs_id)
+            yield world, bs, world.object_by_id(stream.user_id), tup
+
+
+def oracle_status(bs, user, world):
+    return int(any(sat_segment_box(bs.position, user.antenna_point, *o.bounds())
+                   for o in world.objects if o.object_id != user.object_id))
+
+
+def oracle_beam(bs, user, world, cfg, codebook):
+    paths = synthesize_paths(bs, user, world, cfg.reflection_loss_db)
+    channel = scalar_channel(paths, bs.ula, cfg.subcarriers, cfg.cyclic_prefix,
+                             cfg.sample_time)
+    return exhaustive_beam_scan(channel, codebook)
+
+
+class TestSeedPassOracles:
+    """build_seed's batched kernels against the scalar oracles."""
+
+    def test_desk_street_statuses_and_beams(self):
+        cfg = load_experiment_config(DESK).scenario
+        rows = list(seed_rows(street(cfg, 30), cfg))
+        assert len(rows) > 1000
+        codebook = Codebook.build(rows[0][1].ula, cfg.beams)
+        for world, bs, user, tup in rows:
+            assert tup.link_status == oracle_status(bs, user, world)
+            # every beam against the K-domain scan of the per-subcarrier
+            # channel (criteria 1 and 2 check both against the oracles) ...
+            h = channel_vector(synthesize_paths(bs, user, world, cfg.reflection_loss_db),
+                               bs.ula, cfg.subcarriers, cfg.cyclic_prefix,
+                               cfg.sample_time)
+            assert tup.beam == select_beam(h, codebook)
+        # ... and a spread of them against the scalar oracles themselves,
+        # which take about 0.1 s per channel at desk size
+        for world, bs, user, tup in rows[::30]:
+            assert tup.beam == oracle_beam(bs, user, world, cfg, codebook)
+        assert {tup.link_status for _, _, _, tup in rows} == {0, 1}
+
+    def test_fewer_subcarriers_than_taps(self):
+        # K = 8 < D = 16: taps fold modulo K before the scan
+        cfg = small_cfg(cars=6, buses=2, seed=5, subcarriers=8, cyclic_prefix=16)
+        rows = list(seed_rows(street(cfg, 4), cfg))
+        assert len(rows) > 20
+        codebook = Codebook.build(rows[0][1].ula, cfg.beams)
+        for world, bs, user, tup in rows:
+            assert tup.beam == oracle_beam(bs, user, world, cfg, codebook)
+
+    def test_basestation_at_antenna_height(self):
+        # d[2] == 0: the segment runs inside the z slab of every box it can hit
+        cfg = small_cfg(cars=6, buses=2, seed=5, bs_height=1.5)
+        rows = list(seed_rows(street(cfg, 6), cfg))
+        assert rows
+        for world, bs, user, tup in rows:
+            assert bs.position[2] == user.antenna_point[2]
+            assert tup.link_status == oracle_status(bs, user, world)
+        assert {tup.link_status for _, _, _, tup in rows} == {0, 1}
 
 
 def make_stream(statuses, camera_id=2, user_id=0, beams=None, start_frame=0):

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import dense_projection_hull
+from oracles import dense_projection_hull, unoccluded_fraction
 
+from beamsight import scene
 from beamsight.config import ScenarioConfig
 from beamsight.scene import (
+    OCCLUSION_GRID,
     Camera,
     DetectorNoiseModel,
     SceneObject,
@@ -17,6 +19,7 @@ from beamsight.scene import (
     object_from_record,
     object_to_record,
     project_object,
+    project_objects,
     step_world,
 )
 
@@ -260,6 +263,103 @@ class TestDetect:
             np.random.default_rng(perm_seed).shuffle(shuffled)
             assert detect(cam, make_world(shuffled), noise,
                           rng=np.random.default_rng(1)) == base
+
+
+def detect_and_oracle(monkeypatch, boxes, depths):
+    """detect's confidences when object i projects to boxes[i] (None: out of
+    view) at forward depth depths[i], and the raster-loop oracle's."""
+    objects = [make_object(object_id=i, center=(d, 0.0, 0.75)) for i, d in enumerate(depths)]
+    monkeypatch.setattr(scene, "project_objects",
+                        lambda cam, objs: [boxes[o.object_id] for o in objs])
+    dets = detect(make_camera(), make_world(objects), min_visible_fraction=0.0)
+    shown = [(b, float(d)) for b, d in zip(boxes, depths) if b is not None]
+    want = [unoccluded_fraction(b, d, shown[:i] + shown[i + 1:])
+            for i, (b, d) in enumerate(shown)]
+    return [d.confidence for d in dets], want
+
+
+def cell_centres(lo, hi):
+    return lo + (np.arange(OCCLUSION_GRID) + 0.5) / OCCLUSION_GRID * (hi - lo)
+
+
+class TestOcclusionOracle:
+    """detect confidences equal the per-box raster loop, compared as floats."""
+
+    def test_random_box_sets(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        cases = 0
+        for _ in range(300):
+            boxes, depths = [], []
+            for _ in range(int(rng.integers(0, 9))):
+                # edges on a coarse grid or on an earlier box's cell centre
+                coords = []
+                for axis in (0, 1):
+                    ends = set()
+                    while len(ends) < 2:
+                        ref = boxes[int(rng.integers(len(boxes)))] if boxes else None
+                        if ref is not None and rng.random() < 0.4:
+                            ends.add(float(rng.choice(
+                                cell_centres(ref[axis], ref[axis + 2]))))
+                        else:
+                            ends.add(int(rng.integers(0, 17)) / 16)
+                    coords.append(sorted(ends))
+                boxes.append((coords[0][0], coords[1][0], coords[0][1], coords[1][1]))
+                depths.append(float(rng.integers(1, 5)))     # equal depths are common
+            hidden = rng.random(len(boxes)) < 0.1
+            boxes = [None if h else b for b, h in zip(boxes, hidden)]
+            got, want = detect_and_oracle(monkeypatch, boxes, depths)
+            assert got == want
+            cases += len(want)
+        assert cases > 1000
+
+    def test_edges_on_cell_centres(self, monkeypatch):
+        cx, cy = cell_centres(0.25, 0.75), cell_centres(0.25, 0.75)
+        boxes = [(0.25, 0.25, 0.75, 0.75),
+                 (cx[10], cy[20], 0.9, 0.9),     # covers columns 10.., rows 20..
+                 (0.1, 0.1, cx[5], cy[7])]       # covers columns ..5, rows ..7
+        got, want = detect_and_oracle(monkeypatch, boxes, [5.0, 1.0, 2.0])
+        assert got == want
+        assert got[0] == 1.0 - (54 * 44 + 6 * 8) / OCCLUSION_GRID**2
+
+    def test_equal_depths_do_not_occlude(self, monkeypatch):
+        boxes = [(0.2, 0.2, 0.6, 0.6), (0.3, 0.3, 0.7, 0.7)]
+        got, want = detect_and_oracle(monkeypatch, boxes, [3.0, 3.0])
+        assert got == want == [1.0, 1.0]
+
+    def test_touching_occluder_does_not_overlap(self, monkeypatch):
+        # one ulp wide: the first cell centre rounds onto the shared edge
+        boxes = [(0.5, 0.2, float(np.nextafter(0.5, 1.0)), 0.8), (0.3, 0.2, 0.5, 0.8)]
+        got, want = detect_and_oracle(monkeypatch, boxes, [4.0, 1.0])
+        assert got == want
+        assert got[0] == 1.0
+
+    def test_fully_covered_target(self, monkeypatch):
+        boxes = [(0.3, 0.3, 0.5, 0.5), (0.1, 0.1, 0.9, 0.9)]
+        got, want = detect_and_oracle(monkeypatch, boxes, [4.0, 1.0])
+        assert got == want == [0.0, 1.0]
+
+    @pytest.mark.parametrize("boxes", [[], [None, None], [None, (0.1, 0.2, 0.3, 0.4)]])
+    def test_zero_or_one_visible_box(self, monkeypatch, boxes):
+        got, want = detect_and_oracle(monkeypatch, boxes, [2.0] * len(boxes))
+        assert got == want == [1.0] * sum(b is not None for b in boxes)
+
+    def test_projected_street(self):
+        cam = make_camera(position=(0.0, 0.0, 4.0), pitch=-0.1)
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            classes = [list(VehicleClass)[k] for k in rng.integers(0, 3, size=12)]
+            world = make_world([
+                make_object(object_id=i, cls=cls,
+                            center=(rng.uniform(5, 80), rng.uniform(-8, 8), 1.0))
+                for i, cls in enumerate(classes)])
+            boxes = project_objects(cam, world.objects)
+            centers = np.stack([o.center for o in world.objects])
+            depths = ((centers - cam.position) @ cam.rotation[2]).tolist()
+            shown = [(b, d) for b, d in zip(boxes, depths) if b is not None]
+            want = [unoccluded_fraction(b, d, shown[:i] + shown[i + 1:])
+                    for i, (b, d) in enumerate(shown)]
+            dets = detect(cam, world, min_visible_fraction=0.0)
+            assert [d.confidence for d in dets] == want
 
 
 def _raster_visible_fraction(cam, target, occluders, grid=256):
