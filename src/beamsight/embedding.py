@@ -3,8 +3,9 @@
 Beam indices go through a frozen Gaussian lookup table (no training);
 per-frame detection lists become zero-padded stacks of 6-number box
 features.  Both land in the same N-dimensional space consumed by the
-recurrent predictor.  ``encode_dataset``, the one encoder, embeds each
-camera frame once and gathers every window's rows.
+recurrent predictor.  ``encode_rows``, the one encoder, embeds each
+camera frame once and gives every window's steps as indices into those
+rows and the beam table.
 """
 
 from __future__ import annotations
@@ -77,17 +78,19 @@ def embed_bboxes(detections: list[Detection], dim: int) -> np.ndarray:
     return out
 
 
-def encode_dataset(samples: list[LabeledSample], table: BeamEmbeddingTable,
-                   mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Inputs and labels for a list of windows: (n, T, N), (n,).
+def encode_rows(samples: list[LabeledSample], table: BeamEmbeddingTable,
+                mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct input rows, a row index and labels for a list of windows:
+    (R, N), (n, T) int, (n,); window i's step t is ``rows[index[i, t]]``.
 
     Every window needs as many beam indices as the first, at least one,
     each in 1..Q; a ValueError names the first window that breaks this.
-    Beam-only inputs are the r beam rows (T = r).  Bimodal inputs are the
-    r box rows, then the r beam rows (T = 2r).  Box rows come from a
-    (frames, N) matrix that embeds each distinct detection list once:
-    windows that observe one camera frame share its list object, so the
-    list's identity is the frame key.
+    Beam-only rows are ``table.entries`` and a window's steps are its r
+    beams (T = r).  Bimodal rows are the box embeddings of the distinct
+    camera frames stacked on ``table.entries``, and a window's steps are
+    its r frames, then its r beams (T = 2r).  Each distinct detection list
+    is embedded once: windows that observe one camera frame share its list
+    object, so the list's identity is the frame key.
     """
     if mode not in ("bimodal", "beam-only"):
         raise ValueError(f"unknown mode {mode!r} (expected 'bimodal' or 'beam-only')")
@@ -101,16 +104,24 @@ def encode_dataset(samples: list[LabeledSample], table: BeamEmbeddingTable,
             raise ValueError(f"window {s.key} has beams {beams}: expected as many as "
                              f"window {first.key} ({r}, at least 1), each beam index "
                              f"in 1..{table.n_beams}")
-    beam_index = np.array([s.sequence.beams for s in samples]) - 1
-    if mode == "beam-only":
-        inputs = table.entries[beam_index]
-    else:
+    index = np.array([s.sequence.beams for s in samples]) - 1
+    rows = table.entries
+    if mode == "bimodal":
         distinct = {id(d): d for s in samples for d in s.sequence.detections}
         row_of = {key: row for row, key in enumerate(distinct)}
-        matrix = np.array([embed_bboxes(d, table.dim) for d in distinct.values()])
-        rows = np.array([[row_of[id(d)] for d in s.sequence.detections] for s in samples])
-        inputs = np.empty((len(samples), 2 * r, table.dim))
-        inputs[:, :r] = matrix[rows]
-        inputs[:, r:] = table.entries[beam_index]
+        frames = np.array([[row_of[id(d)] for d in s.sequence.detections] for s in samples])
+        boxes = np.array([embed_bboxes(d, table.dim) for d in distinct.values()])
+        rows = np.concatenate([boxes, table.entries])
+        index = np.concatenate([frames, len(distinct) + index], axis=1)
     labels = np.array([s.label.status for s in samples], dtype=np.int64)
-    return inputs, labels
+    return rows, index, labels
+
+
+def encode_dataset(samples: list[LabeledSample], table: BeamEmbeddingTable,
+                   mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Dense inputs and labels for a list of windows: (n, T, N), (n,).
+
+    ``rows[index]`` of ``encode_rows``, which checks the windows.
+    """
+    rows, index, labels = encode_rows(samples, table, mode)
+    return rows[index], labels

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .config import DatasetConfig, ExperimentConfig, ScenarioConfig, TrainConfig
-from .embedding import BeamEmbeddingTable, encode_dataset
+from .embedding import BeamEmbeddingTable, encode_rows
 from .errors import BeamsightError, DataError
 from .handoff import HandoffReport, evaluate_handoff
 from .metrics import MetricReport, report
@@ -33,11 +33,12 @@ from .pipeline import (
     read_manifest,
     read_pairs,
     read_split,
+    read_splits,
     read_trace,
     write_dataset,
     write_trace,
 )
-from .predictor import model_from_checkpoint, save_checkpoint, train_model
+from .predictor import Sequences, model_from_checkpoint, save_checkpoint, train_model
 from .scene import build_world, step_world
 
 log = logging.getLogger(__name__)
@@ -61,17 +62,17 @@ def _fmt(value) -> str:
 
 
 def _encode(samples, table: BeamEmbeddingTable, mode: str, path, observed: int):
-    """``encode_dataset``; a window it rejects, or windows that do not observe
-    ``observed`` frames, become a DataError naming ``path``, the dataset
-    file the samples came from."""
+    """Model inputs (``Sequences``) and labels from ``encode_rows``; a window
+    it rejects, or windows that do not observe ``observed`` frames, become a
+    DataError naming ``path``, the dataset file the samples came from."""
     try:
-        encoded = encode_dataset(samples, table, mode)
+        rows, index, labels = encode_rows(samples, table, mode)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
     if len(samples[0].sequence.beams) != observed:
         raise DataError(f"{path}: windows observe {len(samples[0].sequence.beams)} "
                         f"frames, the model takes {observed}")
-    return encoded
+    return Sequences(rows, index), labels
 
 
 def _write_csv(path, header: list[str], rows: list[list]) -> None:
@@ -159,8 +160,7 @@ def train_stage(dataset_dir, mode: str, cfg: TrainConfig, out_ckpt,
     if mode not in ("bimodal", "beam-only"):
         raise DataError(f"unknown mode {mode!r}")
     manifest = read_manifest(dataset_dir)
-    train_ds = read_split(dataset_dir, "train")
-    val_ds = read_split(dataset_dir, "val")
+    train_ds, val_ds = read_splits(dataset_dir, "train", "val")
     if not train_ds.samples:
         raise DataError(f"empty dataset: {Path(dataset_dir) / 'train.ndrec'} "
                         f"has no windows")

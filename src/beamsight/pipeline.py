@@ -450,10 +450,17 @@ def write_dataset(out_dir, train: LabeledDataset, val: LabeledDataset,
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def read_split(dataset_dir, split: str) -> LabeledDataset:
+def read_splits(dataset_dir, *splits: str) -> list[LabeledDataset]:
+    """The named splits; ``frames.ndrec`` is parsed once and its detection
+    lists are shared by every window that observes the frame."""
     frames = _read_frames(Path(dataset_dir))
-    path = Path(dataset_dir) / f"{split}.ndrec"
-    return LabeledDataset(_read_ndjson(path, lambda r: record_to_sample(r, frames)), split)
+    return [LabeledDataset(_read_ndjson(Path(dataset_dir) / f"{split}.ndrec",
+                                        lambda r: record_to_sample(r, frames)), split)
+            for split in splits]
+
+
+def read_split(dataset_dir, split: str) -> LabeledDataset:
+    return read_splits(dataset_dir, split)[0]
 
 
 def read_pairs(path) -> list[ConjugateSample]:
@@ -508,8 +515,10 @@ def read_trace(trace_dir) -> tuple[ScenarioConfig, list[World]]:
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{manifest_path}: not a trace manifest: {exc!r}") from exc
     cfg = scenario_from_json(manifest_path, scenario)
-    worlds = _read_ndjson(root / "frames.ndjson", lambda record: world_from_objects(
-        cfg, [object_from_record(r) for r in record["objects"]]))
+    # every frame shares one geometry (basestations, cameras), as step_world does
+    empty = world_from_objects(cfg, [])
+    worlds = _read_ndjson(root / "frames.ndjson", lambda record: dataclasses.replace(
+        empty, objects=[object_from_record(r) for r in record["objects"]]))
     if not worlds:
         raise DataError(f"trace has no frames: {trace_dir}")
     return cfg, worlds

@@ -16,7 +16,9 @@ the same blocks:
     h' = (1 - z) * h + z * c
 The input projection a is one GEMM over all steps of a layer, as are dW,
 dU, db and dx after the backward time loop (Appleyard et al.,
-arXiv:1604.01946); only h U^T and its gradient run step by step.
+arXiv:1604.01946); only h U^T and its gradient run step by step.  Layer 0
+projects each distinct input row of a ``Sequences`` batch once, and dW0 is
+one GEMM over those rows of da summed per row.
 """
 
 from __future__ import annotations
@@ -47,6 +49,39 @@ def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return float(-log_probs[np.arange(len(y)), y].mean())
+
+
+def _segment_sum(values: np.ndarray, segments: np.ndarray, count: int) -> np.ndarray:
+    """Rows of ``values`` (m, k) summed by ``segments`` (m,) into (count, k)."""
+    width = values.shape[1]
+    keys = (segments[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(keys, weights=values.ravel(),
+                       minlength=count * width).reshape(count, width)
+
+
+@dataclass(frozen=True)
+class Sequences:
+    """Model inputs as distinct rows (R, N) and a row index (n, T): step t of
+    sample i is ``rows[index[i, t]]``.  Windows that observe one camera frame
+    or one beam share its row; indexing selects samples and keeps the rows."""
+
+    rows: np.ndarray
+    index: np.ndarray
+
+    @classmethod
+    def of(cls, x) -> "Sequences":
+        """``x``, or a dense (n, T, N) array as its rows under an identity index."""
+        if isinstance(x, cls):
+            return x
+        batch, steps, dim = np.shape(x)
+        return cls(np.reshape(x, (batch * steps, dim)),
+                   np.arange(batch * steps).reshape(batch, steps))
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, samples) -> "Sequences":
+        return Sequences(self.rows, self.index[samples])
 
 
 def init_params(input_dim: int, hidden: int, layers: int = 2, classes: int = 2,
@@ -106,22 +141,28 @@ class GruPredictor:
         self.params = params if params is not None else init_params(
             input_dim, hidden, layers, classes, seed)
 
-    def _run(self, x: np.ndarray, train: bool, rng: np.random.Generator | None,
+    def _run(self, x: Sequences, train: bool, rng: np.random.Generator | None,
              caches: list | None = None):
-        """Forward pass over a (batch, T, input_dim) array.
+        """Forward pass over a ``Sequences`` batch.
 
-        Appends to ``caches``, if given, each layer's input, hidden states
+        Appends to ``caches``, if given, each layer's input (layer 0: its
+        distinct rows and each step's position among them), hidden states
         (batch, T+1, H) from zeros and per-step gates, for the backward pass.
         """
-        if x.ndim != 3 or x.shape[2] != self.input_dim:
-            raise ValueError(f"expected (batch, steps, {self.input_dim}), got {x.shape}")
-        batch, steps, _ = x.shape
+        if x.rows.shape[1:] != (self.input_dim,):
+            raise ValueError(f"expected rows (R, {self.input_dim}), got {x.rows.shape}")
+        batch, steps = x.index.shape
         masks = {}  # dropout mask per layer output, train only
-        layer_input = x
+        uniq, inv = np.unique(x.index, return_inverse=True)
+        layer_input = (x.rows[uniq], inv.reshape(batch, steps))
         for layer in range(self.layers):
             W, U, b = (self.params[f"l{layer}.{n}"] for n in "WUb")
-            a = layer_input.reshape(batch * steps, W.shape[1]) @ W.T + b
-            a = a.reshape(batch, steps, 3 * self.hidden)
+            if layer == 0:
+                distinct, positions = layer_input
+                a = (distinct @ W.T + b)[positions]
+            else:
+                a = layer_input.reshape(batch * steps, W.shape[1]) @ W.T + b
+                a = a.reshape(batch, steps, 3 * self.hidden)
             hs = np.zeros((batch, steps + 1, self.hidden))
             gates = []
             for t in range(steps):
@@ -141,35 +182,44 @@ class GruPredictor:
         logits = layer_input[:, -1, :] @ self.params["out.W"].T + self.params["out.b"]
         return logits, layer_input[:, -1, :], masks
 
-    def forward(self, x: np.ndarray, train: bool = False,
+    def forward(self, x, train: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
-        """Class probabilities (batch, 2); single sequences are promoted."""
-        single = x.ndim == 2
+        """Class probabilities (batch, 2) for a dense (batch, T, N) array or a
+        ``Sequences``; single dense sequences are promoted."""
+        single = not isinstance(x, Sequences) and np.ndim(x) == 2
         if single:
             x = x[None, ...]
-        probs = softmax(self._run(x, train, rng)[0])
+        probs = softmax(self._run(Sequences.of(x), train, rng)[0])
         return probs[0] if single else probs
 
-    def _logits(self, x: np.ndarray, batch_size: int = 512) -> np.ndarray:
+    def _logits(self, x, batch_size: int = 512) -> np.ndarray:
         """Eval-mode logits (n, classes), computed in batches."""
+        x = Sequences.of(x)
         chunks = [self._run(x[start:start + batch_size], False, None)[0]
                   for start in range(0, len(x), batch_size)]
         return np.concatenate(chunks) if chunks else np.empty((0, self.classes))
 
-    def predict(self, x: np.ndarray, batch_size: int = 512) -> np.ndarray:
+    def predict(self, x, batch_size: int = 512) -> np.ndarray:
         """Argmax class per sample, evaluated in eval mode."""
         return np.argmax(softmax(self._logits(x, batch_size)), axis=1)
 
-    def loss_and_grads(self, x: np.ndarray, y: np.ndarray, train: bool = False,
+    def loss_and_grads(self, x, y: np.ndarray, train: bool = False,
                        rng: np.random.Generator | None = None):
         """Mean cross-entropy and gradients for every parameter."""
+        logits, grads = self.logits_and_grads(x, y, train, rng)
+        return _cross_entropy(logits, y), grads
+
+    def logits_and_grads(self, x, y: np.ndarray, train: bool = False,
+                         rng: np.random.Generator | None = None):
+        """Forward-pass logits and the mean cross-entropy's gradients for
+        every parameter."""
         if len(x) == 0:
             raise DataError("empty batch")
+        x = Sequences.of(x)
         caches = []
         logits, last_hidden, masks = self._run(x, train, rng, caches)
-        batch, steps, _ = x.shape
+        batch, steps = x.index.shape
         hidden = self.hidden
-        loss = _cross_entropy(logits, y)
 
         dlogits = softmax(logits)
         dlogits[np.arange(batch), y] -= 1.0
@@ -196,7 +246,12 @@ class GruPredictor:
                 du[:, t, 2 * hidden:] = dc * r
                 dh = dh * (1.0 - z) + du[:, t] @ U
             da = da.reshape(batch * steps, 3 * hidden)
-            grads[f"l{layer}.W"] = da.T @ layer_input.reshape(batch * steps, -1)
+            if layer == 0:
+                distinct, positions = layer_input
+                grads["l0.W"] = (_segment_sum(da, positions.ravel(), len(distinct)).T
+                                 @ distinct)
+            else:
+                grads[f"l{layer}.W"] = da.T @ layer_input.reshape(batch * steps, -1)
             grads[f"l{layer}.U"] = (du.reshape(batch * steps, 3 * hidden).T
                                     @ hs[:, :-1].reshape(batch * steps, hidden))
             grads[f"l{layer}.b"] = da.sum(axis=0)
@@ -204,7 +259,7 @@ class GruPredictor:
                 dout = (da @ W).reshape(batch, steps, -1)
                 if layer - 1 in masks:
                     dout = dout * masks[layer - 1]
-        return loss, grads
+        return logits, grads
 
 
 # ---------------------------------------------------------------------------
@@ -249,22 +304,20 @@ class TrainResult:
     best_val_top1: float = 0.0
 
 
-def train_model(
-    train_x: np.ndarray,
-    train_y: np.ndarray,
-    val_x: np.ndarray,
-    val_y: np.ndarray,
-    cfg: TrainConfig,
-) -> TrainResult:
+def train_model(train_x, train_y: np.ndarray, val_x, val_y: np.ndarray,
+                cfg: TrainConfig) -> TrainResult:
     """Seeded minibatch training; keeps the best-validation checkpoint.
 
-    Raises NumericError when the loss goes non-finite.
+    An epoch's ``train_top1`` is the accuracy of its minibatches' train-mode
+    forward passes, each before its update.  Raises NumericError when the
+    loss goes non-finite.
     """
     if len(train_x) == 0:
         raise DataError("empty training dataset")
     if len(val_x) == 0:
         raise DataError("empty validation dataset")
-    model = GruPredictor(input_dim=train_x.shape[2], hidden=cfg.hidden,
+    train_x, val_x = Sequences.of(train_x), Sequences.of(val_x)
+    model = GruPredictor(input_dim=train_x.rows.shape[1], hidden=cfg.hidden,
                          layers=cfg.layers, dropout=cfg.dropout, seed=cfg.seed)
     state = AdamState.for_params(model.params)
     rng = np.random.default_rng([cfg.seed, 23])
@@ -274,23 +327,25 @@ def train_model(
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         losses = []
+        correct = 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            loss, grads = model.loss_and_grads(train_x[idx], train_y[idx],
-                                               train=True, rng=rng)
+            logits, grads = model.logits_and_grads(train_x[idx], train_y[idx],
+                                                   train=True, rng=rng)
+            loss = _cross_entropy(logits, train_y[idx])
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at epoch {epoch}")
+            correct += int(np.sum(np.argmax(logits, axis=1) == train_y[idx]))
             adam_step(model.params, grads, state, cfg.learning_rate)
             losses.append(loss)
         # one eval pass gives the val loss and predictions equal to predict()
         val_logits = model._logits(val_x)
         val_top1 = float(np.mean(np.argmax(softmax(val_logits), axis=1) == val_y))
         val_loss = _cross_entropy(val_logits, val_y)
-        train_pred = model.predict(train_x)
         row = {
             "epoch": epoch + 1,
             "train_loss": float(np.mean(losses)),
-            "train_top1": float(np.mean(train_pred == train_y)),
+            "train_top1": correct / n,
             "val_loss": val_loss,
             "val_top1": val_top1,
         }

@@ -10,6 +10,7 @@ from beamsight.embedding import (
     bbox_feature,
     embed_bboxes,
     encode_dataset,
+    encode_rows,
 )
 from beamsight.experiment import build_dataset_stage, simulate_stage
 from beamsight.pipeline import (
@@ -234,6 +235,22 @@ class TestEncodeDataset:
         table = BeamEmbeddingTable(4, 18, seed=6)
         x, _ = encode_dataset(samples, table, mode)
         assert x.tobytes() == reference_inputs(samples, table, mode).tobytes()
+
+    @pytest.mark.parametrize("mode", ["bimodal", "beam-only"])
+    def test_rows_hold_each_frame_once_then_the_table(self, mini_windows, mode):
+        table, sets = mini_windows
+        samples = sets["val"] + sets["bs1"]
+        rows, index, labels = encode_rows(samples, table, mode)
+        frames = len({id(d) for s in samples for d in s.sequence.detections})
+        if mode == "beam-only":
+            assert rows is table.entries
+            frames = 0
+        assert rows.shape == (frames + table.n_beams, table.dim)
+        assert np.array_equal(rows[frames:], table.entries)
+        r = len(samples[0].sequence.beams)
+        assert index.shape == (len(samples), r if mode == "beam-only" else 2 * r)
+        assert np.all(index[:, :-r] < frames) and np.all(index[:, -r:] >= frames)
+        assert np.array_equal(labels, [s.label.status for s in samples])
 
     def test_embeds_each_distinct_list_once_per_call(self, mini_windows, monkeypatch):
         table, sets = mini_windows

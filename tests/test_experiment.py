@@ -6,8 +6,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import beamsight.pipeline
 from beamsight.cli import main
 from beamsight.config import DatasetConfig, ExperimentConfig, load_experiment_config
 from beamsight.errors import DataError
@@ -17,9 +19,16 @@ from beamsight.experiment import (
     eval_stage,
     run_experiment,
     simulate_stage,
+    train_stage,
 )
-from beamsight.pipeline import read_pairs
-from beamsight.predictor import GruPredictor, load_checkpoint, save_checkpoint
+from beamsight.embedding import BeamEmbeddingTable, encode_dataset
+from beamsight.pipeline import read_pairs, read_split
+from beamsight.predictor import (
+    GruPredictor,
+    load_checkpoint,
+    model_from_checkpoint,
+    save_checkpoint,
+)
 
 MINI = Path(__file__).resolve().parent.parent / "configs" / "mini.ini"
 
@@ -107,6 +116,27 @@ class TestStages:
     def test_eval_missing_checkpoint(self, tmp_path):
         with pytest.raises((DataError, FileNotFoundError)):
             eval_stage(tmp_path / "none.ckpt", tmp_path, tmp_path / "out.csv")
+
+    def test_train_stage_parses_frames_once(self, tmp_path, mini_run, monkeypatch):
+        out, _ = mini_run
+        parsed = []
+        read_frames = beamsight.pipeline._read_frames
+        monkeypatch.setattr(beamsight.pipeline, "_read_frames",
+                            lambda d: parsed.append(d) or read_frames(d))
+        train_stage(out / "dataset", "bimodal", replace(mini_config().train, epochs=1),
+                    tmp_path / "m.ckpt")
+        assert parsed == [out / "dataset"]
+
+    @pytest.mark.parametrize("ckpt", ["bimodal.ckpt", "beam_only.ckpt"])
+    def test_best_val_top1_rescores_through_dense_predict(self, mini_run, ckpt):
+        # training scores val through row indices; rescore through the
+        # dense public path
+        out, _ = mini_run
+        model, meta = model_from_checkpoint(out / ckpt)
+        table = BeamEmbeddingTable(meta["n_beams"], meta["embed_dim"], meta["table_seed"])
+        x, y = encode_dataset(read_split(out / "dataset", "val").samples, table,
+                              meta["mode"])
+        assert abs(np.mean(model.predict(x) == y) - meta["best_val_top1"]) <= 1e-12
 
 
 class TestCli:

@@ -30,6 +30,7 @@ from beamsight.pipeline import (
     conjugate_pairs,
     read_pairs,
     read_split,
+    read_splits,
     read_trace,
     sample_to_record,
     window_sequences,
@@ -410,14 +411,15 @@ class TestSerialization:
         for name in ("train.ndrec", "val.ndrec"):
             for line in (tmp_path / name).read_text().splitlines():
                 assert "detections" not in json.loads(line)
-        # within one read, windows that observe one frame share its detection list
-        for split in ("train", "val"):
-            lists = {}
-            samples = read_split(tmp_path, split).samples
-            for s in samples:
-                for t, frame in enumerate(s.sequence.detections, s.sequence.t_end - 7):
-                    assert lists.setdefault((s.sequence.camera_id, t), frame) is frame
-            assert len(samples) * 8 > len(lists)   # some frames are shared
+        # within one read, windows that observe one frame share its detection
+        # list, also across splits read together
+        lists = {}
+        samples = [s for ds in read_splits(tmp_path, "train", "val") for s in ds.samples]
+        for s in samples:
+            for t, frame in enumerate(s.sequence.detections, s.sequence.t_end - 7):
+                assert lists.setdefault((s.sequence.camera_id, t), frame) is frame
+        assert len(samples) * 8 > len(lists)   # some frames are shared
+        assert [s.key for s in samples] == [s.key for s in windows[:len(samples)]]
 
     def test_trace_roundtrip(self, tmp_path):
         cfg = small_cfg(cars=3, buses=1, trucks=1, seed=4)
@@ -430,6 +432,12 @@ class TestSerialization:
         cfg_back, worlds_back = read_trace(tmp_path / "trace")
         assert cfg_back == cfg
         assert len(worlds_back) == len(worlds)
+        # one geometry for the whole trace, equal to the simulated one
+        assert all(w.basestations is worlds_back[0].basestations for w in worlds_back)
+        for ba, bb in zip(worlds[0].basestations, worlds_back[0].basestations):
+            assert np.array_equal(ba.position, bb.position)
+            for ca, cb in zip(ba.cameras, bb.cameras):
+                assert np.array_equal(ca.rotation, cb.rotation)
         for wa, wb in zip(worlds, worlds_back):
             for oa, ob in zip(wa.objects, wb.objects):
                 assert oa.object_id == ob.object_id

@@ -10,6 +10,7 @@ from beamsight.errors import DataError, NumericError
 from beamsight.predictor import (
     AdamState,
     GruPredictor,
+    Sequences,
     adam_step,
     gru_cell,
     init_params,
@@ -171,30 +172,77 @@ class TestLossAndGrads:
         rng = np.random.default_rng(42)
         x = rng.normal(size=(2, 4, 3))
         y = np.array([0, 1])
+        assert worst_gradient_error(model, x, y, train_mode) < 1e-5
 
-        def loss_fn():
-            # fresh identically-seeded rng per call keeps the dropout mask
-            # frozen across finite-difference evaluations
-            return model.loss_and_grads(
-                x, y, train=train_mode, rng=np.random.default_rng(99))
+    @pytest.mark.parametrize("train_mode", [False, True])
+    def test_gradients_match_finite_differences_with_repeated_rows(self, train_mode):
+        # steps share rows within and across samples, so dW0 sums over them
+        # in the segment sum; row 3 is never used
+        model = GruPredictor(input_dim=3, hidden=2, dropout=0.3, seed=12)
+        rng = np.random.default_rng(42)
+        x = Sequences(rng.normal(size=(4, 3)), np.array([[0, 1, 0, 2], [2, 2, 1, 0]]))
+        y = np.array([0, 1])
+        assert worst_gradient_error(model, x, y, train_mode) < 1e-5
 
-        _, grads = loss_fn()
-        eps = 1e-5
-        worst = 0.0
-        for name, param in model.params.items():
-            flat = param.ravel()
-            for idx in range(flat.size):
-                orig = flat[idx]
-                flat[idx] = orig + eps
-                up, _ = loss_fn()
-                flat[idx] = orig - eps
-                down, _ = loss_fn()
-                flat[idx] = orig
-                fd = (up - down) / (2 * eps)
-                g = grads[name].ravel()[idx]
-                rel = abs(g - fd) / max(1e-8, abs(g) + abs(fd))
-                worst = max(worst, rel)
-        assert worst < 1e-5
+    def test_identity_index_is_the_dense_call(self):
+        model = GruPredictor(input_dim=5, hidden=4, dropout=0.3, seed=2)
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(6, 3, 5))
+        y = rng.integers(0, 2, size=6)
+        indexed = Sequences(x.reshape(18, 5).copy(), np.arange(18).reshape(6, 3))
+        assert model.forward(indexed).tobytes() == model.forward(x).tobytes()
+        loss, grads = model.loss_and_grads(indexed, y, train=True,
+                                           rng=np.random.default_rng(1))
+        dense_loss, dense_grads = model.loss_and_grads(x, y, train=True,
+                                                       rng=np.random.default_rng(1))
+        assert loss == dense_loss
+        for key in grads:
+            assert grads[key].tobytes() == dense_grads[key].tobytes(), key
+
+    @pytest.mark.parametrize("train_mode", [False, True])
+    def test_repeated_rows_match_their_dense_gather(self, train_mode):
+        # 40 steps over 6 used rows; row 6 is never used
+        model = GruPredictor(input_dim=5, hidden=4, dropout=0.3, seed=2)
+        rng = np.random.default_rng(7)
+        rows = rng.normal(size=(7, 5))
+        index = rng.integers(0, 6, size=(8, 5))
+        y = rng.integers(0, 2, size=8)
+        indexed = Sequences(rows, index)
+        assert np.array_equal(model.forward(indexed), model.forward(rows[index]))
+        logits, grads = model.logits_and_grads(indexed, y, train=train_mode,
+                                               rng=np.random.default_rng(3))
+        dense_logits, dense_grads = model.logits_and_grads(
+            rows[index], y, train=train_mode, rng=np.random.default_rng(3))
+        assert np.array_equal(logits, dense_logits)
+        for key in grads:
+            scale = np.max(np.abs(dense_grads[key]))
+            assert np.max(np.abs(grads[key] - dense_grads[key])) <= 1e-12 * scale, key
+
+
+def worst_gradient_error(model, x, y, train_mode) -> float:
+    """Largest relative gap between the analytic gradient and central
+    differences over every parameter entry."""
+    def loss_fn():
+        # fresh identically-seeded rng per call keeps the dropout mask
+        # frozen across finite-difference evaluations
+        return model.loss_and_grads(x, y, train=train_mode, rng=np.random.default_rng(99))
+
+    _, grads = loss_fn()
+    eps = 1e-5
+    worst = 0.0
+    for name, param in model.params.items():
+        flat = param.ravel()
+        for idx in range(flat.size):
+            orig = flat[idx]
+            flat[idx] = orig + eps
+            up, _ = loss_fn()
+            flat[idx] = orig - eps
+            down, _ = loss_fn()
+            flat[idx] = orig
+            fd = (up - down) / (2 * eps)
+            g = grads[name].ravel()[idx]
+            worst = max(worst, abs(g - fd) / max(1e-8, abs(g) + abs(fd)))
+    return worst
 
 
 class TestAdam:
@@ -263,6 +311,33 @@ class TestTrainModel:
         with pytest.raises(DataError):
             train_model(np.zeros((0, 4, 6)), np.zeros(0, dtype=int),
                         np.zeros((1, 4, 6)), np.zeros(1, dtype=int), cfg)
+
+    def test_train_top1_scores_each_minibatch_before_its_update(self):
+        # one epoch, one minibatch, no dropout: the untrained model's accuracy
+        x, y = toy_dataset(24, 4, 6, seed=4)
+        cfg = TrainConfig(hidden=8, embed_dim=6, epochs=1, batch_size=24,
+                          dropout=0.0, seed=7)
+        result = train_model(x, y, x, y, cfg)
+        untrained = GruPredictor(input_dim=6, hidden=8, seed=7)
+        assert result.history[0]["train_top1"] == np.mean(untrained.predict(x) == y)
+        trained = GruPredictor(input_dim=6, hidden=8, params=result.params)
+        assert result.history[0]["train_top1"] != np.mean(trained.predict(x) == y)
+
+    def test_indexed_inputs_train_like_dense_ones(self):
+        rng = np.random.default_rng(2)
+        rows = rng.normal(size=(9, 6))
+        index = rng.integers(0, 9, size=(32, 4))
+        y = rng.integers(0, 2, size=32)
+        cfg = TrainConfig(hidden=8, embed_dim=6, epochs=3, batch_size=8, seed=1)
+        indexed = train_model(Sequences(rows, index[:24]), y[:24],
+                              Sequences(rows, index[24:]), y[24:], cfg)
+        dense = train_model(rows[index[:24]], y[:24], rows[index[24:]], y[24:], cfg)
+        for got, want in zip(indexed.history, dense.history):
+            assert got.keys() == want.keys()
+            for key in got:
+                assert got[key] == pytest.approx(want[key], rel=1e-12)
+        for key in dense.params:
+            assert np.allclose(indexed.params[key], dense.params[key], rtol=0, atol=1e-12)
 
     def test_best_checkpoint_tracked(self):
         x, y = toy_dataset(32, 4, 6, seed=9)
