@@ -31,7 +31,7 @@ for mode, seed in (("bimodal", 3), ("beam-only", 4)):
     result = train_model(tx, ty, vx, vy, TrainConfig(epochs=20, seed=seed))
     model = GruPredictor(input_dim=256, hidden=64, params=result.params)
     rep, cm = report(model.predict(vx), val.samples)
-    print(f"\n{mode} ({tx.shape[1]} recurrent steps):")
+    print(f"\n{mode} ({tx.index.shape[1]} recurrent steps):")
     print(f"    val top-1 {rep.top1:.3f}  precision "
           f"{'n/a' if rep.precision is None else f'{rep.precision:.3f}'}  "
           f"recall {'n/a' if rep.recall is None else f'{rep.recall:.3f}'}")

@@ -26,8 +26,8 @@ _LAZY = dict.fromkeys(
     ("Basestation", "Camera", "Detection", "DetectorNoiseModel", "SceneObject",
      "UlaGeometry", "VehicleClass", "World", "build_world", "detect",
      "project_object", "step_world"), "scene") | dict.fromkeys(
-    ("ChannelPath", "Codebook", "array_response", "channel_vector", "los_status",
-     "received_power", "select_beam", "steering_vector", "synthesize_paths"), "phy")
+    ("ChannelPath", "Codebook", "channel_vector", "los_status", "received_power",
+     "select_beam", "synthesize_paths"), "phy")
 
 
 def __getattr__(name: str):
@@ -42,8 +42,8 @@ __all__ = [
     "Basestation", "BeamsightError", "Camera", "ChannelPath", "Codebook",
     "DataError", "DatasetConfig", "Detection", "DetectorNoiseModel",
     "ExperimentConfig", "NumericError", "ScenarioConfig", "SceneObject",
-    "TrainConfig", "UlaGeometry", "VehicleClass", "World", "array_response",
-    "build_world", "channel_vector", "detect", "load_experiment_config",
-    "load_scenario_config", "los_status", "project_object", "received_power",
-    "select_beam", "steering_vector", "step_world", "synthesize_paths",
+    "TrainConfig", "UlaGeometry", "VehicleClass", "World", "build_world",
+    "channel_vector", "detect", "load_experiment_config", "load_scenario_config",
+    "los_status", "project_object", "received_power", "select_beam", "step_world",
+    "synthesize_paths",
 ]

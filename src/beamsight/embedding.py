@@ -3,7 +3,7 @@
 Beam indices go through a frozen Gaussian lookup table (no training);
 per-frame detection lists become zero-padded stacks of 6-number box
 features.  Both land in the same N-dimensional space consumed by the
-recurrent predictor.  ``encode_rows``, the one encoder, embeds each
+recurrent predictor.  ``encode_dataset``, the one encoder, embeds each
 camera frame once and gives every window's steps as indices into those
 rows and the beam table.
 """
@@ -16,6 +16,7 @@ import numpy as np
 
 from .config import BBOX_FEATURE_SIZE
 from .pipeline import LabeledSample
+from .predictor import Sequences
 from .scene import Detection
 
 log = logging.getLogger(__name__)
@@ -78,10 +79,10 @@ def embed_bboxes(detections: list[Detection], dim: int) -> np.ndarray:
     return out
 
 
-def encode_rows(samples: list[LabeledSample], table: BeamEmbeddingTable,
-                mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct input rows, a row index and labels for a list of windows:
-    (R, N), (n, T) int, (n,); window i's step t is ``rows[index[i, t]]``.
+def encode_dataset(samples: list[LabeledSample], table: BeamEmbeddingTable,
+                   mode: str) -> tuple[Sequences, np.ndarray]:
+    """Model inputs and labels for a list of windows: ``Sequences`` of
+    distinct rows (R, N) and a row index (n, T), and labels (n,).
 
     Every window needs as many beam indices as the first, at least one,
     each in 1..Q; a ValueError names the first window that breaks this.
@@ -95,7 +96,7 @@ def encode_rows(samples: list[LabeledSample], table: BeamEmbeddingTable,
     if mode not in ("bimodal", "beam-only"):
         raise ValueError(f"unknown mode {mode!r} (expected 'bimodal' or 'beam-only')")
     if not samples:
-        raise ValueError("no samples to encode")
+        raise ValueError("empty dataset: no windows to encode")
     first = samples[0]
     r = len(first.sequence.beams)
     for s in samples:
@@ -114,14 +115,4 @@ def encode_rows(samples: list[LabeledSample], table: BeamEmbeddingTable,
         rows = np.concatenate([boxes, table.entries])
         index = np.concatenate([frames, len(distinct) + index], axis=1)
     labels = np.array([s.label.status for s in samples], dtype=np.int64)
-    return rows, index, labels
-
-
-def encode_dataset(samples: list[LabeledSample], table: BeamEmbeddingTable,
-                   mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Dense inputs and labels for a list of windows: (n, T, N), (n,).
-
-    ``rows[index]`` of ``encode_rows``, which checks the windows.
-    """
-    rows, index, labels = encode_rows(samples, table, mode)
-    return rows[index], labels
+    return Sequences(rows, index), labels

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .config import DatasetConfig, ExperimentConfig, ScenarioConfig, TrainConfig
-from .embedding import BeamEmbeddingTable, encode_rows
+from .embedding import BeamEmbeddingTable, encode_dataset
 from .errors import BeamsightError, DataError
 from .handoff import HandoffReport, evaluate_handoff
 from .metrics import MetricReport, report
@@ -38,7 +38,7 @@ from .pipeline import (
     write_dataset,
     write_trace,
 )
-from .predictor import Sequences, model_from_checkpoint, save_checkpoint, train_model
+from .predictor import model_from_checkpoint, save_checkpoint, train_model
 from .scene import build_world, step_world
 
 log = logging.getLogger(__name__)
@@ -62,17 +62,17 @@ def _fmt(value) -> str:
 
 
 def _encode(samples, table: BeamEmbeddingTable, mode: str, path, observed: int):
-    """Model inputs (``Sequences``) and labels from ``encode_rows``; a window
+    """Model inputs and labels from ``encode_dataset``; no windows, a window
     it rejects, or windows that do not observe ``observed`` frames, become a
     DataError naming ``path``, the dataset file the samples came from."""
     try:
-        rows, index, labels = encode_rows(samples, table, mode)
+        inputs = encode_dataset(samples, table, mode)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
     if len(samples[0].sequence.beams) != observed:
         raise DataError(f"{path}: windows observe {len(samples[0].sequence.beams)} "
                         f"frames, the model takes {observed}")
-    return Sequences(rows, index), labels
+    return inputs
 
 
 def _write_csv(path, header: list[str], rows: list[list]) -> None:
@@ -161,9 +161,6 @@ def train_stage(dataset_dir, mode: str, cfg: TrainConfig, out_ckpt,
         raise DataError(f"unknown mode {mode!r}")
     manifest = read_manifest(dataset_dir)
     train_ds, val_ds = read_splits(dataset_dir, "train", "val")
-    if not train_ds.samples:
-        raise DataError(f"empty dataset: {Path(dataset_dir) / 'train.ndrec'} "
-                        f"has no windows")
     table = BeamEmbeddingTable(manifest["codebook"]["beams"], cfg.embed_dim,
                                cfg.table_seed)
     train_x, train_y = _encode(train_ds.samples, table, mode,
@@ -222,10 +219,8 @@ def eval_stage(ckpt_path, dataset_dir, out_csv) -> tuple[MetricReport, dict]:
     model, meta, table = _load_model_and_table(ckpt_path)
     future = read_manifest(dataset_dir)["future"]
     val_ds = read_split(dataset_dir, "val")
-    val_path = Path(dataset_dir) / "val.ndrec"
-    if not val_ds.samples:
-        raise DataError(f"empty validation split: {val_path} has no windows")
-    x, y = _encode(val_ds.samples, table, meta["mode"], val_path, meta["observed"])
+    x, _ = _encode(val_ds.samples, table, meta["mode"], Path(dataset_dir) / "val.ndrec",
+                   meta["observed"])
     preds = model.predict(x)
     rep, cm = report(preds, val_ds.samples, future=future)
 

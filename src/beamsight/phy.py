@@ -18,21 +18,6 @@ from .scene import Basestation, SceneObject, UlaGeometry, World
 SPEED_OF_LIGHT = 299_792_458.0
 
 
-def steering_vector(elements: int, wavelength: float, spacing: float, angle: float) -> np.ndarray:
-    """Unit-norm ULA steering vector for an angle measured from the array axis.
-
-    Element m carries phase (2*pi/wavelength)*spacing*m*cos(angle); every
-    element has magnitude 1/sqrt(elements) and element 0 is exactly real.
-    """
-    if elements < 1:
-        raise ValueError("elements must be >= 1")
-    if wavelength <= 0:
-        raise ValueError("wavelength must be > 0")
-    m = np.arange(elements)
-    phase = 2.0 * np.pi / wavelength * spacing * m * math.cos(angle)
-    return np.exp(1j * phase) / math.sqrt(elements)
-
-
 @dataclass
 class Codebook:
     """Beam-steering codebook over uniformly quantized azimuth angles."""
@@ -82,18 +67,6 @@ class ChannelPath:
     def __post_init__(self):
         if self.delay < 0:
             raise ValueError("path delay must be >= 0")
-
-
-def array_response(ula: UlaGeometry, azimuth: float, elevation: float) -> np.ndarray:
-    """ULA response for a 3-D arrival direction projected onto the array axis."""
-    direction = np.array([
-        math.cos(elevation) * math.cos(azimuth),
-        math.cos(elevation) * math.sin(azimuth),
-        math.sin(elevation),
-    ])
-    proj = float(direction @ ula.axis_vector)
-    m = np.arange(ula.elements)
-    return np.exp(1j * 2.0 * np.pi / ula.wavelength * ula.spacing * m * proj)
 
 
 def tap_amplitudes(gains, delays, azimuths, elevations, ula: UlaGeometry,

@@ -87,6 +87,10 @@ class FutureLabel:
     def __post_init__(self):
         if self.status != (1 if any(self.window) else 0):
             raise ValueError("label inconsistent with its future window")
+        first = next((i for i, nlos in enumerate(self.window, 1) if nlos), None)
+        if self.blockage_instance != first:
+            raise ValueError(f"instance {self.blockage_instance!r} is not the first "
+                             f"NLOS index {first} of window {self.window}")
 
 
 @dataclass
@@ -384,13 +388,18 @@ def pair_to_record(pair: ConjugateSample) -> dict:
 
 
 def record_to_pair(record: dict, frames: dict) -> ConjugateSample:
-    return ConjugateSample(
+    """The pair a record holds; its category must name its one NLOS side."""
+    pair = ConjugateSample(
         user_id=record["user"],
         t_end=record["t_end"],
         sample_bs1=record_to_sample(record["bs1"], frames),
         sample_bs2=record_to_sample(record["bs2"], frames),
         category=record["category"],
     )
+    s1, s2 = pair.sample_bs1.label.status, pair.sample_bs2.label.status
+    if s1 == s2 or pair.category != (1 if s1 == 1 else 2):
+        raise ValueError(f"category {pair.category} does not fit statuses bs1 {s1}, bs2 {s2}")
+    return pair
 
 
 def _read_frames(dataset_dir: Path) -> dict:

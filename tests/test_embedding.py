@@ -10,7 +10,6 @@ from beamsight.embedding import (
     bbox_feature,
     embed_bboxes,
     encode_dataset,
-    encode_rows,
 )
 from beamsight.experiment import build_dataset_stage, simulate_stage
 from beamsight.pipeline import (
@@ -37,6 +36,11 @@ def window(frames, beams, camera_id=1, user_id=0, t_end=20, status=0):
                            beams=beams, detections=frames)
     future = (1, 0, 0, 0, 0) if status else (0, 0, 0, 0, 0)
     return LabeledSample(seq, FutureLabel(status, future, 1 if status else None))
+
+
+def dense(x):
+    """The (n, T, N) array of an encoder output's rows and row index."""
+    return x.rows[x.index]
 
 
 class TestBeamTable:
@@ -135,7 +139,7 @@ class TestSequenceInputs:
     def test_bimodal_block_order(self):
         table = BeamEmbeddingTable(8, 30, seed=1)
         sample = self.make_sample()
-        x = encode_dataset([sample], table, "bimodal")[0][0]
+        x = dense(encode_dataset([sample], table, "bimodal")[0])[0]
         assert x.shape == (16, 30)
         # first 8 rows are box embeddings, last 8 rows the beam lookups
         assert np.allclose(x[0][:6], bbox_feature(det(0.2, 0.2, 0.4, 0.4)))
@@ -146,7 +150,7 @@ class TestSequenceInputs:
     def test_beam_only_inputs(self):
         table = BeamEmbeddingTable(8, 30, seed=1)
         sample = self.make_sample()
-        x = encode_dataset([sample], table, "beam-only")[0][0]
+        x = dense(encode_dataset([sample], table, "beam-only")[0])[0]
         assert x.shape == (8, 30)
         for i, b in enumerate(sample.sequence.beams):
             assert np.array_equal(x[i], table.entries[b - 1])
@@ -218,6 +222,7 @@ class TestEncodeDataset:
         samples = sets[windows]
         assert samples
         x, y = encode_dataset(samples, table, mode)
+        x = dense(x)
         expected = reference_inputs(samples, table, mode)
         assert x.dtype == expected.dtype and x.shape == expected.shape
         assert x.tobytes() == expected.tobytes()
@@ -234,13 +239,14 @@ class TestEncodeDataset:
                    window([b, c, a], [4, 3, 2], user_id=1)]
         table = BeamEmbeddingTable(4, 18, seed=6)
         x, _ = encode_dataset(samples, table, mode)
-        assert x.tobytes() == reference_inputs(samples, table, mode).tobytes()
+        assert dense(x).tobytes() == reference_inputs(samples, table, mode).tobytes()
 
     @pytest.mark.parametrize("mode", ["bimodal", "beam-only"])
     def test_rows_hold_each_frame_once_then_the_table(self, mini_windows, mode):
         table, sets = mini_windows
         samples = sets["val"] + sets["bs1"]
-        rows, index, labels = encode_rows(samples, table, mode)
+        x, labels = encode_dataset(samples, table, mode)
+        rows, index = x.rows, x.index
         frames = len({id(d) for s in samples for d in s.sequence.detections})
         if mode == "beam-only":
             assert rows is table.entries

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import beamsight.experiment
 import beamsight.pipeline
 from beamsight.cli import main
 from beamsight.config import DatasetConfig, ExperimentConfig, load_experiment_config
@@ -17,6 +18,7 @@ from beamsight.experiment import (
     StageFailure,
     build_dataset_stage,
     eval_stage,
+    handoff_eval,
     run_experiment,
     simulate_stage,
     train_stage,
@@ -136,7 +138,25 @@ class TestStages:
         table = BeamEmbeddingTable(meta["n_beams"], meta["embed_dim"], meta["table_seed"])
         x, y = encode_dataset(read_split(out / "dataset", "val").samples, table,
                               meta["mode"])
-        assert abs(np.mean(model.predict(x) == y) - meta["best_val_top1"]) <= 1e-12
+        dense = x.rows[x.index]
+        assert abs(np.mean(model.predict(dense) == y) - meta["best_val_top1"]) <= 1e-12
+
+    def test_stages_encode_through_encode_dataset(self, tmp_path, mini_run, monkeypatch):
+        # perfbench counts the stages' encoding through embedding.encode_dataset
+        out, _ = mini_run
+        modes = []
+        encode = beamsight.experiment.encode_dataset
+        monkeypatch.setattr(beamsight.experiment, "encode_dataset",
+                            lambda samples, table, mode: modes.append(mode)
+                            or encode(samples, table, mode))
+        train_stage(out / "dataset", "bimodal", replace(mini_config().train, epochs=1),
+                    tmp_path / "m.ckpt")
+        assert len(modes) == 2
+        eval_stage(out / "bimodal.ckpt", out / "dataset", tmp_path / "eval.csv")
+        assert len(modes) == 3
+        handoff_eval(out / "bimodal.ckpt", out / "beam_only.ckpt",
+                     out / "dataset" / "pairs.ndrec")
+        assert modes == ["bimodal"] * 4 + ["beam-only"]
 
 
 class TestCli:
@@ -297,6 +317,42 @@ class TestCli:
         assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and "beam index" in err
+
+    @pytest.mark.parametrize("instance", [3, "x"])
+    def test_instance_off_its_window_is_data_error(self, tmp_path, capsys, mini_run,
+                                                   instance):
+        out, _ = mini_run
+        ds = tmp_path / "ds"
+        shutil.copytree(out / "dataset", ds)
+        path = ds / "val.ndrec"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        pivotal = next(r for r in records if r["window"][0] == 1)
+        pivotal["instance"] = instance
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["eval", "--ckpt", str(out / "bimodal.ckpt"), "--dataset", str(ds),
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "line" in err and "instance" in err
+
+    @pytest.mark.parametrize("edit", ["flip category", "equal statuses"])
+    def test_pair_category_off_its_sides_is_data_error(self, tmp_path, capsys, mini_run,
+                                                       edit):
+        out, _ = mini_run
+        ds = tmp_path / "ds"
+        shutil.copytree(out / "dataset", ds)
+        path = ds / "pairs.ndrec"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        if edit == "flip category":
+            records[0]["category"] = 3 - records[0]["category"]
+        else:
+            for key in ("label", "window", "instance"):
+                records[0]["bs2"][key] = records[0]["bs1"][key]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        ckpt = str(out / "bimodal.ckpt")
+        assert main(["handoff-eval", "--ckpt1", ckpt, "--ckpt2", ckpt, "--pairs", str(path),
+                     "--out", str(tmp_path / "h.csv")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "line 1" in err and "category" in err
 
     def test_bad_checkpoint_with_empty_pairs_is_data_error(self, tmp_path, capsys, mini_run):
         out, _ = mini_run
