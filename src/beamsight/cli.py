@@ -15,6 +15,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
 
 from .errors import BeamsightError, DataError, NumericError
 
@@ -104,10 +105,8 @@ def _cmd_build_dataset(args) -> int:
     from .experiment import build_dataset_stage
 
     ds_cfg = load_dataset_config(args.config) if args.config else DatasetConfig()
-    if args.quota is not None:
-        ds_cfg.quota = args.quota
-    if args.seed is not None:
-        ds_cfg.seed = args.seed
+    ds_cfg = replace(ds_cfg, **{k: v for k, v in (("quota", args.quota), ("seed", args.seed))
+                                if v is not None})
     manifest = build_dataset_stage(args.trace, args.out, ds_cfg)
     counts = manifest["counts"]
     print(f"dataset written to {args.out}: "

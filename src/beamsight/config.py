@@ -72,7 +72,7 @@ class ScenarioConfig:
                 "basestation separation must exceed the cross-street distance "
                 f"({width + 2 * self.bs_setback:.1f} m)"
             )
-        for name in ("cars", "buses", "trucks"):
+        for name in ("cars", "buses", "trucks", "seed"):
             if getattr(self, name) < 0:
                 raise DataError(f"{name} must be >= 0")
         for name in ("elements", "beams", "subcarriers", "cyclic_prefix"):
@@ -102,6 +102,12 @@ class DatasetConfig:
             raise DataError("observed and future window lengths must be >= 1")
         if not 0.0 < self.split_fraction < 1.0:
             raise DataError("split_fraction must be in (0, 1)")
+        for name in ("quota", "seed"):
+            if getattr(self, name) < 0:
+                raise DataError(f"{name} must be >= 0")
+        if [(c - 1) // 3 for c in self.overlap_cameras] != [0, 1]:
+            raise DataError(f"overlap_cameras {self.overlap_cameras} must be a camera "
+                            "of basestation 1 (1-3), then one of basestation 2 (4-6)")
 
 
 @dataclass
@@ -129,6 +135,9 @@ class TrainConfig:
             raise DataError("dropout must be in [0, 1)")
         if self.batch_size < 1 or self.epochs < 1:
             raise DataError("batch_size and epochs must be >= 1")
+        for name in ("seed", "table_seed"):
+            if getattr(self, name) < 0:
+                raise DataError(f"{name} must be >= 0")
 
 
 @dataclass

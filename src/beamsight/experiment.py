@@ -61,9 +61,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _encode(samples, table: BeamEmbeddingTable, mode: str, path, observed: int):
+def _encode(samples, table: BeamEmbeddingTable, mode: str, path, observed: int,
+            future: int):
     """Model inputs and labels from ``encode_dataset``; no windows, a window
-    it rejects, or windows that do not observe ``observed`` frames, become a
+    it rejects, windows that do not observe ``observed`` frames, or a window
+    whose label does not span the dataset's ``future`` frames, become a
     DataError naming ``path``, the dataset file the samples came from."""
     try:
         inputs = encode_dataset(samples, table, mode)
@@ -72,6 +74,10 @@ def _encode(samples, table: BeamEmbeddingTable, mode: str, path, observed: int):
     if len(samples[0].sequence.beams) != observed:
         raise DataError(f"{path}: windows observe {len(samples[0].sequence.beams)} "
                         f"frames, the model takes {observed}")
+    for s in samples:
+        if len(s.label.window) != future:
+            raise DataError(f"{path}: window {s.key} labels {len(s.label.window)} "
+                            f"future frames, the dataset's manifest says {future}")
     return inputs
 
 
@@ -163,10 +169,11 @@ def train_stage(dataset_dir, mode: str, cfg: TrainConfig, out_ckpt,
     train_ds, val_ds = read_splits(dataset_dir, "train", "val")
     table = BeamEmbeddingTable(manifest["codebook"]["beams"], cfg.embed_dim,
                                cfg.table_seed)
+    sizes = manifest["observed"], manifest["future"]
     train_x, train_y = _encode(train_ds.samples, table, mode,
-                               Path(dataset_dir) / "train.ndrec", manifest["observed"])
+                               Path(dataset_dir) / "train.ndrec", *sizes)
     val_x, val_y = _encode(val_ds.samples, table, mode, Path(dataset_dir) / "val.ndrec",
-                           manifest["observed"])
+                           *sizes)
     result = train_model(train_x, train_y, val_x, val_y, cfg)
 
     meta = {
@@ -220,7 +227,7 @@ def eval_stage(ckpt_path, dataset_dir, out_csv) -> tuple[MetricReport, dict]:
     future = read_manifest(dataset_dir)["future"]
     val_ds = read_split(dataset_dir, "val")
     x, _ = _encode(val_ds.samples, table, meta["mode"], Path(dataset_dir) / "val.ndrec",
-                   meta["observed"])
+                   meta["observed"], future)
     preds = model.predict(x)
     rep, cm = report(preds, val_ds.samples, future=future)
 
@@ -257,11 +264,12 @@ def handoff_eval(ckpt1_path, ckpt2_path, pairs_path) -> HandoffReport:
     model1, meta1, table1 = _load_model_and_table(ckpt1_path)
     model2, meta2, table2 = _load_model_and_table(ckpt2_path)
     pairs = read_pairs(pairs_path)
+    future = read_manifest(Path(pairs_path).parent)["future"]
     if not pairs:
         return evaluate_handoff(lambda s: 0, lambda s: 0, pairs)
 
     def batch_predict(model, meta, table, samples):
-        x, _ = _encode(samples, table, meta["mode"], pairs_path, meta["observed"])
+        x, _ = _encode(samples, table, meta["mode"], pairs_path, meta["observed"], future)
         preds = model.predict(x)
         return {s.key: int(p) for s, p in zip(samples, preds)}
 

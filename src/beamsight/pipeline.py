@@ -28,7 +28,7 @@ from .scene import (
     DetectorNoiseModel,
     VehicleClass,
     World,
-    detect,
+    _detections,
     object_from_record,
     object_to_record,
     project_objects,
@@ -138,36 +138,15 @@ def build_seed(worlds: list[World], cfg: ScenarioConfig) -> list[SeedStream]:
     """
     if not worlds:
         raise DataError("empty world trace")
-    noise = DetectorNoiseModel(
-        p_miss=cfg.p_miss,
-        jitter_sigma=cfg.jitter_sigma,
-        p_false_positive=cfg.p_false_positive,
-        rng_seed=cfg.seed,
-    )
-    basestations = worlds[0].basestations
-    codebooks = {bs.bs_id: Codebook.build(bs.ula, cfg.beams) for bs in basestations}
+    noise = DetectorNoiseModel(p_miss=cfg.p_miss, jitter_sigma=cfg.jitter_sigma,
+                               p_false_positive=cfg.p_false_positive)
+    codebooks = {bs.bs_id: Codebook.build(bs.ula, cfg.beams) for bs in worlds[0].basestations}
 
-    finished: list[SeedStream] = []
-    active: dict[tuple[int, int], SeedStream] = {}
-
-    def close(key):
-        stream = active.pop(key, None)
-        if stream is not None:
-            finished.append(stream)
-
+    streams: list[SeedStream] = []
+    last: dict[tuple[int, int], SeedStream] = {}   # latest stream per (bs, user)
     for frame, world in enumerate(worlds):
-        det_cache = {}
-        visible = {}
-        users = world.users
-        for bs in world.basestations:
-            for cam in bs.cameras:
-                rng = np.random.default_rng([cfg.seed, DETECT_STREAM, frame, cam.camera_id])
-                det_cache[cam.camera_id] = detect(
-                    cam, world, noise, rng=rng,
-                    min_visible_fraction=cfg.min_visible_fraction,
-                )
-                visible[cam.camera_id] = np.array(
-                    [b is not None for b in project_objects(cam, users)], dtype=bool)
+        ordered = sorted(world.objects, key=lambda o: o.object_id)
+        users = [o for o in ordered if o.is_user]
         if not users:
             continue
         ids, mins, maxs = world.object_boxes()
@@ -175,16 +154,24 @@ def build_seed(worlds: list[World], cfg: ScenarioConfig) -> list[SeedStream]:
         centers = np.stack([u.center for u in users])
         antennas = np.stack([u.antenna_point for u in users])
         for bs in world.basestations:
-            # ownership: the visible camera whose optical axis points
+            # one projection per camera feeds its detections and the
+            # ownership test: the visible camera whose optical axis points
             # closest at the user (projected-area ranking degenerates:
             # perspective stretch near the FOV edge always inflates the
             # side cameras' boxes, starving the central camera)
             owner, best_align = np.full(len(users), -1), np.full(len(users), -2.0)
+            detections = []
             for c, cam in enumerate(bs.cameras):
+                bboxes = project_objects(cam, ordered)
+                rng = np.random.default_rng([cfg.seed, DETECT_STREAM, frame, cam.camera_id])
+                detections.append(_detections(cam, ordered, bboxes, noise, rng,
+                                              cfg.min_visible_fraction))
+                visible = np.array([b is not None for b, o in zip(bboxes, ordered)
+                                    if o.is_user])
                 to_user = centers - cam.position
                 align = np.vecdot(to_user, cam.rotation[2]) / np.sqrt(
                     np.vecdot(to_user, to_user))
-                better = visible[cam.camera_id] & (align > best_align)
+                better = visible & (align > best_align)
                 owner[better], best_align[better] = c, align[better]
             # link status and serving beam of every owned user at once
             owned = np.flatnonzero(owner >= 0)
@@ -194,34 +181,24 @@ def build_seed(worlds: list[World], cfg: ScenarioConfig) -> list[SeedStream]:
                 *path_arrays(bs, antennas[owned], status, world, cfg.reflection_loss_db),
                 bs.ula, cfg.cyclic_prefix, cfg.sample_time)
             beams = tap_beams(taps, codebooks[bs.bs_id], cfg.subcarriers)
-            results = zip(status.tolist(), beams.tolist())
-            for u_idx, user in enumerate(users):
-                key = (bs.bs_id, user.object_id)
-                if owner[u_idx] < 0:
-                    close(key)
-                    continue
-                link_status, beam = next(results)
+            for u_idx, link_status, beam in zip(owned.tolist(), status.tolist(),
+                                                beams.tolist()):
                 camera_id = bs.cameras[owner[u_idx]].camera_id
-                tup = SeedTuple(frame=frame, detections=det_cache[camera_id],
-                                beam=beam, link_status=link_status)
-                stream = active.get(key)
+                key = (bs.bs_id, users[u_idx].object_id)
+                stream = last.get(key)
                 if (stream is None or stream.camera_id != camera_id
                         or stream.tuples[-1].frame != frame - 1):
-                    close(key)
-                    stream = SeedStream(bs_id=bs.bs_id, camera_id=camera_id,
-                                        user_id=user.object_id)
-                    active[key] = stream
-                stream.tuples.append(tup)
+                    stream = last[key] = SeedStream(bs.bs_id, camera_id, key[1])
+                    streams.append(stream)
+                stream.tuples.append(SeedTuple(frame, detections[owner[u_idx]],
+                                               beam, link_status))
 
-    for key in sorted(active):
-        finished.append(active[key])
     skipped = len({u.object_id for w in worlds for u in w.users}
-                  - {s.user_id for s in finished})
+                  - {s.user_id for s in streams})
     if skipped:
         log.info("skipped %d users never visible to any camera", skipped)
-    finished.sort(key=lambda s: (s.bs_id, s.camera_id, s.user_id,
-                                 s.tuples[0].frame if s.tuples else -1))
-    return finished
+    streams.sort(key=lambda s: (s.bs_id, s.camera_id, s.user_id, s.tuples[0].frame))
+    return streams
 
 
 # ---------------------------------------------------------------------------

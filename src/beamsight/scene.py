@@ -416,9 +416,16 @@ def detect(
     noise = noise or NOISELESS
     if rng is None:
         rng = np.random.default_rng(noise.rng_seed)
-
     ordered = sorted(world.objects, key=lambda o: o.object_id)
-    bboxes = project_objects(cam, ordered)
+    return _detections(cam, ordered, project_objects(cam, ordered), noise, rng,
+                       min_visible_fraction)
+
+
+def _detections(cam: Camera, ordered: list[SceneObject], bboxes: list,
+                noise: DetectorNoiseModel, rng: np.random.Generator,
+                min_visible_fraction: float) -> list[Detection]:
+    """detect's output, given the objects in id order and their
+    ``project_objects`` boxes for ``cam``."""
     centers = np.stack([o.center for o in ordered]) if ordered else np.zeros((0, 3))
     depths = (centers - cam.position) @ cam.rotation[2]
     shown = np.array([bbox is not None for bbox in bboxes], dtype=bool)

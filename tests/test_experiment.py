@@ -492,6 +492,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert str(manifest_path) in err and "antenna_gain" in err
 
+    def test_negative_trace_seed_is_data_error(self, tmp_path, capsys):
+        trace = tmp_path / "trace"
+        assert main(["simulate", "--config", str(MINI), "--frames", "3",
+                     "--out", str(trace)]) == 0
+        manifest_path = trace / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["scenario"]["seed"] = -1
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["build-dataset", "--trace", str(trace),
+                     "--out", str(tmp_path / "ds")]) == 2
+        err = capsys.readouterr().err
+        assert str(manifest_path) in err and "seed" in err
+
     def test_truncated_trace_frame_is_data_error(self, tmp_path, capsys):
         trace = tmp_path / "trace"
         assert main(["simulate", "--config", str(MINI), "--frames", "3",
@@ -517,6 +530,7 @@ class TestCli:
         ("vehicles", "cars", "-3"),
         ("vehicles", "buses", "-1"),
         ("vehicles", "trucks", "-1"),
+        ("simulation", "seed", "-1"),
     ])
     def test_bad_scenario_range_is_data_error(self, tmp_path, capsys,
                                               section, option, value):
@@ -528,13 +542,53 @@ class TestCli:
         assert str(ini) in err and option in err
         assert not (tmp_path / "trace").exists()
 
-    @pytest.mark.parametrize("line", ["hidden = 0", "layers = 0", "embed_dim = 5"])
+    @pytest.mark.parametrize("line", ["hidden = 0", "layers = 0", "embed_dim = 5",
+                                      "seed = -4", "table_seed = -1"])
     def test_bad_train_config_is_data_error(self, tmp_path, capsys, line):
         ini = tmp_path / "train.ini"
         ini.write_text(f"[train]\n{line}\n")
         assert main(["train", "--dataset", str(tmp_path), "--mode", "bimodal",
                      "--config", str(ini), "--out", str(tmp_path / "m.ckpt")]) == 2
         assert str(ini) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["seed = -2", "quota = -1", "overlap_cameras = 3",
+                                      "overlap_cameras = 3 4 5", "overlap_cameras = 4 3",
+                                      "--seed -2", "--quota -1"])
+    def test_bad_dataset_config_is_data_error(self, tmp_path, capsys, mini_run, edit):
+        # an INI line, or a command-line override of a good INI
+        out, _ = mini_run
+        flag = edit.startswith("--")
+        ini = tmp_path / "dataset.ini"
+        ini.write_text("[dataset]\n" if flag else f"[dataset]\n{edit}\n")
+        assert main(["build-dataset", "--trace", str(out / "trace"), "--config", str(ini),
+                     "--out", str(tmp_path / "ds"), *(edit.split() if flag else [])]) == 2
+        err = capsys.readouterr().err
+        assert edit.split()[0].lstrip("-") in err and (str(ini) in err) != flag
+        assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "handoff-eval"])
+    def test_window_shorter_than_future_is_data_error(self, tmp_path, capsys, mini_run,
+                                                      command):
+        # one non-pivotal window cut to two future frames; label and
+        # instance still fit it
+        out, _ = mini_run
+        ds = tmp_path / "ds"
+        shutil.copytree(out / "dataset", ds)
+        path = ds / {"train": "train.ndrec", "eval": "val.ndrec",
+                     "handoff-eval": "pairs.ndrec"}[command]
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        windows = ([side for r in records for side in (r["bs1"], r["bs2"])]
+                   if command == "handoff-eval" else records)
+        next(w for w in windows if w["label"] == 0)["window"] = [0, 0]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        ckpt = str(out / "bimodal.ckpt")
+        argv = {"train": ["train", "--dataset", str(ds), "--mode", "beam-only"],
+                "eval": ["eval", "--ckpt", ckpt, "--dataset", str(ds)],
+                "handoff-eval": ["handoff-eval", "--ckpt1", ckpt, "--ckpt2", ckpt,
+                                 "--pairs", str(path)]}[command]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "labels 2 future frames" in err
 
     @pytest.mark.parametrize("command, section, option", [
         (["simulate", "--frames", "5"], "vehicles", "cars"),

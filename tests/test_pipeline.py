@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import beamsight.pipeline
+import beamsight.scene
 from oracles import exhaustive_beam_scan, sat_segment_box, scalar_channel
 
 from beamsight.config import ScenarioConfig, load_experiment_config
@@ -17,6 +19,7 @@ from beamsight.phy import (
     synthesize_paths,
 )
 from beamsight.pipeline import (
+    DETECT_STREAM,
     FutureLabel,
     LabeledDataset,
     LabeledSample,
@@ -38,9 +41,12 @@ from beamsight.pipeline import (
     write_trace,
 )
 from beamsight.scene import (
+    DetectorNoiseModel,
     SceneObject,
     VehicleClass,
     build_world,
+    detect,
+    project_objects,
     step_world,
     world_from_objects,
 )
@@ -123,6 +129,81 @@ class TestBuildSeed:
             assert camera_to_bs(s.camera_id) == s.bs_id
         for cams in per_bs.values():
             assert len(cams) == 1  # static user keeps one owner
+
+    def test_projects_once_per_camera_and_frame_with_users(self, monkeypatch):
+        # one projection per camera feeds both its detections and the
+        # ownership test; a frame with no users projects nothing
+        calls = []
+
+        def counting(cam, objects):
+            calls.append((cam.camera_id, len(objects)))
+            return project_objects(cam, objects)
+
+        monkeypatch.setattr(beamsight.pipeline, "project_objects", counting)
+        monkeypatch.setattr(beamsight.scene, "project_objects", counting)
+        cfg = small_cfg()
+        worlds = static_worlds(cfg, [car(0, 80.0, 8.75), bus(1, 100.0, 5.25)], 3)
+        worlds.append(world_from_objects(cfg, [bus(1, 100.0, 5.25)]))
+        assert build_seed(worlds, cfg)
+        assert calls == [(camera, 2) for _ in range(3) for camera in range(1, 7)]
+
+    def test_user_out_of_every_view_for_one_frame_splits_its_streams(self):
+        cfg = small_cfg()
+        worlds = static_worlds(cfg, [car(0, 80.0, 8.75)], 8)
+        # frame 3: lifted far above every camera's field of view
+        worlds[3] = world_from_objects(cfg, [SceneObject(
+            object_id=0, object_class=VehicleClass.CAR, center=np.array([80.0, 8.75, 1000.0]),
+            dims=np.array([4.6, 1.8, 1.5]), velocity=np.zeros(3), lane=0)])
+        streams = build_seed(worlds, cfg)
+        assert {s.bs_id for s in streams} == {1, 2}
+        for bs_id in (1, 2):
+            runs = [s for s in streams if s.bs_id == bs_id]
+            assert [[t.frame for t in s.tuples] for s in runs] == [[0, 1, 2], [4, 5, 6, 7]]
+            assert runs[0].camera_id == runs[1].camera_id
+
+    def test_desk_street_streams_are_maximal_runs(self):
+        cfg = load_experiment_config(DESK).scenario
+        assert assert_maximal_runs(build_seed(street(cfg, 60), cfg)) > 0
+
+    def test_seed_detections_are_the_owning_cameras_detect(self):
+        cfg = small_cfg(cars=8, buses=2, seed=4, p_miss=0.2, jitter_sigma=2.0,
+                        p_false_positive=0.5)
+        worlds = street(cfg, 4)
+        noise = DetectorNoiseModel(p_miss=0.2, jitter_sigma=2.0, p_false_positive=0.5)
+        tuples = 0
+        for stream in build_seed(worlds, cfg):
+            bs = worlds[0].basestations[stream.bs_id - 1]
+            cam = next(c for c in bs.cameras if c.camera_id == stream.camera_id)
+            for tup in stream.tuples:
+                rng = np.random.default_rng([cfg.seed, DETECT_STREAM, tup.frame,
+                                             cam.camera_id])
+                assert tup.detections == detect(cam, worlds[tup.frame], noise, rng=rng,
+                                                 min_visible_fraction=cfg.min_visible_fraction)
+                tuples += 1
+        assert tuples > 10
+
+
+def assert_maximal_runs(streams):
+    """Each stream is a run of consecutive frames under one camera of its
+    basestation; the runs of one (bs, user) never overlap, and two that
+    abut differ in camera, so no stream could be longer."""
+    assert streams == sorted(streams, key=lambda s: (s.bs_id, s.camera_id, s.user_id,
+                                                     s.tuples[0].frame))
+    runs = {}
+    for s in streams:
+        frames = [t.frame for t in s.tuples]
+        assert frames and frames == list(range(frames[0], frames[0] + len(frames)))
+        assert camera_to_bs(s.camera_id) == s.bs_id
+        runs.setdefault((s.bs_id, s.user_id), []).append((frames[0], frames[-1], s.camera_id))
+    handovers = 0
+    for spans in runs.values():
+        spans.sort()
+        for (_, end, camera), (start, _, next_camera) in zip(spans, spans[1:]):
+            assert end < start
+            if start == end + 1:
+                assert camera != next_camera
+                handovers += 1
+    return handovers
 
 
 def street(cfg, frames):
