@@ -25,8 +25,8 @@ log = logging.getLogger(__name__)
 class BeamEmbeddingTable:
     """Frozen lookup table of Gaussian embedding vectors, one per beam.
 
-    Entries are drawn i.i.d. from N(0, 1) at construction and never
-    change; the backing array is marked read-only so training code cannot
+    Entries are i.i.d. N(0, 1) draws rounded to float32 at construction that
+    never change; the backing array is read-only so training code cannot
     mutate it.  (seed, n_beams, dim) fully determine the table.
     """
 
@@ -37,7 +37,7 @@ class BeamEmbeddingTable:
         self.dim = dim
         self.seed = seed
         rng = np.random.default_rng(seed)
-        self._entries = rng.standard_normal((n_beams, dim))
+        self._entries = rng.standard_normal((n_beams, dim)).astype(np.float32)
         self._entries.flags.writeable = False
 
     @property
@@ -79,13 +79,27 @@ def embed_bboxes(detections: list[Detection], dim: int) -> np.ndarray:
     return out
 
 
+def check_windows(samples: list[LabeledSample], n_beams: int) -> int:
+    """The beam count r of every window: as many as the first's, at least 1,
+    each in 1..n_beams; a ValueError names the first window that breaks this."""
+    if not samples:
+        raise ValueError("empty dataset: no windows to encode")
+    first = samples[0]
+    r = len(first.sequence.beams)
+    for s in samples:
+        beams = s.sequence.beams
+        if len(beams) != r or r == 0 or not all(1 <= b <= n_beams for b in beams):
+            raise ValueError(f"window {s.key} has beams {beams}: expected as many as "
+                             f"window {first.key} ({r}, at least 1), each beam index "
+                             f"in 1..{n_beams}")
+    return r
+
+
 def encode_dataset(samples: list[LabeledSample], table: BeamEmbeddingTable,
                    mode: str) -> tuple[Sequences, np.ndarray]:
-    """Model inputs and labels for a list of windows: ``Sequences`` of
-    distinct rows (R, N) and a row index (n, T), and labels (n,).
+    """Model inputs and labels for windows ``check_windows`` accepts: float32
+    ``Sequences`` of distinct rows (R, N) and a row index (n, T), labels (n,).
 
-    Every window needs as many beam indices as the first, at least one,
-    each in 1..Q; a ValueError names the first window that breaks this.
     Beam-only rows are ``table.entries`` and a window's steps are its r
     beams (T = r).  Bimodal rows are the box embeddings of the distinct
     camera frames stacked on ``table.entries``, and a window's steps are
@@ -95,16 +109,7 @@ def encode_dataset(samples: list[LabeledSample], table: BeamEmbeddingTable,
     """
     if mode not in ("bimodal", "beam-only"):
         raise ValueError(f"unknown mode {mode!r} (expected 'bimodal' or 'beam-only')")
-    if not samples:
-        raise ValueError("empty dataset: no windows to encode")
-    first = samples[0]
-    r = len(first.sequence.beams)
-    for s in samples:
-        beams = s.sequence.beams
-        if len(beams) != r or r == 0 or not all(1 <= b <= table.n_beams for b in beams):
-            raise ValueError(f"window {s.key} has beams {beams}: expected as many as "
-                             f"window {first.key} ({r}, at least 1), each beam index "
-                             f"in 1..{table.n_beams}")
+    check_windows(samples, table.n_beams)
     index = np.array([s.sequence.beams for s in samples]) - 1
     rows = table.entries
     if mode == "bimodal":
@@ -112,7 +117,7 @@ def encode_dataset(samples: list[LabeledSample], table: BeamEmbeddingTable,
         row_of = {key: row for row, key in enumerate(distinct)}
         frames = np.array([[row_of[id(d)] for d in s.sequence.detections] for s in samples])
         boxes = np.array([embed_bboxes(d, table.dim) for d in distinct.values()])
-        rows = np.concatenate([boxes, table.entries])
+        rows = np.concatenate([boxes, table.entries], dtype=table.entries.dtype)
         index = np.concatenate([frames, len(distinct) + index], axis=1)
     labels = np.array([s.label.status for s in samples], dtype=np.int64)
     return Sequences(rows, index), labels

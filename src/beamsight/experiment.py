@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .config import DatasetConfig, ExperimentConfig, ScenarioConfig, TrainConfig
-from .embedding import BeamEmbeddingTable, encode_dataset
+from .embedding import BeamEmbeddingTable, check_windows, encode_dataset
 from .errors import BeamsightError, DataError
 from .handoff import HandoffReport, evaluate_handoff
 from .metrics import MetricReport, report
@@ -61,24 +61,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _encode(samples, table: BeamEmbeddingTable, mode: str, path, observed: int,
-            future: int):
-    """Model inputs and labels from ``encode_dataset``; no windows, a window
-    it rejects, windows that do not observe ``observed`` frames, or a window
-    whose label does not span the dataset's ``future`` frames, become a
-    DataError naming ``path``, the dataset file the samples came from."""
-    try:
-        inputs = encode_dataset(samples, table, mode)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    if len(samples[0].sequence.beams) != observed:
-        raise DataError(f"{path}: windows observe {len(samples[0].sequence.beams)} "
-                        f"frames, the model takes {observed}")
-    for s in samples:
-        if len(s.label.window) != future:
-            raise DataError(f"{path}: window {s.key} labels {len(s.label.window)} "
-                            f"future frames, the dataset's manifest says {future}")
-    return inputs
+def _encode(files, table: BeamEmbeddingTable, mode: str, observed: int, future: int):
+    """One ``encode_dataset`` call over the windows of ``files``, (path,
+    windows) pairs.  No windows, windows ``check_windows`` rejects or that do
+    not observe ``observed`` frames, or a label not ``future`` frames long,
+    become a DataError naming the file they came from."""
+    for path, samples in files:
+        try:
+            r = check_windows(samples, table.n_beams)
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from exc
+        if r != observed:
+            raise DataError(f"{path}: windows observe {r} frames, the model takes "
+                            f"{observed}")
+        for s in samples:
+            if len(s.label.window) != future:
+                raise DataError(f"{path}: window {s.key} labels {len(s.label.window)} "
+                                f"future frames, the dataset's manifest says {future}")
+    return encode_dataset([s for _, samples in files for s in samples], table, mode)
 
 
 def _write_csv(path, header: list[str], rows: list[list]) -> None:
@@ -169,12 +169,11 @@ def train_stage(dataset_dir, mode: str, cfg: TrainConfig, out_ckpt,
     train_ds, val_ds = read_splits(dataset_dir, "train", "val")
     table = BeamEmbeddingTable(manifest["codebook"]["beams"], cfg.embed_dim,
                                cfg.table_seed)
-    sizes = manifest["observed"], manifest["future"]
-    train_x, train_y = _encode(train_ds.samples, table, mode,
-                               Path(dataset_dir) / "train.ndrec", *sizes)
-    val_x, val_y = _encode(val_ds.samples, table, mode, Path(dataset_dir) / "val.ndrec",
-                           *sizes)
-    result = train_model(train_x, train_y, val_x, val_y, cfg)
+    x, y = _encode([(Path(dataset_dir) / f"{ds.split}.ndrec", ds.samples)
+                    for ds in (train_ds, val_ds)],
+                   table, mode, manifest["observed"], manifest["future"])
+    n = len(train_ds.samples)
+    result = train_model(x[:n], y[:n], x[n:], y[n:], cfg)
 
     meta = {
         "mode": mode,
@@ -226,8 +225,8 @@ def eval_stage(ckpt_path, dataset_dir, out_csv) -> tuple[MetricReport, dict]:
     model, meta, table = _load_model_and_table(ckpt_path)
     future = read_manifest(dataset_dir)["future"]
     val_ds = read_split(dataset_dir, "val")
-    x, _ = _encode(val_ds.samples, table, meta["mode"], Path(dataset_dir) / "val.ndrec",
-                   meta["observed"], future)
+    x, _ = _encode([(Path(dataset_dir) / "val.ndrec", val_ds.samples)], table,
+                   meta["mode"], meta["observed"], future)
     preds = model.predict(x)
     rep, cm = report(preds, val_ds.samples, future=future)
 
@@ -269,7 +268,7 @@ def handoff_eval(ckpt1_path, ckpt2_path, pairs_path) -> HandoffReport:
         return evaluate_handoff(lambda s: 0, lambda s: 0, pairs)
 
     def batch_predict(model, meta, table, samples):
-        x, _ = _encode(samples, table, meta["mode"], pairs_path, meta["observed"], future)
+        x, _ = _encode([(pairs_path, samples)], table, meta["mode"], meta["observed"], future)
         preds = model.predict(x)
         return {s.key: int(p) for s, p in zip(samples, preds)}
 

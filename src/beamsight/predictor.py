@@ -3,8 +3,8 @@
 Two stacked GRU layers separated by inverted dropout, a linear classifier
 on the last hidden state, softmax over {LOS, NLOS}.  Gradients come from
 manual backprop through time; optimization is Adam with bias correction.
-Everything runs in float64 numpy so training is reproducible bit-for-bit
-for a fixed seed.
+It computes in the dtype of its input rows (float32 from ``encode_dataset``),
+and training is reproducible bit-for-bit for a fixed seed.
 
 Each layer k keeps one fused parameter set, ``l{k}.W`` (3H, in),
 ``l{k}.U`` (3H, H) and ``l{k}.b`` (3H,), whose row blocks are the z, r
@@ -25,14 +25,18 @@ from __future__ import annotations
 
 import copy
 import json
+import logging
 import math
 import struct
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import TrainConfig
 from .errors import DataError, NumericError
+
+log = logging.getLogger(__name__)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -55,8 +59,8 @@ def _segment_sum(values: np.ndarray, segments: np.ndarray, count: int) -> np.nda
     """Rows of ``values`` (m, k) summed by ``segments`` (m,) into (count, k)."""
     width = values.shape[1]
     keys = (segments[:, None] * width + np.arange(width)).ravel()
-    return np.bincount(keys, weights=values.ravel(),
-                       minlength=count * width).reshape(count, width)
+    sums = np.bincount(keys, weights=values.ravel(), minlength=count * width)
+    return sums.reshape(count, width).astype(values.dtype)  # bincount gives float64
 
 
 @dataclass(frozen=True)
@@ -163,7 +167,7 @@ class GruPredictor:
             else:
                 a = layer_input.reshape(batch * steps, W.shape[1]) @ W.T + b
                 a = a.reshape(batch, steps, 3 * self.hidden)
-            hs = np.zeros((batch, steps + 1, self.hidden))
+            hs = np.zeros((batch, steps + 1, self.hidden), dtype=x.rows.dtype)
             gates = []
             for t in range(steps):
                 hs[:, t + 1], step_gates = gru_cell(a[:, t], hs[:, t], U)
@@ -176,7 +180,7 @@ class GruPredictor:
                 if rng is None:
                     raise ValueError("training forward pass needs an rng for dropout")
                 keep = 1.0 - self.dropout
-                masks[layer] = (rng.random(outputs.shape) < keep) / keep
+                masks[layer] = (rng.random(outputs.shape) < keep).astype(hs.dtype) / keep
                 outputs = outputs * masks[layer]
             layer_input = outputs
         logits = layer_input[:, -1, :] @ self.params["out.W"].T + self.params["out.b"]
@@ -227,14 +231,14 @@ class GruPredictor:
         grads = {"out.W": dlogits.T @ last_hidden, "out.b": dlogits.sum(axis=0)}
 
         # gradient reaching each layer's outputs, one (batch, H) row per step
-        dout = np.zeros((batch, steps, hidden))
+        dout = np.zeros((batch, steps, hidden), dtype=x.rows.dtype)
         dout[:, -1] = dlogits @ self.params["out.W"]
         for layer in reversed(range(self.layers)):
             W, U = self.params[f"l{layer}.W"], self.params[f"l{layer}.U"]
             layer_input, hs, gates = caches[layer]
-            da = np.empty((batch, steps, 3 * hidden))  # d loss / d a
-            du = np.empty_like(da)                     # d loss / d u
-            dh = np.zeros((batch, hidden))
+            da = np.empty((batch, steps, 3 * hidden), dtype=dout.dtype)  # d loss / d a
+            du = np.empty_like(da)                                       # d loss / d u
+            dh = np.zeros_like(dout[:, 0])
             for t in reversed(range(steps)):
                 dh = dh + dout[:, t]
                 z, r, c, uc = gates[t]
@@ -308,9 +312,9 @@ def train_model(train_x, train_y: np.ndarray, val_x, val_y: np.ndarray,
                 cfg: TrainConfig) -> TrainResult:
     """Seeded minibatch training; keeps the best-validation checkpoint.
 
-    An epoch's ``train_top1`` is the accuracy of its minibatches' train-mode
-    forward passes, each before its update.  Raises NumericError when the
-    loss goes non-finite.
+    Parameters and Adam state take the training rows' dtype.  An epoch's
+    ``train_top1`` is the accuracy of its minibatches' train-mode forward
+    passes, each before its update.  Raises NumericError on a non-finite loss.
     """
     if len(train_x) == 0:
         raise DataError("empty training dataset")
@@ -319,12 +323,14 @@ def train_model(train_x, train_y: np.ndarray, val_x, val_y: np.ndarray,
     train_x, val_x = Sequences.of(train_x), Sequences.of(val_x)
     model = GruPredictor(input_dim=train_x.rows.shape[1], hidden=cfg.hidden,
                          layers=cfg.layers, dropout=cfg.dropout, seed=cfg.seed)
+    model.params = {k: p.astype(train_x.rows.dtype) for k, p in model.params.items()}
     state = AdamState.for_params(model.params)
     rng = np.random.default_rng([cfg.seed, 23])
 
     result = TrainResult(params=copy.deepcopy(model.params), best_val_top1=-1.0)
     n = len(train_x)
     for epoch in range(cfg.epochs):
+        t0 = time.perf_counter()
         order = rng.permutation(n)
         losses = []
         correct = 0
@@ -350,6 +356,8 @@ def train_model(train_x, train_y: np.ndarray, val_x, val_y: np.ndarray,
             "val_top1": val_top1,
         }
         result.history.append(row)
+        log.info("epoch %d: train loss %.4f, val loss %.4f, val top-1 %.4f, %.2f s",
+                 epoch + 1, row["train_loss"], val_loss, val_top1, time.perf_counter() - t0)
         if val_top1 > result.best_val_top1:
             result.best_val_top1 = val_top1
             result.best_epoch = epoch + 1
@@ -362,23 +370,24 @@ def train_model(train_x, train_y: np.ndarray, val_x, val_y: np.ndarray,
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = b"BSCK"
-_CKPT_VERSION = 2  # 2: fused l{k}.W, l{k}.U, l{k}.b per layer
+_CKPT_VERSION = 3  # 3: each tensor's dtype in the header
 
 
 def save_checkpoint(path, params: dict[str, np.ndarray], meta: dict) -> None:
-    """Header JSON (shapes, embedding seed, config echo) + float64 LE arrays."""
-    names = sorted(params)
+    """Header JSON (shapes, dtypes, embedding seed, config echo) + LE arrays."""
+    tensors = {n: np.asarray(p, p.dtype.newbyteorder("<")) for n, p in sorted(params.items())}
     header = {
         "meta": meta,
-        "params": [{"name": n, "shape": list(params[n].shape)} for n in names],
+        "params": [{"name": n, "shape": list(t.shape), "dtype": t.dtype.str}
+                   for n, t in tensors.items()],
     }
     blob = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<IQ", _CKPT_VERSION, len(blob)))
         fh.write(blob)
-        for name in names:
-            fh.write(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
+        for tensor in tensors.values():
+            fh.write(tensor.tobytes())
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
@@ -401,15 +410,15 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         if offset > len(data):
             raise ValueError("header runs past the end of the file")
         header = json.loads(data[16:offset])
+        dtypes = {entry["dtype"] for entry in header["params"]}
+        if len(dtypes) > 1 or not dtypes <= {"<f4", "<f8"}:
+            raise ValueError(f"tensor dtypes {dtypes}: expected all '<f4' or all '<f8'")
         params = {}
         for entry in header["params"]:
-            shape = tuple(entry["shape"])
-            count = math.prod(shape)
-            if offset + 8 * count > len(data):
-                raise ValueError(f"tensor {entry['name']} runs past the end of the file")
-            params[entry["name"]] = np.frombuffer(
-                data, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
-            offset += 8 * count
+            shape = tuple(entry["shape"])  # frombuffer rejects a tensor past the end
+            tensor = np.frombuffer(data, entry["dtype"], math.prod(shape), offset)
+            params[entry["name"]] = tensor.reshape(shape).copy()
+            offset += tensor.nbytes
         meta = header["meta"]
         if not isinstance(meta, dict):
             raise TypeError("header meta is not an object")

@@ -53,6 +53,12 @@ class TestBeamTable:
         b = BeamEmbeddingTable(64, 256, seed=11)
         assert np.array_equal(a.entries, b.entries)
 
+    def test_entries_are_the_seeded_draws_rounded_to_float32(self):
+        table = BeamEmbeddingTable(16, 32, seed=5)
+        draws = np.random.default_rng(5).standard_normal((16, 32))
+        assert table.entries.dtype == np.float32
+        assert table.entries.tobytes() == draws.astype(np.float32).tobytes()
+
     def test_moments_close_to_standard_normal(self):
         table = BeamEmbeddingTable(n_beams=64, dim=256, seed=2)  # 16384 draws
         values = table.entries.ravel()
@@ -183,14 +189,15 @@ class TestSequenceInputs:
 
 def reference_inputs(samples, table, mode):
     """Per-window oracle: embed every frame of every window, look up every
-    beam, stack the rows of each window and then the windows."""
+    beam, stack the rows of each window and then the windows, in the table's
+    dtype (the model's input dtype)."""
     per_window = []
     for s in samples:
         beam_rows = [table.entries[b - 1] for b in s.sequence.beams]
         box_rows = ([embed_bboxes(frame, table.dim) for frame in s.sequence.detections]
                     if mode == "bimodal" else [])
         per_window.append(np.stack(box_rows + beam_rows))
-    return np.stack(per_window)
+    return np.stack(per_window).astype(table.entries.dtype)
 
 
 @pytest.fixture(scope="module")
@@ -257,6 +264,19 @@ class TestEncodeDataset:
         assert index.shape == (len(samples), r if mode == "beam-only" else 2 * r)
         assert np.all(index[:, :-r] < frames) and np.all(index[:, -r:] >= frames)
         assert np.array_equal(labels, [s.label.status for s in samples])
+
+    @pytest.mark.parametrize("mode", ["bimodal", "beam-only"])
+    def test_rows_are_float32_box_embeddings_rounded_once(self, mini_windows, mode):
+        # embed_bboxes stays float64; the stacked rows round it to float32
+        table, sets = mini_windows
+        samples = sets["val"]
+        x, _ = encode_dataset(samples, table, mode)
+        assert x.rows.dtype == np.float32
+        frames = {id(d): d for s in samples for d in s.sequence.detections}
+        if mode == "bimodal":
+            boxes = [embed_bboxes(d, table.dim) for d in frames.values()]
+            assert boxes[0].dtype == np.float64
+            assert np.array_equal(x.rows[:len(boxes)], np.array(boxes, np.float32))
 
     def test_embeds_each_distinct_list_once_per_call(self, mini_windows, monkeypatch):
         table, sets = mini_windows

@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -143,20 +144,22 @@ class TestStages:
 
     def test_stages_encode_through_encode_dataset(self, tmp_path, mini_run, monkeypatch):
         # perfbench counts the stages' encoding through embedding.encode_dataset
+        # train_stage encodes train and val in one call
         out, _ = mini_run
-        modes = []
+        modes, sizes = [], []
         encode = beamsight.experiment.encode_dataset
         monkeypatch.setattr(beamsight.experiment, "encode_dataset",
                             lambda samples, table, mode: modes.append(mode)
-                            or encode(samples, table, mode))
+                            or sizes.append(len(samples)) or encode(samples, table, mode))
         train_stage(out / "dataset", "bimodal", replace(mini_config().train, epochs=1),
                     tmp_path / "m.ckpt")
-        assert len(modes) == 2
+        splits = [read_split(out / "dataset", name).samples for name in ("train", "val")]
+        assert sizes == [sum(map(len, splits))]
         eval_stage(out / "bimodal.ckpt", out / "dataset", tmp_path / "eval.csv")
-        assert len(modes) == 3
+        assert len(modes) == 2
         handoff_eval(out / "bimodal.ckpt", out / "beam_only.ckpt",
                      out / "dataset" / "pairs.ndrec")
-        assert modes == ["bimodal"] * 4 + ["beam-only"]
+        assert modes == ["bimodal"] * 3 + ["beam-only"]
 
 
 class TestCli:
@@ -234,6 +237,45 @@ class TestCli:
                     "--pairs", str(out / "dataset" / "pairs.ndrec")]
         assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
         assert str(ckpt) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["<c16", "|O", "x", "<i4", "mixed", "no dtype",
+                                      "version 2"])
+    @pytest.mark.parametrize("command", ["eval", "handoff-eval"])
+    def test_checkpoint_tensor_dtype_is_data_error(self, tmp_path, capsys, mini_run,
+                                                   case, command):
+        # version 3 takes '<f4' or '<f8', one dtype for every tensor
+        out, _ = mini_run
+        blob = (out / "bimodal.ckpt").read_bytes()
+        version, header_len = struct.unpack_from("<IQ", blob, 4)
+        assert version == 3
+        header = json.loads(blob[16:16 + header_len])
+        tensors = blob[16 + header_len:]
+        entries = header["params"]
+        assert {entry["dtype"] for entry in entries} == {"<f4"}
+        if case == "mixed":
+            entries[0]["dtype"] = "<f8"
+        elif case == "no dtype":
+            del entries[-1]["dtype"]
+        elif case == "version 2":
+            # the float64 layout before dtypes entered the header
+            for entry in entries:
+                del entry["dtype"]
+            version = 2
+            tensors = np.frombuffer(tensors, "<f4").astype("<f8").tobytes()
+        else:
+            for entry in entries:
+                entry["dtype"] = case
+        text = json.dumps(header, sort_keys=True).encode()
+        ckpt = tmp_path / "dtype.ckpt"
+        ckpt.write_bytes(blob[:4] + struct.pack("<IQ", version, len(text)) + text + tensors)
+        if command == "eval":
+            argv = ["eval", "--ckpt", str(ckpt), "--dataset", str(out / "dataset")]
+        else:
+            argv = ["handoff-eval", "--ckpt1", str(out / "bimodal.ckpt"), "--ckpt2",
+                    str(ckpt), "--pairs", str(out / "dataset" / "pairs.ndrec")]
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "Traceback" not in err
 
     def test_truncated_split_line_is_data_error(self, tmp_path, capsys, mini_run):
         out, _ = mini_run
@@ -589,6 +631,30 @@ class TestCli:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and "labels 2 future frames" in err
+
+    @pytest.mark.parametrize("defect", ["future", "beam"])
+    @pytest.mark.parametrize("name, other", [("train.ndrec", "val.ndrec"),
+                                             ("val.ndrec", "train.ndrec")])
+    def test_train_names_the_split_of_a_bad_window(self, tmp_path, capsys, mini_run,
+                                                   defect, name, other):
+        # train and val are encoded in one call; a bad window still names
+        # its own file and only that one
+        out, _ = mini_run
+        ds = tmp_path / "ds"
+        shutil.copytree(out / "dataset", ds)
+        records = [json.loads(line) for line in (ds / name).read_text().splitlines()]
+        bad = records[-1] if defect == "beam" else next(r for r in records[::-1]
+                                                        if r["label"] == 0)
+        if defect == "beam":
+            bad["beams"][-1] = 10**6
+        else:
+            bad["window"] = [0, 0]
+        (ds / name).write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["train", "--dataset", str(ds), "--mode", "bimodal",
+                     "--out", str(tmp_path / "m.ckpt")]) == 2
+        err = capsys.readouterr().err
+        assert str(ds / name) in err and str(ds / other) not in err
+        assert ("beam index" if defect == "beam" else "labels 2 future frames") in err
 
     @pytest.mark.parametrize("command, section, option", [
         (["simulate", "--frames", "5"], "vehicles", "cars"),

@@ -1,3 +1,5 @@
+import json
+import logging
 import math
 import re
 import struct
@@ -5,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+import beamsight.predictor
 from beamsight.config import TrainConfig
 from beamsight.errors import DataError, NumericError
 from beamsight.predictor import (
@@ -347,7 +350,92 @@ class TestTrainModel:
         assert result.best_val_top1 == best
 
 
+class TestDtype:
+    """The model computes in its input rows' dtype: parameters, gradients and
+    Adam state all take it, float32 or float64."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_train_model_keeps_params_grads_and_adam_state_in_the_rows_dtype(
+            self, monkeypatch, dtype):
+        seen = set()
+        step = beamsight.predictor.adam_step
+
+        def recording_step(params, grads, state, lr):
+            for group in (params, grads, state.m, state.v):
+                seen.update(value.dtype for value in group.values())
+            step(params, grads, state, lr)
+
+        monkeypatch.setattr(beamsight.predictor, "adam_step", recording_step)
+        rng = np.random.default_rng(4)
+        rows = rng.normal(size=(9, 6)).astype(dtype)
+        index = rng.integers(0, 9, size=(24, 4))
+        y = rng.integers(0, 2, size=24)
+        cfg = TrainConfig(hidden=8, embed_dim=6, epochs=2, batch_size=8, seed=1)
+        result = train_model(Sequences(rows, index[:16]), y[:16],
+                             Sequences(rows, index[16:]), y[16:], cfg)
+        assert seen == {np.dtype(dtype)}
+        assert {p.dtype for p in result.params.values()} == {np.dtype(dtype)}
+
+    @pytest.mark.parametrize("train_mode", [False, True])
+    def test_logits_and_grads_come_out_in_the_params_dtype(self, train_mode):
+        # repeated rows take the layer-0 segment sum, which np.bincount does
+        # in float64; train mode adds the dropout masks
+        model = GruPredictor(input_dim=5, hidden=4, dropout=0.3, seed=2)
+        model.params = {k: v.astype(np.float32) for k, v in model.params.items()}
+        rng = np.random.default_rng(7)
+        x = Sequences(rng.normal(size=(7, 5)).astype(np.float32),
+                      rng.integers(0, 6, size=(8, 5)))
+        y = rng.integers(0, 2, size=8)
+        logits, grads = model.logits_and_grads(x, y, train=train_mode,
+                                               rng=np.random.default_rng(3))
+        assert logits.dtype == np.float32
+        assert grads.keys() == model.params.keys()
+        for key, grad in grads.items():
+            assert grad.dtype == np.float32, key
+        # float32 gradients agree with the float64 ones to float32 precision
+        wide = GruPredictor(input_dim=5, hidden=4, dropout=0.3,
+                            params={k: v.astype(np.float64) for k, v in model.params.items()})
+        _, wide_grads = wide.logits_and_grads(Sequences(x.rows.astype(np.float64), x.index),
+                                              y, train=train_mode,
+                                              rng=np.random.default_rng(3))
+        for key, grad in wide_grads.items():
+            assert wide_grads[key].dtype == np.float64
+            assert np.allclose(grads[key], grad, rtol=1e-4, atol=1e-6), key
+
+    def test_training_logs_one_line_per_epoch(self, caplog):
+        x, y = toy_dataset(16, 4, 6, seed=1)
+        cfg = TrainConfig(hidden=8, embed_dim=6, epochs=3, batch_size=8, seed=5)
+        with caplog.at_level(logging.INFO, logger="beamsight.predictor"):
+            result = train_model(x[:12], y[:12], x[12:], y[12:], cfg)
+        lines = [r.getMessage() for r in caplog.records if r.name == "beamsight.predictor"]
+        assert len(lines) == 3
+        for line, row in zip(lines, result.history):
+            assert line.startswith(f"epoch {row['epoch']}: ")
+            assert f"train loss {row['train_loss']:.4f}" in line
+            assert f"val loss {row['val_loss']:.4f}" in line
+            assert f"val top-1 {row['val_top1']:.4f}" in line
+            assert re.search(r", \d+\.\d\d s$", line)
+
+
 class TestCheckpoint:
+    @pytest.mark.parametrize("dtype", ["<f4", "<f8"])
+    def test_roundtrip_keeps_dtype_and_bytes(self, tmp_path, dtype):
+        params = {k: v.astype(dtype) for k, v in
+                  GruPredictor(input_dim=6, hidden=4, seed=3).params.items()}
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, {"layers": 2})
+        back, _ = load_checkpoint(path)
+        assert back.keys() == params.keys()
+        for key, value in params.items():
+            assert back[key].dtype == np.dtype(dtype)
+            assert back[key].tobytes() == value.tobytes()
+        blob = path.read_bytes()
+        header_len = struct.unpack_from("<IQ", blob, 4)[1]
+        header = json.loads(blob[16:16 + header_len])
+        assert {entry["dtype"] for entry in header["params"]} == {dtype}
+        tensor_bytes = sum(v.size for v in params.values()) * np.dtype(dtype).itemsize
+        assert len(blob) == 16 + header_len + tensor_bytes
+
     def test_roundtrip(self, tmp_path):
         model = GruPredictor(input_dim=6, hidden=4, seed=3)
         meta = {"mode": "bimodal", "input_dim": 6, "hidden": 4, "layers": 2,
