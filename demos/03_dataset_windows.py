@@ -1,9 +1,12 @@
 """From a simulated trace to balanced observed-sequence datasets.
 
-Runs a short simulation, builds the per-user per-camera seed streams,
-windows them into (8 observed, 5 future) samples, and balances per
-camera.  Prints the label bookkeeping the later stages rely on.
+Runs a short simulation, builds the seed rows (one per basestation, owned
+user and frame), windows each ownership run of rows into (8 observed,
+5 future) samples, and balances per camera.  Prints the label bookkeeping
+the later stages rely on.
 """
+
+import numpy as np
 
 from beamsight import ScenarioConfig, build_world, step_world
 from beamsight.pipeline import (
@@ -21,11 +24,12 @@ worlds = [build_world(cfg)]
 for _ in range(frames - 1):
     worlds.append(step_world(worlds[-1], cfg.dt))
 
-streams = build_seed(worlds, cfg)
-print(f"{frames} frames -> {len(streams)} ownership runs "
-      f"(longest {max(len(s.tuples) for s in streams)} frames)")
+seed = build_seed(worlds, cfg)
+runs = np.bincount(seed.stream_ids())
+print(f"{frames} frames -> {len(seed)} seed rows in {len(runs)} ownership runs "
+      f"(longest {runs.max()} frames)")
 
-windows = collect_windows(streams)
+windows = collect_windows(seed)
 for bs_id in (1, 2):
     pivotal = sum(s.label.status for s in windows[bs_id])
     print(f"bs{bs_id}: {len(windows[bs_id])} windows, {pivotal} pivotal "

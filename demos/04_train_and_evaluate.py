@@ -19,8 +19,7 @@ frames = 600
 worlds = [build_world(cfg)]
 for _ in range(frames - 1):
     worlds.append(step_world(worlds[-1], cfg.dt))
-streams = build_seed(worlds, cfg)
-windows = collect_windows(streams)
+windows = collect_windows(build_seed(worlds, cfg))
 train, val = balance_and_split(windows[1] + windows[2], quota=150, seed=7)
 print(f"dataset: {len(train.samples)} train / {len(val.samples)} val samples")
 

@@ -28,8 +28,7 @@ frames = 900
 worlds = [build_world(cfg)]
 for _ in range(frames - 1):
     worlds.append(step_world(worlds[-1], cfg.dt))
-streams = build_seed(worlds, cfg)
-windows = collect_windows(streams)
+windows = collect_windows(build_seed(worlds, cfg))
 train, val = balance_and_split(windows[1] + windows[2], quota=220, seed=7)
 pairs = conjugate_pairs(windows[1], windows[2],
                         exclude_keys={s.key for s in train.samples})

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -109,13 +110,12 @@ def simulate_stage(cfg: ScenarioConfig, frames: int, out_dir) -> Path:
 def build_dataset_stage(trace_dir, out_dir, ds_cfg: DatasetConfig) -> dict:
     """Seed pass, windowing, balancing/splitting, conjugate pairs."""
     scenario, worlds = read_trace(trace_dir)
-    streams = build_seed(worlds, scenario)
-    if not streams:
-        raise DataError("trace produced no visible user streams")
-    windows = collect_windows(streams, ds_cfg.observed, ds_cfg.future)
+    seed = build_seed(worlds, scenario)
+    windows = collect_windows(seed, ds_cfg.observed, ds_cfg.future)
     everything = windows[1] + windows[2]
     if not everything:
-        raise DataError("trace too short: no full observation windows")
+        raise DataError(f"trace too short: no full observation windows in its "
+                        f"{len(seed)} seed rows")
     train, val = balance_and_split(everything, ds_cfg.quota,
                                    ds_cfg.split_fraction, ds_cfg.seed)
     train_keys = frozenset(s.key for s in train.samples)
@@ -123,12 +123,11 @@ def build_dataset_stage(trace_dir, out_dir, ds_cfg: DatasetConfig) -> dict:
                             exclude_keys=train_keys)
 
     def histogram(samples):
-        counts: dict[str, int] = {}
-        for s in samples:
-            key = f"camera{s.sequence.camera_id}_label{s.label.status}"
-            counts[key] = counts.get(key, 0) + 1
-        return dict(sorted(counts.items()))
+        return dict(sorted(Counter(f"camera{s.sequence.camera_id}_label{s.label.status}"
+                                   for s in samples).items()))
 
+    streams = np.bincount(seed.stream_ids())
+    never_visible = {u.object_id for w in worlds for u in w.users} - set(seed.user.tolist())
     manifest = {
         "observed": ds_cfg.observed,
         "future": ds_cfg.future,
@@ -145,6 +144,12 @@ def build_dataset_stage(trace_dir, out_dir, ds_cfg: DatasetConfig) -> dict:
             "carrier_hz": scenario.carrier_hz,
         },
         "scenario_seed": scenario.seed,
+        "seed_pass": {
+            "rows": {f"bs{b}": int(np.sum(seed.bs == b)) for b in windows},
+            "nlos_rows": {f"bs{b}": int(np.sum(seed.status[seed.bs == b])) for b in windows},
+            "streams": len(streams), "longest_stream": int(streams.max()),
+            "users_never_visible": len(never_visible),
+        },
         "counts": {
             "windows": len(everything),
             "train": histogram(train.samples),

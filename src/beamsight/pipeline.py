@@ -1,9 +1,9 @@
 """From simulated frames to balanced observed-sequence datasets.
 
-Stages: a per-frame seed pass (detections + serving beam + link status per
-user and basestation), sliding-window sequence extraction with future-window
-labels, per-camera balanced sampling with a stratified train/validation
-split, and conjugate-pair extraction for the handoff evaluation.
+Stages: a seed pass with one row (beam, link status) per basestation, owned
+user and frame; sliding windows over each stream's run of rows, labelled by
+their future link statuses; per-camera balanced sampling with a stratified
+train/validation split; and conjugate pairs for the handoff evaluation.
 
 Dataset files are newline-delimited JSON records with a fixed field order,
 so identical inputs produce byte-identical files.  ``frames.ndrec`` holds
@@ -13,9 +13,10 @@ each camera frame's detections once; window records look them up there.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,23 +47,27 @@ def camera_to_bs(camera_id: int) -> int:
 
 
 @dataclass
-class SeedTuple:
-    """One user's per-frame observation at one basestation."""
+class Seed:
+    """The seed pass's rows, one per (basestation, owned user, frame), sorted
+    by (bs, camera, user, frame), so that each stream is a run of rows."""
 
-    frame: int
-    detections: list[Detection]   # full frame detections of the owning camera
-    beam: int                     # 1-based codebook index
-    link_status: int              # 0 = LOS, 1 = NLOS
+    bs: np.ndarray
+    camera: np.ndarray                 # the camera that owns the user
+    user: np.ndarray
+    frame: np.ndarray
+    beam: np.ndarray                   # 1-based codebook index
+    status: np.ndarray                 # 0 = LOS, 1 = NLOS
+    detections: dict                   # (camera, frame) -> detections, owners only
 
+    def __len__(self) -> int:
+        return len(self.frame)
 
-@dataclass
-class SeedStream:
-    """Maximal run of consecutive frames owned by one camera."""
-
-    bs_id: int
-    camera_id: int
-    user_id: int
-    tuples: list[SeedTuple] = field(default_factory=list)
+    def stream_ids(self) -> np.ndarray:
+        """The stream of every row, counted from 0: a stream continues while
+        (bs, camera, user) stays the same and the frame goes up by one."""
+        # frame minus row index holds still exactly while frames go up by one
+        keys = np.stack([self.bs, self.camera, self.user, self.frame - np.arange(len(self))])
+        return np.cumsum(np.any(np.diff(keys, axis=1, prepend=keys[:, :1]), axis=0))
 
 
 @dataclass
@@ -125,25 +130,20 @@ class ConjugateSample:
 
 
 # ---------------------------------------------------------------------------
-# Seed pass
+# Seed pass and windows
 # ---------------------------------------------------------------------------
 
-def build_seed(worlds: list[World], cfg: ScenarioConfig) -> list[SeedStream]:
-    """Per-user, per-camera seed streams for a sequence of world states.
-
-    At every frame, each user is owned by the basestation camera that sees
-    it closest to its optical axis; the owning camera's detection list
-    stands in for the frame.  A stream breaks whenever ownership changes or
-    the user falls out of every camera's view.
-    """
+def build_seed(worlds: list[World], cfg: ScenarioConfig) -> Seed:
+    """The seed rows of a sequence of world states.  At every frame, each
+    user is owned by the basestation camera that sees it closest to its
+    optical axis; the owning camera's detection list stands in for the frame."""
     if not worlds:
         raise DataError("empty world trace")
     noise = DetectorNoiseModel(p_miss=cfg.p_miss, jitter_sigma=cfg.jitter_sigma,
                                p_false_positive=cfg.p_false_positive)
     codebooks = {bs.bs_id: Codebook.build(bs.ula, cfg.beams) for bs in worlds[0].basestations}
 
-    streams: list[SeedStream] = []
-    last: dict[tuple[int, int], SeedStream] = {}   # latest stream per (bs, user)
+    blocks, owned_detections = [], {}   # blocks of (bs, camera, user, frame, beam, status)
     for frame, world in enumerate(worlds):
         ordered = sorted(world.objects, key=lambda o: o.object_id)
         users = [o for o in ordered if o.is_user]
@@ -160,19 +160,19 @@ def build_seed(worlds: list[World], cfg: ScenarioConfig) -> list[SeedStream]:
             # perspective stretch near the FOV edge always inflates the
             # side cameras' boxes, starving the central camera)
             owner, best_align = np.full(len(users), -1), np.full(len(users), -2.0)
-            detections = []
-            for c, cam in enumerate(bs.cameras):
+            detections = {}
+            for cam in bs.cameras:
                 bboxes = project_objects(cam, ordered)
                 rng = np.random.default_rng([cfg.seed, DETECT_STREAM, frame, cam.camera_id])
-                detections.append(_detections(cam, ordered, bboxes, noise, rng,
-                                              cfg.min_visible_fraction))
+                detections[cam.camera_id] = _detections(cam, ordered, bboxes, noise, rng,
+                                                        cfg.min_visible_fraction)
                 visible = np.array([b is not None for b, o in zip(bboxes, ordered)
                                     if o.is_user])
                 to_user = centers - cam.position
                 align = np.vecdot(to_user, cam.rotation[2]) / np.sqrt(
                     np.vecdot(to_user, to_user))
                 better = visible & (align > best_align)
-                owner[better], best_align[better] = c, align[better]
+                owner[better], best_align[better] = cam.camera_id, align[better]
             # link status and serving beam of every owned user at once
             owned = np.flatnonzero(owner >= 0)
             status = segments_blocked(bs.position, antennas[owned], mins, maxs,
@@ -181,67 +181,38 @@ def build_seed(worlds: list[World], cfg: ScenarioConfig) -> list[SeedStream]:
                 *path_arrays(bs, antennas[owned], status, world, cfg.reflection_loss_db),
                 bs.ula, cfg.cyclic_prefix, cfg.sample_time)
             beams = tap_beams(taps, codebooks[bs.bs_id], cfg.subcarriers)
-            for u_idx, link_status, beam in zip(owned.tolist(), status.tolist(),
-                                                beams.tolist()):
-                camera_id = bs.cameras[owner[u_idx]].camera_id
-                key = (bs.bs_id, users[u_idx].object_id)
-                stream = last.get(key)
-                if (stream is None or stream.camera_id != camera_id
-                        or stream.tuples[-1].frame != frame - 1):
-                    stream = last[key] = SeedStream(bs.bs_id, camera_id, key[1])
-                    streams.append(stream)
-                stream.tuples.append(SeedTuple(frame, detections[owner[u_idx]],
-                                               beam, link_status))
+            blocks.append(np.stack(np.broadcast_arrays(
+                bs.bs_id, owner[owned], user_ids[owned], frame, beams, status)))
+            owned_detections.update({(c, frame): detections[c] for c in owner[owned].tolist()})
 
-    skipped = len({u.object_id for w in worlds for u in w.users}
-                  - {s.user_id for s in streams})
-    if skipped:
-        log.info("skipped %d users never visible to any camera", skipped)
-    streams.sort(key=lambda s: (s.bs_id, s.camera_id, s.user_id, s.tuples[0].frame))
-    return streams
+    rows = np.concatenate([np.zeros((6, 0), dtype=int), *blocks], axis=1)
+    return Seed(*rows[:, np.lexsort(rows[3::-1])], detections=owned_detections)
 
 
-# ---------------------------------------------------------------------------
-# Windowing and labels
-# ---------------------------------------------------------------------------
+def collect_windows(seed: Seed, observed: int = 8,
+                    future: int = 5) -> dict[int, list[LabeledSample]]:
+    """Stride-1 windows of observed+future rows of one stream, per basestation.
 
-def window_sequences(stream: SeedStream, observed: int = 8, future: int = 5) -> list[LabeledSample]:
-    """Stride-1 sliding windows of observed+future consecutive tuples.
-
-    The first ``observed`` tuples form the observation; the link statuses
-    of the last ``future`` tuples form the label: NLOS anywhere in the
-    window makes the sample pivotal.  Streams shorter than the window
-    yield no sequences.
+    The first ``observed`` rows form the observation; the link statuses of
+    the last ``future`` rows form the label: NLOS anywhere in the window
+    makes the sample pivotal.  Streams shorter than the window yield none.
     """
     span = observed + future
-    tuples = stream.tuples
-    out: list[LabeledSample] = []
-    for start in range(len(tuples) - span + 1):
-        chunk = tuples[start:start + span]
-        obs, fut = chunk[:observed], chunk[observed:]
-        statuses = tuple(t.link_status for t in fut)
-        status = 1 if any(statuses) else 0
-        instance = None
-        if status:
-            instance = next(i + 1 for i, a in enumerate(statuses) if a == 1)
-        sequence = ObservedSequence(
-            camera_id=stream.camera_id,
-            user_id=stream.user_id,
-            t_end=obs[-1].frame,
-            beams=[t.beam for t in obs],
-            detections=[t.detections for t in obs],
-        )
-        out.append(LabeledSample(sequence, FutureLabel(status, statuses, instance)))
-    return out
-
-
-def collect_windows(streams: list[SeedStream], observed: int = 8,
-                    future: int = 5) -> dict[int, list[LabeledSample]]:
-    """All windows grouped by basestation id."""
+    stream = seed.stream_ids()
+    starts = np.flatnonzero(stream[:max(len(seed) - span + 1, 0)] == stream[span - 1:])
+    bs, camera, user, frame, beam, status = np.stack(
+        [seed.bs, seed.camera, seed.user, seed.frame, seed.beam, seed.status]).tolist()
     windows: dict[int, list[LabeledSample]] = {1: [], 2: []}
-    for stream in streams:
-        windows.setdefault(stream.bs_id, []).extend(
-            window_sequences(stream, observed, future))
+    for start in starts.tolist():
+        mid = start + observed
+        statuses = tuple(status[mid:start + span])
+        label = 1 if any(statuses) else 0
+        sequence = ObservedSequence(
+            camera_id=camera[start], user_id=user[start], t_end=frame[mid - 1],
+            beams=beam[start:mid],
+            detections=[seed.detections[camera[start], t] for t in frame[start:mid]])
+        windows.setdefault(bs[start], []).append(LabeledSample(
+            sequence, FutureLabel(label, statuses, statuses.index(1) + 1 if label else None)))
     return windows
 
 
@@ -376,6 +347,9 @@ def record_to_pair(record: dict, frames: dict) -> ConjugateSample:
     s1, s2 = pair.sample_bs1.label.status, pair.sample_bs2.label.status
     if s1 == s2 or pair.category != (1 if s1 == 1 else 2):
         raise ValueError(f"category {pair.category} does not fit statuses bs1 {s1}, bs2 {s2}")
+    sides = {(s.user_id, s.t_end) for s in (pair.sample_bs1.sequence, pair.sample_bs2.sequence)}
+    if sides != {(pair.user_id, pair.t_end)}:
+        raise ValueError(f"user, t_end {pair.user_id, pair.t_end} are not its sides' {sides}")
     return pair
 
 
@@ -387,7 +361,7 @@ def _read_frames(dataset_dir: Path) -> dict:
                                 confidence=d[5]) for d in record["detections"]]
         return (record["camera"], record["frame"]), detections
 
-    return dict(_read_ndjson(dataset_dir / "frames.ndrec", parse))
+    return dict(_read_ndjson(dataset_dir / "frames.ndrec", parse, key=lambda item: item[0]))
 
 
 def _write_ndjson(path: Path, records) -> None:
@@ -397,11 +371,12 @@ def _write_ndjson(path: Path, records) -> None:
             fh.write("\n")
 
 
-def _read_ndjson(path: Path, parse) -> list:
-    """``parse`` of each record; a bad line raises DataError naming file and line."""
+def _read_ndjson(path: Path, parse, key=None, seen=None) -> list:
+    """``parse`` of each record; a bad line, or one whose ``key`` is already in
+    ``seen`` (key -> line, shared across files), raises DataError naming it."""
     if not path.is_file():
         raise DataError(f"missing file: {path}")
-    parsed = []
+    parsed, seen = [], {} if seen is None else seen
     with path.open() as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
@@ -413,6 +388,10 @@ def _read_ndjson(path: Path, parse) -> list:
             except (KeyError, IndexError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}: line {number} is not a valid record: "
                                 f"{exc!r}") from exc
+            if key is not None:
+                if (k := key(parsed[-1])) in seen:
+                    raise DataError(f"{path}: line {number} repeats key {k} of {seen[k]}")
+                seen[k] = f"{path}: line {number}"
     return parsed
 
 
@@ -439,9 +418,10 @@ def write_dataset(out_dir, train: LabeledDataset, val: LabeledDataset,
 def read_splits(dataset_dir, *splits: str) -> list[LabeledDataset]:
     """The named splits; ``frames.ndrec`` is parsed once and its detection
     lists are shared by every window that observes the frame."""
-    frames = _read_frames(Path(dataset_dir))
+    frames, seen = _read_frames(Path(dataset_dir)), {}
     return [LabeledDataset(_read_ndjson(Path(dataset_dir) / f"{split}.ndrec",
-                                        lambda r: record_to_sample(r, frames)), split)
+                                        lambda r: record_to_sample(r, frames),
+                                        key=lambda s: s.key, seen=seen), split)
             for split in splits]
 
 
@@ -451,7 +431,8 @@ def read_split(dataset_dir, split: str) -> LabeledDataset:
 
 def read_pairs(path) -> list[ConjugateSample]:
     frames = _read_frames(Path(path).parent)
-    return _read_ndjson(Path(path), lambda r: record_to_pair(r, frames))
+    return _read_ndjson(Path(path), lambda r: record_to_pair(r, frames),
+                        key=lambda p: (p.user_id, p.t_end))
 
 
 def read_manifest(dataset_dir) -> dict:
@@ -497,14 +478,25 @@ def read_trace(trace_dir) -> tuple[ScenarioConfig, list[World]]:
     if not manifest_path.is_file():
         raise DataError(f"not a trace directory: {trace_dir}")
     try:
-        scenario = json.loads(manifest_path.read_text())["scenario"]
+        manifest = json.loads(manifest_path.read_text())
+        scenario, frames = manifest["scenario"], manifest["frames"]
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{manifest_path}: not a trace manifest: {exc!r}") from exc
     cfg = scenario_from_json(manifest_path, scenario)
     # every frame shares one geometry (basestations, cameras), as step_world does
     empty = world_from_objects(cfg, [])
-    worlds = _read_ndjson(root / "frames.ndjson", lambda record: dataclasses.replace(
-        empty, objects=[object_from_record(r) for r in record["objects"]]))
-    if not worlds:
-        raise DataError(f"trace has no frames: {trace_dir}")
+    lines = itertools.count()
+
+    def world(record):
+        if (i := next(lines)) != record["frame"] or type(record["frame"]) is not int:
+            raise ValueError(f"frame {record['frame']!r} where frame {i} belongs")
+        objects = [object_from_record(r) for r in record["objects"]]
+        if len({o.object_id for o in objects}) != len(objects):
+            raise ValueError("an object id repeats within the frame")
+        return dataclasses.replace(empty, objects=objects)
+
+    path = root / "frames.ndjson"
+    worlds = _read_ndjson(path, world)
+    if not worlds or len(worlds) != frames:
+        raise DataError(f"{path}: {len(worlds)} frame lines, {manifest_path} says {frames}")
     return cfg, worlds

@@ -485,6 +485,8 @@ def object_to_record(obj: SceneObject) -> list:
 
 
 def object_from_record(record: list) -> SceneObject:
+    if not all(math.isfinite(v) for v in (record[0], *record[2:12])):
+        raise ValueError(f"object {record[0]!r} holds a number that is not finite")
     return SceneObject(
         object_id=int(record[0]),
         object_class=VehicleClass(record[1]),

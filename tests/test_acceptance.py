@@ -26,7 +26,7 @@ from beamsight.experiment import run_experiment
 from beamsight.handoff import HandoffEvent, classify_event, decide, evaluate_handoff
 from beamsight.metrics import average_precision, iou, mean_average_precision
 from beamsight.phy import ChannelPath, Codebook, channel_vector, los_status, select_beam
-from beamsight.pipeline import SeedStream, SeedTuple, window_sequences
+from beamsight.pipeline import Seed, collect_windows
 from beamsight.predictor import GruPredictor, train_model
 from beamsight.scene import (
     Basestation,
@@ -158,12 +158,11 @@ class TestCriterion4LabelLaw:
     def test_all_32_future_windows(self):
         mismatches = 0
         for bits in itertools.product((0, 1), repeat=5):
-            stream = SeedStream(bs_id=1, camera_id=2, user_id=0, tuples=[
-                SeedTuple(frame=i, detections=[], beam=1,
-                          link_status=(list(bits)[i - 8] if i >= 8 else 0))
-                for i in range(13)
-            ])
-            [sample] = window_sequences(stream)
+            seed = Seed(bs=np.full(13, 1), camera=np.full(13, 2), user=np.zeros(13, int),
+                        frame=np.arange(13), beam=np.ones(13, int),
+                        status=np.array([0] * 8 + list(bits)),
+                        detections={(2, t): [] for t in range(13)})
+            [sample] = collect_windows(seed)[1]
             if sample.label.status != (1 if any(bits) else 0):
                 mismatches += 1
             if sample.label.window != bits:

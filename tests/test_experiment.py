@@ -162,6 +162,21 @@ class TestStages:
         assert modes == ["bimodal"] * 3 + ["beam-only"]
 
 
+class TestBenchmarkChecks:
+    """The benchmark's output checks read a run through the package's public
+    readers; a reader refactor that breaks them fails here."""
+
+    def test_dataset_and_replay_checks_pass_on_a_mini_run(self, mini_run, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import checks
+
+        out, _ = mini_run
+        assert checks.check_dataset(out / "dataset", out / "trace") == []
+        # handoff.csv's first row is the bimodal one
+        assert checks.check_replay(out / "dataset", {"bimodal": (
+            out / "bimodal.ckpt", out / "eval_bimodal.csv", out / "handoff.csv")}) == []
+
+
 class TestCli:
     def test_usage_error_exit_code(self, capsys):
         assert main(["simulate"]) == 1  # missing required flags
@@ -557,6 +572,91 @@ class TestCli:
                      "--out", str(tmp_path / "ds")]) == 2
         err = capsys.readouterr().err
         assert str(frames) in err and "line 3" in err
+
+    @pytest.mark.parametrize("edit, line, message", [
+        ("duplicate line", 3, "where frame 2 belongs"),
+        ("drop last line", None, "says 3"),
+        ("swap frame numbers", 2, "where frame 1 belongs"),
+        ("nan centre", 2, "not finite"),
+        ("infinite centre", 2, "not finite"),
+        ("infinite id", 2, "not finite"),
+        ("repeated object id", 2, "object id repeats"),
+    ])
+    def test_corrupt_trace_is_data_error(self, tmp_path, capsys, edit, line, message):
+        trace = tmp_path / "trace"
+        assert main(["simulate", "--config", str(MINI), "--frames", "3",
+                     "--out", str(trace)]) == 0
+        frames = trace / "frames.ndjson"
+        records = [json.loads(text) for text in frames.read_text().splitlines()]
+        objects = records[1]["objects"]
+        if edit == "duplicate line":
+            records.insert(1, records[1])
+        elif edit == "drop last line":
+            records.pop()
+        elif edit == "swap frame numbers":
+            records[1]["frame"], records[2]["frame"] = 2, 1
+        elif edit == "nan centre":
+            objects[0][2] = float("nan")
+        elif edit == "infinite centre":
+            objects[0][3] = float("inf")
+        elif edit == "infinite id":
+            objects[0][0] = float("inf")
+        else:
+            objects[1][0] = objects[0][0]
+        frames.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["build-dataset", "--trace", str(trace),
+                     "--out", str(tmp_path / "ds")]) == 2
+        err = capsys.readouterr().err
+        assert str(frames) in err and message in err
+        if line is not None:
+            assert f"line {line} " in err
+        else:
+            assert str(trace / "manifest.json") in err
+
+    @pytest.mark.parametrize("name, edit", [
+        ("val.ndrec", "repeat first line"),
+        ("val.ndrec", "take a train key"),
+        ("pairs.ndrec", "repeat first line"),
+        ("frames.ndrec", "repeat first line"),
+    ])
+    def test_repeated_key_is_data_error(self, tmp_path, capsys, mini_run, name, edit):
+        out, _ = mini_run
+        ds = tmp_path / "ds"
+        shutil.copytree(out / "dataset", ds)
+        path = ds / name
+        lines = path.read_text().splitlines()
+        if edit == "repeat first line":
+            lines.insert(1, lines[0])
+            where = "line 2 "
+        else:
+            lines.append((ds / "train.ndrec").read_text().splitlines()[0])
+            where = f"line {len(lines)} "
+        path.write_text("\n".join(lines) + "\n")
+        ckpt = str(out / "bimodal.ckpt")
+        if name == "pairs.ndrec":
+            argv = ["handoff-eval", "--ckpt1", ckpt, "--ckpt2", ckpt, "--pairs", str(path)]
+        elif edit == "take a train key":
+            argv = ["train", "--dataset", str(ds), "--mode", "beam-only"]
+        else:
+            argv = ["eval", "--ckpt", ckpt, "--dataset", str(ds)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: {where}" in err and "repeats key" in err
+
+    @pytest.mark.parametrize("field", ["user", "t_end"])
+    def test_pair_off_its_sides_is_data_error(self, tmp_path, capsys, mini_run, field):
+        out, _ = mini_run
+        ds = tmp_path / "ds"
+        shutil.copytree(out / "dataset", ds)
+        path = ds / "pairs.ndrec"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        records[0][field] += 1
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        ckpt = str(out / "bimodal.ckpt")
+        assert main(["handoff-eval", "--ckpt1", ckpt, "--ckpt2", ckpt, "--pairs", str(path),
+                     "--out", str(tmp_path / "h.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: line 1 " in err and "its sides" in err
 
     @pytest.mark.parametrize("section, option, value", [
         ("detector", "p_miss", "1.5"),

@@ -9,8 +9,9 @@ import beamsight.pipeline
 import beamsight.scene
 from oracles import exhaustive_beam_scan, sat_segment_box, scalar_channel
 
-from beamsight.config import ScenarioConfig, load_experiment_config
+from beamsight.config import DatasetConfig, ScenarioConfig, load_experiment_config
 from beamsight.errors import DataError
+from beamsight.experiment import build_dataset_stage
 from beamsight.phy import (
     Codebook,
     channel_vector,
@@ -24,8 +25,7 @@ from beamsight.pipeline import (
     LabeledDataset,
     LabeledSample,
     ObservedSequence,
-    SeedStream,
-    SeedTuple,
+    Seed,
     balance_and_split,
     build_seed,
     camera_to_bs,
@@ -36,7 +36,6 @@ from beamsight.pipeline import (
     read_splits,
     read_trace,
     sample_to_record,
-    window_sequences,
     write_dataset,
     write_trace,
 )
@@ -76,15 +75,26 @@ def static_worlds(cfg, objects, frames):
     return [world_from_objects(cfg, objects) for _ in range(frames)]
 
 
+def as_tuples(seed):
+    """(bs, camera, user, frame, beam, status) of every seed row, as ints."""
+    return list(zip(*(c.tolist() for c in (seed.bs, seed.camera, seed.user, seed.frame,
+                                            seed.beam, seed.status))))
+
+
+def streams(seed):
+    """The row indices of each stream, by the Seed's own stream rule."""
+    ids = seed.stream_ids()
+    return [np.flatnonzero(ids == i) for i in range(ids[-1] + 1 if len(ids) else 0)]
+
+
 class TestBuildSeed:
     def test_unobstructed_user_is_los(self):
         cfg = small_cfg()
         world = world_from_objects(cfg, [car(0, 63.0, 10.5)])
-        streams = build_seed([world], cfg)
-        assert streams, "user should be visible to at least one camera"
-        for stream in streams:
-            for tup in stream.tuples:
-                assert tup.link_status == 0
+        seed = build_seed([world], cfg)
+        assert len(seed), "user should be visible to at least one camera"
+        for bs, camera, user, frame, beam, status in as_tuples(seed):
+            assert status == 0
 
     def test_user_behind_parked_bus_is_nlos(self):
         cfg = small_cfg()
@@ -92,41 +102,37 @@ class TestBuildSeed:
         user = car(0, float(bs1.position[0]), 15.75)
         blocker = bus(1, float(bs1.position[0]), 5.25)
         worlds = static_worlds(cfg, [user, blocker], 3)
-        streams = build_seed(worlds, cfg)
-        bs1_streams = [s for s in streams if s.bs_id == 1 and s.user_id == 0]
-        assert bs1_streams
-        for stream in bs1_streams:
-            for tup in stream.tuples:
-                assert tup.link_status == 1
+        bs1_rows = [r for r in as_tuples(build_seed(worlds, cfg)) if r[0] == 1 and r[2] == 0]
+        assert bs1_rows
+        for bs, camera, user, frame, beam, status in bs1_rows:
+            assert status == 1
 
     def test_beam_matches_exhaustive_scan_oracle(self):
         cfg = small_cfg()
         world = world_from_objects(cfg, [car(0, 70.0, 8.75), car(1, 95.0, 12.25)])
-        streams = build_seed([world], cfg)
-        assert streams
-        for stream in streams:
-            bs = next(b for b in world.basestations if b.bs_id == stream.bs_id)
+        seed = build_seed([world], cfg)
+        assert len(seed)
+        for bs_id, camera, user_id, frame, beam, status in as_tuples(seed):
+            bs = next(b for b in world.basestations if b.bs_id == bs_id)
             codebook = Codebook.build(bs.ula, cfg.beams)
-            for tup in stream.tuples:
-                user = world.object_by_id(stream.user_id)
-                paths = synthesize_paths(bs, user, world, cfg.reflection_loss_db)
-                h = channel_vector(paths, bs.ula, cfg.subcarriers,
-                                   cfg.cyclic_prefix, cfg.sample_time)
-                best, best_p = None, -1.0
-                for q in range(codebook.n_beams):
-                    p = received_power(h, codebook.vectors[q])
-                    if p > best_p:
-                        best, best_p = q + 1, p
-                assert tup.beam == best
+            user = world.object_by_id(user_id)
+            paths = synthesize_paths(bs, user, world, cfg.reflection_loss_db)
+            h = channel_vector(paths, bs.ula, cfg.subcarriers,
+                               cfg.cyclic_prefix, cfg.sample_time)
+            best, best_p = None, -1.0
+            for q in range(codebook.n_beams):
+                p = received_power(h, codebook.vectors[q])
+                if p > best_p:
+                    best, best_p = q + 1, p
+            assert beam == best
 
     def test_ownership_is_single_camera_per_bs(self):
         cfg = small_cfg()
         worlds = static_worlds(cfg, [car(0, 80.0, 8.75)], 5)
-        streams = build_seed(worlds, cfg)
         per_bs = {}
-        for s in streams:
-            per_bs.setdefault(s.bs_id, set()).add(s.camera_id)
-            assert camera_to_bs(s.camera_id) == s.bs_id
+        for bs, camera, *_ in as_tuples(build_seed(worlds, cfg)):
+            per_bs.setdefault(bs, set()).add(camera)
+            assert camera_to_bs(camera) == bs
         for cams in per_bs.values():
             assert len(cams) == 1  # static user keeps one owner
 
@@ -144,7 +150,7 @@ class TestBuildSeed:
         cfg = small_cfg()
         worlds = static_worlds(cfg, [car(0, 80.0, 8.75), bus(1, 100.0, 5.25)], 3)
         worlds.append(world_from_objects(cfg, [bus(1, 100.0, 5.25)]))
-        assert build_seed(worlds, cfg)
+        assert len(build_seed(worlds, cfg))
         assert calls == [(camera, 2) for _ in range(3) for camera in range(1, 7)]
 
     def test_user_out_of_every_view_for_one_frame_splits_its_streams(self):
@@ -154,12 +160,12 @@ class TestBuildSeed:
         worlds[3] = world_from_objects(cfg, [SceneObject(
             object_id=0, object_class=VehicleClass.CAR, center=np.array([80.0, 8.75, 1000.0]),
             dims=np.array([4.6, 1.8, 1.5]), velocity=np.zeros(3), lane=0)])
-        streams = build_seed(worlds, cfg)
-        assert {s.bs_id for s in streams} == {1, 2}
+        seed = build_seed(worlds, cfg)
+        assert set(seed.bs.tolist()) == {1, 2}
         for bs_id in (1, 2):
-            runs = [s for s in streams if s.bs_id == bs_id]
-            assert [[t.frame for t in s.tuples] for s in runs] == [[0, 1, 2], [4, 5, 6, 7]]
-            assert runs[0].camera_id == runs[1].camera_id
+            runs = [run for run in streams(seed) if seed.bs[run[0]] == bs_id]
+            assert [seed.frame[run].tolist() for run in runs] == [[0, 1, 2], [4, 5, 6, 7]]
+            assert seed.camera[runs[0][0]] == seed.camera[runs[1][0]]
 
     def test_desk_street_streams_are_maximal_runs(self):
         cfg = load_experiment_config(DESK).scenario
@@ -170,31 +176,32 @@ class TestBuildSeed:
                         p_false_positive=0.5)
         worlds = street(cfg, 4)
         noise = DetectorNoiseModel(p_miss=0.2, jitter_sigma=2.0, p_false_positive=0.5)
-        tuples = 0
-        for stream in build_seed(worlds, cfg):
-            bs = worlds[0].basestations[stream.bs_id - 1]
-            cam = next(c for c in bs.cameras if c.camera_id == stream.camera_id)
-            for tup in stream.tuples:
-                rng = np.random.default_rng([cfg.seed, DETECT_STREAM, tup.frame,
-                                             cam.camera_id])
-                assert tup.detections == detect(cam, worlds[tup.frame], noise, rng=rng,
-                                                 min_visible_fraction=cfg.min_visible_fraction)
-                tuples += 1
-        assert tuples > 10
+        seed = build_seed(worlds, cfg)
+        # one detection list per owning camera and frame, and no other
+        assert set(seed.detections) == {(r[1], r[3]) for r in as_tuples(seed)}
+        for bs_id, camera, user, frame, beam, status in as_tuples(seed):
+            bs = worlds[0].basestations[bs_id - 1]
+            cam = next(c for c in bs.cameras if c.camera_id == camera)
+            rng = np.random.default_rng([cfg.seed, DETECT_STREAM, frame, cam.camera_id])
+            assert seed.detections[camera, frame] == detect(
+                cam, worlds[frame], noise, rng=rng,
+                min_visible_fraction=cfg.min_visible_fraction)
+        assert len(seed) > 10
 
 
-def assert_maximal_runs(streams):
+def assert_maximal_runs(seed):
     """Each stream is a run of consecutive frames under one camera of its
     basestation; the runs of one (bs, user) never overlap, and two that
     abut differ in camera, so no stream could be longer."""
-    assert streams == sorted(streams, key=lambda s: (s.bs_id, s.camera_id, s.user_id,
-                                                     s.tuples[0].frame))
+    assert as_tuples(seed) == sorted(as_tuples(seed))   # by (bs, camera, user, frame)
     runs = {}
-    for s in streams:
-        frames = [t.frame for t in s.tuples]
-        assert frames and frames == list(range(frames[0], frames[0] + len(frames)))
-        assert camera_to_bs(s.camera_id) == s.bs_id
-        runs.setdefault((s.bs_id, s.user_id), []).append((frames[0], frames[-1], s.camera_id))
+    for run in streams(seed):
+        frames = seed.frame[run].tolist()
+        assert frames == list(range(frames[0], frames[0] + len(frames)))
+        assert run.tolist() == list(range(run[0], run[0] + len(run)))
+        [(bs, camera, user)] = {(seed.bs[i], seed.camera[i], seed.user[i]) for i in run}
+        assert camera_to_bs(camera) == bs
+        runs.setdefault((bs, user), []).append((frames[0], frames[-1], camera))
     handovers = 0
     for spans in runs.values():
         spans.sort()
@@ -214,12 +221,11 @@ def street(cfg, frames):
 
 
 def seed_rows(worlds, cfg):
-    """(world, basestation, user, tuple) for every tuple build_seed emits."""
-    for stream in build_seed(worlds, cfg):
-        for tup in stream.tuples:
-            world = worlds[tup.frame]
-            bs = next(b for b in world.basestations if b.bs_id == stream.bs_id)
-            yield world, bs, world.object_by_id(stream.user_id), tup
+    """(world, basestation, user, status, beam) for every row build_seed emits."""
+    for bs_id, camera, user_id, frame, beam, status in as_tuples(build_seed(worlds, cfg)):
+        world = worlds[frame]
+        bs = next(b for b in world.basestations if b.bs_id == bs_id)
+        yield world, bs, world.object_by_id(user_id), status, beam
 
 
 def oracle_status(bs, user, world):
@@ -242,19 +248,19 @@ class TestSeedPassOracles:
         rows = list(seed_rows(street(cfg, 30), cfg))
         assert len(rows) > 1000
         codebook = Codebook.build(rows[0][1].ula, cfg.beams)
-        for world, bs, user, tup in rows:
-            assert tup.link_status == oracle_status(bs, user, world)
+        for world, bs, user, status, beam in rows:
+            assert status == oracle_status(bs, user, world)
             # every beam against the K-domain scan of the per-subcarrier
             # channel (criteria 1 and 2 check both against the oracles) ...
             h = channel_vector(synthesize_paths(bs, user, world, cfg.reflection_loss_db),
                                bs.ula, cfg.subcarriers, cfg.cyclic_prefix,
                                cfg.sample_time)
-            assert tup.beam == select_beam(h, codebook)
+            assert beam == select_beam(h, codebook)
         # ... and a spread of them against the scalar oracles themselves,
         # which take about 0.1 s per channel at desk size
-        for world, bs, user, tup in rows[::30]:
-            assert tup.beam == oracle_beam(bs, user, world, cfg, codebook)
-        assert {tup.link_status for _, _, _, tup in rows} == {0, 1}
+        for world, bs, user, status, beam in rows[::30]:
+            assert beam == oracle_beam(bs, user, world, cfg, codebook)
+        assert {status for _, _, _, status, _ in rows} == {0, 1}
 
     def test_fewer_subcarriers_than_taps(self):
         # K = 8 < D = 16: taps fold modulo K before the scan
@@ -262,48 +268,50 @@ class TestSeedPassOracles:
         rows = list(seed_rows(street(cfg, 4), cfg))
         assert len(rows) > 20
         codebook = Codebook.build(rows[0][1].ula, cfg.beams)
-        for world, bs, user, tup in rows:
-            assert tup.beam == oracle_beam(bs, user, world, cfg, codebook)
+        for world, bs, user, status, beam in rows:
+            assert beam == oracle_beam(bs, user, world, cfg, codebook)
 
     def test_basestation_at_antenna_height(self):
         # d[2] == 0: the segment runs inside the z slab of every box it can hit
         cfg = small_cfg(cars=6, buses=2, seed=5, bs_height=1.5)
         rows = list(seed_rows(street(cfg, 6), cfg))
         assert rows
-        for world, bs, user, tup in rows:
+        for world, bs, user, status, beam in rows:
             assert bs.position[2] == user.antenna_point[2]
-            assert tup.link_status == oracle_status(bs, user, world)
-        assert {tup.link_status for _, _, _, tup in rows} == {0, 1}
+            assert status == oracle_status(bs, user, world)
+        assert {status for _, _, _, status, _ in rows} == {0, 1}
 
 
-def make_stream(statuses, camera_id=2, user_id=0, beams=None, start_frame=0):
-    tuples = [
-        SeedTuple(frame=start_frame + i, detections=[],
-                  beam=(beams[i] if beams else 1), link_status=int(a))
-        for i, a in enumerate(statuses)
-    ]
-    return SeedStream(bs_id=camera_to_bs(camera_id), camera_id=camera_id,
-                      user_id=user_id, tuples=tuples)
+def make_seed(statuses, camera_id=2, user_id=0, beams=None, start_frame=0):
+    """A Seed holding one stream of the given link statuses."""
+    frames = list(range(start_frame, start_frame + len(statuses)))
+    return Seed(bs=np.full(len(frames), camera_to_bs(camera_id)),
+                camera=np.full(len(frames), camera_id), user=np.full(len(frames), user_id),
+                frame=np.array(frames, dtype=int),
+                beam=np.array(beams if beams else [1] * len(frames)),
+                status=np.array(statuses, dtype=int),
+                detections={(camera_id, t): [] for t in frames})
+
+
+def window_list(seed):
+    return [w for windows in collect_windows(seed).values() for w in windows]
 
 
 class TestWindowSequences:
     def test_stream_of_exactly_13_gives_one_sequence(self):
-        stream = make_stream([0] * 13)
-        assert len(window_sequences(stream)) == 1
+        assert len(window_list(make_seed([0] * 13))) == 1
 
     def test_short_stream_gives_zero_sequences(self):
-        assert window_sequences(make_stream([0] * 12)) == []
+        assert window_list(make_seed([0] * 12)) == []
 
     def test_all_los_window_is_nonpivotal(self):
-        stream = make_stream([0] * 8 + [0, 0, 0, 0, 0])
-        [sample] = window_sequences(stream)
+        [sample] = window_list(make_seed([0] * 8 + [0, 0, 0, 0, 0]))
         assert sample.label.status == 0
         assert sample.label.blockage_instance is None
 
     def test_all_32_windows_match_any_oracle(self):
         for bits in itertools.product((0, 1), repeat=5):
-            stream = make_stream([0] * 8 + list(bits))
-            [sample] = window_sequences(stream)
+            [sample] = window_list(make_seed([0] * 8 + list(bits)))
             assert sample.label.status == (1 if any(bits) else 0)
             assert sample.label.window == bits
             if any(bits):
@@ -311,8 +319,7 @@ class TestWindowSequences:
 
     def test_stride_one_and_no_leakage(self):
         statuses = [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 1]
-        stream = make_stream(statuses, start_frame=100)
-        samples = window_sequences(stream)
+        samples = window_list(make_seed(statuses, start_frame=100))
         assert len(samples) == len(statuses) - 13 + 1
         for i, sample in enumerate(samples):
             assert sample.sequence.t_end == 100 + i + 7
@@ -321,9 +328,21 @@ class TestWindowSequences:
 
     def test_beams_copied_in_order(self):
         beams = list(range(1, 14))
-        stream = make_stream([0] * 13, beams=beams)
-        [sample] = window_sequences(stream)
+        [sample] = window_list(make_seed([0] * 13, beams=beams))
         assert sample.sequence.beams == beams[:8]
+
+    @pytest.mark.parametrize("cut", ["frame gap", "camera", "user"])
+    def test_no_window_spans_two_streams(self, cut):
+        # 20 rows that would hold 8 windows as one stream, cut after row 10
+        first, second = make_seed([0] * 10, camera_id=1), make_seed(
+            [0] * 10, camera_id=2 if cut == "camera" else 1,
+            user_id=1 if cut == "user" else 0, start_frame=11 if cut == "frame gap" else 10)
+        seed = Seed(*(np.concatenate([getattr(first, c), getattr(second, c)])
+                      for c in ("bs", "camera", "user", "frame", "beam", "status")),
+                    detections=first.detections | second.detections)
+        assert len(streams(seed)) == 2
+        assert window_list(seed) == []
+        assert len(window_list(make_seed([0] * 20, camera_id=1))) == 8
 
 
 def make_sample(camera_id, user_id, t_end, status, beams=None):
@@ -442,6 +461,35 @@ class TestConjugatePairs:
         assert conjugate_pairs(w1, w2, exclude_keys=excluded) == []
 
 
+class TestSeedCounters:
+    def test_hand_built_trace(self, tmp_path):
+        # a user parked behind a bus at basestation 1, out of every view at
+        # frame 3, and a second user never in view
+        cfg = small_cfg()
+        x = float(world_from_objects(cfg, []).basestations[0].position[0])
+        hidden = SceneObject(object_id=2, object_class=VehicleClass.CAR,
+                             center=np.array([80.0, 8.75, 1000.0]),
+                             dims=np.array([4.6, 1.8, 1.5]), velocity=np.zeros(3), lane=0)
+        worlds = static_worlds(cfg, [car(0, x, 15.75), bus(1, x, 5.25), hidden], 20)
+        worlds[3] = world_from_objects(cfg, [bus(1, x, 5.25), hidden])
+        write_trace(tmp_path / "trace", cfg, worlds)
+        manifest = build_dataset_stage(tmp_path / "trace", tmp_path / "ds",
+                                       DatasetConfig(quota=2))
+        bs2 = worlds[0].basestations[1]
+        nlos_bs2 = sum(oracle_status(bs2, w.object_by_id(0), w)
+                       for i, w in enumerate(worlds) if i != 3)
+        assert manifest["seed_pass"] == {
+            "rows": {"bs1": 19, "bs2": 19},
+            "nlos_rows": {"bs1": 19, "bs2": nlos_bs2},
+            "streams": 4,
+            "longest_stream": 16,
+            "users_never_visible": 1,
+        }
+        assert "seed_pass" not in manifest["counts"]
+        on_disk = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+        assert on_disk["seed_pass"] == manifest["seed_pass"]
+
+
 def write_street_dataset(out_dir):
     """A dataset written from a short simulated street; returns its windows."""
     cfg = small_cfg(cars=4, buses=1, trucks=0, seed=8, p_miss=0.1, jitter_sigma=1.0)
@@ -450,8 +498,7 @@ def write_street_dataset(out_dir):
     worlds = [build_world(cfg)]
     for _ in range(25):
         worlds.append(step_world(worlds[-1], cfg.dt))
-    streams = build_seed(worlds, cfg)
-    windows = collect_windows(streams)
+    windows = collect_windows(build_seed(worlds, cfg))
     everything = windows[1] + windows[2]
     train, val = balance_and_split(everything, quota=5, seed=3)
     pairs = conjugate_pairs(windows[1], windows[2])
