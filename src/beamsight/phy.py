@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import Basestation, SceneObject, UlaGeometry, World
+from .scene import Basestation, SceneObject, UlaGeometry, World, object_rows
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -170,8 +170,9 @@ def segments_blocked(p0: np.ndarray, p1: np.ndarray, mins: np.ndarray,
                      maxs: np.ndarray, skip: np.ndarray) -> np.ndarray:
     """Slab test of the segments p0 -> p1[i] against closed boxes.
 
-    ``p1`` is (pairs, 3), ``mins``/``maxs`` are (boxes, 3) and ``skip``
-    (pairs, boxes) masks the boxes a segment is not tested against.
+    ``p1`` is (pairs, 3), ``mins``/``maxs`` are (boxes, 3), or (pairs,
+    boxes, 3) for boxes per segment, and ``skip`` (pairs, boxes) masks the
+    boxes a segment is not tested against.
     Returns 1 for each segment that meets a box, else 0.
     """
     d = p1 - p0
@@ -180,19 +181,20 @@ def segments_blocked(p0: np.ndarray, p1: np.ndarray, mins: np.ndarray,
         # a segment parallel to the slab must start inside it
         flat = d[:, axis, None] == 0.0
         step = np.where(flat, 1.0, d[:, axis, None])
-        t0 = (mins[:, axis] - p0[axis]) / step
-        t1 = (maxs[:, axis] - p0[axis]) / step
+        t0 = (mins[..., axis] - p0[axis]) / step
+        t1 = (maxs[..., axis] - p0[axis]) / step
         t_enter = np.where(flat, t_enter, np.maximum(t_enter, np.minimum(t0, t1)))
         t_exit = np.where(flat, t_exit, np.minimum(t_exit, np.maximum(t0, t1)))
-        ok &= ~flat | ((p0[axis] >= mins[:, axis]) & (p0[axis] <= maxs[:, axis]))
+        ok &= ~flat | ((p0[axis] >= mins[..., axis]) & (p0[axis] <= maxs[..., axis]))
     return np.any(ok & (t_enter <= t_exit), axis=1).astype(int)
 
 
 def los_status(bs: Basestation, user: SceneObject, world: World) -> int:
     """0 when the antenna-to-antenna segment is clear, 1 when blocked."""
-    ids, mins, maxs = world.object_boxes()
-    return int(segments_blocked(bs.position, user.antenna_point[None], mins, maxs,
-                                ids[None] == user.object_id)[0])
+    rows = object_rows([world.objects])
+    half = rows.dims / 2.0
+    return int(segments_blocked(bs.position, user.antenna_point[None], rows.centers - half,
+                                rows.centers + half, rows.ids[None] == user.object_id)[0])
 
 
 def path_arrays(bs: Basestation, targets: np.ndarray, los: np.ndarray, world: World,

@@ -30,15 +30,19 @@ from .scene import (
     VehicleClass,
     World,
     _detections,
+    _frame_mates,
     object_from_record,
+    object_rows,
     object_to_record,
-    project_objects,
+    project_boxes,
     world_from_objects,
 )
 
 log = logging.getLogger(__name__)
 
 DETECT_STREAM = 101   # rng domain separator for per-frame detector draws
+BLOCK_FRAMES = 16     # frames per seed-pass block
+LINK_CHUNK = 24       # owned users per link-kernel call, which bounds their memory
 
 
 def camera_to_bs(camera_id: int) -> int:
@@ -136,7 +140,8 @@ class ConjugateSample:
 def build_seed(worlds: list[World], cfg: ScenarioConfig) -> Seed:
     """The seed rows of a sequence of world states.  At every frame, each
     user is owned by the basestation camera that sees it closest to its
-    optical axis; the owning camera's detection list stands in for the frame."""
+    optical axis; the owning camera's detection list stands in for the frame.
+    Each kernel takes a block of BLOCK_FRAMES frames (those with users) at once."""
     if not worlds:
         raise DataError("empty world trace")
     noise = DetectorNoiseModel(p_miss=cfg.p_miss, jitter_sigma=cfg.jitter_sigma,
@@ -144,46 +149,43 @@ def build_seed(worlds: list[World], cfg: ScenarioConfig) -> Seed:
     codebooks = {bs.bs_id: Codebook.build(bs.ula, cfg.beams) for bs in worlds[0].basestations}
 
     blocks, owned_detections = [], {}   # blocks of (bs, camera, user, frame, beam, status)
-    for frame, world in enumerate(worlds):
-        ordered = sorted(world.objects, key=lambda o: o.object_id)
-        users = [o for o in ordered if o.is_user]
-        if not users:
+    for first in range(0, len(worlds), BLOCK_FRAMES):
+        frames = [f for f, w in enumerate(worlds[first:first + BLOCK_FRAMES], first) if w.users]
+        if not frames:
             continue
-        ids, mins, maxs = world.object_boxes()
-        user_ids = np.array([u.object_id for u in users])
-        centers = np.stack([u.center for u in users])
-        antennas = np.stack([u.antenna_point for u in users])
-        for bs in world.basestations:
-            # one projection per camera feeds its detections and the
-            # ownership test: the visible camera whose optical axis points
-            # closest at the user (projected-area ranking degenerates:
-            # perspective stretch near the FOV edge always inflates the
-            # side cameras' boxes, starving the central camera)
-            owner, best_align = np.full(len(users), -1), np.full(len(users), -2.0)
-            detections = {}
+        rows = object_rows([worlds[f].objects for f in frames])
+        users = np.flatnonzero([o.is_user for o in rows.objects])
+        bounds = np.stack([rows.centers - rows.dims / 2.0, rows.centers + rows.dims / 2.0])
+        for bs in worlds[0].basestations:
+            # one projection per camera feeds its detections and the ownership test:
+            # the visible camera whose optical axis points closest at the user (ranking
+            # by projected area starves the central camera: perspective inflates the sides)
+            owner, best_align, views = np.full(len(users), -1), np.full(len(users), -2.0), []
             for cam in bs.cameras:
-                bboxes = project_objects(cam, ordered)
-                rng = np.random.default_rng([cfg.seed, DETECT_STREAM, frame, cam.camera_id])
-                detections[cam.camera_id] = _detections(cam, ordered, bboxes, noise, rng,
-                                                        cfg.min_visible_fraction)
-                visible = np.array([b is not None for b, o in zip(bboxes, ordered)
-                                    if o.is_user])
-                to_user = centers - cam.position
-                align = np.vecdot(to_user, cam.rotation[2]) / np.sqrt(
-                    np.vecdot(to_user, to_user))
-                better = visible & (align > best_align)
+                views.append((cam, *project_boxes(cam, rows.centers, rows.dims)))
+                to_user = rows.centers[users] - cam.position
+                align = np.vecdot(to_user, cam.rotation[2]) / np.sqrt(np.vecdot(to_user, to_user))
+                better = views[-1][2][users] & (align > best_align)
                 owner[better], best_align[better] = cam.camera_id, align[better]
-            # link status and serving beam of every owned user at once
-            owned = np.flatnonzero(owner >= 0)
-            status = segments_blocked(bs.position, antennas[owned], mins, maxs,
-                                      user_ids[owned, None] == ids[None, :])
-            taps = tap_amplitudes(
-                *path_arrays(bs, antennas[owned], status, world, cfg.reflection_loss_db),
-                bs.ula, cfg.cyclic_prefix, cfg.sample_time)
-            beams = tap_beams(taps, codebooks[bs.bs_id], cfg.subcarriers)
+            for cam, boxes, shown in views:
+                mine = sorted(set(rows.frame[users[owner == cam.camera_id]].tolist()))
+                found = _detections(cam, rows, boxes, shown, mine, [np.random.default_rng(
+                    [cfg.seed, DETECT_STREAM, frames[i], cam.camera_id]) for i in mine],
+                    noise, cfg.min_visible_fraction)
+                owned_detections.update(zip([(cam.camera_id, frames[i]) for i in mine], found))
+            owned = users[owner >= 0]   # link status and beam of each, LINK_CHUNK taps at a time
+            near = _frame_mates(rows.frame)[owned]   # the object rows of each user's frame
+            antennas = rows.centers[owned] + rows.dims[owned] * [0.0, 0.0, 0.5]
+            status = segments_blocked(bs.position, antennas, *bounds[:, near],
+                                      (near < 0) | (near == owned[:, None]))
+            paths = path_arrays(bs, antennas, status, worlds[0], cfg.reflection_loss_db)
+            beams = [tap_beams(tap_amplitudes(*(a[i:i + LINK_CHUNK] for a in paths), bs.ula,
+                                              cfg.cyclic_prefix, cfg.sample_time),
+                               codebooks[bs.bs_id], cfg.subcarriers)
+                     for i in range(0, len(owned), LINK_CHUNK)]
             blocks.append(np.stack(np.broadcast_arrays(
-                bs.bs_id, owner[owned], user_ids[owned], frame, beams, status)))
-            owned_detections.update({(c, frame): detections[c] for c in owner[owned].tolist()})
+                bs.bs_id, owner[owner >= 0], rows.ids[owned], np.array(frames)[rows.frame[owned]],
+                np.concatenate([np.zeros(0, dtype=int), *beams]), status)))
 
     rows = np.concatenate([np.zeros((6, 0), dtype=int), *blocks], axis=1)
     return Seed(*rows[:, np.lexsort(rows[3::-1])], detections=owned_detections)
@@ -347,6 +349,9 @@ def record_to_pair(record: dict, frames: dict) -> ConjugateSample:
     s1, s2 = pair.sample_bs1.label.status, pair.sample_bs2.label.status
     if s1 == s2 or pair.category != (1 if s1 == 1 else 2):
         raise ValueError(f"category {pair.category} does not fit statuses bs1 {s1}, bs2 {s2}")
+    cameras = [s.sequence.camera_id for s in (pair.sample_bs1, pair.sample_bs2)]
+    if [camera_to_bs(c) for c in cameras] != [1, 2]:
+        raise ValueError(f"cameras {cameras} of its bs1, bs2 sides are not of basestations 1, 2")
     sides = {(s.user_id, s.t_end) for s in (pair.sample_bs1.sequence, pair.sample_bs2.sequence)}
     if sides != {(pair.user_id, pair.t_end)}:
         raise ValueError(f"user, t_end {pair.user_id, pair.t_end} are not its sides' {sides}")

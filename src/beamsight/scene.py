@@ -20,6 +20,7 @@ from .config import ScenarioConfig
 from .errors import DataError
 
 OCCLUSION_GRID = 64      # raster used for the pairwise occlusion test
+OCCLUSION_CHUNK = 32     # occluded targets per coverage product, which bounds its memory
 NEAR_PLANE = 1e-3        # metres in front of the camera
 
 
@@ -147,21 +148,6 @@ class World:
     wall_south: float
     wall_north: float
 
-    def object_boxes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ids, mins, maxs) arrays over all objects, cached per world.
-
-        Worlds are treated as immutable snapshots (step_world returns new
-        objects), so the cache never goes stale in normal use.
-        """
-        cached = self.__dict__.get("_box_cache")
-        if cached is None:
-            ids = np.array([o.object_id for o in self.objects])
-            half = np.stack([o.dims for o in self.objects]) / 2.0
-            centers = np.stack([o.center for o in self.objects])
-            cached = (ids, centers - half, centers + half)
-            self.__dict__["_box_cache"] = cached
-        return cached
-
     def object_by_id(self, object_id: int) -> SceneObject:
         for obj in self.objects:
             if obj.object_id == object_id:
@@ -171,6 +157,25 @@ class World:
     @property
     def users(self) -> list[SceneObject]:
         return [o for o in self.objects if o.is_user]
+
+
+@dataclass
+class ObjectRows:
+    """The objects of a run of frames as rows, in id order within a frame."""
+
+    frame: np.ndarray              # (n,) position of the row's frame in the run
+    objects: list[SceneObject]
+    ids: np.ndarray
+    centers: np.ndarray            # (n, 3)
+    dims: np.ndarray               # (n, 3)
+
+
+def object_rows(frames: list[list[SceneObject]]) -> ObjectRows:
+    flat = [o for objects in frames for o in sorted(objects, key=lambda o: o.object_id)]
+    return ObjectRows(np.repeat(np.arange(len(frames)), [len(o) for o in frames]), flat,
+                      np.array([o.object_id for o in flat], dtype=int),
+                      np.array([o.center for o in flat]).reshape(-1, 3),
+                      np.array([o.dims for o in flat]).reshape(-1, 3))
 
 
 @dataclass
@@ -340,18 +345,22 @@ def project_object(cam: Camera, obj: SceneObject):
 
 
 def project_objects(cam: Camera, objects: list[SceneObject]) -> list:
-    """Project boxes onto the image plane: one normalized bbox (or None) each.
+    """``project_boxes`` of the objects, in their order: a normalized bbox
+    (x1, y1, x2, y2) or None each."""
+    boxes, visible = project_boxes(cam, np.array([o.center for o in objects]).reshape(-1, 3),
+                                   np.array([o.dims for o in objects]).reshape(-1, 3))
+    return [tuple(box) if ok else None for box, ok in zip(boxes.tolist(), visible.tolist())]
 
-    A bbox is the axis-aligned hull (x1, y1, x2, y2) of the box's corners in
-    front of the near plane plus the points where its 12 edges cross that
-    plane, clipped to the image; None when the object is behind the camera
-    or entirely outside the field of view.  All boxes are clipped at once:
-    the hull is a min and max over the corners and edge cuts under a mask.
+
+def project_boxes(cam: Camera, centers: np.ndarray,
+                  dims: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized bboxes (n, 4) of boxes with (n, 3) centres and dims, and
+    whether each is visible.  A bbox is the axis-aligned hull (x1, y1, x2,
+    y2) of the box's corners in front of the near plane plus the points
+    where its 12 edges cross that plane, clipped to the image: a min and max
+    under a mask.  A box behind the camera or outside the view is not visible.
     """
-    if not objects:
-        return []
-    centers = np.stack([o.center for o in objects])
-    half = np.stack([o.dims for o in objects]) / 2.0
+    half = dims / 2.0
     corners = centers[:, None, :] + _BOX_SIGNS[None, :, :] * half[:, None, :]
     cam_pts = (corners - cam.position) @ cam.rotation.T         # (n, 8, 3)
     front = cam_pts[:, :, 2] > NEAR_PLANE
@@ -372,101 +381,103 @@ def project_objects(cam: Camera, objects: list[SceneObject]) -> list:
     y2 = np.minimum(np.where(keep, v, -np.inf).max(axis=1), float(cam.image_height))
     boxes = np.stack([x1 / cam.image_width, y1 / cam.image_height,
                       x2 / cam.image_width, y2 / cam.image_height], axis=1)
-    visible = (x1 < x2) & (y1 < y2)
-    return [tuple(box) if ok else None
-            for box, ok in zip(boxes.tolist(), visible.tolist())]
+    return boxes, (x1 < x2) & (y1 < y2)
 
 
-def _visible_fractions(boxes: np.ndarray, depths: np.ndarray) -> np.ndarray:
-    """Fraction of each bbox's raster cells not covered by any nearer bbox.
+def _frame_mates(frame: np.ndarray) -> np.ndarray:
+    """(rows, widest frame) indices of the rows of each row's frame, padded
+    with -1; ``frame`` must not decrease."""
+    first, last = (np.searchsorted(frame, frame, side) for side in ("left", "right"))
+    mates = first[:, None] + np.arange((last - first).max(initial=0))
+    return np.where(mates < last[:, None], mates, -1)
 
-    ``boxes`` is (n, 4); a box occludes another when its depth is strictly
-    smaller and the two overlap.  The test raster is OCCLUSION_GRID^2 cell
-    centres spread across each box.  With X and Y the (occluders, grid)
-    masks of the centre columns and rows each occluder spans, a target's
-    covered cells are ``(Y.T @ X) > 0``.
-    """
+
+def _visible_fractions(boxes: np.ndarray, depths: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """Fraction of each bbox's raster cells (OCCLUSION_GRID^2 cell centres)
+    not covered by a strictly nearer bbox of its frame; ``frame`` must not
+    decrease.  With X and Y the (occluders, grid) masks of the centre
+    columns and rows a target's own occluders span, padded with empty masks,
+    its covered cells are ``(Y.T @ X) > 0``, OCCLUSION_CHUNK targets at a
+    time; a target without occluders gets 1.0."""
     x1, y1, x2, y2 = boxes.T
+    mates = _frame_mates(frame)
+    occludes = ((mates >= 0) & (depths[mates] < depths[:, None]) & (x2[mates] > x1[:, None])
+                & (x1[mates] < x2[:, None]) & (y2[mates] > y1[:, None])
+                & (y1[mates] < y2[:, None]))                      # (targets, mates)
+    fractions = np.ones(len(boxes))
     ticks = (np.arange(OCCLUSION_GRID) + 0.5) / OCCLUSION_GRID
-    cx = x1[:, None] + ticks * (x2 - x1)[:, None]                 # (targets, grid)
-    cy = y1[:, None] + ticks * (y2 - y1)[:, None]
-    occludes = ((depths[None, :] < depths[:, None]) & (x2[None, :] > x1[:, None])
-                & (x1[None, :] < x2[:, None]) & (y2[None, :] > y1[:, None])
-                & (y1[None, :] < y2[:, None]))                    # (targets, occluders)
-    xs = occludes[:, :, None] & (cx[:, None, :] >= x1[None, :, None]) \
-        & (cx[:, None, :] <= x2[None, :, None])
-    ys = (cy[:, None, :] >= y1[None, :, None]) & (cy[:, None, :] <= y2[None, :, None])
-    covered = np.swapaxes(ys, 1, 2).astype(np.float32) @ xs.astype(np.float32) > 0
-    return 1.0 - covered.mean(axis=(1, 2))
+    hit = np.flatnonzero(occludes.any(axis=1))
+    for part in (hit[i:i + OCCLUSION_CHUNK] for i in range(0, len(hit), OCCLUSION_CHUNK)):
+        order = np.argsort(~occludes[part], axis=1, kind="stable")[:, :occludes[part].sum(1).max()]
+        real = np.take_along_axis(occludes[part], order, axis=1)
+        occ = np.take_along_axis(mates[part], order, axis=1)     # (targets, occluders)
+        cx = x1[part, None] + ticks * (x2 - x1)[part, None]       # (targets, grid)
+        cy = y1[part, None] + ticks * (y2 - y1)[part, None]
+        xs = real[:, :, None] & (cx[:, None, :] >= x1[occ][:, :, None]) \
+            & (cx[:, None, :] <= x2[occ][:, :, None])
+        ys = (cy[:, None, :] >= y1[occ][:, :, None]) & (cy[:, None, :] <= y2[occ][:, :, None])
+        covered = np.swapaxes(ys, 1, 2).astype(np.float32) @ xs.astype(np.float32) > 0
+        fractions[part] = 1.0 - covered.mean(axis=(1, 2))
+    return fractions
 
 
-def detect(
-    cam: Camera,
-    world: World,
-    noise: DetectorNoiseModel | None = None,
-    rng: np.random.Generator | None = None,
-    min_visible_fraction: float = 0.3,
-) -> list[Detection]:
+def detect(cam: Camera, world: World, noise: DetectorNoiseModel | None = None,
+           rng: np.random.Generator | None = None,
+           min_visible_fraction: float = 0.3) -> list[Detection]:
     """Occlusion-aware synthetic detections for one camera view.
 
     Objects are processed in id order so the output is independent of how
     the world's object list happens to be ordered.  Confidence equals the
     unoccluded fraction of the projected box.
     """
+    rows = object_rows([world.objects])
     noise = noise or NOISELESS
-    if rng is None:
-        rng = np.random.default_rng(noise.rng_seed)
-    ordered = sorted(world.objects, key=lambda o: o.object_id)
-    return _detections(cam, ordered, project_objects(cam, ordered), noise, rng,
-                       min_visible_fraction)
+    return _detections(cam, rows, *project_boxes(cam, rows.centers, rows.dims), [0],
+                       [rng or np.random.default_rng(noise.rng_seed)], noise,
+                       min_visible_fraction)[0]
 
 
-def _detections(cam: Camera, ordered: list[SceneObject], bboxes: list,
-                noise: DetectorNoiseModel, rng: np.random.Generator,
-                min_visible_fraction: float) -> list[Detection]:
-    """detect's output, given the objects in id order and their
-    ``project_objects`` boxes for ``cam``."""
-    centers = np.stack([o.center for o in ordered]) if ordered else np.zeros((0, 3))
-    depths = (centers - cam.position) @ cam.rotation[2]
-    shown = np.array([bbox is not None for bbox in bboxes], dtype=bool)
-    projected = [(obj, bbox) for obj, bbox in zip(ordered, bboxes) if bbox is not None]
-    fractions = _visible_fractions(
-        np.array([bbox for _, bbox in projected]).reshape(-1, 4), depths[shown])
+def _detections(cam: Camera, rows: ObjectRows, boxes, shown, frames, rngs,
+                noise: DetectorNoiseModel, min_visible_fraction: float) -> list[list[Detection]]:
+    """detect's output for each of ``frames`` (increasing positions in the
+    run of ``rows``), given every row's ``project_boxes`` output for ``cam``
+    and one generator per frame.  Only the noise draws run per frame, in id
+    order; jitter, clip, swap and reject run on all boxes at once."""
+    rows_in = np.flatnonzero(shown & (rows.frame[:, None] == frames).any(axis=1))
+    fractions = _visible_fractions(boxes[rows_in], (rows.centers[rows_in] - cam.position)
+                                   @ cam.rotation[2], rows.frame[rows_in])
+    enough = fractions >= min_visible_fraction
+    rows_in, fractions = rows_in[enough], fractions[enough]
+    ends = np.searchsorted(rows.frame[rows_in], frames, side="right").tolist()
+    starts = [0, *ends[:-1]]
+    kept, jitter, extras = np.ones(len(rows_in), dtype=bool), np.zeros((len(rows_in), 4)), []
+    for rng, start, end in zip(rngs, starts, ends):
+        for j in range(start, end):
+            if noise.p_miss > 0.0 and rng.random() < noise.p_miss:
+                kept[j] = False
+            elif noise.jitter_sigma > 0.0:
+                jitter[j] = rng.normal(0.0, noise.jitter_sigma, size=4)
+        extras.append([])
+        if noise.p_false_positive > 0.0 and rng.random() < noise.p_false_positive:
+            cls = list(VehicleClass)[int(rng.integers(0, len(VehicleClass)))]
+            (cx, cy), (w, h) = rng.uniform(0.1, 0.9, size=2), rng.uniform(0.02, 0.2, size=2)
+            x1, x2 = max(cx - w / 2, 0.0), min(cx + w / 2, 1.0)
+            y1, y2 = max(cy - h / 2, 0.0), min(cy + h / 2, 1.0)
+            if x1 < x2 and y1 < y2:
+                extras[-1].append(Detection(cls, (x1, y1, x2, y2), float(rng.uniform(0.3, 1.0))))
 
-    detections: list[Detection] = []
-    for (obj, bbox), fraction in zip(projected, fractions.tolist()):
-        if fraction < min_visible_fraction:
-            continue
-        if noise.p_miss > 0.0 and rng.random() < noise.p_miss:
-            continue
-        coords = np.array(bbox)
-        if noise.jitter_sigma > 0.0:
-            scale = np.array([cam.image_width, cam.image_height,
-                              cam.image_width, cam.image_height], dtype=float)
-            coords = coords + rng.normal(0.0, noise.jitter_sigma, size=4) / scale
-            coords = np.clip(coords, 0.0, 1.0)
-            if coords[0] > coords[2]:
-                coords[0], coords[2] = coords[2], coords[0]
-            if coords[1] > coords[3]:
-                coords[1], coords[3] = coords[3], coords[1]
-            if coords[0] >= coords[2] or coords[1] >= coords[3]:
-                continue  # jitter collapsed the box against an image edge
-        detections.append(Detection(
-            object_class=obj.object_class,
-            bbox=tuple(float(c) for c in coords),
-            confidence=fraction,
-        ))
-
-    if noise.p_false_positive > 0.0 and rng.random() < noise.p_false_positive:
-        cls = list(VehicleClass)[int(rng.integers(0, len(VehicleClass)))]
-        cx, cy = rng.uniform(0.1, 0.9, size=2)
-        w, h = rng.uniform(0.02, 0.2, size=2)
-        x1, x2 = max(cx - w / 2, 0.0), min(cx + w / 2, 1.0)
-        y1, y2 = max(cy - h / 2, 0.0), min(cy + h / 2, 1.0)
-        if x1 < x2 and y1 < y2:
-            detections.append(Detection(cls, (x1, y1, x2, y2), float(rng.uniform(0.3, 1.0))))
-
-    return detections
+    coords = boxes[rows_in]
+    if noise.jitter_sigma > 0.0:
+        scale = np.array([cam.image_width, cam.image_height] * 2, dtype=float)
+        coords = np.clip(coords + jitter / scale, 0.0, 1.0)
+        coords = np.concatenate([np.minimum(coords[:, :2], coords[:, 2:]),
+                                 np.maximum(coords[:, :2], coords[:, 2:])], axis=1)
+        kept &= np.all(coords[:, :2] < coords[:, 2:], axis=1)  # jitter can collapse a box
+    made = [Detection(rows.objects[r].object_class, tuple(box), f) if ok else None
+            for r, box, f, ok in zip(rows_in.tolist(), coords.tolist(), fractions.tolist(),
+                                     kept.tolist())]
+    return [[d for d in made[start:end] if d is not None] + extra
+            for start, end, extra in zip(starts, ends, extras)]
 
 
 # ---------------------------------------------------------------------------
@@ -487,13 +498,15 @@ def object_to_record(obj: SceneObject) -> list:
 def object_from_record(record: list) -> SceneObject:
     if not all(math.isfinite(v) for v in (record[0], *record[2:12])):
         raise ValueError(f"object {record[0]!r} holds a number that is not finite")
+    if type(record[0]) is not int or type(record[11]) is not int:
+        raise ValueError(f"object {record[0]!r}: id and lane {record[11]!r} must be integers")
     return SceneObject(
-        object_id=int(record[0]),
+        object_id=record[0],
         object_class=VehicleClass(record[1]),
         center=np.array(record[2:5], dtype=float),
         dims=np.array(record[5:8], dtype=float),
         velocity=np.array(record[8:11], dtype=float),
-        lane=int(record[11]),
+        lane=record[11],
     )
 
 

@@ -1,9 +1,13 @@
-"""Independent reference implementations used as test oracles.
+"""Reference implementations used as test oracles.
 
-These deliberately avoid the library's code paths: scalar loops instead of
+Most deliberately avoid the library's code paths: scalar loops instead of
 vectorized sums, point sampling plus a separating-axis test instead of slab
 clipping, per-beam power scans instead of a batched argmax, and a per-box
-raster loop instead of a coverage-mask product.
+raster loop instead of a coverage-mask product, and one object at a time
+through the detector noise instead of array steps.  ``per_frame_seed`` is
+the exception: it is the seed pass one frame at a time, through ``detect``
+and the library's link kernels, and pins the block-wise ``build_seed`` to
+it.
 """
 
 import cmath
@@ -11,7 +15,16 @@ import math
 
 import numpy as np
 
-from beamsight.scene import OCCLUSION_GRID
+from beamsight.phy import Codebook, path_arrays, segments_blocked, tap_amplitudes, tap_beams
+from beamsight.pipeline import DETECT_STREAM
+from beamsight.scene import (
+    OCCLUSION_GRID,
+    Detection,
+    DetectorNoiseModel,
+    VehicleClass,
+    detect,
+    project_objects,
+)
 
 
 def scalar_channel(paths, ula, subcarriers, cyclic_prefix, sample_time):
@@ -70,6 +83,44 @@ def unoccluded_fraction(bbox, depth: float, others) -> float:
             continue
         covered |= (gx >= ox1) & (gx <= ox2) & (gy >= oy1) & (gy <= oy2)
     return 1.0 - float(covered.mean())
+
+
+def scalar_detections(cam, world, noise, rng, min_visible_fraction):
+    """detect one object at a time, in id order: the box from
+    ``project_objects``, the confidence from ``unoccluded_fraction``, then a
+    miss draw and, for a box not missed, four jitter draws in pixels; the
+    jittered box is clipped to the image, its edges put in order, and it is
+    dropped when they meet.  Last, the frame's false-positive draws."""
+    ordered = sorted(world.objects, key=lambda o: o.object_id)
+    depths = (np.stack([o.center for o in ordered]) - cam.position) @ cam.rotation[2]
+    shown = [(o, b, float(d)) for o, b, d in zip(ordered, project_objects(cam, ordered), depths)
+             if b is not None]
+    detections = []
+    for obj, bbox, depth in shown:
+        fraction = unoccluded_fraction(bbox, depth, [(b, d) for o, b, d in shown if o is not obj])
+        if fraction < min_visible_fraction:
+            continue
+        if noise.p_miss > 0.0 and rng.random() < noise.p_miss:
+            continue
+        if noise.jitter_sigma > 0.0:
+            size = (cam.image_width, cam.image_height) * 2
+            moved = [min(max(c + float(n) / s, 0.0), 1.0) for c, n, s in
+                     zip(bbox, rng.normal(0.0, noise.jitter_sigma, size=4), size)]
+            x1, x2 = sorted(moved[0::2])
+            y1, y2 = sorted(moved[1::2])
+            if x1 == x2 or y1 == y2:
+                continue
+            bbox = (x1, y1, x2, y2)
+        detections.append(Detection(obj.object_class, bbox, fraction))
+    if noise.p_false_positive > 0.0 and rng.random() < noise.p_false_positive:
+        cls = list(VehicleClass)[int(rng.integers(0, len(VehicleClass)))]
+        cx, cy = rng.uniform(0.1, 0.9, size=2)
+        w, h = rng.uniform(0.02, 0.2, size=2)
+        x1, x2 = max(cx - w / 2, 0.0), min(cx + w / 2, 1.0)
+        y1, y2 = max(cy - h / 2, 0.0), min(cy + h / 2, 1.0)
+        if x1 < x2 and y1 < y2:
+            detections.append(Detection(cls, (x1, y1, x2, y2), float(rng.uniform(0.3, 1.0))))
+    return detections
 
 
 def sat_segment_box(p0, p1, lo, hi) -> bool:
@@ -170,3 +221,50 @@ def dense_projection_hull(cam, obj, per_edge=25):
     u = fx * (rel @ rgt) / z + cam.image_width / 2.0
     v = fy * (rel @ dwn) / z + cam.image_height / 2.0
     return u, v
+
+
+def per_frame_seed(worlds, cfg):
+    """The seed pass one frame and basestation at a time: ``detect`` per
+    (frame, camera), ownership from each camera's ``project_objects`` and
+    the link kernels over the frame's owned users.  Returns the sorted
+    (bs, camera, user, frame, beam, status) rows and the owning cameras'
+    detections, keyed by (camera, frame)."""
+    noise = DetectorNoiseModel(p_miss=cfg.p_miss, jitter_sigma=cfg.jitter_sigma,
+                               p_false_positive=cfg.p_false_positive)
+    rows, detections = [], {}
+    for frame, world in enumerate(worlds):
+        users = sorted(world.users, key=lambda o: o.object_id)
+        if not users:
+            continue
+        ids = np.array([o.object_id for o in world.objects])
+        half = np.stack([o.dims for o in world.objects]) / 2.0
+        mins = np.stack([o.center for o in world.objects]) - half
+        maxs = np.stack([o.center for o in world.objects]) + half
+        user_ids = np.array([u.object_id for u in users])
+        centers = np.stack([u.center for u in users])
+        antennas = np.stack([u.antenna_point for u in users])
+        for bs in world.basestations:
+            owner, best_align = np.full(len(users), -1), np.full(len(users), -2.0)
+            for cam in bs.cameras:
+                visible = np.array([b is not None for b in project_objects(cam, users)])
+                to_user = centers - cam.position
+                align = np.vecdot(to_user, cam.rotation[2]) / np.sqrt(
+                    np.vecdot(to_user, to_user))
+                better = visible & (align > best_align)
+                owner[better], best_align[better] = cam.camera_id, align[better]
+            owned = np.flatnonzero(owner >= 0)
+            for camera in set(owner[owned].tolist()):
+                cam = next(c for c in bs.cameras if c.camera_id == camera)
+                rng = np.random.default_rng([cfg.seed, DETECT_STREAM, frame, camera])
+                detections[camera, frame] = detect(cam, world, noise, rng,
+                                                   cfg.min_visible_fraction)
+            status = segments_blocked(bs.position, antennas[owned], mins, maxs,
+                                      user_ids[owned, None] == ids[None, :])
+            taps = tap_amplitudes(
+                *path_arrays(bs, antennas[owned], status, world, cfg.reflection_loss_db),
+                bs.ula, cfg.cyclic_prefix, cfg.sample_time)
+            beams = tap_beams(taps, Codebook.build(bs.ula, cfg.beams), cfg.subcarriers)
+            rows += zip([bs.bs_id] * len(owned), owner[owned].tolist(),
+                        user_ids[owned].tolist(), [frame] * len(owned), beams.tolist(),
+                        status.tolist())
+    return sorted(rows), detections

@@ -411,6 +411,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert str(path) in err and "line 1" in err and "category" in err
 
+    def test_pair_sides_on_the_wrong_basestations_is_data_error(self, tmp_path, capsys,
+                                                                mini_run):
+        out, _ = mini_run
+        ds = tmp_path / "ds"
+        shutil.copytree(out / "dataset", ds)
+        path = ds / "pairs.ndrec"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        # swapped sides with the category flipped still fit the statuses
+        first = records[0]
+        first["bs1"], first["bs2"] = first["bs2"], first["bs1"]
+        first["category"] = 3 - first["category"]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        ckpt = str(out / "bimodal.ckpt")
+        assert main(["handoff-eval", "--ckpt1", ckpt, "--ckpt2", ckpt, "--pairs", str(path),
+                     "--out", str(tmp_path / "h.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: line 1 " in err and "of basestation" in err
+
     def test_bad_checkpoint_with_empty_pairs_is_data_error(self, tmp_path, capsys, mini_run):
         out, _ = mini_run
         shutil.copy(out / "dataset" / "frames.ndrec", tmp_path)
@@ -580,6 +598,8 @@ class TestCli:
         ("nan centre", 2, "not finite"),
         ("infinite centre", 2, "not finite"),
         ("infinite id", 2, "not finite"),
+        ("fractional id", 2, "must be integers"),
+        ("fractional lane", 2, "must be integers"),
         ("repeated object id", 2, "object id repeats"),
     ])
     def test_corrupt_trace_is_data_error(self, tmp_path, capsys, edit, line, message):
@@ -601,6 +621,10 @@ class TestCli:
             objects[0][3] = float("inf")
         elif edit == "infinite id":
             objects[0][0] = float("inf")
+        elif edit == "fractional id":
+            objects[0][0] += 0.5
+        elif edit == "fractional lane":
+            objects[0][11] = 0.5
         else:
             objects[1][0] = objects[0][0]
         frames.write_text("".join(json.dumps(r) + "\n" for r in records))

@@ -11,6 +11,7 @@ from beamsight.phy import (
     channel_vector,
     los_status,
     received_power,
+    segments_blocked,
     select_beam,
     synthesize_paths,
     tap_amplitudes,
@@ -266,6 +267,25 @@ class TestLosStatus:
             want = sampled_segment_oracle(bs.position, user.antenna_point, boxes)
             assert got == want
 
+
+    def test_boxes_per_segment_match_shared_boxes(self):
+        # per-segment boxes, padded and masked, as the seed pass batches a
+        # block of frames: each row equals its own call on shared boxes
+        rng = np.random.default_rng(41)
+        p0 = np.array([100.0, -6.0, 4.5])
+        targets = np.column_stack([rng.uniform(0, 200, 40), rng.uniform(1, 20, 40),
+                                   np.full(40, 1.5)])
+        counts = rng.integers(1, 7, size=40)
+        lo = np.column_stack([rng.uniform(0, 200, (40, 6)), rng.uniform(1, 20, (40, 6)),
+                              np.zeros((40, 6))]).reshape(40, 3, 6).transpose(0, 2, 1)
+        hi = lo + rng.uniform(1.0, 12.0, size=(40, 6, 3))
+        pad = np.arange(6) >= counts[:, None]
+        got = segments_blocked(p0, targets, lo, hi, pad)
+        want = [segments_blocked(p0, targets[i:i + 1], lo[i, :n], hi[i, :n],
+                                 np.zeros((1, n), dtype=bool))[0]
+                for i, n in enumerate(counts.tolist())]
+        assert got.tolist() == want
+        assert 0 < sum(want) < 40
 
 class TestSynthesizePaths:
     def test_los_direct_delay(self):

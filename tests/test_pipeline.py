@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import beamsight.pipeline
 import beamsight.scene
-from oracles import exhaustive_beam_scan, sat_segment_box, scalar_channel
+from oracles import exhaustive_beam_scan, per_frame_seed, sat_segment_box, scalar_channel
 
 from beamsight.config import DatasetConfig, ScenarioConfig, load_experiment_config
 from beamsight.errors import DataError
@@ -20,6 +21,7 @@ from beamsight.phy import (
     synthesize_paths,
 )
 from beamsight.pipeline import (
+    BLOCK_FRAMES,
     DETECT_STREAM,
     FutureLabel,
     LabeledDataset,
@@ -45,7 +47,7 @@ from beamsight.scene import (
     VehicleClass,
     build_world,
     detect,
-    project_objects,
+    project_boxes,
     step_world,
     world_from_objects,
 )
@@ -136,22 +138,26 @@ class TestBuildSeed:
         for cams in per_bs.values():
             assert len(cams) == 1  # static user keeps one owner
 
-    def test_projects_once_per_camera_and_frame_with_users(self, monkeypatch):
-        # one projection per camera feeds both its detections and the
-        # ownership test; a frame with no users projects nothing
+    def test_projects_once_per_camera_and_block(self, monkeypatch):
+        # one projection per camera and block feeds both the detections and
+        # the ownership test; frames without users add no rows to it, and a
+        # block without users projects nothing
         calls = []
 
-        def counting(cam, objects):
-            calls.append((cam.camera_id, len(objects)))
-            return project_objects(cam, objects)
+        def counting(cam, centers, dims):
+            calls.append((cam.camera_id, len(centers)))
+            return project_boxes(cam, centers, dims)
 
-        monkeypatch.setattr(beamsight.pipeline, "project_objects", counting)
-        monkeypatch.setattr(beamsight.scene, "project_objects", counting)
+        monkeypatch.setattr(beamsight.pipeline, "project_boxes", counting)
+        monkeypatch.setattr(beamsight.scene, "project_boxes", counting)
         cfg = small_cfg()
-        worlds = static_worlds(cfg, [car(0, 80.0, 8.75), bus(1, 100.0, 5.25)], 3)
-        worlds.append(world_from_objects(cfg, [bus(1, 100.0, 5.25)]))
+        with_user = world_from_objects(cfg, [car(0, 80.0, 8.75), bus(1, 100.0, 5.25)])
+        without = world_from_objects(cfg, [bus(1, 100.0, 5.25)])
+        worlds = ([with_user] * (BLOCK_FRAMES - 1) + [without] + [with_user] * 3
+                  + [without] * (BLOCK_FRAMES - 3) + [without] * 2)
         assert len(build_seed(worlds, cfg))
-        assert calls == [(camera, 2) for _ in range(3) for camera in range(1, 7)]
+        assert calls == [(camera, 2 * users) for users in (BLOCK_FRAMES - 1, 3)
+                         for camera in range(1, 7)]
 
     def test_user_out_of_every_view_for_one_frame_splits_its_streams(self):
         cfg = small_cfg()
@@ -280,6 +286,35 @@ class TestSeedPassOracles:
             assert bs.position[2] == user.antenna_point[2]
             assert status == oracle_status(bs, user, world)
         assert {status for _, _, _, status, _ in rows} == {0, 1}
+
+
+class TestBlockedSeedPass:
+    """build_seed's blocks of frames against the per-frame reference pass."""
+
+    def test_matches_per_frame_reference(self):
+        cfg = replace(load_experiment_config(DESK).scenario, p_false_positive=0.4)
+        frames = 2 * BLOCK_FRAMES + 7          # two block boundaries, a short last block
+        worlds = street(cfg, frames)
+        # a frame without users, and one whose object set changes: the
+        # lowest car id is dropped and a car with a new id drives in
+        worlds[BLOCK_FRAMES + 3] = world_from_objects(
+            cfg, [o for o in worlds[BLOCK_FRAMES + 3].objects if not o.is_user])
+        dropped = min(o.object_id for o in worlds[9].users)
+        worlds[9] = world_from_objects(cfg, [
+            *(o for o in worlds[9].objects if o.object_id != dropped),
+            car(1000, 95.0, 8.75, vx=5.0)])
+        # one more object in frame 11 pads the other frames of its block
+        worlds[11] = world_from_objects(cfg, [*worlds[11].objects, bus(1001, 120.0, 12.25)])
+        seed = build_seed(worlds, cfg)
+        rows, detections = per_frame_seed(worlds, cfg)
+        assert as_tuples(seed) == rows
+        assert seed.detections == detections
+        frame_users = {(r[3], r[2]) for r in rows}
+        assert (9, 1000) in frame_users and (9, dropped) not in frame_users
+        assert not any(frame == BLOCK_FRAMES + 3 for frame, _ in frame_users)
+        assert {frame for frame, _ in frame_users} >= {0, frames - 1}
+        assert any(d.object_class is VehicleClass.CAR and d.confidence < 1.0
+                   for dets in detections.values() for d in dets)
 
 
 def make_seed(statuses, camera_id=2, user_id=0, beams=None, start_frame=0):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import dense_projection_hull, unoccluded_fraction
+from oracles import dense_projection_hull, scalar_detections, unoccluded_fraction
 
 from beamsight import scene
 from beamsight.config import ScenarioConfig
@@ -265,12 +265,33 @@ class TestDetect:
                           rng=np.random.default_rng(1)) == base
 
 
+class TestDetectorNoise:
+    def test_matches_scalar_oracle(self):
+        # wide jitter clips boxes at the image edges and collapses some
+        cam = make_camera(position=(0.0, 0.0, 4.0), pitch=-0.1)
+        noise = DetectorNoiseModel(p_miss=0.3, jitter_sigma=60.0, p_false_positive=0.5)
+        rng = np.random.default_rng(5)
+        clipped = 0
+        for trial in range(60):
+            classes = [list(VehicleClass)[k] for k in rng.integers(0, 3, size=12)]
+            world = make_world([
+                make_object(object_id=int(i), cls=cls,
+                            center=(rng.uniform(3, 80), rng.uniform(-30, 30), 1.0))
+                for i, cls in zip(rng.permutation(40)[:12], classes)])
+            got = detect(cam, world, noise, np.random.default_rng(trial), 0.2)
+            assert got == scalar_detections(cam, world, noise, np.random.default_rng(trial), 0.2)
+            clipped += sum(0.0 in d.bbox or 1.0 in d.bbox for d in got)
+        assert clipped > 20
+
+
 def detect_and_oracle(monkeypatch, boxes, depths):
     """detect's confidences when object i projects to boxes[i] (None: out of
     view) at forward depth depths[i], and the raster-loop oracle's."""
     objects = [make_object(object_id=i, center=(d, 0.0, 0.75)) for i, d in enumerate(depths)]
-    monkeypatch.setattr(scene, "project_objects",
-                        lambda cam, objs: [boxes[o.object_id] for o in objs])
+    # detect's rows are in id order, so row i is object i
+    monkeypatch.setattr(scene, "project_boxes", lambda cam, centers, dims: (
+        np.array([b or (0.0, 0.0, 0.0, 0.0) for b in boxes], dtype=float).reshape(-1, 4),
+        np.array([b is not None for b in boxes], dtype=bool)))
     dets = detect(make_camera(), make_world(objects), min_visible_fraction=0.0)
     shown = [(b, float(d)) for b, d in zip(boxes, depths) if b is not None]
     want = [unoccluded_fraction(b, d, shown[:i] + shown[i + 1:])
@@ -282,6 +303,66 @@ def cell_centres(lo, hi):
     return lo + (np.arange(OCCLUSION_GRID) + 0.5) / OCCLUSION_GRID * (hi - lo)
 
 
+def random_box_set(rng):
+    """Up to 8 boxes with edges on a coarse grid or on an earlier box's cell
+    centre, and integer depths, so that equal depths are common."""
+    boxes, depths = [], []
+    for _ in range(int(rng.integers(0, 9))):
+        coords = []
+        for axis in (0, 1):
+            ends = set()
+            while len(ends) < 2:
+                ref = boxes[int(rng.integers(len(boxes)))] if boxes else None
+                if ref is not None and rng.random() < 0.4:
+                    ends.add(float(rng.choice(cell_centres(ref[axis], ref[axis + 2]))))
+                else:
+                    ends.add(int(rng.integers(0, 17)) / 16)
+            coords.append(sorted(ends))
+        boxes.append((coords[0][0], coords[1][0], coords[0][1], coords[1][1]))
+        depths.append(float(rng.integers(1, 5)))
+    return boxes, depths
+
+
+class TestVisibleFractions:
+    """The occlusion kernel over a block of frames against the raster loop."""
+
+    def test_random_blocks_of_frames(self):
+        rng = np.random.default_rng(29)
+        clear = covered = 0
+        for _ in range(60):
+            # frames of different box counts, some of them empty
+            frames = [random_box_set(rng) for _ in range(int(rng.integers(1, 7)))]
+            boxes = [b for fb, _ in frames for b in fb]
+            depths = [d for _, fd in frames for d in fd]
+            frame = np.repeat(np.arange(len(frames)), [len(fb) for fb, _ in frames])
+            got = scene._visible_fractions(np.array(boxes).reshape(-1, 4),
+                                           np.array(depths), frame).tolist()
+            want = []
+            for fb, fd in frames:
+                for i, (box, depth) in enumerate(zip(fb, fd)):
+                    others = [(o, od) for j, (o, od) in enumerate(zip(fb, fd)) if j != i]
+                    want.append(unoccluded_fraction(box, depth, others))
+                    nearer = [o for o, od in others if od < depth
+                              and o[2] > box[0] and o[0] < box[2]
+                              and o[3] > box[1] and o[1] < box[3]]
+                    clear += not nearer
+                    covered += bool(nearer)
+            assert got == want
+        assert clear > 200 and covered > 200
+
+    def test_boxes_of_other_frames_do_not_occlude(self):
+        near, far = (0.1, 0.1, 0.9, 0.9), (0.3, 0.3, 0.5, 0.5)
+        boxes = np.array([far, near, far, far, near])
+        got = scene._visible_fractions(boxes, np.array([4.0, 1.0, 4.0, 4.0, 4.0]),
+                                       np.array([0, 0, 1, 2, 2]))
+        # frame 1 holds the far box alone; in frame 2 the boxes share a depth
+        assert got.tolist() == [0.0, 1.0, 1.0, 1.0, 1.0]
+
+    def test_no_boxes(self):
+        assert scene._visible_fractions(np.zeros((0, 4)), np.zeros(0),
+                                        np.zeros(0, dtype=int)).shape == (0,)
+
+
 class TestOcclusionOracle:
     """detect confidences equal the per-box raster loop, compared as floats."""
 
@@ -289,22 +370,7 @@ class TestOcclusionOracle:
         rng = np.random.default_rng(17)
         cases = 0
         for _ in range(300):
-            boxes, depths = [], []
-            for _ in range(int(rng.integers(0, 9))):
-                # edges on a coarse grid or on an earlier box's cell centre
-                coords = []
-                for axis in (0, 1):
-                    ends = set()
-                    while len(ends) < 2:
-                        ref = boxes[int(rng.integers(len(boxes)))] if boxes else None
-                        if ref is not None and rng.random() < 0.4:
-                            ends.add(float(rng.choice(
-                                cell_centres(ref[axis], ref[axis + 2]))))
-                        else:
-                            ends.add(int(rng.integers(0, 17)) / 16)
-                    coords.append(sorted(ends))
-                boxes.append((coords[0][0], coords[1][0], coords[0][1], coords[1][1]))
-                depths.append(float(rng.integers(1, 5)))     # equal depths are common
+            boxes, depths = random_box_set(rng)
             hidden = rng.random(len(boxes)) < 0.1
             boxes = [None if h else b for b, h in zip(boxes, hidden)]
             got, want = detect_and_oracle(monkeypatch, boxes, depths)
