@@ -110,7 +110,10 @@ def simulate_stage(cfg: ScenarioConfig, frames: int, out_dir) -> Path:
 def build_dataset_stage(trace_dir, out_dir, ds_cfg: DatasetConfig) -> dict:
     """Seed pass, windowing, balancing/splitting, conjugate pairs."""
     scenario, worlds = read_trace(trace_dir)
-    seed = build_seed(worlds, scenario)
+    try:
+        seed = build_seed(worlds, scenario)
+    except DataError as exc:
+        raise DataError(f"{Path(trace_dir) / 'manifest.json'}: {exc}") from exc
     windows = collect_windows(seed, ds_cfg.observed, ds_cfg.future)
     everything = windows[1] + windows[2]
     if not everything:

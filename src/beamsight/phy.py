@@ -69,29 +69,22 @@ class ChannelPath:
             raise ValueError("path delay must be >= 0")
 
 
-def tap_amplitudes(gains, delays, azimuths, elevations, ula: UlaGeometry,
-                   cyclic_prefix: int, sample_time: float) -> np.ndarray:
-    """Per-tap array amplitudes t_d = sum_l gain_l * p(d*Ts - tau_l) * a_l.
-
-    Paths run along the last axis of the four path arrays; the result has
-    shape (..., cyclic_prefix, elements).  Every delay must satisfy
-    tau < D*Ts; a path with gain 0 adds nothing.
-    """
-    if np.any(delays >= cyclic_prefix * sample_time):
-        raise ValueError(
-            f"path delay {np.max(delays):.3e} s exceeds the cyclic prefix span "
-            f"{cyclic_prefix * sample_time:.3e} s"
-        )
+def _responses(azimuths, elevations, ula: UlaGeometry) -> np.ndarray:
+    """Array response a_l of each path, shape (..., L, elements)."""
     cos_el = np.cos(elevations)
     proj = np.stack([cos_el * np.cos(azimuths), cos_el * np.sin(azimuths),
                      np.sin(elevations)], axis=-1) @ ula.axis_vector
     m = np.arange(ula.elements)
-    responses = np.exp(
-        1j * 2.0 * np.pi / ula.wavelength * ula.spacing * (proj[..., None] * m))
-    taps = np.arange(cyclic_prefix)
-    pulse = np.sinc(taps - delays[..., None] / sample_time)          # (..., L, D)
-    # contract paths: per-tap array amplitudes (..., D, M)
-    return np.swapaxes(pulse * gains[..., None], -1, -2) @ responses
+    return np.exp(1j * 2.0 * np.pi / ula.wavelength * ula.spacing * (proj[..., None] * m))
+
+
+def _pulse_weights(gains, delays, taps, cyclic_prefix: int, sample_time: float) -> np.ndarray:
+    """gain_l * p(d*Ts - tau_l) at each tap d of ``taps``, 0 from d = D on; tau < D*Ts."""
+    if np.any(delays >= cyclic_prefix * sample_time):
+        raise ValueError(f"path delay {np.max(delays):.3e} s exceeds the cyclic prefix "
+                         f"span {cyclic_prefix * sample_time:.3e} s")
+    pulse = np.sinc(taps - delays[..., None] / sample_time)
+    return np.where(taps < cyclic_prefix, pulse, 0.0) * gains[..., None]
 
 
 def channel_vector(
@@ -110,16 +103,12 @@ def channel_vector(
         raise ValueError("subcarriers, cyclic_prefix, sample_time must be positive")
     if not paths:
         return np.zeros((subcarriers, ula.elements), dtype=complex)
-    tap_amps = tap_amplitudes(
-        np.array([p.gain for p in paths], dtype=complex),
-        np.array([p.delay for p in paths]),
-        np.array([p.azimuth for p in paths]),
-        np.array([p.elevation for p in paths]),
-        ula, cyclic_prefix, sample_time)
-    k = np.arange(subcarriers)
+    gains, delays, azimuths, elevations = (np.array([getattr(p, key) for p in paths])
+                                           for key in ("gain", "delay", "azimuth", "elevation"))
     taps = np.arange(cyclic_prefix)
-    phase = np.exp(-2j * np.pi * np.outer(k, taps) / subcarriers)       # (K, D)
-    return phase @ tap_amps
+    phase = np.exp(-2j * np.pi * np.outer(np.arange(subcarriers), taps) / subcarriers)  # (K, D)
+    return phase @ (_pulse_weights(gains, delays, taps, cyclic_prefix, sample_time).T
+                    @ _responses(azimuths, elevations, ula))                        # (D, M)
 
 
 def received_power(channel: np.ndarray, beam: np.ndarray, power: float = 1.0) -> float:
@@ -145,20 +134,26 @@ def select_beam(channel: np.ndarray, codebook: Codebook) -> int:
     return int(np.argmax(powers)) + 1
 
 
-def tap_beams(taps: np.ndarray, codebook: Codebook, subcarriers: int) -> np.ndarray:
-    """``select_beam`` of each channel given by its tap amplitudes (..., D, M).
+def path_beams(gains, delays, azimuths, elevations, ula: UlaGeometry, codebook: Codebook,
+               cyclic_prefix: int, sample_time: float, subcarriers: int) -> np.ndarray:
+    """``select_beam`` of each user's channel, given by its paths along the last
+    axis of the four (users, L) path arrays; 1-based, shape (users,).
 
-    With the taps folded modulo K (tap d adds into row d mod K), Parseval
-    gives sum_k |h_k . f|^2 = K * sum_r |T_r . f|^2, so the scan runs over
-    the folded taps and never forms the (K, M) channel.  The fold leaves
-    the taps as they are when K >= D.  Ties break toward the lowest index.
+    With the taps folded modulo K (tap d adds into row d mod K), Parseval gives
+    sum_k |h_k . f|^2 = K * sum_r |T_r . f|^2, where T_r = sum_l w_lr a_l with
+    path weights w_lr = sum_{d = r mod K} gain_l * p(d*Ts - tau_l).  So with
+    c_lq = a_l . f_q and the Gram matrix G_lk = sum_r conj(w_lr) w_kr, beam q
+    has power Re(c_q^H G c_q), and the scan never forms the channel or the
+    taps.  Every delay must satisfy tau < D*Ts; ties break toward the lowest index.
     """
-    folded = taps[..., :subcarriers, :].copy()
-    for start in range(subcarriers, taps.shape[-2], subcarriers):
-        chunk = taps[..., start:start + subcarriers, :]
-        folded[..., :chunk.shape[-2], :] += chunk
-    projections = folded @ codebook.vectors.T          # (..., R, Q)
-    powers = np.sum(np.abs(projections) ** 2, axis=-2)
+    rows = min(subcarriers, cyclic_prefix)
+    folds = -(-cyclic_prefix // rows)                       # D taps, padded to whole folds
+    weights = _pulse_weights(gains, delays, np.arange(folds * rows), cyclic_prefix, sample_time)
+    weights = weights.reshape(*weights.shape[:-1], folds, rows).sum(axis=-2)  # (users, L, R)
+    gram = np.conj(weights) @ np.swapaxes(weights, -1, -2)                  # (users, L, L)
+    c = (_responses(azimuths, elevations, ula).reshape(-1, ula.elements)   # one GEMM
+         @ codebook.vectors.T).reshape(*weights.shape[:-1], codebook.n_beams)  # (users, L, Q)
+    powers = np.sum((np.conj(c) * (gram @ c)).real, axis=-2)
     return np.argmax(powers, axis=-1) + 1
 
 

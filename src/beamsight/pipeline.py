@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import ScenarioConfig, scenario_from_json
 from .errors import DataError
-from .phy import Codebook, path_arrays, segments_blocked, tap_amplitudes, tap_beams
+from .phy import Codebook, path_arrays, path_beams, segments_blocked
 from .scene import (
     Detection,
     DetectorNoiseModel,
@@ -173,16 +173,18 @@ def build_seed(worlds: list[World], cfg: ScenarioConfig) -> Seed:
                     [cfg.seed, DETECT_STREAM, frames[i], cam.camera_id]) for i in mine],
                     noise, cfg.min_visible_fraction)
                 owned_detections.update(zip([(cam.camera_id, frames[i]) for i in mine], found))
-            owned = users[owner >= 0]   # link status and beam of each, LINK_CHUNK taps at a time
+            owned = users[owner >= 0]   # link status and beam of each, LINK_CHUNK at a time
             near = _frame_mates(rows.frame)[owned]   # the object rows of each user's frame
             antennas = rows.centers[owned] + rows.dims[owned] * [0.0, 0.0, 0.5]
             status = segments_blocked(bs.position, antennas, *bounds[:, near],
                                       (near < 0) | (near == owned[:, None]))
             paths = path_arrays(bs, antennas, status, worlds[0], cfg.reflection_loss_db)
-            beams = [tap_beams(tap_amplitudes(*(a[i:i + LINK_CHUNK] for a in paths), bs.ula,
-                                              cfg.cyclic_prefix, cfg.sample_time),
-                               codebooks[bs.bs_id], cfg.subcarriers)
-                     for i in range(0, len(owned), LINK_CHUNK)]
+            try:
+                beams = [path_beams(*(a[i:i + LINK_CHUNK] for a in paths), bs.ula,
+                                    codebooks[bs.bs_id], cfg.cyclic_prefix, cfg.sample_time,
+                                    cfg.subcarriers) for i in range(0, len(owned), LINK_CHUNK)]
+            except ValueError as exc:    # a path outlasts the cyclic prefix
+                raise DataError(f"{exc}: cyclic_prefix = {cfg.cyclic_prefix} is too short") from exc
             blocks.append(np.stack(np.broadcast_arrays(
                 bs.bs_id, owner[owner >= 0], rows.ids[owned], np.array(frames)[rows.frame[owned]],
                 np.concatenate([np.zeros(0, dtype=int), *beams]), status)))

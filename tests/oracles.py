@@ -5,9 +5,10 @@ vectorized sums, point sampling plus a separating-axis test instead of slab
 clipping, per-beam power scans instead of a batched argmax, and a per-box
 raster loop instead of a coverage-mask product, and one object at a time
 through the detector noise instead of array steps.  ``per_frame_seed`` is
-the exception: it is the seed pass one frame at a time, through ``detect``
-and the library's link kernels, and pins the block-wise ``build_seed`` to
-it.
+the exception: it is the seed pass one frame at a time, through ``detect``,
+the slab test and, per owned user, the per-subcarrier beam scan
+(``select_beam`` of ``channel_vector``), and pins the block-wise
+``build_seed`` to it.
 """
 
 import cmath
@@ -15,7 +16,13 @@ import math
 
 import numpy as np
 
-from beamsight.phy import Codebook, path_arrays, segments_blocked, tap_amplitudes, tap_beams
+from beamsight.phy import (
+    Codebook,
+    channel_vector,
+    segments_blocked,
+    select_beam,
+    synthesize_paths,
+)
 from beamsight.pipeline import DETECT_STREAM
 from beamsight.scene import (
     OCCLUSION_GRID,
@@ -225,8 +232,9 @@ def dense_projection_hull(cam, obj, per_edge=25):
 
 def per_frame_seed(worlds, cfg):
     """The seed pass one frame and basestation at a time: ``detect`` per
-    (frame, camera), ownership from each camera's ``project_objects`` and
-    the link kernels over the frame's owned users.  Returns the sorted
+    (frame, camera), ownership from each camera's ``project_objects``, the
+    slab test over the frame's owned users and each one's beam from the
+    scan of its per-subcarrier channel.  Returns the sorted
     (bs, camera, user, frame, beam, status) rows and the owning cameras'
     detections, keyed by (camera, frame)."""
     noise = DetectorNoiseModel(p_miss=cfg.p_miss, jitter_sigma=cfg.jitter_sigma,
@@ -260,11 +268,12 @@ def per_frame_seed(worlds, cfg):
                                                    cfg.min_visible_fraction)
             status = segments_blocked(bs.position, antennas[owned], mins, maxs,
                                       user_ids[owned, None] == ids[None, :])
-            taps = tap_amplitudes(
-                *path_arrays(bs, antennas[owned], status, world, cfg.reflection_loss_db),
-                bs.ula, cfg.cyclic_prefix, cfg.sample_time)
-            beams = tap_beams(taps, Codebook.build(bs.ula, cfg.beams), cfg.subcarriers)
+            codebook = Codebook.build(bs.ula, cfg.beams)
+            beams = [select_beam(channel_vector(
+                synthesize_paths(bs, users[i], world, cfg.reflection_loss_db, los=los),
+                bs.ula, cfg.subcarriers, cfg.cyclic_prefix, cfg.sample_time), codebook)
+                for i, los in zip(owned, status.tolist())]
             rows += zip([bs.bs_id] * len(owned), owner[owned].tolist(),
-                        user_ids[owned].tolist(), [frame] * len(owned), beams.tolist(),
+                        user_ids[owned].tolist(), [frame] * len(owned), beams,
                         status.tolist())
     return sorted(rows), detections

@@ -708,6 +708,25 @@ class TestCli:
         assert str(ini) in err and option in err
         assert not (tmp_path / "trace").exists()
 
+    @pytest.mark.parametrize("command", ["run-experiment", "build-dataset"])
+    def test_path_beyond_cyclic_prefix_is_data_error(self, tmp_path, capsys, command):
+        # 2 taps of 0.1 us span 60 m, less than the mini street's longer paths;
+        # the error names the trace manifest the seed pass took the prefix from
+        ini = tmp_path / "short_prefix.ini"
+        ini.write_text(MINI.read_text() + "\n[phy]\ncyclic_prefix = 2\n")
+        out = tmp_path / "run"
+        if command == "run-experiment":
+            argv = ["run-experiment", "--config", str(ini), "--out", str(out)]
+        else:
+            assert main(["simulate", "--config", str(ini), "--frames", "20",
+                         "--out", str(out / "trace")]) == 0
+            argv = ["build-dataset", "--trace", str(out / "trace"), "--out", str(out / "dataset")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{out / 'trace' / 'manifest.json'}: path delay" in err
+        assert "cyclic_prefix = 2 is too short" in err
+        assert not (out / "dataset").exists()
+
     @pytest.mark.parametrize("line", ["hidden = 0", "layers = 0", "embed_dim = 5",
                                       "seed = -4", "table_seed = -1"])
     def test_bad_train_config_is_data_error(self, tmp_path, capsys, line):

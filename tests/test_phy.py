@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,12 +11,11 @@ from beamsight.phy import (
     Codebook,
     channel_vector,
     los_status,
+    path_beams,
     received_power,
     segments_blocked,
     select_beam,
     synthesize_paths,
-    tap_amplitudes,
-    tap_beams,
 )
 from beamsight.scene import Basestation, SceneObject, UlaGeometry, VehicleClass, World
 
@@ -106,7 +106,15 @@ class TestChannelVector:
             assert np.max(np.abs(hs - c * h)) < 1e-10
 
 
+def path_columns(paths):
+    """The four (users, L) path arrays of lists of ChannelPaths."""
+    return [np.array([[getattr(p, key) for p in ps] for ps in paths])
+            for key in ("gain", "delay", "azimuth", "elevation")]
+
+
 class TestTapBeams:
+    """``path_beams``: the scan over the taps folded modulo K, in the path domain."""
+
     @pytest.mark.parametrize("subcarriers", [1, 3, 5, 8, 15, 16, 17, 64])
     def test_matches_k_domain_scan(self, subcarriers):
         # D = 16 taps: K < D folds the taps, K >= D leaves them as they are
@@ -114,16 +122,52 @@ class TestTapBeams:
         ula = make_ula(elements=8)
         cb = Codebook.build(ula, 16)
         paths = [random_paths(rng, 3, max_delay=16e-7) for _ in range(40)]
-        taps = tap_amplitudes(*(np.array([[getattr(p, key) for p in ps] for ps in paths])
-                                for key in ("gain", "delay", "azimuth", "elevation")),
-                              ula, 16, 1e-7)
         want = [select_beam(channel_vector(ps, ula, subcarriers, 16, 1e-7), cb)
                 for ps in paths]
-        assert tap_beams(taps, cb, subcarriers).tolist() == want
+        got = path_beams(*path_columns(paths), ula, cb, 16, 1e-7, subcarriers)
+        assert got.tolist() == want
+
+    def test_zero_gain_paths_add_nothing(self):
+        rng = np.random.default_rng(4)
+        ula = make_ula(elements=8)
+        cb = Codebook.build(ula, 32)
+        paths = [random_paths(rng, 3, max_delay=16e-7) for _ in range(20)]
+        silent = [[*ps[:1], *(replace(p, gain=0j) for p in ps[1:])] for ps in paths]
+        want = path_beams(*path_columns([ps[:1] for ps in paths]), ula, cb, 16, 1e-7, 8)
+        got = path_beams(*path_columns(silent), ula, cb, 16, 1e-7, 8)
+        assert got.tolist() == want.tolist()
+        assert len(set(want.tolist())) > 1
+
+    def test_zero_channel_gives_beam_one(self):
+        cb = Codebook.build(make_ula(elements=4), 8)
+        zeros = np.zeros((2, 3))
+        assert path_beams(zeros.astype(complex), zeros, zeros, zeros, make_ula(elements=4),
+                          cb, 16, 1e-7, 64).tolist() == [1, 1]
 
     def test_tie_breaks_to_lowest_index(self):
-        cb = Codebook.build(make_ula(elements=4), 8)
-        assert tap_beams(np.zeros((2, 16, 4), dtype=complex), cb, 64).tolist() == [1, 1]
+        # beams q and Q - q are the same vector, and so are beams 1 and Q/2 + 1
+        # at half-wavelength spacing: a path matched to beam q (h . f peaks at
+        # f = conj(a), at azimuth pi - 2*pi*q/Q) scans to the lowest copy of it
+        ula = make_ula(elements=8)
+        cb = Codebook.build(ula, 16)
+        paths = [[ChannelPath(gain=1.0, delay=2e-7, azimuth=math.pi - angle, elevation=0.0)]
+                 for angle in cb.angles]
+        want = [next(j for j in range(16) if np.array_equal(cb.vectors[j], f)) + 1
+                for f in cb.vectors]
+        assert want == [1, 2, 3, 4, 5, 6, 7, 8, 1, 8, 7, 6, 5, 4, 3, 2]
+        assert path_beams(*path_columns(paths), ula, cb, 16, 1e-7, 64).tolist() == want
+
+    def test_no_users(self):
+        ula = make_ula()
+        got = path_beams(*(np.zeros((0, 3)) for _ in range(4)), ula, Codebook.build(ula, 8),
+                         16, 1e-7, 64)
+        assert got.shape == (0,)
+
+    def test_rejects_delay_beyond_prefix(self):
+        ula = make_ula()
+        paths = [[ChannelPath(gain=1.0, delay=16e-7, azimuth=0.0, elevation=0.0)]]
+        with pytest.raises(ValueError, match="cyclic prefix"):
+            path_beams(*path_columns(paths), ula, Codebook.build(ula, 8), 16, 1e-7, 64)
 
 
 class TestReceivedPower:

@@ -292,7 +292,16 @@ class TestBlockedSeedPass:
     """build_seed's blocks of frames against the per-frame reference pass."""
 
     def test_matches_per_frame_reference(self):
-        cfg = replace(load_experiment_config(DESK).scenario, p_false_positive=0.4)
+        self.check_against_reference(load_experiment_config(DESK).scenario)
+
+    def test_matches_per_frame_reference_with_folded_taps(self):
+        # K = 8 < D = 16 sends the fold of the taps modulo K through build_seed
+        self.check_against_reference(replace(load_experiment_config(DESK).scenario,
+                                             subcarriers=8))
+
+    @staticmethod
+    def check_against_reference(scenario):
+        cfg = replace(scenario, p_false_positive=0.4)
         frames = 2 * BLOCK_FRAMES + 7          # two block boundaries, a short last block
         worlds = street(cfg, frames)
         # a frame without users, and one whose object set changes: the
