@@ -28,19 +28,19 @@ from .handoff import HandoffReport, evaluate_handoff
 from .metrics import MetricReport, report
 from .pipeline import (
     balance_and_split,
-    build_seed,
     collect_windows,
     conjugate_pairs,
     read_manifest,
     read_pairs,
     read_split,
     read_splits,
-    read_trace,
+    read_trace_rows,
+    seed_pass,
     write_dataset,
     write_trace,
 )
 from .predictor import model_from_checkpoint, save_checkpoint, train_model
-from .scene import build_world, step_world
+from .scene import USER_CLASS, build_world, step_world
 
 log = logging.getLogger(__name__)
 
@@ -109,16 +109,16 @@ def simulate_stage(cfg: ScenarioConfig, frames: int, out_dir) -> Path:
 
 def build_dataset_stage(trace_dir, out_dir, ds_cfg: DatasetConfig) -> dict:
     """Seed pass, windowing, balancing/splitting, conjugate pairs."""
-    scenario, worlds = read_trace(trace_dir)
+    scenario, world, rows = read_trace_rows(trace_dir)
     try:
-        seed = build_seed(worlds, scenario)
+        seed = seed_pass(rows, world, scenario)
     except DataError as exc:
         raise DataError(f"{Path(trace_dir) / 'manifest.json'}: {exc}") from exc
     windows = collect_windows(seed, ds_cfg.observed, ds_cfg.future)
     everything = windows[1] + windows[2]
     if not everything:
-        raise DataError(f"trace too short: no full observation windows in its "
-                        f"{len(seed)} seed rows")
+        raise DataError(f"{Path(trace_dir) / 'frames.ndjson'}: trace too short: no full "
+                        f"observation windows in its {len(seed)} seed rows")
     train, val = balance_and_split(everything, ds_cfg.quota,
                                    ds_cfg.split_fraction, ds_cfg.seed)
     train_keys = frozenset(s.key for s in train.samples)
@@ -130,7 +130,7 @@ def build_dataset_stage(trace_dir, out_dir, ds_cfg: DatasetConfig) -> dict:
                                    for s in samples).items()))
 
     streams = np.bincount(seed.stream_ids())
-    never_visible = {u.object_id for w in worlds for u in w.users} - set(seed.user.tolist())
+    never_visible = set(rows.ids[rows.classes == USER_CLASS].tolist()) - set(seed.user.tolist())
     manifest = {
         "observed": ds_cfg.observed,
         "future": ds_cfg.future,
@@ -138,14 +138,8 @@ def build_dataset_stage(trace_dir, out_dir, ds_cfg: DatasetConfig) -> dict:
         "seed": ds_cfg.seed,
         "split_fraction": ds_cfg.split_fraction,
         "overlap_cameras": list(ds_cfg.overlap_cameras),
-        "codebook": {
-            "elements": scenario.elements,
-            "beams": scenario.beams,
-            "subcarriers": scenario.subcarriers,
-            "cyclic_prefix": scenario.cyclic_prefix,
-            "sample_time": scenario.sample_time,
-            "carrier_hz": scenario.carrier_hz,
-        },
+        "codebook": {k: getattr(scenario, k) for k in (
+            "elements", "beams", "subcarriers", "cyclic_prefix", "sample_time", "carrier_hz")},
         "scenario_seed": scenario.seed,
         "seed_pass": {
             "rows": {f"bs{b}": int(np.sum(seed.bs == b)) for b in windows},

@@ -25,16 +25,20 @@ from .config import ScenarioConfig, scenario_from_json
 from .errors import DataError
 from .phy import Codebook, path_arrays, path_beams, segments_blocked
 from .scene import (
+    USER_CLASS,
     Detection,
     DetectorNoiseModel,
+    ObjectRows,
+    SceneObject,
     VehicleClass,
     World,
     _detections,
     _frame_mates,
-    object_from_record,
+    check_object_records,
     object_rows,
     object_to_record,
     project_boxes,
+    rows_from_records,
     world_from_objects,
 )
 
@@ -138,47 +142,48 @@ class ConjugateSample:
 # ---------------------------------------------------------------------------
 
 def build_seed(worlds: list[World], cfg: ScenarioConfig) -> Seed:
-    """The seed rows of a sequence of world states.  At every frame, each
-    user is owned by the basestation camera that sees it closest to its
-    optical axis; the owning camera's detection list stands in for the frame.
-    Each kernel takes a block of BLOCK_FRAMES frames (those with users) at once."""
-    if not worlds:
-        raise DataError("empty world trace")
+    """seed_pass over a sequence of world states, in the first one's geometry."""
+    return seed_pass(object_rows([w.objects for w in worlds]), worlds[0], cfg)
+
+
+def seed_pass(rows: ObjectRows, world: World, cfg: ScenarioConfig) -> Seed:
+    """The seed rows of object rows, in the geometry of ``world``.  At every
+    frame, each user is owned by the basestation camera that sees it closest
+    to its optical axis; the owning camera's detection list stands in for the
+    frame.  Each kernel takes a block of BLOCK_FRAMES frames (with users)."""
     noise = DetectorNoiseModel(p_miss=cfg.p_miss, jitter_sigma=cfg.jitter_sigma,
                                p_false_positive=cfg.p_false_positive)
-    codebooks = {bs.bs_id: Codebook.build(bs.ula, cfg.beams) for bs in worlds[0].basestations}
-
+    codebooks = {bs.bs_id: Codebook.build(bs.ula, cfg.beams) for bs in world.basestations}
+    rows = rows[(np.bincount(rows.frame, rows.classes == USER_CLASS) > 0)[rows.frame]]
+    edges = np.flatnonzero(np.diff(rows.frame // BLOCK_FRAMES, prepend=-1, append=-1))
     blocks, owned_detections = [], {}   # blocks of (bs, camera, user, frame, beam, status)
-    for first in range(0, len(worlds), BLOCK_FRAMES):
-        frames = [f for f, w in enumerate(worlds[first:first + BLOCK_FRAMES], first) if w.users]
-        if not frames:
-            continue
-        rows = object_rows([worlds[f].objects for f in frames])
-        users = np.flatnonzero([o.is_user for o in rows.objects])
-        bounds = np.stack([rows.centers - rows.dims / 2.0, rows.centers + rows.dims / 2.0])
-        for bs in worlds[0].basestations:
+    for lo, hi in itertools.pairwise(edges.tolist()):
+        block = rows[lo:hi]
+        users = np.flatnonzero(block.classes == USER_CLASS)
+        bounds = np.stack([block.centers - block.dims / 2.0, block.centers + block.dims / 2.0])
+        for bs in world.basestations:
             # one projection per camera feeds its detections and the ownership test:
             # the visible camera whose optical axis points closest at the user (ranking
             # by projected area starves the central camera: perspective inflates the sides)
             owner, best_align, views = np.full(len(users), -1), np.full(len(users), -2.0), []
             for cam in bs.cameras:
-                views.append((cam, *project_boxes(cam, rows.centers, rows.dims)))
-                to_user = rows.centers[users] - cam.position
+                views.append((cam, *project_boxes(cam, block.centers, block.dims)))
+                to_user = block.centers[users] - cam.position
                 align = np.vecdot(to_user, cam.rotation[2]) / np.sqrt(np.vecdot(to_user, to_user))
                 better = views[-1][2][users] & (align > best_align)
                 owner[better], best_align[better] = cam.camera_id, align[better]
             for cam, boxes, shown in views:
-                mine = sorted(set(rows.frame[users[owner == cam.camera_id]].tolist()))
-                found = _detections(cam, rows, boxes, shown, mine, [np.random.default_rng(
-                    [cfg.seed, DETECT_STREAM, frames[i], cam.camera_id]) for i in mine],
+                mine = sorted(set(block.frame[users[owner == cam.camera_id]].tolist()))
+                found = _detections(cam, block, boxes, shown, mine, [np.random.default_rng(
+                    [cfg.seed, DETECT_STREAM, f, cam.camera_id]) for f in mine],
                     noise, cfg.min_visible_fraction)
-                owned_detections.update(zip([(cam.camera_id, frames[i]) for i in mine], found))
+                owned_detections.update(zip([(cam.camera_id, f) for f in mine], found))
             owned = users[owner >= 0]   # link status and beam of each, LINK_CHUNK at a time
-            near = _frame_mates(rows.frame)[owned]   # the object rows of each user's frame
-            antennas = rows.centers[owned] + rows.dims[owned] * [0.0, 0.0, 0.5]
+            near = _frame_mates(block.frame)[owned]   # the object rows of each user's frame
+            antennas = block.centers[owned] + block.dims[owned] * [0.0, 0.0, 0.5]
             status = segments_blocked(bs.position, antennas, *bounds[:, near],
                                       (near < 0) | (near == owned[:, None]))
-            paths = path_arrays(bs, antennas, status, worlds[0], cfg.reflection_loss_db)
+            paths = path_arrays(bs, antennas, status, world, cfg.reflection_loss_db)
             try:
                 beams = [path_beams(*(a[i:i + LINK_CHUNK] for a in paths), bs.ula,
                                     codebooks[bs.bs_id], cfg.cyclic_prefix, cfg.sample_time,
@@ -186,11 +191,11 @@ def build_seed(worlds: list[World], cfg: ScenarioConfig) -> Seed:
             except ValueError as exc:    # a path outlasts the cyclic prefix
                 raise DataError(f"{exc}: cyclic_prefix = {cfg.cyclic_prefix} is too short") from exc
             blocks.append(np.stack(np.broadcast_arrays(
-                bs.bs_id, owner[owner >= 0], rows.ids[owned], np.array(frames)[rows.frame[owned]],
+                bs.bs_id, owner[owner >= 0], block.ids[owned], block.frame[owned],
                 np.concatenate([np.zeros(0, dtype=int), *beams]), status)))
 
-    rows = np.concatenate([np.zeros((6, 0), dtype=int), *blocks], axis=1)
-    return Seed(*rows[:, np.lexsort(rows[3::-1])], detections=owned_detections)
+    table = np.concatenate([np.zeros((6, 0), dtype=int), *blocks], axis=1)
+    return Seed(*table[:, np.lexsort(table[3::-1])], detections=owned_detections)
 
 
 def collect_windows(seed: Seed, observed: int = 8,
@@ -466,22 +471,15 @@ def read_manifest(dataset_dir) -> dict:
 def write_trace(trace_dir, cfg: ScenarioConfig, worlds: list[World]) -> None:
     out = Path(trace_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "format": 1,
-        "frames": len(worlds),
-        "scenario": dataclasses.asdict(cfg),
-    }
+    manifest = {"format": 1, "frames": len(worlds), "scenario": dataclasses.asdict(cfg)}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    _write_ndjson(
-        out / "frames.ndjson",
-        ({"frame": i, "objects": [object_to_record(o) for o in w.objects]}
-         for i, w in enumerate(worlds)),
-    )
+    _write_ndjson(out / "frames.ndjson", ({"frame": i, "objects": [
+        object_to_record(o) for o in w.objects]} for i, w in enumerate(worlds)))
 
 
-def read_trace(trace_dir) -> tuple[ScenarioConfig, list[World]]:
-    root = Path(trace_dir)
-    manifest_path = root / "manifest.json"
+def _read_trace(trace_dir) -> tuple[ScenarioConfig, World, list[list]]:
+    """A trace's config, geometry (a world without objects) and checked records."""
+    manifest_path = Path(trace_dir) / "manifest.json"
     if not manifest_path.is_file():
         raise DataError(f"not a trace directory: {trace_dir}")
     try:
@@ -490,20 +488,30 @@ def read_trace(trace_dir) -> tuple[ScenarioConfig, list[World]]:
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{manifest_path}: not a trace manifest: {exc!r}") from exc
     cfg = scenario_from_json(manifest_path, scenario)
-    # every frame shares one geometry (basestations, cameras), as step_world does
-    empty = world_from_objects(cfg, [])
     lines = itertools.count()
 
-    def world(record):
+    def objects(record):
         if (i := next(lines)) != record["frame"] or type(record["frame"]) is not int:
             raise ValueError(f"frame {record['frame']!r} where frame {i} belongs")
-        objects = [object_from_record(r) for r in record["objects"]]
-        if len({o.object_id for o in objects}) != len(objects):
-            raise ValueError("an object id repeats within the frame")
-        return dataclasses.replace(empty, objects=objects)
+        check_object_records(record["objects"])
+        return record["objects"]
 
-    path = root / "frames.ndjson"
-    worlds = _read_ndjson(path, world)
-    if not worlds or len(worlds) != frames:
-        raise DataError(f"{path}: {len(worlds)} frame lines, {manifest_path} says {frames}")
-    return cfg, worlds
+    path = Path(trace_dir) / "frames.ndjson"
+    records = _read_ndjson(path, objects)
+    if not records or len(records) != frames:
+        raise DataError(f"{path}: {len(records)} frame lines, {manifest_path} says {frames}")
+    return cfg, world_from_objects(cfg, []), records
+
+
+def read_trace_rows(trace_dir) -> tuple[ScenarioConfig, World, ObjectRows]:
+    """A trace's config, geometry and objects as rows sorted by (frame, id)."""
+    cfg, world, records = _read_trace(trace_dir)
+    return cfg, world, rows_from_records(records)
+
+
+def read_trace(trace_dir) -> tuple[ScenarioConfig, list[World]]:
+    """A trace's config and world states, which share one geometry, as step_world's do."""
+    cfg, world, records = _read_trace(trace_dir)
+    return cfg, [dataclasses.replace(world, objects=[SceneObject(
+        r[0], VehicleClass(r[1]), r[2:5], r[5:8], r[8:11], r[11]) for r in frame])
+        for frame in records]

@@ -9,6 +9,7 @@ detections through an ideal pinhole model plus a configurable noise model.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -19,8 +20,7 @@ import numpy as np
 from .config import ScenarioConfig
 from .errors import DataError
 
-OCCLUSION_GRID = 64      # raster used for the pairwise occlusion test
-OCCLUSION_CHUNK = 32     # occluded targets per coverage product, which bounds its memory
+OCCLUSION_GRID = 64      # raster of the occlusion test: one 64-bit word per raster row
 NEAR_PLANE = 1e-3        # metres in front of the camera
 
 
@@ -37,6 +37,9 @@ VEHICLE_DIMS = {
     VehicleClass.BUS: (12.0, 2.55, 3.2),
     VehicleClass.TRUCK: (9.5, 2.5, 3.6),
 }
+CLASSES = list(VehicleClass)            # ObjectRows.classes indexes this list
+CLASS_CODES = {c.value: i for i, c in enumerate(CLASSES)}
+USER_CLASS = CLASSES.index(VehicleClass.CAR)
 
 
 @dataclass
@@ -161,21 +164,20 @@ class World:
 
 @dataclass
 class ObjectRows:
-    """The objects of a run of frames as rows, in id order within a frame."""
+    """Objects as rows, sorted by (frame, id)."""
 
-    frame: np.ndarray              # (n,) position of the row's frame in the run
-    objects: list[SceneObject]
+    frame: np.ndarray              # (n,) the row's frame
+    classes: np.ndarray            # (n,) index into CLASSES
     ids: np.ndarray
     centers: np.ndarray            # (n, 3)
     dims: np.ndarray               # (n, 3)
 
+    def __getitem__(self, index) -> ObjectRows:
+        return ObjectRows(*(column[index] for column in vars(self).values()))
+
 
 def object_rows(frames: list[list[SceneObject]]) -> ObjectRows:
-    flat = [o for objects in frames for o in sorted(objects, key=lambda o: o.object_id)]
-    return ObjectRows(np.repeat(np.arange(len(frames)), [len(o) for o in frames]), flat,
-                      np.array([o.object_id for o in flat], dtype=int),
-                      np.array([o.center for o in flat]).reshape(-1, 3),
-                      np.array([o.dims for o in flat]).reshape(-1, 3))
+    return rows_from_records([[object_to_record(o) for o in objects] for objects in frames])
 
 
 @dataclass
@@ -207,9 +209,6 @@ class DetectorNoiseModel:
                 raise ValueError("probabilities must be in [0, 1]")
         if self.jitter_sigma < 0:
             raise ValueError("jitter_sigma must be >= 0")
-
-
-NOISELESS = DetectorNoiseModel()
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +298,8 @@ def build_world(cfg: ScenarioConfig) -> World:
             # distinct speeds per vehicle, small enough that same-lane
             # vehicles never overlap within a desk-scale trace
             speed = lane_speed[lane] * (1.0 + rng.uniform(-0.005, 0.005))
-            objects.append(SceneObject(
-                object_id=idx,
-                object_class=cls,
-                center=np.array([x, y, dims[2] / 2.0]),
-                dims=dims,
-                velocity=np.array([direction * speed, 0.0, 0.0]),
-                lane=lane,
-            ))
+            objects.append(SceneObject(idx, cls, np.array([x, y, dims[2] / 2.0]), dims,
+                                       np.array([direction * speed, 0.0, 0.0]), lane))
     objects.sort(key=lambda o: o.object_id)
 
     return world_from_objects(cfg, objects)
@@ -356,32 +349,33 @@ def project_boxes(cam: Camera, centers: np.ndarray,
                   dims: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalized bboxes (n, 4) of boxes with (n, 3) centres and dims, and
     whether each is visible.  A bbox is the axis-aligned hull (x1, y1, x2,
-    y2) of the box's corners in front of the near plane plus the points
-    where its 12 edges cross that plane, clipped to the image: a min and max
-    under a mask.  A box behind the camera or outside the view is not visible.
+    y2) of the box's corners in front of the near plane, and for a box the
+    plane cuts the points where its edges cross it, clipped to the image.
+    A box behind the camera or outside the view is not visible.
     """
     half = dims / 2.0
     corners = centers[:, None, :] + _BOX_SIGNS[None, :, :] * half[:, None, :]
     cam_pts = (corners - cam.position) @ cam.rotation.T         # (n, 8, 3)
     front = cam_pts[:, :, 2] > NEAR_PLANE
-    start, end = cam_pts[:, _EDGE_START], cam_pts[:, _EDGE_END]  # (n, 12, 3)
-    cut = front[:, _EDGE_START] != front[:, _EDGE_END]
-    z0, z1 = start[:, :, 2], end[:, :, 2]
-    t = (NEAR_PLANE - z0) / np.where(cut, z1 - z0, 1.0)
-    points = np.concatenate([cam_pts, start + t[:, :, None] * (end - start)], axis=1)
-    keep = np.concatenate([front, cut], axis=1)                  # (n, 20)
-    depth = np.where(keep, points[:, :, 2], 1.0)
+    lo, hi = _pixel_hull(cam, cam_pts, front)
+    cut = np.flatnonzero(front.any(axis=1) & ~front.all(axis=1))
+    start, end = cam_pts[cut][:, _EDGE_START], cam_pts[cut][:, _EDGE_END]  # (cut, 12, 3)
+    crosses = front[cut][:, _EDGE_START] != front[cut][:, _EDGE_END]
+    t = (NEAR_PLANE - start[:, :, 2]) / np.where(crosses, end[:, :, 2] - start[:, :, 2], 1.0)
+    cut_lo, cut_hi = _pixel_hull(cam, start + t[:, :, None] * (end - start), crosses)
+    lo[:, cut], hi[:, cut] = np.minimum(lo[:, cut], cut_lo), np.maximum(hi[:, cut], cut_hi)
+    size = np.array([[cam.image_width], [cam.image_height]], dtype=float)
+    lo, hi = np.maximum(lo, 0.0), np.minimum(hi, size)
+    return np.concatenate([lo / size, hi / size]).T, np.all(lo < hi, axis=0)
 
+
+def _pixel_hull(cam: Camera, points: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per box, the least and greatest (u, v) of its kept points; inf, -inf if none."""
+    depth = np.where(keep, points[..., 2], 1.0)
     fx, fy = cam.focal
-    u = fx * points[:, :, 0] / depth + cam.image_width / 2.0
-    v = fy * points[:, :, 1] / depth + cam.image_height / 2.0
-    x1 = np.maximum(np.where(keep, u, np.inf).min(axis=1), 0.0)
-    x2 = np.minimum(np.where(keep, u, -np.inf).max(axis=1), float(cam.image_width))
-    y1 = np.maximum(np.where(keep, v, np.inf).min(axis=1), 0.0)
-    y2 = np.minimum(np.where(keep, v, -np.inf).max(axis=1), float(cam.image_height))
-    boxes = np.stack([x1 / cam.image_width, y1 / cam.image_height,
-                      x2 / cam.image_width, y2 / cam.image_height], axis=1)
-    return boxes, (x1 < x2) & (y1 < y2)
+    uv = np.stack([fx * points[..., 0] / depth + cam.image_width / 2.0,
+                   fy * points[..., 1] / depth + cam.image_height / 2.0])
+    return np.where(keep, uv, np.inf).min(axis=2), np.where(keep, uv, -np.inf).max(axis=2)
 
 
 def _frame_mates(frame: np.ndarray) -> np.ndarray:
@@ -395,29 +389,28 @@ def _frame_mates(frame: np.ndarray) -> np.ndarray:
 def _visible_fractions(boxes: np.ndarray, depths: np.ndarray, frame: np.ndarray) -> np.ndarray:
     """Fraction of each bbox's raster cells (OCCLUSION_GRID^2 cell centres)
     not covered by a strictly nearer bbox of its frame; ``frame`` must not
-    decrease.  With X and Y the (occluders, grid) masks of the centre
-    columns and rows a target's own occluders span, padded with empty masks,
-    its covered cells are ``(Y.T @ X) > 0``, OCCLUSION_CHUNK targets at a
-    time; a target without occluders gets 1.0."""
+    decrease.  Cell centres rise with the column index, so the columns an
+    occluder covers in a raster row form one run, packed into a 64-bit word;
+    a row's cover is the OR of the words of the target's occluders that span
+    the row.  A target without occluders gets 1.0."""
     x1, y1, x2, y2 = boxes.T
     mates = _frame_mates(frame)
     occludes = ((mates >= 0) & (depths[mates] < depths[:, None]) & (x2[mates] > x1[:, None])
                 & (x1[mates] < x2[:, None]) & (y2[mates] > y1[:, None])
                 & (y1[mates] < y2[:, None]))                      # (targets, mates)
     fractions = np.ones(len(boxes))
+    target, slot = np.nonzero(occludes)                          # pairs, grouped by target
+    if not target.size:
+        return fractions
+    occ = mates[target, slot]
     ticks = (np.arange(OCCLUSION_GRID) + 0.5) / OCCLUSION_GRID
-    hit = np.flatnonzero(occludes.any(axis=1))
-    for part in (hit[i:i + OCCLUSION_CHUNK] for i in range(0, len(hit), OCCLUSION_CHUNK)):
-        order = np.argsort(~occludes[part], axis=1, kind="stable")[:, :occludes[part].sum(1).max()]
-        real = np.take_along_axis(occludes[part], order, axis=1)
-        occ = np.take_along_axis(mates[part], order, axis=1)     # (targets, occluders)
-        cx = x1[part, None] + ticks * (x2 - x1)[part, None]       # (targets, grid)
-        cy = y1[part, None] + ticks * (y2 - y1)[part, None]
-        xs = real[:, :, None] & (cx[:, None, :] >= x1[occ][:, :, None]) \
-            & (cx[:, None, :] <= x2[occ][:, :, None])
-        ys = (cy[:, None, :] >= y1[occ][:, :, None]) & (cy[:, None, :] <= y2[occ][:, :, None])
-        covered = np.swapaxes(ys, 1, 2).astype(np.float32) @ xs.astype(np.float32) > 0
-        fractions[part] = 1.0 - covered.mean(axis=(1, 2))
+    cx = x1[target, None] + ticks * (x2 - x1)[target, None]      # (pairs, grid)
+    cy = y1[target, None] + ticks * (y2 - y1)[target, None]
+    words = np.packbits((cx >= x1[occ, None]) & (cx <= x2[occ, None]), axis=1).view(">u8")
+    spans = np.where((cy >= y1[occ, None]) & (cy <= y2[occ, None]), words, np.uint64(0))
+    first = np.flatnonzero(np.diff(target, prepend=-1))
+    cover = np.bitwise_or.reduceat(spans, first, axis=0)          # (hit targets, grid)
+    fractions[target[first]] = 1.0 - np.bitwise_count(cover).sum(axis=1) / OCCLUSION_GRID**2
     return fractions
 
 
@@ -431,7 +424,7 @@ def detect(cam: Camera, world: World, noise: DetectorNoiseModel | None = None,
     unoccluded fraction of the projected box.
     """
     rows = object_rows([world.objects])
-    noise = noise or NOISELESS
+    noise = noise or DetectorNoiseModel()
     return _detections(cam, rows, *project_boxes(cam, rows.centers, rows.dims), [0],
                        [rng or np.random.default_rng(noise.rng_seed)], noise,
                        min_visible_fraction)[0]
@@ -439,10 +432,9 @@ def detect(cam: Camera, world: World, noise: DetectorNoiseModel | None = None,
 
 def _detections(cam: Camera, rows: ObjectRows, boxes, shown, frames, rngs,
                 noise: DetectorNoiseModel, min_visible_fraction: float) -> list[list[Detection]]:
-    """detect's output for each of ``frames`` (increasing positions in the
-    run of ``rows``), given every row's ``project_boxes`` output for ``cam``
-    and one generator per frame.  Only the noise draws run per frame, in id
-    order; jitter, clip, swap and reject run on all boxes at once."""
+    """detect's output for each of ``frames`` (increasing frames of ``rows``), given every
+    row's ``project_boxes`` output for ``cam`` and one generator per frame.  Only the noise
+    draws run per frame, in id order; jitter, clip, swap and reject run on all boxes at once."""
     rows_in = np.flatnonzero(shown & (rows.frame[:, None] == frames).any(axis=1))
     fractions = _visible_fractions(boxes[rows_in], (rows.centers[rows_in] - cam.position)
                                    @ cam.rotation[2], rows.frame[rows_in])
@@ -459,7 +451,7 @@ def _detections(cam: Camera, rows: ObjectRows, boxes, shown, frames, rngs,
                 jitter[j] = rng.normal(0.0, noise.jitter_sigma, size=4)
         extras.append([])
         if noise.p_false_positive > 0.0 and rng.random() < noise.p_false_positive:
-            cls = list(VehicleClass)[int(rng.integers(0, len(VehicleClass)))]
+            cls = CLASSES[int(rng.integers(0, len(CLASSES)))]
             (cx, cy), (w, h) = rng.uniform(0.1, 0.9, size=2), rng.uniform(0.02, 0.2, size=2)
             x1, x2 = max(cx - w / 2, 0.0), min(cx + w / 2, 1.0)
             y1, y2 = max(cy - h / 2, 0.0), min(cy + h / 2, 1.0)
@@ -473,9 +465,9 @@ def _detections(cam: Camera, rows: ObjectRows, boxes, shown, frames, rngs,
         coords = np.concatenate([np.minimum(coords[:, :2], coords[:, 2:]),
                                  np.maximum(coords[:, :2], coords[:, 2:])], axis=1)
         kept &= np.all(coords[:, :2] < coords[:, 2:], axis=1)  # jitter can collapse a box
-    made = [Detection(rows.objects[r].object_class, tuple(box), f) if ok else None
-            for r, box, f, ok in zip(rows_in.tolist(), coords.tolist(), fractions.tolist(),
-                                     kept.tolist())]
+    made = [Detection(CLASSES[c], tuple(box), f) if ok else None
+            for c, box, f, ok in zip(rows.classes[rows_in].tolist(), coords.tolist(),
+                                     fractions.tolist(), kept.tolist())]
     return [[d for d in made[start:end] if d is not None] + extra
             for start, end, extra in zip(starts, ends, extras)]
 
@@ -485,39 +477,45 @@ def _detections(cam: Camera, rows: ObjectRows, boxes, shown, frames, rngs,
 # ---------------------------------------------------------------------------
 
 def object_to_record(obj: SceneObject) -> list:
-    return [
-        obj.object_id,
-        obj.object_class.value,
-        *(float(v) for v in obj.center),
-        *(float(v) for v in obj.dims),
-        *(float(v) for v in obj.velocity),
-        obj.lane,
-    ]
+    """An object as a trace record: [id, class, centre, dims, velocity, lane]."""
+    return [obj.object_id, obj.object_class.value, *obj.center.tolist(), *obj.dims.tolist(),
+            *obj.velocity.tolist(), obj.lane]
 
 
-def object_from_record(record: list) -> SceneObject:
-    if not all(math.isfinite(v) for v in (record[0], *record[2:12])):
-        raise ValueError(f"object {record[0]!r} holds a number that is not finite")
-    if type(record[0]) is not int or type(record[11]) is not int:
-        raise ValueError(f"object {record[0]!r}: id and lane {record[11]!r} must be integers")
-    return SceneObject(
-        object_id=record[0],
-        object_class=VehicleClass(record[1]),
-        center=np.array(record[2:5], dtype=float),
-        dims=np.array(record[5:8], dtype=float),
-        velocity=np.array(record[8:11], dtype=float),
-        lane=record[11],
-    )
+def check_object_records(records: list) -> None:
+    """ValueError unless ``records`` are one frame's object_to_record lists, with finite
+    numbers, integer ids and lanes, known classes, positive dims and no id twice."""
+    if any(type(r) is not list or len(r) != 12 for r in records):
+        raise ValueError("an object record does not hold 12 entries")
+    ids, classes, *numbers, lanes = list(zip(*records)) or [()] * 12
+    values = [*ids, *itertools.chain(*numbers), *lanes]
+    if bad := [v for v in values if type(v) is not float and type(v) is not int]:
+        raise ValueError(f"{bad[0]!r} where an object record holds a number")
+    if not all(map(math.isfinite, values)):
+        raise ValueError("an object holds a number that is not finite")
+    if not all(type(v) is int for v in (*ids, *lanes)):
+        raise ValueError("object ids and lanes must be integers")
+    if unknown := set(classes) - CLASS_CODES.keys():
+        raise ValueError(f"unknown object class {unknown.pop()!r}")
+    if min(itertools.chain(*numbers[3:6]), default=1.0) <= 0:
+        raise ValueError("object dimensions must be positive")
+    if len(set(ids)) != len(ids):
+        raise ValueError("an object id repeats within the frame")
+
+
+def rows_from_records(frames: list[list]) -> ObjectRows:
+    """The objects of checked object records, one list per frame, as rows."""
+    flat = [r for records in frames for r in records]
+    frame = np.repeat(np.arange(len(frames)), [len(records) for records in frames])
+    ids, classes, *numbers = list(zip(*flat)) or [()] * 12
+    ids = np.array(ids, dtype=int)
+    order = np.lexsort((ids, frame))
+    return ObjectRows(frame[order], np.array([CLASS_CODES[c] for c in classes], dtype=int)[order],
+                      ids[order], *(np.array(numbers[i:i + 3], dtype=float).reshape(3, -1).T[order]
+                                    for i in (0, 3)))
 
 
 def world_from_objects(cfg: ScenarioConfig, objects: list[SceneObject]) -> World:
     basestations, wall_south, wall_north = build_geometry(cfg)
-    return World(
-        objects=objects,
-        street_length=cfg.street_length,
-        lanes=cfg.lanes,
-        lane_width=cfg.lane_width,
-        basestations=basestations,
-        wall_south=wall_south,
-        wall_north=wall_north,
-    )
+    return World(objects, cfg.street_length, cfg.lanes, cfg.lane_width, basestations,
+                 wall_south, wall_north)

@@ -2,9 +2,10 @@
 
 Most deliberately avoid the library's code paths: scalar loops instead of
 vectorized sums, point sampling plus a separating-axis test instead of slab
-clipping, per-beam power scans instead of a batched argmax, and a per-box
-raster loop instead of a coverage-mask product, and one object at a time
-through the detector noise instead of array steps.  ``per_frame_seed`` is
+clipping, per-beam power scans instead of a batched argmax, a per-box
+raster loop instead of OR-ed row masks, one object at a time through the
+detector noise instead of array steps, and the near-plane crossing points
+of every box instead of only the boxes the plane cuts.  ``per_frame_seed`` is
 the exception: it is the seed pass one frame at a time, through ``detect``,
 the slab test and, per owned user, the per-subcarrier beam scan
 (``select_beam`` of ``channel_vector``), and pins the block-wise
@@ -25,6 +26,10 @@ from beamsight.phy import (
 )
 from beamsight.pipeline import DETECT_STREAM
 from beamsight.scene import (
+    _BOX_SIGNS,
+    _EDGE_END,
+    _EDGE_START,
+    NEAR_PLANE,
     OCCLUSION_GRID,
     Detection,
     DetectorNoiseModel,
@@ -228,6 +233,34 @@ def dense_projection_hull(cam, obj, per_edge=25):
     u = fx * (rel @ rgt) / z + cam.image_width / 2.0
     v = fy * (rel @ dwn) / z + cam.image_height / 2.0
     return u, v
+
+
+def all_points_project_boxes(cam, centers, dims):
+    """``project_boxes`` over all 20 points of every box: its 8 corners and
+    the points where its 12 edges cross the near plane, the points that do
+    not exist masked out, so that no box takes a path of its own."""
+    half = dims / 2.0
+    corners = centers[:, None, :] + _BOX_SIGNS[None, :, :] * half[:, None, :]
+    cam_pts = (corners - cam.position) @ cam.rotation.T         # (n, 8, 3)
+    front = cam_pts[:, :, 2] > NEAR_PLANE
+    start, end = cam_pts[:, _EDGE_START], cam_pts[:, _EDGE_END]  # (n, 12, 3)
+    cut = front[:, _EDGE_START] != front[:, _EDGE_END]
+    z0, z1 = start[:, :, 2], end[:, :, 2]
+    t = (NEAR_PLANE - z0) / np.where(cut, z1 - z0, 1.0)
+    points = np.concatenate([cam_pts, start + t[:, :, None] * (end - start)], axis=1)
+    keep = np.concatenate([front, cut], axis=1)                  # (n, 20)
+    depth = np.where(keep, points[:, :, 2], 1.0)
+
+    fx, fy = cam.focal
+    u = fx * points[:, :, 0] / depth + cam.image_width / 2.0
+    v = fy * points[:, :, 1] / depth + cam.image_height / 2.0
+    x1 = np.maximum(np.where(keep, u, np.inf).min(axis=1), 0.0)
+    x2 = np.minimum(np.where(keep, u, -np.inf).max(axis=1), float(cam.image_width))
+    y1 = np.maximum(np.where(keep, v, np.inf).min(axis=1), 0.0)
+    y2 = np.minimum(np.where(keep, v, -np.inf).max(axis=1), float(cam.image_height))
+    boxes = np.stack([x1 / cam.image_width, y1 / cam.image_height,
+                      x2 / cam.image_width, y2 / cam.image_height], axis=1)
+    return boxes, (x1 < x2) & (y1 < y2)
 
 
 def per_frame_seed(worlds, cfg):

@@ -601,6 +601,15 @@ class TestCli:
         ("fractional id", 2, "must be integers"),
         ("fractional lane", 2, "must be integers"),
         ("repeated object id", 2, "object id repeats"),
+        ("boolean centre", 2, "True where an object record holds a number"),
+        ("boolean velocity", 2, "False where an object record holds a number"),
+        ("string centre", 2, "'1.5' where an object record holds a number"),
+        ("null velocity", 2, "None where an object record holds a number"),
+        ("13-entry record", 2, "does not hold 12 entries"),
+        ("11-entry record", 2, "does not hold 12 entries"),
+        ("unknown class", 2, "unknown object class 'boat'"),
+        ("zero dim", 2, "dimensions must be positive"),
+        ("negative dim", 2, "dimensions must be positive"),
     ])
     def test_corrupt_trace_is_data_error(self, tmp_path, capsys, edit, line, message):
         trace = tmp_path / "trace"
@@ -625,6 +634,24 @@ class TestCli:
             objects[0][0] += 0.5
         elif edit == "fractional lane":
             objects[0][11] = 0.5
+        elif edit == "boolean centre":
+            objects[0][2] = True
+        elif edit == "boolean velocity":
+            objects[1][9] = False
+        elif edit == "string centre":
+            objects[0][3] = "1.5"
+        elif edit == "null velocity":
+            objects[0][8] = None
+        elif edit == "13-entry record":
+            objects[0].append(0)
+        elif edit == "11-entry record":
+            objects[1].pop()
+        elif edit == "unknown class":
+            objects[0][1] = "boat"
+        elif edit == "zero dim":
+            objects[0][5] = 0.0
+        elif edit == "negative dim":
+            objects[1][7] = -1.5
         else:
             objects[1][0] = objects[0][0]
         frames.write_text("".join(json.dumps(r) + "\n" for r in records))
@@ -636,6 +663,15 @@ class TestCli:
             assert f"line {line} " in err
         else:
             assert str(trace / "manifest.json") in err
+
+    def test_too_short_trace_names_its_file(self, tmp_path, capsys):
+        trace = tmp_path / "trace"
+        assert main(["simulate", "--config", str(MINI), "--frames", "5",
+                     "--out", str(trace)]) == 0
+        assert main(["build-dataset", "--trace", str(trace),
+                     "--out", str(tmp_path / "ds")]) == 2
+        err = capsys.readouterr().err
+        assert f"{trace / 'frames.ndjson'}: trace too short" in err
 
     @pytest.mark.parametrize("name, edit", [
         ("val.ndrec", "repeat first line"),

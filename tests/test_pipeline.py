@@ -12,7 +12,7 @@ from oracles import exhaustive_beam_scan, per_frame_seed, sat_segment_box, scala
 
 from beamsight.config import DatasetConfig, ScenarioConfig, load_experiment_config
 from beamsight.errors import DataError
-from beamsight.experiment import build_dataset_stage
+from beamsight.experiment import build_dataset_stage, simulate_stage
 from beamsight.phy import (
     Codebook,
     channel_vector,
@@ -37,7 +37,9 @@ from beamsight.pipeline import (
     read_split,
     read_splits,
     read_trace,
+    read_trace_rows,
     sample_to_record,
+    seed_pass,
     write_dataset,
     write_trace,
 )
@@ -47,12 +49,14 @@ from beamsight.scene import (
     VehicleClass,
     build_world,
     detect,
+    object_rows,
     project_boxes,
     step_world,
     world_from_objects,
 )
 
 DESK = Path(__file__).resolve().parent.parent / "configs" / "desk.ini"
+MINI = DESK.with_name("mini.ini")
 
 
 def small_cfg(**kwargs):
@@ -324,6 +328,39 @@ class TestBlockedSeedPass:
         assert {frame for frame, _ in frame_users} >= {0, frames - 1}
         assert any(d.object_class is VehicleClass.CAR and d.confidence < 1.0
                    for dets in detections.values() for d in dets)
+
+
+class TestTraceRows:
+    """The seed pass's rows of a trace against object_rows of read_trace's worlds."""
+
+    def test_rows_equal_object_rows_of_read_trace(self, tmp_path):
+        cfg = load_experiment_config(MINI).scenario
+        trace = simulate_stage(cfg, 2 * BLOCK_FRAMES + 3, tmp_path / "trace")
+        lines = [json.loads(line) for line in (trace / "frames.ndjson").read_text().splitlines()]
+        lines[4]["objects"] = []                                  # a frame with no objects
+        lines[9]["objects"].reverse()                             # one out of id order
+        lines[BLOCK_FRAMES]["objects"] = [r for r in lines[BLOCK_FRAMES]["objects"]
+                                          if r[1] != "car"]      # one without users
+        (trace / "frames.ndjson").write_text("".join(json.dumps(r) + "\n" for r in lines))
+
+        cfg_back, world, rows = read_trace_rows(trace)
+        _, worlds = read_trace(trace)
+        want = object_rows([w.objects for w in worlds])
+        for column in ("frame", "classes", "ids", "centers", "dims"):
+            got, expected = getattr(rows, column), getattr(want, column)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes(), column
+        assert cfg_back == cfg and world.objects == []
+        assert 4 not in rows.frame.tolist()
+        assert [o.object_id for o in worlds[9].objects] == sorted(rows.ids[rows.frame == 9],
+                                                                   reverse=True)
+        assert np.all(np.diff(rows.frame * 10**6 + rows.ids) > 0)   # sorted by (frame, id)
+
+        seed, reference = seed_pass(rows, world, cfg), build_seed(worlds, cfg)
+        assert as_tuples(seed) == as_tuples(reference)
+        assert seed.detections == reference.detections
+        frames = set(seed.frame.tolist())
+        assert 4 not in frames and BLOCK_FRAMES not in frames and 9 in frames
 
 
 def make_seed(statuses, camera_id=2, user_id=0, beams=None, start_frame=0):

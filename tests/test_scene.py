@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import dense_projection_hull, scalar_detections, unoccluded_fraction
+from oracles import (
+    all_points_project_boxes,
+    dense_projection_hull,
+    scalar_detections,
+    unoccluded_fraction,
+)
 
 from beamsight import scene
 from beamsight.config import ScenarioConfig
@@ -15,11 +20,13 @@ from beamsight.scene import (
     VehicleClass,
     World,
     build_world,
+    check_object_records,
     detect,
-    object_from_record,
     object_to_record,
+    project_boxes,
     project_object,
     project_objects,
+    rows_from_records,
     step_world,
 )
 
@@ -183,6 +190,29 @@ class TestProjectObject:
             assert y1 * cam.image_height <= max(vs.min(), 0.0) + 1.0
             assert y2 * cam.image_height >= min(vs.max(), float(cam.image_height)) - 1.0
         assert visible >= 100
+
+
+class TestProjectBoxes:
+    def test_matches_all_points_oracle(self):
+        # boxes in front, cut by the near plane and wholly behind the camera,
+        # mixed within each call; boxes and visibility must agree bit for bit
+        rng = np.random.default_rng(13)
+        kinds = np.zeros(3, dtype=int)            # in front, cut, behind
+        while kinds.min() < 300:
+            cam = make_camera(position=rng.uniform(-3, 3, size=3) + [0, 0, 3],
+                              yaw=rng.uniform(-math.pi, math.pi), pitch=rng.uniform(-0.4, 0.1))
+            offset = rng.uniform([-8.0, -4.0, -3.0], [8.0, 4.0, 3.0], size=(40, 3))
+            centers = cam.position + offset @ cam.rotation[[2, 0, 1]]
+            dims = rng.uniform(0.5, 8.0, size=(40, 3))
+            got, want = project_boxes(cam, centers, dims), all_points_project_boxes(cam, centers,
+                                                                                    dims)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tolist() == want[1].tolist()
+            half = dims / 2.0
+            corners = centers[:, None, :] + scene._BOX_SIGNS * half[:, None, :]
+            front = (corners - cam.position) @ cam.rotation[2] > scene.NEAR_PLANE
+            kinds += [np.sum(front.all(1)), np.sum(front.any(1) & ~front.all(1)),
+                      np.sum(~front.any(1))]
 
 
 class TestDetect:
@@ -362,6 +392,36 @@ class TestVisibleFractions:
         assert scene._visible_fractions(np.zeros((0, 4)), np.zeros(0),
                                         np.zeros(0, dtype=int)).shape == (0,)
 
+    @pytest.mark.parametrize("case", ["edges on cell centres", "whole target covered",
+                                      "more than 64 occluders"])
+    def test_one_frame_edge_cases(self, case):
+        boxes, depths, first = occlusion_edge_case(case)
+        got = scene._visible_fractions(np.array(boxes, dtype=float), np.array(depths),
+                                       np.zeros(len(boxes), dtype=int)).tolist()
+        shown = list(zip(boxes, depths))
+        assert got == [unoccluded_fraction(b, d, shown[:i] + shown[i + 1:])
+                       for i, (b, d) in enumerate(shown)]
+        assert got[0] == first if first is not None else 0.0 < got[0] < 0.9
+
+
+def occlusion_edge_case(case):
+    """Boxes and depths of one frame, and the first box's fraction when known."""
+    if case == "edges on cell centres":
+        # the bounds are inclusive: a cell centre on an occluder edge is covered
+        cx, cy = cell_centres(0.2, 0.7), cell_centres(0.1, 0.9)
+        boxes = [(0.2, 0.1, 0.7, 0.9),
+                 (cx[0], cy[3], cx[0], cy[3]),          # one cell, as a point
+                 (cx[17], cy[0], cx[40], cy[63]),       # columns 17-40, every row
+                 (0.0, cy[50], cx[63], cy[50])]         # every column of row 50
+        return boxes, [6.0, 1.0, 2.0, 3.0], 1.0 - (1 + 24 * 64 + 64 - 24) / OCCLUSION_GRID**2
+    if case == "whole target covered":
+        return [(0.3, 0.4, 0.5, 0.6), (0.3, 0.4, 0.5, 0.6)], [2.0, 1.0], 0.0
+    # 100 thin nearer strips over one target, each a column or none
+    rng = np.random.default_rng(3)
+    strips = [(x, float(rng.uniform(0.0, 0.5)), x + 0.01, float(rng.uniform(0.5, 1.0)))
+              for x in rng.uniform(0.0, 0.99, size=100)]
+    return [(0.0, 0.0, 1.0, 1.0), *strips], [9.0, *rng.uniform(1.0, 8.0, size=100)], None
+
 
 class TestOcclusionOracle:
     """detect confidences equal the per-box raster loop, compared as floats."""
@@ -502,9 +562,11 @@ class TestRecordRoundtrip:
     def test_object_roundtrip(self):
         obj = make_object(object_id=17, cls=VehicleClass.TRUCK,
                           center=(12.5, 8.75, 1.8), velocity=(-9.5, 0, 0), lane=4)
-        back = object_from_record(object_to_record(obj))
-        assert back.object_id == obj.object_id
-        assert back.object_class == obj.object_class
-        assert np.array_equal(back.center, obj.center)
-        assert np.array_equal(back.velocity, obj.velocity)
-        assert back.lane == obj.lane
+        record = object_to_record(obj)
+        check_object_records([record])
+        rows = rows_from_records([[record]])
+        assert rows.ids.tolist() == [obj.object_id] and rows.frame.tolist() == [0]
+        assert scene.CLASSES[rows.classes[0]] is obj.object_class
+        assert np.array_equal(rows.centers, [obj.center])
+        assert np.array_equal(rows.dims, [obj.dims])
+        assert record[8:] == [*obj.velocity, obj.lane]
