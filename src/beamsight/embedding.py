@@ -45,54 +45,51 @@ class BeamEmbeddingTable:
         return self._entries
 
 
-def bbox_feature(det: Detection) -> np.ndarray:
-    """[x_cent, y_cent, x1, y1, x2, y2] for one detection."""
-    x1, y1, x2, y2 = det.bbox
-    return np.array([(x1 + x2) / 2.0, (y1 + y2) / 2.0, x1, y1, x2, y2])
+def embed_frames(frames: list[list[Detection]], dim: int) -> np.ndarray:
+    """Each frame's detections as a zero-padded float64 row (F, dim) of
+    [x_cent, y_cent, x1, y1, x2, y2] box features, all frames in one pass.
 
-
-def embed_bboxes(detections: list[Detection], dim: int) -> np.ndarray:
-    """Serialize detections into a fixed-length zero-padded vector.
-
-    Canonical order: descending box area, ties by ascending x centre.
-    When more boxes arrive than fit, the lowest-confidence ones are
-    dropped first (logged).
+    Canonical order: descending box area, ties by ascending x centre, then
+    by the box.  When more boxes arrive than fit, the lowest-confidence ones
+    are dropped first (logged).
     """
     capacity = dim // BBOX_FEATURE_SIZE
-    kept = detections
-    if len(detections) > capacity:
-        log.info("truncating %d of %d detections to fit embedding dim %d",
-                 len(detections) - capacity, len(detections), dim)
-        order = sorted(range(len(detections)),
-                       key=lambda i: (-detections[i].confidence, i))
-        kept = [detections[i] for i in sorted(order[:capacity])]
-
-    def area(d: Detection) -> float:
-        x1, y1, x2, y2 = d.bbox
-        return (x2 - x1) * (y2 - y1)
-
-    kept = sorted(kept, key=lambda d: (-area(d), (d.bbox[0] + d.bbox[2]) / 2.0,
-                                       d.bbox))
-    out = np.zeros(dim)
-    for i, det in enumerate(kept):
-        out[i * BBOX_FEATURE_SIZE:(i + 1) * BBOX_FEATURE_SIZE] = bbox_feature(det)
+    counts = np.array([len(detections) for detections in frames], dtype=int)
+    for n in counts[counts > capacity]:
+        log.info("truncating %d of %d detections to fit embedding dim %d", n - capacity, n, dim)
+    frame = np.repeat(np.arange(len(frames)), counts)
+    flat = [d for detections in frames for d in detections]
+    boxes = np.array([d.bbox for d in flat], dtype=float).reshape(-1, 4)
+    # rank within the frame by confidence; the stable sort breaks ties by position
+    ranked = np.lexsort((-np.array([d.confidence for d in flat], dtype=float), frame))
+    keep = np.empty(len(frame), dtype=bool)
+    keep[ranked] = np.arange(len(frame)) - np.repeat(np.cumsum(counts) - counts, counts) < capacity
+    frame, (x1, y1, x2, y2) = frame[keep], boxes[keep].T
+    x_cent = (x1 + x2) / 2.0
+    order = np.lexsort((y2, x2, y1, x1, x_cent, -((x2 - x1) * (y2 - y1)), frame))
+    kept = np.minimum(counts, capacity)
+    slot = np.arange(len(order)) - np.repeat(np.cumsum(kept) - kept, kept)
+    out = np.zeros((len(frames), dim))
+    out[frame[order, None], slot[:, None] * BBOX_FEATURE_SIZE + np.arange(BBOX_FEATURE_SIZE)] = \
+        np.stack([x_cent, (y1 + y2) / 2.0, x1, y1, x2, y2], axis=1)[order]
     return out
 
 
-def check_windows(samples: list[LabeledSample], n_beams: int) -> int:
-    """The beam count r of every window: as many as the first's, at least 1,
-    each in 1..n_beams; a ValueError names the first window that breaks this."""
+def check_windows(samples: list[LabeledSample], n_beams: int) -> np.ndarray:
+    """The windows' beams (n, r): as many for each as for the first, at least
+    1, each in 1..n_beams; a ValueError names the first window that breaks this."""
     if not samples:
         raise ValueError("empty dataset: no windows to encode")
-    first = samples[0]
-    r = len(first.sequence.beams)
-    for s in samples:
-        beams = s.sequence.beams
-        if len(beams) != r or r == 0 or not all(1 <= b <= n_beams for b in beams):
-            raise ValueError(f"window {s.key} has beams {beams}: expected as many as "
-                             f"window {first.key} ({r}, at least 1), each beam index "
-                             f"in 1..{n_beams}")
-    return r
+    lengths = np.array([len(s.sequence.beams) for s in samples])
+    beams = np.array([b for s in samples for b in s.sequence.beams])
+    bad = (lengths != lengths[0]) | (lengths[0] == 0)
+    bad[np.repeat(np.arange(len(samples)), lengths)[(beams < 1) | (beams > n_beams)]] = True
+    if bad.any():
+        first, s = samples[0], samples[bad.argmax()]
+        raise ValueError(f"window {s.key} has beams {s.sequence.beams}: expected as many as "
+                         f"window {first.key} ({lengths[0]}, at least 1), each beam index "
+                         f"in 1..{n_beams}")
+    return beams.reshape(len(samples), -1)
 
 
 def encode_dataset(samples: list[LabeledSample], table: BeamEmbeddingTable,
@@ -109,14 +106,13 @@ def encode_dataset(samples: list[LabeledSample], table: BeamEmbeddingTable,
     """
     if mode not in ("bimodal", "beam-only"):
         raise ValueError(f"unknown mode {mode!r} (expected 'bimodal' or 'beam-only')")
-    check_windows(samples, table.n_beams)
-    index = np.array([s.sequence.beams for s in samples]) - 1
+    index = check_windows(samples, table.n_beams) - 1
     rows = table.entries
     if mode == "bimodal":
         distinct = {id(d): d for s in samples for d in s.sequence.detections}
         row_of = {key: row for row, key in enumerate(distinct)}
         frames = np.array([[row_of[id(d)] for d in s.sequence.detections] for s in samples])
-        boxes = np.array([embed_bboxes(d, table.dim) for d in distinct.values()])
+        boxes = embed_frames(list(distinct.values()), table.dim)
         rows = np.concatenate([boxes, table.entries], dtype=table.entries.dtype)
         index = np.concatenate([frames, len(distinct) + index], axis=1)
     labels = np.array([s.label.status for s in samples], dtype=np.int64)

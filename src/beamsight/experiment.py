@@ -69,7 +69,7 @@ def _encode(files, table: BeamEmbeddingTable, mode: str, observed: int, future: 
     become a DataError naming the file they came from."""
     for path, samples in files:
         try:
-            r = check_windows(samples, table.n_beams)
+            r = check_windows(samples, table.n_beams).shape[1]
         except ValueError as exc:
             raise DataError(f"{path}: {exc}") from exc
         if r != observed:
@@ -257,13 +257,15 @@ def eval_stage(ckpt_path, dataset_dir, out_csv) -> tuple[MetricReport, dict]:
 
 
 def handoff_eval(ckpt1_path, ckpt2_path, pairs_path) -> HandoffReport:
-    """Run the two per-basestation models over the conjugate pairs.
+    """Run the two per-basestation models over the conjugate pairs; two paths
+    to one file load it once.
 
     An empty pairs file yields an all-undefined report (n/a categories),
     mirroring the per-category degenerate case.
     """
     model1, meta1, table1 = _load_model_and_table(ckpt1_path)
-    model2, meta2, table2 = _load_model_and_table(ckpt2_path)
+    same = Path(ckpt1_path).resolve() == Path(ckpt2_path).resolve()
+    model2, meta2, table2 = (model1, meta1, table1) if same else _load_model_and_table(ckpt2_path)
     pairs = read_pairs(pairs_path)
     future = read_manifest(Path(pairs_path).parent)["future"]
     if not pairs:

@@ -25,6 +25,8 @@ from .config import ScenarioConfig, scenario_from_json
 from .errors import DataError
 from .phy import Codebook, path_arrays, path_beams, segments_blocked
 from .scene import (
+    CLASS_CODES,
+    CLASSES,
     USER_CLASS,
     Detection,
     DetectorNoiseModel,
@@ -369,9 +371,12 @@ def _read_frames(dataset_dir: Path) -> dict:
     def parse(record):
         if type(record["camera"]) is not int or type(record["frame"]) is not int:
             raise TypeError("camera and frame must be integers")
-        detections = [Detection(object_class=VehicleClass(d[0]), bbox=tuple(d[1:5]),
-                                confidence=d[5]) for d in record["detections"]]
-        return (record["camera"], record["frame"]), detections
+        # Detection checks the ranges, which true and false pass as 1 and 0
+        if bool in set(map(type, itertools.chain.from_iterable(record["detections"]))):
+            raise TypeError("a detection holds true or false")
+        return (record["camera"], record["frame"]), [
+            Detection(CLASSES[CLASS_CODES[c]], (x1, y1, x2, y2), confidence)
+            for c, x1, y1, x2, y2, confidence in record["detections"]]
 
     return dict(_read_ndjson(dataset_dir / "frames.ndrec", parse, key=lambda item: item[0]))
 

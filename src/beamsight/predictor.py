@@ -14,11 +14,12 @@ the same blocks:
     r = sigmoid(a_r + u_r)
     c = tanh(a_c + r * u_c)
     h' = (1 - z) * h + z * c
-The input projection a is one GEMM over all steps of a layer, as are dW,
-dU, db and dx after the backward time loop (Appleyard et al.,
-arXiv:1604.01946); only h U^T and its gradient run step by step.  Layer 0
-projects each distinct input row of a ``Sequences`` batch once, and dW0 is
-one GEMM over those rows of da summed per row.
+The input projection a is one GEMM over a block of steps of a layer, as are
+dW, dU, db and dx after the backward time loop (Appleyard et al.,
+arXiv:1604.01946); only h U^T and its gradient run step by step, on
+time-major (batch, .) buffers written in place.  Layer 0 projects each
+distinct input row of a ``Sequences`` batch once, and dW0 is one GEMM over
+those rows of da summed per row.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ from .errors import DataError, NumericError
 log = logging.getLogger(__name__)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    out = np.multiply(x, 0.5, out=out)
+    return np.multiply(np.add(np.tanh(out, out=out), 1.0, out=out), 0.5, out=out)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -111,22 +113,31 @@ def init_params(input_dim: int, hidden: int, layers: int = 2, classes: int = 2,
     return params
 
 
-def gru_cell(a: np.ndarray, h_prev: np.ndarray, U: np.ndarray):
+def gru_cell(a: np.ndarray, h_prev: np.ndarray, U: np.ndarray, out=None):
     """One GRU step from the input projection ``a = x W^T + b``.
 
     ``a`` is (3H,) or (batch, 3H) and ``h_prev`` (H,) or (batch, H).
     Returns the new hidden state plus the (z, r, c, u_c) blocks needed by
-    the backward pass.
+    the backward pass.  ``out``, if given, holds the arrays the step writes:
+    h', u (3H wide), z and r side by side (2H), c, u_c and a scratch row.
     """
     hidden = U.shape[1]
     if a.shape[-1] != 3 * hidden or h_prev.shape[-1] != hidden:
         raise ValueError(f"shape mismatch: a {a.shape}, h {h_prev.shape}, U {U.shape}")
-    u = h_prev @ U.T
-    zr = sigmoid(a[..., :2 * hidden] + u[..., :2 * hidden])
+    h, u, zr, c, uc, scratch = out or [np.empty(
+        (*a.shape[:-1], k * hidden), np.result_type(a, h_prev, U)) for k in (1, 3, 2, 1, 1, 1)]
+    np.matmul(h_prev, U.T, out=u)
+    sigmoid(np.add(a[..., :2 * hidden], u[..., :2 * hidden], out=zr), out=zr)
     z, r = zr[..., :hidden], zr[..., hidden:]
-    uc = u[..., 2 * hidden:].copy()  # a view would keep all of u alive in caches
-    c = np.tanh(a[..., 2 * hidden:] + r * uc)
-    return (1.0 - z) * h_prev + z * c, (z, r, c, uc)
+    np.copyto(uc, u[..., 2 * hidden:])  # a view would keep all of u alive in caches
+    np.tanh(np.add(a[..., 2 * hidden:], np.multiply(r, uc, out=c), out=c), out=c)
+    np.multiply(np.subtract(1.0, z, out=scratch), h_prev, out=scratch)
+    np.add(scratch, np.multiply(z, c, out=h), out=h)
+    return h, (z, r, c, uc)
+
+
+# rows per product when scoring projects a deeper layer's input block by block
+PROJECT_ROWS = 512
 
 
 class GruPredictor:
@@ -147,7 +158,9 @@ class GruPredictor:
 
     def _run(self, x: Sequences, train: bool, rng: np.random.Generator | None,
              caches: list | None = None):
-        """Forward pass over a ``Sequences`` batch.
+        """Forward pass over a ``Sequences`` batch, one step of every window at
+        a time; without ``caches`` a layer holds step-sized buffers and its
+        hidden states (T+1, batch, H), the top layer only two of them.
 
         Appends to ``caches``, if given, each layer's input (layer 0: its
         distinct rows and each step's position among them), hidden states
@@ -156,35 +169,57 @@ class GruPredictor:
         if x.rows.shape[1:] != (self.input_dim,):
             raise ValueError(f"expected rows (R, {self.input_dim}), got {x.rows.shape}")
         batch, steps = x.index.shape
+        hidden, cache = self.hidden, caches is not None
+        dtype = np.result_type(x.rows, *self.params.values())
         masks = {}  # dropout mask per layer output, train only
         uniq, inv = np.unique(x.index, return_inverse=True)
-        layer_input = (x.rows[uniq], inv.reshape(batch, steps))
+        positions = inv.reshape(batch, steps).T.copy()
+        layer_input = (x.rows[uniq], positions.T)
         for layer in range(self.layers):
             W, U, b = (self.params[f"l{layer}.{n}"] for n in "WUb")
-            if layer == 0:
-                distinct, positions = layer_input
-                a = (distinct @ W.T + b)[positions]
-            else:
-                a = layer_input.reshape(batch * steps, W.shape[1]) @ W.T + b
-                a = a.reshape(batch, steps, 3 * self.hidden)
-            hs = np.zeros((batch, steps + 1, self.hidden), dtype=x.rows.dtype)
+            top = layer == self.layers - 1
+            if layer == 0:   # each step gathers its rows of the distinct rows' projection
+                table = layer_input[0] @ W.T
+                table += b
+                layer_input = layer_input if cache else None
+            # steps per projection; the last block takes the rest, since OpenBLAS
+            # rounds a product of a few rows unlike the whole layer's
+            block = 1 if layer == 0 else steps if cache else \
+                min(steps, max(1, PROJECT_ROWS // batch))
+            bounds = [*range(0, steps - block + 1, block), steps]
+            a = np.empty((steps - bounds[-2], batch, 3 * hidden), dtype)
+            held = 2 if top and not cache else steps + 1   # hidden states from zeros
+            hs = (np.zeros((batch, held, hidden), dtype).transpose(1, 0, 2) if cache
+                  else np.zeros((held, batch, hidden), dtype))
+            u, scratch = np.empty((batch, 3 * hidden), dtype), np.empty((batch, hidden), dtype)
             gates = []
-            for t in range(steps):
-                hs[:, t + 1], step_gates = gru_cell(a[:, t], hs[:, t], U)
-                if caches is not None:
-                    gates.append(step_gates)
-            if caches is not None:
-                caches.append((layer_input, hs, gates))
-            outputs = hs[:, 1:]
-            if layer < self.layers - 1 and train and self.dropout > 0.0:
+            for start, end in zip(bounds, bounds[1:]):
+                if layer == 0:
+                    np.take(table, positions[start], axis=0, out=a[0], mode="clip")  # unbuffered
+                else:
+                    np.matmul(inputs[start:end].reshape(-1, hidden), W.T,
+                              out=a[:end - start].reshape(-1, 3 * hidden))
+                    a[:end - start] += b
+                for t in range(start, end):
+                    if cache or t == 0:   # the caches keep every step's gates
+                        zr, c, uc = (np.empty((batch, k * hidden), dtype) for k in (2, 1, 1))
+                    gates.append(gru_cell(a[t - start], hs[t % held], U,
+                                          (hs[(t + 1) % held], u, zr, c, uc, scratch))[1])
+            if cache:
+                caches.append((layer_input, hs.transpose(1, 0, 2), gates))
+            if top:
+                break
+            layer_input = hs.transpose(1, 0, 2)[:, 1:]
+            if train and self.dropout > 0.0:
                 if rng is None:
                     raise ValueError("training forward pass needs an rng for dropout")
                 keep = 1.0 - self.dropout
-                masks[layer] = (rng.random(outputs.shape) < keep).astype(hs.dtype) / keep
-                outputs = outputs * masks[layer]
-            layer_input = outputs
-        logits = layer_input[:, -1, :] @ self.params["out.W"].T + self.params["out.b"]
-        return logits, layer_input[:, -1, :], masks
+                masks[layer] = (rng.random(layer_input.shape) < keep).astype(dtype) / keep
+                layer_input = layer_input * masks[layer]
+            inputs = layer_input.transpose(1, 0, 2)
+        last = hs[steps % held]
+        logits = last @ self.params["out.W"].T + self.params["out.b"]
+        return logits, last, masks
 
     def forward(self, x, train: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:

@@ -9,7 +9,10 @@ of every box instead of only the boxes the plane cuts.  ``per_frame_seed`` is
 the exception: it is the seed pass one frame at a time, through ``detect``,
 the slab test and, per owned user, the per-subcarrier beam scan
 (``select_beam`` of ``channel_vector``), and pins the block-wise
-``build_seed`` to it.
+``build_seed`` to it.  ``embed_bboxes`` embeds one frame with Python sorts
+instead of the encoder's one array pass over all frames.  ``batch_major_run``
+is the GRU forward pass on batch-major arrays: whole (batch, T, 3H) input
+projections and a fresh array for every gate of every step.
 """
 
 import cmath
@@ -24,6 +27,7 @@ from beamsight.phy import (
     select_beam,
     synthesize_paths,
 )
+from beamsight.config import BBOX_FEATURE_SIZE
 from beamsight.pipeline import DETECT_STREAM
 from beamsight.scene import (
     _BOX_SIGNS,
@@ -310,3 +314,74 @@ def per_frame_seed(worlds, cfg):
                         user_ids[owned].tolist(), [frame] * len(owned), beams,
                         status.tolist())
     return sorted(rows), detections
+
+
+def batch_major_run(model, x, train, rng, caches=None):
+    """``GruPredictor._run`` on batch-major arrays: layer 0's projection of
+    the distinct rows gathered to (batch, T, 3H), each deeper layer's one
+    product over all (batch * T) rows, hidden states (batch, T+1, H) and new
+    arrays for every step's gates.  Appends to ``caches`` what the backward
+    pass of ``logits_and_grads`` reads."""
+    def sigmoid(v):
+        return 0.5 * (1.0 + np.tanh(0.5 * v))
+
+    def cell(a, h_prev, U):
+        hidden = U.shape[1]
+        u = h_prev @ U.T
+        zr = sigmoid(a[..., :2 * hidden] + u[..., :2 * hidden])
+        z, r = zr[..., :hidden], zr[..., hidden:]
+        uc = u[..., 2 * hidden:].copy()
+        c = np.tanh(a[..., 2 * hidden:] + r * uc)
+        return (1.0 - z) * h_prev + z * c, (z, r, c, uc)
+
+    batch, steps = x.index.shape
+    masks = {}
+    uniq, inv = np.unique(x.index, return_inverse=True)
+    layer_input = (x.rows[uniq], inv.reshape(batch, steps))
+    for layer in range(model.layers):
+        W, U, b = (model.params[f"l{layer}.{n}"] for n in "WUb")
+        if layer == 0:
+            distinct, positions = layer_input
+            a = (distinct @ W.T + b)[positions]
+        else:
+            a = layer_input.reshape(batch * steps, W.shape[1]) @ W.T + b
+            a = a.reshape(batch, steps, 3 * model.hidden)
+        hs = np.zeros((batch, steps + 1, model.hidden), dtype=x.rows.dtype)
+        gates = []
+        for t in range(steps):
+            hs[:, t + 1], step_gates = cell(a[:, t], hs[:, t], U)
+            gates.append(step_gates)
+        if caches is not None:
+            caches.append((layer_input, hs, gates))
+        outputs = hs[:, 1:]
+        if layer < model.layers - 1 and train and model.dropout > 0.0:
+            keep = 1.0 - model.dropout
+            masks[layer] = (rng.random(outputs.shape) < keep).astype(hs.dtype) / keep
+            outputs = outputs * masks[layer]
+        layer_input = outputs
+    logits = layer_input[:, -1, :] @ model.params["out.W"].T + model.params["out.b"]
+    return logits, layer_input[:, -1, :], masks
+
+
+def embed_bboxes(detections, dim):
+    """One frame's zero-padded float64 box-feature row: keep the ``dim // 6``
+    most confident detections (ties by position), sort them by descending
+    area, then x centre, then box, and write [x_cent, y_cent, x1, y1, x2, y2]
+    for each."""
+    capacity = dim // BBOX_FEATURE_SIZE
+    kept = detections
+    if len(detections) > capacity:
+        order = sorted(range(len(detections)), key=lambda i: (-detections[i].confidence, i))
+        kept = [detections[i] for i in sorted(order[:capacity])]
+
+    def area(d):
+        x1, y1, x2, y2 = d.bbox
+        return (x2 - x1) * (y2 - y1)
+
+    kept = sorted(kept, key=lambda d: (-area(d), (d.bbox[0] + d.bbox[2]) / 2.0, d.bbox))
+    out = np.zeros(dim)
+    for i, d in enumerate(kept):
+        x1, y1, x2, y2 = d.bbox
+        out[i * BBOX_FEATURE_SIZE:(i + 1) * BBOX_FEATURE_SIZE] = \
+            [(x1 + x2) / 2.0, (y1 + y2) / 2.0, x1, y1, x2, y2]
+    return out

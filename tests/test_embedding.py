@@ -1,14 +1,14 @@
+import dataclasses
+import logging
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import beamsight.embedding
 from beamsight.config import load_experiment_config
 from beamsight.embedding import (
     BeamEmbeddingTable,
-    bbox_feature,
-    embed_bboxes,
+    embed_frames,
     encode_dataset,
 )
 from beamsight.experiment import build_dataset_stage, simulate_stage
@@ -23,8 +23,14 @@ from beamsight.pipeline import (
     read_trace,
 )
 from beamsight.scene import Detection, VehicleClass
+from oracles import embed_bboxes as reference_embedding
 
 MINI = Path(__file__).resolve().parent.parent / "configs" / "mini.ini"
+
+
+def embed_bboxes(detections, dim):
+    """One frame's row of the encoder's box embedding."""
+    return embed_frames([detections], dim)[0]
 
 
 def det(x1, y1, x2, y2, conf=1.0, cls=VehicleClass.CAR):
@@ -94,7 +100,7 @@ class TestEmbedBboxes:
         for _ in range(50):
             x1, y1 = rng.uniform(0.0, 0.5, size=2)
             x2, y2 = x1 + rng.uniform(0.01, 0.5), y1 + rng.uniform(0.01, 0.5)
-            feat = bbox_feature(det(x1, y1, min(x2, 1.0), min(y2, 1.0)))
+            feat = embed_bboxes([det(x1, y1, min(x2, 1.0), min(y2, 1.0))], 6)
             assert feat[0] == (feat[2] + feat[4]) / 2.0
             assert feat[1] == (feat[3] + feat[5]) / 2.0
 
@@ -148,7 +154,7 @@ class TestSequenceInputs:
         x = dense(encode_dataset([sample], table, "bimodal")[0])[0]
         assert x.shape == (16, 30)
         # first 8 rows are box embeddings, last 8 rows the beam lookups
-        assert np.allclose(x[0][:6], bbox_feature(det(0.2, 0.2, 0.4, 0.4)))
+        assert np.allclose(x[0][:6], [0.3, 0.3, 0.2, 0.2, 0.4, 0.4])
         assert np.all(x[1] == 0)
         for i, b in enumerate(sample.sequence.beams):
             assert np.array_equal(x[8 + i], table.entries[b - 1])
@@ -194,7 +200,7 @@ def reference_inputs(samples, table, mode):
     per_window = []
     for s in samples:
         beam_rows = [table.entries[b - 1] for b in s.sequence.beams]
-        box_rows = ([embed_bboxes(frame, table.dim) for frame in s.sequence.detections]
+        box_rows = ([reference_embedding(frame, table.dim) for frame in s.sequence.detections]
                     if mode == "bimodal" else [])
         per_window.append(np.stack(box_rows + beam_rows))
     return np.stack(per_window).astype(table.entries.dtype)
@@ -278,24 +284,33 @@ class TestEncodeDataset:
             assert boxes[0].dtype == np.float64
             assert np.array_equal(x.rows[:len(boxes)], np.array(boxes, np.float32))
 
-    def test_embeds_each_distinct_list_once_per_call(self, mini_windows, monkeypatch):
+    def test_embeds_each_distinct_list_once_per_call(self, mini_windows, caplog):
+        # one more window: a frame over capacity, seen twice, and an empty one;
+        # the crowded frame's first four boxes have one area: the second goes
+        # first by its x centre, the fourth before the third by its box
         table, sets = mini_windows
-        samples = sets["val"] + sets["bs1"]
-        distinct = {id(d) for s in samples for d in s.sequence.detections}
+        crowded = [det(0.0625, 0.5, 0.5625, 0.5625, 0.99), det(0.125, 0.5, 0.1875, 1.0, 0.99),
+                   det(0.5625, 0.25, 0.6875, 0.5, 0.99), det(0.5, 0.125, 0.75, 0.25, 0.99)]
+        crowded += [det(0.02 * i, 0.1, 0.02 * i + 0.05, 0.2 + 0.01 * (i % 4),
+                        conf=0.5 + 0.01 * (i % 7)) for i in range(table.dim // 6)]
+        first = sets["val"][0]
+        frames = [crowded, [], crowded, *first.sequence.detections[3:]]
+        samples = sets["val"] + sets["bs1"] + [dataclasses.replace(
+            first, sequence=dataclasses.replace(first.sequence, detections=frames))]
+        distinct = {id(d): d for s in samples for d in s.sequence.detections}
         assert len(distinct) < sum(len(s.sequence.detections) for s in samples)
-        calls = []
-
-        def counted(detections, dim):
-            calls.append(id(detections))
-            return embed_bboxes(detections, dim)
-
-        monkeypatch.setattr(beamsight.embedding, "embed_bboxes", counted)
-        encode_dataset(samples, table, "bimodal")
-        assert sorted(calls) == sorted(distinct)
-        encode_dataset(samples, table, "bimodal")
-        assert len(calls) == 2 * len(distinct)
-        encode_dataset(samples, table, "beam-only")
-        assert len(calls) == 2 * len(distinct)
+        with caplog.at_level(logging.INFO, logger="beamsight.embedding"):
+            x, _ = encode_dataset(samples, table, "bimodal")
+        assert len(x.rows) == len(distinct) + table.n_beams
+        for row, detections in zip(x.rows, distinct.values()):
+            want = reference_embedding(detections, table.dim).astype(np.float32)
+            assert row.tobytes() == want.tobytes()
+        # one line per distinct list over capacity, the added one among them
+        capacity = table.dim // 6
+        lines = [f"truncating {len(d) - capacity} of {len(d)} detections to fit "
+                 f"embedding dim {table.dim}" for d in distinct.values() if len(d) > capacity]
+        assert lines[-1].startswith(f"truncating 4 of {len(crowded)} ")
+        assert [r.getMessage() for r in caplog.records if r.name == "beamsight.embedding"] == lines
 
     @pytest.mark.parametrize("beams", [[1, 2], [1, 2, 3, 4], []])
     def test_ragged_window_names_its_key(self, beams):

@@ -12,6 +12,7 @@ import pytest
 
 import beamsight.experiment
 import beamsight.pipeline
+import beamsight.predictor
 from beamsight.cli import main
 from beamsight.config import DatasetConfig, ExperimentConfig, load_experiment_config
 from beamsight.errors import DataError
@@ -129,6 +130,20 @@ class TestStages:
         train_stage(out / "dataset", "bimodal", replace(mini_config().train, epochs=1),
                     tmp_path / "m.ckpt")
         assert parsed == [out / "dataset"]
+
+    def test_handoff_loads_one_checkpoint_once(self, tmp_path, mini_run, monkeypatch):
+        out, _ = mini_run
+        loaded = []
+        load = beamsight.predictor.load_checkpoint
+        monkeypatch.setattr(beamsight.predictor, "load_checkpoint",
+                            lambda path: loaded.append(path) or load(path))
+        ckpt, pairs = out / "bimodal.ckpt", out / "dataset" / "pairs.ndrec"
+        shutil.copy(ckpt, tmp_path / "copy.ckpt")
+        once = handoff_eval(ckpt, ckpt, pairs)
+        assert loaded == [ckpt]
+        twice = handoff_eval(ckpt, tmp_path / "copy.ckpt", pairs)
+        assert loaded == [ckpt, ckpt, tmp_path / "copy.ckpt"]
+        assert repr(once) == repr(twice)
 
     @pytest.mark.parametrize("ckpt", ["bimodal.ckpt", "beam_only.ckpt"])
     def test_best_val_top1_rescores_through_dense_predict(self, mini_run, ckpt):
@@ -325,6 +340,7 @@ class TestCli:
     @pytest.mark.parametrize("command, name, beam", [
         ("eval", "val.ndrec", 0), ("handoff-eval", "pairs.ndrec", 0),
         ("eval", "val.ndrec", 10**6), ("handoff-eval", "pairs.ndrec", 10**6),
+        ("eval", "val.ndrec", 10**30),    # past int64
     ])
     def test_beam_out_of_range_is_data_error(self, tmp_path, capsys, mini_run,
                                              command, name, beam):

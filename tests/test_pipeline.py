@@ -681,6 +681,10 @@ class TestSerialization:
     @pytest.mark.parametrize("change", [
         {"detections": [["car", 0.1]]}, {"detections": [["boat", 0.1, 0.2, 0.3, 0.4, 0.9]]},
         {"camera": "1"}, {"frame": None}, None,
+        {"detections": [[["car"], 0.1, 0.2, 0.3, 0.4, 0.9]]},          # unhashable class
+        {"detections": [["car", 0.1, 0.2, 0.3, 0.4, 0.9, 0.5]]},       # 7 entries
+        {"detections": [["car", 0.1, 0.2, True, 0.4, 0.9]]},           # true as x2
+        {"detections": [["car", 0.1, 0.2, 0.3, 0.4, True]]},           # true as confidence
     ])
     @pytest.mark.parametrize("reader", ["split", "pairs"])
     def test_malformed_frame_line_names_file_and_line(self, tmp_path, change, reader):

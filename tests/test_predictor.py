@@ -3,6 +3,7 @@ import logging
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from beamsight.predictor import (
     save_checkpoint,
     train_model,
 )
+from oracles import batch_major_run
 
 
 def zero_params(input_dim, hidden, layers=2, classes=2):
@@ -144,6 +146,55 @@ class TestForward:
         train_probs = model.forward(x, train=True, rng=np.random.default_rng(0))
         assert not np.allclose(eval_probs, train_probs)
         assert np.array_equal(model.forward(x), eval_probs)
+
+
+class TestForwardOracle:
+    """The step-buffer forward pass against the batch-major one it replaced,
+    bit for bit.  H = 32 makes OpenBLAS 0.3.31 round a deeper layer's product
+    of up to 12 rows differently from a longer one, so this also pins that a
+    chunk of few windows is projected whole; chunks of 511-513 windows are
+    projected a step at a time."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_logits_and_gradients_match_the_batch_major_pass(self, dtype, layers,
+                                                              monkeypatch):
+        model = GruPredictor(input_dim=8, hidden=32, layers=layers, dropout=0.3, seed=layers)
+        model.params = {k: v.astype(dtype) for k, v in model.params.items()}
+        rng = np.random.default_rng(layers)
+        rows = rng.normal(size=(600, 8)).astype(dtype)
+        reference = lambda *args, **kwargs: batch_major_run(model, *args, **kwargs)
+        for steps in (1, 5, 8, 16):
+            index = rng.integers(0, len(rows), size=(513, steps))
+            for batch in (*range(1, 17), 511, 512, 513):
+                x, y = Sequences(rows, index[:batch]), rng.integers(0, 2, size=batch)
+                shape = f"{batch} windows of {steps} steps"
+                assert model._run(x, False, None)[0].tobytes() == \
+                    reference(x, False, None)[0].tobytes(), shape
+                got = model.logits_and_grads(x, y, True, np.random.default_rng(batch))
+                with monkeypatch.context() as patched:
+                    patched.setattr(model, "_run", reference)
+                    want = model.logits_and_grads(x, y, True, np.random.default_rng(batch))
+                assert got[0].tobytes() == want[0].tobytes(), shape
+                for key in want[1]:
+                    assert got[1][key].tobytes() == want[1][key].tobytes(), (shape, key)
+
+    def test_scoring_holds_step_sized_state(self):
+        # 1,024 windows of 16 steps over 1,088 rows, about a replay street's
+        # bimodal validation split (1,089 windows); the batch-major pass
+        # peaked at 21.8 MiB here and the step-buffer pass at 5.2 MiB
+        model = GruPredictor(input_dim=256, hidden=64, seed=0)
+        model.params = {k: v.astype(np.float32) for k, v in model.params.items()}
+        rng = np.random.default_rng(0)
+        x = Sequences(rng.normal(size=(1088, 256)).astype(np.float32),
+                      rng.integers(0, 1088, size=(1024, 16)))
+        tracemalloc.start()
+        try:
+            model.predict(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20, f"predict peaked at {peak / 2**20:.1f} MiB"
 
 
 class TestLossAndGrads:
