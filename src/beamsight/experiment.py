@@ -15,7 +15,6 @@ import dataclasses
 import json
 import logging
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +39,7 @@ from .pipeline import (
     write_trace,
 )
 from .predictor import model_from_checkpoint, save_checkpoint, train_model
-from .scene import USER_CLASS, build_world, step_world
+from .scene import USER_CLASS, build_world, roll_centers
 
 log = logging.getLogger(__name__)
 
@@ -63,13 +62,16 @@ def _fmt(value) -> str:
 
 
 def _encode(files, table: BeamEmbeddingTable, mode: str, observed: int, future: int):
-    """One ``encode_dataset`` call over the windows of ``files``, (path,
-    windows) pairs.  No windows, windows ``check_windows`` rejects or that do
-    not observe ``observed`` frames, or a label not ``future`` frames long,
-    become a DataError naming the file they came from."""
+    """One ``encode_dataset`` call (which checks each window once) over the windows of
+    ``files``, (path, windows) pairs.  A DataError names the file of no windows, windows
+    ``check_windows`` rejects or not ``observed`` long, or a label not ``future`` long."""
+    try:
+        encoded = encode_dataset([s for _, samples in files for s in samples], table, mode)
+    except ValueError:
+        encoded = None   # checking each file whole names the one at fault
     for path, samples in files:
-        try:
-            r = check_windows(samples, table.n_beams).shape[1]
+        try:   # once encode_dataset accepts them all, a file's first window stands for it
+            r = check_windows(samples if encoded is None else samples[:1], table.n_beams).shape[1]
         except ValueError as exc:
             raise DataError(f"{path}: {exc}") from exc
         if r != observed:
@@ -79,7 +81,7 @@ def _encode(files, table: BeamEmbeddingTable, mode: str, observed: int, future: 
             if len(s.label.window) != future:
                 raise DataError(f"{path}: window {s.key} labels {len(s.label.window)} "
                                 f"future frames, the dataset's manifest says {future}")
-    return encode_dataset([s for _, samples in files for s in samples], table, mode)
+    return encoded
 
 
 def _write_csv(path, header: list[str], rows: list[list]) -> None:
@@ -98,11 +100,9 @@ def simulate_stage(cfg: ScenarioConfig, frames: int, out_dir) -> Path:
     """Roll the world forward and write the trace."""
     if frames < 1:
         raise DataError("frames must be >= 1")
-    worlds = [build_world(cfg)]
-    for _ in range(frames - 1):
-        worlds.append(step_world(worlds[-1], cfg.dt))
+    world = build_world(cfg)
     out = Path(out_dir)
-    write_trace(out, cfg, worlds)
+    write_trace(out, cfg, [(world.objects, roll_centers(world, cfg.dt, frames))])
     log.info("simulated %d frames into %s", frames, out)
     return out
 
@@ -341,7 +341,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     for mode, fname, seed_offset in (("bimodal", "bimodal.ckpt", 0),
                                      ("beam-only", "beam_only.ckpt", 1)):
         ckpt = out / fname
-        train_cfg = replace(cfg.train, seed=cfg.train.seed + seed_offset)
+        train_cfg = dataclasses.replace(cfg.train, seed=cfg.train.seed + seed_offset)
         history = out / f"train_{mode.replace('-', '_')}_history.csv"
         meta = run(f"train-{mode}",
                    lambda m=mode, c=ckpt, t=train_cfg, h=history:

@@ -473,13 +473,22 @@ def read_manifest(dataset_dir) -> dict:
 # Trace (simulate stage output)
 # ---------------------------------------------------------------------------
 
-def write_trace(trace_dir, cfg: ScenarioConfig, worlds: list[World]) -> None:
+def write_trace(trace_dir, cfg: ScenarioConfig, runs: list[tuple]) -> None:
+    """The trace of ``runs``, (objects, centres (frames, objects, 3)) pairs in frame
+    order; each line is formatted directly, since a finite float's JSON is its repr."""
     out = Path(trace_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {"format": 1, "frames": len(worlds), "scenario": dataclasses.asdict(cfg)}
+    manifest = {"format": 1, "frames": sum(len(centers) for _, centers in runs),
+                "scenario": dataclasses.asdict(cfg)}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    _write_ndjson(out / "frames.ndjson", ({"frame": i, "objects": [
-        object_to_record(o) for o in w.objects]} for i, w in enumerate(worlds)))
+    frame = itertools.count()
+    with (out / "frames.ndjson").open("w") as fh:
+        for objects, centers in runs:
+            line = '{"frame":%d,"objects":[' + ",".join(
+                '[%d,"%s",%%r,%%r,%%r,%r,%r,%r,%r,%r,%r,%d]' % (r[0], r[1], *r[5:])
+                for r in map(object_to_record, objects)) + "]}\n"
+            fh.writelines(line % (next(frame), *row)
+                          for row in centers.reshape(len(centers), -1).tolist())
 
 
 def _read_trace(trace_dir) -> tuple[ScenarioConfig, World, list[list]]:

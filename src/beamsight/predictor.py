@@ -58,11 +58,15 @@ def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
 
 
 def _segment_sum(values: np.ndarray, segments: np.ndarray, count: int) -> np.ndarray:
-    """Rows of ``values`` (m, k) summed by ``segments`` (m,) into (count, k)."""
-    width = values.shape[1]
-    keys = (segments[:, None] * width + np.arange(width)).ravel()
-    sums = np.bincount(keys, weights=values.ravel(), minlength=count * width)
-    return sums.reshape(count, width).astype(values.dtype)  # bincount gives float64
+    """Rows of ``values`` (m, k) summed by ``segments`` (m,) into (count, k): one float64
+    ``bincount`` per block of 64 columns, which adds each column's rows in row order."""
+    sums = np.empty((count, values.shape[1]), values.dtype)
+    keys = segments[:, None] * 64 + np.arange(64)
+    for start in range(0, values.shape[1], 64):
+        block = values[:, start:start + 64].astype(np.float64)
+        sums[:, start:start + 64] = np.bincount(keys[:, :block.shape[1]].ravel(), block.ravel(),
+                                                count * 64).reshape(count, 64)[:, :block.shape[1]]
+    return sums
 
 
 @dataclass(frozen=True)
@@ -270,7 +274,7 @@ class GruPredictor:
         dout[:, -1] = dlogits @ self.params["out.W"]
         for layer in reversed(range(self.layers)):
             W, U = self.params[f"l{layer}.W"], self.params[f"l{layer}.U"]
-            layer_input, hs, gates = caches[layer]
+            layer_input, hs, gates = caches.pop()   # freed once its layer is done
             da = np.empty((batch, steps, 3 * hidden), dtype=dout.dtype)  # d loss / d a
             du = np.empty_like(da)                                       # d loss / d u
             dh = np.zeros_like(dout[:, 0])

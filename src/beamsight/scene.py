@@ -305,16 +305,23 @@ def build_world(cfg: ScenarioConfig) -> World:
     return world_from_objects(cfg, objects)
 
 
-def step_world(world: World, dt: float) -> World:
-    """Advance every object by velocity*dt, wrapping at the street ends."""
+def roll_centers(world: World, dt: float, frames: int) -> np.ndarray:
+    """Object centres (frames, objects, 3): the world's, then + velocity*dt a frame, x wrapped."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    stepped = []
-    for obj in world.objects:
-        center = obj.center + obj.velocity * dt
-        center[0] = np.mod(center[0], world.street_length)
-        stepped.append(replace(obj, center=center))
-    return replace(world, objects=stepped)
+    centers = np.empty((frames, len(world.objects), 3))
+    centers[0] = np.reshape([o.center for o in world.objects], (-1, 3))
+    step = np.reshape([o.velocity for o in world.objects], (-1, 3)) * dt
+    for f in range(1, frames):
+        np.add(centers[f - 1], step, out=centers[f])
+        np.mod(centers[f, :, 0], world.street_length, out=centers[f, :, 0])
+    return centers
+
+
+def step_world(world: World, dt: float) -> World:
+    """Advance every object by velocity*dt, wrapping at the street ends."""
+    return replace(world, objects=[replace(o, center=c) for o, c in
+                                   zip(world.objects, roll_centers(world, dt, 2)[1])])
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,16 @@ the slab test and, per owned user, the per-subcarrier beam scan
 instead of the encoder's one array pass over all frames.  ``batch_major_run``
 is the GRU forward pass on batch-major arrays: whole (batch, T, 3H) input
 projections and a fresh array for every gate of every step.
+``segment_sum_rows`` adds rows to their segments one at a time.
+``simulate_trace`` is the simulate stage one world at a time: each frame
+stepped object by object, each trace line written by ``json.dumps``.
 """
 
 import cmath
+import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -38,7 +44,9 @@ from beamsight.scene import (
     Detection,
     DetectorNoiseModel,
     VehicleClass,
+    build_world,
     detect,
+    object_to_record,
     project_objects,
 )
 
@@ -385,3 +393,44 @@ def embed_bboxes(detections, dim):
         out[i * BBOX_FEATURE_SIZE:(i + 1) * BBOX_FEATURE_SIZE] = \
             [(x1 + x2) / 2.0, (y1 + y2) / 2.0, x1, y1, x2, y2]
     return out
+
+
+def segment_sum_rows(values, segments, count):
+    """Rows of ``values`` summed by ``segments`` into (count, k): each row
+    added to its segment's float64 sum in row order, then cast back."""
+    sums = np.zeros((count, values.shape[1]))
+    for row, segment in zip(values, segments):
+        sums[segment] += row
+    return sums.astype(values.dtype)
+
+
+def step_objects(world, dt):
+    """``step_world`` one object at a time: velocity*dt added to each centre,
+    its x wrapped into [0, street_length)."""
+    stepped = []
+    for obj in world.objects:
+        center = obj.center + obj.velocity * dt
+        center[0] = np.mod(center[0], world.street_length)
+        stepped.append(dataclasses.replace(obj, center=center))
+    return dataclasses.replace(world, objects=stepped)
+
+
+def write_trace_json(trace_dir, cfg, worlds):
+    """The trace of ``worlds``, one frame each, through ``json.dumps``."""
+    out = Path(trace_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = {"format": 1, "frames": len(worlds), "scenario": dataclasses.asdict(cfg)}
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with (out / "frames.ndjson").open("w") as fh:
+        for i, world in enumerate(worlds):
+            record = {"frame": i, "objects": [object_to_record(o) for o in world.objects]}
+            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+
+
+def simulate_trace(cfg, frames, trace_dir):
+    """The simulate stage's trace of ``frames`` frames from ``build_world(cfg)``,
+    stepped with ``step_objects``."""
+    worlds = [build_world(cfg)]
+    for _ in range(frames - 1):
+        worlds.append(step_objects(worlds[-1], cfg.dt))
+    write_trace_json(trace_dir, cfg, worlds)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import beamsight.embedding
 import beamsight.experiment
 import beamsight.pipeline
 import beamsight.predictor
@@ -159,17 +160,22 @@ class TestStages:
 
     def test_stages_encode_through_encode_dataset(self, tmp_path, mini_run, monkeypatch):
         # perfbench counts the stages' encoding through embedding.encode_dataset
-        # train_stage encodes train and val in one call
+        # train_stage encodes train and val in one call, which checks each
+        # window once; the stage looks again only at each file's first window
         out, _ = mini_run
-        modes, sizes = [], []
-        encode = beamsight.experiment.encode_dataset
+        modes, sizes, checked = [], [], []
+        encode, check = beamsight.experiment.encode_dataset, beamsight.embedding.check_windows
         monkeypatch.setattr(beamsight.experiment, "encode_dataset",
                             lambda samples, table, mode: modes.append(mode)
                             or sizes.append(len(samples)) or encode(samples, table, mode))
+        for module in (beamsight.experiment, beamsight.embedding):
+            monkeypatch.setattr(module, "check_windows", lambda samples, n_beams:
+                                checked.append(len(samples)) or check(samples, n_beams))
         train_stage(out / "dataset", "bimodal", replace(mini_config().train, epochs=1),
                     tmp_path / "m.ckpt")
         splits = [read_split(out / "dataset", name).samples for name in ("train", "val")]
         assert sizes == [sum(map(len, splits))]
+        assert sorted(checked) == [1, 1, sizes[0]]
         eval_stage(out / "bimodal.ckpt", out / "dataset", tmp_path / "eval.csv")
         assert len(modes) == 2
         handoff_eval(out / "bimodal.ckpt", out / "beam_only.ckpt",

@@ -8,7 +8,14 @@ import pytest
 
 import beamsight.pipeline
 import beamsight.scene
-from oracles import exhaustive_beam_scan, per_frame_seed, sat_segment_box, scalar_channel
+from oracles import (
+    exhaustive_beam_scan,
+    per_frame_seed,
+    sat_segment_box,
+    scalar_channel,
+    simulate_trace,
+    write_trace_json,
+)
 
 from beamsight.config import DatasetConfig, ScenarioConfig, load_experiment_config
 from beamsight.errors import DataError
@@ -79,6 +86,12 @@ def bus(object_id, x, y, vx=0.0):
 
 def static_worlds(cfg, objects, frames):
     return [world_from_objects(cfg, objects) for _ in range(frames)]
+
+
+def write_worlds(trace_dir, cfg, worlds):
+    """``write_trace`` of hand-built worlds, each its own one-frame run."""
+    write_trace(trace_dir, cfg, [(w.objects, np.reshape([o.center for o in w.objects], (1, -1, 3)))
+                                 for w in worlds])
 
 
 def as_tuples(seed):
@@ -363,6 +376,49 @@ class TestTraceRows:
         assert 4 not in frames and BLOCK_FRAMES not in frames and 9 in frames
 
 
+class TestSimulateOracle:
+    """The simulate stage's array rollout and direct line formatting against the
+    per-object stepping and json.dumps writer of ``oracles.simulate_trace``."""
+
+    @staticmethod
+    def assert_same_trace(a, b):
+        for name in ("manifest.json", "frames.ndjson"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    @pytest.mark.parametrize("config, frames", [(DESK, 1), (DESK, 2), (DESK, BLOCK_FRAMES + 3),
+                                                (MINI, None)])
+    def test_trace_bytes(self, tmp_path, config, frames):
+        experiment = load_experiment_config(config)
+        frames = frames or experiment.frames
+        simulate_stage(experiment.scenario, frames, tmp_path / "lib")
+        simulate_trace(experiment.scenario, frames, tmp_path / "oracle")
+        self.assert_same_trace(tmp_path / "lib", tmp_path / "oracle")
+        assert len((tmp_path / "lib" / "frames.ndjson").read_text().splitlines()) == frames
+
+    def test_vehicles_wrap_at_both_ends(self, tmp_path):
+        cfg = small_cfg(cars=8, buses=2, trucks=1, min_speed=25.0, max_speed=40.0, seed=5)
+        trace = simulate_stage(cfg, 60, tmp_path / "lib")
+        simulate_trace(cfg, 60, tmp_path / "oracle")
+        self.assert_same_trace(trace, tmp_path / "oracle")
+        x = read_trace_rows(trace)[2].centers[:, 0].reshape(60, -1)
+        forward = np.array([o.velocity[0] > 0 for o in build_world(cfg).objects])
+        assert forward.any() and not forward.all()
+        jumps = np.diff(x, axis=0)
+        assert (jumps[:, forward] < 0).any()              # past street_length back to 0
+        assert (jumps[:, ~forward] > 0).any()             # backward lanes across x = 0
+        assert x.min() >= 0.0 and x.max() < cfg.street_length
+
+    def test_hand_built_worlds(self, tmp_path):
+        # runs of one frame each, with per-frame object sets and an empty frame
+        cfg = load_experiment_config(MINI).scenario
+        worlds = street(cfg, 6)
+        worlds[2] = world_from_objects(cfg, [o for o in worlds[2].objects if o.is_user])
+        worlds[4] = world_from_objects(cfg, [])
+        write_worlds(tmp_path / "lib", cfg, worlds)
+        write_trace_json(tmp_path / "oracle", cfg, worlds)
+        self.assert_same_trace(tmp_path / "lib", tmp_path / "oracle")
+
+
 def make_seed(statuses, camera_id=2, user_id=0, beams=None, start_frame=0):
     """A Seed holding one stream of the given link statuses."""
     frames = list(range(start_frame, start_frame + len(statuses)))
@@ -553,7 +609,7 @@ class TestSeedCounters:
                              dims=np.array([4.6, 1.8, 1.5]), velocity=np.zeros(3), lane=0)
         worlds = static_worlds(cfg, [car(0, x, 15.75), bus(1, x, 5.25), hidden], 20)
         worlds[3] = world_from_objects(cfg, [bus(1, x, 5.25), hidden])
-        write_trace(tmp_path / "trace", cfg, worlds)
+        write_worlds(tmp_path / "trace", cfg, worlds)
         manifest = build_dataset_stage(tmp_path / "trace", tmp_path / "ds",
                                        DatasetConfig(quota=2))
         bs2 = worlds[0].basestations[1]
@@ -637,7 +693,7 @@ class TestSerialization:
         worlds = [build_world(cfg)]
         for _ in range(4):
             worlds.append(step_world(worlds[-1], cfg.dt))
-        write_trace(tmp_path / "trace", cfg, worlds)
+        write_worlds(tmp_path / "trace", cfg, worlds)
         cfg_back, worlds_back = read_trace(tmp_path / "trace")
         assert cfg_back == cfg
         assert len(worlds_back) == len(worlds)

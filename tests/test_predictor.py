@@ -23,7 +23,7 @@ from beamsight.predictor import (
     save_checkpoint,
     train_model,
 )
-from oracles import batch_major_run
+from oracles import batch_major_run, segment_sum_rows
 
 
 def zero_params(input_dim, hidden, layers=2, classes=2):
@@ -196,8 +196,37 @@ class TestForwardOracle:
             tracemalloc.stop()
         assert peak <= 8 * 2**20, f"predict peaked at {peak / 2**20:.1f} MiB"
 
+    def test_training_step_frees_each_layer_cache(self):
+        # one bimodal training step of 200 windows of 16 steps; it peaked at
+        # 27.6 MiB while every layer's cache lived to the end of the backward
+        # pass and the layer-0 segment sum ran over all 192 columns at once
+        model = GruPredictor(input_dim=256, hidden=64, seed=0)
+        model.params = {k: v.astype(np.float32) for k, v in model.params.items()}
+        rng = np.random.default_rng(0)
+        x = Sequences(rng.normal(size=(1409, 256)).astype(np.float32),
+                      rng.integers(0, 1409, size=(200, 16)))
+        y = rng.integers(0, 2, size=200)
+        tracemalloc.start()
+        try:
+            model.logits_and_grads(x, y, True, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2**20, f"a training step peaked at {peak / 2**20:.1f} MiB"
+
 
 class TestLossAndGrads:
+    @pytest.mark.parametrize("width", [1, 63, 64, 96, 192, 200])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_segment_sum_adds_rows_in_order(self, width, dtype):
+        # float64 rows pin the order of the additions; float32 ones the cast back
+        rng = np.random.default_rng(width)
+        values = rng.normal(size=(700, width)).astype(dtype)
+        segments = rng.integers(0, 90, size=700)
+        want = segment_sum_rows(values, segments, 95)
+        got = beamsight.predictor._segment_sum(values, segments, 95)
+        assert got.dtype == values.dtype and got.tobytes() == want.tobytes()
+
     def test_uniform_logits_loss_is_ln2(self):
         model = GruPredictor(input_dim=3, hidden=2, params=zero_params(3, 2))
         x = np.random.default_rng(0).normal(size=(6, 4, 3))
