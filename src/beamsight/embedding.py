@@ -3,9 +3,9 @@
 Beam indices go through a frozen Gaussian lookup table (no training);
 per-frame detection lists become zero-padded stacks of 6-number box
 features.  Both land in the same N-dimensional space consumed by the
-recurrent predictor.  ``encode_dataset``, the one encoder, embeds each
-camera frame once and gives every window's steps as indices into those
-rows and the beam table.
+recurrent predictor.  ``encode_dataset``, the one encoder, takes window
+and frame tables, embeds each camera frame once and gives every window's
+steps as indices into those rows and the beam table.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ import logging
 import numpy as np
 
 from .config import BBOX_FEATURE_SIZE
-from .pipeline import LabeledSample
+from .pipeline import FrameTable, LabeledSample, WindowTable
 from .predictor import Sequences
-from .scene import Detection
 
 log = logging.getLogger(__name__)
 
@@ -45,7 +44,7 @@ class BeamEmbeddingTable:
         return self._entries
 
 
-def embed_frames(frames: list[list[Detection]], dim: int) -> np.ndarray:
+def embed_frames(frames: FrameTable, dim: int) -> np.ndarray:
     """Each frame's detections as a zero-padded float64 row (F, dim) of
     [x_cent, y_cent, x1, y1, x2, y2] box features, all frames in one pass.
 
@@ -54,17 +53,15 @@ def embed_frames(frames: list[list[Detection]], dim: int) -> np.ndarray:
     are dropped first (logged).
     """
     capacity = dim // BBOX_FEATURE_SIZE
-    counts = np.array([len(detections) for detections in frames], dtype=int)
+    counts = frames.count
     for n in counts[counts > capacity]:
         log.info("truncating %d of %d detections to fit embedding dim %d", n - capacity, n, dim)
     frame = np.repeat(np.arange(len(frames)), counts)
-    flat = [d for detections in frames for d in detections]
-    boxes = np.array([d.bbox for d in flat], dtype=float).reshape(-1, 4)
     # rank within the frame by confidence; the stable sort breaks ties by position
-    ranked = np.lexsort((-np.array([d.confidence for d in flat], dtype=float), frame))
+    ranked = np.lexsort((-frames.confidence, frame))
     keep = np.empty(len(frame), dtype=bool)
     keep[ranked] = np.arange(len(frame)) - np.repeat(np.cumsum(counts) - counts, counts) < capacity
-    frame, (x1, y1, x2, y2) = frame[keep], boxes[keep].T
+    frame, (x1, y1, x2, y2) = frame[keep], frames.boxes[keep].T
     x_cent = (x1 + x2) / 2.0
     order = np.lexsort((y2, x2, y1, x1, x_cent, -((x2 - x1) * (y2 - y1)), frame))
     kept = np.minimum(counts, capacity)
@@ -75,45 +72,45 @@ def embed_frames(frames: list[list[Detection]], dim: int) -> np.ndarray:
     return out
 
 
-def check_windows(samples: list[LabeledSample], n_beams: int) -> np.ndarray:
-    """The windows' beams (n, r): as many for each as for the first, at least
-    1, each in 1..n_beams; a ValueError names the first window that breaks this."""
-    if not samples:
+def check_beams(windows: WindowTable, n_beams: int) -> None:
+    """Every window has at least one beam, each in 1..n_beams; a ValueError
+    names the first window that breaks this."""
+    if not len(windows):
         raise ValueError("empty dataset: no windows to encode")
-    lengths = np.array([len(s.sequence.beams) for s in samples])
-    beams = np.array([b for s in samples for b in s.sequence.beams])
-    bad = (lengths != lengths[0]) | (lengths[0] == 0)
-    bad[np.repeat(np.arange(len(samples)), lengths)[(beams < 1) | (beams > n_beams)]] = True
-    if bad.any():
-        first, s = samples[0], samples[bad.argmax()]
-        raise ValueError(f"window {s.key} has beams {s.sequence.beams}: expected as many as "
-                         f"window {first.key} ({lengths[0]}, at least 1), each beam index "
-                         f"in 1..{n_beams}")
-    return beams.reshape(len(samples), -1)
+    bad = np.any((windows.beams < 1) | (windows.beams > n_beams), axis=1)
+    if bad.any() or windows.beams.shape[1] == 0:
+        i = int(bad.argmax())
+        raise ValueError(f"window {windows.keys()[i]} has beams {windows.beams[i].tolist()}: "
+                         f"expected at least 1, each beam index in 1..{n_beams}")
 
 
-def encode_dataset(samples: list[LabeledSample], table: BeamEmbeddingTable,
+def encode_dataset(windows: WindowTable | list[LabeledSample], table: BeamEmbeddingTable,
                    mode: str) -> tuple[Sequences, np.ndarray]:
-    """Model inputs and labels for windows ``check_windows`` accepts: float32
+    """Model inputs and labels for windows ``check_beams`` accepts: float32
     ``Sequences`` of distinct rows (R, N) and a row index (n, T), labels (n,).
+    ``windows`` is a WindowTable, observed for bimodal inputs, or a list of
+    LabeledSamples, which ``WindowTable.of`` turns into one.
 
     Beam-only rows are ``table.entries`` and a window's steps are its r
     beams (T = r).  Bimodal rows are the box embeddings of the distinct
-    camera frames stacked on ``table.entries``, and a window's steps are
-    its r frames, then its r beams (T = 2r).  Each distinct detection list
-    is embedded once: windows that observe one camera frame share its list
-    object, so the list's identity is the frame key.
+    frames the windows observe, in order of first appearance, stacked on
+    ``table.entries``, and a window's steps are its r frames, then its r
+    beams (T = 2r).  Each distinct frame is embedded once.
     """
     if mode not in ("bimodal", "beam-only"):
         raise ValueError(f"unknown mode {mode!r} (expected 'bimodal' or 'beam-only')")
-    index = check_windows(samples, table.n_beams) - 1
-    rows = table.entries
+    windows = WindowTable.of(windows)
+    check_beams(windows, table.n_beams)
+    index, rows = windows.beams - 1, table.entries
     if mode == "bimodal":
-        distinct = {id(d): d for s in samples for d in s.sequence.detections}
-        row_of = {key: row for row, key in enumerate(distinct)}
-        frames = np.array([[row_of[id(d)] for d in s.sequence.detections] for s in samples])
-        boxes = embed_frames(list(distinct.values()), table.dim)
+        if windows.frames is None:
+            raise ValueError("bimodal inputs need the windows' frames: observe them first")
+        distinct, first, inverse = np.unique(windows.frame_rows, return_index=True,
+                                             return_inverse=True)
+        order = np.argsort(first)   # the distinct frames by first appearance
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        boxes = embed_frames(windows.frames.take(distinct[order]), table.dim)
         rows = np.concatenate([boxes, table.entries], dtype=table.entries.dtype)
-        index = np.concatenate([frames, len(distinct) + index], axis=1)
-    labels = np.array([s.label.status for s in samples], dtype=np.int64)
-    return Sequences(rows, index), labels
+        index = np.concatenate([rank[inverse].reshape(index.shape), len(order) + index], axis=1)
+    return Sequences(rows, index), windows.label

@@ -3,7 +3,11 @@ train (both modes) -> eval -> handoff-eval.
 
 Every stage reads its inputs from disk and writes its outputs to disk, so
 the in-process pipeline and the stage-by-stage CLI produce identical
-artifacts.  Nothing is cached: each run recomputes every stage into the
+artifacts.  A stage reads only what its model reads: ``train`` the dataset
+manifest, ``train.ndrec`` and ``val.ndrec``; ``eval`` a checkpoint, the
+manifest and ``val.ndrec``; ``handoff-eval`` two checkpoints, ``pairs.ndrec``
+and the manifest beside it.  ``frames.ndrec`` is parsed once by a stage with
+a bimodal model and never opened by a beam-only one.  Nothing is cached: each run recomputes every stage into the
 output directory and records the config hash in the manifest, so a
 changed config can never silently reuse stale artifacts.  Output CSVs
 carry no timestamps; reruns with the same config are byte-identical.
@@ -21,19 +25,21 @@ import numpy as np
 
 from . import __version__
 from .config import DatasetConfig, ExperimentConfig, ScenarioConfig, TrainConfig
-from .embedding import BeamEmbeddingTable, check_windows, encode_dataset
+from .embedding import BeamEmbeddingTable, check_beams, encode_dataset
 from .errors import BeamsightError, DataError
-from .handoff import HandoffReport, evaluate_handoff
+from .handoff import HandoffReport, score_handoff
 from .metrics import MetricReport, report
 from .pipeline import (
     balance_and_split,
     collect_windows,
+    concat,
     conjugate_pairs,
+    observe,
+    read_frames,
     read_manifest,
-    read_pairs,
-    read_split,
-    read_splits,
+    read_pair_table,
     read_trace_rows,
+    read_windows,
     seed_pass,
     write_dataset,
     write_trace,
@@ -61,27 +67,33 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _encode(files, table: BeamEmbeddingTable, mode: str, observed: int, future: int):
-    """One ``encode_dataset`` call (which checks each window once) over the windows of
-    ``files``, (path, windows) pairs.  A DataError names the file of no windows, windows
-    ``check_windows`` rejects or not ``observed`` long, or a label not ``future`` long."""
-    try:
-        encoded = encode_dataset([s for _, samples in files for s in samples], table, mode)
-    except ValueError:
-        encoded = None   # checking each file whole names the one at fault
-    for path, samples in files:
-        try:   # once encode_dataset accepts them all, a file's first window stands for it
-            r = check_windows(samples if encoded is None else samples[:1], table.n_beams).shape[1]
-        except ValueError as exc:
-            raise DataError(f"{path}: {exc}") from exc
+def _encode(files, table: BeamEmbeddingTable, mode: str, observed: int, future: int,
+            frames=None):
+    """One ``encode_dataset`` call over the window tables of ``files``, (path,
+    windows) pairs, whose frames a bimodal call looks up in ``frames``.  A
+    DataError names the file of no windows, windows not ``observed`` long,
+    labels not ``future`` long, a frame ``frames`` lacks, or beams that
+    ``check_beams`` rejects."""
+    for path, windows in files:
+        (n, r), f = windows.beams.shape, windows.future.shape[1]
+        if not n:
+            raise DataError(f"{path}: empty dataset: no windows to encode")
         if r != observed:
-            raise DataError(f"{path}: windows observe {r} frames, the model takes "
-                            f"{observed}")
-        for s in samples:
-            if len(s.label.window) != future:
-                raise DataError(f"{path}: window {s.key} labels {len(s.label.window)} "
-                                f"future frames, the dataset's manifest says {future}")
-    return encoded
+            raise DataError(f"{path}: windows observe {r} frames, the model takes {observed}")
+        if f != future:
+            raise DataError(f"{path}: window {windows.keys()[0]} labels {f} future frames, "
+                            f"the dataset's manifest says {future}")
+    if mode == "bimodal":
+        files = [(path, observe(path, windows, frames)) for path, windows in files]
+    try:   # checks each window once
+        return encode_dataset(concat([w for _, w in files]), table, mode)
+    except ValueError:
+        for path, windows in files:   # the file at fault
+            try:
+                check_beams(windows, table.n_beams)
+            except ValueError as exc:
+                raise DataError(f"{path}: {exc}") from exc
+        raise
 
 
 def _write_csv(path, header: list[str], rows: list[list]) -> None:
@@ -168,13 +180,14 @@ def train_stage(dataset_dir, mode: str, cfg: TrainConfig, out_ckpt,
     if mode not in ("bimodal", "beam-only"):
         raise DataError(f"unknown mode {mode!r}")
     manifest = read_manifest(dataset_dir)
-    train_ds, val_ds = read_splits(dataset_dir, "train", "val")
+    frames = read_frames(dataset_dir) if mode == "bimodal" else None
+    train, val = read_windows(dataset_dir, "train", "val")
     table = BeamEmbeddingTable(manifest["codebook"]["beams"], cfg.embed_dim,
                                cfg.table_seed)
-    x, y = _encode([(Path(dataset_dir) / f"{ds.split}.ndrec", ds.samples)
-                    for ds in (train_ds, val_ds)],
-                   table, mode, manifest["observed"], manifest["future"])
-    n = len(train_ds.samples)
+    x, y = _encode([(Path(dataset_dir) / "train.ndrec", train),
+                    (Path(dataset_dir) / "val.ndrec", val)],
+                   table, mode, manifest["observed"], manifest["future"], frames)
+    n = len(train)
     result = train_model(x[:n], y[:n], x[n:], y[n:], cfg)
 
     meta = {
@@ -226,11 +239,12 @@ def eval_stage(ckpt_path, dataset_dir, out_csv) -> tuple[MetricReport, dict]:
     """
     model, meta, table = _load_model_and_table(ckpt_path)
     future = read_manifest(dataset_dir)["future"]
-    val_ds = read_split(dataset_dir, "val")
-    x, _ = _encode([(Path(dataset_dir) / "val.ndrec", val_ds.samples)], table,
-                   meta["mode"], meta["observed"], future)
+    frames = read_frames(dataset_dir) if meta["mode"] == "bimodal" else None
+    [val] = read_windows(dataset_dir, "val")
+    x, _ = _encode([(Path(dataset_dir) / "val.ndrec", val)], table, meta["mode"],
+                   meta["observed"], future, frames)
     preds = model.predict(x)
-    rep, cm = report(preds, val_ds.samples, future=future)
+    rep, cm = report(preds, val, future=future)
 
     out_csv = Path(out_csv)
     _write_csv(out_csv, ["metric", "value"], [
@@ -258,7 +272,8 @@ def eval_stage(ckpt_path, dataset_dir, out_csv) -> tuple[MetricReport, dict]:
 
 def handoff_eval(ckpt1_path, ckpt2_path, pairs_path) -> HandoffReport:
     """Run the two per-basestation models over the conjugate pairs; two paths
-    to one file load it once.
+    to one file load it once, and ``frames.ndrec`` is read only for a
+    bimodal model.
 
     An empty pairs file yields an all-undefined report (n/a categories),
     mirroring the per-category degenerate case.
@@ -266,19 +281,21 @@ def handoff_eval(ckpt1_path, ckpt2_path, pairs_path) -> HandoffReport:
     model1, meta1, table1 = _load_model_and_table(ckpt1_path)
     same = Path(ckpt1_path).resolve() == Path(ckpt2_path).resolve()
     model2, meta2, table2 = (model1, meta1, table1) if same else _load_model_and_table(ckpt2_path)
-    pairs = read_pairs(pairs_path)
-    future = read_manifest(Path(pairs_path).parent)["future"]
-    if not pairs:
-        return evaluate_handoff(lambda s: 0, lambda s: 0, pairs)
+    dataset_dir = Path(pairs_path).parent
+    bimodal = "bimodal" in (meta1["mode"], meta2["mode"])
+    frames = read_frames(dataset_dir) if bimodal else None
+    bs1, bs2, category = read_pair_table(pairs_path)
+    future = read_manifest(dataset_dir)["future"]
+    if not len(category):
+        return score_handoff([], [], [], [], [])
 
-    def batch_predict(model, meta, table, samples):
-        x, _ = _encode([(pairs_path, samples)], table, meta["mode"], meta["observed"], future)
-        preds = model.predict(x)
-        return {s.key: int(p) for s, p in zip(samples, preds)}
+    def predict(model, meta, table, windows):
+        x, _ = _encode([(pairs_path, windows)], table, meta["mode"], meta["observed"],
+                       future, frames)
+        return model.predict(x)
 
-    preds1 = batch_predict(model1, meta1, table1, [p.sample_bs1 for p in pairs])
-    preds2 = batch_predict(model2, meta2, table2, [p.sample_bs2 for p in pairs])
-    return evaluate_handoff(lambda s: preds1[s.key], lambda s: preds2[s.key], pairs)
+    return score_handoff(predict(model1, meta1, table1, bs1), predict(model2, meta2, table2, bs2),
+                         bs1.label, bs2.label, category)
 
 
 def handoff_row(label: str, rep: HandoffReport) -> list:

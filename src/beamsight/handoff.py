@@ -57,55 +57,43 @@ class HandoffReport:
     bs_los_accuracy: dict[int, float | None] = field(default_factory=dict)
 
 
-def evaluate_handoff(predict_bs1, predict_bs2,
-                     pairs: list[ConjugateSample]) -> HandoffReport:
-    """Category-wise handoff accuracy plus per-basestation link accuracy.
+def score_handoff(pred_bs1, pred_bs2, status_bs1, status_bs2, category) -> HandoffReport:
+    """Category-wise handoff accuracy plus per-basestation link accuracy of
+    per-pair arrays: the predicted and the true future status at each
+    basestation, and the pair's category (the serving basestation)."""
+    p1, p2, s1, s2, category = (np.asarray(a, dtype=np.int64).reshape(-1) for a in (
+        pred_bs1, pred_bs2, status_bs1, status_bs2, category))
+    if not np.isin(np.concatenate([p1, p2, s1, s2]), (0, 1)).all():
+        raise ValueError("handoff events are binary tuples")
+    first = category == 1   # bs1 serves in category 1, bs2 in category 2
 
-    ``predict_bs1`` / ``predict_bs2`` map a LabeledSample to a binary
-    future-link-status prediction; the two are evaluated independently.
-    """
-    events = []
-    records = []
-    for pair in pairs:
-        p1 = int(predict_bs1(pair.sample_bs1))
-        p2 = int(predict_bs2(pair.sample_bs2))
-        s1 = pair.sample_bs1.label.status
-        s2 = pair.sample_bs2.label.status
-        if pair.category == 1:
-            event = HandoffEvent(p1, p2, s1, s2)
-        else:
-            event = HandoffEvent(p2, p1, s2, s1)
-        events.append((pair.category, classify_event(event)))
-        records.append((p1, p2, s1, s2))
+    def hand_off(x1, x2):   # decide() of the serving and the other side
+        return np.where(first, x1, x2) - np.where(first, x2, x1) == 1
 
-    def category_accuracy(category):
-        outcomes = [ok for cat, ok in events if cat == category]
-        return (float(np.mean(outcomes)) if outcomes else None), len(outcomes)
+    ok = hand_off(p1, p2) == hand_off(s1, s2)
 
-    cat1, n1 = category_accuracy(1)
-    cat2, n2 = category_accuracy(2)
-    overall = float(np.mean([ok for _, ok in events])) if events else None
-    joint = (float(np.mean([p1 == s1 and p2 == s2
-                            for p1, p2, s1, s2 in records]))
-             if records else None)
-
-    nlos_acc: dict[int, float | None] = {}
-    los_acc: dict[int, float | None] = {}
-    for bs in (1, 2):
-        preds = [r[bs - 1] for r in records]
-        truth = [r[bs + 1] for r in records]
-        nlos = [p == t for p, t in zip(preds, truth) if t == 1]
-        los = [p == t for p, t in zip(preds, truth) if t == 0]
-        nlos_acc[bs] = float(np.mean(nlos)) if nlos else None
-        los_acc[bs] = float(np.mean(los)) if los else None
+    def mean(values):
+        return float(np.mean(values)) if len(values) else None
 
     return HandoffReport(
-        category1_accuracy=cat1,
-        category2_accuracy=cat2,
-        category1_count=n1,
-        category2_count=n2,
-        overall_accuracy=overall,
-        joint_correct_fraction=joint,
-        bs_nlos_accuracy=nlos_acc,
-        bs_los_accuracy=los_acc,
+        category1_accuracy=mean(ok[first]),
+        category2_accuracy=mean(ok[category == 2]),
+        category1_count=int(np.sum(first)),
+        category2_count=int(np.sum(category == 2)),
+        overall_accuracy=mean(ok),
+        joint_correct_fraction=mean((p1 == s1) & (p2 == s2)),
+        bs_nlos_accuracy={bs: mean(p[s == 1] == 1) for bs, p, s in ((1, p1, s1), (2, p2, s2))},
+        bs_los_accuracy={bs: mean(p[s == 0] == 0) for bs, p, s in ((1, p1, s1), (2, p2, s2))},
     )
+
+
+def evaluate_handoff(predict_bs1, predict_bs2,
+                     pairs: list[ConjugateSample]) -> HandoffReport:
+    """``score_handoff`` of ConjugateSamples: ``predict_bs1`` / ``predict_bs2``
+    map a LabeledSample to a binary future-link-status prediction; the two
+    are evaluated independently."""
+    return score_handoff([int(predict_bs1(p.sample_bs1)) for p in pairs],
+                         [int(predict_bs2(p.sample_bs2)) for p in pairs],
+                         [p.sample_bs1.label.status for p in pairs],
+                         [p.sample_bs2.label.status for p in pairs],
+                         [p.category for p in pairs])

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pipeline import LabeledSample
+from .pipeline import WindowTable
 from .scene import VehicleClass
 
 log = logging.getLogger(__name__)
@@ -35,19 +35,12 @@ class ConfusionMatrix:
 
     @classmethod
     def from_predictions(cls, predictions, labels) -> "ConfusionMatrix":
-        cm = cls()
-        for pred, label in zip(predictions, labels, strict=True):
-            if label == 1:
-                if pred == 1:
-                    cm.tp += 1
-                else:
-                    cm.fn += 1
-            else:
-                if pred == 1:
-                    cm.fp += 1
-                else:
-                    cm.tn += 1
-        return cm
+        predictions, labels = np.asarray(predictions), np.asarray(labels)
+        if predictions.shape != labels.shape:
+            raise ValueError("predictions and labels must have equal length")
+        positive, predicted = labels == 1, predictions == 1
+        return cls(*(int(np.sum(a & b)) for a, b in ((positive, predicted), (~positive, predicted),
+                                                     (~positive, ~predicted), (positive, ~predicted))))
 
 
 def top1(predictions, labels) -> float:
@@ -168,50 +161,48 @@ class MetricReport:
     n_samples: int = 0
 
 
-def report(predictions, samples: list[LabeledSample],
-           future: int = 5) -> tuple[MetricReport, ConfusionMatrix]:
-    """Aggregate predictions over a labeled dataset.
+def report(predictions, windows, future: int = 5) -> tuple[MetricReport, ConfusionMatrix]:
+    """Aggregate predictions over the windows of a WindowTable, or of a list
+    of LabeledSamples (``WindowTable.of``).
 
     Per-camera accuracy and the accuracy-vs-blockage-instance curve are
     computed on pivotal sequences only; the instance bins partition the
     pivotal set.
     """
     predictions = np.asarray(predictions)
-    labels = np.array([s.label.status for s in samples])
-    if len(predictions) != len(samples):
+    windows = WindowTable.of(windows)
+    labels, instances = windows.label, windows.instance
+    if len(predictions) != len(windows):
         raise ValueError("predictions and samples must have equal length")
     cm = ConfusionMatrix.from_predictions(predictions, labels)
     precision, recall = precision_recall(cm)
 
-    pivotal = labels == 1
-    pivotal_acc = (float(np.mean(predictions[pivotal] == 1))
-                   if np.any(pivotal) else None)
+    def pivotal_accuracy(idx):
+        return float(np.mean(predictions[idx] == 1)) if np.any(idx) else None
 
+    pivotal = labels == 1
     per_camera: dict[int, float | None] = {}
     camera_counts: dict[int, int] = {}
-    cameras = sorted({s.sequence.camera_id for s in samples})
-    for cam in cameras:
-        idx = np.array([s.sequence.camera_id == cam and s.label.status == 1
-                        for s in samples])
+    for cam in np.unique(windows.camera).tolist():
+        idx = (windows.camera == cam) & pivotal
         camera_counts[cam] = int(np.sum(idx))
-        per_camera[cam] = float(np.mean(predictions[idx] == 1)) if np.any(idx) else None
+        per_camera[cam] = pivotal_accuracy(idx)
 
     per_instance: dict[int, float | None] = {}
     counts: dict[int, int] = {}
     for instance in range(1, future + 1):
-        idx = np.array([s.label.blockage_instance == instance for s in samples])
+        idx = instances == instance
         counts[instance] = int(np.sum(idx))
-        per_instance[instance] = (float(np.mean(predictions[idx] == 1))
-                                  if np.any(idx) else None)
+        per_instance[instance] = pivotal_accuracy(idx)
 
     return MetricReport(
         top1=top1(predictions, labels),
         precision=precision,
         recall=recall,
-        pivotal_accuracy=pivotal_acc,
+        pivotal_accuracy=pivotal_accuracy(pivotal),
         per_camera_pivotal=per_camera,
         per_camera_counts=camera_counts,
         per_instance=per_instance,
         per_instance_counts=counts,
-        n_samples=len(samples),
+        n_samples=len(windows),
     ), cm

@@ -8,6 +8,9 @@ train/validation split; and conjugate pairs for the handoff evaluation.
 Dataset files are newline-delimited JSON records with a fixed field order,
 so identical inputs produce byte-identical files.  ``frames.ndrec`` holds
 each camera frame's detections once; window records look them up there.
+Each file has one parser, which checks its records in bulk and reads them
+into tables (``WindowTable``, ``FrameTable``); the line
+of a defect is looked for only once a check has failed.
 """
 
 from __future__ import annotations
@@ -49,11 +52,13 @@ log = logging.getLogger(__name__)
 DETECT_STREAM = 101   # rng domain separator for per-frame detector draws
 BLOCK_FRAMES = 16     # frames per seed-pass block
 LINK_CHUNK = 24       # owned users per link-kernel call, which bounds their memory
+CHUNK_BYTES = 1 << 14  # dataset text parsed at a time, which bounds its objects alive at once
 
 
-def camera_to_bs(camera_id: int) -> int:
-    """Cameras 1-3 belong to basestation 1, cameras 4-6 to basestation 2."""
-    return 1 if camera_id <= 3 else 2
+def camera_to_bs(camera_id):
+    """Cameras 1-3 belong to basestation 1, cameras 4-6 to basestation 2 (of
+    an int, or elementwise of an array)."""
+    return 1 + (camera_id > 3)
 
 
 @dataclass
@@ -137,6 +142,101 @@ class ConjugateSample:
     def __post_init__(self):
         if self.category not in (1, 2):
             raise ValueError("category must be 1 or 2")
+
+
+@dataclass
+class FrameTable:
+    """Camera frames as flat arrays: frame i is frame[i] of camera[i], and its
+    count[i] detections follow those of the frames before it in classes (codes
+    into CLASSES), boxes (k, 4) of (x1, y1, x2, y2) and confidence."""
+
+    camera: np.ndarray
+    frame: np.ndarray
+    count: np.ndarray
+    classes: np.ndarray
+    boxes: np.ndarray
+    confidence: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.count)
+
+    @classmethod
+    def of(cls, frames: list[tuple[int, int, list[Detection]]]) -> "FrameTable":
+        """The table of (camera, frame, detection list) triples."""
+        flat = [d for *_, detections in frames for d in detections]
+        return cls(*np.array([(c, f, len(d)) for c, f, d in frames], dtype=np.int64).reshape(-1, 3).T,
+                   np.array([CLASS_CODES[d.object_class.value] for d in flat], dtype=np.int64),
+                   np.array([d.bbox for d in flat], dtype=float).reshape(-1, 4),
+                   np.array([d.confidence for d in flat], dtype=float))
+
+    def take(self, rows: np.ndarray) -> "FrameTable":
+        """The frames ``rows``, in that order."""
+        count, start = self.count[rows], (np.cumsum(self.count) - self.count)[rows]
+        boxes = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+        return FrameTable(self.camera[rows], self.frame[rows], count, self.classes[boxes],
+                          self.boxes[boxes], self.confidence[boxes])
+
+    def detections(self) -> list[list[Detection]]:
+        """Each frame's detections as a list of Detection objects."""
+        found = [Detection(CLASSES[c], tuple(box), p) for c, box, p in zip(
+            self.classes.tolist(), self.boxes.tolist(), self.confidence.tolist())]
+        ends = np.cumsum(self.count).tolist()
+        return [found[end - n:end] for end, n in zip(ends, self.count.tolist())]
+
+
+@dataclass
+class WindowTable:
+    """Windows as columns, one row per window: camera, user and t_end (n,), the
+    observed beams (n, r) and the future link statuses (n, f).  Once
+    ``observe`` has looked up their frames, ``frame_rows`` (n, r) index ``frames``."""
+
+    camera: np.ndarray
+    user: np.ndarray
+    t_end: np.ndarray
+    beams: np.ndarray
+    future: np.ndarray
+    frames: FrameTable | None = None
+    frame_rows: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.camera)
+
+    @property
+    def label(self) -> np.ndarray:
+        """1 where any future status is NLOS."""
+        return np.any(self.future != 0, axis=1).astype(np.int64)
+
+    @property
+    def instance(self) -> np.ndarray:
+        """The 1-based index of the first NLOS status, 0 where there is none."""
+        nlos = np.c_[self.future != 0, np.ones(len(self), dtype=bool)]
+        first = nlos.argmax(axis=1) + 1
+        return np.where(first < nlos.shape[1], first, 0)
+
+    def keys(self) -> list[tuple[int, int, int]]:
+        return list(zip(self.camera.tolist(), self.user.tolist(), self.t_end.tolist()))
+
+    @classmethod
+    def of(cls, windows) -> "WindowTable":
+        """``windows``, or LabeledSamples as a table whose frame rows index a
+        FrameTable of their distinct detection lists (by identity), in order
+        of first appearance."""
+        if isinstance(windows, cls):
+            return windows
+        sequences = [s.sequence for s in windows]
+        keys = [(q.camera_id, q.user_id, q.t_end) for q in sequences]
+        lists: dict[int, tuple] = {}
+        for q in sequences:
+            for t, detections in enumerate(q.detections, q.t_end - len(q.detections) + 1):
+                lists.setdefault(id(detections), (q.camera_id, t, detections))
+        row = dict(zip(lists, itertools.count()))
+        beams = _rectangle([q.beams for q in sequences], keys.__getitem__, _BEAMS_DIFFER)
+        return cls(*np.array(keys, dtype=np.int64).reshape(-1, 3).T, beams,
+                   _rectangle([s.label.window for s in windows], keys.__getitem__,
+                              _FUTURE_DIFFERS),
+                   FrameTable.of(list(lists.values())),
+                   np.array([[row[id(d)] for d in q.detections] for q in sequences],
+                            dtype=np.int64).reshape(beams.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -319,23 +419,6 @@ def sample_to_record(sample: LabeledSample) -> dict:
     }
 
 
-def record_to_sample(record: dict, frames: dict) -> LabeledSample:
-    integers = (record["camera"], record["user"], record["t_end"], record["label"],
-                *record["beams"], *record["window"])
-    if not all(type(v) is int for v in integers):
-        raise TypeError("camera, user, t_end, label, beams and window must be integers")
-    first = record["t_end"] - len(record["beams"]) + 1
-    sequence = ObservedSequence(
-        camera_id=record["camera"],
-        user_id=record["user"],
-        t_end=record["t_end"],
-        beams=list(record["beams"]),
-        detections=[frames[record["camera"], t] for t in range(first, record["t_end"] + 1)],
-    )
-    label = FutureLabel(record["label"], tuple(record["window"]), record["instance"])
-    return LabeledSample(sequence, label)
-
-
 def pair_to_record(pair: ConjugateSample) -> dict:
     return {
         "user": pair.user_id,
@@ -346,39 +429,83 @@ def pair_to_record(pair: ConjugateSample) -> dict:
     }
 
 
-def record_to_pair(record: dict, frames: dict) -> ConjugateSample:
-    """The pair a record holds; its category must name its one NLOS side."""
-    pair = ConjugateSample(
-        user_id=record["user"],
-        t_end=record["t_end"],
-        sample_bs1=record_to_sample(record["bs1"], frames),
-        sample_bs2=record_to_sample(record["bs2"], frames),
-        category=record["category"],
-    )
-    s1, s2 = pair.sample_bs1.label.status, pair.sample_bs2.label.status
-    if s1 == s2 or pair.category != (1 if s1 == 1 else 2):
-        raise ValueError(f"category {pair.category} does not fit statuses bs1 {s1}, bs2 {s2}")
-    cameras = [s.sequence.camera_id for s in (pair.sample_bs1, pair.sample_bs2)]
-    if [camera_to_bs(c) for c in cameras] != [1, 2]:
-        raise ValueError(f"cameras {cameras} of its bs1, bs2 sides are not of basestations 1, 2")
-    sides = {(s.user_id, s.t_end) for s in (pair.sample_bs1.sequence, pair.sample_bs2.sequence)}
-    if sides != {(pair.user_id, pair.t_end)}:
-        raise ValueError(f"user, t_end {pair.user_id, pair.t_end} are not its sides' {sides}")
-    return pair
+_BEAMS_DIFFER = "window {} has {} beams, window {} has {}: one beam index per observed frame"
+_FUTURE_DIFFERS = "window {} labels {} future frames, window {} labels {} future frames"
 
 
-def _read_frames(dataset_dir: Path) -> dict:
-    def parse(record):
-        if type(record["camera"]) is not int or type(record["frame"]) is not int:
-            raise TypeError("camera and frame must be integers")
-        # Detection checks the ranges, which true and false pass as 1 and 0
-        if bool in set(map(type, itertools.chain.from_iterable(record["detections"]))):
-            raise TypeError("a detection holds true or false")
-        return (record["camera"], record["frame"]), [
-            Detection(CLASSES[CLASS_CODES[c]], (x1, y1, x2, y2), confidence)
-            for c, x1, y1, x2, y2, confidence in record["detections"]]
+def _require(ok, message: str) -> None:
+    if not np.all(ok):
+        raise ValueError(message)
 
-    return dict(_read_ndjson(dataset_dir / "frames.ndrec", parse, key=lambda item: item[0]))
+
+def _rectangle(rows: list, key, differ: str) -> np.ndarray:
+    """Equal-length int ``rows`` as an (n, m) array; a row whose length is not
+    the first row's raises a ValueError, ``differ`` naming both windows."""
+    lengths = list(map(len, rows))
+    if lengths.count(m := lengths[0] if rows else 0) != len(rows):
+        i = next(i for i, n in enumerate(lengths) if n != m)
+        raise ValueError(differ.format(key(i), lengths[i], key(0), m))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), m)
+
+
+def _window_table(records: list) -> WindowTable:
+    """The table of window records, every check made in bulk."""
+    head = [(r["camera"], r["user"], r["t_end"], r["label"]) for r in records]
+    beams, future = [r["beams"] for r in records], [r["window"] for r in records]
+    instance = [r["instance"] for r in records]
+    values = list(itertools.chain(itertools.chain(*head), *beams, *future))
+    _require(not set(map(type, values)) - {int} and not set(map(type, instance)) - {int, type(None)}
+             and -2**63 <= min(values, default=0) and max(values, default=0) < 2**63,
+             "camera, user, t_end, label, each beam index and window must be 64-bit "
+             "integers, instance one or null")
+    head = np.array(head, dtype=np.int64).reshape(-1, 4)
+
+    def key(i):
+        return tuple(head[i, :3].tolist())
+
+    table = WindowTable(*head[:, :3].T.copy(), _rectangle(beams, key, _BEAMS_DIFFER),
+                        _rectangle(future, key, _FUTURE_DIFFERS))
+    _require(head[:, 3] == table.label, "label inconsistent with its future window")
+    _require(instance == [i or None for i in table.instance.tolist()],
+             "instance is not the first NLOS index of its window")
+    return table
+
+
+def _frame_table(records: list) -> FrameTable:
+    """The table of frame records, every check made in bulk."""
+    keys = [(r["camera"], r["frame"]) for r in records]
+    detections = [r["detections"] for r in records]
+    flat = list(itertools.chain.from_iterable(detections))
+    values = list(itertools.chain.from_iterable(flat))
+    _require(not set(map(len, flat)) - {6} and not set(map(type, itertools.chain(*keys))) - {int}
+             and not set(map(type, itertools.compress(values, itertools.cycle([0, 1, 1, 1, 1, 1]))))
+             - {int, float}, "camera and frame must be integers, and a detection [class, x1, y1, "
+             "x2, y2, confidence] with numbers that are not true or false")
+    x1, y1, x2, y2, confidence = numbers = np.array([values[i::6] for i in range(1, 6)], dtype=float)
+    _require((0 <= x1) & (x1 < x2) & (x2 <= 1) & (0 <= y1) & (y1 < y2) & (y2 <= 1),
+             "a box not within 0 <= x1 < x2 <= 1, 0 <= y1 < y2 <= 1")   # NaN fails too
+    _require((0 <= confidence) & (confidence <= 1), "a confidence outside [0, 1]")
+    return FrameTable(*np.array(keys, dtype=np.int64).reshape(-1, 2).T.copy(),
+                      np.array(list(map(len, detections)), dtype=np.int64),
+                      np.array([CLASS_CODES[c] for c in values[::6]], dtype=np.int64),
+                      numbers[:4].T.copy(), confidence.copy())
+
+
+def _pair_table(records: list) -> tuple[WindowTable, WindowTable, np.ndarray]:
+    """The bs1 and bs2 windows and the categories of pair records, every check
+    made in bulk."""
+    head = [(r["user"], r["t_end"], r["category"]) for r in records]
+    bs1, bs2 = (_window_table([r[side] for r in records]) for side in ("bs1", "bs2"))
+    _require(not set(map(type, itertools.chain(*head))) - {int},
+             "user, t_end and category must be integers")
+    user, t_end, category = np.array(head, dtype=np.int64).reshape(-1, 3).T.copy()
+    _require((bs1.label != bs2.label) & (category == 2 - bs1.label),
+             "category does not fit the statuses of its bs1, bs2 sides")
+    _require((camera_to_bs(bs1.camera) == 1) & (camera_to_bs(bs2.camera) == 2),
+             "the cameras of its bs1, bs2 sides are not of basestations 1, 2")
+    _require((bs1.user == user) & (bs2.user == user) & (bs1.t_end == t_end)
+             & (bs2.t_end == t_end), "user, t_end are not its sides'")
+    return bs1, bs2, category
 
 
 def _write_ndjson(path: Path, records) -> None:
@@ -388,12 +515,12 @@ def _write_ndjson(path: Path, records) -> None:
             fh.write("\n")
 
 
-def _read_ndjson(path: Path, parse, key=None, seen=None) -> list:
-    """``parse`` of each record; a bad line, or one whose ``key`` is already in
-    ``seen`` (key -> line, shared across files), raises DataError naming it."""
+def _read_ndjson(path: Path, parse) -> list:
+    """``parse`` of each record; a line that is not JSON, or whose record
+    ``parse`` rejects, raises DataError naming it."""
     if not path.is_file():
         raise DataError(f"missing file: {path}")
-    parsed, seen = [], {} if seen is None else seen
+    parsed = []
     with path.open() as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
@@ -402,14 +529,66 @@ def _read_ndjson(path: Path, parse, key=None, seen=None) -> list:
                 parsed.append(parse(json.loads(line)))
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}: line {number} is not JSON: {exc}") from exc
-            except (KeyError, IndexError, TypeError, ValueError) as exc:
+            except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
                 raise DataError(f"{path}: line {number} is not a valid record: "
                                 f"{exc!r}") from exc
-            if key is not None:
-                if (k := key(parsed[-1])) in seen:
-                    raise DataError(f"{path}: line {number} repeats key {k} of {seen[k]}")
-                seen[k] = f"{path}: line {number}"
     return parsed
+
+
+def _line_numbers(path: Path) -> list[int]:
+    """The number of each non-blank line of ``path``: record i is on line numbers[i]."""
+    return [n for n, line in enumerate(path.read_text().split("\n"), 1) if line.strip()]
+
+
+def concat(parts: list):
+    """One table of ``parts``, tables of consecutive rows; a field that is one
+    object in every part (no frame table, or one shared) stays as it is."""
+    first = parts[0]
+    if all(p is first for p in parts):
+        return first
+    if isinstance(first, np.ndarray):
+        return np.concatenate(parts)
+    if isinstance(first, tuple):
+        return tuple(concat(list(column)) for column in zip(*parts))
+    return type(first)(*(concat([getattr(p, f.name) for p in parts])
+                         for f in dataclasses.fields(first)))
+
+
+def _read_table(path: Path, table, keys, seen=None):
+    """``table`` of the records of ``path``, one JSON object a line, where no
+    ``keys`` of it (one per record) repeats or is in ``seen`` (key -> (path,
+    record), shared across files).  About CHUNK_BYTES of lines are parsed at
+    a time, into a table each.  Only once a check fails is its line looked
+    for: the first line that is not JSON, whose record fails on its own or
+    beside the first record, or that repeats a key."""
+    if not path.is_file():
+        raise DataError(f"missing file: {path}")
+    lines = [line for line in path.read_text().split("\n") if line.strip()]
+    try:
+        parts, step = [], max(1, CHUNK_BYTES * len(lines) // (sum(map(len, lines)) + 1))
+        for chunk in (lines[i:i + step] for i in range(0, len(lines), step)):
+            records = json.loads(f"[{','.join(chunk)}]")
+            if len(records) != len(chunk):   # one JSON value a line
+                raise ValueError("a line holds other than one JSON value")
+            parts.append(table(records))
+        found = concat(parts) if parts else table([])
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+        first = []
+
+        def check(record):   # the first record's lengths are every record's
+            first[:] = first[:1] or [record]
+            table(first + [record])
+
+        _read_ndjson(path, check)
+        raise DataError(f"{path}: not a valid record file: {exc!r}") from exc
+    seen = {} if seen is None else seen
+    for i, key in enumerate(keys(found)):
+        if key in seen:
+            other, j = seen[key]
+            raise DataError(f"{path}: line {_line_numbers(path)[i]} repeats key {key} of "
+                            f"{other}: line {_line_numbers(other)[j]}")
+        seen[key] = (path, i)
+    return found
 
 
 def write_dataset(out_dir, train: LabeledDataset, val: LabeledDataset,
@@ -432,14 +611,67 @@ def write_dataset(out_dir, train: LabeledDataset, val: LabeledDataset,
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def read_frames(dataset_dir) -> FrameTable:
+    """The ``frames.ndrec`` of a dataset directory."""
+    return _read_table(Path(dataset_dir) / "frames.ndrec", _frame_table,
+                       lambda f: zip(f.camera.tolist(), f.frame.tolist()))
+
+
+def read_windows(dataset_dir, *splits: str) -> list[WindowTable]:
+    """The windows of the named splits; no (camera, user, t_end) key repeats
+    within or across them."""
+    seen: dict = {}
+    return [_read_table(Path(dataset_dir) / f"{split}.ndrec", _window_table, WindowTable.keys,
+                        seen) for split in splits]
+
+
+def read_pair_table(path) -> tuple[WindowTable, WindowTable, np.ndarray]:
+    """The bs1 and bs2 windows and the categories of a ``pairs.ndrec``'s pairs."""
+    return _read_table(Path(path), _pair_table,
+                       lambda pairs: zip(pairs[0].user.tolist(), pairs[0].t_end.tolist()))
+
+
+def observe(path, windows: WindowTable, frames: FrameTable) -> WindowTable:
+    """``windows``, read from ``path``, with the rows of ``frames`` they observe
+    (frames t_end - r + 1 to t_end of their camera); a frame that ``frames``
+    lacks is a DataError naming the window's line."""
+    t = windows.t_end[:, None] + np.arange(1 - windows.beams.shape[1], 1)
+    camera = np.concatenate([frames.camera, np.repeat(windows.camera, t.shape[1])])
+    frame = np.concatenate([frames.frame, t.ravel()])
+    order = np.lexsort((frame, camera))   # stable, so a frame's row leads the run of its key
+    c, f = camera[order], frame[order]
+    new = np.r_[True, (c[1:] != c[:-1]) | (f[1:] != f[:-1])][:len(order)]
+    lead = order[new][np.cumsum(new) - 1]
+    rows = np.empty_like(order)
+    rows[order] = np.where(lead < len(frames), lead, -1)
+    rows = rows[len(frames):].reshape(t.shape)
+    if (rows < 0).any():
+        i, j = np.argwhere(rows < 0)[0].tolist()
+        raise DataError(f"{path}: line {_line_numbers(Path(path))[i]} is not a valid record: "
+                        f"window {windows.keys()[i]} observes frame {t[i, j]} of its camera, "
+                        f"which frames.ndrec lacks")
+    return dataclasses.replace(windows, frames=frames, frame_rows=rows)
+
+
+def _samples(windows: WindowTable, detections: list) -> list[LabeledSample]:
+    """Observed windows as LabeledSamples; those that observe one frame share
+    its list of ``detections``."""
+    return [LabeledSample(ObservedSequence(c, u, t, b, [detections[i] for i in rows]),
+                          FutureLabel(label, tuple(future), instance or None))
+            for c, u, t, b, rows, label, future, instance in zip(
+                windows.camera.tolist(), windows.user.tolist(), windows.t_end.tolist(),
+                windows.beams.tolist(), windows.frame_rows.tolist(), windows.label.tolist(),
+                windows.future.tolist(), windows.instance.tolist())]
+
+
 def read_splits(dataset_dir, *splits: str) -> list[LabeledDataset]:
-    """The named splits; ``frames.ndrec`` is parsed once and its detection
-    lists are shared by every window that observes the frame."""
-    frames, seen = _read_frames(Path(dataset_dir)), {}
-    return [LabeledDataset(_read_ndjson(Path(dataset_dir) / f"{split}.ndrec",
-                                        lambda r: record_to_sample(r, frames),
-                                        key=lambda s: s.key, seen=seen), split)
-            for split in splits]
+    """The named splits as LabeledSamples, through ``read_frames`` and
+    ``read_windows``; windows that observe one frame share its detection list."""
+    frames = read_frames(dataset_dir)
+    detections = frames.detections()
+    return [LabeledDataset(_samples(observe(Path(dataset_dir) / f"{split}.ndrec", windows,
+                                            frames), detections), split)
+            for split, windows in zip(splits, read_windows(dataset_dir, *splits))]
 
 
 def read_split(dataset_dir, split: str) -> LabeledDataset:
@@ -447,9 +679,14 @@ def read_split(dataset_dir, split: str) -> LabeledDataset:
 
 
 def read_pairs(path) -> list[ConjugateSample]:
-    frames = _read_frames(Path(path).parent)
-    return _read_ndjson(Path(path), lambda r: record_to_pair(r, frames),
-                        key=lambda p: (p.user_id, p.t_end))
+    """The pairs of a ``pairs.ndrec`` as ConjugateSamples, through the
+    ``read_frames`` of its directory and ``read_pair_table``."""
+    frames = read_frames(Path(path).parent)
+    *sides, category = read_pair_table(path)
+    detections = frames.detections()
+    bs1, bs2 = (_samples(observe(path, side, frames), detections) for side in sides)
+    return [ConjugateSample(s1.sequence.user_id, s1.sequence.t_end, s1, s2, c)
+            for s1, s2, c in zip(bs1, bs2, category.tolist())]
 
 
 def read_manifest(dataset_dir) -> dict:

@@ -16,6 +16,9 @@ projections and a fresh array for every gate of every step.
 ``segment_sum_rows`` adds rows to their segments one at a time.
 ``simulate_trace`` is the simulate stage one world at a time: each frame
 stepped object by object, each trace line written by ``json.dumps``.
+``record_to_sample``, ``record_to_pair`` and ``_read_frames`` are the
+object reader of a dataset directory: one record at a time, one
+``Detection`` per box, each window's detection lists looked up in a dict.
 """
 
 import cmath
@@ -34,9 +37,18 @@ from beamsight.phy import (
     synthesize_paths,
 )
 from beamsight.config import BBOX_FEATURE_SIZE
-from beamsight.pipeline import DETECT_STREAM
+from beamsight.pipeline import (
+    DETECT_STREAM,
+    ConjugateSample,
+    FutureLabel,
+    LabeledSample,
+    ObservedSequence,
+    camera_to_bs,
+)
 from beamsight.scene import (
     _BOX_SIGNS,
+    CLASS_CODES,
+    CLASSES,
     _EDGE_END,
     _EDGE_START,
     NEAR_PLANE,
@@ -434,3 +446,58 @@ def simulate_trace(cfg, frames, trace_dir):
     for _ in range(frames - 1):
         worlds.append(step_objects(worlds[-1], cfg.dt))
     write_trace_json(trace_dir, cfg, worlds)
+
+
+def record_to_sample(record, frames):
+    """A window record as a LabeledSample; ``frames`` maps (camera, frame) to
+    that frame's detection list, which the windows that observe it share."""
+    integers = (record["camera"], record["user"], record["t_end"], record["label"],
+                *record["beams"], *record["window"])
+    if not all(type(v) is int for v in integers):
+        raise TypeError("camera, user, t_end, label, beams and window must be integers")
+    first = record["t_end"] - len(record["beams"]) + 1
+    sequence = ObservedSequence(
+        camera_id=record["camera"],
+        user_id=record["user"],
+        t_end=record["t_end"],
+        beams=list(record["beams"]),
+        detections=[frames[record["camera"], t] for t in range(first, record["t_end"] + 1)],
+    )
+    label = FutureLabel(record["label"], tuple(record["window"]), record["instance"])
+    return LabeledSample(sequence, label)
+
+
+def record_to_pair(record, frames):
+    """A pair record as a ConjugateSample; its category must name its one NLOS side."""
+    pair = ConjugateSample(
+        user_id=record["user"],
+        t_end=record["t_end"],
+        sample_bs1=record_to_sample(record["bs1"], frames),
+        sample_bs2=record_to_sample(record["bs2"], frames),
+        category=record["category"],
+    )
+    s1, s2 = pair.sample_bs1.label.status, pair.sample_bs2.label.status
+    if s1 == s2 or pair.category != (1 if s1 == 1 else 2):
+        raise ValueError(f"category {pair.category} does not fit statuses bs1 {s1}, bs2 {s2}")
+    cameras = [s.sequence.camera_id for s in (pair.sample_bs1, pair.sample_bs2)]
+    if [camera_to_bs(c) for c in cameras] != [1, 2]:
+        raise ValueError(f"cameras {cameras} of its bs1, bs2 sides are not of basestations 1, 2")
+    sides = {(s.user_id, s.t_end) for s in (pair.sample_bs1.sequence, pair.sample_bs2.sequence)}
+    if sides != {(pair.user_id, pair.t_end)}:
+        raise ValueError(f"user, t_end {pair.user_id, pair.t_end} are not its sides' {sides}")
+    return pair
+
+
+def _read_frames(dataset_dir):
+    """``frames.ndrec`` as a dict (camera, frame) -> list of Detections, in file order."""
+    frames = {}
+    for line in (Path(dataset_dir) / "frames.ndrec").read_text().splitlines():
+        record = json.loads(line)
+        frames[record["camera"], record["frame"]] = [
+            Detection(CLASSES[CLASS_CODES[c]], (x1, y1, x2, y2), confidence)
+            for c, x1, y1, x2, y2, confidence in record["detections"]]
+    return frames
+
+
+def read_records(path):
+    return [json.loads(line) for line in Path(path).read_text().splitlines()]

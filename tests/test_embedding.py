@@ -13,6 +13,7 @@ from beamsight.embedding import (
 )
 from beamsight.experiment import build_dataset_stage, simulate_stage
 from beamsight.pipeline import (
+    FrameTable,
     FutureLabel,
     LabeledSample,
     ObservedSequence,
@@ -30,7 +31,7 @@ MINI = Path(__file__).resolve().parent.parent / "configs" / "mini.ini"
 
 def embed_bboxes(detections, dim):
     """One frame's row of the encoder's box embedding."""
-    return embed_frames([detections], dim)[0]
+    return embed_frames(FrameTable.of([(1, 0, detections)]), dim)[0]
 
 
 def det(x1, y1, x2, y2, conf=1.0, cls=VehicleClass.CAR):

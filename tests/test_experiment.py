@@ -22,6 +22,7 @@ from beamsight.experiment import (
     build_dataset_stage,
     eval_stage,
     handoff_eval,
+    handoff_stage,
     run_experiment,
     simulate_stage,
     train_stage,
@@ -43,6 +44,14 @@ def mini_config(**overrides) -> ExperimentConfig:
     for key, value in overrides.items():
         setattr(cfg, key, value)
     return cfg
+
+
+def frame_parses(monkeypatch) -> list:
+    """The paths of the frames.ndrec files parsed from now on."""
+    parsed, read = [], beamsight.pipeline._read_table
+    monkeypatch.setattr(beamsight.pipeline, "_read_table", lambda path, *args: (
+        path.name == "frames.ndrec" and parsed.append(path)) or read(path, *args))
+    return parsed
 
 
 @pytest.fixture(scope="module")
@@ -82,10 +91,13 @@ class TestRunExperiment:
         assert lines[1].split(",")[0] == "bimodal"
         assert lines[2].split(",")[0] == "beam-only"
 
-    def test_rerun_is_byte_identical(self, mini_run, tmp_path):
+    def test_rerun_is_byte_identical(self, mini_run, tmp_path, monkeypatch):
         out, _ = mini_run
         again = tmp_path / "again"
+        parsed = frame_parses(monkeypatch)
         run_experiment(load_experiment_config(MINI), again)
+        # once per bimodal stage (train, eval, handoff); beam-only stages never
+        assert parsed == [again / "dataset" / "frames.ndrec"] * 3
         for name in ("eval_bimodal.csv", "eval_beam_only.csv", "handoff.csv",
                      "eval_bimodal_per_camera.csv", "eval_bimodal_per_instance.csv",
                      "train_bimodal_history.csv", "manifest.json"):
@@ -123,14 +135,16 @@ class TestStages:
             eval_stage(tmp_path / "none.ckpt", tmp_path, tmp_path / "out.csv")
 
     def test_train_stage_parses_frames_once(self, tmp_path, mini_run, monkeypatch):
+        # a bimodal stage parses frames.ndrec once for train and val; a
+        # beam-only stage does not open it
         out, _ = mini_run
-        parsed = []
-        read_frames = beamsight.pipeline._read_frames
-        monkeypatch.setattr(beamsight.pipeline, "_read_frames",
-                            lambda d: parsed.append(d) or read_frames(d))
+        parsed = frame_parses(monkeypatch)
         train_stage(out / "dataset", "bimodal", replace(mini_config().train, epochs=1),
                     tmp_path / "m.ckpt")
-        assert parsed == [out / "dataset"]
+        assert parsed == [out / "dataset" / "frames.ndrec"]
+        train_stage(out / "dataset", "beam-only", replace(mini_config().train, epochs=1),
+                    tmp_path / "b.ckpt")
+        assert parsed == [out / "dataset" / "frames.ndrec"]
 
     def test_handoff_loads_one_checkpoint_once(self, tmp_path, mini_run, monkeypatch):
         out, _ = mini_run
@@ -161,21 +175,21 @@ class TestStages:
     def test_stages_encode_through_encode_dataset(self, tmp_path, mini_run, monkeypatch):
         # perfbench counts the stages' encoding through embedding.encode_dataset
         # train_stage encodes train and val in one call, which checks each
-        # window once; the stage looks again only at each file's first window
+        # window once; the stage checks a file on its own only once that fails
         out, _ = mini_run
         modes, sizes, checked = [], [], []
-        encode, check = beamsight.experiment.encode_dataset, beamsight.embedding.check_windows
+        encode, check = beamsight.experiment.encode_dataset, beamsight.embedding.check_beams
         monkeypatch.setattr(beamsight.experiment, "encode_dataset",
-                            lambda samples, table, mode: modes.append(mode)
-                            or sizes.append(len(samples)) or encode(samples, table, mode))
+                            lambda windows, table, mode: modes.append(mode)
+                            or sizes.append(len(windows)) or encode(windows, table, mode))
         for module in (beamsight.experiment, beamsight.embedding):
-            monkeypatch.setattr(module, "check_windows", lambda samples, n_beams:
-                                checked.append(len(samples)) or check(samples, n_beams))
+            monkeypatch.setattr(module, "check_beams", lambda windows, n_beams:
+                                checked.append(len(windows)) or check(windows, n_beams))
         train_stage(out / "dataset", "bimodal", replace(mini_config().train, epochs=1),
                     tmp_path / "m.ckpt")
         splits = [read_split(out / "dataset", name).samples for name in ("train", "val")]
         assert sizes == [sum(map(len, splits))]
-        assert sorted(checked) == [1, 1, sizes[0]]
+        assert checked == sizes
         eval_stage(out / "bimodal.ckpt", out / "dataset", tmp_path / "eval.csv")
         assert len(modes) == 2
         handoff_eval(out / "bimodal.ckpt", out / "beam_only.ckpt",
@@ -183,19 +197,80 @@ class TestStages:
         assert modes == ["bimodal"] * 3 + ["beam-only"]
 
 
+class TestReadContract:
+    """A stage reads only the files its model reads: a beam-only stage never
+    opens frames.ndrec, so a defect there leaves its outputs as they were."""
+
+    @staticmethod
+    def stages(out, ds, dest, mode) -> list[list[str]]:
+        """CLI train, eval and handoff-eval of ``mode`` on ``ds``, writing under
+        ``dest``; handoff-eval takes the beam-only checkpoint as its second."""
+        ckpt, beam_only = str(out / f"{mode.replace('-', '_')}.ckpt"), str(out / "beam_only.ckpt")
+        dest.mkdir()
+        return [["train", "--dataset", str(ds), "--mode", mode, "--config", str(MINI),
+                 "--out", str(dest / "m.ckpt"), "--history", str(dest / "h.csv")],
+                ["eval", "--ckpt", ckpt, "--dataset", str(ds), "--out", str(dest / "eval.csv")],
+                ["handoff-eval", "--ckpt1", ckpt, "--ckpt2", beam_only,
+                 "--pairs", str(ds / "pairs.ndrec"), "--out", str(dest / "handoff.csv")]]
+
+    @pytest.mark.parametrize("defect", ["deleted", "line 2 truncated"])
+    def test_frames_defect_harms_only_bimodal_stages(self, tmp_path, capsys, mini_run, defect):
+        out, _ = mini_run
+        ds = tmp_path / "ds"
+        shutil.copytree(out / "dataset", ds)
+        frames = ds / "frames.ndrec"
+        if defect == "deleted":
+            frames.unlink()
+        else:
+            lines = frames.read_text().splitlines()
+            frames.write_text("\n".join([lines[0], lines[1][:-10], *lines[2:]]) + "\n")
+        for argv in (self.stages(out, out / "dataset", tmp_path / "intact", "beam-only")
+                     + self.stages(out, ds, tmp_path / "broken", "beam-only")):
+            assert main(argv) == 0
+        written = sorted(p.name for p in (tmp_path / "intact").iterdir())
+        assert len(written) == 7
+        for name in written:
+            assert (tmp_path / "intact" / name).read_bytes() == \
+                (tmp_path / "broken" / name).read_bytes(), name
+        capsys.readouterr()
+        for argv in self.stages(out, ds, tmp_path / "bimodal", "bimodal"):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert str(frames) in err and "Traceback" not in err
+            assert defect == "deleted" or f"{frames}: line 2 " in err
+
+    def test_mixed_handoff_parses_frames_once(self, mini_run, monkeypatch):
+        out, _ = mini_run
+        parsed = frame_parses(monkeypatch)
+        pairs = out / "dataset" / "pairs.ndrec"
+        handoff_eval(out / "bimodal.ckpt", out / "beam_only.ckpt", pairs)
+        assert parsed == [out / "dataset" / "frames.ndrec"]
+        handoff_eval(out / "beam_only.ckpt", out / "beam_only.ckpt", pairs)
+        assert len(parsed) == 1
+
+
 class TestBenchmarkChecks:
     """The benchmark's output checks read a run through the package's public
-    readers; a reader refactor that breaks them fails here."""
+    readers and encode through ``encode_dataset`` of LabeledSamples; a reader
+    refactor that breaks them, or that the stages' tables disagree with, fails here."""
 
-    def test_dataset_and_replay_checks_pass_on_a_mini_run(self, mini_run, monkeypatch):
+    def test_dataset_and_replay_checks_pass_on_a_mini_run(self, mini_run, monkeypatch,
+                                                          tmp_path):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
         import checks
 
         out, _ = mini_run
         assert checks.check_dataset(out / "dataset", out / "trace") == []
-        # handoff.csv's first row is the bimodal one
-        assert checks.check_replay(out / "dataset", {"bimodal": (
-            out / "bimodal.ckpt", out / "eval_bimodal.csv", out / "handoff.csv")}) == []
+        # handoff.csv's first row is the bimodal one; the beam-only table
+        # comes from handoff_stage, as the benchmark writes it
+        handoff_stage(out / "beam_only.ckpt", out / "beam_only.ckpt",
+                      out / "dataset" / "pairs.ndrec", tmp_path / "handoff.csv",
+                      label="beam-only")
+        assert checks.check_replay(out / "dataset", {
+            "bimodal": (out / "bimodal.ckpt", out / "eval_bimodal.csv", out / "handoff.csv"),
+            "beam-only": (out / "beam_only.ckpt", out / "eval_beam_only.csv",
+                          tmp_path / "handoff.csv"),
+        }) == []
 
 
 class TestCli:
@@ -528,6 +603,28 @@ class TestCli:
                     "--out", str(tmp_path / "out.csv")]
         assert main(argv) == 2
         assert str(ds / name) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("box", [
+        [0.3, 0.2, 0.3, 0.4, 0.9],            # x1 = x2
+        [0.1, 0.2, 1.5, 0.4, 0.9],            # past the image
+        [float("nan"), 0.2, 0.3, 0.4, 0.9],
+        [0.1, 0.2, float("inf"), 0.4, 0.9],
+        [0.1, 0.2, 0.3, 0.4, -0.1],           # confidence below 0
+    ])
+    def test_bad_box_under_bimodal_eval_is_data_error(self, tmp_path, capsys, mini_run, box):
+        out, _ = mini_run
+        ds = tmp_path / "ds"
+        shutil.copytree(out / "dataset", ds)
+        path = ds / "frames.ndrec"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["detections"].insert(0, ["car", *box])
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--ckpt", str(out / "bimodal.ckpt"), "--dataset", str(ds),
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: line 2 " in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["eval", "handoff-eval"])
     def test_old_layout_dataset_is_data_error(self, tmp_path, capsys, mini_run, command):

@@ -9,8 +9,12 @@ import pytest
 import beamsight.pipeline
 import beamsight.scene
 from oracles import (
+    _read_frames,
     exhaustive_beam_scan,
     per_frame_seed,
+    read_records,
+    record_to_pair,
+    record_to_sample,
     sat_segment_box,
     scalar_channel,
     simulate_trace,
@@ -18,6 +22,7 @@ from oracles import (
 )
 
 from beamsight.config import DatasetConfig, ScenarioConfig, load_experiment_config
+from beamsight.embedding import BeamEmbeddingTable, encode_dataset
 from beamsight.errors import DataError
 from beamsight.experiment import build_dataset_stage, simulate_stage
 from beamsight.phy import (
@@ -40,10 +45,15 @@ from beamsight.pipeline import (
     camera_to_bs,
     collect_windows,
     conjugate_pairs,
+    observe,
+    read_frames,
+    read_manifest,
+    read_pair_table,
     read_pairs,
     read_split,
     read_splits,
     read_trace,
+    read_windows,
     read_trace_rows,
     sample_to_record,
     seed_pass,
@@ -51,6 +61,7 @@ from beamsight.pipeline import (
     write_trace,
 )
 from beamsight.scene import (
+    CLASSES,
     DetectorNoiseModel,
     SceneObject,
     VehicleClass,
@@ -721,6 +732,7 @@ class TestSerialization:
         {"t_end": "9"}, {"beams": 3}, {"window": [0, "1", 0, 0, 0]},
         {"t_end": 500},   # observes frames that frames.ndrec lacks
         {"label": None},
+        {"window": [0, 1, 0, 0, 0], "instance": 2.0}, {"instance": True},
     ])
     def test_malformed_record_names_file_and_line(self, tmp_path, change):
         sample = make_sample(1, 0, 20, 1)
@@ -734,6 +746,19 @@ class TestSerialization:
             read_split(tmp_path, "val")
         assert f"{path}: line 2 " in str(err.value)
 
+    def test_two_records_on_one_line_name_it(self, tmp_path):
+        # parsed in bulk, the line still holds one record or names itself
+        sample = make_sample(1, 0, 20, 1)
+        write_dataset(tmp_path, LabeledDataset([sample], "train"),
+                      LabeledDataset([], "val"), [], {})
+        first, *more = (json.dumps(dict(sample_to_record(sample), user=u)) for u in range(3))
+        path = tmp_path / "val.ndrec"
+        path.write_text(f"{first}\n{', '.join(more)}\n")
+        for read in (lambda: read_windows(tmp_path, "val"), lambda: read_split(tmp_path, "val")):
+            with pytest.raises(DataError) as err:
+                read()
+            assert f"{path}: line 2 is not JSON" in str(err.value)
+
     @pytest.mark.parametrize("change", [
         {"detections": [["car", 0.1]]}, {"detections": [["boat", 0.1, 0.2, 0.3, 0.4, 0.9]]},
         {"camera": "1"}, {"frame": None}, None,
@@ -741,6 +766,11 @@ class TestSerialization:
         {"detections": [["car", 0.1, 0.2, 0.3, 0.4, 0.9, 0.5]]},       # 7 entries
         {"detections": [["car", 0.1, 0.2, True, 0.4, 0.9]]},           # true as x2
         {"detections": [["car", 0.1, 0.2, 0.3, 0.4, True]]},           # true as confidence
+        {"detections": [["car", 0.3, 0.2, 0.3, 0.4, 0.9]]},            # x1 = x2
+        {"detections": [["car", 0.1, 0.2, 1.5, 0.4, 0.9]]},            # past the image
+        {"detections": [["car", float("nan"), 0.2, 0.3, 0.4, 0.9]]},
+        {"detections": [["car", 0.1, 0.2, float("inf"), 0.4, 0.9]]},
+        {"detections": [["car", 0.1, 0.2, 0.3, 0.4, -0.1]]},           # confidence below 0
     ])
     @pytest.mark.parametrize("reader", ["split", "pairs"])
     def test_malformed_frame_line_names_file_and_line(self, tmp_path, change, reader):
@@ -759,3 +789,96 @@ class TestSerialization:
                 read_pairs(tmp_path / "pairs.ndrec")
         assert f"{path}: line 2 " in str(err.value)
 
+
+
+class TestReaderOracle:
+    """The column readers against the object reader of ``oracles``: one
+    record at a time, one Detection per box.  The readers parse a file in
+    chunks of about CHUNK_BYTES; 512 bytes makes many chunks of every file."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self, tmp_path_factory):
+        cfg = load_experiment_config(MINI)
+        out = tmp_path_factory.mktemp("mini")
+        simulate_stage(cfg.scenario, cfg.frames, out / "trace")
+        build_dataset_stage(out / "trace", out / "dataset", cfg.dataset)
+        return out / "dataset"
+
+    @pytest.fixture(params=["one chunk", "512-byte chunks"], autouse=True)
+    def chunks(self, request, monkeypatch):
+        if request.param != "one chunk":
+            monkeypatch.setattr(beamsight.pipeline, "CHUNK_BYTES", 512)
+
+    def test_frame_table_matches_field_for_field(self, dataset):
+        frames, expected = read_frames(dataset), _read_frames(dataset)
+        assert list(zip(frames.camera.tolist(), frames.frame.tolist())) == list(expected)
+        assert frames.count.tolist() == [len(d) for d in expected.values()]
+        flat = [d for detections in expected.values() for d in detections]
+        assert frames.classes.tolist() == [CLASSES.index(d.object_class) for d in flat]
+        assert frames.boxes.tolist() == [list(d.bbox) for d in flat]
+        assert frames.confidence.tolist() == [d.confidence for d in flat]
+        assert frames.detections() == list(expected.values())
+
+    def windows_match(self, windows, samples, frames):
+        assert windows.keys() == [s.key for s in samples]
+        assert windows.beams.tolist() == [s.sequence.beams for s in samples]
+        assert windows.future.tolist() == [list(s.label.window) for s in samples]
+        assert windows.label.tolist() == [s.label.status for s in samples]
+        assert windows.instance.tolist() == [s.label.blockage_instance or 0 for s in samples]
+        detections = frames.detections()
+        assert [[detections[i] for i in rows] for rows in windows.frame_rows.tolist()] == \
+            [s.sequence.detections for s in samples]
+
+    def test_window_tables_and_objects_match(self, dataset):
+        expected_frames, frames = _read_frames(dataset), read_frames(dataset)
+        expected = {split: [record_to_sample(r, expected_frames)
+                            for r in read_records(dataset / f"{split}.ndrec")]
+                    for split in ("train", "val")}
+        tables = read_windows(dataset, "train", "val")
+        for (split, samples), windows in zip(expected.items(), tables):
+            assert samples
+            self.windows_match(observe(dataset / f"{split}.ndrec", windows, frames),
+                               samples, frames)
+            assert read_split(dataset, split).samples == samples
+        assert [ds.samples for ds in read_splits(dataset, "train", "val")] == \
+            list(expected.values())
+
+    def test_pair_tables_and_objects_match(self, dataset):
+        expected_frames, frames = _read_frames(dataset), read_frames(dataset)
+        expected = [record_to_pair(r, expected_frames)
+                    for r in read_records(dataset / "pairs.ndrec")]
+        assert expected
+        bs1, bs2, category = read_pair_table(dataset / "pairs.ndrec")
+        for side, windows in (("sample_bs1", bs1), ("sample_bs2", bs2)):
+            self.windows_match(observe(dataset / "pairs.ndrec", windows, frames),
+                               [getattr(p, side) for p in expected], frames)
+        assert category.tolist() == [p.category for p in expected]
+        assert read_pairs(dataset / "pairs.ndrec") == expected
+
+    @pytest.mark.parametrize("mode", ["bimodal", "beam-only"])
+    def test_table_and_object_encodings_are_byte_identical(self, dataset, mode):
+        # the stages encode tables; the benchmark checks encode LabeledSamples
+        table = BeamEmbeddingTable(read_manifest(dataset)["codebook"]["beams"], 64, seed=3)
+        frames, [val] = read_frames(dataset), read_windows(dataset, "val")
+        x, y = encode_dataset(observe(dataset / "val.ndrec", val, frames), table, mode)
+        expected, labels = encode_dataset(read_split(dataset, "val").samples, table, mode)
+        assert x.rows.tobytes() == expected.rows.tobytes()
+        assert x.index.tobytes() == expected.index.tobytes()
+        assert y.tobytes() == labels.tobytes()
+
+    @pytest.mark.parametrize("name", ["val.ndrec", "pairs.ndrec"])
+    def test_window_unlike_the_first_names_its_line(self, dataset, tmp_path, name):
+        # a window one beam short, in a later chunk than the first window
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        for path in dataset.iterdir():
+            (ds / path.name).write_bytes(path.read_bytes())
+        records = read_records(ds / name)
+        (records[6]["bs2"] if name == "pairs.ndrec" else records[6])["beams"].pop()
+        (ds / name).write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(DataError) as err:
+            if name == "val.ndrec":
+                read_windows(ds, "val")
+            else:
+                read_pair_table(ds / name)
+        assert f"{ds / name}: line 7 " in str(err.value) and "beam index" in str(err.value)
