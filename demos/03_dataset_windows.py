@@ -1,9 +1,9 @@
 """From a simulated trace to balanced observed-sequence datasets.
 
 Runs a short simulation, builds the seed rows (one per basestation, owned
-user and frame), windows each ownership run of rows into (8 observed,
-5 future) samples, and balances per camera.  Prints the label bookkeeping
-the later stages rely on.
+user and frame), windows each ownership run of rows into a table of
+(8 observed, 5 future) windows per basestation, and balances per camera.
+Prints the label bookkeeping the later stages rely on.
 """
 
 import numpy as np
@@ -13,8 +13,8 @@ from beamsight.pipeline import (
     balance_and_split,
     build_seed,
     collect_windows,
+    concat,
     conjugate_pairs,
-    sample_to_record,
 )
 
 cfg = ScenarioConfig(cars=12, buses=3, trucks=1, min_speed=4, max_speed=8,
@@ -31,30 +31,24 @@ print(f"{frames} frames -> {len(seed)} seed rows in {len(runs)} ownership runs "
 
 windows = collect_windows(seed)
 for bs_id in (1, 2):
-    pivotal = sum(s.label.status for s in windows[bs_id])
+    pivotal = int(windows[bs_id].label.sum())
     print(f"bs{bs_id}: {len(windows[bs_id])} windows, {pivotal} pivotal "
           f"({pivotal / max(len(windows[bs_id]), 1):.1%})")
 
-train, val = balance_and_split(windows[1] + windows[2], quota=40, seed=7)
-hist = {}
-for s in train.samples + val.samples:
-    key = (s.sequence.camera_id, s.label.status)
-    hist[key] = hist.get(key, 0) + 1
+train, val = balance_and_split(concat([windows[1], windows[2]]), quota=40, seed=7)
+chosen = concat([train, val])
+keys, counts = np.unique(np.stack([chosen.camera, chosen.label]), axis=1, return_counts=True)
 print("\nbalanced counts per (camera, label):")
-for key in sorted(hist):
-    print(f"    camera {key[0]} label {key[1]}: {hist[key]}")
+for (camera, label), n in zip(keys.T.tolist(), counts.tolist()):
+    print(f"    camera {camera} label {label}: {n}")
 
-pairs = conjugate_pairs(windows[1], windows[2],
-                        exclude_keys={s.key for s in train.samples})
-print(f"\nconjugate pairs on the overlap cameras: {len(pairs)} "
-      f"(category 1: {sum(p.category == 1 for p in pairs)}, "
-      f"category 2: {sum(p.category == 2 for p in pairs)})")
+bs1, bs2, category = conjugate_pairs(windows[1], windows[2], exclude_keys=set(train.keys()))
+print(f"\nconjugate pairs on the overlap cameras: {len(category)} "
+      f"(category 1: {sum(category == 1)}, category 2: {sum(category == 2)})")
 
-sample = next(s for s in val.samples if s.label.status == 1)
-record = sample_to_record(sample)
-print(f"\none pivotal sample (camera {record['camera']}, user {record['user']}, "
-      f"t_end {record['t_end']}):")
-print(f"    beams    {record['beams']}")
-print(f"    window   {record['window']} -> label {record['label']}, "
-      f"blockage instance {record['instance']}")
-print(f"    detections in last observed frame: {len(sample.sequence.detections[-1])}")
+i = int(val.label.argmax())   # the first pivotal validation window
+print(f"\none pivotal sample (camera {val.camera[i]}, user {val.user[i]}, t_end {val.t_end[i]}):")
+print(f"    beams    {val.beams[i].tolist()}")
+print(f"    window   {val.future[i].tolist()} -> label {val.label[i]}, "
+      f"blockage instance {val.instance[i]}")
+print(f"    detections in last observed frame: {val.frames.count[val.frame_rows[i, -1]]}")

@@ -10,7 +10,7 @@ import numpy as np
 from beamsight import ScenarioConfig, TrainConfig, build_world, step_world
 from beamsight.embedding import BeamEmbeddingTable, encode_dataset
 from beamsight.metrics import report
-from beamsight.pipeline import balance_and_split, build_seed, collect_windows
+from beamsight.pipeline import balance_and_split, build_seed, collect_windows, concat
 from beamsight.predictor import GruPredictor, train_model
 
 cfg = ScenarioConfig(cars=20, buses=5, trucks=1, min_speed=4, max_speed=8,
@@ -20,16 +20,16 @@ worlds = [build_world(cfg)]
 for _ in range(frames - 1):
     worlds.append(step_world(worlds[-1], cfg.dt))
 windows = collect_windows(build_seed(worlds, cfg))
-train, val = balance_and_split(windows[1] + windows[2], quota=150, seed=7)
-print(f"dataset: {len(train.samples)} train / {len(val.samples)} val samples")
+train, val = balance_and_split(concat([windows[1], windows[2]]), quota=150, seed=7)
+print(f"dataset: {len(train)} train / {len(val)} val samples")
 
 table = BeamEmbeddingTable(cfg.beams, 256, seed=11)
 for mode, seed in (("bimodal", 3), ("beam-only", 4)):
-    tx, ty = encode_dataset(train.samples, table, mode)
-    vx, vy = encode_dataset(val.samples, table, mode)
+    tx, ty = encode_dataset(train, table, mode)
+    vx, vy = encode_dataset(val, table, mode)
     result = train_model(tx, ty, vx, vy, TrainConfig(epochs=20, seed=seed))
     model = GruPredictor(input_dim=256, hidden=64, params=result.params)
-    rep, cm = report(model.predict(vx), val.samples)
+    rep, cm = report(model.predict(vx), val)
     print(f"\n{mode} ({tx.index.shape[1]} recurrent steps):")
     print(f"    val top-1 {rep.top1:.3f}  precision "
           f"{'n/a' if rep.precision is None else f'{rep.precision:.3f}'}  "

@@ -13,8 +13,14 @@ comparison.  The joint-correct lower bound holds at any scale.
 
 from beamsight import ScenarioConfig, TrainConfig, build_world, step_world
 from beamsight.embedding import BeamEmbeddingTable, encode_dataset
-from beamsight.handoff import decide, evaluate_handoff
-from beamsight.pipeline import balance_and_split, build_seed, collect_windows, conjugate_pairs
+from beamsight.handoff import decide, score_handoff
+from beamsight.pipeline import (
+    balance_and_split,
+    build_seed,
+    collect_windows,
+    concat,
+    conjugate_pairs,
+)
 from beamsight.predictor import GruPredictor, train_model
 
 print("decision rule (predicted serving, predicted other) -> handoff?")
@@ -29,25 +35,20 @@ worlds = [build_world(cfg)]
 for _ in range(frames - 1):
     worlds.append(step_world(worlds[-1], cfg.dt))
 windows = collect_windows(build_seed(worlds, cfg))
-train, val = balance_and_split(windows[1] + windows[2], quota=220, seed=7)
-pairs = conjugate_pairs(windows[1], windows[2],
-                        exclude_keys={s.key for s in train.samples})
-print(f"\nconjugate pairs held out from training: {len(pairs)}")
+train, val = balance_and_split(concat([windows[1], windows[2]]), quota=220, seed=7)
+bs1, bs2, category = conjugate_pairs(windows[1], windows[2], exclude_keys=set(train.keys()))
+print(f"\nconjugate pairs held out from training: {len(category)}")
 
 table = BeamEmbeddingTable(cfg.beams, 256, seed=11)
 for mode, seed in (("bimodal", 3), ("beam-only", 4)):
-    tx, ty = encode_dataset(train.samples, table, mode)
-    vx, vy = encode_dataset(val.samples, table, mode)
+    tx, ty = encode_dataset(train, table, mode)
+    vx, vy = encode_dataset(val, table, mode)
     result = train_model(tx, ty, vx, vy, TrainConfig(epochs=25, seed=seed))
     model = GruPredictor(input_dim=256, hidden=64, params=result.params)
-
-    def predictor(side):
-        samples = [getattr(p, f"sample_bs{side}") for p in pairs]
-        x, _ = encode_dataset(samples, table, mode)
-        lookup = {s.key: int(v) for s, v in zip(samples, model.predict(x))}
-        return lambda s: lookup[s.key]
-
-    rep = evaluate_handoff(predictor(1), predictor(2), pairs)
+    # each side's windows scored independently, as the two basestations would
+    rep = score_handoff(model.predict(encode_dataset(bs1, table, mode)[0]),
+                        model.predict(encode_dataset(bs2, table, mode)[0]),
+                        bs1.label, bs2.label, category)
 
     def show(v):
         return "n/a" if v is None else f"{v:.3f}"

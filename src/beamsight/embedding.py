@@ -89,7 +89,7 @@ def encode_dataset(windows: WindowTable | list[LabeledSample], table: BeamEmbedd
     """Model inputs and labels for windows ``check_beams`` accepts: float32
     ``Sequences`` of distinct rows (R, N) and a row index (n, T), labels (n,).
     ``windows`` is a WindowTable, observed for bimodal inputs, or a list of
-    LabeledSamples, which ``WindowTable.of`` turns into one.
+    LabeledSamples (the read view), which ``WindowTable.of`` turns into one.
 
     Beam-only rows are ``table.entries`` and a window's steps are its r
     beams (T = r).  Bimodal rows are the box embeddings of the distinct

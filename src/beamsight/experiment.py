@@ -127,19 +127,19 @@ def build_dataset_stage(trace_dir, out_dir, ds_cfg: DatasetConfig) -> dict:
     except DataError as exc:
         raise DataError(f"{Path(trace_dir) / 'manifest.json'}: {exc}") from exc
     windows = collect_windows(seed, ds_cfg.observed, ds_cfg.future)
-    everything = windows[1] + windows[2]
-    if not everything:
+    everything = concat([windows[1], windows[2]])
+    if not len(everything):
         raise DataError(f"{Path(trace_dir) / 'frames.ndjson'}: trace too short: no full "
                         f"observation windows in its {len(seed)} seed rows")
     train, val = balance_and_split(everything, ds_cfg.quota,
                                    ds_cfg.split_fraction, ds_cfg.seed)
-    train_keys = frozenset(s.key for s in train.samples)
     pairs = conjugate_pairs(windows[1], windows[2], ds_cfg.overlap_cameras,
-                            exclude_keys=train_keys)
+                            exclude_keys=frozenset(train.keys()))
+    category = pairs[2].tolist()
 
-    def histogram(samples):
-        return dict(sorted(Counter(f"camera{s.sequence.camera_id}_label{s.label.status}"
-                                   for s in samples).items()))
+    def histogram(windows):
+        return dict(sorted(Counter(f"camera{c}_label{s}" for c, s in zip(
+            windows.camera.tolist(), windows.label.tolist())).items()))
 
     streams = np.bincount(seed.stream_ids())
     never_visible = set(rows.ids[rows.classes == USER_CLASS].tolist()) - set(seed.user.tolist())
@@ -161,16 +161,15 @@ def build_dataset_stage(trace_dir, out_dir, ds_cfg: DatasetConfig) -> dict:
         },
         "counts": {
             "windows": len(everything),
-            "train": histogram(train.samples),
-            "val": histogram(val.samples),
-            "pairs": len(pairs),
-            "pairs_category1": sum(1 for p in pairs if p.category == 1),
-            "pairs_category2": sum(1 for p in pairs if p.category == 2),
+            "train": histogram(train),
+            "val": histogram(val),
+            "pairs": len(category),
+            "pairs_category1": category.count(1),
+            "pairs_category2": category.count(2),
         },
     }
     write_dataset(out_dir, train, val, pairs, manifest)
-    log.info("dataset: %d train, %d val, %d conjugate pairs",
-             len(train.samples), len(val.samples), len(pairs))
+    log.info("dataset: %d train, %d val, %d conjugate pairs", len(train), len(val), len(category))
     return manifest
 
 

@@ -5,12 +5,16 @@ user and frame; sliding windows over each stream's run of rows, labelled by
 their future link statuses; per-camera balanced sampling with a stratified
 train/validation split; and conjugate pairs for the handoff evaluation.
 
+A window is one record from the seed pass to the files: a row of a
+``WindowTable``, whose frame rows index a ``FrameTable`` of detections.
 Dataset files are newline-delimited JSON records with a fixed field order,
-so identical inputs produce byte-identical files.  ``frames.ndrec`` holds
-each camera frame's detections once; window records look them up there.
-Each file has one parser, which checks its records in bulk and reads them
-into tables (``WindowTable``, ``FrameTable``); the line
-of a defect is looked for only once a check has failed.
+formatted from those columns, so identical inputs produce byte-identical
+files.  ``frames.ndrec`` holds each camera frame's detections once; window
+records look them up there.  Each file has one parser, which checks its
+records in bulk and reads them into tables; the line of a defect is looked
+for only once a check has failed.  The object types (``LabeledSample``,
+``ConjugateSample`` and their parts) are a read view of the tables, kept
+for the benchmark checks and the tests.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ DETECT_STREAM = 101   # rng domain separator for per-frame detector draws
 BLOCK_FRAMES = 16     # frames per seed-pass block
 LINK_CHUNK = 24       # owned users per link-kernel call, which bounds their memory
 CHUNK_BYTES = 1 << 14  # dataset text parsed at a time, which bounds its objects alive at once
+WRITE_ROWS = 256      # windows formatted at a time, which bounds their objects alive at once
 
 
 def camera_to_bs(camera_id):
@@ -216,6 +221,13 @@ class WindowTable:
     def keys(self) -> list[tuple[int, int, int]]:
         return list(zip(self.camera.tolist(), self.user.tolist(), self.t_end.tolist()))
 
+    def take(self, rows) -> "WindowTable":
+        """The windows ``rows`` (an index array, mask or slice), in that order,
+        observing the same frame table."""
+        return WindowTable(self.camera[rows], self.user[rows], self.t_end[rows], self.beams[rows],
+                           self.future[rows], self.frames,
+                           None if self.frame_rows is None else self.frame_rows[rows])
+
     @classmethod
     def of(cls, windows) -> "WindowTable":
         """``windows``, or LabeledSamples as a table whose frame rows index a
@@ -300,134 +312,93 @@ def seed_pass(rows: ObjectRows, world: World, cfg: ScenarioConfig) -> Seed:
     return Seed(*table[:, np.lexsort(table[3::-1])], detections=owned_detections)
 
 
-def collect_windows(seed: Seed, observed: int = 8,
-                    future: int = 5) -> dict[int, list[LabeledSample]]:
+def collect_windows(seed: Seed, observed: int = 8, future: int = 5) -> dict[int, WindowTable]:
     """Stride-1 windows of observed+future rows of one stream, per basestation.
 
     The first ``observed`` rows form the observation; the link statuses of
     the last ``future`` rows form the label: NLOS anywhere in the window
     makes the sample pivotal.  Streams shorter than the window yield none.
+    Both tables are observed: they share one FrameTable of the seed's
+    detections, in (camera, frame) order.
     """
     span = observed + future
     stream = seed.stream_ids()
     starts = np.flatnonzero(stream[:max(len(seed) - span + 1, 0)] == stream[span - 1:])
-    bs, camera, user, frame, beam, status = np.stack(
-        [seed.bs, seed.camera, seed.user, seed.frame, seed.beam, seed.status]).tolist()
-    windows: dict[int, list[LabeledSample]] = {1: [], 2: []}
-    for start in starts.tolist():
-        mid = start + observed
-        statuses = tuple(status[mid:start + span])
-        label = 1 if any(statuses) else 0
-        sequence = ObservedSequence(
-            camera_id=camera[start], user_id=user[start], t_end=frame[mid - 1],
-            beams=beam[start:mid],
-            detections=[seed.detections[camera[start], t] for t in frame[start:mid]])
-        windows.setdefault(bs[start], []).append(LabeledSample(
-            sequence, FutureLabel(label, statuses, statuses.index(1) + 1 if label else None)))
-    return windows
+    seen, ahead = np.split(starts[:, None] + np.arange(span), [observed], axis=1)
+    frames = FrameTable.of([(*key, seed.detections[key]) for key in sorted(seed.detections)])
+    stride = int(seed.frame.max(initial=0)) + 1   # one int per (camera, frame) key, in key order
+    frame_rows = np.searchsorted(frames.camera * stride + frames.frame,
+                                 seed.camera[seen] * stride + seed.frame[seen])
+    windows = WindowTable(seed.camera[starts], seed.user[starts], seed.frame[seen[:, -1]],
+                          seed.beam[seen], seed.status[ahead], frames, frame_rows)
+    return {bs: windows.take(seed.bs[starts] == bs) for bs in (1, 2)}
 
 
 def balance_and_split(
-    samples: list[LabeledSample],
+    windows: WindowTable,
     quota: int,
     split_fraction: float = 0.5,
     seed: int = 0,
-) -> tuple[LabeledDataset, LabeledDataset]:
+) -> tuple[WindowTable, WindowTable]:
     """Per-camera balanced sampling followed by a stratified split.
 
     Up to ``quota`` pivotal and ``quota`` non-pivotal sequences are drawn
     per camera without replacement; stratification keeps the split
     fraction within every (camera, label) group.
     """
-    if not samples:
+    if not len(windows):
         raise DataError("no sequences to balance")
     if quota < 0:
         raise DataError("quota must be >= 0")
-    groups: dict[tuple[int, int], list[LabeledSample]] = {}
-    for sample in samples:
-        groups.setdefault((sample.sequence.camera_id, sample.label.status), []).append(sample)
-
+    label = windows.label
     rng = np.random.default_rng([seed, 1])
-    train: list[LabeledSample] = []
-    val: list[LabeledSample] = []
-    for key in sorted(groups):
-        group = groups[key]
+    train, val = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for camera, status in sorted(set(zip(windows.camera.tolist(), label.tolist()))):
+        group = np.flatnonzero((windows.camera == camera) & (label == status))
         take = min(quota, len(group))
         if take < quota:
             log.warning("camera %d label %d: only %d of %d requested sequences",
-                        key[0], key[1], len(group), quota)
+                        camera, status, len(group), quota)
         if take == 0:
             continue
-        chosen = rng.choice(len(group), size=take, replace=False)
-        picked = [group[i] for i in chosen]
+        picked = group[rng.choice(len(group), size=take, replace=False)]
         n_train = int(round(take * split_fraction))
-        train.extend(picked[:n_train])
-        val.extend(picked[n_train:])
-    return LabeledDataset(train, "train"), LabeledDataset(val, "val")
+        train.append(picked[:n_train])
+        val.append(picked[n_train:])
+    return windows.take(np.concatenate(train)), windows.take(np.concatenate(val))
 
 
 def conjugate_pairs(
-    windows_bs1: list[LabeledSample],
-    windows_bs2: list[LabeledSample],
+    windows_bs1: WindowTable,
+    windows_bs2: WindowTable,
     overlap_cameras: tuple[int, int] = (3, 4),
     exclude_keys: frozenset | set = frozenset(),
-) -> list[ConjugateSample]:
-    """Join same-user, same-time windows with opposite future statuses.
+) -> tuple[WindowTable, WindowTable, np.ndarray]:
+    """Join same-user, same-time windows with opposite future statuses into
+    the bs1 and bs2 windows and the categories of the pairs (as
+    ``read_pair_table`` gives them), in (user, t_end) order.
 
     Only windows from the overlap cameras participate; keys listed in
     ``exclude_keys`` (train-split membership) are dropped before joining.
+    A category is 1 where serving bs1 needs a handoff to bs2, else 2.
     """
-    cam1, cam2 = overlap_cameras
-
     def index(windows, camera):
-        table = {}
-        for sample in windows:
-            if sample.sequence.camera_id != camera or sample.key in exclude_keys:
-                continue
-            table[(sample.sequence.user_id, sample.sequence.t_end)] = sample
-        return table
+        rows = np.flatnonzero(windows.camera == camera).tolist()
+        return {(u, t): r for r, u, t in zip(rows, windows.user[rows].tolist(),
+                                             windows.t_end[rows].tolist())
+                if (camera, u, t) not in exclude_keys}
 
-    index1 = index(windows_bs1, cam1)
-    index2 = index(windows_bs2, cam2)
-    pairs: list[ConjugateSample] = []
-    for key in sorted(index1.keys() & index2.keys()):
-        s1, s2 = index1[key], index2[key]
-        if s1.label.status == s2.label.status:
-            continue
-        category = 1 if s1.label.status == 1 else 2
-        pairs.append(ConjugateSample(
-            user_id=key[0], t_end=key[1],
-            sample_bs1=s1, sample_bs2=s2, category=category,
-        ))
-    return pairs
+    index1, index2 = (index(w, c) for w, c in zip((windows_bs1, windows_bs2), overlap_cameras))
+    common = sorted(index1.keys() & index2.keys())
+    rows1, rows2 = (np.array([i[key] for key in common], dtype=np.int64) for i in (index1, index2))
+    label1 = windows_bs1.label[rows1]
+    differ = label1 != windows_bs2.label[rows2]
+    return windows_bs1.take(rows1[differ]), windows_bs2.take(rows2[differ]), 2 - label1[differ]
 
 
 # ---------------------------------------------------------------------------
 # Record (de)serialization
 # ---------------------------------------------------------------------------
-
-def sample_to_record(sample: LabeledSample) -> dict:
-    seq, lab = sample.sequence, sample.label
-    return {
-        "camera": seq.camera_id,
-        "user": seq.user_id,
-        "t_end": seq.t_end,
-        "beams": seq.beams,
-        "label": lab.status,
-        "window": list(lab.window),
-        "instance": lab.blockage_instance,
-    }
-
-
-def pair_to_record(pair: ConjugateSample) -> dict:
-    return {
-        "user": pair.user_id,
-        "t_end": pair.t_end,
-        "category": pair.category,
-        "bs1": sample_to_record(pair.sample_bs1),
-        "bs2": sample_to_record(pair.sample_bs2),
-    }
-
 
 _BEAMS_DIFFER = "window {} has {} beams, window {} has {}: one beam index per observed frame"
 _FUTURE_DIFFERS = "window {} labels {} future frames, window {} labels {} future frames"
@@ -465,6 +436,9 @@ def _window_table(records: list) -> WindowTable:
 
     table = WindowTable(*head[:, :3].T.copy(), _rectangle(beams, key, _BEAMS_DIFFER),
                         _rectangle(future, key, _FUTURE_DIFFERS))
+    _require((1 <= table.camera) & (table.camera <= 6), "a camera outside 1..6")
+    _require((table.future == 0) | (table.future == 1),
+             "a future link status other than 0 (LOS) or 1 (NLOS)")
     _require(head[:, 3] == table.label, "label inconsistent with its future window")
     _require(instance == [i or None for i in table.instance.tolist()],
              "instance is not the first NLOS index of its window")
@@ -506,13 +480,6 @@ def _pair_table(records: list) -> tuple[WindowTable, WindowTable, np.ndarray]:
     _require((bs1.user == user) & (bs2.user == user) & (bs1.t_end == t_end)
              & (bs2.t_end == t_end), "user, t_end are not its sides'")
     return bs1, bs2, category
-
-
-def _write_ndjson(path: Path, records) -> None:
-    with path.open("w") as fh:
-        for record in records:
-            fh.write(json.dumps(record, separators=(",", ":")))
-            fh.write("\n")
 
 
 def _read_ndjson(path: Path, parse) -> list:
@@ -591,24 +558,52 @@ def _read_table(path: Path, table, keys, seen=None):
     return found
 
 
-def write_dataset(out_dir, train: LabeledDataset, val: LabeledDataset,
-                  pairs: list[ConjugateSample], manifest: dict) -> None:
+def write_dataset(out_dir, train: WindowTable, val: WindowTable, pairs: tuple,
+                  manifest: dict) -> None:
+    """The dataset files of train and val windows and the (bs1, bs2, category)
+    pairs of ``conjugate_pairs``, all observed in one frame table in (camera,
+    frame) order, as ``collect_windows`` makes it.  ``frames.ndrec`` holds the
+    frames they observe.  Each line is formatted directly from the columns,
+    since a finite float's JSON is its repr."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    windows = [*train.samples, *val.samples,
-               *(s for p in pairs for s in (p.sample_bs1, p.sample_bs2))]
-    frames: dict[tuple[int, int], list[Detection]] = {}
-    for seq in (w.sequence for w in windows):
-        for t, detections in enumerate(seq.detections, seq.t_end - len(seq.beams) + 1):
-            frames.setdefault((seq.camera_id, t), detections)
-    _write_ndjson(out / "frames.ndrec", (
-        {"camera": camera, "frame": frame,
-         "detections": [[d.object_class.value, *d.bbox, d.confidence] for d in detections]}
-        for (camera, frame), detections in sorted(frames.items())))
-    _write_ndjson(out / "train.ndrec", (sample_to_record(s) for s in train.samples))
-    _write_ndjson(out / "val.ndrec", (sample_to_record(s) for s in val.samples))
-    _write_ndjson(out / "pairs.ndrec", (pair_to_record(p) for p in pairs))
+    bs1, bs2, category = pairs
+    frames = train.frames
+    used = np.zeros(len(frames), dtype=bool)
+    for windows in (train, val, bs1, bs2):
+        if windows.frames is not frames:
+            raise ValueError("the windows to write observe different frame tables")
+        used[windows.frame_rows] = True
+    starts, names = (np.cumsum(frames.count) - frames.count).tolist(), [c.value for c in CLASSES]
+    with (out / "frames.ndrec").open("w") as fh:
+        for i in np.flatnonzero(used).tolist():
+            box = slice(starts[i], starts[i] + frames.count[i])
+            fh.write('{"camera":%d,"frame":%d,"detections":[%s]}\n' % (
+                frames.camera[i], frames.frame[i], ",".join(
+                    '["%s",%r,%r,%r,%r,%r]' % (names[c], *xy, p) for c, xy, p in zip(
+                        frames.classes[box].tolist(), frames.boxes[box].tolist(),
+                        frames.confidence[box].tolist()))))
+    for split, windows in (("train", train), ("val", val)):
+        with (out / f"{split}.ndrec").open("w") as fh:
+            fh.writelines(line + "\n" for line in _window_lines(windows))
+    with (out / "pairs.ndrec").open("w") as fh:
+        fh.writelines('{"user":%d,"t_end":%d,"category":%d,"bs1":%s,"bs2":%s}\n' % line
+                      for line in zip(bs1.user.tolist(), bs1.t_end.tolist(), category.tolist(),
+                                      _window_lines(bs1), _window_lines(bs2)))
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _window_lines(windows: WindowTable):
+    """Each window's record as JSON text, WRITE_ROWS windows at a time."""
+    for lo in range(0, len(windows), WRITE_ROWS):
+        part = windows.take(slice(lo, lo + WRITE_ROWS))
+        for c, u, t, beams, label, future, instance in zip(
+                part.camera.tolist(), part.user.tolist(), part.t_end.tolist(),
+                part.beams.tolist(), part.label.tolist(), part.future.tolist(),
+                part.instance.tolist()):
+            yield ('{"camera":%d,"user":%d,"t_end":%d,"beams":[%s],"label":%d,"window":[%s],'
+                   '"instance":%s}' % (c, u, t, ",".join(map(str, beams)), label,
+                                       ",".join(map(str, future)), instance or "null"))
 
 
 def read_frames(dataset_dir) -> FrameTable:

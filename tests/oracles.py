@@ -19,12 +19,22 @@ stepped object by object, each trace line written by ``json.dumps``.
 ``record_to_sample``, ``record_to_pair`` and ``_read_frames`` are the
 object reader of a dataset directory: one record at a time, one
 ``Detection`` per box, each window's detection lists looked up in a dict.
+``collect_windows``, ``balance_and_split``, ``conjugate_pairs``,
+``write_dataset`` and ``build_dataset`` are its writer: one
+``LabeledSample`` per window, one ``ConjugateSample`` per pair, each record
+a dict written by ``json.dumps``.
+
+``window_tables`` is not an oracle: it is how tests build window tables
+from hand-made samples, and ``samples_of`` and ``pairs_of`` view tables as
+objects again.
 """
 
 import cmath
 import dataclasses
+import itertools
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -40,9 +50,13 @@ from beamsight.config import BBOX_FEATURE_SIZE
 from beamsight.pipeline import (
     DETECT_STREAM,
     ConjugateSample,
+    FrameTable,
     FutureLabel,
+    LabeledDataset,
     LabeledSample,
     ObservedSequence,
+    WindowTable,
+    _samples,
     camera_to_bs,
 )
 from beamsight.scene import (
@@ -501,3 +515,146 @@ def _read_frames(dataset_dir):
 
 def read_records(path):
     return [json.loads(line) for line in Path(path).read_text().splitlines()]
+
+
+def collect_windows(seed, observed=8, future=5):
+    """Per basestation, one LabeledSample per stride-1 window of
+    observed + future rows of one stream, row by row."""
+    span = observed + future
+    stream = seed.stream_ids()
+    bs, camera, user, frame, beam, status = np.stack(
+        [seed.bs, seed.camera, seed.user, seed.frame, seed.beam, seed.status]).tolist()
+    windows = {1: [], 2: []}
+    for start in range(len(seed) - span + 1):
+        if stream[start] != stream[start + span - 1]:
+            continue
+        mid = start + observed
+        statuses = tuple(status[mid:start + span])
+        label = 1 if any(statuses) else 0
+        sequence = ObservedSequence(
+            camera_id=camera[start], user_id=user[start], t_end=frame[mid - 1],
+            beams=beam[start:mid],
+            detections=[seed.detections[camera[start], t] for t in frame[start:mid]])
+        windows[bs[start]].append(LabeledSample(
+            sequence, FutureLabel(label, statuses, statuses.index(1) + 1 if label else None)))
+    return windows
+
+
+def balance_and_split(samples, quota, split_fraction=0.5, seed=0):
+    """Samples grouped by (camera, label) in a dict; ``quota`` drawn per group."""
+    groups = {}
+    for sample in samples:
+        groups.setdefault((sample.sequence.camera_id, sample.label.status), []).append(sample)
+    rng = np.random.default_rng([seed, 1])
+    train, val = [], []
+    for key in sorted(groups):
+        group = groups[key]
+        take = min(quota, len(group))
+        if take == 0:
+            continue
+        picked = [group[i] for i in rng.choice(len(group), size=take, replace=False)]
+        n_train = int(round(take * split_fraction))
+        train.extend(picked[:n_train])
+        val.extend(picked[n_train:])
+    return LabeledDataset(train, "train"), LabeledDataset(val, "val")
+
+
+def conjugate_pairs(windows_bs1, windows_bs2, overlap_cameras=(3, 4), exclude_keys=frozenset()):
+    """A hash join of the overlap cameras' windows on (user, t_end)."""
+    def index(windows, camera):
+        return {(s.sequence.user_id, s.sequence.t_end): s for s in windows
+                if s.sequence.camera_id == camera and s.key not in exclude_keys}
+
+    index1, index2 = (index(w, c) for w, c in zip((windows_bs1, windows_bs2), overlap_cameras))
+    return [ConjugateSample(key[0], key[1], index1[key], index2[key],
+                            1 if index1[key].label.status == 1 else 2)
+            for key in sorted(index1.keys() & index2.keys())
+            if index1[key].label.status != index2[key].label.status]
+
+
+def sample_to_record(sample):
+    seq, lab = sample.sequence, sample.label
+    return {"camera": seq.camera_id, "user": seq.user_id, "t_end": seq.t_end,
+            "beams": seq.beams, "label": lab.status, "window": list(lab.window),
+            "instance": lab.blockage_instance}
+
+
+def write_dataset(out_dir, train, val, pairs, manifest):
+    """Each record through ``json.dumps``; frames.ndrec holds the first
+    detection list seen for each observed (camera, frame), in key order."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    windows = [*train.samples, *val.samples,
+               *(s for p in pairs for s in (p.sample_bs1, p.sample_bs2))]
+    frames = {}
+    for seq in (w.sequence for w in windows):
+        for t, detections in enumerate(seq.detections, seq.t_end - len(seq.beams) + 1):
+            frames.setdefault((seq.camera_id, t), detections)
+    files = {
+        "frames.ndrec": [{"camera": c, "frame": f, "detections": [
+            [d.object_class.value, *d.bbox, d.confidence] for d in frames[c, f]]}
+            for c, f in sorted(frames)],
+        "train.ndrec": [sample_to_record(s) for s in train.samples],
+        "val.ndrec": [sample_to_record(s) for s in val.samples],
+        "pairs.ndrec": [{"user": p.user_id, "t_end": p.t_end, "category": p.category,
+                         "bs1": sample_to_record(p.sample_bs1),
+                         "bs2": sample_to_record(p.sample_bs2)} for p in pairs],
+    }
+    for name, records in files.items():
+        (out / name).write_text("".join(json.dumps(r, separators=(",", ":")) + "\n"
+                                        for r in records))
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def build_dataset(seed, ds_cfg, out_dir, manifest):
+    """The dataset of a Seed through the object writer, with ``manifest``'s
+    counts computed from the objects."""
+    windows = collect_windows(seed, ds_cfg.observed, ds_cfg.future)
+    everything = windows[1] + windows[2]
+    train, val = balance_and_split(everything, ds_cfg.quota, ds_cfg.split_fraction, ds_cfg.seed)
+    pairs = conjugate_pairs(windows[1], windows[2], ds_cfg.overlap_cameras,
+                            frozenset(s.key for s in train.samples))
+
+    def histogram(samples):
+        return dict(sorted(Counter(f"camera{s.sequence.camera_id}_label{s.label.status}"
+                                   for s in samples).items()))
+
+    write_dataset(out_dir, train, val, pairs, dict(manifest, counts={
+        "windows": len(everything), "train": histogram(train.samples),
+        "val": histogram(val.samples), "pairs": len(pairs),
+        "pairs_category1": sum(p.category == 1 for p in pairs),
+        "pairs_category2": sum(p.category == 2 for p in pairs)}))
+
+
+def window_tables(*groups):
+    """One WindowTable per group of LabeledSamples, all observed in one
+    FrameTable that holds each (camera, frame) they observe once, in that
+    order, with the first detection list seen for it."""
+    samples = [s for group in groups for s in group]
+
+    def columns(rows):
+        return np.array(rows, dtype=np.int64).reshape(len(rows), len(rows[0]) if rows else 0)
+
+    camera, user, t_end = columns([s.key for s in samples]).reshape(-1, 3).T
+    beams = columns([s.sequence.beams for s in samples])
+    frame = t_end[:, None] + np.arange(1 - beams.shape[1], 1)
+    keys, first, rows = np.unique(np.stack([np.repeat(camera, beams.shape[1]), frame.ravel()], 1),
+                                  axis=0, return_index=True, return_inverse=True)
+    detections = [d for s in samples for d in s.sequence.detections]
+    whole = WindowTable(camera, user, t_end, beams, columns([s.label.window for s in samples]),
+                        FrameTable.of([(c, f, detections[i]) for (c, f), i in zip(
+                            keys.tolist(), first.tolist())]), rows.reshape(frame.shape))
+    bounds = itertools.accumulate(map(len, groups), initial=0)
+    return [whole.take(slice(lo, hi)) for lo, hi in itertools.pairwise(bounds)]
+
+
+def samples_of(windows):
+    """An observed WindowTable as LabeledSamples."""
+    return _samples(windows, windows.frames.detections())
+
+
+def pairs_of(pairs):
+    """The (bs1, bs2, category) pairs of ``conjugate_pairs`` as ConjugateSamples."""
+    bs1, bs2, category = pairs
+    return [ConjugateSample(s1.sequence.user_id, s1.sequence.t_end, s1, s2, c)
+            for s1, s2, c in zip(samples_of(bs1), samples_of(bs2), category.tolist())]

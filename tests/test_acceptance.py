@@ -17,6 +17,7 @@ import pytest
 from oracles import (
     exhaustive_beam_scan,
     sampled_segment_oracle,
+    samples_of,
     scalar_channel,
 )
 
@@ -162,7 +163,7 @@ class TestCriterion4LabelLaw:
                         frame=np.arange(13), beam=np.ones(13, int),
                         status=np.array([0] * 8 + list(bits)),
                         detections={(2, t): [] for t in range(13)})
-            [sample] = collect_windows(seed)[1]
+            [sample] = samples_of(collect_windows(seed)[1])
             if sample.label.status != (1 if any(bits) else 0):
                 mismatches += 1
             if sample.label.window != bits:

@@ -25,6 +25,7 @@ from beamsight.pipeline import (
 )
 from beamsight.scene import Detection, VehicleClass
 from oracles import embed_bboxes as reference_embedding
+from oracles import samples_of
 
 MINI = Path(__file__).resolve().parent.parent / "configs" / "mini.ini"
 
@@ -224,7 +225,7 @@ def mini_windows(tmp_path_factory):
         "val": read_split(out / "dataset", "val").samples,
         "bs1": [p.sample_bs1 for p in pairs],
         "bs2": [p.sample_bs2 for p in pairs],
-        "seed": seeded[1] + seeded[2],
+        "seed": samples_of(seeded[1]) + samples_of(seeded[2]),
     }
 
 

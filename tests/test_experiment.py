@@ -526,6 +526,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{path}: line 1 " in err and "of basestation" in err
 
+    @pytest.mark.parametrize("command, name, change", [
+        ("eval", "val.ndrec", {"camera": 99}),
+        ("eval", "val.ndrec", {"window": [2, 0, 0, 0, 0], "label": 1, "instance": 1}),
+        ("handoff-eval", "pairs.ndrec", {"camera": 0}),   # camera_to_bs(0) is 1
+    ])
+    def test_window_out_of_range_under_beam_only_is_data_error(self, tmp_path, capsys, mini_run,
+                                                               command, name, change):
+        # a beam-only stage never looks the window's frames up
+        out, _ = mini_run
+        ds = tmp_path / "ds"
+        shutil.copytree(out / "dataset", ds)
+        path = ds / name
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        (records[0]["bs1"] if name == "pairs.ndrec" else records[0]).update(change)
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        ckpt = str(out / "beam_only.ckpt")
+        if command == "eval":
+            argv = ["eval", "--ckpt", ckpt, "--dataset", str(ds)]
+        else:
+            argv = ["handoff-eval", "--ckpt1", ckpt, "--ckpt2", ckpt, "--pairs", str(path)]
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+        assert f"{path}: line 1 " in capsys.readouterr().err
+
     def test_bad_checkpoint_with_empty_pairs_is_data_error(self, tmp_path, capsys, mini_run):
         out, _ = mini_run
         shutil.copy(out / "dataset" / "frames.ndrec", tmp_path)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,16 +9,20 @@ import pytest
 
 import beamsight.pipeline
 import beamsight.scene
+import oracles
 from oracles import (
     _read_frames,
     exhaustive_beam_scan,
+    pairs_of,
     per_frame_seed,
     read_records,
     record_to_pair,
     record_to_sample,
+    samples_of,
     sat_segment_box,
     scalar_channel,
     simulate_trace,
+    window_tables,
     write_trace_json,
 )
 
@@ -44,6 +49,7 @@ from beamsight.pipeline import (
     build_seed,
     camera_to_bs,
     collect_windows,
+    concat,
     conjugate_pairs,
     observe,
     read_frames,
@@ -55,13 +61,13 @@ from beamsight.pipeline import (
     read_trace,
     read_windows,
     read_trace_rows,
-    sample_to_record,
     seed_pass,
     write_dataset,
     write_trace,
 )
 from beamsight.scene import (
     CLASSES,
+    Detection,
     DetectorNoiseModel,
     SceneObject,
     VehicleClass,
@@ -442,7 +448,7 @@ def make_seed(statuses, camera_id=2, user_id=0, beams=None, start_frame=0):
 
 
 def window_list(seed):
-    return [w for windows in collect_windows(seed).values() for w in windows]
+    return [w for windows in collect_windows(seed).values() for w in samples_of(windows)]
 
 
 class TestWindowSequences:
@@ -500,15 +506,34 @@ def make_sample(camera_id, user_id, t_end, status, beams=None):
     return LabeledSample(seq, FutureLabel(status, window, 1 if status else None))
 
 
+def split(samples, **kwargs):
+    """balance_and_split of LabeledSamples, its train and val tables viewed as datasets."""
+    return [LabeledDataset(samples_of(windows), name) for windows, name in zip(
+        balance_and_split(*window_tables(samples), **kwargs), ("train", "val"))]
+
+
+def conjugates(windows_bs1, windows_bs2, **kwargs):
+    """conjugate_pairs of LabeledSamples, viewed as ConjugateSamples."""
+    return pairs_of(conjugate_pairs(*window_tables(windows_bs1, windows_bs2), **kwargs))
+
+
+def write_samples(out_dir, train, val, pairs, manifest):
+    """write_dataset of LabeledSamples and ConjugateSamples."""
+    *tables, bs1, bs2 = window_tables(train, val, [p.sample_bs1 for p in pairs],
+                                      [p.sample_bs2 for p in pairs])
+    write_dataset(out_dir, *tables, (bs1, bs2, np.array([p.category for p in pairs],
+                                                         dtype=np.int64)), manifest)
+
+
 class TestBalanceAndSplit:
     def test_quota_zero_gives_empty_datasets(self):
         samples = [make_sample(1, 0, t, t % 2) for t in range(20)]
-        train, val = balance_and_split(samples, quota=0, seed=1)
+        train, val = split(samples, quota=0, seed=1)
         assert train.samples == [] and val.samples == []
 
     def test_empty_input_rejected(self):
         with pytest.raises(DataError):
-            balance_and_split([], quota=5)
+            balance_and_split(*window_tables([]), quota=5)
 
     def test_histogram_equals_min_quota_available(self):
         rng = np.random.default_rng(0)
@@ -522,7 +547,7 @@ class TestBalanceAndSplit:
             samples += [make_sample(cam, 0, t, 1) for t in range(n_piv)]
             samples += [make_sample(cam, 1, t, 0) for t in range(n_non)]
         quota = 20
-        train, val = balance_and_split(samples, quota=quota, seed=3)
+        train, val = split(samples, quota=quota, seed=3)
         counts = {}
         for s in train.samples + val.samples:
             key = (s.sequence.camera_id, s.label.status)
@@ -537,7 +562,7 @@ class TestBalanceAndSplit:
         for cam in range(1, 7):
             samples += [make_sample(cam, 0, t, 1) for t in range(5000)]
             samples += [make_sample(cam, 1, t, 0) for t in range(5000)]
-        train, val = balance_and_split(samples, quota=4500, seed=0)
+        train, val = split(samples, quota=4500, seed=0)
         assert len(train.samples) + len(val.samples) == 54000
         assert len(train.samples) == 27000
         assert len(val.samples) == 27000
@@ -549,7 +574,7 @@ class TestBalanceAndSplit:
     def test_split_is_stratified(self):
         samples = [make_sample(2, 0, t, 1) for t in range(40)]
         samples += [make_sample(2, 1, t, 0) for t in range(40)]
-        train, val = balance_and_split(samples, quota=30, seed=9)
+        train, val = split(samples, quota=30, seed=9)
         for ds in (train, val):
             piv = sum(s.label.status for s in ds.samples)
             assert piv == 15
@@ -557,7 +582,7 @@ class TestBalanceAndSplit:
 
     def test_no_sample_in_both_splits(self):
         samples = [make_sample(3, 0, t, t % 2) for t in range(50)]
-        train, val = balance_and_split(samples, quota=20, seed=4)
+        train, val = split(samples, quota=20, seed=4)
         train_keys = {s.key for s in train.samples}
         val_keys = {s.key for s in val.samples}
         assert not (train_keys & val_keys)
@@ -567,22 +592,22 @@ class TestConjugatePairs:
     def test_category_assignment(self):
         w1 = [make_sample(3, 0, 50, 1)]
         w2 = [make_sample(4, 0, 50, 0)]
-        [pair] = conjugate_pairs(w1, w2)
+        [pair] = conjugates(w1, w2)
         assert pair.category == 1
         w1b = [make_sample(3, 0, 51, 0)]
         w2b = [make_sample(4, 0, 51, 1)]
-        [pair2] = conjugate_pairs(w1b, w2b)
+        [pair2] = conjugates(w1b, w2b)
         assert pair2.category == 2
 
     def test_equal_statuses_excluded(self):
         w1 = [make_sample(3, 0, 50, 1)]
         w2 = [make_sample(4, 0, 50, 1)]
-        assert conjugate_pairs(w1, w2) == []
+        assert conjugates(w1, w2) == []
 
     def test_non_overlap_cameras_ignored(self):
         w1 = [make_sample(2, 0, 50, 1)]
         w2 = [make_sample(4, 0, 50, 0)]
-        assert conjugate_pairs(w1, w2) == []
+        assert conjugates(w1, w2) == []
 
     def test_counts_match_hash_join_oracle(self):
         rng = np.random.default_rng(6)
@@ -593,7 +618,7 @@ class TestConjugatePairs:
                     w1.append(make_sample(3, user, t, int(rng.random() < 0.4)))
                 if rng.random() < 0.6:
                     w2.append(make_sample(4, user, t, int(rng.random() < 0.4)))
-        pairs = conjugate_pairs(w1, w2)
+        pairs = conjugates(w1, w2)
         lookup1 = {(s.sequence.user_id, s.sequence.t_end): s.label.status for s in w1}
         lookup2 = {(s.sequence.user_id, s.sequence.t_end): s.label.status for s in w2}
         expected = sum(
@@ -606,7 +631,7 @@ class TestConjugatePairs:
         w1 = [make_sample(3, 0, 50, 1)]
         w2 = [make_sample(4, 0, 50, 0)]
         excluded = {(3, 0, 50)}
-        assert conjugate_pairs(w1, w2, exclude_keys=excluded) == []
+        assert conjugates(w1, w2, exclude_keys=excluded) == []
 
 
 class TestSeedCounters:
@@ -647,12 +672,12 @@ def write_street_dataset(out_dir):
     for _ in range(25):
         worlds.append(step_world(worlds[-1], cfg.dt))
     windows = collect_windows(build_seed(worlds, cfg))
-    everything = windows[1] + windows[2]
+    everything = concat([windows[1], windows[2]])
     train, val = balance_and_split(everything, quota=5, seed=3)
     pairs = conjugate_pairs(windows[1], windows[2])
     write_dataset(out_dir, train, val, pairs, {"seed": 3})
-    return train.samples + val.samples + [s for p in pairs
-                                          for s in (p.sample_bs1, p.sample_bs2)]
+    return samples_of(train) + samples_of(val) + [s for p in pairs_of(pairs)
+                                                  for s in (p.sample_bs1, p.sample_bs2)]
 
 
 class TestSerialization:
@@ -664,8 +689,7 @@ class TestSerialization:
         seq = ObservedSequence(camera_id=5, user_id=3, t_end=42,
                                beams=[1, 2, 3, 4, 5, 6, 7, 8], detections=dets)
         sample = LabeledSample(seq, FutureLabel(1, (0, 1, 0, 0, 1), 2))
-        write_dataset(tmp_path, LabeledDataset([], "train"),
-                      LabeledDataset([sample], "val"), [], {})
+        write_samples(tmp_path, [], [sample], [], {})
         assert read_split(tmp_path, "val").samples == [sample]
 
     def test_dataset_files_byte_identical_for_same_inputs(self, tmp_path):
@@ -722,8 +746,8 @@ class TestSerialization:
 
     def test_split_files_readable(self, tmp_path):
         samples = [make_sample(1, 0, t, t % 2) for t in range(10)]
-        train, val = balance_and_split(samples, quota=4, seed=2)
-        write_dataset(tmp_path, train, val, [], {"q": 4})
+        train, val = split(samples, quota=4, seed=2)
+        write_samples(tmp_path, train.samples, val.samples, [], {"q": 4})
         assert [s.key for s in read_split(tmp_path, "train").samples] == \
             [s.key for s in train.samples]
         assert read_pairs(tmp_path / "pairs.ndrec") == []
@@ -733,12 +757,12 @@ class TestSerialization:
         {"t_end": 500},   # observes frames that frames.ndrec lacks
         {"label": None},
         {"window": [0, 1, 0, 0, 0], "instance": 2.0}, {"instance": True},
+        {"window": [2, 0, 0, 0, 0]}, {"window": [-1, 0, 0, 0, 0]},   # label 1, instance 1 fit
     ])
     def test_malformed_record_names_file_and_line(self, tmp_path, change):
         sample = make_sample(1, 0, 20, 1)
-        write_dataset(tmp_path, LabeledDataset([sample], "train"),
-                      LabeledDataset([], "val"), [], {})
-        good = sample_to_record(sample)
+        write_samples(tmp_path, [sample], [], [], {})
+        good = json.loads((tmp_path / "train.ndrec").read_text())
         bad = dict(good, **change)
         path = tmp_path / "val.ndrec"
         path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
@@ -746,12 +770,25 @@ class TestSerialization:
             read_split(tmp_path, "val")
         assert f"{path}: line 2 " in str(err.value)
 
+    @pytest.mark.parametrize("change", [
+        {"camera": 99}, {"camera": 0}, {"window": [2, 0, 0, 0, 0]}, {"window": [-1, 0, 0, 0, 0]},
+    ])
+    def test_window_out_of_range_names_file_and_line(self, tmp_path, change):
+        # read without its frames, as a beam-only stage reads it
+        write_samples(tmp_path, [make_sample(1, 0, 20, 1)], [], [], {})
+        good = json.loads((tmp_path / "train.ndrec").read_text())
+        path = tmp_path / "val.ndrec"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, **change)) + "\n")
+        with pytest.raises(DataError) as err:
+            read_windows(tmp_path, "val")
+        assert f"{path}: line 2 " in str(err.value)
+
     def test_two_records_on_one_line_name_it(self, tmp_path):
         # parsed in bulk, the line still holds one record or names itself
         sample = make_sample(1, 0, 20, 1)
-        write_dataset(tmp_path, LabeledDataset([sample], "train"),
-                      LabeledDataset([], "val"), [], {})
-        first, *more = (json.dumps(dict(sample_to_record(sample), user=u)) for u in range(3))
+        write_samples(tmp_path, [sample], [], [], {})
+        record = json.loads((tmp_path / "train.ndrec").read_text())
+        first, *more = (json.dumps(dict(record, user=u)) for u in range(3))
         path = tmp_path / "val.ndrec"
         path.write_text(f"{first}\n{', '.join(more)}\n")
         for read in (lambda: read_windows(tmp_path, "val"), lambda: read_split(tmp_path, "val")):
@@ -775,8 +812,7 @@ class TestSerialization:
     @pytest.mark.parametrize("reader", ["split", "pairs"])
     def test_malformed_frame_line_names_file_and_line(self, tmp_path, change, reader):
         sample = make_sample(1, 0, 20, 1)
-        write_dataset(tmp_path, LabeledDataset([sample], "train"),
-                      LabeledDataset([], "val"), [], {})
+        write_samples(tmp_path, [sample], [], [], {})
         path = tmp_path / "frames.ndrec"
         lines = path.read_text().splitlines()
         lines[1] = lines[1][:-10] if change is None else \
@@ -882,3 +918,90 @@ class TestReaderOracle:
             else:
                 read_pair_table(ds / name)
         assert f"{ds / name}: line 7 " in str(err.value) and "beam index" in str(err.value)
+
+
+def cut_seed():
+    """A hand-built Seed whose streams are cut by a frame gap, a change of
+    camera and a change of user, at both basestations, with random beams,
+    statuses and detections."""
+    rng = np.random.default_rng(11)
+    runs = [(1, 3, 0, 0, 20), (1, 3, 0, 21, 40), (1, 2, 1, 0, 15), (1, 3, 1, 15, 33),
+            (2, 4, 0, 0, 40), (2, 4, 1, 0, 33), (2, 5, 2, 5, 25)]   # bs, camera, user, frames
+    rows = np.array([(bs, c, u, f) for bs, c, u, lo, hi in runs for f in range(lo, hi)])
+    rows = rows[np.lexsort(rows.T[::-1])]
+    detections = {}
+    for key in sorted(set(zip(rows[:, 1].tolist(), rows[:, 3].tolist()))):
+        corner, size = rng.uniform(0.0, 0.5, (2, 2, n := int(rng.integers(0, 4))))
+        detections[key] = [Detection(CLASSES[c], (x, y, x + w, y + h), p)
+                            for c, x, y, w, h, p in zip(
+                                rng.integers(0, len(CLASSES), n).tolist(), *corner.tolist(),
+                                *(size + 0.01).tolist(), rng.uniform(0.3, 1.0, n).tolist())]
+    return Seed(*rows.T, beam=rng.integers(1, 33, len(rows)),
+                status=(rng.random(len(rows)) < 0.3).astype(int), detections=detections)
+
+
+def differing_files(a, b, names=("frames.ndrec", "train.ndrec", "val.ndrec", "pairs.ndrec",
+                                 "manifest.json")):
+    return [name for name in names if (a / name).read_bytes() != (b / name).read_bytes()]
+
+
+class TestBuildOracle:
+    """The table build path against the object writer of ``oracles``: one
+    LabeledSample per window, each record through ``json.dumps``."""
+
+    CASES = ["mini", "quota 0", "no pairs", "desk street 3", "desk street 4", "desk street 5"]
+
+    @pytest.fixture(scope="class")
+    def built(self, tmp_path_factory):
+        """Each case's trace, dataset config and dataset built by the stage;
+        the desk streets are the seed-pass benchmark's (100 frames, quota 300)."""
+        mini, desk = load_experiment_config(MINI), load_experiment_config(DESK)
+        out = tmp_path_factory.mktemp("build")
+        simulate_stage(mini.scenario, mini.frames, out / "trace" / "mini")
+        cases = {"mini": ("mini", mini.dataset),
+                 "quota 0": ("mini", replace(mini.dataset, quota=0)),
+                 "no pairs": ("mini", replace(mini.dataset, overlap_cameras=(1, 6)))}
+        for s in (3, 4, 5):
+            simulate_stage(replace(desk.scenario, seed=s), 100, out / "trace" / f"desk{s}")
+            cases[f"desk street {s}"] = (f"desk{s}", replace(desk.dataset, quota=300, seed=1))
+        for case, (trace, cfg) in cases.items():
+            build_dataset_stage(out / "trace" / trace, out / case, cfg)
+        return out, cases
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_stage_files_byte_identical(self, built, case, tmp_path):
+        out, cases = built
+        trace, cfg = cases[case]
+        manifest = json.loads((out / case / "manifest.json").read_text())
+        scenario, world, rows = read_trace_rows(out / "trace" / trace)
+        oracles.build_dataset(seed_pass(rows, world, scenario), cfg, tmp_path, manifest)
+        assert differing_files(out / case, tmp_path) == []
+        assert manifest["counts"]["pairs"] > 0 or case == "no pairs"
+        assert (manifest["counts"]["train"] == {}) == (case == "quota 0")
+
+    @pytest.mark.parametrize("quota", [0, 2, 100])
+    def test_hand_built_seed_byte_identical(self, tmp_path, quota):
+        seed, cfg = cut_seed(), DatasetConfig(quota=quota, seed=5)
+        windows = collect_windows(seed, cfg.observed, cfg.future)
+        train, val = balance_and_split(concat([windows[1], windows[2]]), cfg.quota,
+                                       cfg.split_fraction, cfg.seed)
+        pairs = conjugate_pairs(windows[1], windows[2], cfg.overlap_cameras,
+                                frozenset(train.keys()))
+        write_dataset(tmp_path / "tables", train, val, pairs, {})
+        oracles.build_dataset(seed, cfg, tmp_path / "objects", {})
+        assert differing_files(tmp_path / "tables", tmp_path / "objects", names=(
+            "frames.ndrec", "train.ndrec", "val.ndrec", "pairs.ndrec")) == []
+        assert len(pairs[2]) > 0 and (len(train) > 0) == (quota > 0)
+
+    def test_build_peak_is_bounded(self, built, tmp_path):
+        # Python allocations of one seed-pass benchmark street's build: windows
+        # stay columns, and the writer formats lines a few hundred at a time
+        out, cases = built
+        trace, cfg = cases["desk street 3"]
+        tracemalloc.start()
+        try:
+            build_dataset_stage(out / "trace" / trace, tmp_path, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20, f"{peak / 2**20:.2f} MiB"
