@@ -2,7 +2,7 @@
 
 Runs a short simulation, builds the seed rows (one per basestation, owned
 user and frame), windows each ownership run of rows into a table of
-(8 observed, 5 future) windows per basestation, and balances per camera.
+(8 observed, 5 future) windows, and balances per camera.
 Prints the label bookkeeping the later stages rely on.
 """
 
@@ -12,6 +12,7 @@ from beamsight import ScenarioConfig, build_world, step_world
 from beamsight.pipeline import (
     balance_and_split,
     build_seed,
+    camera_to_bs,
     collect_windows,
     concat,
     conjugate_pairs,
@@ -31,18 +32,19 @@ print(f"{frames} frames -> {len(seed)} seed rows in {len(runs)} ownership runs "
 
 windows = collect_windows(seed)
 for bs_id in (1, 2):
-    pivotal = int(windows[bs_id].label.sum())
-    print(f"bs{bs_id}: {len(windows[bs_id])} windows, {pivotal} pivotal "
-          f"({pivotal / max(len(windows[bs_id]), 1):.1%})")
+    mine = windows.take(camera_to_bs(windows.camera) == bs_id)
+    pivotal = int(mine.label.sum())
+    print(f"bs{bs_id}: {len(mine)} windows, {pivotal} pivotal "
+          f"({pivotal / max(len(mine), 1):.1%})")
 
-train, val = balance_and_split(concat([windows[1], windows[2]]), quota=40, seed=7)
+train, val = balance_and_split(windows, quota=40, seed=7)
 chosen = concat([train, val])
 keys, counts = np.unique(np.stack([chosen.camera, chosen.label]), axis=1, return_counts=True)
 print("\nbalanced counts per (camera, label):")
 for (camera, label), n in zip(keys.T.tolist(), counts.tolist()):
     print(f"    camera {camera} label {label}: {n}")
 
-bs1, bs2, category = conjugate_pairs(windows[1], windows[2], exclude_keys=set(train.keys()))
+bs1, bs2, category = conjugate_pairs(windows, exclude_keys=set(train.keys()))
 print(f"\nconjugate pairs on the overlap cameras: {len(category)} "
       f"(category 1: {sum(category == 1)}, category 2: {sum(category == 2)})")
 

@@ -10,7 +10,7 @@ import numpy as np
 from beamsight import ScenarioConfig, TrainConfig, build_world, step_world
 from beamsight.embedding import BeamEmbeddingTable, encode_dataset
 from beamsight.metrics import report
-from beamsight.pipeline import balance_and_split, build_seed, collect_windows, concat
+from beamsight.pipeline import balance_and_split, build_seed, collect_windows
 from beamsight.predictor import GruPredictor, train_model
 
 cfg = ScenarioConfig(cars=20, buses=5, trucks=1, min_speed=4, max_speed=8,
@@ -20,7 +20,7 @@ worlds = [build_world(cfg)]
 for _ in range(frames - 1):
     worlds.append(step_world(worlds[-1], cfg.dt))
 windows = collect_windows(build_seed(worlds, cfg))
-train, val = balance_and_split(concat([windows[1], windows[2]]), quota=150, seed=7)
+train, val = balance_and_split(windows, quota=150, seed=7)
 print(f"dataset: {len(train)} train / {len(val)} val samples")
 
 table = BeamEmbeddingTable(cfg.beams, 256, seed=11)

@@ -18,7 +18,6 @@ from beamsight.pipeline import (
     balance_and_split,
     build_seed,
     collect_windows,
-    concat,
     conjugate_pairs,
 )
 from beamsight.predictor import GruPredictor, train_model
@@ -35,8 +34,8 @@ worlds = [build_world(cfg)]
 for _ in range(frames - 1):
     worlds.append(step_world(worlds[-1], cfg.dt))
 windows = collect_windows(build_seed(worlds, cfg))
-train, val = balance_and_split(concat([windows[1], windows[2]]), quota=220, seed=7)
-bs1, bs2, category = conjugate_pairs(windows[1], windows[2], exclude_keys=set(train.keys()))
+train, val = balance_and_split(windows, quota=220, seed=7)
+bs1, bs2, category = conjugate_pairs(windows, exclude_keys=set(train.keys()))
 print(f"\nconjugate pairs held out from training: {len(category)}")
 
 table = BeamEmbeddingTable(cfg.beams, 256, seed=11)

@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .errors import BeamsightError, DataError, NumericError
+from .errors import BeamsightError, NumericError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -187,19 +187,11 @@ def main(argv=None) -> int:
     )
     try:
         return _COMMANDS[args.command](args)
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except BeamsightError as exc:
-        # stage failures carry their own context; map the cause when known
-        cause = getattr(exc, "cause", None)
+        # stage failures carry their own context; a numeric cause maps as itself
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(cause, NumericError):
-            return EXIT_NUMERIC
-        return EXIT_DATA
+        numeric = any(isinstance(e, NumericError) for e in (exc, getattr(exc, "cause", None)))
+        return EXIT_NUMERIC if numeric else EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -11,12 +11,20 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DataError
 
 BBOX_FEATURE_SIZE = 6     # [x_cent, y_cent, x1, y1, x2, y2] per detection box
+
+
+def _require_finite(config) -> None:
+    """DataError naming a float field that is NaN (which every range check lets pass) or inf."""
+    for f in dataclasses.fields(config):
+        if isinstance(value := getattr(config, f.name), float) and not math.isfinite(value):
+            raise DataError(f"{f.name} = {value} is not a finite number")
 
 
 @dataclass
@@ -62,6 +70,7 @@ class ScenarioConfig:
     dt: float = 0.1
 
     def __post_init__(self):
+        _require_finite(self)
         if self.lanes < 1 or self.street_length <= 0 or self.lane_width <= 0:
             raise DataError("street geometry must be positive")
         if self.dt <= 0:
@@ -98,6 +107,7 @@ class DatasetConfig:
     overlap_cameras: tuple[int, int] = (3, 4)
 
     def __post_init__(self):
+        _require_finite(self)
         if self.observed < 1 or self.future < 1:
             raise DataError("observed and future window lengths must be >= 1")
         if not 0.0 < self.split_fraction < 1.0:
@@ -124,6 +134,7 @@ class TrainConfig:
     table_seed: int = 11      # beam embedding lookup table
 
     def __post_init__(self):
+        _require_finite(self)
         if self.hidden < 1 or self.layers < 1:
             raise DataError("hidden and layers must be >= 1")
         if self.embed_dim < BBOX_FEATURE_SIZE:
@@ -195,7 +206,7 @@ def _read_ini(path: str | Path) -> configparser.ConfigParser:
     try:
         with path.open() as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise DataError(f"malformed config file {path}: {exc}") from exc
     return parser
 

@@ -15,8 +15,9 @@ import logging
 import numpy as np
 
 from .config import BBOX_FEATURE_SIZE
-from .pipeline import FrameTable, LabeledSample, WindowTable
+from .pipeline import LabeledSample, WindowTable
 from .predictor import Sequences
+from .scene import FrameTable
 
 log = logging.getLogger(__name__)
 
@@ -36,12 +37,8 @@ class BeamEmbeddingTable:
         self.dim = dim
         self.seed = seed
         rng = np.random.default_rng(seed)
-        self._entries = rng.standard_normal((n_beams, dim)).astype(np.float32)
-        self._entries.flags.writeable = False
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self._entries
+        self.entries = rng.standard_normal((n_beams, dim)).astype(np.float32)
+        self.entries.flags.writeable = False
 
 
 def embed_frames(frames: FrameTable, dim: int) -> np.ndarray:

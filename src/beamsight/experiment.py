@@ -99,9 +99,7 @@ def _encode(files, table: BeamEmbeddingTable, mode: str, observed: int, future: 
 def _write_csv(path, header: list[str], rows: list[list]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -127,14 +125,11 @@ def build_dataset_stage(trace_dir, out_dir, ds_cfg: DatasetConfig) -> dict:
     except DataError as exc:
         raise DataError(f"{Path(trace_dir) / 'manifest.json'}: {exc}") from exc
     windows = collect_windows(seed, ds_cfg.observed, ds_cfg.future)
-    everything = concat([windows[1], windows[2]])
-    if not len(everything):
+    if not len(windows):
         raise DataError(f"{Path(trace_dir) / 'frames.ndjson'}: trace too short: no full "
                         f"observation windows in its {len(seed)} seed rows")
-    train, val = balance_and_split(everything, ds_cfg.quota,
-                                   ds_cfg.split_fraction, ds_cfg.seed)
-    pairs = conjugate_pairs(windows[1], windows[2], ds_cfg.overlap_cameras,
-                            exclude_keys=frozenset(train.keys()))
+    train, val = balance_and_split(windows, ds_cfg.quota, ds_cfg.split_fraction, ds_cfg.seed)
+    pairs = conjugate_pairs(windows, ds_cfg.overlap_cameras, frozenset(train.keys()))
     category = pairs[2].tolist()
 
     def histogram(windows):
@@ -154,13 +149,13 @@ def build_dataset_stage(trace_dir, out_dir, ds_cfg: DatasetConfig) -> dict:
             "elements", "beams", "subcarriers", "cyclic_prefix", "sample_time", "carrier_hz")},
         "scenario_seed": scenario.seed,
         "seed_pass": {
-            "rows": {f"bs{b}": int(np.sum(seed.bs == b)) for b in windows},
-            "nlos_rows": {f"bs{b}": int(np.sum(seed.status[seed.bs == b])) for b in windows},
+            "rows": {f"bs{b}": int(np.sum(seed.bs == b)) for b in (1, 2)},
+            "nlos_rows": {f"bs{b}": int(np.sum(seed.status[seed.bs == b])) for b in (1, 2)},
             "streams": len(streams), "longest_stream": int(streams.max()),
             "users_never_visible": len(never_visible),
         },
         "counts": {
-            "windows": len(everything),
+            "windows": len(windows),
             "train": histogram(train),
             "val": histogram(val),
             "pairs": len(category),
@@ -215,19 +210,27 @@ def train_stage(dataset_dir, mode: str, cfg: TrainConfig, out_ckpt,
     return meta
 
 
-def _load_model_and_table(ckpt_path):
+def _load_model(ckpt_path):
+    """A checkpoint's model and its header, which must fit the model and its beam table."""
     model, meta = model_from_checkpoint(ckpt_path)
     try:
         if meta["mode"] not in ("bimodal", "beam-only") or \
                 meta["embed_dim"] != model.input_dim:
             raise ValueError("mode or embed_dim does not fit the model")
-        if type(meta["observed"]) is not int or meta["observed"] < 1:
-            raise ValueError(f"observed = {meta['observed']!r} is not a positive int")
-        table = BeamEmbeddingTable(meta["n_beams"], meta["embed_dim"],
-                                   meta["table_seed"])
+        for key, least in (("observed", 1), ("table_seed", 0)):
+            if type(meta[key]) is not int or meta[key] < least:
+                raise ValueError(f"{key} = {meta[key]!r} is not an int >= {least}")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"checkpoint {ckpt_path}: bad header: {exc!r}") from exc
-    return model, meta, table
+    return model, meta
+
+
+def _beam_table(ckpt_path, meta: dict, n_beams: int) -> BeamEmbeddingTable:
+    """A checkpoint's beam table, once its n_beams is found to be the dataset's ``n_beams``."""
+    if type(meta.get("n_beams")) is not int or meta["n_beams"] != n_beams:
+        raise DataError(f"checkpoint {ckpt_path}: bad header: n_beams = {meta.get('n_beams')!r}"
+                        f", but the dataset's codebook has {n_beams} beams")
+    return BeamEmbeddingTable(n_beams, meta["embed_dim"], meta["table_seed"])
 
 
 def eval_stage(ckpt_path, dataset_dir, out_csv) -> tuple[MetricReport, dict]:
@@ -236,14 +239,15 @@ def eval_stage(ckpt_path, dataset_dir, out_csv) -> tuple[MetricReport, dict]:
     The summary lands at ``out_csv``; the confusion, per-camera, and
     per-instance tables become sibling files with suffixed names.
     """
-    model, meta, table = _load_model_and_table(ckpt_path)
-    future = read_manifest(dataset_dir)["future"]
+    model, meta = _load_model(ckpt_path)
+    manifest = read_manifest(dataset_dir)
+    table = _beam_table(ckpt_path, meta, manifest["codebook"]["beams"])
     frames = read_frames(dataset_dir) if meta["mode"] == "bimodal" else None
     [val] = read_windows(dataset_dir, "val")
     x, _ = _encode([(Path(dataset_dir) / "val.ndrec", val)], table, meta["mode"],
-                   meta["observed"], future, frames)
+                   meta["observed"], manifest["future"], frames)
     preds = model.predict(x)
-    rep, cm = report(preds, val, future=future)
+    rep, cm = report(preds, val, future=manifest["future"])
 
     out_csv = Path(out_csv)
     _write_csv(out_csv, ["metric", "value"], [
@@ -277,14 +281,17 @@ def handoff_eval(ckpt1_path, ckpt2_path, pairs_path) -> HandoffReport:
     An empty pairs file yields an all-undefined report (n/a categories),
     mirroring the per-category degenerate case.
     """
-    model1, meta1, table1 = _load_model_and_table(ckpt1_path)
+    model1, meta1 = _load_model(ckpt1_path)
     same = Path(ckpt1_path).resolve() == Path(ckpt2_path).resolve()
-    model2, meta2, table2 = (model1, meta1, table1) if same else _load_model_and_table(ckpt2_path)
+    model2, meta2 = (model1, meta1) if same else _load_model(ckpt2_path)
     dataset_dir = Path(pairs_path).parent
     bimodal = "bimodal" in (meta1["mode"], meta2["mode"])
     frames = read_frames(dataset_dir) if bimodal else None
     bs1, bs2, category = read_pair_table(pairs_path)
-    future = read_manifest(dataset_dir)["future"]
+    manifest = read_manifest(dataset_dir)
+    future, n_beams = manifest["future"], manifest["codebook"]["beams"]
+    table1 = _beam_table(ckpt1_path, meta1, n_beams)
+    table2 = table1 if same else _beam_table(ckpt2_path, meta2, n_beams)
     if not len(category):
         return score_handoff([], [], [], [], [])
 

@@ -161,48 +161,32 @@ class MetricReport:
     n_samples: int = 0
 
 
-def report(predictions, windows, future: int = 5) -> tuple[MetricReport, ConfusionMatrix]:
-    """Aggregate predictions over the windows of a WindowTable, or of a list
-    of LabeledSamples (``WindowTable.of``).
+def report(predictions, windows: WindowTable,
+           future: int = 5) -> tuple[MetricReport, ConfusionMatrix]:
+    """Aggregate predictions over the windows of a WindowTable.
 
     Per-camera accuracy and the accuracy-vs-blockage-instance curve are
     computed on pivotal sequences only; the instance bins partition the
     pivotal set.
     """
-    predictions = np.asarray(predictions)
-    windows = WindowTable.of(windows)
-    labels, instances = windows.label, windows.instance
-    if len(predictions) != len(windows):
-        raise ValueError("predictions and samples must have equal length")
-    cm = ConfusionMatrix.from_predictions(predictions, labels)
+    predictions, labels, instance = np.asarray(predictions), windows.label, windows.instance
+    cm = ConfusionMatrix.from_predictions(predictions, labels)   # checks the lengths
     precision, recall = precision_recall(cm)
 
     def pivotal_accuracy(idx):
         return float(np.mean(predictions[idx] == 1)) if np.any(idx) else None
 
     pivotal = labels == 1
-    per_camera: dict[int, float | None] = {}
-    camera_counts: dict[int, int] = {}
-    for cam in np.unique(windows.camera).tolist():
-        idx = (windows.camera == cam) & pivotal
-        camera_counts[cam] = int(np.sum(idx))
-        per_camera[cam] = pivotal_accuracy(idx)
-
-    per_instance: dict[int, float | None] = {}
-    counts: dict[int, int] = {}
-    for instance in range(1, future + 1):
-        idx = instances == instance
-        counts[instance] = int(np.sum(idx))
-        per_instance[instance] = pivotal_accuracy(idx)
-
+    cameras = {c: (windows.camera == c) & pivotal for c in np.unique(windows.camera).tolist()}
+    instances = {i: instance == i for i in range(1, future + 1)}
     return MetricReport(
         top1=top1(predictions, labels),
         precision=precision,
         recall=recall,
         pivotal_accuracy=pivotal_accuracy(pivotal),
-        per_camera_pivotal=per_camera,
-        per_camera_counts=camera_counts,
-        per_instance=per_instance,
-        per_instance_counts=counts,
+        per_camera_pivotal={c: pivotal_accuracy(idx) for c, idx in cameras.items()},
+        per_camera_counts={c: int(np.sum(idx)) for c, idx in cameras.items()},
+        per_instance={i: pivotal_accuracy(idx) for i, idx in instances.items()},
+        per_instance_counts={i: int(np.sum(idx)) for i, idx in instances.items()},
         n_samples=len(windows),
     ), cm

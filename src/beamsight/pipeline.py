@@ -5,8 +5,9 @@ user and frame; sliding windows over each stream's run of rows, labelled by
 their future link statuses; per-camera balanced sampling with a stratified
 train/validation split; and conjugate pairs for the handoff evaluation.
 
-A window is one record from the seed pass to the files: a row of a
-``WindowTable``, whose frame rows index a ``FrameTable`` of detections.
+A window is one record from the seed pass to the files: a row of the one
+``WindowTable`` of a build, whose frame rows index the seed's ``FrameTable``
+(``scene``); detections stay columns from the detector to the files.
 Dataset files are newline-delimited JSON records with a fixed field order,
 formatted from those columns, so identical inputs produce byte-identical
 files.  ``frames.ndrec`` holds each camera frame's detections once; window
@@ -37,6 +38,7 @@ from .scene import (
     USER_CLASS,
     Detection,
     DetectorNoiseModel,
+    FrameTable,
     ObjectRows,
     SceneObject,
     VehicleClass,
@@ -77,7 +79,7 @@ class Seed:
     frame: np.ndarray
     beam: np.ndarray                   # 1-based codebook index
     status: np.ndarray                 # 0 = LOS, 1 = NLOS
-    detections: dict                   # (camera, frame) -> detections, owners only
+    frames: FrameTable                 # the owning cameras' frames, by (camera, frame)
 
     def __len__(self) -> int:
         return len(self.frame)
@@ -147,46 +149,6 @@ class ConjugateSample:
     def __post_init__(self):
         if self.category not in (1, 2):
             raise ValueError("category must be 1 or 2")
-
-
-@dataclass
-class FrameTable:
-    """Camera frames as flat arrays: frame i is frame[i] of camera[i], and its
-    count[i] detections follow those of the frames before it in classes (codes
-    into CLASSES), boxes (k, 4) of (x1, y1, x2, y2) and confidence."""
-
-    camera: np.ndarray
-    frame: np.ndarray
-    count: np.ndarray
-    classes: np.ndarray
-    boxes: np.ndarray
-    confidence: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.count)
-
-    @classmethod
-    def of(cls, frames: list[tuple[int, int, list[Detection]]]) -> "FrameTable":
-        """The table of (camera, frame, detection list) triples."""
-        flat = [d for *_, detections in frames for d in detections]
-        return cls(*np.array([(c, f, len(d)) for c, f, d in frames], dtype=np.int64).reshape(-1, 3).T,
-                   np.array([CLASS_CODES[d.object_class.value] for d in flat], dtype=np.int64),
-                   np.array([d.bbox for d in flat], dtype=float).reshape(-1, 4),
-                   np.array([d.confidence for d in flat], dtype=float))
-
-    def take(self, rows: np.ndarray) -> "FrameTable":
-        """The frames ``rows``, in that order."""
-        count, start = self.count[rows], (np.cumsum(self.count) - self.count)[rows]
-        boxes = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
-        return FrameTable(self.camera[rows], self.frame[rows], count, self.classes[boxes],
-                          self.boxes[boxes], self.confidence[boxes])
-
-    def detections(self) -> list[list[Detection]]:
-        """Each frame's detections as a list of Detection objects."""
-        found = [Detection(CLASSES[c], tuple(box), p) for c, box, p in zip(
-            self.classes.tolist(), self.boxes.tolist(), self.confidence.tolist())]
-        ends = np.cumsum(self.count).tolist()
-        return [found[end - n:end] for end, n in zip(ends, self.count.tolist())]
 
 
 @dataclass
@@ -270,7 +232,7 @@ def seed_pass(rows: ObjectRows, world: World, cfg: ScenarioConfig) -> Seed:
     codebooks = {bs.bs_id: Codebook.build(bs.ula, cfg.beams) for bs in world.basestations}
     rows = rows[(np.bincount(rows.frame, rows.classes == USER_CLASS) > 0)[rows.frame]]
     edges = np.flatnonzero(np.diff(rows.frame // BLOCK_FRAMES, prepend=-1, append=-1))
-    blocks, owned_detections = [], {}   # blocks of (bs, camera, user, frame, beam, status)
+    blocks, frames = [], []   # (bs, camera, user, frame, beam, status) rows; camera frames
     for lo, hi in itertools.pairwise(edges.tolist()):
         block = rows[lo:hi]
         users = np.flatnonzero(block.classes == USER_CLASS)
@@ -288,10 +250,9 @@ def seed_pass(rows: ObjectRows, world: World, cfg: ScenarioConfig) -> Seed:
                 owner[better], best_align[better] = cam.camera_id, align[better]
             for cam, boxes, shown in views:
                 mine = sorted(set(block.frame[users[owner == cam.camera_id]].tolist()))
-                found = _detections(cam, block, boxes, shown, mine, [np.random.default_rng(
+                frames.append(_detections(cam, block, boxes, shown, mine, [np.random.default_rng(
                     [cfg.seed, DETECT_STREAM, f, cam.camera_id]) for f in mine],
-                    noise, cfg.min_visible_fraction)
-                owned_detections.update(zip([(cam.camera_id, f) for f in mine], found))
+                    noise, cfg.min_visible_fraction))
             owned = users[owner >= 0]   # link status and beam of each, LINK_CHUNK at a time
             near = _frame_mates(block.frame)[owned]   # the object rows of each user's frame
             antennas = block.centers[owned] + block.dims[owned] * [0.0, 0.0, 0.5]
@@ -309,29 +270,28 @@ def seed_pass(rows: ObjectRows, world: World, cfg: ScenarioConfig) -> Seed:
                 np.concatenate([np.zeros(0, dtype=int), *beams]), status)))
 
     table = np.concatenate([np.zeros((6, 0), dtype=int), *blocks], axis=1)
-    return Seed(*table[:, np.lexsort(table[3::-1])], detections=owned_detections)
+    # one table per block and camera: stably sorted by camera, the frames go up within each
+    frames = concat(sorted(frames, key=lambda t: t.camera[:1].tolist()) or [FrameTable.of([])])
+    return Seed(*table[:, np.lexsort(table[3::-1])], frames=frames)
 
 
-def collect_windows(seed: Seed, observed: int = 8, future: int = 5) -> dict[int, WindowTable]:
-    """Stride-1 windows of observed+future rows of one stream, per basestation.
+def collect_windows(seed: Seed, observed: int = 8, future: int = 5) -> WindowTable:
+    """Stride-1 windows of observed+future rows of one stream, in seed row
+    order, observed in ``seed.frames``.
 
     The first ``observed`` rows form the observation; the link statuses of
     the last ``future`` rows form the label: NLOS anywhere in the window
     makes the sample pivotal.  Streams shorter than the window yield none.
-    Both tables are observed: they share one FrameTable of the seed's
-    detections, in (camera, frame) order.
     """
     span = observed + future
     stream = seed.stream_ids()
     starts = np.flatnonzero(stream[:max(len(seed) - span + 1, 0)] == stream[span - 1:])
     seen, ahead = np.split(starts[:, None] + np.arange(span), [observed], axis=1)
-    frames = FrameTable.of([(*key, seed.detections[key]) for key in sorted(seed.detections)])
     stride = int(seed.frame.max(initial=0)) + 1   # one int per (camera, frame) key, in key order
-    frame_rows = np.searchsorted(frames.camera * stride + frames.frame,
+    frame_rows = np.searchsorted(seed.frames.camera * stride + seed.frames.frame,
                                  seed.camera[seen] * stride + seed.frame[seen])
-    windows = WindowTable(seed.camera[starts], seed.user[starts], seed.frame[seen[:, -1]],
-                          seed.beam[seen], seed.status[ahead], frames, frame_rows)
-    return {bs: windows.take(seed.bs[starts] == bs) for bs in (1, 2)}
+    return WindowTable(seed.camera[starts], seed.user[starts], seed.frame[seen[:, -1]],
+                       seed.beam[seen], seed.status[ahead], seed.frames, frame_rows)
 
 
 def balance_and_split(
@@ -369,31 +329,31 @@ def balance_and_split(
 
 
 def conjugate_pairs(
-    windows_bs1: WindowTable,
-    windows_bs2: WindowTable,
+    windows: WindowTable,
     overlap_cameras: tuple[int, int] = (3, 4),
     exclude_keys: frozenset | set = frozenset(),
 ) -> tuple[WindowTable, WindowTable, np.ndarray]:
-    """Join same-user, same-time windows with opposite future statuses into
-    the bs1 and bs2 windows and the categories of the pairs (as
-    ``read_pair_table`` gives them), in (user, t_end) order.
+    """Join same-user, same-time windows of the two overlap cameras (one of
+    each basestation) with opposite future statuses into the bs1 and bs2
+    windows and the categories of the pairs (as ``read_pair_table`` gives
+    them), in (user, t_end) order.
 
-    Only windows from the overlap cameras participate; keys listed in
-    ``exclude_keys`` (train-split membership) are dropped before joining.
-    A category is 1 where serving bs1 needs a handoff to bs2, else 2.
+    Keys listed in ``exclude_keys`` (train-split membership) are dropped
+    before joining.  A category is 1 where serving bs1 needs a handoff to
+    bs2, else 2.
     """
-    def index(windows, camera):
+    def index(camera):
         rows = np.flatnonzero(windows.camera == camera).tolist()
         return {(u, t): r for r, u, t in zip(rows, windows.user[rows].tolist(),
                                              windows.t_end[rows].tolist())
                 if (camera, u, t) not in exclude_keys}
 
-    index1, index2 = (index(w, c) for w, c in zip((windows_bs1, windows_bs2), overlap_cameras))
+    index1, index2 = map(index, overlap_cameras)
     common = sorted(index1.keys() & index2.keys())
     rows1, rows2 = (np.array([i[key] for key in common], dtype=np.int64) for i in (index1, index2))
-    label1 = windows_bs1.label[rows1]
-    differ = label1 != windows_bs2.label[rows2]
-    return windows_bs1.take(rows1[differ]), windows_bs2.take(rows2[differ]), 2 - label1[differ]
+    label1 = windows.label[rows1]
+    differ = label1 != windows.label[rows2]
+    return windows.take(rows1[differ]), windows.take(rows2[differ]), 2 - label1[differ]
 
 
 # ---------------------------------------------------------------------------
@@ -483,18 +443,18 @@ def _pair_table(records: list) -> tuple[WindowTable, WindowTable, np.ndarray]:
 
 
 def _read_ndjson(path: Path, parse) -> list:
-    """``parse`` of each record; a line that is not JSON, or whose record
-    ``parse`` rejects, raises DataError naming it."""
+    """``parse`` of each record; a line that is not UTF-8 JSON, or whose
+    record ``parse`` rejects, raises DataError naming it."""
     if not path.is_file():
         raise DataError(f"missing file: {path}")
     parsed = []
-    with path.open() as fh:
+    with path.open("rb") as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                parsed.append(parse(json.loads(line)))
-            except json.JSONDecodeError as exc:
+                parsed.append(parse(json.loads(line.decode())))
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise DataError(f"{path}: line {number} is not JSON: {exc}") from exc
             except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
                 raise DataError(f"{path}: line {number} is not a valid record: "
@@ -504,7 +464,7 @@ def _read_ndjson(path: Path, parse) -> list:
 
 def _line_numbers(path: Path) -> list[int]:
     """The number of each non-blank line of ``path``: record i is on line numbers[i]."""
-    return [n for n, line in enumerate(path.read_text().split("\n"), 1) if line.strip()]
+    return [n for n, line in enumerate(path.read_bytes().decode().split("\n"), 1) if line.strip()]
 
 
 def concat(parts: list):
@@ -526,12 +486,12 @@ def _read_table(path: Path, table, keys, seen=None):
     ``keys`` of it (one per record) repeats or is in ``seen`` (key -> (path,
     record), shared across files).  About CHUNK_BYTES of lines are parsed at
     a time, into a table each.  Only once a check fails is its line looked
-    for: the first line that is not JSON, whose record fails on its own or
+    for: the first line that is not UTF-8 JSON, whose record fails on its own or
     beside the first record, or that repeats a key."""
     if not path.is_file():
         raise DataError(f"missing file: {path}")
-    lines = [line for line in path.read_text().split("\n") if line.strip()]
     try:
+        lines = [line for line in path.read_bytes().decode().split("\n") if line.strip()]
         parts, step = [], max(1, CHUNK_BYTES * len(lines) // (sum(map(len, lines)) + 1))
         for chunk in (lines[i:i + step] for i in range(0, len(lines), step)):
             records = json.loads(f"[{','.join(chunk)}]")

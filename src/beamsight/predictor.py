@@ -458,6 +458,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             tensor = np.frombuffer(data, entry["dtype"], math.prod(shape), offset)
             params[entry["name"]] = tensor.reshape(shape).copy()
             offset += tensor.nbytes
+        if bad := sorted(n for n, t in params.items() if not np.isfinite(t).all()):
+            raise ValueError(f"tensors {bad} hold numbers that are not finite")
         meta = header["meta"]
         if not isinstance(meta, dict):
             raise TypeError("header meta is not an object")

@@ -194,6 +194,47 @@ class Detection:
             raise ValueError("confidence must be in [0, 1]")
 
 
+@dataclass
+class FrameTable:
+    """Camera frames as flat arrays, the one form of a detection list from the
+    detector to the files: frame i is frame[i] of camera[i], and its count[i]
+    detections follow those of the frames before it in classes (codes into
+    CLASSES), boxes (k, 4) of (x1, y1, x2, y2) and confidence."""
+
+    camera: np.ndarray
+    frame: np.ndarray
+    count: np.ndarray
+    classes: np.ndarray
+    boxes: np.ndarray
+    confidence: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.count)
+
+    @classmethod
+    def of(cls, frames: list[tuple[int, int, list[Detection]]]) -> "FrameTable":
+        """The table of (camera, frame, detection list) triples."""
+        flat = [d for *_, detections in frames for d in detections]
+        return cls(*np.array([(c, f, len(d)) for c, f, d in frames], dtype=np.int64).reshape(-1, 3).T,
+                   np.array([CLASS_CODES[d.object_class.value] for d in flat], dtype=np.int64),
+                   np.array([d.bbox for d in flat], dtype=float).reshape(-1, 4),
+                   np.array([d.confidence for d in flat], dtype=float))
+
+    def take(self, rows: np.ndarray) -> "FrameTable":
+        """The frames ``rows``, in that order."""
+        count, start = self.count[rows], (np.cumsum(self.count) - self.count)[rows]
+        boxes = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+        return FrameTable(self.camera[rows], self.frame[rows], count, self.classes[boxes],
+                          self.boxes[boxes], self.confidence[boxes])
+
+    def detections(self) -> list[list[Detection]]:
+        """Each frame's detections as a list of Detection objects."""
+        found = [Detection(CLASSES[c], tuple(box), p) for c, box, p in zip(
+            self.classes.tolist(), self.boxes.tolist(), self.confidence.tolist())]
+        ends = np.cumsum(self.count).tolist()
+        return [found[end - n:end] for end, n in zip(ends, self.count.tolist())]
+
+
 @dataclass(frozen=True)
 class DetectorNoiseModel:
     """Imperfection model standing in for a real detector."""
@@ -434,36 +475,36 @@ def detect(cam: Camera, world: World, noise: DetectorNoiseModel | None = None,
     noise = noise or DetectorNoiseModel()
     return _detections(cam, rows, *project_boxes(cam, rows.centers, rows.dims), [0],
                        [rng or np.random.default_rng(noise.rng_seed)], noise,
-                       min_visible_fraction)[0]
+                       min_visible_fraction).detections()[0]
 
 
 def _detections(cam: Camera, rows: ObjectRows, boxes, shown, frames, rngs,
-                noise: DetectorNoiseModel, min_visible_fraction: float) -> list[list[Detection]]:
-    """detect's output for each of ``frames`` (increasing frames of ``rows``), given every
-    row's ``project_boxes`` output for ``cam`` and one generator per frame.  Only the noise
-    draws run per frame, in id order; jitter, clip, swap and reject run on all boxes at once."""
+                noise: DetectorNoiseModel, min_visible_fraction: float) -> FrameTable:
+    """detect's output for ``frames`` (increasing frames of ``rows``) as one FrameTable,
+    given every row's ``project_boxes`` output for ``cam`` and one generator per frame.  Only
+    the noise draws run per frame, in id order; jitter, clip, swap and reject run on all boxes
+    at once.  A frame's false positive follows its objects' detections."""
     rows_in = np.flatnonzero(shown & (rows.frame[:, None] == frames).any(axis=1))
     fractions = _visible_fractions(boxes[rows_in], (rows.centers[rows_in] - cam.position)
                                    @ cam.rotation[2], rows.frame[rows_in])
     enough = fractions >= min_visible_fraction
     rows_in, fractions = rows_in[enough], fractions[enough]
     ends = np.searchsorted(rows.frame[rows_in], frames, side="right").tolist()
-    starts = [0, *ends[:-1]]
-    kept, jitter, extras = np.ones(len(rows_in), dtype=bool), np.zeros((len(rows_in), 4)), []
-    for rng, start, end in zip(rngs, starts, ends):
+    kept, jitter = np.ones(len(rows_in), dtype=bool), np.zeros((len(rows_in), 4))
+    false = []    # each false positive's [frame slot, class, x1, y1, x2, y2, confidence]
+    for at, (rng, start, end) in enumerate(zip(rngs, [0, *ends[:-1]], ends)):
         for j in range(start, end):
             if noise.p_miss > 0.0 and rng.random() < noise.p_miss:
                 kept[j] = False
             elif noise.jitter_sigma > 0.0:
                 jitter[j] = rng.normal(0.0, noise.jitter_sigma, size=4)
-        extras.append([])
         if noise.p_false_positive > 0.0 and rng.random() < noise.p_false_positive:
-            cls = CLASSES[int(rng.integers(0, len(CLASSES)))]
+            cls = int(rng.integers(0, len(CLASSES)))
             (cx, cy), (w, h) = rng.uniform(0.1, 0.9, size=2), rng.uniform(0.02, 0.2, size=2)
             x1, x2 = max(cx - w / 2, 0.0), min(cx + w / 2, 1.0)
             y1, y2 = max(cy - h / 2, 0.0), min(cy + h / 2, 1.0)
             if x1 < x2 and y1 < y2:
-                extras[-1].append(Detection(cls, (x1, y1, x2, y2), float(rng.uniform(0.3, 1.0))))
+                false.append([at, cls, x1, y1, x2, y2, float(rng.uniform(0.3, 1.0))])
 
     coords = boxes[rows_in]
     if noise.jitter_sigma > 0.0:
@@ -472,11 +513,15 @@ def _detections(cam: Camera, rows: ObjectRows, boxes, shown, frames, rngs,
         coords = np.concatenate([np.minimum(coords[:, :2], coords[:, 2:]),
                                  np.maximum(coords[:, :2], coords[:, 2:])], axis=1)
         kept &= np.all(coords[:, :2] < coords[:, 2:], axis=1)  # jitter can collapse a box
-    made = [Detection(CLASSES[c], tuple(box), f) if ok else None
-            for c, box, f, ok in zip(rows.classes[rows_in].tolist(), coords.tolist(),
-                                     fractions.tolist(), kept.tolist())]
-    return [[d for d in made[start:end] if d is not None] + extra
-            for start, end, extra in zip(starts, ends, extras)]
+    before = np.cumsum(np.r_[0, kept])[[0, *ends]]    # kept detections before each frame end
+    false = np.reshape(false, (-1, 7))
+    slot = false[:, 0].astype(np.int64)
+    at = before[1:][slot]   # a false positive follows its frame's kept detections
+    return FrameTable(np.full(len(ends), cam.camera_id), np.array(frames, dtype=np.int64),
+                      np.diff(before) + np.bincount(slot, minlength=len(ends)),
+                      np.insert(rows.classes[rows_in][kept], at, false[:, 1]),
+                      np.insert(coords[kept], at, false[:, 2:6], axis=0),
+                      np.insert(fractions[kept], at, false[:, 6]))
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +535,10 @@ def object_to_record(obj: SceneObject) -> list:
 
 
 def check_object_records(records: list) -> None:
-    """ValueError unless ``records`` are one frame's object_to_record lists, with finite
-    numbers, integer ids and lanes, known classes, positive dims and no id twice."""
+    """ValueError unless ``records`` is a list of one frame's object_to_record lists, with finite
+    numbers, 64-bit integer ids and lanes, known classes, positive dims and no id twice."""
+    if type(records) is not list:
+        raise ValueError("objects must be a list of object records")
     if any(type(r) is not list or len(r) != 12 for r in records):
         raise ValueError("an object record does not hold 12 entries")
     ids, classes, *numbers, lanes = list(zip(*records)) or [()] * 12
@@ -500,8 +547,8 @@ def check_object_records(records: list) -> None:
         raise ValueError(f"{bad[0]!r} where an object record holds a number")
     if not all(map(math.isfinite, values)):
         raise ValueError("an object holds a number that is not finite")
-    if not all(type(v) is int for v in (*ids, *lanes)):
-        raise ValueError("object ids and lanes must be integers")
+    if not all(type(v) is int and -2**63 <= v < 2**63 for v in (*ids, *lanes)):
+        raise ValueError("object ids and lanes must be integers within 64 bits")
     if unknown := set(classes) - CLASS_CODES.keys():
         raise ValueError(f"unknown object class {unknown.pop()!r}")
     if min(itertools.chain(*numbers[3:6]), default=1.0) <= 0:

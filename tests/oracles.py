@@ -25,8 +25,8 @@ object reader of a dataset directory: one record at a time, one
 a dict written by ``json.dumps``.
 
 ``window_tables`` is not an oracle: it is how tests build window tables
-from hand-made samples, and ``samples_of`` and ``pairs_of`` view tables as
-objects again.
+from hand-made samples, and ``samples_of``, ``pairs_of`` and
+``detections_by_key`` view tables as objects again.
 """
 
 import cmath
@@ -522,6 +522,7 @@ def collect_windows(seed, observed=8, future=5):
     observed + future rows of one stream, row by row."""
     span = observed + future
     stream = seed.stream_ids()
+    detections = detections_by_key(seed.frames)
     bs, camera, user, frame, beam, status = np.stack(
         [seed.bs, seed.camera, seed.user, seed.frame, seed.beam, seed.status]).tolist()
     windows = {1: [], 2: []}
@@ -534,7 +535,7 @@ def collect_windows(seed, observed=8, future=5):
         sequence = ObservedSequence(
             camera_id=camera[start], user_id=user[start], t_end=frame[mid - 1],
             beams=beam[start:mid],
-            detections=[seed.detections[camera[start], t] for t in frame[start:mid]])
+            detections=[detections[camera[start], t] for t in frame[start:mid]])
         windows[bs[start]].append(LabeledSample(
             sequence, FutureLabel(label, statuses, statuses.index(1) + 1 if label else None)))
     return windows
@@ -646,6 +647,11 @@ def window_tables(*groups):
                             keys.tolist(), first.tolist())]), rows.reshape(frame.shape))
     bounds = itertools.accumulate(map(len, groups), initial=0)
     return [whole.take(slice(lo, hi)) for lo, hi in itertools.pairwise(bounds)]
+
+
+def detections_by_key(frames):
+    """A FrameTable as a dict (camera, frame) -> list of Detections, in table order."""
+    return dict(zip(zip(frames.camera.tolist(), frames.frame.tolist()), frames.detections()))
 
 
 def samples_of(windows):

@@ -27,7 +27,7 @@ from beamsight.experiment import run_experiment
 from beamsight.handoff import HandoffEvent, classify_event, decide, evaluate_handoff
 from beamsight.metrics import average_precision, iou, mean_average_precision
 from beamsight.phy import ChannelPath, Codebook, channel_vector, los_status, select_beam
-from beamsight.pipeline import Seed, collect_windows
+from beamsight.pipeline import FrameTable, Seed, collect_windows
 from beamsight.predictor import GruPredictor, train_model
 from beamsight.scene import (
     Basestation,
@@ -162,8 +162,8 @@ class TestCriterion4LabelLaw:
             seed = Seed(bs=np.full(13, 1), camera=np.full(13, 2), user=np.zeros(13, int),
                         frame=np.arange(13), beam=np.ones(13, int),
                         status=np.array([0] * 8 + list(bits)),
-                        detections={(2, t): [] for t in range(13)})
-            [sample] = samples_of(collect_windows(seed)[1])
+                        frames=FrameTable.of([(2, t, []) for t in range(13)]))
+            [sample] = samples_of(collect_windows(seed))
             if sample.label.status != (1 if any(bits) else 0):
                 mismatches += 1
             if sample.label.window != bits:

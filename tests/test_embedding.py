@@ -225,7 +225,7 @@ def mini_windows(tmp_path_factory):
         "val": read_split(out / "dataset", "val").samples,
         "bs1": [p.sample_bs1 for p in pairs],
         "bs2": [p.sample_bs2 for p in pairs],
-        "seed": samples_of(seeded[1]) + samples_of(seeded[2]),
+        "seed": samples_of(seeded),
     }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -15,7 +16,14 @@ import beamsight.experiment
 import beamsight.pipeline
 import beamsight.predictor
 from beamsight.cli import main
-from beamsight.config import DatasetConfig, ExperimentConfig, load_experiment_config
+from beamsight.config import (
+    _SCENARIO_SECTIONS,
+    DatasetConfig,
+    ExperimentConfig,
+    ScenarioConfig,
+    TrainConfig,
+    load_experiment_config,
+)
 from beamsight.errors import DataError
 from beamsight.experiment import (
     StageFailure,
@@ -750,6 +758,9 @@ class TestCli:
         ("13-entry record", 2, "does not hold 12 entries"),
         ("11-entry record", 2, "does not hold 12 entries"),
         ("unknown class", 2, "unknown object class 'boat'"),
+        ("70-bit id", 2, "must be integers within 64 bits"),
+        ("70-bit lane", 2, "must be integers within 64 bits"),
+        ("objects not a list", 2, "objects must be a list"),
         ("zero dim", 2, "dimensions must be positive"),
         ("negative dim", 2, "dimensions must be positive"),
     ])
@@ -790,6 +801,12 @@ class TestCli:
             objects[1].pop()
         elif edit == "unknown class":
             objects[0][1] = "boat"
+        elif edit == "70-bit id":
+            objects[0][0] = 2**70
+        elif edit == "70-bit lane":
+            objects[1][11] = -2**70
+        elif edit == "objects not a list":
+            records[1]["objects"] = {}
         elif edit == "zero dim":
             objects[0][5] = 0.0
         elif edit == "negative dim":
@@ -885,6 +902,96 @@ class TestCli:
         err = capsys.readouterr().err
         assert str(ini) in err and option in err
         assert not (tmp_path / "trace").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("cls, option", [
+        (cls, f.name) for cls in (ScenarioConfig, DatasetConfig, TrainConfig)
+        for f in dataclasses.fields(cls) if type(f.default) is float])
+    def test_non_finite_config_float_is_data_error(self, tmp_path, capsys, cls, option, value):
+        # NaN fails every range comparison, so each float field is checked as such; a
+        # scenario float is checked both in an INI and in the trace manifest that echoes it
+        ini = tmp_path / "bad.ini"
+        if cls is ScenarioConfig:
+            section = next(s for s, options in _SCENARIO_SECTIONS.items() if option in options)
+            argv = ["simulate", "--frames", "2"]
+        elif cls is DatasetConfig:
+            section, argv = "dataset", ["build-dataset", "--trace", str(tmp_path / "t")]
+        else:
+            section, argv = "train", ["train", "--dataset", str(tmp_path), "--mode", "bimodal"]
+        ini.write_text(f"[{section}]\n{option} = {value}\n")
+        assert main(argv + ["--config", str(ini), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{ini}: {option} = {value} is not a finite number" in err
+        assert not (tmp_path / "out").exists()
+        if cls is ScenarioConfig:
+            trace = tmp_path / "trace"
+            assert main(["simulate", "--config", str(MINI), "--frames", "2",
+                         "--out", str(trace)]) == 0
+            manifest_path = trace / "manifest.json"
+            manifest = json.loads(manifest_path.read_text())
+            manifest["scenario"][option] = float(value)
+            manifest_path.write_text(json.dumps(manifest))
+            assert main(["build-dataset", "--trace", str(trace),
+                         "--out", str(tmp_path / "ds")]) == 2
+            err = capsys.readouterr().err
+            assert f"{manifest_path}: {option} = {value} is not a finite number" in err
+
+    @pytest.mark.parametrize("name", ["frames.ndrec", "train.ndrec", "val.ndrec", "pairs.ndrec"])
+    def test_dataset_byte_not_utf8_is_data_error(self, tmp_path, capsys, mini_run, name):
+        out, _ = mini_run
+        ds = tmp_path / "ds"
+        shutil.copytree(out / "dataset", ds)
+        path = ds / name
+        lines = path.read_bytes().split(b"\n")
+        lines[1] = lines[1].replace(b'"', b'"\xff', 1)
+        path.write_bytes(b"\n".join(lines))
+        ckpt = str(out / "bimodal.ckpt")
+        argv = {"frames.ndrec": ["eval", "--ckpt", ckpt, "--dataset", str(ds)],
+                "train.ndrec": ["train", "--dataset", str(ds), "--mode", "beam-only"],
+                "val.ndrec": ["eval", "--ckpt", ckpt, "--dataset", str(ds)],
+                "pairs.ndrec": ["handoff-eval", "--ckpt1", ckpt, "--ckpt2", ckpt,
+                                "--pairs", str(path)]}[name]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: line 2 is not JSON" in err and "0xff" in err
+
+    def test_trace_byte_not_utf8_is_data_error(self, tmp_path, capsys):
+        trace = tmp_path / "trace"
+        assert main(["simulate", "--config", str(MINI), "--frames", "3",
+                     "--out", str(trace)]) == 0
+        frames = trace / "frames.ndjson"
+        lines = frames.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b'"car"', b'"c\xe9r"', 1)
+        frames.write_bytes(b"\n".join(lines))
+        assert main(["build-dataset", "--trace", str(trace),
+                     "--out", str(tmp_path / "ds")]) == 2
+        err = capsys.readouterr().err
+        assert f"{frames}: line 3 is not JSON" in err and "0xe9" in err
+
+    @pytest.mark.parametrize("defect", ["nan tensor", "inf tensor", "n_beams 10**12",
+                                        "n_beams one more", "n_beams true"])
+    @pytest.mark.parametrize("command", ["eval", "handoff-eval"])
+    def test_checkpoint_values_are_data_error(self, tmp_path, capsys, mini_run, defect,
+                                              command):
+        # a tensor must be finite, and n_beams the dataset's codebook size before
+        # the beam table (n_beams rows) is built
+        out, _ = mini_run
+        params, meta = load_checkpoint(out / "bimodal.ckpt")
+        if defect.endswith("tensor"):
+            params["l0.U"][3, 1] = float(defect.split()[0])
+        else:
+            meta["n_beams"] = {"n_beams 10**12": 10**12, "n_beams true": True,
+                               "n_beams one more": meta["n_beams"] + 1}[defect]
+        ckpt = tmp_path / "values.ckpt"
+        save_checkpoint(ckpt, params, meta)
+        if command == "eval":
+            argv = ["eval", "--ckpt", str(ckpt), "--dataset", str(out / "dataset")]
+        else:
+            argv = ["handoff-eval", "--ckpt1", str(out / "bimodal.ckpt"), "--ckpt2", str(ckpt),
+                    "--pairs", str(out / "dataset" / "pairs.ndrec")]
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and ("not finite" if "tensor" in defect else "n_beams") in err
 
     @pytest.mark.parametrize("command", ["run-experiment", "build-dataset"])
     def test_path_beyond_cyclic_prefix_is_data_error(self, tmp_path, capsys, command):

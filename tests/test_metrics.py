@@ -10,7 +10,7 @@ from beamsight.metrics import (
     report,
     top1,
 )
-from beamsight.pipeline import FutureLabel, LabeledSample, ObservedSequence
+from beamsight.pipeline import FutureLabel, LabeledSample, ObservedSequence, WindowTable
 from beamsight.scene import VehicleClass
 
 
@@ -170,7 +170,7 @@ class TestReport:
     def test_only_negatives_with_perfect_model(self):
         samples = [make_sample(1, 0, 0) for _ in range(6)]
         preds = [0] * 6
-        rep, cm = report(preds, samples)
+        rep, cm = report(preds, WindowTable.of(samples))
         assert rep.top1 == 1.0
         assert rep.recall is None
         assert rep.precision is None
@@ -180,7 +180,7 @@ class TestReport:
         samples = [make_sample(1, 1, 1), make_sample(1, 1, 2),
                    make_sample(1, 0, 0), make_sample(1, 0, 0)]
         preds = [1, 0, 0, 1]
-        rep, cm = report(preds, samples)
+        rep, cm = report(preds, WindowTable.of(samples))
         assert rep.top1 == 0.5
         assert rep.pivotal_accuracy == 0.5
         assert cm.total == 4
@@ -191,7 +191,7 @@ class TestReport:
             samples.append(make_sample(2, 1, instance))
         samples += [make_sample(2, 0, 0) for _ in range(4)]
         preds = [1] * len(samples)
-        rep, _ = report(preds, samples)
+        rep, _ = report(preds, WindowTable.of(samples))
         assert sum(rep.per_instance_counts.values()) == 7
         assert rep.per_instance_counts == {1: 2, 2: 1, 3: 1, 4: 0, 5: 3}
         assert rep.per_instance[4] is None
@@ -200,13 +200,13 @@ class TestReport:
         samples = [make_sample(1, 1, 1), make_sample(1, 1, 1),
                    make_sample(4, 1, 2), make_sample(4, 0, 0)]
         preds = [1, 0, 1, 0]
-        rep, _ = report(preds, samples)
+        rep, _ = report(preds, WindowTable.of(samples))
         assert rep.per_camera_pivotal[1] == 0.5
         assert rep.per_camera_pivotal[4] == 1.0
 
     def test_confusion_totals(self):
         samples = [make_sample(1, s, 1 if s else 0) for s in (0, 1, 0, 1, 1)]
         preds = [0, 1, 1, 0, 1]
-        rep, cm = report(preds, samples)
+        rep, cm = report(preds, WindowTable.of(samples))
         assert cm.total == len(samples)
         assert cm.accuracy == pytest.approx(rep.top1)

@@ -12,6 +12,7 @@ import beamsight.scene
 import oracles
 from oracles import (
     _read_frames,
+    detections_by_key,
     exhaustive_beam_scan,
     pairs_of,
     per_frame_seed,
@@ -69,6 +70,7 @@ from beamsight.scene import (
     CLASSES,
     Detection,
     DetectorNoiseModel,
+    FrameTable,
     SceneObject,
     VehicleClass,
     build_world,
@@ -217,13 +219,15 @@ class TestBuildSeed:
         worlds = street(cfg, 4)
         noise = DetectorNoiseModel(p_miss=0.2, jitter_sigma=2.0, p_false_positive=0.5)
         seed = build_seed(worlds, cfg)
+        detections = detections_by_key(seed.frames)
         # one detection list per owning camera and frame, and no other
-        assert set(seed.detections) == {(r[1], r[3]) for r in as_tuples(seed)}
+        assert set(detections) == {(r[1], r[3]) for r in as_tuples(seed)}
+        assert list(detections) == sorted(detections)   # by (camera, frame)
         for bs_id, camera, user, frame, beam, status in as_tuples(seed):
             bs = worlds[0].basestations[bs_id - 1]
             cam = next(c for c in bs.cameras if c.camera_id == camera)
             rng = np.random.default_rng([cfg.seed, DETECT_STREAM, frame, cam.camera_id])
-            assert seed.detections[camera, frame] == detect(
+            assert detections[camera, frame] == detect(
                 cam, worlds[frame], noise, rng=rng,
                 min_visible_fraction=cfg.min_visible_fraction)
         assert len(seed) > 10
@@ -351,7 +355,7 @@ class TestBlockedSeedPass:
         seed = build_seed(worlds, cfg)
         rows, detections = per_frame_seed(worlds, cfg)
         assert as_tuples(seed) == rows
-        assert seed.detections == detections
+        assert detections_by_key(seed.frames) == detections
         frame_users = {(r[3], r[2]) for r in rows}
         assert (9, 1000) in frame_users and (9, dropped) not in frame_users
         assert not any(frame == BLOCK_FRAMES + 3 for frame, _ in frame_users)
@@ -388,7 +392,7 @@ class TestTraceRows:
 
         seed, reference = seed_pass(rows, world, cfg), build_seed(worlds, cfg)
         assert as_tuples(seed) == as_tuples(reference)
-        assert seed.detections == reference.detections
+        assert detections_by_key(seed.frames) == detections_by_key(reference.frames)
         frames = set(seed.frame.tolist())
         assert 4 not in frames and BLOCK_FRAMES not in frames and 9 in frames
 
@@ -444,11 +448,11 @@ def make_seed(statuses, camera_id=2, user_id=0, beams=None, start_frame=0):
                 frame=np.array(frames, dtype=int),
                 beam=np.array(beams if beams else [1] * len(frames)),
                 status=np.array(statuses, dtype=int),
-                detections={(camera_id, t): [] for t in frames})
+                frames=FrameTable.of([(camera_id, t, []) for t in frames]))
 
 
 def window_list(seed):
-    return [w for windows in collect_windows(seed).values() for w in samples_of(windows)]
+    return samples_of(collect_windows(seed))
 
 
 class TestWindowSequences:
@@ -493,7 +497,7 @@ class TestWindowSequences:
             user_id=1 if cut == "user" else 0, start_frame=11 if cut == "frame gap" else 10)
         seed = Seed(*(np.concatenate([getattr(first, c), getattr(second, c)])
                       for c in ("bs", "camera", "user", "frame", "beam", "status")),
-                    detections=first.detections | second.detections)
+                    frames=concat([first.frames, second.frames]))
         assert len(streams(seed)) == 2
         assert window_list(seed) == []
         assert len(window_list(make_seed([0] * 20, camera_id=1))) == 8
@@ -514,7 +518,7 @@ def split(samples, **kwargs):
 
 def conjugates(windows_bs1, windows_bs2, **kwargs):
     """conjugate_pairs of LabeledSamples, viewed as ConjugateSamples."""
-    return pairs_of(conjugate_pairs(*window_tables(windows_bs1, windows_bs2), **kwargs))
+    return pairs_of(conjugate_pairs(*window_tables([*windows_bs1, *windows_bs2]), **kwargs))
 
 
 def write_samples(out_dir, train, val, pairs, manifest):
@@ -672,9 +676,8 @@ def write_street_dataset(out_dir):
     for _ in range(25):
         worlds.append(step_world(worlds[-1], cfg.dt))
     windows = collect_windows(build_seed(worlds, cfg))
-    everything = concat([windows[1], windows[2]])
-    train, val = balance_and_split(everything, quota=5, seed=3)
-    pairs = conjugate_pairs(windows[1], windows[2])
+    train, val = balance_and_split(windows, quota=5, seed=3)
+    pairs = conjugate_pairs(windows)
     write_dataset(out_dir, train, val, pairs, {"seed": 3})
     return samples_of(train) + samples_of(val) + [s for p in pairs_of(pairs)
                                                   for s in (p.sample_bs1, p.sample_bs2)]
@@ -937,7 +940,8 @@ def cut_seed():
                                 rng.integers(0, len(CLASSES), n).tolist(), *corner.tolist(),
                                 *(size + 0.01).tolist(), rng.uniform(0.3, 1.0, n).tolist())]
     return Seed(*rows.T, beam=rng.integers(1, 33, len(rows)),
-                status=(rng.random(len(rows)) < 0.3).astype(int), detections=detections)
+                status=(rng.random(len(rows)) < 0.3).astype(int),
+                frames=FrameTable.of([(*key, d) for key, d in detections.items()]))
 
 
 def differing_files(a, b, names=("frames.ndrec", "train.ndrec", "val.ndrec", "pairs.ndrec",
@@ -983,10 +987,8 @@ class TestBuildOracle:
     def test_hand_built_seed_byte_identical(self, tmp_path, quota):
         seed, cfg = cut_seed(), DatasetConfig(quota=quota, seed=5)
         windows = collect_windows(seed, cfg.observed, cfg.future)
-        train, val = balance_and_split(concat([windows[1], windows[2]]), cfg.quota,
-                                       cfg.split_fraction, cfg.seed)
-        pairs = conjugate_pairs(windows[1], windows[2], cfg.overlap_cameras,
-                                frozenset(train.keys()))
+        train, val = balance_and_split(windows, cfg.quota, cfg.split_fraction, cfg.seed)
+        pairs = conjugate_pairs(windows, cfg.overlap_cameras, frozenset(train.keys()))
         write_dataset(tmp_path / "tables", train, val, pairs, {})
         oracles.build_dataset(seed, cfg, tmp_path / "objects", {})
         assert differing_files(tmp_path / "tables", tmp_path / "objects", names=(
@@ -1004,4 +1006,15 @@ class TestBuildOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5 * 2**20, f"{peak / 2**20:.2f} MiB"
+        assert peak < 3 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+    def test_build_makes_no_detection_objects(self, built, tmp_path, monkeypatch):
+        # detections stay columns from the detector to the files
+        out, cases = built
+        trace, cfg = cases["desk street 3"]
+        made = []
+        check = Detection.__post_init__
+        monkeypatch.setattr(Detection, "__post_init__", lambda d: made.append(d) or check(d))
+        build_dataset_stage(out / "trace" / trace, tmp_path, cfg)
+        assert made == []
+        assert sum(map(len, read_frames(tmp_path).detections())) == len(made) > 0   # counted
