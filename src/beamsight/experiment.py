@@ -161,10 +161,14 @@ def build_dataset_stage(trace_dir, out_dir, ds_cfg: DatasetConfig) -> dict:
             "pairs": len(category),
             "pairs_category1": category.count(1),
             "pairs_category2": category.count(2),
+            "shortfalls": {k: ds_cfg.quota - n for k, n in histogram(windows).items()
+                           if n < ds_cfg.quota},
         },
     }
     write_dataset(out_dir, train, val, pairs, manifest)
-    log.info("dataset: %d train, %d val, %d conjugate pairs", len(train), len(val), len(category))
+    log.info("dataset: %d train, %d val, %d conjugate pairs; %s", len(train), len(val),
+             len(category), ", ".join(f"{f.name} {f.stat().st_size} B"
+                                      for f in sorted(Path(out_dir).glob("*.ndrec"))))
     return manifest
 
 

@@ -524,7 +524,9 @@ def write_dataset(out_dir, train: WindowTable, val: WindowTable, pairs: tuple,
     pairs of ``conjugate_pairs``, all observed in one frame table in (camera,
     frame) order, as ``collect_windows`` makes it.  ``frames.ndrec`` holds the
     frames they observe.  Each line is formatted directly from the columns,
-    since a finite float's JSON is its repr."""
+    since a finite float's JSON is its repr; a box corner is the shortest
+    text of its nearest float32, the model's precision, moved one float32
+    step outward where a box's corners would meet."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     bs1, bs2, category = pairs
@@ -534,14 +536,18 @@ def write_dataset(out_dir, train: WindowTable, val: WindowTable, pairs: tuple,
         if windows.frames is not frames:
             raise ValueError("the windows to write observe different frame tables")
         used[windows.frame_rows] = True
+    boxes = frames.boxes.astype(np.float32)
+    low, high = boxes[:, :2], boxes[:, 2:]   # views: (x1, y1) and (x2, y2)
+    down, up = (low == high) & (low > 0), (low == high) & (low == 0)
+    low[down], high[up] = np.nextafter(low[down], -1), np.nextafter(high[up], 1)
     starts, names = (np.cumsum(frames.count) - frames.count).tolist(), [c.value for c in CLASSES]
     with (out / "frames.ndrec").open("w") as fh:
         for i in np.flatnonzero(used).tolist():
             box = slice(starts[i], starts[i] + frames.count[i])
             fh.write('{"camera":%d,"frame":%d,"detections":[%s]}\n' % (
                 frames.camera[i], frames.frame[i], ",".join(
-                    '["%s",%r,%r,%r,%r,%r]' % (names[c], *xy, p) for c, xy, p in zip(
-                        frames.classes[box].tolist(), frames.boxes[box].tolist(),
+                    '["%s",%s,%s,%s,%s,%r]' % (names[c], *xy, p) for c, xy, p in zip(
+                        frames.classes[box].tolist(), boxes[box].astype(str).tolist(),
                         frames.confidence[box].tolist()))))
     for split, windows in (("train", train), ("val", val)):
         with (out / f"{split}.ndrec").open("w") as fh:

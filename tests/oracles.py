@@ -22,7 +22,8 @@ object reader of a dataset directory: one record at a time, one
 ``collect_windows``, ``balance_and_split``, ``conjugate_pairs``,
 ``write_dataset`` and ``build_dataset`` are its writer: one
 ``LabeledSample`` per window, one ``ConjugateSample`` per pair, each record
-a dict written by ``json.dumps``.
+a dict written by ``json.dumps``; ``float32_corners`` rounds one box at a
+time, corner by corner.
 
 ``window_tables`` is not an oracle: it is how tests build window tables
 from hand-made samples, and ``samples_of``, ``pairs_of`` and
@@ -580,6 +581,20 @@ def sample_to_record(sample):
             "instance": lab.blockage_instance}
 
 
+def float32_corners(bbox):
+    """A box's corners as the floats of their shortest float32 text (whose
+    repr, what ``json.dumps`` writes, is that text again); where two corners
+    of an axis round to one float32, the low one moves a float32 step down,
+    or the high one a step up when the low one is 0."""
+    corners = [np.float32(v) for v in bbox]
+    for lo, hi in ((0, 2), (1, 3)):
+        if corners[lo] == corners[hi] and corners[lo] > 0:
+            corners[lo] = np.nextafter(corners[lo], np.float32(-1))
+        elif corners[lo] == corners[hi]:
+            corners[hi] = np.nextafter(corners[hi], np.float32(1))
+    return [float(str(c)) for c in corners]
+
+
 def write_dataset(out_dir, train, val, pairs, manifest):
     """Each record through ``json.dumps``; frames.ndrec holds the first
     detection list seen for each observed (camera, frame), in key order."""
@@ -593,7 +608,8 @@ def write_dataset(out_dir, train, val, pairs, manifest):
             frames.setdefault((seq.camera_id, t), detections)
     files = {
         "frames.ndrec": [{"camera": c, "frame": f, "detections": [
-            [d.object_class.value, *d.bbox, d.confidence] for d in frames[c, f]]}
+            [d.object_class.value, *float32_corners(d.bbox), d.confidence]
+            for d in frames[c, f]]}
             for c, f in sorted(frames)],
         "train.ndrec": [sample_to_record(s) for s in train.samples],
         "val.ndrec": [sample_to_record(s) for s in val.samples],
@@ -624,7 +640,10 @@ def build_dataset(seed, ds_cfg, out_dir, manifest):
         "windows": len(everything), "train": histogram(train.samples),
         "val": histogram(val.samples), "pairs": len(pairs),
         "pairs_category1": sum(p.category == 1 for p in pairs),
-        "pairs_category2": sum(p.category == 2 for p in pairs)}))
+        "pairs_category2": sum(p.category == 2 for p in pairs),
+        "shortfalls": {f"camera{c}_label{s}": ds_cfg.quota - n for (c, s), n in Counter(
+            (w.sequence.camera_id, w.label.status) for w in everything).items()
+            if n < ds_cfg.quota}}))
 
 
 def window_tables(*groups):

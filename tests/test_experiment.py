@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import logging
 import os
 import shutil
 import struct
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,6 +17,7 @@ import beamsight.embedding
 import beamsight.experiment
 import beamsight.pipeline
 import beamsight.predictor
+import oracles
 from beamsight.cli import main
 from beamsight.config import (
     _SCENARIO_SECTIONS,
@@ -36,7 +39,18 @@ from beamsight.experiment import (
     train_stage,
 )
 from beamsight.embedding import BeamEmbeddingTable, encode_dataset
-from beamsight.pipeline import read_pairs, read_split
+from beamsight.pipeline import (
+    observe,
+    read_frames,
+    read_manifest,
+    read_pair_table,
+    read_pairs,
+    read_split,
+    read_trace_rows,
+    read_windows,
+    seed_pass,
+    write_dataset,
+)
 from beamsight.predictor import (
     GruPredictor,
     load_checkpoint,
@@ -203,6 +217,81 @@ class TestStages:
         handoff_eval(out / "bimodal.ckpt", out / "beam_only.ckpt",
                      out / "dataset" / "pairs.ndrec")
         assert modes == ["bimodal"] * 3 + ["beam-only"]
+
+
+class TestBuildDiagnostics:
+    def test_manifest_counts_quota_shortfalls(self, tmp_path, mini_run, caplog):
+        # the mini street's (camera, label) groups hold 5 to 873 windows, so
+        # some fill a quota of 40 and some fall short of it
+        out, _ = mini_run
+        quota = 40
+        with caplog.at_level(logging.INFO):
+            manifest = build_dataset_stage(out / "trace", tmp_path / "ds",
+                                           DatasetConfig(quota=quota, seed=7))
+        counts = manifest["counts"]
+        drawn = Counter(counts["train"]) + Counter(counts["val"])
+        short = {key: quota - n for key, n in drawn.items() if n < quota}
+        assert counts["shortfalls"] == short and 0 < len(short) < len(drawn)
+        assert json.loads((tmp_path / "ds" / "manifest.json").read_text())["counts"] == counts
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == len(short)
+        # the info line gives each dataset file's bytes
+        info = [r.getMessage() for r in caplog.records if r.name == "beamsight.experiment"]
+        for name in ("frames.ndrec", "train.ndrec", "val.ndrec", "pairs.ndrec"):
+            assert f"{name} {(tmp_path / 'ds' / name).stat().st_size} B" in info[-1]
+
+
+class TestBoxText:
+    """frames.ndrec writes each box corner as the shortest text of its nearest
+    float32, moved one float32 step outward where a box's corners meet."""
+
+    def test_corners_are_shortest_text_of_nearest_float32(self, mini_run):
+        # not %r of the float64 (17 digits), nor %.9g (which writes every
+        # float32 in 9 digits): each text is the float32's shortest
+        out, _ = mini_run
+        scenario, world, rows = read_trace_rows(out / "trace")
+        frames = seed_pass(rows, world, scenario).frames
+        boxes = dict(zip(zip(frames.camera.tolist(), frames.frame.tolist()),
+                         np.split(frames.boxes, np.cumsum(frames.count)[:-1])))
+        texts, given = [], []
+        for line in (out / "dataset" / "frames.ndrec").read_text().splitlines():
+            record = json.loads(line, parse_float=str)
+            texts += [d[1:5] for d in record["detections"]]
+            given.append(boxes[record["camera"], record["frame"]])
+        texts, nearest = np.array(texts), np.concatenate(given).astype(np.float32)
+        assert texts.shape == nearest.shape and len(texts) > 500
+        assert all(str(np.float32(float(t))) == t for t in texts.ravel().tolist())
+        written = np.vectorize(float)(texts).astype(np.float32)
+        meet = np.tile(nearest[:, :2] == nearest[:, 2:], 2)   # widened by the guard
+        assert np.array_equal(written[~meet], nearest[~meet])
+        assert np.all(np.abs(written[meet] - nearest[meet]) <= np.spacing(nearest[meet]))
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("low, high", [(1 - 1e-12, 1.0), (0.0, 1e-50), (0.5, 0.5 + 1e-12)],
+                             ids=["at the image edge", "at 0", "thinner than a float32 step"])
+    def test_corners_that_meet_in_float32_move_apart(self, tmp_path, mini_run, low, high, axis):
+        # the two corners round to one float32; written as they round, the
+        # reader would reject the box
+        out, _ = mini_run
+        ds, cut = out / "dataset", tmp_path / "ds"
+        frames = read_frames(ds)
+        train, val = (observe(ds / f"{split}.ndrec", windows, frames) for split, windows in
+                      zip(("train", "val"), read_windows(ds, "train", "val")))
+        *sides, category = read_pair_table(ds / "pairs.ndrec")
+        pairs = *(observe(ds / "pairs.ndrec", side, frames) for side in sides), category
+        box = np.repeat(np.isin(np.arange(len(frames)), val.frame_rows), frames.count).argmax()
+        corners = [0, 2] if axis == "x" else [1, 3]
+        frames.boxes[box, corners] = low, high
+        write_dataset(cut, train, val, pairs, read_manifest(ds))
+        again = read_frames(cut)
+        assert len(again.boxes) == len(frames.boxes)
+        lo, hi = again.boxes[box, corners].tolist()
+        assert 0 <= lo < hi <= 1
+        for read, given in ((lo, low), (hi, high)):
+            assert abs(read - given) <= np.spacing(np.float32(given))
+        assert again.boxes[box].tolist() == oracles.float32_corners(frames.boxes[box].tolist())
+        assert main(["eval", "--ckpt", str(out / "bimodal.ckpt"), "--dataset", str(cut),
+                     "--out", str(tmp_path / "eval.csv")]) == 0
 
 
 class TestReadContract:
