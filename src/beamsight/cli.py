@@ -5,8 +5,10 @@ run-experiment.  Exit codes: 0 success, 1 usage error, 2 data error,
 3 numeric failure.
 
 Heavy imports happen inside the command handlers so the global
-``--threads`` flag can cap the BLAS thread pools before numpy loads;
-results are identical at any fixed thread count.
+``--threads`` flag can cap each process's BLAS thread pool before numpy
+loads; results are identical at any fixed thread count.  The seed pass
+may run basestation 2's half in a second process (``pipeline``), and its
+outputs are identical at any process count.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Vision-aided blockage prediction and "
                                  "proactive handoff, at desk scale.")
     parser.add_argument("--threads", type=int, default=None,
-                        help="bound BLAS parallelism (fixed count keeps runs reproducible)")
+                        help="bound BLAS threads per process (fixed count keeps runs reproducible)")
     parser.add_argument("--verbose", action="store_true", help="log stage progress")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -120,10 +121,12 @@ def simulate_stage(cfg: ScenarioConfig, frames: int, out_dir) -> Path:
 def build_dataset_stage(trace_dir, out_dir, ds_cfg: DatasetConfig) -> dict:
     """Seed pass, windowing, balancing/splitting, conjugate pairs."""
     scenario, world, rows = read_trace_rows(trace_dir)
+    start = time.perf_counter()
     try:
         seed = seed_pass(rows, world, scenario)
     except DataError as exc:
         raise DataError(f"{Path(trace_dir) / 'manifest.json'}: {exc}") from exc
+    seconds = time.perf_counter() - start
     windows = collect_windows(seed, ds_cfg.observed, ds_cfg.future)
     if not len(windows):
         raise DataError(f"{Path(trace_dir) / 'frames.ndjson'}: trace too short: no full "
@@ -166,9 +169,10 @@ def build_dataset_stage(trace_dir, out_dir, ds_cfg: DatasetConfig) -> dict:
         },
     }
     write_dataset(out_dir, train, val, pairs, manifest)
-    log.info("dataset: %d train, %d val, %d conjugate pairs; %s", len(train), len(val),
-             len(category), ", ".join(f"{f.name} {f.stat().st_size} B"
-                                      for f in sorted(Path(out_dir).glob("*.ndrec"))))
+    log.info("dataset: seed pass %.2f s (processes: %d); %d train, %d val, %d conjugate "
+             "pairs; %s", seconds, seed.processes, len(train), len(val), len(category),
+             ", ".join(f"{f.name} {f.stat().st_size} B"
+                       for f in sorted(Path(out_dir).glob("*.ndrec"))))
     return manifest
 
 

@@ -4,6 +4,9 @@ Stages: a seed pass with one row (beam, link status) per basestation, owned
 user and frame; sliding windows over each stream's run of rows, labelled by
 their future link statuses; per-camera balanced sampling with a stratified
 train/validation split; and conjugate pairs for the handoff evaluation.
+The basestations share nothing in the seed pass, so where the CPUs allow,
+basestation 2's half runs in one forked child at the same time as basestation
+1's; the Seed, and so every file, is the same at any process count.
 
 A window is one record from the seed pass to the files: a row of the one
 ``WindowTable`` of a build, whose frame rows index the seed's ``FrameTable``
@@ -24,6 +27,9 @@ import dataclasses
 import itertools
 import json
 import logging
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -80,6 +86,7 @@ class Seed:
     beam: np.ndarray                   # 1-based codebook index
     status: np.ndarray                 # 0 = LOS, 1 = NLOS
     frames: FrameTable                 # the owning cameras' frames, by (camera, frame)
+    processes: int = 1                 # how many computed it (a log figure, never written)
 
     def __len__(self) -> int:
         return len(self.frame)
@@ -226,53 +233,127 @@ def seed_pass(rows: ObjectRows, world: World, cfg: ScenarioConfig) -> Seed:
     """The seed rows of object rows, in the geometry of ``world``.  At every
     frame, each user is owned by the basestation camera that sees it closest
     to its optical axis; the owning camera's detection list stands in for the
-    frame.  Each kernel takes a block of BLOCK_FRAMES frames (with users)."""
+    frame.  Each kernel takes a block of BLOCK_FRAMES frames (with users).
+
+    The basestations share nothing here, so with ``_seed_processes()`` of 2
+    the first one's blocks run in this process and the others' in one forked
+    child at the same time; the results are put back in block order, so the
+    Seed is the same at any process count.  ``Seed.processes`` says which ran."""
     noise = DetectorNoiseModel(p_miss=cfg.p_miss, jitter_sigma=cfg.jitter_sigma,
                                p_false_positive=cfg.p_false_positive)
     codebooks = {bs.bs_id: Codebook.build(bs.ula, cfg.beams) for bs in world.basestations}
     rows = rows[(np.bincount(rows.frame, rows.classes == USER_CLASS) > 0)[rows.frame]]
     edges = np.flatnonzero(np.diff(rows.frame // BLOCK_FRAMES, prepend=-1, append=-1))
-    blocks, frames = [], []   # (bs, camera, user, frame, beam, status) rows; camera frames
-    for lo, hi in itertools.pairwise(edges.tolist()):
-        block = rows[lo:hi]
-        users = np.flatnonzero(block.classes == USER_CLASS)
-        bounds = np.stack([block.centers - block.dims / 2.0, block.centers + block.dims / 2.0])
-        for bs in world.basestations:
-            # one projection per camera feeds its detections and the ownership test:
-            # the visible camera whose optical axis points closest at the user (ranking
-            # by projected area starves the central camera: perspective inflates the sides)
-            owner, best_align, views = np.full(len(users), -1), np.full(len(users), -2.0), []
-            for cam in bs.cameras:
-                views.append((cam, *project_boxes(cam, block.centers, block.dims)))
-                to_user = block.centers[users] - cam.position
-                align = np.vecdot(to_user, cam.rotation[2]) / np.sqrt(np.vecdot(to_user, to_user))
-                better = views[-1][2][users] & (align > best_align)
-                owner[better], best_align[better] = cam.camera_id, align[better]
-            for cam, boxes, shown in views:
-                mine = sorted(set(block.frame[users[owner == cam.camera_id]].tolist()))
-                frames.append(_detections(cam, block, boxes, shown, mine, [np.random.default_rng(
-                    [cfg.seed, DETECT_STREAM, f, cam.camera_id]) for f in mine],
-                    noise, cfg.min_visible_fraction))
-            owned = users[owner >= 0]   # link status and beam of each, LINK_CHUNK at a time
-            near = _frame_mates(block.frame)[owned]   # the object rows of each user's frame
-            antennas = block.centers[owned] + block.dims[owned] * [0.0, 0.0, 0.5]
-            status = segments_blocked(bs.position, antennas, *bounds[:, near],
-                                      (near < 0) | (near == owned[:, None]))
-            paths = path_arrays(bs, antennas, status, world, cfg.reflection_loss_db)
-            try:
-                beams = [path_beams(*(a[i:i + LINK_CHUNK] for a in paths), bs.ula,
-                                    codebooks[bs.bs_id], cfg.cyclic_prefix, cfg.sample_time,
-                                    cfg.subcarriers) for i in range(0, len(owned), LINK_CHUNK)]
-            except ValueError as exc:    # a path outlasts the cyclic prefix
-                raise DataError(f"{exc}: cyclic_prefix = {cfg.cyclic_prefix} is too short") from exc
-            blocks.append(np.stack(np.broadcast_arrays(
-                bs.bs_id, owner[owner >= 0], block.ids[owned], block.frame[owned],
-                np.concatenate([np.zeros(0, dtype=int), *beams]), status)))
+    blocks = [rows[lo:hi] for lo, hi in itertools.pairwise(edges.tolist())]
 
-    table = np.concatenate([np.zeros((6, 0), dtype=int), *blocks], axis=1)
+    def side(basestations):   # per block, each basestation's (rows, camera frames)
+        return [[_seed_block(block, bs, codebooks[bs.bs_id], world, cfg, noise)
+                 for bs in basestations] for block in blocks]
+
+    first, *others = world.basestations
+    if blocks and others and _seed_processes() > 1:
+        mine, theirs = _forked(lambda: side(others), lambda: side([first]))
+        per_block, processes = [a + b for a, b in zip(mine, theirs)], 2
+    else:
+        per_block, processes = side(world.basestations), 1
+    parts = [part for block in per_block for part in block]   # block first, basestation second
+    table = np.concatenate([np.zeros((6, 0), dtype=int), *(p[0] for p in parts)], axis=1)
     # one table per block and camera: stably sorted by camera, the frames go up within each
-    frames = concat(sorted(frames, key=lambda t: t.camera[:1].tolist()) or [FrameTable.of([])])
-    return Seed(*table[:, np.lexsort(table[3::-1])], frames=frames)
+    frames = concat(sorted((t for p in parts for t in p[1]), key=lambda t: t.camera[:1].tolist())
+                    or [FrameTable.of([])])
+    return Seed(*table[:, np.lexsort(table[3::-1])], frames=frames, processes=processes)
+
+
+def _seed_block(block: ObjectRows, bs, codebook: Codebook, world: World, cfg: ScenarioConfig,
+                noise: DetectorNoiseModel) -> tuple[np.ndarray, list[FrameTable]]:
+    """One basestation's seed rows (bs, camera, user, frame, beam, status) of
+    one block, and one FrameTable per camera of the frames it owns a user in."""
+    users = np.flatnonzero(block.classes == USER_CLASS)
+    # one projection per camera feeds its detections and the ownership test:
+    # the visible camera whose optical axis points closest at the user (ranking
+    # by projected area starves the central camera: perspective inflates the sides)
+    owner, best_align, views = np.full(len(users), -1), np.full(len(users), -2.0), []
+    for cam in bs.cameras:
+        views.append((cam, *project_boxes(cam, block.centers, block.dims)))
+        to_user = block.centers[users] - cam.position
+        align = np.vecdot(to_user, cam.rotation[2]) / np.sqrt(np.vecdot(to_user, to_user))
+        better = views[-1][2][users] & (align > best_align)
+        owner[better], best_align[better] = cam.camera_id, align[better]
+    frames = []
+    for cam, boxes, shown in views:
+        mine = sorted(set(block.frame[users[owner == cam.camera_id]].tolist()))
+        frames.append(_detections(cam, block, boxes, shown, mine, [np.random.default_rng(
+            [cfg.seed, DETECT_STREAM, f, cam.camera_id]) for f in mine],
+            noise, cfg.min_visible_fraction))
+    owned = users[owner >= 0]   # link status and beam of each, LINK_CHUNK at a time
+    near = _frame_mates(block.frame)[owned]   # the object rows of each user's frame
+    antennas = block.centers[owned] + block.dims[owned] * [0.0, 0.0, 0.5]
+    bounds = np.stack([block.centers - block.dims / 2.0, block.centers + block.dims / 2.0])
+    status = segments_blocked(bs.position, antennas, *bounds[:, near],
+                              (near < 0) | (near == owned[:, None]))
+    paths = path_arrays(bs, antennas, status, world, cfg.reflection_loss_db)
+    try:
+        beams = [path_beams(*(a[i:i + LINK_CHUNK] for a in paths), bs.ula, codebook,
+                            cfg.cyclic_prefix, cfg.sample_time, cfg.subcarriers)
+                 for i in range(0, len(owned), LINK_CHUNK)]
+    except ValueError as exc:    # a path outlasts the cyclic prefix
+        raise DataError(f"{exc}: cyclic_prefix = {cfg.cyclic_prefix} is too short") from exc
+    return np.stack(np.broadcast_arrays(
+        bs.bs_id, owner[owner >= 0], block.ids[owned], block.frame[owned],
+        np.concatenate([np.zeros(0, dtype=int), *beams]), status)), frames
+
+
+def _seed_processes() -> int:
+    """2 where a forked child can run beside this process with CPUs of its own
+    for its BLAS threads, else 1.  OpenBLAS runs OPENBLAS_NUM_THREADS, else
+    OMP_NUM_THREADS, else one thread per CPU, and its idle threads spin: two
+    processes with more threads than CPUs run the seed pass slower than one.
+    No option sets it: ``taskset -c 0`` leaves one CPU."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    blas = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS") or ""
+    return 2 if cpus >= 2 * (int(blas) if blas.isdigit() and int(blas) > 0 else cpus) else 1
+
+
+def _forked(child, parent):
+    """``(parent(), child())``, with ``child()`` run at the same time in a forked
+    child that sends its result, or its exception, back pickled over a pipe and
+    ends with ``os._exit`` (no atexit handlers, no stdio flush).  An exception
+    is raised here as its own type and message; a child that dies without a
+    result is an error naming its exit status.  No child outlives the call.
+    The only threads here are OpenBLAS's, and it stops them around a fork."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            try:
+                result = child()
+            except BaseException as exc:   # the parent raises it
+                result = exc
+            with os.fdopen(write_end, "wb") as pipe:
+                pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    try:
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as pipe:
+            mine, sent = parent(), pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0 or not sent:
+        raise ChildProcessError(f"seed pass: the child process ended with exit status "
+                                f"{code} and no result")
+    theirs = pickle.loads(sent)
+    if isinstance(theirs, BaseException):
+        raise theirs
+    return mine, theirs
 
 
 def collect_windows(seed: Seed, observed: int = 8, future: int = 5) -> WindowTable:

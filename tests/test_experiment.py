@@ -2,6 +2,7 @@ import dataclasses
 import json
 import logging
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -240,6 +241,19 @@ class TestBuildDiagnostics:
         for name in ("frames.ndrec", "train.ndrec", "val.ndrec", "pairs.ndrec"):
             assert f"{name} {(tmp_path / 'ds' / name).stat().st_size} B" in info[-1]
 
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_info_line_reports_seed_pass_processes(self, tmp_path, mini_run, caplog,
+                                                    monkeypatch, processes):
+        # a log figure only: the files are the run's at any process count
+        out, _ = mini_run
+        monkeypatch.setattr(beamsight.pipeline, "_seed_processes", lambda: processes)
+        with caplog.at_level(logging.INFO, logger="beamsight.experiment"):
+            build_dataset_stage(out / "trace", tmp_path, load_experiment_config(MINI).dataset)
+        [info] = [r.getMessage() for r in caplog.records if r.name == "beamsight.experiment"]
+        assert re.match(rf"dataset: seed pass \d+\.\d\d s \(processes: {processes}\); ", info)
+        for name in ("frames.ndrec", "train.ndrec", "val.ndrec", "pairs.ndrec", "manifest.json"):
+            assert (tmp_path / name).read_bytes() == (out / "dataset" / name).read_bytes(), name
 
 class TestBoxText:
     """frames.ndrec writes each box corner as the shortest text of its nearest

@@ -1,5 +1,9 @@
+import atexit
 import itertools
 import json
+import os
+import signal
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -27,6 +31,7 @@ from oracles import (
     write_trace_json,
 )
 
+from beamsight.cli import main
 from beamsight.config import DatasetConfig, ScenarioConfig, load_experiment_config
 from beamsight.embedding import BeamEmbeddingTable, encode_dataset
 from beamsight.errors import DataError
@@ -113,6 +118,11 @@ def write_worlds(trace_dir, cfg, worlds):
                                  for w in worlds])
 
 
+def pin_processes(monkeypatch, processes=1):
+    """Run the seed pass in ``processes`` processes, whatever the machine."""
+    monkeypatch.setattr(beamsight.pipeline, "_seed_processes", lambda: processes)
+
+
 def as_tuples(seed):
     """(bs, camera, user, frame, beam, status) of every seed row, as ints."""
     return list(zip(*(c.tolist() for c in (seed.bs, seed.camera, seed.user, seed.frame,
@@ -177,8 +187,10 @@ class TestBuildSeed:
     def test_projects_once_per_camera_and_block(self, monkeypatch):
         # one projection per camera and block feeds both the detections and
         # the ownership test; frames without users add no rows to it, and a
-        # block without users projects nothing
+        # block without users projects nothing (counted in one process: a
+        # forked child's calls never reach this list)
         calls = []
+        pin_processes(monkeypatch)
 
         def counting(cam, centers, dims):
             calls.append((cam.camera_id, len(centers)))
@@ -231,6 +243,156 @@ class TestBuildSeed:
                 cam, worlds[frame], noise, rng=rng,
                 min_visible_fraction=cfg.min_visible_fraction)
         assert len(seed) > 10
+
+
+def assert_same_seed(a, b):
+    """Every column of two Seeds and of their frame tables, values and dtypes."""
+    for name in ("bs", "camera", "user", "frame", "beam", "status"):
+        assert getattr(a, name).dtype == getattr(b, name).dtype, name
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for name in ("camera", "frame", "count", "classes", "boxes", "confidence"):
+        x, y = getattr(a.frames, name), getattr(b.frames, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def on_basestation(monkeypatch, bs_id, act):
+    """Wrap the seed pass's per-(block, basestation) kernel: ``act(bs)`` runs
+    first for basestation ``bs_id``, and a non-None result replaces the
+    kernel's.  A forked child inherits the patch."""
+    real = beamsight.pipeline._seed_block
+
+    def kernel(block, bs, *args):
+        result = act(bs) if bs.bs_id == bs_id else None
+        return real(block, bs, *args) if result is None else result
+
+    monkeypatch.setattr(beamsight.pipeline, "_seed_block", kernel)
+
+
+class TestForkedSeedPass:
+    """Basestation 2's half of the seed pass in a forked child: the same Seed
+    as one process, its errors raised here, and no process left behind."""
+
+    @pytest.fixture
+    def trace(self, tmp_path):
+        cfg = load_experiment_config(MINI)
+        simulate_stage(cfg.scenario, 40, tmp_path / "trace")
+        scenario, world, rows = read_trace_rows(tmp_path / "trace")
+        return rows, world, scenario
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):   # none running, none unreaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_hand_built_worlds_same_at_two_processes(self, monkeypatch):
+        cfg = small_cfg(cars=8, buses=2, seed=4, p_miss=0.2, jitter_sigma=2.0,
+                        p_false_positive=0.5)
+        for worlds in (street(cfg, 4), static_worlds(cfg, [car(0, 80.0, 8.75)], 5)):
+            seeds = []
+            for processes in (1, 2):
+                pin_processes(monkeypatch, processes)
+                seeds.append(build_seed(worlds, cfg))
+            assert_same_seed(*seeds)
+
+    def test_child_error_is_raised_as_its_own(self, trace, monkeypatch):
+        def fail(bs):
+            raise ZeroDivisionError(f"basestation {bs.bs_id} failed")
+
+        on_basestation(monkeypatch, 2, fail)
+        for processes in (1, 2):
+            pin_processes(monkeypatch, processes)
+            with pytest.raises(ZeroDivisionError, match="^basestation 2 failed$"):
+                seed_pass(*trace)
+
+    def test_child_data_error_exits_2_naming_manifest(self, tmp_path, monkeypatch, capsys):
+        # basestation 2's paths outlast the cyclic prefix; basestation 1's do not
+        real = beamsight.pipeline.path_arrays
+
+        def path_arrays(bs, *args):
+            gain, delay, *angles = real(bs, *args)
+            return (gain, delay * 1e6 if bs.bs_id == 2 else delay, *angles)
+
+        monkeypatch.setattr(beamsight.pipeline, "path_arrays", path_arrays)
+        pin_processes(monkeypatch, 2)
+        trace = tmp_path / "trace"
+        simulate_stage(load_experiment_config(MINI).scenario, 20, trace)
+        assert main(["build-dataset", "--trace", str(trace), "--out", str(tmp_path / "ds")]) == 2
+        err = capsys.readouterr().err
+        assert f"{trace / 'manifest.json'}: path delay" in err and "is too short" in err
+        assert not (tmp_path / "ds").exists()
+
+    def test_parent_error_ends_a_child_blocked_on_its_result(self, trace, monkeypatch):
+        # the child's 12 MB result cannot fit the pipe, so it blocks writing
+        # until the parent reads; the parent fails instead and must not wait
+        # on it forever
+        def hung(signum, frame):
+            raise TimeoutError("the seed pass waited on its child")
+
+        def late_failure(bs):
+            time.sleep(0.2)
+            raise ZeroDivisionError("basestation 1 failed")
+
+        on_basestation(monkeypatch, 2, lambda bs: (np.zeros((6, 2**18), dtype=int), []))
+        on_basestation(monkeypatch, 1, late_failure)
+        pin_processes(monkeypatch, 2)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            with pytest.raises(ZeroDivisionError, match="basestation 1 failed"):
+                seed_pass(*trace)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("death, status", [
+        (lambda: os._exit(7), "7"), (lambda: os.kill(os.getpid(), signal.SIGKILL), "-9")])
+    def test_child_death_names_its_exit_status(self, trace, monkeypatch, death, status):
+        on_basestation(monkeypatch, 2, lambda bs: death())
+        pin_processes(monkeypatch, 2)
+        with pytest.raises(ChildProcessError, match=f"exit status {status} and no result"):
+            seed_pass(*trace)
+
+    def test_child_runs_no_exit_handlers_and_flushes_no_buffers(self, trace, monkeypatch,
+                                                               tmp_path):
+        pin_processes(monkeypatch, 2)
+        exits = os.open(tmp_path / "exits.txt", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        with (tmp_path / "buffered.txt").open("w") as buffered:
+            buffered.write("parent\n")   # still in this process's buffer at the fork
+            atexit.register(os.write, exits, b"exit handler\n")
+            try:
+                assert seed_pass(*trace).processes == 2
+            finally:
+                atexit.unregister(os.write)
+                os.close(exits)
+        assert (tmp_path / "buffered.txt").read_text() == "parent\n"
+        assert (tmp_path / "exits.txt").read_text() == ""
+
+    def test_process_count(self, monkeypatch):
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        cases = [({0, 1}, None, 1),   # OpenBLAS's default, a thread per CPU, fills both
+                 ({0, 1}, "1", 2), ({0}, "1", 1), ({0, 1, 2, 3}, "2", 2),
+                 ({0, 1, 2, 3}, "3", 1), ({0, 1}, "0", 1), ({0, 1}, "x", 1)]
+        for cpus, blas, processes in cases:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            if blas is None:
+                monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+            assert beamsight.pipeline._seed_processes() == processes, (cpus, blas)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert beamsight.pipeline._seed_processes() == 2
+        monkeypatch.delattr(os, "fork")
+        assert beamsight.pipeline._seed_processes() == 1
+
+    def test_one_process_never_forks(self, trace, monkeypatch):
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+        pin_processes(monkeypatch, 1)
+        assert seed_pass(*trace).processes == 1
 
 
 def assert_maximal_runs(seed):
@@ -995,11 +1157,34 @@ class TestBuildOracle:
             "frames.ndrec", "train.ndrec", "val.ndrec", "pairs.ndrec")) == []
         assert len(pairs[2]) > 0 and (len(train) > 0) == (quota > 0)
 
-    def test_build_peak_is_bounded(self, built, tmp_path):
+    @pytest.mark.parametrize("case", ["mini", "desk street 3"])
+    def test_files_identical_at_one_and_two_processes(self, built, case, tmp_path,
+                                                       monkeypatch):
+        out, cases = built
+        trace, cfg = cases[case]
+        for processes in (1, 2):
+            pin_processes(monkeypatch, processes)
+            build_dataset_stage(out / "trace" / trace, tmp_path / str(processes), cfg)
+            assert differing_files(out / case, tmp_path / str(processes)) == []
+
+    def test_seed_pass_identical_at_one_and_two_processes(self, built, monkeypatch):
+        out, _ = built
+        for trace in ("mini", "desk3", "desk4", "desk5"):
+            scenario, world, rows = read_trace_rows(out / "trace" / trace)
+            seeds = []
+            for processes in (1, 2):
+                pin_processes(monkeypatch, processes)
+                seeds.append(seed_pass(rows, world, scenario))
+            assert [s.processes for s in seeds] == [1, 2]
+            assert_same_seed(*seeds)
+
+    def test_build_peak_is_bounded(self, built, tmp_path, monkeypatch):
         # Python allocations of one seed-pass benchmark street's build: windows
         # stay columns, and the writer formats lines a few hundred at a time
+        # (in one process, so tracemalloc sees both basestations' halves)
         out, cases = built
         trace, cfg = cases["desk street 3"]
+        pin_processes(monkeypatch)
         tracemalloc.start()
         try:
             build_dataset_stage(out / "trace" / trace, tmp_path, cfg)
@@ -1009,9 +1194,11 @@ class TestBuildOracle:
         assert peak < 3 * 2**20, f"{peak / 2**20:.2f} MiB"
 
     def test_build_makes_no_detection_objects(self, built, tmp_path, monkeypatch):
-        # detections stay columns from the detector to the files
+        # detections stay columns from the detector to the files (in one
+        # process, so the patch sees both basestations' halves)
         out, cases = built
         trace, cfg = cases["desk street 3"]
+        pin_processes(monkeypatch)
         made = []
         check = Detection.__post_init__
         monkeypatch.setattr(Detection, "__post_init__", lambda d: made.append(d) or check(d))
