@@ -12,12 +12,24 @@ import configparser
 import dataclasses
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DataError
 
 BBOX_FEATURE_SIZE = 6     # [x_cent, y_cent, x1, y1, x2, y2] per detection box
+
+
+def cpu_workers() -> int:
+    """2 where a second worker, a forked process or a thread, can run beside
+    this one with CPUs of its own for its BLAS threads, else 1.  OpenBLAS runs
+    OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else one thread per CPU, and
+    its idle threads spin: two workers with more threads than CPUs run slower
+    than one.  No option sets it: ``taskset -c 0`` leaves one CPU."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    blas = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS") or ""
+    return 2 if cpus >= 2 * (int(blas) if blas.isdigit() and int(blas) > 0 else cpus) else 1
 
 
 def _require_finite(config) -> None:

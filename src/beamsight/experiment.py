@@ -45,7 +45,7 @@ from .pipeline import (
     write_dataset,
     write_trace,
 )
-from .predictor import model_from_checkpoint, save_checkpoint, train_model
+from .predictor import model_from_checkpoint, save_checkpoint, scoring_threads, train_model
 from .scene import USER_CLASS, build_world, roll_centers
 
 log = logging.getLogger(__name__)
@@ -252,9 +252,12 @@ def eval_stage(ckpt_path, dataset_dir, out_csv) -> tuple[MetricReport, dict]:
     table = _beam_table(ckpt_path, meta, manifest["codebook"]["beams"])
     frames = read_frames(dataset_dir) if meta["mode"] == "bimodal" else None
     [val] = read_windows(dataset_dir, "val")
+    t0 = time.perf_counter()
     x, _ = _encode([(Path(dataset_dir) / "val.ndrec", val)], table, meta["mode"],
                    meta["observed"], manifest["future"], frames)
     preds = model.predict(x)
+    log.info("eval: %d windows scored in %.2f s (threads: %d)", len(val),
+             time.perf_counter() - t0, scoring_threads(len(val)))
     rep, cm = report(preds, val, future=manifest["future"])
 
     out_csv = Path(out_csv)
@@ -308,8 +311,11 @@ def handoff_eval(ckpt1_path, ckpt2_path, pairs_path) -> HandoffReport:
                        future, frames)
         return model.predict(x)
 
-    return score_handoff(predict(model1, meta1, table1, bs1), predict(model2, meta2, table2, bs2),
-                         bs1.label, bs2.label, category)
+    t0 = time.perf_counter()
+    preds = predict(model1, meta1, table1, bs1), predict(model2, meta2, table2, bs2)
+    log.info("handoff: %d windows scored in %.2f s (threads: %d)", 2 * len(category),
+             time.perf_counter() - t0, scoring_threads(len(category)))
+    return score_handoff(*preds, bs1.label, bs2.label, category)
 
 
 def handoff_row(label: str, rep: HandoffReport) -> list:

@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import config
 from .config import ScenarioConfig, scenario_from_json
 from .errors import DataError
 from .phy import Codebook, path_arrays, path_beams, segments_blocked
@@ -235,10 +236,11 @@ def seed_pass(rows: ObjectRows, world: World, cfg: ScenarioConfig) -> Seed:
     to its optical axis; the owning camera's detection list stands in for the
     frame.  Each kernel takes a block of BLOCK_FRAMES frames (with users).
 
-    The basestations share nothing here, so with ``_seed_processes()`` of 2
-    the first one's blocks run in this process and the others' in one forked
-    child at the same time; the results are put back in block order, so the
-    Seed is the same at any process count.  ``Seed.processes`` says which ran."""
+    The basestations share nothing here, so where ``os.fork`` exists and
+    ``config.cpu_workers()`` gives 2, the first one's blocks run in this
+    process and the others' in one forked child at the same time; the results
+    are put back in block order, so the Seed is the same at any process count.
+    ``Seed.processes`` says which ran."""
     noise = DetectorNoiseModel(p_miss=cfg.p_miss, jitter_sigma=cfg.jitter_sigma,
                                p_false_positive=cfg.p_false_positive)
     codebooks = {bs.bs_id: Codebook.build(bs.ula, cfg.beams) for bs in world.basestations}
@@ -251,7 +253,7 @@ def seed_pass(rows: ObjectRows, world: World, cfg: ScenarioConfig) -> Seed:
                  for bs in basestations] for block in blocks]
 
     first, *others = world.basestations
-    if blocks and others and _seed_processes() > 1:
+    if blocks and others and hasattr(os, "fork") and config.cpu_workers() > 1:
         mine, theirs = _forked(lambda: side(others), lambda: side([first]))
         per_block, processes = [a + b for a, b in zip(mine, theirs)], 2
     else:
@@ -303,26 +305,14 @@ def _seed_block(block: ObjectRows, bs, codebook: Codebook, world: World, cfg: Sc
         np.concatenate([np.zeros(0, dtype=int), *beams]), status)), frames
 
 
-def _seed_processes() -> int:
-    """2 where a forked child can run beside this process with CPUs of its own
-    for its BLAS threads, else 1.  OpenBLAS runs OPENBLAS_NUM_THREADS, else
-    OMP_NUM_THREADS, else one thread per CPU, and its idle threads spin: two
-    processes with more threads than CPUs run the seed pass slower than one.
-    No option sets it: ``taskset -c 0`` leaves one CPU."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    cpus = len(os.sched_getaffinity(0))
-    blas = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS") or ""
-    return 2 if cpus >= 2 * (int(blas) if blas.isdigit() and int(blas) > 0 else cpus) else 1
-
-
 def _forked(child, parent):
     """``(parent(), child())``, with ``child()`` run at the same time in a forked
     child that sends its result, or its exception, back pickled over a pipe and
     ends with ``os._exit`` (no atexit handlers, no stdio flush).  An exception
     is raised here as its own type and message; a child that dies without a
     result is an error naming its exit status.  No child outlives the call.
-    The only threads here are OpenBLAS's, and it stops them around a fork."""
+    The only threads here are OpenBLAS's, and it stops them around a fork: no
+    Python thread is alive, since scoring joins its thread before it returns."""
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:

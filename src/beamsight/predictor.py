@@ -19,7 +19,8 @@ dW, dU, db and dx after the backward time loop (Appleyard et al.,
 arXiv:1604.01946); only h U^T and its gradient run step by step, on
 time-major (batch, .) buffers written in place.  Layer 0 projects each
 distinct input row of a ``Sequences`` batch once, and dW0 is one GEMM over
-those rows of da summed per row.
+those rows of da summed per row.  Scoring advances every layer a block of
+steps at a time and runs its chunks of windows on up to two threads.
 """
 
 from __future__ import annotations
@@ -29,11 +30,13 @@ import json
 import logging
 import math
 import struct
+import threading
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import config
 from .config import TrainConfig
 from .errors import DataError, NumericError
 
@@ -144,6 +147,12 @@ def gru_cell(a: np.ndarray, h_prev: np.ndarray, U: np.ndarray, out=None):
 PROJECT_ROWS = 512
 
 
+def scoring_threads(windows: int, batch_size: int = 512) -> int:
+    """Threads that score ``windows`` windows: one per chunk of ``batch_size``,
+    up to ``config.cpu_workers()``."""
+    return max(1, min(-(-windows // batch_size), config.cpu_workers()))
+
+
 class GruPredictor:
     """Two stacked GRU layers, inter-layer dropout, linear classifier."""
 
@@ -163,8 +172,10 @@ class GruPredictor:
     def _run(self, x: Sequences, train: bool, rng: np.random.Generator | None,
              caches: list | None = None):
         """Forward pass over a ``Sequences`` batch, one step of every window at
-        a time; without ``caches`` a layer holds step-sized buffers and its
-        hidden states (T+1, batch, H), the top layer only two of them.
+        a time, in blocks of steps: every layer advances a block before the
+        next one starts, so a layer holds step-sized buffers and the hidden
+        states of a block and the step before it.  With ``caches`` one block
+        takes all T steps.  Dropout masks are drawn before the first step.
 
         Appends to ``caches``, if given, each layer's input (layer 0: its
         distinct rows and each step's position among them), hidden states
@@ -176,52 +187,51 @@ class GruPredictor:
         hidden, cache = self.hidden, caches is not None
         dtype = np.result_type(x.rows, *self.params.values())
         masks = {}  # dropout mask per layer output, train only
+        for layer in range(self.layers - 1) if train and self.dropout > 0.0 else ():
+            if rng is None:
+                raise ValueError("training forward pass needs an rng for dropout")
+            keep = 1.0 - self.dropout
+            masks[layer] = (rng.random((batch, steps, hidden)) < keep).astype(dtype) / keep
         uniq, inv = np.unique(x.index, return_inverse=True)
         positions = inv.reshape(batch, steps).T.copy()
-        layer_input = (x.rows[uniq], positions.T)
-        for layer in range(self.layers):
-            W, U, b = (self.params[f"l{layer}.{n}"] for n in "WUb")
-            top = layer == self.layers - 1
-            if layer == 0:   # each step gathers its rows of the distinct rows' projection
-                table = layer_input[0] @ W.T
-                table += b
-                layer_input = layer_input if cache else None
-            # steps per projection; the last block takes the rest, since OpenBLAS
-            # rounds a product of a few rows unlike the whole layer's
-            block = 1 if layer == 0 else steps if cache else \
-                min(steps, max(1, PROJECT_ROWS // batch))
-            bounds = [*range(0, steps - block + 1, block), steps]
-            a = np.empty((steps - bounds[-2], batch, 3 * hidden), dtype)
-            held = 2 if top and not cache else steps + 1   # hidden states from zeros
-            hs = (np.zeros((batch, held, hidden), dtype).transpose(1, 0, 2) if cache
-                  else np.zeros((held, batch, hidden), dtype))
-            u, scratch = np.empty((batch, 3 * hidden), dtype), np.empty((batch, hidden), dtype)
-            gates = []
-            for start, end in zip(bounds, bounds[1:]):
-                if layer == 0:
-                    np.take(table, positions[start], axis=0, out=a[0], mode="clip")  # unbuffered
-                else:
-                    np.matmul(inputs[start:end].reshape(-1, hidden), W.T,
+        inputs = [(x.rows[uniq], positions.T)] + [None] * (self.layers - 1)
+        table = inputs[0][0] @ self.params["l0.W"].T   # each step gathers its rows of it
+        table += self.params["l0.b"]
+        inputs[0] = inputs[0] if cache else None
+        # steps per block, and so per deeper-layer projection; the last block takes
+        # the rest, since OpenBLAS rounds a product of a few rows unlike the whole layer's
+        block = steps if cache else min(steps, max(1, PROJECT_ROWS // batch))
+        bounds = [*range(0, steps - block + 1, block), steps]
+        held = steps - bounds[-2] + 1   # hidden states per layer: a block's and the one before
+        hs = [np.zeros((batch, held, hidden), dtype).transpose(1, 0, 2) if cache
+              else np.zeros((held, batch, hidden), dtype) for _ in range(self.layers)]
+        gates = [[] for _ in range(self.layers)]
+        a = np.empty((held - 1, batch, 3 * hidden), dtype)
+        u, scratch = np.empty((batch, 3 * hidden), dtype), np.empty((batch, hidden), dtype)
+        for start, end in zip(bounds, bounds[1:]):
+            for layer in range(self.layers):
+                U, h = self.params[f"l{layer}.U"], hs[layer]
+                if start:   # the state before this block is the last of the one before
+                    np.copyto(h[0], h[block])
+                if layer:
+                    below = hs[layer - 1][1:end - start + 1]
+                    if layer - 1 in masks:
+                        below = below * masks[layer - 1][:, start:end].transpose(1, 0, 2)
+                    inputs[layer] = below.transpose(1, 0, 2)
+                    np.matmul(below.reshape(-1, hidden), self.params[f"l{layer}.W"].T,
                               out=a[:end - start].reshape(-1, 3 * hidden))
-                    a[:end - start] += b
+                    a[:end - start] += self.params[f"l{layer}.b"]
                 for t in range(start, end):
-                    if cache or t == 0:   # the caches keep every step's gates
+                    if layer == 0:
+                        np.take(table, positions[t], axis=0, out=a[t - start],
+                                mode="clip")   # unbuffered
+                    if cache or not (layer or t):   # the caches keep every step's gates
                         zr, c, uc = (np.empty((batch, k * hidden), dtype) for k in (2, 1, 1))
-                    gates.append(gru_cell(a[t - start], hs[t % held], U,
-                                          (hs[(t + 1) % held], u, zr, c, uc, scratch))[1])
-            if cache:
-                caches.append((layer_input, hs.transpose(1, 0, 2), gates))
-            if top:
-                break
-            layer_input = hs.transpose(1, 0, 2)[:, 1:]
-            if train and self.dropout > 0.0:
-                if rng is None:
-                    raise ValueError("training forward pass needs an rng for dropout")
-                keep = 1.0 - self.dropout
-                masks[layer] = (rng.random(layer_input.shape) < keep).astype(dtype) / keep
-                layer_input = layer_input * masks[layer]
-            inputs = layer_input.transpose(1, 0, 2)
-        last = hs[steps % held]
+                    gates[layer].append(gru_cell(a[t - start], h[t - start], U, (
+                        h[t - start + 1], u, zr, c, uc, scratch))[1])
+        if cache:
+            caches.extend(zip(inputs, (h.transpose(1, 0, 2) for h in hs), gates))
+        last = hs[-1][-1]
         logits = last @ self.params["out.W"].T + self.params["out.b"]
         return logits, last, masks
 
@@ -236,10 +246,29 @@ class GruPredictor:
         return probs[0] if single else probs
 
     def _logits(self, x, batch_size: int = 512) -> np.ndarray:
-        """Eval-mode logits (n, classes), computed in batches."""
+        """Eval-mode logits (n, classes) in chunks of ``batch_size`` windows: with
+        ``scoring_threads`` of 2, a thread started and joined here takes the odd
+        chunks.  A chunk's logits are the same on either thread; an exception on
+        either is raised here once both have stopped."""
         x = Sequences.of(x)
-        chunks = [self._run(x[start:start + batch_size], False, None)[0]
-                  for start in range(0, len(x), batch_size)]
+        chunks = [x[start:start + batch_size] for start in range(0, len(x), batch_size)]
+        threads, errors = scoring_threads(len(x), batch_size), []
+
+        def score(first):   # every threads-th chunk from the first-th, in place
+            try:
+                for i in range(first, len(chunks), threads):
+                    chunks[i] = self._run(chunks[i], False, None)[0]
+            except BaseException as exc:
+                errors.append(exc)
+
+        workers = [threading.Thread(target=score, args=(i,)) for i in range(1, threads)]
+        for worker in workers:
+            worker.start()
+        score(0)
+        for worker in workers:
+            worker.join()
+        if errors:
+            raise errors[0]
         return np.concatenate(chunks) if chunks else np.empty((0, self.classes))
 
     def predict(self, x, batch_size: int = 512) -> np.ndarray:

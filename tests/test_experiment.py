@@ -7,6 +7,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import threading
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import beamsight.config
 import beamsight.embedding
 import beamsight.experiment
 import beamsight.pipeline
@@ -125,6 +127,28 @@ class TestRunExperiment:
                      "eval_bimodal_per_camera.csv", "eval_bimodal_per_instance.csv",
                      "train_bimodal_history.csv", "manifest.json"):
             assert (out / name).read_bytes() == (again / name).read_bytes(), name
+
+    def test_files_identical_on_one_and_two_workers(self, tmp_path, monkeypatch):
+        # chunks of 16 windows, so that two threads score every stage's windows
+        real_logits, real_run, on_main = GruPredictor._logits, GruPredictor._run, set()
+
+        def run(model, *args, **kwargs):
+            on_main.add(threading.current_thread() is threading.main_thread())
+            return real_run(model, *args, **kwargs)
+
+        monkeypatch.setattr(GruPredictor, "_logits", lambda model, x, batch_size=512:
+                            real_logits(model, x, 16))
+        monkeypatch.setattr(GruPredictor, "_run", run)
+        for workers in (1, 2):
+            monkeypatch.setattr(beamsight.config, "cpu_workers", lambda: workers)
+            run_experiment(load_experiment_config(MINI), tmp_path / str(workers))
+            assert len(on_main) == workers   # {True}, then {True, False}
+        files = sorted(p.relative_to(tmp_path / "1") for p in (tmp_path / "1").rglob("*"))
+        assert files == sorted(p.relative_to(tmp_path / "2") for p in (tmp_path / "2").rglob("*"))
+        for name in files:
+            if (tmp_path / "1" / name).is_file():
+                assert (tmp_path / "1" / name).read_bytes() == \
+                    (tmp_path / "2" / name).read_bytes(), name
 
     def test_quota_zero_fails_at_train_with_prior_outputs_intact(self, tmp_path):
         cfg = mini_config()
@@ -247,13 +271,31 @@ class TestBuildDiagnostics:
                                                     monkeypatch, processes):
         # a log figure only: the files are the run's at any process count
         out, _ = mini_run
-        monkeypatch.setattr(beamsight.pipeline, "_seed_processes", lambda: processes)
+        monkeypatch.setattr(beamsight.config, "cpu_workers", lambda: processes)
         with caplog.at_level(logging.INFO, logger="beamsight.experiment"):
             build_dataset_stage(out / "trace", tmp_path, load_experiment_config(MINI).dataset)
         [info] = [r.getMessage() for r in caplog.records if r.name == "beamsight.experiment"]
         assert re.match(rf"dataset: seed pass \d+\.\d\d s \(processes: {processes}\); ", info)
         for name in ("frames.ndrec", "train.ndrec", "val.ndrec", "pairs.ndrec", "manifest.json"):
             assert (tmp_path / name).read_bytes() == (out / "dataset" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_info_lines_report_scoring_threads(self, tmp_path, mini_run, caplog, monkeypatch,
+                                               workers):
+        # 750 validation windows make two chunks of 512; 23 pairs one
+        out, _ = mini_run
+        manifest = build_dataset_stage(out / "trace", tmp_path, DatasetConfig(quota=300, seed=7))
+        val, pairs = sum(manifest["counts"]["val"].values()), manifest["counts"]["pairs"]
+        assert 512 < val <= 1024 and pairs <= 512
+        monkeypatch.setattr(beamsight.config, "cpu_workers", lambda: workers)
+        with caplog.at_level(logging.INFO, logger="beamsight.experiment"):
+            eval_stage(out / "bimodal.ckpt", tmp_path, tmp_path / "eval.csv")
+            handoff_eval(out / "bimodal.ckpt", out / "beam_only.ckpt", tmp_path / "pairs.ndrec")
+        info = [r.getMessage() for r in caplog.records if r.name == "beamsight.experiment"]
+        assert re.fullmatch(rf"eval: {val} windows scored in \d+\.\d\d s \(threads: {workers}\)",
+                            info[-2])
+        assert re.fullmatch(rf"handoff: {2 * pairs} windows scored in \d+\.\d\d s \(threads: 1\)",
+                            info[-1])
 
 class TestBoxText:
     """frames.ndrec writes each box corner as the shortest text of its nearest

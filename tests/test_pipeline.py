@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import beamsight.config
 import beamsight.pipeline
 import beamsight.scene
 import oracles
@@ -120,7 +121,7 @@ def write_worlds(trace_dir, cfg, worlds):
 
 def pin_processes(monkeypatch, processes=1):
     """Run the seed pass in ``processes`` processes, whatever the machine."""
-    monkeypatch.setattr(beamsight.pipeline, "_seed_processes", lambda: processes)
+    monkeypatch.setattr(beamsight.config, "cpu_workers", lambda: processes)
 
 
 def as_tuples(seed):
@@ -379,12 +380,17 @@ class TestForkedSeedPass:
                 monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
             else:
                 monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
-            assert beamsight.pipeline._seed_processes() == processes, (cpus, blas)
+            assert beamsight.config.cpu_workers() == processes, (cpus, blas)
         monkeypatch.delenv("OPENBLAS_NUM_THREADS")
         monkeypatch.setenv("OMP_NUM_THREADS", "1")
-        assert beamsight.pipeline._seed_processes() == 2
+        assert beamsight.config.cpu_workers() == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert beamsight.config.cpu_workers() == 1
+
+    def test_no_fork_runs_one_process(self, trace, monkeypatch):
+        pin_processes(monkeypatch, 2)
         monkeypatch.delattr(os, "fork")
-        assert beamsight.pipeline._seed_processes() == 1
+        assert seed_pass(*trace).processes == 1
 
     def test_one_process_never_forks(self, trace, monkeypatch):
         def fork():

@@ -3,11 +3,14 @@ import logging
 import math
 import re
 import struct
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import beamsight.config
 import beamsight.predictor
 from beamsight.config import TrainConfig
 from beamsight.errors import DataError, NumericError
@@ -179,22 +182,62 @@ class TestForwardOracle:
                 for key in want[1]:
                     assert got[1][key].tobytes() == want[1][key].tobytes(), (shape, key)
 
-    def test_scoring_holds_step_sized_state(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_dropout_pass_without_caches_matches_the_batch_major_pass(self, dtype, layers):
+        # the masks are drawn before the first block, in layer order, as the
+        # batch-major pass draws them after each layer
+        model = GruPredictor(input_dim=8, hidden=32, layers=layers, dropout=0.3, seed=layers)
+        model.params = {k: v.astype(dtype) for k, v in model.params.items()}
+        rng = np.random.default_rng(layers)
+        rows = rng.normal(size=(600, 8)).astype(dtype)
+        for steps in (1, 5, 16):
+            index = rng.integers(0, len(rows), size=(513, steps))
+            for batch in (1, 7, 16, 100, 511, 513):
+                x, shape = Sequences(rows, index[:batch]), f"{batch} windows of {steps} steps"
+                got = model._run(x, True, np.random.default_rng(batch))
+                want = batch_major_run(model, x, True, np.random.default_rng(batch))
+                assert got[0].tobytes() == want[0].tobytes(), shape
+                assert got[2].keys() == want[2].keys() == set(range(layers - 1))
+                for layer in want[2]:
+                    assert got[2][layer].tobytes() == want[2][layer].tobytes(), (shape, layer)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_scores_same_on_one_and_two_threads(self, dtype, layers, monkeypatch):
+        model = GruPredictor(input_dim=8, hidden=32, layers=layers, seed=layers)
+        model.params = {k: v.astype(dtype) for k, v in model.params.items()}
+        rng = np.random.default_rng(layers)
+        x = Sequences(rng.normal(size=(600, 8)).astype(dtype),
+                      rng.integers(0, 600, size=(5 * 512, 6)))
+        for chunks in range(1, 6):
+            part = x[:chunks * 512 - 3]
+            want = np.concatenate([model._run(part[start:start + 512], False, None)[0]
+                                   for start in range(0, len(part), 512)])
+            for workers in (1, 2):
+                monkeypatch.setattr(beamsight.config, "cpu_workers", lambda: workers)
+                assert model._logits(part).tobytes() == want.tobytes(), (chunks, workers)
+                assert model.predict(part).tobytes() == np.argmax(want, axis=1).tobytes()
+
+    def test_scoring_holds_step_sized_state(self, monkeypatch):
         # 1,024 windows of 16 steps over 1,088 rows, about a replay street's
         # bimodal validation split (1,089 windows); the batch-major pass
-        # peaked at 21.8 MiB here and the step-buffer pass at 5.2 MiB
+        # peaked at 21.8 MiB here and the step-buffer pass at 5.2 MiB; on two
+        # threads each scores a chunk at a time
         model = GruPredictor(input_dim=256, hidden=64, seed=0)
         model.params = {k: v.astype(np.float32) for k, v in model.params.items()}
         rng = np.random.default_rng(0)
         x = Sequences(rng.normal(size=(1088, 256)).astype(np.float32),
                       rng.integers(0, 1088, size=(1024, 16)))
-        tracemalloc.start()
-        try:
-            model.predict(x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * 2**20, f"predict peaked at {peak / 2**20:.1f} MiB"
+        for workers in (1, 2):
+            monkeypatch.setattr(beamsight.config, "cpu_workers", lambda: workers)
+            tracemalloc.start()
+            try:
+                model.predict(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * 2**20, f"predict peaked at {peak / 2**20:.1f} MiB on {workers}"
 
     def test_training_step_frees_each_layer_cache(self):
         # one bimodal training step of 200 windows of 16 steps; it peaked at
@@ -213,6 +256,52 @@ class TestForwardOracle:
         finally:
             tracemalloc.stop()
         assert peak <= 20 * 2**20, f"a training step peaked at {peak / 2**20:.1f} MiB"
+
+
+class TestScoringThreads:
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_error_is_raised_as_its_own_and_no_thread_outlives_the_call(self, failing,
+                                                                         monkeypatch):
+        monkeypatch.setattr(beamsight.config, "cpu_workers", lambda: 2)
+        model = GruPredictor(input_dim=3, hidden=4, seed=0)
+        x = Sequences(np.ones((10, 3)), np.zeros((40, 2), dtype=int))
+        caller, before = threading.current_thread(), threading.active_count()
+        real = model._run
+
+        def run(chunk, *args):
+            if (threading.current_thread() is caller) == (failing == "caller"):
+                raise ZeroDivisionError(f"{failing} failed")
+            return real(chunk, *args)
+
+        assert model._logits(x, 10).shape == (40, 2)
+        assert threading.active_count() == before
+        monkeypatch.setattr(model, "_run", run)
+        with pytest.raises(ZeroDivisionError, match=f"^{failing} failed$"):
+            model._logits(x, 10)
+        assert threading.active_count() == before
+
+    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
+        # each chunk's logits land in its own slot, whichever thread runs it
+        model = GruPredictor(input_dim=8, hidden=16, seed=1)
+        rng = np.random.default_rng(1)
+        x = Sequences(rng.normal(size=(300, 8)), rng.integers(0, 300, size=(400, 5)))
+        want = np.concatenate([model._run(x[start:start + 20], False, None)[0]
+                               for start in range(0, len(x), 20)])
+        monkeypatch.setattr(beamsight.config, "cpu_workers", lambda: 4)
+        interval, before = sys.getswitchinterval(), threading.active_count()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                assert model._logits(x, 20).tobytes() == want.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("windows, workers, threads", [
+        (0, 2, 1), (1, 2, 1), (512, 2, 1), (513, 2, 2), (5000, 2, 2), (5000, 1, 1)])
+    def test_thread_count(self, windows, workers, threads, monkeypatch):
+        monkeypatch.setattr(beamsight.config, "cpu_workers", lambda: workers)
+        assert beamsight.predictor.scoring_threads(windows) == threads
 
 
 class TestLossAndGrads:
