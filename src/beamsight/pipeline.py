@@ -48,15 +48,12 @@ from .scene import (
     FrameTable,
     ObjectRows,
     SceneObject,
-    VehicleClass,
     World,
     _detections,
     _frame_mates,
-    check_object_records,
     object_rows,
     object_to_record,
     project_boxes,
-    rows_from_records,
     world_from_objects,
 )
 
@@ -65,8 +62,9 @@ log = logging.getLogger(__name__)
 DETECT_STREAM = 101   # rng domain separator for per-frame detector draws
 BLOCK_FRAMES = 16     # frames per seed-pass block
 LINK_CHUNK = 24       # owned users per link-kernel call, which bounds their memory
-CHUNK_BYTES = 1 << 14  # dataset text parsed at a time, which bounds its objects alive at once
+CHUNK_BYTES = 1 << 14  # file text read and parsed at a time, which bounds its objects alive at once
 WRITE_ROWS = 256      # windows formatted at a time, which bounds their objects alive at once
+WRITE_FRAMES = 32     # frames formatted at a time (about ten boxes each), likewise
 
 
 def camera_to_bs(camera_id):
@@ -513,29 +511,29 @@ def _pair_table(records: list) -> tuple[WindowTable, WindowTable, np.ndarray]:
     return bs1, bs2, category
 
 
-def _read_ndjson(path: Path, parse) -> list:
-    """``parse`` of each record; a line that is not UTF-8 JSON, or whose
-    record ``parse`` rejects, raises DataError naming it."""
-    if not path.is_file():
-        raise DataError(f"missing file: {path}")
-    parsed = []
+def _read_ndjson(path: Path, table) -> None:
+    """A DataError naming the first line of ``path`` that is not UTF-8 JSON,
+    or whose record ``table`` rejects on its own or beside the first record
+    (whose lengths are every record's)."""
+    first = None
     with path.open("rb") as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                parsed.append(parse(json.loads(line.decode())))
+                record = json.loads(line.decode())
+                first = record if first is None else first
+                table([first, record])
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise DataError(f"{path}: line {number} is not JSON: {exc}") from exc
             except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
                 raise DataError(f"{path}: line {number} is not a valid record: "
                                 f"{exc!r}") from exc
-    return parsed
 
 
 def _line_numbers(path: Path) -> list[int]:
     """The number of each non-blank line of ``path``: record i is on line numbers[i]."""
-    return [n for n, line in enumerate(path.read_bytes().decode().split("\n"), 1) if line.strip()]
+    return [n for n, line in enumerate(path.read_bytes().split(b"\n"), 1) if line.strip()]
 
 
 def concat(parts: list):
@@ -555,29 +553,24 @@ def concat(parts: list):
 def _read_table(path: Path, table, keys, seen=None):
     """``table`` of the records of ``path``, one JSON object a line, where no
     ``keys`` of it (one per record) repeats or is in ``seen`` (key -> (path,
-    record), shared across files).  About CHUNK_BYTES of lines are parsed at
-    a time, into a table each.  Only once a check fails is its line looked
-    for: the first line that is not UTF-8 JSON, whose record fails on its own or
-    beside the first record, or that repeats a key."""
+    record), shared across files).  About CHUNK_BYTES of lines are read and
+    parsed at a time, into a table each.  Only once a check fails is its line
+    looked for: the first line that is not UTF-8 JSON, whose record fails on its
+    own or beside the first record, or that repeats a key."""
     if not path.is_file():
         raise DataError(f"missing file: {path}")
     try:
-        lines = [line for line in path.read_bytes().decode().split("\n") if line.strip()]
-        parts, step = [], max(1, CHUNK_BYTES * len(lines) // (sum(map(len, lines)) + 1))
-        for chunk in (lines[i:i + step] for i in range(0, len(lines), step)):
-            records = json.loads(f"[{','.join(chunk)}]")
-            if len(records) != len(chunk):   # one JSON value a line
-                raise ValueError("a line holds other than one JSON value")
-            parts.append(table(records))
+        parts = []
+        with path.open("rb") as fh:
+            for chunk in iter(lambda: fh.readlines(CHUNK_BYTES), []):
+                lines = [line for line in chunk if line.strip()]
+                records = json.loads("[%s]" % b",".join(lines).decode())
+                if len(records) != len(lines):   # one JSON value a line
+                    raise ValueError("a line holds other than one JSON value")
+                parts.append(table(records))
         found = concat(parts) if parts else table([])
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
-        first = []
-
-        def check(record):   # the first record's lengths are every record's
-            first[:] = first[:1] or [record]
-            table(first + [record])
-
-        _read_ndjson(path, check)
+        _read_ndjson(path, table)
         raise DataError(f"{path}: not a valid record file: {exc!r}") from exc
     seen = {} if seen is None else seen
     for i, key in enumerate(keys(found)):
@@ -594,10 +587,11 @@ def write_dataset(out_dir, train: WindowTable, val: WindowTable, pairs: tuple,
     """The dataset files of train and val windows and the (bs1, bs2, category)
     pairs of ``conjugate_pairs``, all observed in one frame table in (camera,
     frame) order, as ``collect_windows`` makes it.  ``frames.ndrec`` holds the
-    frames they observe.  Each line is formatted directly from the columns,
-    since a finite float's JSON is its repr; a box corner is the shortest
-    text of its nearest float32, the model's precision, moved one float32
-    step outward where a box's corners would meet."""
+    frames they observe.  Lines are formatted directly from the columns, a
+    block at a time (WRITE_FRAMES frames, WRITE_ROWS windows), since a finite
+    float's JSON is its repr; a box corner is the shortest text of its nearest
+    float32, the model's precision, moved one float32 step outward where a
+    box's corners would meet."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     bs1, bs2, category = pairs
@@ -611,15 +605,18 @@ def write_dataset(out_dir, train: WindowTable, val: WindowTable, pairs: tuple,
     low, high = boxes[:, :2], boxes[:, 2:]   # views: (x1, y1) and (x2, y2)
     down, up = (low == high) & (low > 0), (low == high) & (low == 0)
     low[down], high[up] = np.nextafter(low[down], -1), np.nextafter(high[up], 1)
-    starts, names = (np.cumsum(frames.count) - frames.count).tolist(), [c.value for c in CLASSES]
+    frames, rows = dataclasses.replace(frames, boxes=boxes), np.flatnonzero(used)
+    heads = np.array(['["%s",' % c.value for c in CLASSES])
     with (out / "frames.ndrec").open("w") as fh:
-        for i in np.flatnonzero(used).tolist():
-            box = slice(starts[i], starts[i] + frames.count[i])
-            fh.write('{"camera":%d,"frame":%d,"detections":[%s]}\n' % (
-                frames.camera[i], frames.frame[i], ",".join(
-                    '["%s",%s,%s,%s,%s,%r]' % (names[c], *xy, p) for c, xy, p in zip(
-                        frames.classes[box].tolist(), boxes[box].astype(str).tolist(),
-                        frames.confidence[box].tolist()))))
+        for lo in range(0, len(rows), WRITE_FRAMES):
+            part = frames.take(rows[lo:lo + WRITE_FRAMES])
+            found = [f"{head}{x1},{y1},{x2},{y2},{p!r}]" for head, x1, y1, x2, y2, p in zip(
+                heads[part.classes].tolist(), *float32_text(part.boxes).T.tolist(),
+                part.confidence.tolist())]
+            fh.write("".join('{"camera":%d,"frame":%d,"detections":[%s]}\n' % (
+                c, f, ",".join(found[end - n:end])) for c, f, n, end in zip(
+                    part.camera.tolist(), part.frame.tolist(), part.count.tolist(),
+                    np.cumsum(part.count).tolist())))
     for split, windows in (("train", train), ("val", val)):
         with (out / f"{split}.ndrec").open("w") as fh:
             fh.writelines(line + "\n" for line in _window_lines(windows))
@@ -631,16 +628,53 @@ def write_dataset(out_dir, train: WindowTable, val: WindowTable, pairs: tuple,
 
 
 def _window_lines(windows: WindowTable):
-    """Each window's record as JSON text, WRITE_ROWS windows at a time."""
+    """Each window's record as JSON text, WRITE_ROWS windows at a time, through
+    one format string of the table's beam and future widths."""
+    line = ('{"camera":%%d,"user":%%d,"t_end":%%d,"beams":[%s],"label":%%d,"window":[%s],'
+            '"instance":%%s}' % tuple(",".join(["%d"] * t.shape[1])
+                                      for t in (windows.beams, windows.future)))
     for lo in range(0, len(windows), WRITE_ROWS):
         part = windows.take(slice(lo, lo + WRITE_ROWS))
-        for c, u, t, beams, label, future, instance in zip(
-                part.camera.tolist(), part.user.tolist(), part.t_end.tolist(),
-                part.beams.tolist(), part.label.tolist(), part.future.tolist(),
-                part.instance.tolist()):
-            yield ('{"camera":%d,"user":%d,"t_end":%d,"beams":[%s],"label":%d,"window":[%s],'
-                   '"instance":%s}' % (c, u, t, ",".join(map(str, beams)), label,
-                                       ",".join(map(str, future)), instance or "null"))
+        columns = np.column_stack([part.camera, part.user, part.t_end, part.beams, part.label,
+                                   part.future])
+        for values, instance in zip(columns.tolist(), part.instance.tolist()):
+            yield line % (*values, instance or "null")
+
+
+_POW5, _POW10 = 5 ** np.arange(14), 10 ** np.arange(14)
+
+
+def float32_text(x: np.ndarray) -> np.ndarray:
+    """``x.astype(str)`` of a float32 array, as Python strings.  In [1e-4, 1)
+    numpy writes "0." and the fewest decimals that read back as x, the closest
+    of them to x, a tie to the even digit (Steele & White's shortest digits),
+    searched for here on the whole array in exact int64 arithmetic."""
+    inside = (x >= np.float64(1e-4)) & (x < 1)   # by exact value: float32(1e-4) is below
+    m = x[inside].view(np.uint32).astype(np.int64)
+    m, e = m & 0x7FFFFF | 0x800000, 150 - (m >> 23)   # x = m / 2**e, 24 <= e <= 37
+    # x reads back from (2m - 1, 2m + 1) / 2**(e + 1), or from (4m - 1) / 2**(e + 2)
+    # at a power of two (the float32 below is closer); an even m owns both ends
+    odd, power = m & 1, m == 1 << 23
+    low, shift = np.where(power, 4 * m - 1, 2 * m - 1), e + 1 + power
+
+    def candidates(k):   # the first and last integer in 10**k times that interval
+        return ((low * _POW5[k] + (1 << shift - k) - 1 + odd) >> shift - k,
+                ((2 * m + 1) * _POW5[k] - odd) >> e + 1 - k)
+
+    k, last = np.ones_like(m), np.full_like(m, 13)   # bisect for the fewest decimals
+    for _ in range(4):
+        fits = np.less_equal(*candidates(mid := (k + last) // 2))
+        k, last = np.where(fits, k, mid + 1), np.where(fits, mid, last)
+    p, s = m * _POW5[k], e - k   # x 10**k = p / 2**s: rounded, a tie to even, into range
+    d = np.clip(p + (1 << s - 1) - 1 + (p >> s & 1) >> s, *candidates(k)) * _POW10[13 - k]
+    text = np.empty((len(d), 15), dtype=np.uint32)   # "0.", the k decimals, then NULs
+    text[:, :2] = ord("0"), ord(".")
+    for place in range(13, 0, -1):
+        d, digit = np.divmod(d, 10)
+        text[:, place + 1] = np.where(place <= k, digit + ord("0"), 0)
+    found = np.empty(x.shape, dtype=object)
+    found[inside], found[~inside] = text.view("<U15")[:, 0], x[~inside].astype(str)
+    return found
 
 
 def read_frames(dataset_dir) -> FrameTable:
@@ -760,8 +794,45 @@ def write_trace(trace_dir, cfg: ScenarioConfig, runs: list[tuple]) -> None:
                           for row in centers.reshape(len(centers), -1).tolist())
 
 
-def _read_trace(trace_dir) -> tuple[ScenarioConfig, World, list[list]]:
-    """A trace's config, geometry (a world without objects) and checked records."""
+def _object_table(records: list) -> tuple[ObjectRows, np.ndarray, np.ndarray, np.ndarray]:
+    """Trace records ({"frame": n, "objects": [object_to_record lists]}) as their
+    objects' rows, velocities and lanes in record order, and each record's frame
+    number, every check made in bulk."""
+    frames, objects = [r["frame"] for r in records], [r["objects"] for r in records]
+    _require(not set(map(type, frames)) - {int} and -2**63 <= min(frames, default=0)
+             and max(frames, default=0) < 2**63, "frame numbers must be integers within 64 bits")
+    _require(not set(map(type, objects)) - {list}, "objects must be a list of object records")
+    flat = list(itertools.chain.from_iterable(objects))
+    _require(not set(map(type, flat)) - {list} and not set(map(len, flat)) - {12},
+             "an object record does not hold 12 entries")
+    ids, classes, *fields, lanes = list(zip(*flat)) or [()] * 12
+    numbers = (ids, *fields, lanes)
+    if bad := set(map(type, itertools.chain(*numbers))) - {int, float}:
+        raise ValueError(f"{next(v for v in itertools.chain(*numbers) if type(v) in bad)!r} "
+                         "where an object record holds a number")
+    numbers = np.array(numbers, dtype=float).reshape(11, -1)   # id, centre, dims, velocity, lane
+    _require(np.isfinite(numbers), "an object holds a number that is not finite")
+    _require(not set(map(type, ids + lanes)) - {int} and -2**63 <= min(ids + lanes, default=0)
+             and max(ids + lanes, default=0) < 2**63,
+             "object ids and lanes must be integers within 64 bits")
+    if unknown := set(classes) - CLASS_CODES.keys():
+        raise ValueError(f"unknown object class {unknown.pop()!r}")
+    _require(numbers[4:7] > 0, "object dimensions must be positive")
+    record = np.repeat(np.arange(len(records)), list(map(len, objects)))
+    ids = np.array(ids, dtype=np.int64)
+    order = np.lexsort((ids, record))
+    _require((np.diff(ids[order]) != 0) | (np.diff(record[order]) != 0),
+             "an object id repeats within the frame")
+    frames = np.array(frames, dtype=np.int64)
+    rows = ObjectRows(frames[record], np.array([CLASS_CODES[c] for c in classes], dtype=np.int64),
+                      ids, numbers[1:4].T.copy(), numbers[4:7].T.copy())
+    return rows, numbers[7:10].T.copy(), np.array(lanes, dtype=np.int64), frames
+
+
+def _read_trace(trace_dir, table) -> tuple[ScenarioConfig, World, tuple]:
+    """A trace's config, geometry (a world without objects) and ``table`` of its
+    frame records, a tuple that ends in each record's frame number, checked
+    to be its line's."""
     manifest_path = Path(trace_dir) / "manifest.json"
     if not manifest_path.is_file():
         raise DataError(f"not a trace directory: {trace_dir}")
@@ -771,30 +842,29 @@ def _read_trace(trace_dir) -> tuple[ScenarioConfig, World, list[list]]:
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{manifest_path}: not a trace manifest: {exc!r}") from exc
     cfg = scenario_from_json(manifest_path, scenario)
-    lines = itertools.count()
-
-    def objects(record):
-        if (i := next(lines)) != record["frame"] or type(record["frame"]) is not int:
-            raise ValueError(f"frame {record['frame']!r} where frame {i} belongs")
-        check_object_records(record["objects"])
-        return record["objects"]
-
     path = Path(trace_dir) / "frames.ndjson"
-    records = _read_ndjson(path, objects)
-    if not records or len(records) != frames:
-        raise DataError(f"{path}: {len(records)} frame lines, {manifest_path} says {frames}")
-    return cfg, world_from_objects(cfg, []), records
+    found = _read_table(path, table, lambda _: ())
+    numbers = found[-1]
+    if wrong := np.flatnonzero(numbers != np.arange(len(numbers))).tolist():
+        raise DataError(f"{path}: line {_line_numbers(path)[wrong[0]]} is not a valid record: "
+                        f"frame {numbers[wrong[0]]} where frame {wrong[0]} belongs")
+    if not len(numbers) or len(numbers) != frames:
+        raise DataError(f"{path}: {len(numbers)} frame lines, {manifest_path} says {frames}")
+    return cfg, world_from_objects(cfg, []), found
 
 
 def read_trace_rows(trace_dir) -> tuple[ScenarioConfig, World, ObjectRows]:
     """A trace's config, geometry and objects as rows sorted by (frame, id)."""
-    cfg, world, records = _read_trace(trace_dir)
-    return cfg, world, rows_from_records(records)
+    cfg, world, (rows, _) = _read_trace(trace_dir, lambda records: _object_table(records)[::3])
+    return cfg, world, rows[np.lexsort((rows.ids, rows.frame))]
 
 
 def read_trace(trace_dir) -> tuple[ScenarioConfig, list[World]]:
-    """A trace's config and world states, which share one geometry, as step_world's do."""
-    cfg, world, records = _read_trace(trace_dir)
-    return cfg, [dataclasses.replace(world, objects=[SceneObject(
-        r[0], VehicleClass(r[1]), r[2:5], r[5:8], r[8:11], r[11]) for r in frame])
-        for frame in records]
+    """A trace's config and world states, which share one geometry, as step_world's
+    do; each state's objects in the order of its record."""
+    cfg, world, (rows, velocities, lanes, frames) = _read_trace(trace_dir, _object_table)
+    objects = list(map(SceneObject, rows.ids.tolist(), [CLASSES[c] for c in rows.classes.tolist()],
+                       *(a.tolist() for a in (rows.centers, rows.dims, velocities, lanes))))
+    ends = np.searchsorted(rows.frame, frames, side="right").tolist()
+    return cfg, [dataclasses.replace(world, objects=objects[start:end])
+                 for start, end in zip([0, *ends], ends)]

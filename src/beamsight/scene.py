@@ -9,7 +9,6 @@ detections through an ideal pinhole model plus a configurable noise model.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -177,7 +176,14 @@ class ObjectRows:
 
 
 def object_rows(frames: list[list[SceneObject]]) -> ObjectRows:
-    return rows_from_records([[object_to_record(o) for o in objects] for objects in frames])
+    """The objects of world states, one list per frame, as rows sorted by (frame, id)."""
+    flat = [o for objects in frames for o in objects]
+    rows = ObjectRows(np.repeat(np.arange(len(frames)), list(map(len, frames))),
+                      np.array([CLASS_CODES[o.object_class.value] for o in flat], dtype=np.int64),
+                      np.array([o.object_id for o in flat], dtype=np.int64),
+                      *(np.array([getattr(o, name) for o in flat], dtype=float).reshape(-1, 3)
+                        for name in ("center", "dims")))
+    return rows[np.lexsort((rows.ids, rows.frame))]
 
 
 @dataclass
@@ -532,41 +538,6 @@ def object_to_record(obj: SceneObject) -> list:
     """An object as a trace record: [id, class, centre, dims, velocity, lane]."""
     return [obj.object_id, obj.object_class.value, *obj.center.tolist(), *obj.dims.tolist(),
             *obj.velocity.tolist(), obj.lane]
-
-
-def check_object_records(records: list) -> None:
-    """ValueError unless ``records`` is a list of one frame's object_to_record lists, with finite
-    numbers, 64-bit integer ids and lanes, known classes, positive dims and no id twice."""
-    if type(records) is not list:
-        raise ValueError("objects must be a list of object records")
-    if any(type(r) is not list or len(r) != 12 for r in records):
-        raise ValueError("an object record does not hold 12 entries")
-    ids, classes, *numbers, lanes = list(zip(*records)) or [()] * 12
-    values = [*ids, *itertools.chain(*numbers), *lanes]
-    if bad := [v for v in values if type(v) is not float and type(v) is not int]:
-        raise ValueError(f"{bad[0]!r} where an object record holds a number")
-    if not all(map(math.isfinite, values)):
-        raise ValueError("an object holds a number that is not finite")
-    if not all(type(v) is int and -2**63 <= v < 2**63 for v in (*ids, *lanes)):
-        raise ValueError("object ids and lanes must be integers within 64 bits")
-    if unknown := set(classes) - CLASS_CODES.keys():
-        raise ValueError(f"unknown object class {unknown.pop()!r}")
-    if min(itertools.chain(*numbers[3:6]), default=1.0) <= 0:
-        raise ValueError("object dimensions must be positive")
-    if len(set(ids)) != len(ids):
-        raise ValueError("an object id repeats within the frame")
-
-
-def rows_from_records(frames: list[list]) -> ObjectRows:
-    """The objects of checked object records, one list per frame, as rows."""
-    flat = [r for records in frames for r in records]
-    frame = np.repeat(np.arange(len(frames)), [len(records) for records in frames])
-    ids, classes, *numbers = list(zip(*flat)) or [()] * 12
-    ids = np.array(ids, dtype=int)
-    order = np.lexsort((ids, frame))
-    return ObjectRows(frame[order], np.array([CLASS_CODES[c] for c in classes], dtype=int)[order],
-                      ids[order], *(np.array(numbers[i:i + 3], dtype=float).reshape(3, -1).T[order]
-                                    for i in (0, 3)))
 
 
 def world_from_objects(cfg: ScenarioConfig, objects: list[SceneObject]) -> World:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+import math
 import os
 import re
 import shutil
@@ -275,7 +276,8 @@ class TestBuildDiagnostics:
         with caplog.at_level(logging.INFO, logger="beamsight.experiment"):
             build_dataset_stage(out / "trace", tmp_path, load_experiment_config(MINI).dataset)
         [info] = [r.getMessage() for r in caplog.records if r.name == "beamsight.experiment"]
-        assert re.match(rf"dataset: seed pass \d+\.\d\d s \(processes: {processes}\); ", info)
+        assert re.match(rf"dataset: trace \d+\.\d\d s, seed pass \d+\.\d\d s "
+                        rf"\(processes: {processes}\), write \d+\.\d\d s; ", info)
         for name in ("frames.ndrec", "train.ndrec", "val.ndrec", "pairs.ndrec", "manifest.json"):
             assert (tmp_path / name).read_bytes() == (out / "dataset" / name).read_bytes(), name
 
@@ -1249,3 +1251,91 @@ class TestCli:
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
         code = "import sys, beamsight.cli; sys.exit('numpy' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def _mutations(ints: tuple[str, ...], keys: tuple[str, ...], text: str) -> list[str]:
+    """The mutations of a JSON-lines file whose records hold ``keys``, the int
+    fields ``ints`` and, under ``text``, a list of entries with numbers."""
+    return ["truncated line", *(f"dropped {key}" for key in keys), f"{text} as text",
+            "frame as text", "true for a number",
+            *(f"{field} = {value}" for field in ints for value in ("0", "-1", "2**62", "2**64")),
+            "nan", "inf", "empty file", "duplicated line", "byte not UTF-8"]
+
+
+class TestMutations:
+    """A fixed, seeded list of mutations of the two files whose reader and
+    writer work on whole columns, ``frames.ndjson`` and ``frames.ndrec``, each
+    run through the CLI stage that reads the file: it exits 2 naming the file,
+    or 0 where the mutation is harmless; never 1 (a usage error) and never a
+    traceback."""
+
+    SEED = 26
+    NUMBER = {"frames.ndjson": 2, "frames.ndrec": 1}   # a centre x; a box x1
+    FIELDS = {"frame": "frame", "camera": "camera", "id": 0, "lane": 11}   # 0, 11: in an entry
+    INTS = {"0": 0, "-1": -1, "2**62": 2**62, "2**64": 2**64}
+
+    @classmethod
+    def mutate(cls, path: Path, mutation: str) -> None:
+        """``mutation`` of one record of ``path`` and one of its entries, both
+        drawn from SEED among the records after the first that hold entries."""
+        rng = np.random.default_rng(cls.SEED)
+        lines = path.read_bytes().splitlines(keepends=True)
+        records = [json.loads(line) for line in lines]
+        text = "objects" if path.name == "frames.ndjson" else "detections"
+        i = int(rng.choice([n for n, r in enumerate(records) if n and r[text]]))
+        record = records[i]
+        entry = record[text][int(rng.integers(len(record[text])))]
+        if mutation == "empty file":
+            lines = []
+        elif mutation == "duplicated line":
+            lines.insert(i, lines[i])
+        elif mutation == "truncated line":
+            lines[i] = lines[i][:len(lines[i]) // 2] + b"\n"
+        elif mutation == "byte not UTF-8":
+            lines[i] = lines[i].replace(b'"', b'"\xff', 1)
+        else:
+            if mutation.startswith("dropped "):
+                del record[mutation.split()[1]]
+            elif mutation.endswith(" as text"):
+                record[mutation.split()[0]] = "1"
+            elif mutation in ("true for a number", "nan", "inf"):
+                entry[cls.NUMBER[path.name]] = {"nan": math.nan, "inf": math.inf}.get(
+                    mutation, True)
+            else:
+                field, value = mutation.split(" = ")
+                key = cls.FIELDS[field]
+                (entry if isinstance(key, int) else record)[key] = cls.INTS[value]
+            lines[i] = (json.dumps(record) + "\n").encode()
+        path.write_bytes(b"".join(lines))
+
+    @staticmethod
+    def assert_exit(code: int, err: str, path: Path) -> None:
+        assert code == 0 or (code == 2 and path.name in err), (code, err)
+
+    @pytest.fixture(scope="class")
+    def trace(self, tmp_path_factory):
+        return simulate_stage(load_experiment_config(MINI).scenario, 20,
+                              tmp_path_factory.mktemp("mutations") / "trace")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("mutation", _mutations(("frame", "id", "lane"),
+                                                    ("frame", "objects"), "objects"))
+    def test_trace(self, tmp_path, capsys, monkeypatch, trace, mutation, workers):
+        monkeypatch.setattr(beamsight.config, "cpu_workers", lambda: workers)
+        shutil.copytree(trace, tmp_path / "trace")
+        path = tmp_path / "trace" / "frames.ndjson"
+        self.mutate(path, mutation)
+        code = main(["build-dataset", "--trace", str(path.parent), "--out", str(tmp_path / "ds")])
+        self.assert_exit(code, capsys.readouterr().err, path)
+
+    @pytest.mark.parametrize("mutation", _mutations(("camera", "frame"),
+                                                    ("camera", "frame", "detections"),
+                                                    "detections"))
+    def test_frames(self, tmp_path, capsys, mini_run, mutation):
+        out, _ = mini_run
+        shutil.copytree(out / "dataset", tmp_path / "ds")
+        path = tmp_path / "ds" / "frames.ndrec"
+        self.mutate(path, mutation)
+        code = main(["eval", "--ckpt", str(out / "bimodal.ckpt"), "--dataset", str(path.parent),
+                     "--out", str(tmp_path / "eval.csv")])
+        self.assert_exit(code, capsys.readouterr().err, path)

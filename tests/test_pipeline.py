@@ -58,6 +58,7 @@ from beamsight.pipeline import (
     collect_windows,
     concat,
     conjugate_pairs,
+    float32_text,
     observe,
     read_frames,
     read_manifest,
@@ -82,6 +83,7 @@ from beamsight.scene import (
     build_world,
     detect,
     object_rows,
+    object_to_record,
     project_boxes,
     step_world,
     world_from_objects,
@@ -563,6 +565,67 @@ class TestTraceRows:
         assert detections_by_key(seed.frames) == detections_by_key(reference.frames)
         frames = set(seed.frame.tolist())
         assert 4 not in frames and BLOCK_FRAMES not in frames and 9 in frames
+
+    @pytest.mark.parametrize("chunk", ["one chunk", "512-byte chunks"])
+    def test_worlds_equal_each_line_parsed_alone(self, tmp_path, monkeypatch, chunk):
+        # read_trace's objects, in the order of their records, against json.loads of
+        # each line; 512 bytes puts a frame's sequence check across many chunks
+        if chunk != "one chunk":
+            monkeypatch.setattr(beamsight.pipeline, "CHUNK_BYTES", 512)
+        cfg = load_experiment_config(MINI).scenario
+        trace = simulate_stage(cfg, 20, tmp_path / "trace")
+        lines = [json.loads(line) for line in (trace / "frames.ndjson").read_text().splitlines()]
+        lines[3]["objects"].reverse()
+        lines[5]["objects"] = []
+        (trace / "frames.ndjson").write_text("".join(json.dumps(r) + "\n" for r in lines))
+        cfg_back, worlds = read_trace(trace)
+        assert cfg_back == cfg and len(worlds) == 20
+        assert [[object_to_record(o) for o in w.objects] for w in worlds] == \
+            [r["objects"] for r in lines]
+
+    def test_read_peak_is_near_the_rows(self, tmp_path):
+        # a 1,200-frame desk trace (3.0 MB) is read CHUNK_BYTES at a time, so no
+        # record outlives its chunk: the peak is the rows, twice while the
+        # chunks' tables are joined and sorted (reading every record first
+        # peaked at 9.4 times the rows)
+        trace = simulate_stage(load_experiment_config(DESK).scenario, 1200, tmp_path / "trace")
+        tracemalloc.start()
+        try:
+            rows = read_trace_rows(trace)[2]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(column.nbytes for column in vars(rows).values())
+        assert size > 2 * 2**20 and peak < 2.5 * size, \
+            f"{peak / 2**20:.2f} MiB for {size / 2**20:.2f} MiB of rows"
+
+
+class TestFloat32Text:
+    """The box-corner text of frames.ndrec: float32_text's integer search for
+    the shortest decimals against numpy's own ``astype(str)``."""
+
+    @staticmethod
+    def assert_text_of(values):
+        x = np.asarray(values, dtype=np.float32)
+        got = float32_text(x)
+        assert got.shape == x.shape and got.tolist() == x.astype(str).tolist()
+
+    def test_seeded_sample(self):
+        rng = np.random.default_rng(26)
+        self.assert_text_of(np.concatenate([rng.uniform(0.0, 1.0, 100_000),
+                                            10 ** rng.uniform(-6.0, 0.0, 100_000)]).reshape(-1, 4))
+
+    def test_powers_of_two_and_their_neighbours(self):
+        # a power of two's lower neighbour is closer than its upper one
+        powers = np.float32(2.0) ** -np.arange(15, dtype=np.float32)   # 1 down to 2**-14
+        self.assert_text_of(np.concatenate([powers, np.nextafter(powers, np.float32(0)),
+                                            np.nextafter(powers, np.float32(2))]))
+
+    def test_edges(self):
+        edge = np.float32(1e-4)   # below 1e-4, so numpy writes it as "1e-04"
+        self.assert_text_of([0.0, 1.0, edge, np.nextafter(edge, np.float32(0)),
+                             np.nextafter(edge, np.float32(1)), np.nextafter(np.float32(0), 1)])
+        assert float32_text(np.array([edge, 0.5], dtype=np.float32)).tolist() == ["1e-04", "0.5"]
 
 
 class TestSimulateOracle:

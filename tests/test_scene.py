@@ -12,6 +12,7 @@ from oracles import (
 
 from beamsight import scene
 from beamsight.config import ScenarioConfig
+from beamsight.pipeline import _object_table
 from beamsight.scene import (
     OCCLUSION_GRID,
     Camera,
@@ -20,13 +21,11 @@ from beamsight.scene import (
     VehicleClass,
     World,
     build_world,
-    check_object_records,
     detect,
     object_to_record,
     project_boxes,
     project_object,
     project_objects,
-    rows_from_records,
     step_world,
 )
 
@@ -563,10 +562,10 @@ class TestRecordRoundtrip:
         obj = make_object(object_id=17, cls=VehicleClass.TRUCK,
                           center=(12.5, 8.75, 1.8), velocity=(-9.5, 0, 0), lane=4)
         record = object_to_record(obj)
-        check_object_records([record])
-        rows = rows_from_records([[record]])
+        rows, velocities, lanes, frames = _object_table([{"frame": 0, "objects": [record]}])
         assert rows.ids.tolist() == [obj.object_id] and rows.frame.tolist() == [0]
         assert scene.CLASSES[rows.classes[0]] is obj.object_class
         assert np.array_equal(rows.centers, [obj.center])
         assert np.array_equal(rows.dims, [obj.dims])
-        assert record[8:] == [*obj.velocity, obj.lane]
+        assert np.array_equal(velocities, [obj.velocity]) and lanes.tolist() == [obj.lane]
+        assert record[8:] == [*obj.velocity, obj.lane] and frames.tolist() == [0]
