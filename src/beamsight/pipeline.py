@@ -14,9 +14,11 @@ A window is one record from the seed pass to the files: a row of the one
 Dataset files are newline-delimited JSON records with a fixed field order,
 formatted from those columns, so identical inputs produce byte-identical
 files.  ``frames.ndrec`` holds each camera frame's detections once; window
-records look them up there.  Each file has one parser, which checks its
-records in bulk and reads them into tables; the line of a defect is looked
-for only once a check has failed.  The object types (``LabeledSample``,
+records look them up there.  Files are read a chunk of lines at a time into
+tables checked in bulk, and a defect's line is looked for only once a check has
+failed.  A window or pair file's chunk in the writer's own form is scanned into
+int columns; any other chunk, and all of ``frames.ndrec`` and ``frames.ndjson``,
+goes to the JSON parser, the reference.  The object types (``LabeledSample``,
 ``ConjugateSample`` and their parts) are a read view of the tables, kept
 for the benchmark checks and the tests.
 """
@@ -24,11 +26,13 @@ for the benchmark checks and the tests.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import logging
 import os
 import pickle
+import re
 import signal
 from dataclasses import dataclass
 from pathlib import Path
@@ -182,7 +186,7 @@ class WindowTable:
     @property
     def instance(self) -> np.ndarray:
         """The 1-based index of the first NLOS status, 0 where there is none."""
-        nlos = np.c_[self.future != 0, np.ones(len(self), dtype=bool)]
+        nlos = np.concatenate([self.future != 0, np.ones((len(self), 1), dtype=bool)], axis=1)
         first = nlos.argmax(axis=1) + 1
         return np.where(first < nlos.shape[1], first, 0)
 
@@ -431,11 +435,20 @@ def conjugate_pairs(
 
 _BEAMS_DIFFER = "window {} has {} beams, window {} has {}: one beam index per observed frame"
 _FUTURE_DIFFERS = "window {} labels {} future frames, window {} labels {} future frames"
+_PAIR_LINE = '{"user":%d,"t_end":%d,"category":%d,"bs1":%s,"bs2":%s}\n'
+_INT, _INSTANCE = r"(?:0|[1-9][0-9]{0,17})", r"(?:[1-9][0-9]{0,17}|null)"   # within int64
+_WIDTHS = re.compile(rb'(?:.*?"beams":\[([0-9,]*)\],"label":[0-9]+,"window":\[([0-9,]*)\])?')
 
 
 def _require(ok, message: str) -> None:
     if not np.all(ok):
         raise ValueError(message)
+
+
+def _int64s(values) -> bool:
+    """Whether every value is an int (not a bool) within 64 bits."""
+    return (not set(map(type, values)) - {int} and -2**63 <= min(values, default=0)
+            and max(values, default=0) < 2**63)
 
 
 def _rectangle(rows: list, key, differ: str) -> np.ndarray:
@@ -454,8 +467,7 @@ def _window_table(records: list) -> WindowTable:
     beams, future = [r["beams"] for r in records], [r["window"] for r in records]
     instance = [r["instance"] for r in records]
     values = list(itertools.chain(itertools.chain(*head), *beams, *future))
-    _require(not set(map(type, values)) - {int} and not set(map(type, instance)) - {int, type(None)}
-             and -2**63 <= min(values, default=0) and max(values, default=0) < 2**63,
+    _require(_int64s(values) and not set(map(type, instance)) - {int, type(None)},
              "camera, user, t_end, label, each beam index and window must be 64-bit "
              "integers, instance one or null")
     head = np.array(head, dtype=np.int64).reshape(-1, 4)
@@ -463,14 +475,21 @@ def _window_table(records: list) -> WindowTable:
     def key(i):
         return tuple(head[i, :3].tolist())
 
-    table = WindowTable(*head[:, :3].T.copy(), _rectangle(beams, key, _BEAMS_DIFFER),
-                        _rectangle(future, key, _FUTURE_DIFFERS))
+    return _windows(head, _rectangle(beams, key, _BEAMS_DIFFER),
+                    _rectangle(future, key, _FUTURE_DIFFERS),
+                    np.array([0 if i is None else i if 0 < i < 2**63 else -1 for i in instance],
+                             dtype=np.int64))
+
+
+def _windows(head, beams, future, instance) -> WindowTable:
+    """The table of windows of int64 (camera, user, t_end, label) rows, beams,
+    future statuses and instances (0 for null), every check made in bulk."""
+    table = WindowTable(*head[:, :3].T.copy(), beams, future)
     _require((1 <= table.camera) & (table.camera <= 6), "a camera outside 1..6")
     _require((table.future == 0) | (table.future == 1),
              "a future link status other than 0 (LOS) or 1 (NLOS)")
     _require(head[:, 3] == table.label, "label inconsistent with its future window")
-    _require(instance == [i or None for i in table.instance.tolist()],
-             "instance is not the first NLOS index of its window")
+    _require(instance == table.instance, "instance is not the first NLOS index of its window")
     return table
 
 
@@ -480,10 +499,10 @@ def _frame_table(records: list) -> FrameTable:
     detections = [r["detections"] for r in records]
     flat = list(itertools.chain.from_iterable(detections))
     values = list(itertools.chain.from_iterable(flat))
-    _require(not set(map(len, flat)) - {6} and not set(map(type, itertools.chain(*keys))) - {int}
+    _require(not set(map(len, flat)) - {6} and _int64s(list(itertools.chain(*keys)))
              and not set(map(type, itertools.compress(values, itertools.cycle([0, 1, 1, 1, 1, 1]))))
-             - {int, float}, "camera and frame must be integers, and a detection [class, x1, y1, "
-             "x2, y2, confidence] with numbers that are not true or false")
+             - {int, float}, "camera and frame must be 64-bit integers, and a detection [class, "
+             "x1, y1, x2, y2, confidence] with numbers that are not true or false")
     x1, y1, x2, y2, confidence = numbers = np.array([values[i::6] for i in range(1, 6)], dtype=float)
     _require((0 <= x1) & (x1 < x2) & (x2 <= 1) & (0 <= y1) & (y1 < y2) & (y2 <= 1),
              "a box not within 0 <= x1 < x2 <= 1, 0 <= y1 < y2 <= 1")   # NaN fails too
@@ -499,9 +518,14 @@ def _pair_table(records: list) -> tuple[WindowTable, WindowTable, np.ndarray]:
     made in bulk."""
     head = [(r["user"], r["t_end"], r["category"]) for r in records]
     bs1, bs2 = (_window_table([r[side] for r in records]) for side in ("bs1", "bs2"))
-    _require(not set(map(type, itertools.chain(*head))) - {int},
-             "user, t_end and category must be integers")
-    user, t_end, category = np.array(head, dtype=np.int64).reshape(-1, 3).T.copy()
+    _require(_int64s(list(itertools.chain(*head))),
+             "user, t_end and category must be 64-bit integers")
+    return _pairs(np.array(head, dtype=np.int64).reshape(-1, 3), bs1, bs2)
+
+
+def _pairs(head: np.ndarray, bs1: WindowTable, bs2: WindowTable) -> tuple:
+    """``_pair_table`` of int64 (user, t_end, category) rows and the sides."""
+    user, t_end, category = head.T.copy()
     _require((bs1.label != bs2.label) & (category == 2 - bs1.label),
              "category does not fit the statuses of its bs1, bs2 sides")
     _require((camera_to_bs(bs1.camera) == 1) & (camera_to_bs(bs2.camera) == 2),
@@ -509,6 +533,39 @@ def _pair_table(records: list) -> tuple[WindowTable, WindowTable, np.ndarray]:
     _require((bs1.user == user) & (bs2.user == user) & (bs1.t_end == t_end)
              & (bs2.t_end == t_end), "user, t_end are not its sides'")
     return bs1, bs2, category
+
+
+@functools.lru_cache(maxsize=16)
+def _line_form(beams: int, future: int, pairs: bool) -> re.Pattern:
+    """One or more of the writer's window (or pair) lines of these widths."""
+    window = re.escape(_window_format(beams, future)).replace("%d", _INT).replace("%s", _INSTANCE)
+    line = re.escape(_PAIR_LINE).replace("%d", _INT) % (window, window) if pairs else window + "\n"
+    return re.compile(f"(?:{line})+".encode())
+
+
+def _scan(chunk: bytes, pairs: bool = False):
+    """The table of a chunk of window (or pair) lines if all are the writer's, of the
+    first line's widths with ints of at most 18 digits, else None (for the JSON
+    parser).  Numpy reads each run of digits in place, a null instance as 0."""
+    beams, future = (g.count(b",") + 1 if g else 0 for g in _WIDTHS.match(chunk).groups())
+    if not _line_form(beams, future, pairs).fullmatch(chunk):
+        return None
+    digit = np.frombuffer(chunk.replace(b"null", b"0"), np.uint8) - np.uint8(ord("0"))
+    edges = np.flatnonzero(np.diff(digit < 10))   # the chunk starts and ends with no digit
+    start, length = edges[0::2] + 1, edges[1::2] - edges[0::2]
+    value = digit[start].astype(np.int64)
+    for place in range(1, int(length.max())):
+        value = np.where(length > place, 10 * value + digit.take(start + place, mode="clip"), value)
+    values = value.reshape(chunk.count(b"\n"), -1)
+
+    def windows(v):   # camera, user, t_end, the beams, label, the statuses, instance
+        return _windows(v[:, [0, 1, 2, 3 + beams]], v[:, 3:3 + beams].copy(),
+                        v[:, 4 + beams:-1].copy(), v[:, -1])
+
+    if not pairs:
+        return windows(values)
+    w = (values.shape[1] - 5) // 2   # user, t_end, category, the 1 of "bs1", a window, 2, a window
+    return _pairs(values[:, :3], windows(values[:, 4:4 + w]), windows(values[:, 5 + w:]))
 
 
 def _read_ndjson(path: Path, table) -> None:
@@ -550,24 +607,27 @@ def concat(parts: list):
                          for f in dataclasses.fields(first)))
 
 
-def _read_table(path: Path, table, keys, seen=None):
+def _read_table(path: Path, table, keys, seen=None, scan=None):
     """``table`` of the records of ``path``, one JSON object a line, where no
     ``keys`` of it (one per record) repeats or is in ``seen`` (key -> (path,
     record), shared across files).  About CHUNK_BYTES of lines are read and
-    parsed at a time, into a table each.  Only once a check fails is its line
-    looked for: the first line that is not UTF-8 JSON, whose record fails on its
-    own or beside the first record, or that repeats a key."""
+    parsed at a time, into a table each: by ``scan`` of their bytes, if it gives
+    one, else by the JSON parser and ``table``.  Only once a check fails is its
+    line looked for: the first line that is not UTF-8 JSON, whose record fails
+    on its own or beside the first record, or that repeats a key."""
     if not path.is_file():
         raise DataError(f"missing file: {path}")
     try:
         parts = []
         with path.open("rb") as fh:
             for chunk in iter(lambda: fh.readlines(CHUNK_BYTES), []):
-                lines = [line for line in chunk if line.strip()]
-                records = json.loads("[%s]" % b",".join(lines).decode())
-                if len(records) != len(lines):   # one JSON value a line
-                    raise ValueError("a line holds other than one JSON value")
-                parts.append(table(records))
+                if (part := scan and scan(b"".join(chunk))) is None:
+                    lines = [line for line in chunk if line.strip()]
+                    records = json.loads("[%s]" % b",".join(lines).decode())
+                    if len(records) != len(lines):   # one JSON value a line
+                        raise ValueError("a line holds other than one JSON value")
+                    part = table(records)
+                parts.append(part)
         found = concat(parts) if parts else table([])
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         _read_ndjson(path, table)
@@ -621,18 +681,22 @@ def write_dataset(out_dir, train: WindowTable, val: WindowTable, pairs: tuple,
         with (out / f"{split}.ndrec").open("w") as fh:
             fh.writelines(line + "\n" for line in _window_lines(windows))
     with (out / "pairs.ndrec").open("w") as fh:
-        fh.writelines('{"user":%d,"t_end":%d,"category":%d,"bs1":%s,"bs2":%s}\n' % line
-                      for line in zip(bs1.user.tolist(), bs1.t_end.tolist(), category.tolist(),
-                                      _window_lines(bs1), _window_lines(bs2)))
+        fh.writelines(_PAIR_LINE % line for line in zip(
+            bs1.user.tolist(), bs1.t_end.tolist(), category.tolist(), _window_lines(bs1),
+            _window_lines(bs2)))
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _window_format(beams: int, future: int) -> str:
+    """The format of a window record of these widths, its instance a %s."""
+    return ('{"camera":%%d,"user":%%d,"t_end":%%d,"beams":[%s],"label":%%d,"window":[%s],'
+            '"instance":%%s}' % (",".join(["%d"] * beams), ",".join(["%d"] * future)))
 
 
 def _window_lines(windows: WindowTable):
     """Each window's record as JSON text, WRITE_ROWS windows at a time, through
     one format string of the table's beam and future widths."""
-    line = ('{"camera":%%d,"user":%%d,"t_end":%%d,"beams":[%s],"label":%%d,"window":[%s],'
-            '"instance":%%s}' % tuple(",".join(["%d"] * t.shape[1])
-                                      for t in (windows.beams, windows.future)))
+    line = _window_format(windows.beams.shape[1], windows.future.shape[1])
     for lo in range(0, len(windows), WRITE_ROWS):
         part = windows.take(slice(lo, lo + WRITE_ROWS))
         columns = np.column_stack([part.camera, part.user, part.t_end, part.beams, part.label,
@@ -688,13 +752,14 @@ def read_windows(dataset_dir, *splits: str) -> list[WindowTable]:
     within or across them."""
     seen: dict = {}
     return [_read_table(Path(dataset_dir) / f"{split}.ndrec", _window_table, WindowTable.keys,
-                        seen) for split in splits]
+                        seen, _scan) for split in splits]
 
 
 def read_pair_table(path) -> tuple[WindowTable, WindowTable, np.ndarray]:
     """The bs1 and bs2 windows and the categories of a ``pairs.ndrec``'s pairs."""
     return _read_table(Path(path), _pair_table,
-                       lambda pairs: zip(pairs[0].user.tolist(), pairs[0].t_end.tolist()))
+                       lambda pairs: zip(pairs[0].user.tolist(), pairs[0].t_end.tolist()), None,
+                       functools.partial(_scan, pairs=True))
 
 
 def observe(path, windows: WindowTable, frames: FrameTable) -> WindowTable:
@@ -799,8 +864,7 @@ def _object_table(records: list) -> tuple[ObjectRows, np.ndarray, np.ndarray, np
     objects' rows, velocities and lanes in record order, and each record's frame
     number, every check made in bulk."""
     frames, objects = [r["frame"] for r in records], [r["objects"] for r in records]
-    _require(not set(map(type, frames)) - {int} and -2**63 <= min(frames, default=0)
-             and max(frames, default=0) < 2**63, "frame numbers must be integers within 64 bits")
+    _require(_int64s(frames), "frame numbers must be integers within 64 bits")
     _require(not set(map(type, objects)) - {list}, "objects must be a list of object records")
     flat = list(itertools.chain.from_iterable(objects))
     _require(not set(map(type, flat)) - {list} and not set(map(len, flat)) - {12},
@@ -812,9 +876,7 @@ def _object_table(records: list) -> tuple[ObjectRows, np.ndarray, np.ndarray, np
                          "where an object record holds a number")
     numbers = np.array(numbers, dtype=float).reshape(11, -1)   # id, centre, dims, velocity, lane
     _require(np.isfinite(numbers), "an object holds a number that is not finite")
-    _require(not set(map(type, ids + lanes)) - {int} and -2**63 <= min(ids + lanes, default=0)
-             and max(ids + lanes, default=0) < 2**63,
-             "object ids and lanes must be integers within 64 bits")
+    _require(_int64s(ids + lanes), "object ids and lanes must be integers within 64 bits")
     if unknown := set(classes) - CLASS_CODES.keys():
         raise ValueError(f"unknown object class {unknown.pop()!r}")
     _require(numbers[4:7] > 0, "object dimensions must be positive")

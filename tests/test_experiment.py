@@ -1263,29 +1263,45 @@ def _mutations(ints: tuple[str, ...], keys: tuple[str, ...], text: str) -> list[
 
 
 class TestMutations:
-    """A fixed, seeded list of mutations of the two files whose reader and
-    writer work on whole columns, ``frames.ndjson`` and ``frames.ndrec``, each
-    run through the CLI stage that reads the file: it exits 2 naming the file,
-    or 0 where the mutation is harmless; never 1 (a usage error) and never a
-    traceback."""
+    """A fixed, seeded list of mutations of the files whose reader and writer
+    work on whole columns, ``frames.ndjson``, ``frames.ndrec``, ``val.ndrec``
+    and ``pairs.ndrec``, each run through the CLI stage that reads the file:
+    it exits 2 naming the file, or 0 where the mutation is harmless; never 1
+    (a usage error) and never a traceback."""
 
     SEED = 26
+    ENTRIES = {"frames.ndjson": "objects", "frames.ndrec": "detections"}   # else beams
     NUMBER = {"frames.ndjson": 2, "frames.ndrec": 1}   # a centre x; a box x1
-    FIELDS = {"frame": "frame", "camera": "camera", "id": 0, "lane": 11}   # 0, 11: in an entry
+    FIELDS = {"frame": "frame", "camera": "camera", "id": 0, "lane": 11,   # 0, 11: in an entry
+              "user": "user", "t_end": "t_end", "label": "label", "category": "category"}
     INTS = {"0": 0, "-1": -1, "2**62": 2**62, "2**64": 2**64}
+    # edits of a window or pair line in place, which leave the rest of it in
+    # the writer's form: (pattern, the replacement of its first match)
+    IN_PLACE = {"camera 7 in place": (rb'"camera":\d+', rb'"camera":7'),
+                "leading zero in place": (rb'"user":', rb'"user":0'),
+                "20 digits in place": (rb'"t_end":\d+', rb'"t_end":10000000000000000000'),
+                "beam dropped in place": (rb'"beams":\[\d+,', rb'"beams":['),
+                "instance null in place": (rb'"instance":\d+', rb'"instance":null')}
 
     @classmethod
     def mutate(cls, path: Path, mutation: str) -> None:
         """``mutation`` of one record of ``path`` and one of its entries, both
-        drawn from SEED among the records after the first that hold entries."""
+        drawn from SEED among the records after the first that hold entries
+        (of a pair, those of its bs1 side)."""
         rng = np.random.default_rng(cls.SEED)
         lines = path.read_bytes().splitlines(keepends=True)
         records = [json.loads(line) for line in lines]
-        text = "objects" if path.name == "frames.ndjson" else "detections"
-        i = int(rng.choice([n for n, r in enumerate(records) if n and r[text]]))
+        text = cls.ENTRIES.get(path.name, "beams")
+        i = int(rng.choice([n for n, r in enumerate(records) if n and r.get("bs1", r)[text]]))
         record = records[i]
-        entry = record[text][int(rng.integers(len(record[text])))]
-        if mutation == "empty file":
+        entries = record.get("bs1", record)[text]
+        j = int(rng.integers(len(entries)))
+        entry, number = (entries, j) if text == "beams" else (entries[j], cls.NUMBER[path.name])
+        if mutation in cls.IN_PLACE:
+            i = next(n for n, line in enumerate(lines)
+                     if n >= i and re.search(rb'"instance":\d', line))
+            lines[i] = re.sub(*cls.IN_PLACE[mutation], lines[i], count=1)
+        elif mutation == "empty file":
             lines = []
         elif mutation == "duplicated line":
             lines.insert(i, lines[i])
@@ -1299,8 +1315,7 @@ class TestMutations:
             elif mutation.endswith(" as text"):
                 record[mutation.split()[0]] = "1"
             elif mutation in ("true for a number", "nan", "inf"):
-                entry[cls.NUMBER[path.name]] = {"nan": math.nan, "inf": math.inf}.get(
-                    mutation, True)
+                entry[number] = {"nan": math.nan, "inf": math.inf}.get(mutation, True)
             else:
                 field, value = mutation.split(" = ")
                 key = cls.FIELDS[field]
@@ -1338,4 +1353,33 @@ class TestMutations:
         self.mutate(path, mutation)
         code = main(["eval", "--ckpt", str(out / "bimodal.ckpt"), "--dataset", str(path.parent),
                      "--out", str(tmp_path / "eval.csv")])
-        self.assert_exit(code, capsys.readouterr().err, path)
+        self.assert_exit(code, err := capsys.readouterr().err, path)
+        assert "camera and frame must be 64-bit integers" in err \
+            or mutation not in ("camera = 2**64", "frame = 2**64"), err
+
+    @pytest.mark.parametrize("mutation", [*_mutations(("camera", "user", "t_end", "label"),
+                                                      ("camera", "beams", "window", "instance"),
+                                                      "beams"), *IN_PLACE])
+    def test_windows(self, tmp_path, capsys, mini_run, mutation):
+        out, _ = mini_run
+        shutil.copytree(out / "dataset", tmp_path / "ds")
+        path = tmp_path / "ds" / "val.ndrec"
+        self.mutate(path, mutation)
+        code = main(["eval", "--ckpt", str(out / "beam_only.ckpt"), "--dataset",
+                     str(path.parent), "--out", str(tmp_path / "eval.csv")])
+        self.assert_exit(code, err := capsys.readouterr().err, path)
+        assert "64-bit integers" in err or not mutation.endswith("2**64"), err
+
+    @pytest.mark.parametrize("mutation", [*_mutations(("user", "t_end", "category"),
+                                                      ("user", "category", "bs1", "bs2"), "bs1"),
+                                          *IN_PLACE])
+    def test_pairs(self, tmp_path, capsys, mini_run, mutation):
+        out, _ = mini_run
+        shutil.copytree(out / "dataset", tmp_path / "ds")
+        path = tmp_path / "ds" / "pairs.ndrec"
+        self.mutate(path, mutation)
+        ckpt = str(out / "bimodal.ckpt")
+        code = main(["handoff-eval", "--ckpt1", ckpt, "--ckpt2", ckpt, "--pairs", str(path),
+                     "--out", str(tmp_path / "handoff.csv")])
+        self.assert_exit(code, err := capsys.readouterr().err, path)
+        assert "64-bit integers" in err or not mutation.endswith("2**64"), err

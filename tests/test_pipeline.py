@@ -2,6 +2,8 @@ import atexit
 import itertools
 import json
 import os
+import re
+import shutil
 import signal
 import time
 import tracemalloc
@@ -1061,23 +1063,28 @@ class TestSerialization:
 
 
 
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    """The dataset the stages build from the mini config."""
+    cfg = load_experiment_config(MINI)
+    out = tmp_path_factory.mktemp("mini")
+    simulate_stage(cfg.scenario, cfg.frames, out / "trace")
+    build_dataset_stage(out / "trace", out / "dataset", cfg.dataset)
+    return out / "dataset"
+
+
+@pytest.fixture(params=["one chunk", "512-byte chunks"])
+def chunks(request, monkeypatch):
+    """The readers parse a file in chunks of about CHUNK_BYTES; 512 bytes
+    makes many chunks of every file."""
+    if request.param != "one chunk":
+        monkeypatch.setattr(beamsight.pipeline, "CHUNK_BYTES", 512)
+
+
+@pytest.mark.usefixtures("chunks")
 class TestReaderOracle:
     """The column readers against the object reader of ``oracles``: one
-    record at a time, one Detection per box.  The readers parse a file in
-    chunks of about CHUNK_BYTES; 512 bytes makes many chunks of every file."""
-
-    @pytest.fixture(scope="class")
-    def dataset(self, tmp_path_factory):
-        cfg = load_experiment_config(MINI)
-        out = tmp_path_factory.mktemp("mini")
-        simulate_stage(cfg.scenario, cfg.frames, out / "trace")
-        build_dataset_stage(out / "trace", out / "dataset", cfg.dataset)
-        return out / "dataset"
-
-    @pytest.fixture(params=["one chunk", "512-byte chunks"], autouse=True)
-    def chunks(self, request, monkeypatch):
-        if request.param != "one chunk":
-            monkeypatch.setattr(beamsight.pipeline, "CHUNK_BYTES", 512)
+    record at a time, one Detection per box."""
 
     def test_frame_table_matches_field_for_field(self, dataset):
         frames, expected = read_frames(dataset), _read_frames(dataset)
@@ -1154,6 +1161,146 @@ class TestReaderOracle:
         assert f"{ds / name}: line 7 " in str(err.value) and "beam index" in str(err.value)
 
 
+def columns(found) -> list:
+    """The int columns of a window table, or of a list or tuple of them and arrays."""
+    if isinstance(found, np.ndarray):
+        return [found]
+    if isinstance(found, (list, tuple)):
+        return [c for part in found for c in columns(part)]
+    return [found.camera, found.user, found.t_end, found.beams, found.future]
+
+
+def outcome(read) -> list | str:
+    """Each column of what ``read()`` gives as (dtype, shape, bytes), or the
+    text of the DataError it raises."""
+    try:
+        return [(c.dtype.str, c.shape, c.tobytes()) for c in columns(read())]
+    except DataError as exc:
+        return str(exc)
+
+
+def json_only(monkeypatch) -> None:
+    """From now on the window and pair readers scan nothing: every chunk goes
+    to the JSON parser, the reference."""
+    monkeypatch.setattr(beamsight.pipeline, "_scan", lambda chunk, pairs=False: None)
+
+
+def json_texts(monkeypatch) -> list:
+    """The texts handed to ``json.loads`` from now on."""
+    texts, loads = [], json.loads
+    monkeypatch.setattr(beamsight.pipeline.json, "loads", lambda text: texts.append(text)
+                        or loads(text))
+    return texts
+
+
+def window_reads(ds: Path) -> dict:
+    """A read of each window and pair file of a dataset directory."""
+    return {"train.ndrec": lambda: read_windows(ds, "train"),
+            "val.ndrec": lambda: read_windows(ds, "val"),
+            "pairs.ndrec": lambda: read_pair_table(ds / "pairs.ndrec")}
+
+
+def chunk_count(path: Path) -> int:
+    with path.open("rb") as fh:
+        return sum(1 for _ in iter(lambda: fh.readlines(beamsight.pipeline.CHUNK_BYTES), []))
+
+
+# Edits of one line of a window or pair file, each of a single token or byte,
+# so that the rest of the line stays in the writer's form: (pattern, the
+# replacement of its first match).  The line is the last one the pattern
+# matches, or the first one where the name says so.
+IN_PLACE = {
+    "camera 7": (rb'"camera":\d+', rb'"camera":7'),
+    "camera 0": (rb'"camera":\d+', rb'"camera":0'),
+    "future status 2": (rb'"window":\[\d', rb'"window":[2'),
+    "label flipped": (rb'"label":(\d)', lambda m: b'"label":%d' % (1 - int(m[1]))),
+    "instance 0": (rb'"instance":\d+', rb'"instance":0'),
+    "instance 0 for null": (rb'"instance":null', rb'"instance":0'),
+    "pivotal instance null": (rb'"instance":\d+', rb'"instance":null'),
+    "instance off its window": (rb'"instance":(\d+)',
+                                lambda m: b'"instance":%d' % (int(m[1]) % 5 + 1)),
+    "leading zero": (rb'"user":', rb'"user":0'),
+    "minus": (rb'"user":', rb'"user":-'),
+    "19 digits": (rb'"user":\d+', rb'"user":1000000000000000000'),
+    "19 digits beyond 64 bits": (rb'"user":\d+', rb'"user":9999999999999999999'),
+    "20 digits": (rb'"user":\d+', rb'"user":10000000000000000000'),
+    "float": (rb'"t_end":\d+', rb'\g<0>.0'),
+    "exponent": (rb'"t_end":\d+', rb'\g<0>e0'),
+    "true": (rb'"label":\d', rb'"label":true'),
+    "string": (rb'"user":(\d+)', rb'"user":"\1"'),
+    "null for an int": (rb'"user":\d+', rb'"user":null'),
+    "null after digits": (rb'"t_end":\d+', rb'\g<0>null'),
+    "slash for null": (rb'"instance":null', rb'"instance":/'),
+    "digit moved into a key": (rb'"camera":(\d+),"user"', rb'"camera":,"us\1er"'),
+    "beam added": (rb'"beams":\[', rb'"beams":[1,'),
+    "beam dropped": (rb'"beams":\[\d+,', rb'"beams":['),
+    "first line beam added": (rb'"beams":\[', rb'"beams":[1,'),
+    "first line beam dropped": (rb'"beams":\[\d+,', rb'"beams":['),
+    "key renamed": (rb'"user"', rb'"usr"'),
+    "key letter changed": (rb'"user"', rb'"uses"'),
+    "keys swapped": (rb'"user":(\d+),"t_end":(\d+)', rb'"t_end":\2,"user":\1'),
+    "space": (rb'"camera":', rb'"camera": '),
+    "CRLF": (rb'\n', b'\r\n'),
+    "blank line": (rb'\n', b'\n\n'),
+    "no final newline": None,
+}
+PAIR_IN_PLACE = {
+    "bs1 and bs2 swapped": (rb'"bs1"(.*)"bs2"', rb'"bs2"\1"bs1"'),
+    "bs3": (rb'"bs2"', rb'"bs3"'),
+}
+
+
+def edit_in_place(path: Path, name: str) -> None:
+    """The IN_PLACE (or PAIR_IN_PLACE) edit ``name`` of a window or pair file."""
+    text = path.read_bytes()
+    if name == "no final newline":
+        path.write_bytes(text[:-1])
+        return
+    lines = text.splitlines(keepends=True)
+    pattern, replacement = {**IN_PLACE, **PAIR_IN_PLACE}[name]
+    i = [n for n, line in enumerate(lines) if re.search(pattern, line)][
+        0 if name.startswith("first line") else -1]
+    lines[i] = re.sub(pattern, replacement, lines[i], count=1)
+    path.write_bytes(b"".join(lines))
+
+
+@pytest.mark.usefixtures("chunks")
+class TestScan:
+    """Window and pair lines in the writer's form are scanned, any other text
+    goes to the JSON parser: either way a read ends as the JSON parser alone
+    ends it, in the same table bytes or the same DataError text."""
+
+    def test_tables_equal_the_json_parsers(self, dataset, monkeypatch):
+        texts = json_texts(monkeypatch)
+        scanned = {name: outcome(read) for name, read in window_reads(dataset).items()}
+        assert texts == []   # every chunk scanned
+        json_only(monkeypatch)
+        for name, read in window_reads(dataset).items():
+            assert isinstance(scanned[name], list) and outcome(read) == scanned[name], name
+        assert len(texts) == sum(chunk_count(dataset / name) for name in scanned) >= 3
+
+    @pytest.mark.parametrize("name", ["val.ndrec", "pairs.ndrec"])
+    def test_json_dumps_lines_go_to_the_json_parser(self, dataset, tmp_path, monkeypatch, name):
+        (tmp_path / name).write_text("".join(json.dumps(json.loads(line)) + "\n" for line in
+                                             (dataset / name).read_text().splitlines()))
+        expected = outcome(window_reads(dataset)[name])
+        texts = json_texts(monkeypatch)
+        assert outcome(window_reads(tmp_path)[name]) == expected
+        assert len(texts) == chunk_count(tmp_path / name)
+
+    @pytest.mark.parametrize("name, edit", [(name, edit) for name in ("val.ndrec", "pairs.ndrec")
+                                            for edit in IN_PLACE]
+                             + [("pairs.ndrec", edit) for edit in PAIR_IN_PLACE])
+    def test_in_place_edit_ends_as_the_json_parser_ends(self, dataset, tmp_path, monkeypatch,
+                                                         name, edit):
+        shutil.copy(dataset / name, tmp_path / name)
+        edit_in_place(tmp_path / name, edit)
+        read = window_reads(tmp_path)[name]
+        scanned = outcome(read)
+        json_only(monkeypatch)
+        assert outcome(read) == scanned
+
+
 def cut_seed():
     """A hand-built Seed whose streams are cut by a frame gap, a change of
     camera and a change of user, at both basestations, with random beams,
@@ -1213,6 +1360,16 @@ class TestBuildOracle:
         assert differing_files(out / case, tmp_path) == []
         assert manifest["counts"]["pairs"] > 0 or case == "no pairs"
         assert (manifest["counts"]["train"] == {}) == (case == "quota 0")
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_scanned_tables_equal_the_json_parsers(self, built, case, monkeypatch):
+        out, _ = built
+        texts = json_texts(monkeypatch)
+        scanned = {name: outcome(read) for name, read in window_reads(out / case).items()}
+        assert texts == []   # every chunk scanned
+        json_only(monkeypatch)
+        assert {name: outcome(read) for name, read in window_reads(out / case).items()} == scanned
+        assert all(isinstance(found, list) for found in scanned.values())
 
     @pytest.mark.parametrize("quota", [0, 2, 100])
     def test_hand_built_seed_byte_identical(self, tmp_path, quota):
