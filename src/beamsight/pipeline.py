@@ -13,14 +13,15 @@ A window is one record from the seed pass to the files: a row of the one
 (``scene``); detections stay columns from the detector to the files.
 Dataset files are newline-delimited JSON records with a fixed field order,
 formatted from those columns, so identical inputs produce byte-identical
-files.  ``frames.ndrec`` holds each camera frame's detections once; window
-records look them up there.  Files are read a chunk of lines at a time into
-tables checked in bulk, and a defect's line is looked for only once a check has
-failed.  A window or pair file's chunk in the writer's own form is scanned into
-int columns; any other chunk, and all of ``frames.ndrec`` and ``frames.ndjson``,
-goes to the JSON parser, the reference.  The object types (``LabeledSample``,
-``ConjugateSample`` and their parts) are a read view of the tables, kept
-for the benchmark checks and the tests.
+files.  ``frames.ndrec`` holds each camera frame's detections once; a window
+record holds its key, beams and future statuses, whose label and first NLOS
+instance are derived, and a pair record its bs1 and bs2 windows.  Files are
+read a chunk of lines at a time into tables checked in bulk, and a defect's
+line is looked for only once a check has failed.  A window or pair file's chunk
+in the writer's own form is scanned into int columns; any other chunk, and all
+of ``frames.ndrec`` and ``frames.ndjson``, goes to the JSON parser, the
+reference.  The object types (``LabeledSample``, ``ConjugateSample`` and their
+parts) are a read view of the tables, kept for the benchmark checks and tests.
 """
 
 from __future__ import annotations
@@ -435,9 +436,9 @@ def conjugate_pairs(
 
 _BEAMS_DIFFER = "window {} has {} beams, window {} has {}: one beam index per observed frame"
 _FUTURE_DIFFERS = "window {} labels {} future frames, window {} labels {} future frames"
-_PAIR_LINE = '{"user":%d,"t_end":%d,"category":%d,"bs1":%s,"bs2":%s}\n'
-_INT, _INSTANCE = r"(?:0|[1-9][0-9]{0,17})", r"(?:[1-9][0-9]{0,17}|null)"   # within int64
-_WIDTHS = re.compile(rb'(?:.*?"beams":\[([0-9,]*)\],"label":[0-9]+,"window":\[([0-9,]*)\])?')
+_PAIR_LINE = '{"bs1":%s,"bs2":%s}\n'
+_INT = r"(?:0|[1-9][0-9]{0,17})"   # within int64
+_WIDTHS = re.compile(rb'(?:.*?"beams":\[([0-9,]*)\],"window":\[([0-9,]*)\])?')
 
 
 def _require(ok, message: str) -> None:
@@ -463,33 +464,26 @@ def _rectangle(rows: list, key, differ: str) -> np.ndarray:
 
 def _window_table(records: list) -> WindowTable:
     """The table of window records, every check made in bulk."""
-    head = [(r["camera"], r["user"], r["t_end"], r["label"]) for r in records]
+    head = [(r["camera"], r["user"], r["t_end"]) for r in records]
     beams, future = [r["beams"] for r in records], [r["window"] for r in records]
-    instance = [r["instance"] for r in records]
-    values = list(itertools.chain(itertools.chain(*head), *beams, *future))
-    _require(_int64s(values) and not set(map(type, instance)) - {int, type(None)},
-             "camera, user, t_end, label, each beam index and window must be 64-bit "
-             "integers, instance one or null")
-    head = np.array(head, dtype=np.int64).reshape(-1, 4)
+    _require(_int64s(list(itertools.chain(itertools.chain(*head), *beams, *future))),
+             "camera, user, t_end, each beam index and window must be 64-bit integers")
+    head = np.array(head, dtype=np.int64).reshape(-1, 3)
 
     def key(i):
-        return tuple(head[i, :3].tolist())
+        return tuple(head[i].tolist())
 
     return _windows(head, _rectangle(beams, key, _BEAMS_DIFFER),
-                    _rectangle(future, key, _FUTURE_DIFFERS),
-                    np.array([0 if i is None else i if 0 < i < 2**63 else -1 for i in instance],
-                             dtype=np.int64))
+                    _rectangle(future, key, _FUTURE_DIFFERS))
 
 
-def _windows(head, beams, future, instance) -> WindowTable:
-    """The table of windows of int64 (camera, user, t_end, label) rows, beams,
-    future statuses and instances (0 for null), every check made in bulk."""
-    table = WindowTable(*head[:, :3].T.copy(), beams, future)
+def _windows(head, beams, future) -> WindowTable:
+    """The table of windows of int64 (camera, user, t_end) rows, beams and
+    future statuses, every check made in bulk."""
+    table = WindowTable(*head.T.copy(), beams, future)
     _require((1 <= table.camera) & (table.camera <= 6), "a camera outside 1..6")
     _require((table.future == 0) | (table.future == 1),
              "a future link status other than 0 (LOS) or 1 (NLOS)")
-    _require(head[:, 3] == table.label, "label inconsistent with its future window")
-    _require(instance == table.instance, "instance is not the first NLOS index of its window")
     return table
 
 
@@ -516,41 +510,35 @@ def _frame_table(records: list) -> FrameTable:
 def _pair_table(records: list) -> tuple[WindowTable, WindowTable, np.ndarray]:
     """The bs1 and bs2 windows and the categories of pair records, every check
     made in bulk."""
-    head = [(r["user"], r["t_end"], r["category"]) for r in records]
-    bs1, bs2 = (_window_table([r[side] for r in records]) for side in ("bs1", "bs2"))
-    _require(_int64s(list(itertools.chain(*head))),
-             "user, t_end and category must be 64-bit integers")
-    return _pairs(np.array(head, dtype=np.int64).reshape(-1, 3), bs1, bs2)
+    return _pairs(*(_window_table([r[side] for r in records]) for side in ("bs1", "bs2")))
 
 
-def _pairs(head: np.ndarray, bs1: WindowTable, bs2: WindowTable) -> tuple:
-    """``_pair_table`` of int64 (user, t_end, category) rows and the sides."""
-    user, t_end, category = head.T.copy()
-    _require((bs1.label != bs2.label) & (category == 2 - bs1.label),
-             "category does not fit the statuses of its bs1, bs2 sides")
+def _pairs(bs1: WindowTable, bs2: WindowTable) -> tuple:
+    """``_pair_table`` of its sides; a category is 2 - the bs1 side's label."""
+    _require(bs1.label != bs2.label, "the statuses of its bs1, bs2 sides are equal: no category")
     _require((camera_to_bs(bs1.camera) == 1) & (camera_to_bs(bs2.camera) == 2),
              "the cameras of its bs1, bs2 sides are not of basestations 1, 2")
-    _require((bs1.user == user) & (bs2.user == user) & (bs1.t_end == t_end)
-             & (bs2.t_end == t_end), "user, t_end are not its sides'")
-    return bs1, bs2, category
+    _require((bs1.user == bs2.user) & (bs1.t_end == bs2.t_end),
+             "user, t_end differ between its sides")
+    return bs1, bs2, 2 - bs1.label
 
 
 @functools.lru_cache(maxsize=16)
 def _line_form(beams: int, future: int, pairs: bool) -> re.Pattern:
     """One or more of the writer's window (or pair) lines of these widths."""
-    window = re.escape(_window_format(beams, future)).replace("%d", _INT).replace("%s", _INSTANCE)
-    line = re.escape(_PAIR_LINE).replace("%d", _INT) % (window, window) if pairs else window + "\n"
+    window = re.escape(_window_format(beams, future)).replace("%d", _INT)
+    line = re.escape(_PAIR_LINE) % (window, window) if pairs else window + "\n"
     return re.compile(f"(?:{line})+".encode())
 
 
 def _scan(chunk: bytes, pairs: bool = False):
     """The table of a chunk of window (or pair) lines if all are the writer's, of the
     first line's widths with ints of at most 18 digits, else None (for the JSON
-    parser).  Numpy reads each run of digits in place, a null instance as 0."""
+    parser).  Numpy reads each run of digits in place."""
     beams, future = (g.count(b",") + 1 if g else 0 for g in _WIDTHS.match(chunk).groups())
     if not _line_form(beams, future, pairs).fullmatch(chunk):
         return None
-    digit = np.frombuffer(chunk.replace(b"null", b"0"), np.uint8) - np.uint8(ord("0"))
+    digit = np.frombuffer(chunk, np.uint8) - np.uint8(ord("0"))
     edges = np.flatnonzero(np.diff(digit < 10))   # the chunk starts and ends with no digit
     start, length = edges[0::2] + 1, edges[1::2] - edges[0::2]
     value = digit[start].astype(np.int64)
@@ -558,14 +546,13 @@ def _scan(chunk: bytes, pairs: bool = False):
         value = np.where(length > place, 10 * value + digit.take(start + place, mode="clip"), value)
     values = value.reshape(chunk.count(b"\n"), -1)
 
-    def windows(v):   # camera, user, t_end, the beams, label, the statuses, instance
-        return _windows(v[:, [0, 1, 2, 3 + beams]], v[:, 3:3 + beams].copy(),
-                        v[:, 4 + beams:-1].copy(), v[:, -1])
+    def windows(v):   # camera, user, t_end, the beams, the statuses
+        return _windows(v[:, :3], v[:, 3:3 + beams].copy(), v[:, 3 + beams:].copy())
 
     if not pairs:
         return windows(values)
-    w = (values.shape[1] - 5) // 2   # user, t_end, category, the 1 of "bs1", a window, 2, a window
-    return _pairs(values[:, :3], windows(values[:, 4:4 + w]), windows(values[:, 5 + w:]))
+    w = values.shape[1] // 2 - 1   # the 1 of "bs1", a window, the 2 of "bs2", a window
+    return _pairs(windows(values[:, 1:1 + w]), windows(values[:, 2 + w:]))
 
 
 def _read_ndjson(path: Path, table) -> None:
@@ -646,15 +633,16 @@ def write_dataset(out_dir, train: WindowTable, val: WindowTable, pairs: tuple,
                   manifest: dict) -> None:
     """The dataset files of train and val windows and the (bs1, bs2, category)
     pairs of ``conjugate_pairs``, all observed in one frame table in (camera,
-    frame) order, as ``collect_windows`` makes it.  ``frames.ndrec`` holds the
-    frames they observe.  Lines are formatted directly from the columns, a
-    block at a time (WRITE_FRAMES frames, WRITE_ROWS windows), since a finite
-    float's JSON is its repr; a box corner is the shortest text of its nearest
-    float32, the model's precision, moved one float32 step outward where a
-    box's corners would meet."""
+    frame) order, as ``collect_windows`` makes it (a category, 2 - its bs1
+    label, is not written).  ``frames.ndrec`` holds the frames they observe.
+    Lines are formatted directly from the columns, a block at a time
+    (WRITE_FRAMES frames, WRITE_ROWS windows), since a finite float's JSON is
+    its repr; a box corner is the shortest text of its nearest float32, the
+    model's precision, moved one float32 step outward where a box's corners
+    would meet."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    bs1, bs2, category = pairs
+    bs1, bs2, _ = pairs
     frames = train.frames
     used = np.zeros(len(frames), dtype=bool)
     for windows in (train, val, bs1, bs2):
@@ -681,16 +669,15 @@ def write_dataset(out_dir, train: WindowTable, val: WindowTable, pairs: tuple,
         with (out / f"{split}.ndrec").open("w") as fh:
             fh.writelines(line + "\n" for line in _window_lines(windows))
     with (out / "pairs.ndrec").open("w") as fh:
-        fh.writelines(_PAIR_LINE % line for line in zip(
-            bs1.user.tolist(), bs1.t_end.tolist(), category.tolist(), _window_lines(bs1),
-            _window_lines(bs2)))
+        fh.writelines(_PAIR_LINE % sides for sides in zip(_window_lines(bs1),
+                                                           _window_lines(bs2)))
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _window_format(beams: int, future: int) -> str:
-    """The format of a window record of these widths, its instance a %s."""
-    return ('{"camera":%%d,"user":%%d,"t_end":%%d,"beams":[%s],"label":%%d,"window":[%s],'
-            '"instance":%%s}' % (",".join(["%d"] * beams), ",".join(["%d"] * future)))
+    """The format of a window record of these widths."""
+    return ('{"camera":%%d,"user":%%d,"t_end":%%d,"beams":[%s],"window":[%s]}'
+            % (",".join(["%d"] * beams), ",".join(["%d"] * future)))
 
 
 def _window_lines(windows: WindowTable):
@@ -699,10 +686,8 @@ def _window_lines(windows: WindowTable):
     line = _window_format(windows.beams.shape[1], windows.future.shape[1])
     for lo in range(0, len(windows), WRITE_ROWS):
         part = windows.take(slice(lo, lo + WRITE_ROWS))
-        columns = np.column_stack([part.camera, part.user, part.t_end, part.beams, part.label,
-                                   part.future])
-        for values, instance in zip(columns.tolist(), part.instance.tolist()):
-            yield line % (*values, instance or "null")
+        yield from (line % tuple(values) for values in np.column_stack(
+            [part.camera, part.user, part.t_end, part.beams, part.future]).tolist())
 
 
 _POW5, _POW10 = 5 ** np.arange(14), 10 ** np.arange(14)

@@ -522,6 +522,5 @@ def model_from_checkpoint(path) -> tuple[GruPredictor, dict]:
         raise DataError(f"checkpoint {path}: tensors {wrong} disagree with the "
                         f"header sizes {sizes}")
     model = GruPredictor(input_dim=input_dim, hidden=hidden, layers=layers,
-                         classes=classes, dropout=meta.get("dropout", 0.0),
-                         params=params)
+                         classes=classes, dropout=0.0, params=params)
     return model, meta

@@ -464,12 +464,13 @@ def simulate_trace(cfg, frames, trace_dir):
 
 
 def record_to_sample(record, frames):
-    """A window record as a LabeledSample; ``frames`` maps (camera, frame) to
-    that frame's detection list, which the windows that observe it share."""
-    integers = (record["camera"], record["user"], record["t_end"], record["label"],
+    """A window record as a LabeledSample, labelled by its window; ``frames``
+    maps (camera, frame) to that frame's detection list, which the windows that
+    observe it share."""
+    integers = (record["camera"], record["user"], record["t_end"],
                 *record["beams"], *record["window"])
     if not all(type(v) is int for v in integers):
-        raise TypeError("camera, user, t_end, label, beams and window must be integers")
+        raise TypeError("camera, user, t_end, beams and window must be integers")
     first = record["t_end"] - len(record["beams"]) + 1
     sequence = ObservedSequence(
         camera_id=record["camera"],
@@ -478,29 +479,24 @@ def record_to_sample(record, frames):
         beams=list(record["beams"]),
         detections=[frames[record["camera"], t] for t in range(first, record["t_end"] + 1)],
     )
-    label = FutureLabel(record["label"], tuple(record["window"]), record["instance"])
+    nlos = [i for i, status in enumerate(record["window"], 1) if status]
+    label = FutureLabel(1 if nlos else 0, tuple(record["window"]), nlos[0] if nlos else None)
     return LabeledSample(sequence, label)
 
 
 def record_to_pair(record, frames):
-    """A pair record as a ConjugateSample; its category must name its one NLOS side."""
-    pair = ConjugateSample(
-        user_id=record["user"],
-        t_end=record["t_end"],
-        sample_bs1=record_to_sample(record["bs1"], frames),
-        sample_bs2=record_to_sample(record["bs2"], frames),
-        category=record["category"],
-    )
-    s1, s2 = pair.sample_bs1.label.status, pair.sample_bs2.label.status
-    if s1 == s2 or pair.category != (1 if s1 == 1 else 2):
-        raise ValueError(f"category {pair.category} does not fit statuses bs1 {s1}, bs2 {s2}")
-    cameras = [s.sequence.camera_id for s in (pair.sample_bs1, pair.sample_bs2)]
+    """A pair record as a ConjugateSample of the user and time of its sides,
+    its category 1 where its bs1 side is the NLOS one, else 2."""
+    s1, s2 = (record_to_sample(record[side], frames) for side in ("bs1", "bs2"))
+    if s1.label.status == s2.label.status:
+        raise ValueError(f"statuses bs1 {s1.label.status}, bs2 {s2.label.status} are equal")
+    cameras = [s.sequence.camera_id for s in (s1, s2)]
     if [camera_to_bs(c) for c in cameras] != [1, 2]:
         raise ValueError(f"cameras {cameras} of its bs1, bs2 sides are not of basestations 1, 2")
-    sides = {(s.user_id, s.t_end) for s in (pair.sample_bs1.sequence, pair.sample_bs2.sequence)}
-    if sides != {(pair.user_id, pair.t_end)}:
-        raise ValueError(f"user, t_end {pair.user_id, pair.t_end} are not its sides' {sides}")
-    return pair
+    if s1.key[1:] != s2.key[1:]:
+        raise ValueError(f"user, t_end {s1.key[1:]} and {s2.key[1:]} of its sides differ")
+    return ConjugateSample(s1.sequence.user_id, s1.sequence.t_end, s1, s2,
+                           1 if s1.label.status == 1 else 2)
 
 
 def _read_frames(dataset_dir):
@@ -577,8 +573,7 @@ def conjugate_pairs(windows_bs1, windows_bs2, overlap_cameras=(3, 4), exclude_ke
 def sample_to_record(sample):
     seq, lab = sample.sequence, sample.label
     return {"camera": seq.camera_id, "user": seq.user_id, "t_end": seq.t_end,
-            "beams": seq.beams, "label": lab.status, "window": list(lab.window),
-            "instance": lab.blockage_instance}
+            "beams": seq.beams, "window": list(lab.window)}
 
 
 def float32_corners(bbox):
@@ -613,8 +608,7 @@ def write_dataset(out_dir, train, val, pairs, manifest):
             for c, f in sorted(frames)],
         "train.ndrec": [sample_to_record(s) for s in train.samples],
         "val.ndrec": [sample_to_record(s) for s in val.samples],
-        "pairs.ndrec": [{"user": p.user_id, "t_end": p.t_end, "category": p.category,
-                         "bs1": sample_to_record(p.sample_bs1),
+        "pairs.ndrec": [{"bs1": sample_to_record(p.sample_bs1),
                          "bs2": sample_to_record(p.sample_bs2)} for p in pairs],
     }
     for name, records in files.items():

@@ -627,35 +627,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert str(path) in err and "beam index" in err
 
-    @pytest.mark.parametrize("instance", [3, "x"])
-    def test_instance_off_its_window_is_data_error(self, tmp_path, capsys, mini_run,
-                                                   instance):
-        out, _ = mini_run
-        ds = tmp_path / "ds"
-        shutil.copytree(out / "dataset", ds)
-        path = ds / "val.ndrec"
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        pivotal = next(r for r in records if r["window"][0] == 1)
-        pivotal["instance"] = instance
-        path.write_text("".join(json.dumps(r) + "\n" for r in records))
-        assert main(["eval", "--ckpt", str(out / "bimodal.ckpt"), "--dataset", str(ds),
-                     "--out", str(tmp_path / "out.csv")]) == 2
-        err = capsys.readouterr().err
-        assert str(path) in err and "line" in err and "instance" in err
-
-    @pytest.mark.parametrize("edit", ["flip category", "equal statuses"])
-    def test_pair_category_off_its_sides_is_data_error(self, tmp_path, capsys, mini_run,
-                                                       edit):
+    def test_pair_sides_of_equal_status_is_data_error(self, tmp_path, capsys, mini_run):
         out, _ = mini_run
         ds = tmp_path / "ds"
         shutil.copytree(out / "dataset", ds)
         path = ds / "pairs.ndrec"
         records = [json.loads(line) for line in path.read_text().splitlines()]
-        if edit == "flip category":
-            records[0]["category"] = 3 - records[0]["category"]
-        else:
-            for key in ("label", "window", "instance"):
-                records[0]["bs2"][key] = records[0]["bs1"][key]
+        records[0]["bs2"]["window"] = records[0]["bs1"]["window"]
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
         ckpt = str(out / "bimodal.ckpt")
         assert main(["handoff-eval", "--ckpt1", ckpt, "--ckpt2", ckpt, "--pairs", str(path),
@@ -670,10 +648,9 @@ class TestCli:
         shutil.copytree(out / "dataset", ds)
         path = ds / "pairs.ndrec"
         records = [json.loads(line) for line in path.read_text().splitlines()]
-        # swapped sides with the category flipped still fit the statuses
+        # swapped sides still have opposite statuses
         first = records[0]
         first["bs1"], first["bs2"] = first["bs2"], first["bs1"]
-        first["category"] = 3 - first["category"]
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
         ckpt = str(out / "bimodal.ckpt")
         assert main(["handoff-eval", "--ckpt1", ckpt, "--ckpt2", ckpt, "--pairs", str(path),
@@ -683,7 +660,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command, name, change", [
         ("eval", "val.ndrec", {"camera": 99}),
-        ("eval", "val.ndrec", {"window": [2, 0, 0, 0, 0], "label": 1, "instance": 1}),
+        ("eval", "val.ndrec", {"window": [2, 0, 0, 0, 0]}),
         ("handoff-eval", "pairs.ndrec", {"camera": 0}),   # camera_to_bs(0) is 1
     ])
     def test_window_out_of_range_under_beam_only_is_data_error(self, tmp_path, capsys, mini_run,
@@ -1016,7 +993,7 @@ class TestCli:
         shutil.copytree(out / "dataset", ds)
         path = ds / "pairs.ndrec"
         records = [json.loads(line) for line in path.read_text().splitlines()]
-        records[0][field] += 1
+        records[0]["bs2"][field] += 1
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
         ckpt = str(out / "bimodal.ckpt")
         assert main(["handoff-eval", "--ckpt1", ckpt, "--ckpt2", ckpt, "--pairs", str(path),
@@ -1186,8 +1163,7 @@ class TestCli:
     @pytest.mark.parametrize("command", ["train", "eval", "handoff-eval"])
     def test_window_shorter_than_future_is_data_error(self, tmp_path, capsys, mini_run,
                                                       command):
-        # one non-pivotal window cut to two future frames; label and
-        # instance still fit it
+        # one non-pivotal window cut to two future frames
         out, _ = mini_run
         ds = tmp_path / "ds"
         shutil.copytree(out / "dataset", ds)
@@ -1196,7 +1172,7 @@ class TestCli:
         records = [json.loads(line) for line in path.read_text().splitlines()]
         windows = ([side for r in records for side in (r["bs1"], r["bs2"])]
                    if command == "handoff-eval" else records)
-        next(w for w in windows if w["label"] == 0)["window"] = [0, 0]
+        next(w for w in windows if not any(w["window"]))["window"] = [0, 0]
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
         ckpt = str(out / "bimodal.ckpt")
         argv = {"train": ["train", "--dataset", str(ds), "--mode", "beam-only"],
@@ -1219,7 +1195,7 @@ class TestCli:
         shutil.copytree(out / "dataset", ds)
         records = [json.loads(line) for line in (ds / name).read_text().splitlines()]
         bad = records[-1] if defect == "beam" else next(r for r in records[::-1]
-                                                        if r["label"] == 0)
+                                                        if not any(r["window"]))
         if defect == "beam":
             bad["beams"][-1] = 10**6
         else:
@@ -1264,8 +1240,8 @@ def _mutations(ints: tuple[str, ...], keys: tuple[str, ...], text: str) -> list[
 
 class TestMutations:
     """A fixed, seeded list of mutations of the files whose reader and writer
-    work on whole columns, ``frames.ndjson``, ``frames.ndrec``, ``val.ndrec``
-    and ``pairs.ndrec``, each run through the CLI stage that reads the file:
+    work on whole columns, ``frames.ndjson``, ``frames.ndrec``, ``train.ndrec``,
+    ``val.ndrec`` and ``pairs.ndrec``, each run through the CLI stage that reads the file:
     it exits 2 naming the file, or 0 where the mutation is harmless; never 1
     (a usage error) and never a traceback."""
 
@@ -1273,33 +1249,37 @@ class TestMutations:
     ENTRIES = {"frames.ndjson": "objects", "frames.ndrec": "detections"}   # else beams
     NUMBER = {"frames.ndjson": 2, "frames.ndrec": 1}   # a centre x; a box x1
     FIELDS = {"frame": "frame", "camera": "camera", "id": 0, "lane": 11,   # 0, 11: in an entry
-              "user": "user", "t_end": "t_end", "label": "label", "category": "category"}
+              "user": "user", "t_end": "t_end"}
     INTS = {"0": 0, "-1": -1, "2**62": 2**62, "2**64": 2**64}
     # edits of a window or pair line in place, which leave the rest of it in
     # the writer's form: (pattern, the replacement of its first match)
     IN_PLACE = {"camera 7 in place": (rb'"camera":\d+', rb'"camera":7'),
                 "leading zero in place": (rb'"user":', rb'"user":0'),
                 "20 digits in place": (rb'"t_end":\d+', rb'"t_end":10000000000000000000'),
-                "beam dropped in place": (rb'"beams":\[\d+,', rb'"beams":['),
-                "instance null in place": (rb'"instance":\d+', rb'"instance":null')}
+                "beam dropped in place": (rb'"beams":\[\d+,', rb'"beams":[')}
+    WINDOWS = [*_mutations(("camera", "user", "t_end"), ("camera", "beams", "window"), "beams"),
+               *IN_PLACE]
 
     @classmethod
     def mutate(cls, path: Path, mutation: str) -> None:
         """``mutation`` of one record of ``path`` and one of its entries, both
         drawn from SEED among the records after the first that hold entries
-        (of a pair, those of its bs1 side)."""
+        (of a pair, those of its bs1 side, which also holds the keys and int
+        fields that a pair record lacks).  An edit in place goes to the first
+        pivotal window's line from there."""
         rng = np.random.default_rng(cls.SEED)
         lines = path.read_bytes().splitlines(keepends=True)
         records = [json.loads(line) for line in lines]
         text = cls.ENTRIES.get(path.name, "beams")
         i = int(rng.choice([n for n, r in enumerate(records) if n and r.get("bs1", r)[text]]))
         record = records[i]
-        entries = record.get("bs1", record)[text]
+        side = record.get("bs1", record)   # the record, or a pair's bs1 side
+        entries = side[text]
         j = int(rng.integers(len(entries)))
         entry, number = (entries, j) if text == "beams" else (entries[j], cls.NUMBER[path.name])
         if mutation in cls.IN_PLACE:
             i = next(n for n, line in enumerate(lines)
-                     if n >= i and re.search(rb'"instance":\d', line))
+                     if n >= i and re.search(rb'"window":\[[0-9,]*1', line))
             lines[i] = re.sub(*cls.IN_PLACE[mutation], lines[i], count=1)
         elif mutation == "empty file":
             lines = []
@@ -1311,7 +1291,8 @@ class TestMutations:
             lines[i] = lines[i].replace(b'"', b'"\xff', 1)
         else:
             if mutation.startswith("dropped "):
-                del record[mutation.split()[1]]
+                key = mutation.split()[1]
+                del (record if key in record else side)[key]
             elif mutation.endswith(" as text"):
                 record[mutation.split()[0]] = "1"
             elif mutation in ("true for a number", "nan", "inf"):
@@ -1319,7 +1300,7 @@ class TestMutations:
             else:
                 field, value = mutation.split(" = ")
                 key = cls.FIELDS[field]
-                (entry if isinstance(key, int) else record)[key] = cls.INTS[value]
+                (entry if isinstance(key, int) else side)[key] = cls.INTS[value]
             lines[i] = (json.dumps(record) + "\n").encode()
         path.write_bytes(b"".join(lines))
 
@@ -1357,9 +1338,21 @@ class TestMutations:
         assert "camera and frame must be 64-bit integers" in err \
             or mutation not in ("camera = 2**64", "frame = 2**64"), err
 
-    @pytest.mark.parametrize("mutation", [*_mutations(("camera", "user", "t_end", "label"),
-                                                      ("camera", "beams", "window", "instance"),
-                                                      "beams"), *IN_PLACE])
+    @pytest.mark.parametrize("mutation", WINDOWS)
+    def test_train_windows(self, tmp_path, capsys, mini_run, mutation):
+        # one epoch of the mini model: a harmless mutation trains to its end
+        out, _ = mini_run
+        shutil.copytree(out / "dataset", tmp_path / "ds")
+        path = tmp_path / "ds" / "train.ndrec"
+        self.mutate(path, mutation)
+        ini = tmp_path / "train.ini"
+        ini.write_text("[train]\nepochs = 1\nhidden = 16\nembed_dim = 64\nbatch_size = 32\n")
+        code = main(["train", "--dataset", str(path.parent), "--mode", "beam-only",
+                     "--config", str(ini), "--out", str(tmp_path / "m.ckpt")])
+        self.assert_exit(code, err := capsys.readouterr().err, path)
+        assert "64-bit integers" in err or not mutation.endswith("2**64"), err
+
+    @pytest.mark.parametrize("mutation", WINDOWS)
     def test_windows(self, tmp_path, capsys, mini_run, mutation):
         out, _ = mini_run
         shutil.copytree(out / "dataset", tmp_path / "ds")
@@ -1370,9 +1363,8 @@ class TestMutations:
         self.assert_exit(code, err := capsys.readouterr().err, path)
         assert "64-bit integers" in err or not mutation.endswith("2**64"), err
 
-    @pytest.mark.parametrize("mutation", [*_mutations(("user", "t_end", "category"),
-                                                      ("user", "category", "bs1", "bs2"), "bs1"),
-                                          *IN_PLACE])
+    @pytest.mark.parametrize("mutation", [*_mutations(("user", "t_end"), ("user", "bs1", "bs2"),
+                                                      "bs1"), *IN_PLACE])
     def test_pairs(self, tmp_path, capsys, mini_run, mutation):
         out, _ = mini_run
         shutil.copytree(out / "dataset", tmp_path / "ds")

@@ -991,9 +991,8 @@ class TestSerialization:
     @pytest.mark.parametrize("change", [
         {"t_end": "9"}, {"beams": 3}, {"window": [0, "1", 0, 0, 0]},
         {"t_end": 500},   # observes frames that frames.ndrec lacks
-        {"label": None},
-        {"window": [0, 1, 0, 0, 0], "instance": 2.0}, {"instance": True},
-        {"window": [2, 0, 0, 0, 0]}, {"window": [-1, 0, 0, 0, 0]},   # label 1, instance 1 fit
+        {"camera": None}, {"t_end": 20.0}, {"user": True},
+        {"window": [2, 0, 0, 0, 0]}, {"window": [-1, 0, 0, 0, 0]},
     ])
     def test_malformed_record_names_file_and_line(self, tmp_path, change):
         sample = make_sample(1, 0, 20, 1)
@@ -1213,12 +1212,6 @@ IN_PLACE = {
     "camera 7": (rb'"camera":\d+', rb'"camera":7'),
     "camera 0": (rb'"camera":\d+', rb'"camera":0'),
     "future status 2": (rb'"window":\[\d', rb'"window":[2'),
-    "label flipped": (rb'"label":(\d)', lambda m: b'"label":%d' % (1 - int(m[1]))),
-    "instance 0": (rb'"instance":\d+', rb'"instance":0'),
-    "instance 0 for null": (rb'"instance":null', rb'"instance":0'),
-    "pivotal instance null": (rb'"instance":\d+', rb'"instance":null'),
-    "instance off its window": (rb'"instance":(\d+)',
-                                lambda m: b'"instance":%d' % (int(m[1]) % 5 + 1)),
     "leading zero": (rb'"user":', rb'"user":0'),
     "minus": (rb'"user":', rb'"user":-'),
     "19 digits": (rb'"user":\d+', rb'"user":1000000000000000000'),
@@ -1226,11 +1219,11 @@ IN_PLACE = {
     "20 digits": (rb'"user":\d+', rb'"user":10000000000000000000'),
     "float": (rb'"t_end":\d+', rb'\g<0>.0'),
     "exponent": (rb'"t_end":\d+', rb'\g<0>e0'),
-    "true": (rb'"label":\d', rb'"label":true'),
+    "true": (rb'"camera":\d', rb'"camera":true'),
     "string": (rb'"user":(\d+)', rb'"user":"\1"'),
     "null for an int": (rb'"user":\d+', rb'"user":null'),
     "null after digits": (rb'"t_end":\d+', rb'\g<0>null'),
-    "slash for null": (rb'"instance":null', rb'"instance":/'),
+    "slash for a digit": (rb'"t_end":\d', rb'"t_end":/'),
     "digit moved into a key": (rb'"camera":(\d+),"user"', rb'"camera":,"us\1er"'),
     "beam added": (rb'"beams":\[', rb'"beams":[1,'),
     "beam dropped": (rb'"beams":\[\d+,', rb'"beams":['),
@@ -1278,6 +1271,30 @@ class TestScan:
         for name, read in window_reads(dataset).items():
             assert isinstance(scanned[name], list) and outcome(read) == scanned[name], name
         assert len(texts) == sum(chunk_count(dataset / name) for name in scanned) >= 3
+
+    def test_earlier_form_reads_into_the_same_tables(self, dataset, tmp_path, monkeypatch):
+        # the form of earlier datasets: a window record also holds its label and
+        # first NLOS instance, a pair record its user, t_end and category
+        def window(record):
+            nlos = [i for i, status in enumerate(record["window"], 1) if status]
+            return {**{key: record[key] for key in ("camera", "user", "t_end", "beams")},
+                    "label": 1 if nlos else 0, "window": record["window"],
+                    "instance": nlos[0] if nlos else None}
+
+        def pair(record):
+            bs1 = window(record["bs1"])
+            return {"user": bs1["user"], "t_end": bs1["t_end"], "category": 2 - bs1["label"],
+                    "bs1": bs1, "bs2": window(record["bs2"])}
+
+        for name, form in (("train.ndrec", window), ("val.ndrec", window), ("pairs.ndrec", pair)):
+            (tmp_path / name).write_text("".join(
+                json.dumps(form(r), separators=(",", ":")) + "\n"
+                for r in read_records(dataset / name)))
+        expected = {name: outcome(read) for name, read in window_reads(dataset).items()}
+        texts = json_texts(monkeypatch)
+        for name, read in window_reads(tmp_path).items():
+            assert isinstance(expected[name], list) and outcome(read) == expected[name], name
+        assert len(texts) == sum(chunk_count(tmp_path / name) for name in expected)
 
     @pytest.mark.parametrize("name", ["val.ndrec", "pairs.ndrec"])
     def test_json_dumps_lines_go_to_the_json_parser(self, dataset, tmp_path, monkeypatch, name):
