@@ -1256,7 +1256,8 @@ class TestMutations:
     IN_PLACE = {"camera 7 in place": (rb'"camera":\d+', rb'"camera":7'),
                 "leading zero in place": (rb'"user":', rb'"user":0'),
                 "20 digits in place": (rb'"t_end":\d+', rb'"t_end":10000000000000000000'),
-                "beam dropped in place": (rb'"beams":\[\d+,', rb'"beams":[')}
+                "beam dropped in place": (rb'"beams":\[\d+,', rb'"beams":['),
+                "status null in place": (rb'"window":\[\d', rb'"window":[null')}
     WINDOWS = [*_mutations(("camera", "user", "t_end"), ("camera", "beams", "window"), "beams"),
                *IN_PLACE]
 

@@ -1240,6 +1240,10 @@ IN_PLACE = {
 PAIR_IN_PLACE = {
     "bs1 and bs2 swapped": (rb'"bs1"(.*)"bs2"', rb'"bs2"\1"bs1"'),
     "bs3": (rb'"bs2"', rb'"bs3"'),
+    "bs2 user off bs1's": (rb'"bs2":\{"camera":\d+,"user":', rb'\g<0>1'),
+    "bs2 t_end off bs1's": (rb'"bs2":.*"t_end":', rb'\g<0>1'),
+    "bs2 window as bs1's": (rb'"window":(\[[0-9,]*\])(.*"window":)\[[0-9,]*\]',
+                            rb'"window":\1\2\1'),
 }
 
 
