@@ -6,8 +6,8 @@ the in-process pipeline and the stage-by-stage CLI produce identical
 artifacts.  A stage reads only what its model reads: ``train`` the dataset
 manifest, ``train.ndrec`` and ``val.ndrec``; ``eval`` a checkpoint, the
 manifest and ``val.ndrec``; ``handoff-eval`` two checkpoints, ``pairs.ndrec``
-and the manifest beside it.  ``frames.ndrec`` is parsed once by a stage with
-a bimodal model and never opened by a beam-only one.  Nothing is cached: each run recomputes every stage into the
+and the manifest beside it.  ``frames.cols`` is read once by a stage with a
+bimodal model and never opened by a beam-only one.  Nothing is cached: each run recomputes every stage into the
 output directory and records the config hash in the manifest, so a
 changed config can never silently reuse stale artifacts.  Output CSVs
 carry no timestamps; reruns with the same config are byte-identical.
@@ -30,6 +30,7 @@ from .errors import BeamsightError, DataError
 from .handoff import HandoffReport, score_handoff
 from .metrics import MetricReport, report
 from .pipeline import (
+    DATASET_FILES,
     balance_and_split,
     collect_windows,
     concat,
@@ -173,8 +174,8 @@ def build_dataset_stage(trace_dir, out_dir, ds_cfg: DatasetConfig) -> dict:
     log.info("dataset: trace %.2f s, seed pass %.2f s (processes: %d), write %.2f s; %d train, "
              "%d val, %d conjugate pairs; %s", read - start, seeded - read, seed.processes,
              time.perf_counter() - write, len(train), len(val), len(category),
-             ", ".join(f"{f.name} {f.stat().st_size} B"
-                       for f in sorted(Path(out_dir).glob("*.ndrec"))))
+             ", ".join(f"{name} {(Path(out_dir) / name).stat().st_size} B"
+                       for name in DATASET_FILES))
     return manifest
 
 
@@ -288,7 +289,7 @@ def eval_stage(ckpt_path, dataset_dir, out_csv) -> tuple[MetricReport, dict]:
 
 def handoff_eval(ckpt1_path, ckpt2_path, pairs_path) -> HandoffReport:
     """Run the two per-basestation models over the conjugate pairs; two paths
-    to one file load it once, and ``frames.ndrec`` is read only for a
+    to one file load it once, and ``frames.cols`` is read only for a
     bimodal model.
 
     An empty pairs file yields an all-undefined report (n/a categories),

@@ -10,31 +10,36 @@ basestation 2's half runs in one forked child at the same time as basestation
 
 A window is one record from the seed pass to the files: a row of the one
 ``WindowTable`` of a build, whose frame rows index the seed's ``FrameTable``
-(``scene``); detections stay columns from the detector to the files.
-Dataset files are newline-delimited JSON records with a fixed field order,
-formatted from those columns, so identical inputs produce byte-identical
-files.  ``frames.ndrec`` holds each camera frame's detections once; a window
-record holds its key, beams and future statuses, whose label and first NLOS
-instance are derived, and a pair record its bs1 and bs2 windows.  Files are
-read a chunk of lines at a time into tables checked in bulk, and a defect's
-line is looked for only once a check has failed.  A window or pair file's chunk
-in the writer's own form is scanned into int columns; any other chunk, and all
-of ``frames.ndrec`` and ``frames.ndjson``, goes to the JSON parser, the
-reference.  The object types (``LabeledSample``, ``ConjugateSample`` and their
-parts) are a read view of the tables, kept for the benchmark checks and tests.
+(``scene``); detections stay columns from the detector to the files, so
+identical inputs produce byte-identical files.  ``frames.cols`` holds each
+observed camera frame's detections once, as the six columns of a
+``FrameTable``, one ``.npy`` array after another, its box corners as float32.
+The window and pair files are newline-delimited JSON records with a fixed
+field order, formatted from the columns: a window record holds its key, beams
+and future statuses, whose label and first NLOS instance are derived, and a
+pair record its bs1 and bs2 windows.  Files are read into tables checked in
+bulk, and a defect's line is looked for only once a check has failed.  A
+window or pair file's chunk in the writer's own form is scanned into int
+columns; any other chunk, and all of ``frames.ndjson``, goes to the JSON
+parser, the reference.  The object types (``LabeledSample``,
+``ConjugateSample`` and their parts) are a read view of the tables, kept for
+the benchmark checks and tests.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import io
 import itertools
 import json
 import logging
+import math
 import os
 import pickle
 import re
 import signal
+import tokenize
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,7 +74,10 @@ BLOCK_FRAMES = 16     # frames per seed-pass block
 LINK_CHUNK = 24       # owned users per link-kernel call, which bounds their memory
 CHUNK_BYTES = 1 << 14  # file text read and parsed at a time, which bounds its objects alive at once
 WRITE_ROWS = 256      # windows formatted at a time, which bounds their objects alive at once
-WRITE_FRAMES = 32     # frames formatted at a time (about ten boxes each), likewise
+DATASET_FILES = ("frames.cols", "train.ndrec", "val.ndrec", "pairs.ndrec")   # beside manifest.json
+# frames.cols: the FrameTable columns in this order, by dtype; boxes are (n, 4), the others (n,)
+_FRAME_COLUMNS = {"camera": "<i8", "frame": "<i8", "count": "<i8", "classes": "|i1",
+                  "boxes": "<f4", "confidence": "<f8"}
 
 
 def camera_to_bs(camera_id):
@@ -487,26 +495,6 @@ def _windows(head, beams, future) -> WindowTable:
     return table
 
 
-def _frame_table(records: list) -> FrameTable:
-    """The table of frame records, every check made in bulk."""
-    keys = [(r["camera"], r["frame"]) for r in records]
-    detections = [r["detections"] for r in records]
-    flat = list(itertools.chain.from_iterable(detections))
-    values = list(itertools.chain.from_iterable(flat))
-    _require(not set(map(len, flat)) - {6} and _int64s(list(itertools.chain(*keys)))
-             and not set(map(type, itertools.compress(values, itertools.cycle([0, 1, 1, 1, 1, 1]))))
-             - {int, float}, "camera and frame must be 64-bit integers, and a detection [class, "
-             "x1, y1, x2, y2, confidence] with numbers that are not true or false")
-    x1, y1, x2, y2, confidence = numbers = np.array([values[i::6] for i in range(1, 6)], dtype=float)
-    _require((0 <= x1) & (x1 < x2) & (x2 <= 1) & (0 <= y1) & (y1 < y2) & (y2 <= 1),
-             "a box not within 0 <= x1 < x2 <= 1, 0 <= y1 < y2 <= 1")   # NaN fails too
-    _require((0 <= confidence) & (confidence <= 1), "a confidence outside [0, 1]")
-    return FrameTable(*np.array(keys, dtype=np.int64).reshape(-1, 2).T.copy(),
-                      np.array(list(map(len, detections)), dtype=np.int64),
-                      np.array([CLASS_CODES[c] for c in values[::6]], dtype=np.int64),
-                      numbers[:4].T.copy(), confidence.copy())
-
-
 def _pair_table(records: list) -> tuple[WindowTable, WindowTable, np.ndarray]:
     """The bs1 and bs2 windows and the categories of pair records, every check
     made in bulk."""
@@ -594,14 +582,14 @@ def concat(parts: list):
                          for f in dataclasses.fields(first)))
 
 
-def _read_table(path: Path, table, keys, seen=None, scan=None):
-    """``table`` of the records of ``path``, one JSON object a line, where no
-    ``keys`` of it (one per record) repeats or is in ``seen`` (key -> (path,
-    record), shared across files).  About CHUNK_BYTES of lines are read and
-    parsed at a time, into a table each: by ``scan`` of their bytes, if it gives
-    one, else by the JSON parser and ``table``.  Only once a check fails is its
-    line looked for: the first line that is not UTF-8 JSON, whose record fails
-    on its own or beside the first record, or that repeats a key."""
+def _read_table(path: Path, table, keys=None, seen=None, scan=None):
+    """``table`` of the records of ``path``, one JSON object a line.  About
+    CHUNK_BYTES of lines are read and parsed at a time, into a table each: by
+    ``scan`` of their bytes, if it gives one, else by the JSON parser and
+    ``table``.  Only once a check fails is its line looked for: the first line
+    that is not UTF-8 JSON, or whose record fails on its own or beside the
+    first record.  Given ``keys`` (the table's int key columns, one row a
+    record), no key repeats, within the file or with a file of ``seen``."""
     if not path.is_file():
         raise DataError(f"missing file: {path}")
     try:
@@ -619,14 +607,27 @@ def _read_table(path: Path, table, keys, seen=None, scan=None):
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         _read_ndjson(path, table)
         raise DataError(f"{path}: not a valid record file: {exc!r}") from exc
-    seen = {} if seen is None else seen
-    for i, key in enumerate(keys(found)):
-        if key in seen:
-            other, j = seen[key]
-            raise DataError(f"{path}: line {_line_numbers(path)[i]} repeats key {key} of "
-                            f"{other}: line {_line_numbers(other)[j]}")
-        seen[key] = (path, i)
+    if keys is not None:
+        _repeats(path, keys(found), [] if seen is None else seen)
     return found
+
+
+def _repeats(path: Path, keys: tuple, seen: list) -> None:
+    """A DataError naming the first record of ``path`` whose key, a row of the
+    int columns ``keys``, is that of an earlier record, of ``path`` or of the
+    files of ``seen``, (path, keys) pairs that ``path`` then joins."""
+    seen.append((path, np.stack(keys)))
+    every = np.concatenate([k for _, k in seen], axis=1)
+    order = np.lexsort(every[::-1])   # stable: a key's first record leads its run
+    again = order[1:][np.all(np.diff(every[:, order]) == 0, axis=0)]
+    if len(again):   # the first record to repeat a key, and that key's first record
+        where = np.concatenate([[[f] * k.shape[1], range(k.shape[1])] for f, (_, k) in
+                                enumerate(seen)], axis=1)   # (file, record) of each
+        (_, i), (f, j) = where[:, again.min()], where[:, np.all(
+            every == every[:, [again.min()]], axis=0).argmax()]
+        raise DataError(f"{path}: line {_line_numbers(path)[i]} repeats key "
+                        f"{tuple(every[:, again.min()].tolist())} of {seen[f][0]}: line "
+                        f"{_line_numbers(seen[f][0])[j]}")
 
 
 def write_dataset(out_dir, train: WindowTable, val: WindowTable, pairs: tuple,
@@ -634,37 +635,27 @@ def write_dataset(out_dir, train: WindowTable, val: WindowTable, pairs: tuple,
     """The dataset files of train and val windows and the (bs1, bs2, category)
     pairs of ``conjugate_pairs``, all observed in one frame table in (camera,
     frame) order, as ``collect_windows`` makes it (a category, 2 - its bs1
-    label, is not written).  ``frames.ndrec`` holds the frames they observe.
-    Lines are formatted directly from the columns, a block at a time
-    (WRITE_FRAMES frames, WRITE_ROWS windows), since a finite float's JSON is
-    its repr; a box corner is the shortest text of its nearest float32, the
-    model's precision, moved one float32 step outward where a box's corners
-    would meet."""
+    label, is not written).  ``frames.cols`` holds the frames they observe, each
+    column through ``np.save``, a box corner as its nearest float32, the model's
+    precision, moved one float32 step outward where a box's corners would meet.
+    Window lines are formatted directly from the columns, WRITE_ROWS at a time."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     bs1, bs2, _ = pairs
-    frames = train.frames
-    used = np.zeros(len(frames), dtype=bool)
+    used = np.zeros(len(train.frames), dtype=bool)
     for windows in (train, val, bs1, bs2):
-        if windows.frames is not frames:
+        if windows.frames is not train.frames:
             raise ValueError("the windows to write observe different frame tables")
         used[windows.frame_rows] = True
+    frames = train.frames.take(np.flatnonzero(used))
     boxes = frames.boxes.astype(np.float32)
     low, high = boxes[:, :2], boxes[:, 2:]   # views: (x1, y1) and (x2, y2)
     down, up = (low == high) & (low > 0), (low == high) & (low == 0)
     low[down], high[up] = np.nextafter(low[down], -1), np.nextafter(high[up], 1)
-    frames, rows = dataclasses.replace(frames, boxes=boxes), np.flatnonzero(used)
-    heads = np.array(['["%s",' % c.value for c in CLASSES])
-    with (out / "frames.ndrec").open("w") as fh:
-        for lo in range(0, len(rows), WRITE_FRAMES):
-            part = frames.take(rows[lo:lo + WRITE_FRAMES])
-            found = [f"{head}{x1},{y1},{x2},{y2},{p!r}]" for head, x1, y1, x2, y2, p in zip(
-                heads[part.classes].tolist(), *float32_text(part.boxes).T.tolist(),
-                part.confidence.tolist())]
-            fh.write("".join('{"camera":%d,"frame":%d,"detections":[%s]}\n' % (
-                c, f, ",".join(found[end - n:end])) for c, f, n, end in zip(
-                    part.camera.tolist(), part.frame.tolist(), part.count.tolist(),
-                    np.cumsum(part.count).tolist())))
+    frames = dataclasses.replace(frames, boxes=boxes)
+    with (out / "frames.cols").open("wb") as fh:
+        for name, dtype in _FRAME_COLUMNS.items():
+            np.save(fh, getattr(frames, name).astype(dtype))
     for split, windows in (("train", train), ("val", val)):
         with (out / f"{split}.ndrec").open("w") as fh:
             fh.writelines(line + "\n" for line in _window_lines(windows))
@@ -690,60 +681,74 @@ def _window_lines(windows: WindowTable):
             [part.camera, part.user, part.t_end, part.beams, part.future]).tolist())
 
 
-_POW5, _POW10 = 5 ** np.arange(14), 10 ** np.arange(14)
-
-
-def float32_text(x: np.ndarray) -> np.ndarray:
-    """``x.astype(str)`` of a float32 array, as Python strings.  In [1e-4, 1)
-    numpy writes "0." and the fewest decimals that read back as x, the closest
-    of them to x, a tie to the even digit (Steele & White's shortest digits),
-    searched for here on the whole array in exact int64 arithmetic."""
-    inside = (x >= np.float64(1e-4)) & (x < 1)   # by exact value: float32(1e-4) is below
-    m = x[inside].view(np.uint32).astype(np.int64)
-    m, e = m & 0x7FFFFF | 0x800000, 150 - (m >> 23)   # x = m / 2**e, 24 <= e <= 37
-    # x reads back from (2m - 1, 2m + 1) / 2**(e + 1), or from (4m - 1) / 2**(e + 2)
-    # at a power of two (the float32 below is closer); an even m owns both ends
-    odd, power = m & 1, m == 1 << 23
-    low, shift = np.where(power, 4 * m - 1, 2 * m - 1), e + 1 + power
-
-    def candidates(k):   # the first and last integer in 10**k times that interval
-        return ((low * _POW5[k] + (1 << shift - k) - 1 + odd) >> shift - k,
-                ((2 * m + 1) * _POW5[k] - odd) >> e + 1 - k)
-
-    k, last = np.ones_like(m), np.full_like(m, 13)   # bisect for the fewest decimals
-    for _ in range(4):
-        fits = np.less_equal(*candidates(mid := (k + last) // 2))
-        k, last = np.where(fits, k, mid + 1), np.where(fits, mid, last)
-    p, s = m * _POW5[k], e - k   # x 10**k = p / 2**s: rounded, a tie to even, into range
-    d = np.clip(p + (1 << s - 1) - 1 + (p >> s & 1) >> s, *candidates(k)) * _POW10[13 - k]
-    text = np.empty((len(d), 15), dtype=np.uint32)   # "0.", the k decimals, then NULs
-    text[:, :2] = ord("0"), ord(".")
-    for place in range(13, 0, -1):
-        d, digit = np.divmod(d, 10)
-        text[:, place + 1] = np.where(place <= k, digit + ord("0"), 0)
-    found = np.empty(x.shape, dtype=object)
-    found[inside], found[~inside] = text.view("<U15")[:, 0], x[~inside].astype(str)
-    return found
-
-
 def read_frames(dataset_dir) -> FrameTable:
-    """The ``frames.ndrec`` of a dataset directory."""
-    return _read_table(Path(dataset_dir) / "frames.ndrec", _frame_table,
-                       lambda f: zip(f.camera.tolist(), f.frame.tolist()))
+    """The ``frames.cols`` of a dataset directory, its boxes as float64, every
+    check made in bulk; a defect is a DataError naming the file and the check."""
+    path = Path(dataset_dir) / "frames.cols"
+    if not path.is_file():
+        raise DataError(f"missing file: {path}")
+    fh = io.BytesIO(data := path.read_bytes())
+    try:
+        columns = [_column(fh, data, name, dtype) for name, dtype in _FRAME_COLUMNS.items()]
+        _require(fh.tell() == len(data), f"{len(data) - fh.tell()} bytes follow the last column")
+        return _frames(*columns)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def _column(fh: io.BytesIO, data: bytes, name: str, dtype: str) -> np.ndarray:
+    """The ``.npy`` (version 1.0, as ``np.save`` writes it) array at ``fh``'s place
+    in ``data``, which ``fh`` then moves past: ``dtype`` in C order, (n, 4) for
+    boxes, else (n,), and found whole in ``data`` before anything is allocated."""
+    try:
+        if (version := np.lib.format.read_magic(fh)) != (1, 0):
+            raise ValueError(f"version {version}")
+        shape, fortran, found = np.lib.format.read_array_header_1_0(fh)
+    except (ValueError, TypeError, SyntaxError, tokenize.TokenError) as exc:   # garbled
+        raise ValueError(f"{name} column: not a .npy header: {exc}") from exc
+    rows = (4,) if name == "boxes" else ()
+    if found.str != dtype or fortran or len(shape) != 1 + len(rows) or shape[1:] != rows:
+        raise ValueError(f"{name} column: {found.str} of shape {shape}, not {dtype} of shape "
+                         f"{('n', *rows)}")
+    if not 0 <= (size := math.prod(shape)) * found.itemsize <= len(data) - fh.tell():
+        raise ValueError(f"{name} column: {shape[0]} rows do not fit in the file")
+    fh.seek(size * found.itemsize, io.SEEK_CUR)
+    return np.frombuffer(data, dtype, size, fh.tell() - size * found.itemsize).reshape(shape)
+
+
+def _frames(camera, frame, count, classes, boxes, confidence) -> FrameTable:
+    """The frame table of the columns of ``frames.cols``, every check made in bulk."""
+    n = len(classes)
+    _require(len(camera) == len(frame) == len(count) and len(boxes) == len(confidence) == n,
+             "the columns of frames, or of detections, differ in length")
+    _require((0 <= count) & (count <= n), "a count below 0 or above the detection rows")
+    _require(count.sum() == n, f"the counts sum to {count.sum()}, not the {n} detection rows")
+    _require((0 <= classes) & (classes < len(CLASSES)), "an unknown class code")
+    x1, y1, x2, y2 = boxes.T
+    _require((0 <= x1) & (x1 < x2) & (x2 <= 1) & (0 <= y1) & (y1 < y2) & (y2 <= 1),
+             "a box not within 0 <= x1 < x2 <= 1, 0 <= y1 < y2 <= 1")   # NaN fails too
+    _require((0 <= confidence) & (confidence <= 1), "a confidence outside [0, 1]")
+    up = (camera[1:] > camera[:-1]) | (camera[1:] == camera[:-1]) & (frame[1:] > frame[:-1])
+    if not up.all():
+        i = int(up.argmin()) + 1
+        raise ValueError(f"the (camera, frame) key {(int(camera[i]), int(frame[i]))} of frame {i} "
+                         f"repeats or is below the one before: the keys must ascend")
+    return FrameTable(camera, frame, count, classes.astype(np.int64),
+                      boxes.astype(np.float64), confidence)
 
 
 def read_windows(dataset_dir, *splits: str) -> list[WindowTable]:
     """The windows of the named splits; no (camera, user, t_end) key repeats
     within or across them."""
-    seen: dict = {}
-    return [_read_table(Path(dataset_dir) / f"{split}.ndrec", _window_table, WindowTable.keys,
-                        seen, _scan) for split in splits]
+    seen: list = []
+    return [_read_table(Path(dataset_dir) / f"{split}.ndrec", _window_table,
+                        lambda w: (w.camera, w.user, w.t_end), seen, _scan) for split in splits]
 
 
 def read_pair_table(path) -> tuple[WindowTable, WindowTable, np.ndarray]:
     """The bs1 and bs2 windows and the categories of a ``pairs.ndrec``'s pairs."""
     return _read_table(Path(path), _pair_table,
-                       lambda pairs: zip(pairs[0].user.tolist(), pairs[0].t_end.tolist()), None,
+                       lambda pairs: (pairs[0].user, pairs[0].t_end), None,
                        functools.partial(_scan, pairs=True))
 
 
@@ -765,7 +770,7 @@ def observe(path, windows: WindowTable, frames: FrameTable) -> WindowTable:
         i, j = np.argwhere(rows < 0)[0].tolist()
         raise DataError(f"{path}: line {_line_numbers(Path(path))[i]} is not a valid record: "
                         f"window {windows.keys()[i]} observes frame {t[i, j]} of its camera, "
-                        f"which frames.ndrec lacks")
+                        f"which frames.cols lacks")
     return dataclasses.replace(windows, frames=frames, frame_rows=rows)
 
 
@@ -890,7 +895,7 @@ def _read_trace(trace_dir, table) -> tuple[ScenarioConfig, World, tuple]:
         raise DataError(f"{manifest_path}: not a trace manifest: {exc!r}") from exc
     cfg = scenario_from_json(manifest_path, scenario)
     path = Path(trace_dir) / "frames.ndjson"
-    found = _read_table(path, table, lambda _: ())
+    found = _read_table(path, table)
     numbers = found[-1]
     if wrong := np.flatnonzero(numbers != np.arange(len(numbers))).tolist():
         raise DataError(f"{path}: line {_line_numbers(path)[wrong[0]]} is not a valid record: "
@@ -901,9 +906,15 @@ def _read_trace(trace_dir, table) -> tuple[ScenarioConfig, World, tuple]:
 
 
 def read_trace_rows(trace_dir) -> tuple[ScenarioConfig, World, ObjectRows]:
-    """A trace's config, geometry and objects as rows sorted by (frame, id)."""
-    cfg, world, (rows, _) = _read_trace(trace_dir, lambda records: _object_table(records)[::3])
-    return cfg, world, rows[np.lexsort((rows.ids, rows.frame))]
+    """A trace's config, geometry and objects as rows sorted by (frame, id).  A
+    chunk's records are whole frames, checked to run in frame order, so each
+    chunk's rows are sorted on their own and no trace-wide copy is made."""
+    def table(records):
+        rows, _, _, frames = _object_table(records)
+        return rows[np.lexsort((rows.ids, rows.frame))], frames
+
+    cfg, world, (rows, _) = _read_trace(trace_dir, table)
+    return cfg, world, rows
 
 
 def read_trace(trace_dir) -> tuple[ScenarioConfig, list[World]]:

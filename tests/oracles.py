@@ -22,8 +22,10 @@ object reader of a dataset directory: one record at a time, one
 ``collect_windows``, ``balance_and_split``, ``conjugate_pairs``,
 ``write_dataset`` and ``build_dataset`` are its writer: one
 ``LabeledSample`` per window, one ``ConjugateSample`` per pair, each record
-a dict written by ``json.dumps``; ``float32_corners`` rounds one box at a
-time, corner by corner.
+a dict written by ``json.dumps``, and ``frames.cols`` six ``np.save`` arrays
+built from ``Detection`` objects (which ``_read_frames`` reads back with six
+plain ``np.load`` calls); ``float32_corners`` rounds one box at a time,
+corner by corner.
 
 ``window_tables`` is not an oracle: it is how tests build window tables
 from hand-made samples, and ``samples_of``, ``pairs_of`` and
@@ -499,15 +501,68 @@ def record_to_pair(record, frames):
                            1 if s1.label.status == 1 else 2)
 
 
+FRAME_COLUMNS = ("camera", "frame", "count", "classes", "boxes", "confidence")
+
+
+def frame_columns(path) -> dict:
+    """The six columns of a ``frames.cols`` by name, each through ``np.load``."""
+    with Path(path).open("rb") as fh:
+        return {name: np.load(fh) for name in FRAME_COLUMNS}
+
+
+def save_frame_columns(path, columns: dict) -> None:
+    """``columns`` (by name) as a ``frames.cols``, each through ``np.save``."""
+    with Path(path).open("wb") as fh:
+        for name in FRAME_COLUMNS:
+            np.save(fh, columns[name])
+
+
+FRAME_DEFECTS = ["unknown class", "x1 = x2", "past the image", "nan corner", "inf corner",
+                 "confidence below 0", "nan confidence", "inf confidence", "count one more",
+                 "count negative", "key repeated", "keys swapped", "a camera short",
+                 "classes as <i8", "boxes as (n, 2)", "trailing bytes"]
+
+
+def break_frame_columns(path, defect: str) -> None:
+    """``defect``, one of FRAME_DEFECTS, made in a ``frames.cols`` at its first rows."""
+    if defect == "trailing bytes":
+        Path(path).write_bytes(Path(path).read_bytes() + bytes(8))
+        return
+    c = frame_columns(path)
+    if defect == "unknown class":
+        c["classes"][0] = len(CLASSES)
+    elif defect == "x1 = x2":
+        c["boxes"][0, 2] = c["boxes"][0, 0]
+    elif defect == "past the image":
+        c["boxes"][0, 2] = 1.5
+    elif defect.endswith(" corner"):
+        c["boxes"][0, 1] = float(defect.split()[0])
+    elif defect == "confidence below 0":
+        c["confidence"][0] = -0.1
+    elif defect.endswith(" confidence"):
+        c["confidence"][0] = float(defect.split()[0])
+    elif defect.startswith("count "):
+        c["count"][0] = c["count"][0] + 1 if defect == "count one more" else -1
+    elif defect.startswith("key"):   # the second frame's key is the first's, or they swap
+        for k in ("camera", "frame"):
+            c[k][:2] = c[k][[0, 0] if defect == "key repeated" else [1, 0]]
+    elif defect == "a camera short":
+        c["camera"] = c["camera"][:-1]
+    elif defect == "classes as <i8":
+        c["classes"] = c["classes"].astype("<i8")
+    else:
+        c["boxes"] = c["boxes"].reshape(-1, 2)
+    save_frame_columns(path, c)
+
+
 def _read_frames(dataset_dir):
-    """``frames.ndrec`` as a dict (camera, frame) -> list of Detections, in file order."""
-    frames = {}
-    for line in (Path(dataset_dir) / "frames.ndrec").read_text().splitlines():
-        record = json.loads(line)
-        frames[record["camera"], record["frame"]] = [
-            Detection(CLASSES[CLASS_CODES[c]], (x1, y1, x2, y2), confidence)
-            for c, x1, y1, x2, y2, confidence in record["detections"]]
-    return frames
+    """``frames.cols`` as a dict (camera, frame) -> list of Detections, in file order."""
+    camera, frame, count, classes, boxes, confidence = frame_columns(
+        Path(dataset_dir) / "frames.cols").values()
+    detections = iter([Detection(CLASSES[c], tuple(box), p) for c, box, p in zip(
+        classes.tolist(), boxes.tolist(), confidence.tolist())])
+    return {(c, f): list(itertools.islice(detections, n))
+            for c, f, n in zip(camera.tolist(), frame.tolist(), count.tolist())}
 
 
 def read_records(path):
@@ -577,8 +632,7 @@ def sample_to_record(sample):
 
 
 def float32_corners(bbox):
-    """A box's corners as the floats of their shortest float32 text (whose
-    repr, what ``json.dumps`` writes, is that text again); where two corners
+    """A box's corners as their nearest float32s, as floats; where two corners
     of an axis round to one float32, the low one moves a float32 step down,
     or the high one a step up when the low one is 0."""
     corners = [np.float32(v) for v in bbox]
@@ -587,12 +641,13 @@ def float32_corners(bbox):
             corners[lo] = np.nextafter(corners[lo], np.float32(-1))
         elif corners[lo] == corners[hi]:
             corners[hi] = np.nextafter(corners[hi], np.float32(1))
-    return [float(str(c)) for c in corners]
+    return [float(c) for c in corners]
 
 
 def write_dataset(out_dir, train, val, pairs, manifest):
-    """Each record through ``json.dumps``; frames.ndrec holds the first
-    detection list seen for each observed (camera, frame), in key order."""
+    """Each record through ``json.dumps``; frames.cols holds the first
+    detection list seen for each observed (camera, frame), in key order, as
+    six columns, each through ``np.save``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     windows = [*train.samples, *val.samples,
@@ -601,11 +656,15 @@ def write_dataset(out_dir, train, val, pairs, manifest):
     for seq in (w.sequence for w in windows):
         for t, detections in enumerate(seq.detections, seq.t_end - len(seq.beams) + 1):
             frames.setdefault((seq.camera_id, t), detections)
+    keys, flat = sorted(frames), [d for key in sorted(frames) for d in frames[key]]
+    save_frame_columns(out / "frames.cols", {
+        "camera": np.array([c for c, _ in keys], dtype="<i8"),
+        "frame": np.array([f for _, f in keys], dtype="<i8"),
+        "count": np.array([len(frames[key]) for key in keys], dtype="<i8"),
+        "classes": np.array([CLASS_CODES[d.object_class.value] for d in flat], dtype="|i1"),
+        "boxes": np.array([float32_corners(d.bbox) for d in flat], dtype="<f4").reshape(-1, 4),
+        "confidence": np.array([d.confidence for d in flat], dtype="<f8")})
     files = {
-        "frames.ndrec": [{"camera": c, "frame": f, "detections": [
-            [d.object_class.value, *float32_corners(d.bbox), d.confidence]
-            for d in frames[c, f]]}
-            for c, f in sorted(frames)],
         "train.ndrec": [sample_to_record(s) for s in train.samples],
         "val.ndrec": [sample_to_record(s) for s in val.samples],
         "pairs.ndrec": [{"bs1": sample_to_record(p.sample_bs1),

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import logging
 import math
@@ -9,6 +10,7 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -44,6 +46,7 @@ from beamsight.experiment import (
 )
 from beamsight.embedding import BeamEmbeddingTable, encode_dataset
 from beamsight.pipeline import (
+    DATASET_FILES,
     observe,
     read_frames,
     read_manifest,
@@ -73,10 +76,10 @@ def mini_config(**overrides) -> ExperimentConfig:
 
 
 def frame_parses(monkeypatch) -> list:
-    """The paths of the frames.ndrec files parsed from now on."""
-    parsed, read = [], beamsight.pipeline._read_table
-    monkeypatch.setattr(beamsight.pipeline, "_read_table", lambda path, *args: (
-        path.name == "frames.ndrec" and parsed.append(path)) or read(path, *args))
+    """The paths of the frames.cols files the stages read from now on."""
+    parsed, read = [], beamsight.experiment.read_frames
+    monkeypatch.setattr(beamsight.experiment, "read_frames", lambda dataset_dir: parsed.append(
+        Path(dataset_dir) / "frames.cols") or read(dataset_dir))
     return parsed
 
 
@@ -91,8 +94,7 @@ class TestRunExperiment:
     def test_all_artifacts_present(self, mini_run):
         out, manifest = mini_run
         for name in ("trace/manifest.json", "trace/frames.ndjson",
-                     "dataset/frames.ndrec", "dataset/train.ndrec", "dataset/val.ndrec",
-                     "dataset/pairs.ndrec", "dataset/manifest.json",
+                     *(f"dataset/{name}" for name in (*DATASET_FILES, "manifest.json")),
                      "bimodal.ckpt", "beam_only.ckpt",
                      "eval_bimodal.csv", "eval_bimodal_confusion.csv",
                      "eval_bimodal_per_camera.csv", "eval_bimodal_per_instance.csv",
@@ -123,7 +125,7 @@ class TestRunExperiment:
         parsed = frame_parses(monkeypatch)
         run_experiment(load_experiment_config(MINI), again)
         # once per bimodal stage (train, eval, handoff); beam-only stages never
-        assert parsed == [again / "dataset" / "frames.ndrec"] * 3
+        assert parsed == [again / "dataset" / "frames.cols"] * 3
         for name in ("eval_bimodal.csv", "eval_beam_only.csv", "handoff.csv",
                      "eval_bimodal_per_camera.csv", "eval_bimodal_per_instance.csv",
                      "train_bimodal_history.csv", "manifest.json"):
@@ -183,16 +185,16 @@ class TestStages:
             eval_stage(tmp_path / "none.ckpt", tmp_path, tmp_path / "out.csv")
 
     def test_train_stage_parses_frames_once(self, tmp_path, mini_run, monkeypatch):
-        # a bimodal stage parses frames.ndrec once for train and val; a
+        # a bimodal stage reads frames.cols once for train and val; a
         # beam-only stage does not open it
         out, _ = mini_run
         parsed = frame_parses(monkeypatch)
         train_stage(out / "dataset", "bimodal", replace(mini_config().train, epochs=1),
                     tmp_path / "m.ckpt")
-        assert parsed == [out / "dataset" / "frames.ndrec"]
+        assert parsed == [out / "dataset" / "frames.cols"]
         train_stage(out / "dataset", "beam-only", replace(mini_config().train, epochs=1),
                     tmp_path / "b.ckpt")
-        assert parsed == [out / "dataset" / "frames.ndrec"]
+        assert parsed == [out / "dataset" / "frames.cols"]
 
     def test_handoff_loads_one_checkpoint_once(self, tmp_path, mini_run, monkeypatch):
         out, _ = mini_run
@@ -263,8 +265,8 @@ class TestBuildDiagnostics:
         assert len(warnings) == len(short)
         # the info line gives each dataset file's bytes
         info = [r.getMessage() for r in caplog.records if r.name == "beamsight.experiment"]
-        for name in ("frames.ndrec", "train.ndrec", "val.ndrec", "pairs.ndrec"):
-            assert f"{name} {(tmp_path / 'ds' / name).stat().st_size} B" in info[-1]
+        assert info[-1].endswith(", ".join(f"{name} {(tmp_path / 'ds' / name).stat().st_size} B"
+                                           for name in DATASET_FILES))
 
 
     @pytest.mark.parametrize("processes", [1, 2])
@@ -278,7 +280,9 @@ class TestBuildDiagnostics:
         [info] = [r.getMessage() for r in caplog.records if r.name == "beamsight.experiment"]
         assert re.match(rf"dataset: trace \d+\.\d\d s, seed pass \d+\.\d\d s "
                         rf"\(processes: {processes}\), write \d+\.\d\d s; ", info)
-        for name in ("frames.ndrec", "train.ndrec", "val.ndrec", "pairs.ndrec", "manifest.json"):
+        assert info.endswith(", ".join(f"{name} {(tmp_path / name).stat().st_size} B"
+                                       for name in DATASET_FILES))
+        for name in (*DATASET_FILES, "manifest.json"):
             assert (tmp_path / name).read_bytes() == (out / "dataset" / name).read_bytes(), name
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -300,26 +304,22 @@ class TestBuildDiagnostics:
                             info[-1])
 
 class TestBoxText:
-    """frames.ndrec writes each box corner as the shortest text of its nearest
-    float32, moved one float32 step outward where a box's corners meet."""
+    """frames.cols stores each box corner as its nearest float32, moved one
+    float32 step outward where a box's corners meet."""
 
-    def test_corners_are_shortest_text_of_nearest_float32(self, mini_run):
-        # not %r of the float64 (17 digits), nor %.9g (which writes every
-        # float32 in 9 digits): each text is the float32's shortest
+    def test_corners_are_the_nearest_float32(self, mini_run):
         out, _ = mini_run
         scenario, world, rows = read_trace_rows(out / "trace")
         frames = seed_pass(rows, world, scenario).frames
         boxes = dict(zip(zip(frames.camera.tolist(), frames.frame.tolist()),
                          np.split(frames.boxes, np.cumsum(frames.count)[:-1])))
-        texts, given = [], []
-        for line in (out / "dataset" / "frames.ndrec").read_text().splitlines():
-            record = json.loads(line, parse_float=str)
-            texts += [d[1:5] for d in record["detections"]]
-            given.append(boxes[record["camera"], record["frame"]])
-        texts, nearest = np.array(texts), np.concatenate(given).astype(np.float32)
-        assert texts.shape == nearest.shape and len(texts) > 500
-        assert all(str(np.float32(float(t))) == t for t in texts.ravel().tolist())
-        written = np.vectorize(float)(texts).astype(np.float32)
+        columns = oracles.frame_columns(out / "dataset" / "frames.cols")
+        written = columns["boxes"]
+        nearest = np.concatenate([boxes[key] for key in zip(columns["camera"].tolist(),
+                                                             columns["frame"].tolist())])
+        nearest = nearest.astype(np.float32)
+        assert written.dtype == np.float32 and written.shape == nearest.shape
+        assert len(written) > 500
         meet = np.tile(nearest[:, :2] == nearest[:, 2:], 2)   # widened by the guard
         assert np.array_equal(written[~meet], nearest[~meet])
         assert np.all(np.abs(written[meet] - nearest[meet]) <= np.spacing(nearest[meet]))
@@ -347,14 +347,17 @@ class TestBoxText:
         assert 0 <= lo < hi <= 1
         for read, given in ((lo, low), (hi, high)):
             assert abs(read - given) <= np.spacing(np.float32(given))
-        assert again.boxes[box].tolist() == oracles.float32_corners(frames.boxes[box].tolist())
+        column = oracles.frame_columns(cut / "frames.cols")["boxes"][box]
+        assert column.dtype == np.float32
+        assert column.tolist() == again.boxes[box].tolist() == \
+            oracles.float32_corners(frames.boxes[box].tolist())
         assert main(["eval", "--ckpt", str(out / "bimodal.ckpt"), "--dataset", str(cut),
                      "--out", str(tmp_path / "eval.csv")]) == 0
 
 
 class TestReadContract:
     """A stage reads only the files its model reads: a beam-only stage never
-    opens frames.ndrec, so a defect there leaves its outputs as they were."""
+    opens frames.cols, so a defect there leaves its outputs as they were."""
 
     @staticmethod
     def stages(out, ds, dest, mode) -> list[list[str]]:
@@ -368,17 +371,16 @@ class TestReadContract:
                 ["handoff-eval", "--ckpt1", ckpt, "--ckpt2", beam_only,
                  "--pairs", str(ds / "pairs.ndrec"), "--out", str(dest / "handoff.csv")]]
 
-    @pytest.mark.parametrize("defect", ["deleted", "line 2 truncated"])
+    @pytest.mark.parametrize("defect", ["deleted", "truncated"])
     def test_frames_defect_harms_only_bimodal_stages(self, tmp_path, capsys, mini_run, defect):
         out, _ = mini_run
         ds = tmp_path / "ds"
         shutil.copytree(out / "dataset", ds)
-        frames = ds / "frames.ndrec"
+        frames = ds / "frames.cols"
         if defect == "deleted":
             frames.unlink()
         else:
-            lines = frames.read_text().splitlines()
-            frames.write_text("\n".join([lines[0], lines[1][:-10], *lines[2:]]) + "\n")
+            frames.write_bytes(frames.read_bytes()[:-10])
         for argv in (self.stages(out, out / "dataset", tmp_path / "intact", "beam-only")
                      + self.stages(out, ds, tmp_path / "broken", "beam-only")):
             assert main(argv) == 0
@@ -392,14 +394,14 @@ class TestReadContract:
             assert main(argv) == 2
             err = capsys.readouterr().err
             assert str(frames) in err and "Traceback" not in err
-            assert defect == "deleted" or f"{frames}: line 2 " in err
+            assert defect == "deleted" or f"{frames}: confidence column: " in err
 
     def test_mixed_handoff_parses_frames_once(self, mini_run, monkeypatch):
         out, _ = mini_run
         parsed = frame_parses(monkeypatch)
         pairs = out / "dataset" / "pairs.ndrec"
         handoff_eval(out / "bimodal.ckpt", out / "beam_only.ckpt", pairs)
-        assert parsed == [out / "dataset" / "frames.ndrec"]
+        assert parsed == [out / "dataset" / "frames.cols"]
         handoff_eval(out / "beam_only.ckpt", out / "beam_only.ckpt", pairs)
         assert len(parsed) == 1
 
@@ -565,7 +567,7 @@ class TestCli:
 
     def test_pair_missing_key_is_data_error(self, tmp_path, capsys, mini_run):
         out, _ = mini_run
-        shutil.copy(out / "dataset" / "frames.ndrec", tmp_path)
+        shutil.copy(out / "dataset" / "frames.cols", tmp_path)
         pairs = tmp_path / "pairs.ndrec"
         pairs.write_text('{"user": 1}\n')
         ckpt = str(out / "bimodal.ckpt")
@@ -611,8 +613,7 @@ class TestCli:
         else:
             # a window whose camera has the frame before it, so that only
             # the length is wrong
-            frames = {(f["camera"], f["frame"]) for f in
-                      map(json.loads, (ds / "frames.ndrec").read_text().splitlines())}
+            frames = set(oracles._read_frames(ds))
             longer = next(r["bs1"] for r in records
                           if (r["bs1"]["camera"],
                               r["bs1"]["t_end"] - len(r["bs1"]["beams"])) in frames)
@@ -683,7 +684,7 @@ class TestCli:
 
     def test_bad_checkpoint_with_empty_pairs_is_data_error(self, tmp_path, capsys, mini_run):
         out, _ = mini_run
-        shutil.copy(out / "dataset" / "frames.ndrec", tmp_path)
+        shutil.copy(out / "dataset" / "frames.cols", tmp_path)
         pairs = tmp_path / "pairs.ndrec"
         pairs.write_text("")
         ckpt = tmp_path / "garbage.ckpt"
@@ -770,28 +771,31 @@ class TestCli:
         out, _ = mini_run
         ds = tmp_path / "ds"
         shutil.copytree(out / "dataset", ds)
-        path = ds / "frames.ndrec"
-        lines = path.read_text().splitlines()
-        record = json.loads(lines[1])
-        record["detections"].insert(0, ["car", *box])
-        lines[1] = json.dumps(record)
-        path.write_text("\n".join(lines) + "\n")
+        path = ds / "frames.cols"
+        columns = oracles.frame_columns(path)
+        columns["boxes"][7], columns["confidence"][7] = box[:4], box[4]
+        oracles.save_frame_columns(path, columns)
         assert main(["eval", "--ckpt", str(out / "bimodal.ckpt"), "--dataset", str(ds),
                      "--out", str(tmp_path / "out.csv")]) == 2
         err = capsys.readouterr().err
-        assert f"{path}: line 2 " in err and "Traceback" not in err
+        check = "a confidence outside" if box[4] < 0 else "a box not within"
+        assert f"{path}: {check}" in err and "Traceback" not in err
+
+    @staticmethod
+    def detection_lists(ds) -> dict:
+        """Each (camera, frame) of a dataset's frames.cols -> its detections as
+        [class, x1, y1, x2, y2, confidence] lists, as the text layouts held them."""
+        return {key: [[d.object_class.value, *d.bbox, d.confidence] for d in detections]
+                for key, detections in oracles._read_frames(ds).items()}
 
     @pytest.mark.parametrize("command", ["eval", "handoff-eval"])
     def test_old_layout_dataset_is_data_error(self, tmp_path, capsys, mini_run, command):
-        # the older layout: no frames.ndrec, each window carries its detections
+        # the older layout: no frames file, each window carries its detections
         out, _ = mini_run
         ds = tmp_path / "ds"
         shutil.copytree(out / "dataset", ds)
-        frames = {}
-        for line in (ds / "frames.ndrec").read_text().splitlines():
-            record = json.loads(line)
-            frames[record["camera"], record["frame"]] = record["detections"]
-        (ds / "frames.ndrec").unlink()
+        frames = self.detection_lists(ds)
+        (ds / "frames.cols").unlink()
 
         def old(window):
             first = window["t_end"] - len(window["beams"]) + 1
@@ -810,7 +814,26 @@ class TestCli:
             argv = ["handoff-eval", "--ckpt1", ckpt, "--ckpt2", ckpt,
                     "--pairs", str(ds / "pairs.ndrec")]
         assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
-        assert str(ds / "frames.ndrec") in capsys.readouterr().err
+        assert str(ds / "frames.cols") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "handoff-eval"])
+    def test_text_frames_dataset_is_data_error(self, tmp_path, capsys, mini_run, command):
+        # the layout before frames.cols: the frames as JSON lines in frames.ndrec
+        out, _ = mini_run
+        ds = tmp_path / "ds"
+        shutil.copytree(out / "dataset", ds)
+        (ds / "frames.ndrec").write_text("".join(
+            json.dumps({"camera": c, "frame": f, "detections": d}) + "\n"
+            for (c, f), d in self.detection_lists(ds).items()))
+        (ds / "frames.cols").unlink()
+        ckpt = str(out / "bimodal.ckpt")
+        if command == "eval":
+            argv = ["eval", "--ckpt", ckpt, "--dataset", str(ds)]
+        else:
+            argv = ["handoff-eval", "--ckpt1", ckpt, "--ckpt2", ckpt,
+                    "--pairs", str(ds / "pairs.ndrec")]
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+        assert f"missing file: {ds / 'frames.cols'}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", [
         lambda m: '{"observed": 8}',                       # keys missing
@@ -960,7 +983,6 @@ class TestCli:
         ("val.ndrec", "repeat first line"),
         ("val.ndrec", "take a train key"),
         ("pairs.ndrec", "repeat first line"),
-        ("frames.ndrec", "repeat first line"),
     ])
     def test_repeated_key_is_data_error(self, tmp_path, capsys, mini_run, name, edit):
         out, _ = mini_run
@@ -1060,7 +1082,7 @@ class TestCli:
             err = capsys.readouterr().err
             assert f"{manifest_path}: {option} = {value} is not a finite number" in err
 
-    @pytest.mark.parametrize("name", ["frames.ndrec", "train.ndrec", "val.ndrec", "pairs.ndrec"])
+    @pytest.mark.parametrize("name", ["train.ndrec", "val.ndrec", "pairs.ndrec"])
     def test_dataset_byte_not_utf8_is_data_error(self, tmp_path, capsys, mini_run, name):
         out, _ = mini_run
         ds = tmp_path / "ds"
@@ -1070,8 +1092,7 @@ class TestCli:
         lines[1] = lines[1].replace(b'"', b'"\xff', 1)
         path.write_bytes(b"\n".join(lines))
         ckpt = str(out / "bimodal.ckpt")
-        argv = {"frames.ndrec": ["eval", "--ckpt", ckpt, "--dataset", str(ds)],
-                "train.ndrec": ["train", "--dataset", str(ds), "--mode", "beam-only"],
+        argv = {"train.ndrec": ["train", "--dataset", str(ds), "--mode", "beam-only"],
                 "val.ndrec": ["eval", "--ckpt", ckpt, "--dataset", str(ds)],
                 "pairs.ndrec": ["handoff-eval", "--ckpt1", ckpt, "--ckpt2", ckpt,
                                 "--pairs", str(path)]}[name]
@@ -1240,14 +1261,15 @@ def _mutations(ints: tuple[str, ...], keys: tuple[str, ...], text: str) -> list[
 
 class TestMutations:
     """A fixed, seeded list of mutations of the files whose reader and writer
-    work on whole columns, ``frames.ndjson``, ``frames.ndrec``, ``train.ndrec``,
-    ``val.ndrec`` and ``pairs.ndrec``, each run through the CLI stage that reads the file:
-    it exits 2 naming the file, or 0 where the mutation is harmless; never 1
-    (a usage error) and never a traceback."""
+    work on whole columns, ``frames.ndjson``, ``frames.cols``, ``train.ndrec``,
+    ``val.ndrec`` and ``pairs.ndrec``, and of both checkpoints, each run
+    through the CLI stage that reads the file: it exits 2 naming the file, or 0
+    where the mutation is harmless; never 1 (a usage error) and never a
+    traceback."""
 
     SEED = 26
-    ENTRIES = {"frames.ndjson": "objects", "frames.ndrec": "detections"}   # else beams
-    NUMBER = {"frames.ndjson": 2, "frames.ndrec": 1}   # a centre x; a box x1
+    ENTRIES = {"frames.ndjson": "objects"}   # else beams
+    NUMBER = {"frames.ndjson": 2}   # a centre x
     FIELDS = {"frame": "frame", "camera": "camera", "id": 0, "lane": 11,   # 0, 11: in an entry
               "user": "user", "t_end": "t_end"}
     INTS = {"0": 0, "-1": -1, "2**62": 2**62, "2**64": 2**64}
@@ -1308,6 +1330,32 @@ class TestMutations:
     @staticmethod
     def assert_exit(code: int, err: str, path: Path) -> None:
         assert code == 0 or (code == 2 and path.name in err), (code, err)
+        assert "Traceback" not in err, err
+
+    @classmethod
+    def damage(cls, path: Path, span: tuple, flip: bool, draw: str) -> None:
+        """One byte of ``path`` within ``span`` (start, end) with every bit
+        flipped, or if not ``flip`` the file cut there, at a place drawn from
+        SEED and the text ``draw``."""
+        at = int(np.random.default_rng([cls.SEED, *draw.encode()]).integers(*span))
+        data = bytearray(path.read_bytes())
+        if flip:
+            data[at] ^= 0xFF
+        else:
+            del data[at:]
+        path.write_bytes(bytes(data))
+
+    @staticmethod
+    def column_parts(path: Path) -> dict:
+        """The (start, end) of each column's header and data in a frames.cols."""
+        parts, at = {}, 0
+        for name, column in oracles.frame_columns(path).items():
+            saved = io.BytesIO()
+            np.save(saved, column)
+            head = at + saved.tell() - column.nbytes
+            parts[f"{name} header"], parts[f"{name} data"] = (at, head), (head, saved.tell() + at)
+            at += saved.tell()
+        return parts
 
     @pytest.fixture(scope="class")
     def trace(self, tmp_path_factory):
@@ -1325,19 +1373,60 @@ class TestMutations:
         code = main(["build-dataset", "--trace", str(path.parent), "--out", str(tmp_path / "ds")])
         self.assert_exit(code, capsys.readouterr().err, path)
 
-    @pytest.mark.parametrize("mutation", _mutations(("camera", "frame"),
-                                                    ("camera", "frame", "detections"),
-                                                    "detections"))
+    COLUMNS = ["empty file", *(f"{name} {part} {kind}" for name in oracles.FRAME_COLUMNS
+                               for part in ("header", "data")
+                               for kind in ("byte flipped", "cut")),
+               "2**40 rows", *oracles.FRAME_DEFECTS]
+
+    @pytest.mark.parametrize("mutation", COLUMNS)
     def test_frames(self, tmp_path, capsys, mini_run, mutation):
         out, _ = mini_run
         shutil.copytree(out / "dataset", tmp_path / "ds")
-        path = tmp_path / "ds" / "frames.ndrec"
-        self.mutate(path, mutation)
-        code = main(["eval", "--ckpt", str(out / "bimodal.ckpt"), "--dataset", str(path.parent),
-                     "--out", str(tmp_path / "eval.csv")])
+        path = tmp_path / "ds" / "frames.cols"
+        parts = self.column_parts(path)
+        if mutation == "empty file":
+            path.write_bytes(b"")
+        elif mutation == "2**40 rows":   # the camera column's header claims 8 TiB
+            header = io.BytesIO()
+            np.lib.format.write_array_header_1_0(
+                header, {"descr": "<i8", "fortran_order": False, "shape": (2**40,)})
+            data = path.read_bytes()
+            path.write_bytes(header.getvalue() + data[parts["camera header"][1]:])
+        elif mutation in oracles.FRAME_DEFECTS:
+            oracles.break_frame_columns(path, mutation)
+        else:   # "<column> <header or data> <byte flipped or cut>"
+            column, part, kind = mutation.split(" ", 2)
+            self.damage(path, parts[f"{column} {part}"], kind == "byte flipped", mutation)
+        argv = ["eval", "--ckpt", str(out / "bimodal.ckpt"), "--dataset", str(path.parent),
+                "--out", str(tmp_path / "eval.csv")]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         self.assert_exit(code, err := capsys.readouterr().err, path)
-        assert "camera and frame must be 64-bit integers" in err \
-            or mutation not in ("camera = 2**64", "frame = 2**64"), err
+        assert code == 2 or mutation.endswith("data byte flipped"), err
+        assert mutation != "2**40 rows" or ("do not fit in the file" in err and peak < 2**20), \
+            (peak, err)
+
+    CHECKPOINTS = [f"{part} {kind}" for part in ("header", "tensors")
+                   for kind in ("byte flipped", "cut")] + [
+        f"{part} byte flipped {k}" for part in ("header", "tensors") for k in (2, 3)]
+
+    @pytest.mark.parametrize("mutation", CHECKPOINTS)
+    @pytest.mark.parametrize("name", ["bimodal.ckpt", "beam_only.ckpt"])
+    def test_checkpoints(self, tmp_path, capsys, mini_run, name, mutation):
+        out, _ = mini_run
+        path = tmp_path / name
+        shutil.copy(out / name, path)
+        data = path.read_bytes()
+        tensors = 16 + struct.unpack_from("<Q", data, 8)[0]   # magic, version, header length
+        span = (0, tensors) if mutation.startswith("header") else (tensors, len(data))
+        self.damage(path, span, "flipped" in mutation, mutation)
+        code = main(["eval", "--ckpt", str(path), "--dataset", str(out / "dataset"),
+                     "--out", str(tmp_path / "eval.csv")])
+        self.assert_exit(code, capsys.readouterr().err, path)
 
     @pytest.mark.parametrize("mutation", WINDOWS)
     def test_train_windows(self, tmp_path, capsys, mini_run, mutation):

@@ -18,7 +18,9 @@ import beamsight.pipeline
 import beamsight.scene
 import oracles
 from oracles import (
+    FRAME_DEFECTS,
     _read_frames,
+    break_frame_columns,
     detections_by_key,
     exhaustive_beam_scan,
     pairs_of,
@@ -48,6 +50,7 @@ from beamsight.phy import (
 )
 from beamsight.pipeline import (
     BLOCK_FRAMES,
+    DATASET_FILES,
     DETECT_STREAM,
     FutureLabel,
     LabeledDataset,
@@ -60,7 +63,6 @@ from beamsight.pipeline import (
     collect_windows,
     concat,
     conjugate_pairs,
-    float32_text,
     observe,
     read_frames,
     read_manifest,
@@ -602,34 +604,6 @@ class TestTraceRows:
             f"{peak / 2**20:.2f} MiB for {size / 2**20:.2f} MiB of rows"
 
 
-class TestFloat32Text:
-    """The box-corner text of frames.ndrec: float32_text's integer search for
-    the shortest decimals against numpy's own ``astype(str)``."""
-
-    @staticmethod
-    def assert_text_of(values):
-        x = np.asarray(values, dtype=np.float32)
-        got = float32_text(x)
-        assert got.shape == x.shape and got.tolist() == x.astype(str).tolist()
-
-    def test_seeded_sample(self):
-        rng = np.random.default_rng(26)
-        self.assert_text_of(np.concatenate([rng.uniform(0.0, 1.0, 100_000),
-                                            10 ** rng.uniform(-6.0, 0.0, 100_000)]).reshape(-1, 4))
-
-    def test_powers_of_two_and_their_neighbours(self):
-        # a power of two's lower neighbour is closer than its upper one
-        powers = np.float32(2.0) ** -np.arange(15, dtype=np.float32)   # 1 down to 2**-14
-        self.assert_text_of(np.concatenate([powers, np.nextafter(powers, np.float32(0)),
-                                            np.nextafter(powers, np.float32(2))]))
-
-    def test_edges(self):
-        edge = np.float32(1e-4)   # below 1e-4, so numpy writes it as "1e-04"
-        self.assert_text_of([0.0, 1.0, edge, np.nextafter(edge, np.float32(0)),
-                             np.nextafter(edge, np.float32(1)), np.nextafter(np.float32(0), 1)])
-        assert float32_text(np.array([edge, 0.5], dtype=np.float32)).tolist() == ["1e-04", "0.5"]
-
-
 class TestSimulateOracle:
     """The simulate stage's array rollout and direct line formatting against the
     per-object stepping and json.dumps writer of ``oracles.simulate_trace``."""
@@ -920,7 +894,8 @@ class TestSerialization:
     def test_sample_roundtrip(self, tmp_path):
         from beamsight.scene import Detection
 
-        dets = [[Detection(VehicleClass.CAR, (0.1, 0.2, 0.3, 0.4), 0.9)]] + \
+        # corners that are float32 values, the precision of frames.cols
+        dets = [[Detection(VehicleClass.CAR, (0.125, 0.25, 0.375, 0.5), 0.9)]] + \
                [[] for _ in range(7)]
         seq = ObservedSequence(camera_id=5, user_id=3, t_end=42,
                                beams=[1, 2, 3, 4, 5, 6, 7, 8], detections=dets)
@@ -931,8 +906,7 @@ class TestSerialization:
     def test_dataset_files_byte_identical_for_same_inputs(self, tmp_path):
         write_street_dataset(tmp_path / "a")
         write_street_dataset(tmp_path / "b")
-        for name in ("frames.ndrec", "train.ndrec", "val.ndrec", "pairs.ndrec",
-                     "manifest.json"):
+        for name in (*DATASET_FILES, "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_one_frame_line_per_observed_camera_frame(self, tmp_path):
@@ -940,10 +914,7 @@ class TestSerialization:
         observed = {(s.sequence.camera_id, t)
                     for s in windows
                     for t in range(s.sequence.t_end - 7, s.sequence.t_end + 1)}
-        lines = [json.loads(line) for line in
-                 (tmp_path / "frames.ndrec").read_text().splitlines()]
-        keys = [(line["camera"], line["frame"]) for line in lines]
-        assert keys == sorted(observed)
+        assert list(_read_frames(tmp_path)) == sorted(observed)
         for name in ("train.ndrec", "val.ndrec"):
             for line in (tmp_path / name).read_text().splitlines():
                 assert "detections" not in json.loads(line)
@@ -990,7 +961,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("change", [
         {"t_end": "9"}, {"beams": 3}, {"window": [0, "1", 0, 0, 0]},
-        {"t_end": 500},   # observes frames that frames.ndrec lacks
+        {"t_end": 500},   # observes frames that frames.cols lacks
         {"camera": None}, {"t_end": 20.0}, {"user": True},
         {"window": [2, 0, 0, 0, 0]}, {"window": [-1, 0, 0, 0, 0]},
     ])
@@ -1031,35 +1002,29 @@ class TestSerialization:
                 read()
             assert f"{path}: line 2 is not JSON" in str(err.value)
 
-    @pytest.mark.parametrize("change", [
-        {"detections": [["car", 0.1]]}, {"detections": [["boat", 0.1, 0.2, 0.3, 0.4, 0.9]]},
-        {"camera": "1"}, {"frame": None}, None,
-        {"detections": [[["car"], 0.1, 0.2, 0.3, 0.4, 0.9]]},          # unhashable class
-        {"detections": [["car", 0.1, 0.2, 0.3, 0.4, 0.9, 0.5]]},       # 7 entries
-        {"detections": [["car", 0.1, 0.2, True, 0.4, 0.9]]},           # true as x2
-        {"detections": [["car", 0.1, 0.2, 0.3, 0.4, True]]},           # true as confidence
-        {"detections": [["car", 0.3, 0.2, 0.3, 0.4, 0.9]]},            # x1 = x2
-        {"detections": [["car", 0.1, 0.2, 1.5, 0.4, 0.9]]},            # past the image
-        {"detections": [["car", float("nan"), 0.2, 0.3, 0.4, 0.9]]},
-        {"detections": [["car", 0.1, 0.2, float("inf"), 0.4, 0.9]]},
-        {"detections": [["car", 0.1, 0.2, 0.3, 0.4, -0.1]]},           # confidence below 0
-    ])
+    FRAME_CHECKS = {   # what the error names, by the defect of frames.cols
+        "unknown class": "unknown class code", "x1 = x2": "a box not within",
+        "past the image": "a box not within", "nan corner": "a box not within",
+        "inf corner": "a box not within", "confidence below 0": "a confidence outside",
+        "nan confidence": "a confidence outside", "inf confidence": "a confidence outside",
+        "count one more": "the counts sum to", "count negative": "a count below 0",
+        "key repeated": "of frame 1 repeats or is below", "keys swapped": "of frame 1 repeats or",
+        "a camera short": "differ in length", "classes as <i8": "classes column: <i8 of shape",
+        "boxes as (n, 2)": "boxes column: <f4 of shape", "trailing bytes": "8 bytes follow",
+    }
+
+    @pytest.mark.parametrize("defect", FRAME_DEFECTS)
     @pytest.mark.parametrize("reader", ["split", "pairs"])
-    def test_malformed_frame_line_names_file_and_line(self, tmp_path, change, reader):
-        sample = make_sample(1, 0, 20, 1)
-        write_samples(tmp_path, [sample], [], [], {})
-        path = tmp_path / "frames.ndrec"
-        lines = path.read_text().splitlines()
-        lines[1] = lines[1][:-10] if change is None else \
-            json.dumps(dict(json.loads(lines[1]), **change))
-        path.write_text("\n".join(lines) + "\n")
+    def test_malformed_frame_columns_name_file_and_check(self, dataset, tmp_path, defect, reader):
+        shutil.copytree(dataset, tmp_path / "ds")
+        path = tmp_path / "ds" / "frames.cols"
+        break_frame_columns(path, defect)
         with pytest.raises(DataError) as err:
             if reader == "split":
-                read_split(tmp_path, "train")
+                read_split(tmp_path / "ds", "val")
             else:
-                read_pairs(tmp_path / "pairs.ndrec")
-        assert f"{path}: line 2 " in str(err.value)
-
+                read_pairs(tmp_path / "ds" / "pairs.ndrec")
+        assert str(err.value).startswith(f"{path}: ") and self.FRAME_CHECKS[defect] in str(err.value)
 
 
 @pytest.fixture(scope="module")
@@ -1343,8 +1308,7 @@ def cut_seed():
                 frames=FrameTable.of([(*key, d) for key, d in detections.items()]))
 
 
-def differing_files(a, b, names=("frames.ndrec", "train.ndrec", "val.ndrec", "pairs.ndrec",
-                                 "manifest.json")):
+def differing_files(a, b, names=(*DATASET_FILES, "manifest.json")):
     return [name for name in names if (a / name).read_bytes() != (b / name).read_bytes()]
 
 
@@ -1400,8 +1364,8 @@ class TestBuildOracle:
         pairs = conjugate_pairs(windows, cfg.overlap_cameras, frozenset(train.keys()))
         write_dataset(tmp_path / "tables", train, val, pairs, {})
         oracles.build_dataset(seed, cfg, tmp_path / "objects", {})
-        assert differing_files(tmp_path / "tables", tmp_path / "objects", names=(
-            "frames.ndrec", "train.ndrec", "val.ndrec", "pairs.ndrec")) == []
+        assert differing_files(tmp_path / "tables", tmp_path / "objects",
+                               names=DATASET_FILES) == []
         assert len(pairs[2]) > 0 and (len(train) > 0) == (quota > 0)
 
     @pytest.mark.parametrize("case", ["mini", "desk street 3"])
