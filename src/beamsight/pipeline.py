@@ -10,18 +10,16 @@ basestation 2's half runs in one forked child at the same time as basestation
 
 A window is one record from the seed pass to the files: a row of the one
 ``WindowTable`` of a build, whose frame rows index the seed's ``FrameTable``
-(``scene``); detections stay columns from the detector to the files, so
-identical inputs produce byte-identical files.  ``frames.cols`` holds each
-observed camera frame's detections once, as the six columns of a
-``FrameTable``, one ``.npy`` array after another, its box corners as float32.
-The window and pair files are newline-delimited JSON records with a fixed
-field order, formatted from the columns: a window record holds its key, beams
-and future statuses, whose label and first NLOS instance are derived, and a
-pair record its bs1 and bs2 windows.  Files are read into tables checked in
-bulk, and a defect's line is looked for only once a check has failed.  A
-window or pair file's chunk in the writer's own form is scanned into int
-columns; any other chunk, and all of ``frames.ndjson``, goes to the JSON
-parser, the reference.  The object types (``LabeledSample``,
+(``scene``); detections stay columns from the detector to the files, which
+identical inputs make byte-identical.  ``frames.cols`` holds the six columns
+of the observed frames' ``FrameTable``, ``.npy`` arrays one after another,
+box corners as float32.  The window and pair files hold JSON lines with a
+fixed field order: a window's key, beams and future statuses (its label and
+first NLOS instance are derived), a pair's bs1 and bs2 windows.  Files are
+read into tables checked in bulk, and a defect's line is looked for only once
+a check has failed.  A window or pair file's chunk in the writer's own form is
+scanned into int columns; any other chunk, and all of ``frames.ndjson``, goes
+to the JSON parser, the reference.  The object types (``LabeledSample``,
 ``ConjugateSample`` and their parts) are a read view of the tables, kept for
 the benchmark checks and tests.
 """
@@ -582,14 +580,13 @@ def concat(parts: list):
                          for f in dataclasses.fields(first)))
 
 
-def _read_table(path: Path, table, keys=None, seen=None, scan=None):
+def _read_table(path: Path, table, scan=None):
     """``table`` of the records of ``path``, one JSON object a line.  About
     CHUNK_BYTES of lines are read and parsed at a time, into a table each: by
     ``scan`` of their bytes, if it gives one, else by the JSON parser and
     ``table``.  Only once a check fails is its line looked for: the first line
     that is not UTF-8 JSON, or whose record fails on its own or beside the
-    first record.  Given ``keys`` (the table's int key columns, one row a
-    record), no key repeats, within the file or with a file of ``seen``."""
+    first record."""
     if not path.is_file():
         raise DataError(f"missing file: {path}")
     try:
@@ -607,27 +604,29 @@ def _read_table(path: Path, table, keys=None, seen=None, scan=None):
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         _read_ndjson(path, table)
         raise DataError(f"{path}: not a valid record file: {exc!r}") from exc
-    if keys is not None:
-        _repeats(path, keys(found), [] if seen is None else seen)
     return found
 
 
-def _repeats(path: Path, keys: tuple, seen: list) -> None:
-    """A DataError naming the first record of ``path`` whose key, a row of the
-    int columns ``keys``, is that of an earlier record, of ``path`` or of the
-    files of ``seen``, (path, keys) pairs that ``path`` then joins."""
-    seen.append((path, np.stack(keys)))
+def _repeats(path: Path, table, keys, seen: list):
+    """``table``, read from ``path``, unless a key of it (a row of the int columns
+    ``keys(table)``) is that of an earlier record, of ``path`` or of a file of
+    ``seen``, (path, key columns) pairs that ``path`` then joins: a DataError
+    naming both lines.  One stable sort finds a repeat; only then are lines counted."""
+    seen.append((path, np.stack(keys(table))))
     every = np.concatenate([k for _, k in seen], axis=1)
     order = np.lexsort(every[::-1])   # stable: a key's first record leads its run
     again = order[1:][np.all(np.diff(every[:, order]) == 0, axis=0)]
-    if len(again):   # the first record to repeat a key, and that key's first record
-        where = np.concatenate([[[f] * k.shape[1], range(k.shape[1])] for f, (_, k) in
-                                enumerate(seen)], axis=1)   # (file, record) of each
-        (_, i), (f, j) = where[:, again.min()], where[:, np.all(
-            every == every[:, [again.min()]], axis=0).argmax()]
-        raise DataError(f"{path}: line {_line_numbers(path)[i]} repeats key "
-                        f"{tuple(every[:, again.min()].tolist())} of {seen[f][0]}: line "
-                        f"{_line_numbers(seen[f][0])[j]}")
+    if len(again):   # the first record to repeat a key (of path), and that key's first record
+        key = every[:, again.min()]
+        i, j = int(again.min()) - every.shape[1] + seen[-1][1].shape[1], int(
+            np.all(every == key[:, None], axis=0).argmax())
+        for other, k in seen:   # the file of record j
+            if j < k.shape[1]:
+                break
+            j -= k.shape[1]
+        raise DataError(f"{path}: line {_line_numbers(path)[i]} repeats key {tuple(key.tolist())} "
+                        f"of {other}: line {_line_numbers(other)[j]}")
+    return table
 
 
 def write_dataset(out_dir, train: WindowTable, val: WindowTable, pairs: tuple,
@@ -648,11 +647,10 @@ def write_dataset(out_dir, train: WindowTable, val: WindowTable, pairs: tuple,
             raise ValueError("the windows to write observe different frame tables")
         used[windows.frame_rows] = True
     frames = train.frames.take(np.flatnonzero(used))
-    boxes = frames.boxes.astype(np.float32)
-    low, high = boxes[:, :2], boxes[:, 2:]   # views: (x1, y1) and (x2, y2)
+    frames.boxes = frames.boxes.astype(np.float32)
+    low, high = frames.boxes[:, :2], frames.boxes[:, 2:]   # views: (x1, y1) and (x2, y2)
     down, up = (low == high) & (low > 0), (low == high) & (low == 0)
     low[down], high[up] = np.nextafter(low[down], -1), np.nextafter(high[up], 1)
-    frames = dataclasses.replace(frames, boxes=boxes)
     with (out / "frames.cols").open("wb") as fh:
         for name, dtype in _FRAME_COLUMNS.items():
             np.save(fh, getattr(frames, name).astype(dtype))
@@ -697,9 +695,8 @@ def read_frames(dataset_dir) -> FrameTable:
 
 
 def _column(fh: io.BytesIO, data: bytes, name: str, dtype: str) -> np.ndarray:
-    """The ``.npy`` (version 1.0, as ``np.save`` writes it) array at ``fh``'s place
-    in ``data``, which ``fh`` then moves past: ``dtype`` in C order, (n, 4) for
-    boxes, else (n,), and found whole in ``data`` before anything is allocated."""
+    """The ``np.save`` array (.npy 1.0) at ``fh``'s place in ``data``, which ``fh`` then
+    moves past: ``dtype``, C order, (n, 4) for boxes, else (n,), and whole in ``data``."""
     try:
         if (version := np.lib.format.read_magic(fh)) != (1, 0):
             raise ValueError(f"version {version}")
@@ -712,8 +709,9 @@ def _column(fh: io.BytesIO, data: bytes, name: str, dtype: str) -> np.ndarray:
                          f"{('n', *rows)}")
     if not 0 <= (size := math.prod(shape)) * found.itemsize <= len(data) - fh.tell():
         raise ValueError(f"{name} column: {shape[0]} rows do not fit in the file")
-    fh.seek(size * found.itemsize, io.SEEK_CUR)
-    return np.frombuffer(data, dtype, size, fh.tell() - size * found.itemsize).reshape(shape)
+    column = np.frombuffer(data, dtype, size, fh.tell()).reshape(shape)
+    fh.seek(column.nbytes, io.SEEK_CUR)
+    return column
 
 
 def _frames(camera, frame, count, classes, boxes, confidence) -> FrameTable:
@@ -741,15 +739,16 @@ def read_windows(dataset_dir, *splits: str) -> list[WindowTable]:
     """The windows of the named splits; no (camera, user, t_end) key repeats
     within or across them."""
     seen: list = []
-    return [_read_table(Path(dataset_dir) / f"{split}.ndrec", _window_table,
-                        lambda w: (w.camera, w.user, w.t_end), seen, _scan) for split in splits]
+    return [_repeats(path, _read_table(path, _window_table, _scan),
+                     lambda w: (w.camera, w.user, w.t_end), seen)
+            for path in (Path(dataset_dir) / f"{split}.ndrec" for split in splits)]
 
 
 def read_pair_table(path) -> tuple[WindowTable, WindowTable, np.ndarray]:
     """The bs1 and bs2 windows and the categories of a ``pairs.ndrec``'s pairs."""
-    return _read_table(Path(path), _pair_table,
-                       lambda pairs: (pairs[0].user, pairs[0].t_end), None,
-                       functools.partial(_scan, pairs=True))
+    path = Path(path)
+    return _repeats(path, _read_table(path, _pair_table, functools.partial(_scan, pairs=True)),
+                    lambda pairs: (pairs[0].user, pairs[0].t_end), [])
 
 
 def observe(path, windows: WindowTable, frames: FrameTable) -> WindowTable:
@@ -906,9 +905,8 @@ def _read_trace(trace_dir, table) -> tuple[ScenarioConfig, World, tuple]:
 
 
 def read_trace_rows(trace_dir) -> tuple[ScenarioConfig, World, ObjectRows]:
-    """A trace's config, geometry and objects as rows sorted by (frame, id).  A
-    chunk's records are whole frames, checked to run in frame order, so each
-    chunk's rows are sorted on their own and no trace-wide copy is made."""
+    """A trace's config, geometry and objects as rows sorted by (frame, id), a chunk
+    at a time: its records are whole frames, checked to run in frame order."""
     def table(records):
         rows, _, _, frames = _object_table(records)
         return rows[np.lexsort((rows.ids, rows.frame))], frames
