@@ -656,7 +656,8 @@ def write_dataset(out_dir, train, val, pairs, manifest):
     for seq in (w.sequence for w in windows):
         for t, detections in enumerate(seq.detections, seq.t_end - len(seq.beams) + 1):
             frames.setdefault((seq.camera_id, t), detections)
-    keys, flat = sorted(frames), [d for key in sorted(frames) for d in frames[key]]
+    keys = sorted(frames)
+    flat = [d for key in keys for d in frames[key]]
     save_frame_columns(out / "frames.cols", {
         "camera": np.array([c for c, _ in keys], dtype="<i8"),
         "frame": np.array([f for _, f in keys], dtype="<i8"),

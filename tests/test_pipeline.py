@@ -1024,7 +1024,8 @@ class TestSerialization:
                 read_split(tmp_path / "ds", "val")
             else:
                 read_pairs(tmp_path / "ds" / "pairs.ndrec")
-        assert str(err.value).startswith(f"{path}: ") and self.FRAME_CHECKS[defect] in str(err.value)
+        message = str(err.value)
+        assert message.startswith(f"{path}: ") and self.FRAME_CHECKS[defect] in message
 
 
 @pytest.fixture(scope="module")
@@ -1285,6 +1286,41 @@ class TestScan:
         scanned = outcome(read)
         json_only(monkeypatch)
         assert outcome(read) == scanned
+
+
+class TestRepeats:
+    """The bulk repeated-key check against a record loop, the reference: the
+    first record to repeat a key of its own file or of an earlier file read
+    with it, and that key's first record."""
+
+    @staticmethod
+    def first_repeat(files) -> str | None:
+        seen = {}
+        for path, keys in files:
+            for i, key in enumerate(zip(*(column.tolist() for column in keys))):
+                if key in seen:
+                    other, j = seen[key]
+                    return f"{path}: line {i + 1} repeats key {key} of {other}: line {j + 1}"
+                seen[key] = (path, i)
+        return None
+
+    def test_seeded_files_name_the_loops_lines(self, tmp_path):
+        rng = np.random.default_rng(30)
+        for case in range(500):
+            width, files = int(rng.integers(1, 4)), []   # key columns; 1 to 3 files
+            for f in range(int(rng.integers(1, 4))):   # of 0 to 7 records
+                records = int(rng.integers(0, 8))
+                files.append((tmp_path / f"{case}-{f}",
+                              tuple(rng.integers(0, 3, records) for _ in range(width))))
+            for path, keys in files:
+                path.write_text("{}\n" * len(keys[0]))   # record i on line i + 1
+            seen, found = [], None
+            try:
+                for path, keys in files:
+                    beamsight.pipeline._repeats(path, keys, lambda table: table, seen)
+            except DataError as exc:
+                found = str(exc)
+            assert found == self.first_repeat(files), case
 
 
 def cut_seed():
