@@ -7,10 +7,10 @@ artifacts.  A stage reads only what its model reads: ``train`` the dataset
 manifest, ``train.ndrec`` and ``val.ndrec``; ``eval`` a checkpoint, the
 manifest and ``val.ndrec``; ``handoff-eval`` two checkpoints, ``pairs.ndrec``
 and the manifest beside it.  ``frames.cols`` is read once by a stage with a
-bimodal model and never opened by a beam-only one.  Nothing is cached: each run recomputes every stage into the
-output directory and records the config hash in the manifest, so a
-changed config can never silently reuse stale artifacts.  Output CSVs
-carry no timestamps; reruns with the same config are byte-identical.
+bimodal model and never opened by a beam-only one.  Nothing is cached: each
+run recomputes every stage into the output directory and records the config
+hash in the manifest, so a changed config can never silently reuse stale
+artifacts.  Output CSVs carry no timestamps; reruns of one config are byte-identical.
 """
 
 from __future__ import annotations
