@@ -76,7 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("handoff-eval", help="evaluate proactive handoff on conjugate pairs")
     p.add_argument("--ckpt1", required=True, help="basestation 1 model")
     p.add_argument("--ckpt2", required=True, help="basestation 2 model")
-    p.add_argument("--pairs", required=True, help="pairs.ndrec inside its dataset directory, beside frames.cols")
+    p.add_argument("--pairs", required=True,
+                   help="pairs.ndrec (the bs1, then the bs2 window columns) inside its "
+                        "dataset directory, beside frames.cols and manifest.json")
     p.add_argument("--out", required=True, help="CSV mirroring the handoff table")
     p.add_argument("--label", default="model", help="row label in the CSV")
 

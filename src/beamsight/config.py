@@ -19,6 +19,7 @@ from pathlib import Path
 from .errors import DataError
 
 BBOX_FEATURE_SIZE = 6     # [x_cent, y_cent, x1, y1, x2, y2] per detection box
+MAX_BEAMS = 2**15 - 1     # the largest 1-based beam index the dataset's <i2 beam column holds
 
 
 def cpu_workers() -> int:
@@ -96,9 +97,18 @@ class ScenarioConfig:
         for name in ("cars", "buses", "trucks", "seed"):
             if getattr(self, name) < 0:
                 raise DataError(f"{name} must be >= 0")
-        for name in ("elements", "beams", "subcarriers", "cyclic_prefix"):
+        for name in ("elements", "beams", "subcarriers", "cyclic_prefix", "image_width",
+                     "image_height"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be >= 1")
+        if self.beams > MAX_BEAMS:
+            raise DataError(f"beams must be <= {MAX_BEAMS}, the dataset's largest beam index")
+        if not (0 < self.hfov_deg < 180 and 0 < self.vfov_deg < 180):
+            raise DataError("hfov_deg and vfov_deg must lie in (0, 180)")
+        if self.spacing_wavelengths <= 0:
+            raise DataError("spacing_wavelengths must be > 0")
+        if not 0 <= self.min_speed <= self.max_speed:
+            raise DataError("min_speed and max_speed must satisfy 0 <= min_speed <= max_speed")
         if self.sample_time <= 0 or self.carrier_hz <= 0:
             raise DataError("sample_time and carrier_hz must be > 0")
         for name in ("p_miss", "p_false_positive", "min_visible_fraction"):

@@ -3,14 +3,17 @@ train (both modes) -> eval -> handoff-eval.
 
 Every stage reads its inputs from disk and writes its outputs to disk, so
 the in-process pipeline and the stage-by-stage CLI produce identical
-artifacts.  A stage reads only what its model reads: ``train`` the dataset
-manifest, ``train.ndrec`` and ``val.ndrec``; ``eval`` a checkpoint, the
-manifest and ``val.ndrec``; ``handoff-eval`` two checkpoints, ``pairs.ndrec``
-and the manifest beside it.  ``frames.cols`` is read once by a stage with a
-bimodal model and never opened by a beam-only one.  Nothing is cached: each
-run recomputes every stage into the output directory and records the config
-hash in the manifest, so a changed config can never silently reuse stale
-artifacts.  Output CSVs carry no timestamps; reruns of one config are byte-identical.
+artifacts, all ``.npy`` column files beside a manifest: a trace's
+``trace.cols`` and a dataset's ``frames.cols``, ``train.ndrec``, ``val.ndrec``
+and ``pairs.ndrec`` (names kept from an earlier text layout).  A stage reads
+only what its model reads: ``train`` the dataset manifest, ``train.ndrec``
+and ``val.ndrec``; ``eval`` a checkpoint, the manifest and ``val.ndrec``;
+``handoff-eval`` two checkpoints, ``pairs.ndrec`` and the manifest beside it.
+``frames.cols`` is read once by a stage with a bimodal model and never opened
+by a beam-only one.  Nothing is cached: each run recomputes every stage into
+the output directory and records the config hash in the manifest, so a
+changed config can never silently reuse stale artifacts.  Output CSVs carry
+no timestamps; reruns of one config are byte-identical.
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ from .handoff import HandoffReport, score_handoff
 from .metrics import MetricReport, report
 from .pipeline import (
     DATASET_FILES,
+    PAIRS_FILE,
+    SPLIT_FILES,
+    TRACE_FILE,
     balance_and_split,
     collect_windows,
     concat,
@@ -130,7 +136,7 @@ def build_dataset_stage(trace_dir, out_dir, ds_cfg: DatasetConfig) -> dict:
     seeded = time.perf_counter()
     windows = collect_windows(seed, ds_cfg.observed, ds_cfg.future)
     if not len(windows):
-        raise DataError(f"{Path(trace_dir) / 'frames.ndjson'}: trace too short: no full "
+        raise DataError(f"{Path(trace_dir) / TRACE_FILE}: trace too short: no full "
                         f"observation windows in its {len(seed)} seed rows")
     train, val = balance_and_split(windows, ds_cfg.quota, ds_cfg.split_fraction, ds_cfg.seed)
     pairs = conjugate_pairs(windows, ds_cfg.overlap_cameras, frozenset(train.keys()))
@@ -189,8 +195,8 @@ def train_stage(dataset_dir, mode: str, cfg: TrainConfig, out_ckpt,
     train, val = read_windows(dataset_dir, "train", "val")
     table = BeamEmbeddingTable(manifest["codebook"]["beams"], cfg.embed_dim,
                                cfg.table_seed)
-    x, y = _encode([(Path(dataset_dir) / "train.ndrec", train),
-                    (Path(dataset_dir) / "val.ndrec", val)],
+    x, y = _encode([(Path(dataset_dir) / SPLIT_FILES["train"], train),
+                    (Path(dataset_dir) / SPLIT_FILES["val"], val)],
                    table, mode, manifest["observed"], manifest["future"], frames)
     n = len(train)
     result = train_model(x[:n], y[:n], x[n:], y[n:], cfg)
@@ -256,7 +262,7 @@ def eval_stage(ckpt_path, dataset_dir, out_csv) -> tuple[MetricReport, dict]:
     frames = read_frames(dataset_dir) if meta["mode"] == "bimodal" else None
     [val] = read_windows(dataset_dir, "val")
     t0 = time.perf_counter()
-    x, _ = _encode([(Path(dataset_dir) / "val.ndrec", val)], table, meta["mode"],
+    x, _ = _encode([(Path(dataset_dir) / SPLIT_FILES["val"], val)], table, meta["mode"],
                    meta["observed"], manifest["future"], frames)
     preds = model.predict(x)
     log.info("eval: %d windows scored in %.2f s (threads: %d)", len(val),
@@ -405,7 +411,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
             "recall": rep.recall,
         }
 
-    pairs_path = dataset_dir / "pairs.ndrec"
+    pairs_path = dataset_dir / PAIRS_FILE
     rows = []
     handoff_reports = {}
     for mode, ckpt in checkpoints.items():

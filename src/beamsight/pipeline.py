@@ -11,23 +11,21 @@ basestation 2's half runs in one forked child at the same time as basestation
 A window is one record from the seed pass to the files: a row of the one
 ``WindowTable`` of a build, whose frame rows index the seed's ``FrameTable``
 (``scene``); detections stay columns from the detector to the files, which
-identical inputs make byte-identical.  ``frames.cols`` holds the six columns
-of the observed frames' ``FrameTable``, ``.npy`` arrays one after another,
-box corners as float32.  The window and pair files hold JSON lines with a
-fixed field order: a window's key, beams and future statuses (its label and
-first NLOS instance are derived), a pair's bs1 and bs2 windows.  Files are
-read into tables checked in bulk, and a defect's line is looked for only once
-a check has failed.  A window or pair file's chunk in the writer's own form is
-scanned into int columns; any other chunk, and all of ``frames.ndjson``, goes
-to the JSON parser, the reference.  The object types (``LabeledSample``,
-``ConjugateSample`` and their parts) are a read view of the tables, kept for
-the benchmark checks and tests.
+identical inputs make byte-identical.  Every array file is ``.npy`` columns,
+one ``np.save`` array after another: ``frames.cols`` the observed frames'
+``FrameTable``, box corners as float32; ``train.ndrec`` and ``val.ndrec`` a
+window group each (key, beams and future statuses); ``pairs.ndrec`` the bs1
+group, then the bs2 group; a trace's ``trace.cols`` each run's objects once
+and every frame's centres.  One reader, ``_read``, checks each column's
+header and views its rows in place; every check runs on whole columns, and
+an error names the file, the check and the first row at fault.  The object
+types (``LabeledSample``, ``ConjugateSample`` and their parts) are a read
+view of the tables, kept for the benchmark checks and tests.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import io
 import itertools
 import json
@@ -35,16 +33,17 @@ import logging
 import math
 import os
 import pickle
-import re
 import signal
 import tokenize
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import config
-from .config import ScenarioConfig, scenario_from_json
+from .config import MAX_BEAMS, ScenarioConfig, scenario_from_json
 from .errors import DataError
 from .phy import Codebook, path_arrays, path_beams, segments_blocked
 from .scene import (
@@ -60,7 +59,6 @@ from .scene import (
     _detections,
     _frame_mates,
     object_rows,
-    object_to_record,
     project_boxes,
     world_from_objects,
 )
@@ -70,12 +68,26 @@ log = logging.getLogger(__name__)
 DETECT_STREAM = 101   # rng domain separator for per-frame detector draws
 BLOCK_FRAMES = 16     # frames per seed-pass block
 LINK_CHUNK = 24       # owned users per link-kernel call, which bounds their memory
-CHUNK_BYTES = 1 << 14  # file text read and parsed at a time, which bounds its objects alive at once
-WRITE_ROWS = 256      # windows formatted at a time, which bounds their objects alive at once
-DATASET_FILES = ("frames.cols", "train.ndrec", "val.ndrec", "pairs.ndrec")   # beside manifest.json
-# frames.cols: the FrameTable columns in this order, by dtype; boxes are (n, 4), the others (n,)
-_FRAME_COLUMNS = {"camera": "<i8", "frame": "<i8", "count": "<i8", "classes": "|i1",
-                  "boxes": "<f4", "confidence": "<f8"}
+# the files of a dataset directory, beside its manifest.json (the .ndrec names
+# are those of an earlier text layout; the files hold .npy columns)
+FRAMES_FILE, PAIRS_FILE = "frames.cols", "pairs.ndrec"
+SPLIT_FILES = {"train": "train.ndrec", "val": "val.ndrec"}
+DATASET_FILES = (FRAMES_FILE, *SPLIT_FILES.values(), PAIRS_FILE)
+TRACE_FILE, TRACE_FORMAT = "trace.cols", 2   # beside a trace's manifest.json, which names the format
+# The .npy columns of each file in order: name, dtype and the shape of a row
+# (None: any length, the same in every row).
+_FRAME_COLUMNS = (("camera", "<i8", ()), ("frame", "<i8", ()), ("count", "<i8", ()),
+                  ("classes", "|i1", ()), ("boxes", "<f4", (4,)), ("confidence", "<f8", ()))
+# beams hold 1-based codebook indices, hence config.MAX_BEAMS
+_WINDOW_COLUMNS = (("camera", "<i8", ()), ("user", "<i8", ()), ("t_end", "<i8", ()),
+                   ("beams", "<i2", (None,)), ("future", "|i1", (None,)))
+_PAIR_COLUMNS = tuple((f"{side} {name}", dtype, row) for side in ("bs1", "bs2")
+                      for name, dtype, row in _WINDOW_COLUMNS)
+# run: the run of each frame; objects: each run's object count; then each
+# run's objects, run after run; centres: each frame's, in its run's order
+_TRACE_COLUMNS = (("run", "<i8", ()), ("objects", "<i8", ()), ("ids", "<i8", ()),
+                  ("classes", "|i1", ()), ("dims", "<f8", (3,)), ("velocities", "<f8", (3,)),
+                  ("lanes", "<i8", ()), ("centers", "<f8", (3,)))
 
 
 def camera_to_bs(camera_id):
@@ -367,11 +379,22 @@ def collect_windows(seed: Seed, observed: int = 8, future: int = 5) -> WindowTab
     stream = seed.stream_ids()
     starts = np.flatnonzero(stream[:max(len(seed) - span + 1, 0)] == stream[span - 1:])
     seen, ahead = np.split(starts[:, None] + np.arange(span), [observed], axis=1)
-    stride = int(seed.frame.max(initial=0)) + 1   # one int per (camera, frame) key, in key order
-    frame_rows = np.searchsorted(seed.frames.camera * stride + seed.frames.frame,
-                                 seed.camera[seen] * stride + seed.frame[seen])
+    frame_rows = _frame_rows(seed.frames, seed.camera[starts, None], seed.frame[seen])
     return WindowTable(seed.camera[starts], seed.user[starts], seed.frame[seen[:, -1]],
                        seed.beam[seen], seed.status[ahead], seed.frames, frame_rows)
+
+
+def _frame_rows(frames: FrameTable, camera, frame) -> np.ndarray:
+    """The row of ``frames``, whose (camera, frame) keys strictly ascend, of each
+    (camera, frame) key, or -1 where it has none: one int per key, in key order,
+    looked up by ``np.searchsorted``.  Cameras are 1..6 and frames below 2**32."""
+    stride = int(frames.frame.max(initial=0)) + 1
+    keys = np.append(frames.camera * stride + frames.frame, np.iinfo(np.int64).max)
+    wanted = camera * stride + frame
+    wanted[(frame < 0) | (frame >= stride)] = -1
+    rows = np.searchsorted(keys, wanted)
+    rows[keys[rows] != wanted] = -1
+    return rows
 
 
 def balance_and_split(
@@ -437,25 +460,20 @@ def conjugate_pairs(
 
 
 # ---------------------------------------------------------------------------
-# Record (de)serialization
+# Dataset files
 # ---------------------------------------------------------------------------
 
 _BEAMS_DIFFER = "window {} has {} beams, window {} has {}: one beam index per observed frame"
 _FUTURE_DIFFERS = "window {} labels {} future frames, window {} labels {} future frames"
-_PAIR_LINE = '{"bs1":%s,"bs2":%s}\n'
-_INT = r"(?:0|[1-9][0-9]{0,17})"   # within int64
-_WIDTHS = re.compile(rb'(?:.*?"beams":\[([0-9,]*)\],"window":\[([0-9,]*)\])?')
 
 
 def _require(ok, message: str) -> None:
+    """A ValueError of ``message`` unless all of ``ok``; where ``ok`` holds a
+    value (or a row of values) per row of a column, it names the first row that fails."""
     if not np.all(ok):
+        if np.ndim(ok):
+            message += f", first at row {int(np.argwhere(np.logical_not(ok))[0, 0])}"
         raise ValueError(message)
-
-
-def _int64s(values) -> bool:
-    """Whether every value is an int (not a bool) within 64 bits."""
-    return (not set(map(type, values)) - {int} and -2**63 <= min(values, default=0)
-            and max(values, default=0) < 2**63)
 
 
 def _rectangle(rows: list, key, differ: str) -> np.ndarray:
@@ -468,104 +486,6 @@ def _rectangle(rows: list, key, differ: str) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(len(rows), m)
 
 
-def _window_table(records: list) -> WindowTable:
-    """The table of window records, every check made in bulk."""
-    head = [(r["camera"], r["user"], r["t_end"]) for r in records]
-    beams, future = [r["beams"] for r in records], [r["window"] for r in records]
-    _require(_int64s(list(itertools.chain(itertools.chain(*head), *beams, *future))),
-             "camera, user, t_end, each beam index and window must be 64-bit integers")
-    head = np.array(head, dtype=np.int64).reshape(-1, 3)
-
-    def key(i):
-        return tuple(head[i].tolist())
-
-    return _windows(head, _rectangle(beams, key, _BEAMS_DIFFER),
-                    _rectangle(future, key, _FUTURE_DIFFERS))
-
-
-def _windows(head, beams, future) -> WindowTable:
-    """The table of windows of int64 (camera, user, t_end) rows, beams and
-    future statuses, every check made in bulk."""
-    table = WindowTable(*head.T.copy(), beams, future)
-    _require((1 <= table.camera) & (table.camera <= 6), "a camera outside 1..6")
-    _require((table.future == 0) | (table.future == 1),
-             "a future link status other than 0 (LOS) or 1 (NLOS)")
-    return table
-
-
-def _pair_table(records: list) -> tuple[WindowTable, WindowTable, np.ndarray]:
-    """The bs1 and bs2 windows and the categories of pair records, every check
-    made in bulk."""
-    return _pairs(*(_window_table([r[side] for r in records]) for side in ("bs1", "bs2")))
-
-
-def _pairs(bs1: WindowTable, bs2: WindowTable) -> tuple:
-    """``_pair_table`` of its sides; a category is 2 - the bs1 side's label."""
-    _require(bs1.label != bs2.label, "the statuses of its bs1, bs2 sides are equal: no category")
-    _require((camera_to_bs(bs1.camera) == 1) & (camera_to_bs(bs2.camera) == 2),
-             "the cameras of its bs1, bs2 sides are not of basestations 1, 2")
-    _require((bs1.user == bs2.user) & (bs1.t_end == bs2.t_end),
-             "user, t_end differ between its sides")
-    return bs1, bs2, 2 - bs1.label
-
-
-@functools.lru_cache(maxsize=16)
-def _line_form(beams: int, future: int, pairs: bool) -> re.Pattern:
-    """One or more of the writer's window (or pair) lines of these widths."""
-    window = re.escape(_window_format(beams, future)).replace("%d", _INT)
-    line = re.escape(_PAIR_LINE) % (window, window) if pairs else window + "\n"
-    return re.compile(f"(?:{line})+".encode())
-
-
-def _scan(chunk: bytes, pairs: bool = False):
-    """The table of a chunk of window (or pair) lines if all are the writer's, of the
-    first line's widths with ints of at most 18 digits, else None (for the JSON
-    parser).  Numpy reads each run of digits in place."""
-    beams, future = (g.count(b",") + 1 if g else 0 for g in _WIDTHS.match(chunk).groups())
-    if not _line_form(beams, future, pairs).fullmatch(chunk):
-        return None
-    digit = np.frombuffer(chunk, np.uint8) - np.uint8(ord("0"))
-    edges = np.flatnonzero(np.diff(digit < 10))   # the chunk starts and ends with no digit
-    start, length = edges[0::2] + 1, edges[1::2] - edges[0::2]
-    value = digit[start].astype(np.int64)
-    for place in range(1, int(length.max())):
-        value = np.where(length > place, 10 * value + digit.take(start + place, mode="clip"), value)
-    values = value.reshape(chunk.count(b"\n"), -1)
-
-    def windows(v):   # camera, user, t_end, the beams, the statuses
-        return _windows(v[:, :3], v[:, 3:3 + beams].copy(), v[:, 3 + beams:].copy())
-
-    if not pairs:
-        return windows(values)
-    w = values.shape[1] // 2 - 1   # the 1 of "bs1", a window, the 2 of "bs2", a window
-    return _pairs(windows(values[:, 1:1 + w]), windows(values[:, 2 + w:]))
-
-
-def _read_ndjson(path: Path, table) -> None:
-    """A DataError naming the first line of ``path`` that is not UTF-8 JSON,
-    or whose record ``table`` rejects on its own or beside the first record
-    (whose lengths are every record's)."""
-    first = None
-    with path.open("rb") as fh:
-        for number, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line.decode())
-                first = record if first is None else first
-                table([first, record])
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise DataError(f"{path}: line {number} is not JSON: {exc}") from exc
-            except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
-                raise DataError(f"{path}: line {number} is not a valid record: "
-                                f"{exc!r}") from exc
-
-
-def _line_numbers(path: Path) -> list[int]:
-    """The number of each non-blank line of ``path``: record i is on line numbers[i]."""
-    return [n for n, line in enumerate(path.read_bytes().split(b"\n"), 1) if line.strip()]
-
-
 def concat(parts: list):
     """One table of ``parts``, tables of consecutive rows; a field that is one
     object in every part (no frame table, or one shared) stays as it is."""
@@ -574,59 +494,53 @@ def concat(parts: list):
         return first
     if isinstance(first, np.ndarray):
         return np.concatenate(parts)
-    if isinstance(first, tuple):
-        return tuple(concat(list(column)) for column in zip(*parts))
     return type(first)(*(concat([getattr(p, f.name) for p in parts])
                          for f in dataclasses.fields(first)))
 
 
-def _read_table(path: Path, table, scan=None):
-    """``table`` of the records of ``path``, one JSON object a line.  About
-    CHUNK_BYTES of lines are read and parsed at a time, into a table each: by
-    ``scan`` of their bytes, if it gives one, else by the JSON parser and
-    ``table``.  Only once a check fails is its line looked for: the first line
-    that is not UTF-8 JSON, or whose record fails on its own or beside the
-    first record."""
+def _save(path: Path, columns, *tables) -> None:
+    """The ``columns`` of each of ``tables`` in turn as ``path``, one ``np.save`` after another."""
+    with path.open("wb") as fh:
+        for table in tables:
+            for name, dtype, _ in columns:
+                np.save(fh, np.asarray(getattr(table, name), dtype))
+
+
+def _read(path: Path, table, columns):
+    """``table`` of the ``columns`` of ``path``, read by ``_column``; a defect of
+    the file, or one that ``table`` finds, is a DataError naming the file and the check."""
     if not path.is_file():
         raise DataError(f"missing file: {path}")
+    fh = io.BytesIO(data := path.read_bytes())
     try:
-        parts = []
-        with path.open("rb") as fh:
-            for chunk in iter(lambda: fh.readlines(CHUNK_BYTES), []):
-                if (part := scan and scan(b"".join(chunk))) is None:
-                    lines = [line for line in chunk if line.strip()]
-                    records = json.loads("[%s]" % b",".join(lines).decode())
-                    if len(records) != len(lines):   # one JSON value a line
-                        raise ValueError("a line holds other than one JSON value")
-                    part = table(records)
-                parts.append(part)
-        found = concat(parts) if parts else table([])
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
-        _read_ndjson(path, table)
-        raise DataError(f"{path}: not a valid record file: {exc!r}") from exc
-    return found
+        found = [_column(fh, data, *column) for column in columns]
+        _require(fh.tell() == len(data), f"{len(data) - fh.tell()} bytes follow the last column")
+        return table(*found)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
-def _repeats(path: Path, table, keys, seen: list):
-    """``table``, read from ``path``, unless a key of it (a row of the int columns
-    ``keys(table)``) is that of an earlier record, of ``path`` or of a file of
-    ``seen``, (path, key columns) pairs that ``path`` then joins: a DataError
-    naming both lines.  One stable sort finds a repeat; only then are lines counted."""
-    seen.append((path, np.stack(keys(table))))
-    every = np.concatenate([k for _, k in seen], axis=1)
-    order = np.lexsort(every[::-1])   # stable: a key's first record leads its run
-    again = order[1:][np.all(np.diff(every[:, order]) == 0, axis=0)]
-    if len(again):   # the first record to repeat a key (of path), and that key's first record
-        key = every[:, again.min()]
-        i, j = int(again.min()) - every.shape[1] + seen[-1][1].shape[1], int(
-            np.all(every == key[:, None], axis=0).argmax())
-        for other, k in seen:   # the file of record j
-            if j < k.shape[1]:
-                break
-            j -= k.shape[1]
-        raise DataError(f"{path}: line {_line_numbers(path)[i]} repeats key {tuple(key.tolist())} "
-                        f"of {other}: line {_line_numbers(other)[j]}")
-    return table
+def _column(fh: io.BytesIO, data: bytes, name: str, dtype: str, row: tuple) -> np.ndarray:
+    """The ``np.save`` array (.npy 1.0) at ``fh``'s place in ``data``, which ``fh``
+    then moves past: ``dtype``, C order, rows of shape ``row`` (None: any length),
+    and whole in ``data``, which it views without a copy."""
+    try:
+        if (version := np.lib.format.read_magic(fh)) != (1, 0):
+            raise ValueError(f"version {version}")
+        with warnings.catch_warnings():   # a garbled header can be Python text that warns
+            warnings.simplefilter("ignore")
+            shape, fortran, found = np.lib.format.read_array_header_1_0(fh)
+    except (ValueError, TypeError, SyntaxError, tokenize.TokenError) as exc:   # garbled
+        raise ValueError(f"{name} column: not a .npy header: {exc}") from exc
+    if (found.str != dtype or fortran or len(shape) != 1 + len(row) or min(shape) < 0
+            or any(n not in (None, m) for n, m in zip(row, shape[1:]))):
+        raise ValueError(f"{name} column: {found.str} of shape {shape}, not {dtype} of shape "
+                         f"{('n', *row)}")
+    if (size := math.prod(shape)) * found.itemsize > len(data) - fh.tell():
+        raise ValueError(f"{name} column: {shape[0]} rows do not fit in the file")
+    column = np.frombuffer(data, dtype, size, fh.tell()).reshape(shape)
+    fh.seek(column.nbytes, io.SEEK_CUR)
+    return column
 
 
 def write_dataset(out_dir, train: WindowTable, val: WindowTable, pairs: tuple,
@@ -634,10 +548,11 @@ def write_dataset(out_dir, train: WindowTable, val: WindowTable, pairs: tuple,
     """The dataset files of train and val windows and the (bs1, bs2, category)
     pairs of ``conjugate_pairs``, all observed in one frame table in (camera,
     frame) order, as ``collect_windows`` makes it (a category, 2 - its bs1
-    label, is not written).  ``frames.cols`` holds the frames they observe, each
-    column through ``np.save``, a box corner as its nearest float32, the model's
-    precision, moved one float32 step outward where a box's corners would meet.
-    Window lines are formatted directly from the columns, WRITE_ROWS at a time."""
+    label, is not written).  Each file is columns, each through ``np.save``:
+    ``frames.cols`` the frames the windows observe, a box corner as its nearest
+    float32, the model's precision, moved one float32 step outward where a
+    box's corners would meet; a split file its windows; ``pairs.ndrec`` the bs1
+    windows, then the bs2 windows."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     bs1, bs2, _ = pairs
@@ -651,67 +566,17 @@ def write_dataset(out_dir, train: WindowTable, val: WindowTable, pairs: tuple,
     low, high = frames.boxes[:, :2], frames.boxes[:, 2:]   # views: (x1, y1) and (x2, y2)
     down, up = (low == high) & (low > 0), (low == high) & (low == 0)
     low[down], high[up] = np.nextafter(low[down], -1), np.nextafter(high[up], 1)
-    with (out / "frames.cols").open("wb") as fh:
-        for name, dtype in _FRAME_COLUMNS.items():
-            np.save(fh, getattr(frames, name).astype(dtype))
+    _save(out / FRAMES_FILE, _FRAME_COLUMNS, frames)
     for split, windows in (("train", train), ("val", val)):
-        with (out / f"{split}.ndrec").open("w") as fh:
-            fh.writelines(line + "\n" for line in _window_lines(windows))
-    with (out / "pairs.ndrec").open("w") as fh:
-        fh.writelines(_PAIR_LINE % sides for sides in zip(_window_lines(bs1),
-                                                           _window_lines(bs2)))
+        _save(out / SPLIT_FILES[split], _WINDOW_COLUMNS, windows)
+    _save(out / PAIRS_FILE, _WINDOW_COLUMNS, bs1, bs2)
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def _window_format(beams: int, future: int) -> str:
-    """The format of a window record of these widths."""
-    return ('{"camera":%%d,"user":%%d,"t_end":%%d,"beams":[%s],"window":[%s]}'
-            % (",".join(["%d"] * beams), ",".join(["%d"] * future)))
-
-
-def _window_lines(windows: WindowTable):
-    """Each window's record as JSON text, WRITE_ROWS windows at a time, through
-    one format string of the table's beam and future widths."""
-    line = _window_format(windows.beams.shape[1], windows.future.shape[1])
-    for lo in range(0, len(windows), WRITE_ROWS):
-        part = windows.take(slice(lo, lo + WRITE_ROWS))
-        yield from (line % tuple(values) for values in np.column_stack(
-            [part.camera, part.user, part.t_end, part.beams, part.future]).tolist())
 
 
 def read_frames(dataset_dir) -> FrameTable:
     """The ``frames.cols`` of a dataset directory, its boxes as float64, every
     check made in bulk; a defect is a DataError naming the file and the check."""
-    path = Path(dataset_dir) / "frames.cols"
-    if not path.is_file():
-        raise DataError(f"missing file: {path}")
-    fh = io.BytesIO(data := path.read_bytes())
-    try:
-        columns = [_column(fh, data, name, dtype) for name, dtype in _FRAME_COLUMNS.items()]
-        _require(fh.tell() == len(data), f"{len(data) - fh.tell()} bytes follow the last column")
-        return _frames(*columns)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-
-
-def _column(fh: io.BytesIO, data: bytes, name: str, dtype: str) -> np.ndarray:
-    """The ``np.save`` array (.npy 1.0) at ``fh``'s place in ``data``, which ``fh`` then
-    moves past: ``dtype``, C order, (n, 4) for boxes, else (n,), and whole in ``data``."""
-    try:
-        if (version := np.lib.format.read_magic(fh)) != (1, 0):
-            raise ValueError(f"version {version}")
-        shape, fortran, found = np.lib.format.read_array_header_1_0(fh)
-    except (ValueError, TypeError, SyntaxError, tokenize.TokenError) as exc:   # garbled
-        raise ValueError(f"{name} column: not a .npy header: {exc}") from exc
-    rows = (4,) if name == "boxes" else ()
-    if found.str != dtype or fortran or len(shape) != 1 + len(rows) or shape[1:] != rows:
-        raise ValueError(f"{name} column: {found.str} of shape {shape}, not {dtype} of shape "
-                         f"{('n', *rows)}")
-    if not 0 <= (size := math.prod(shape)) * found.itemsize <= len(data) - fh.tell():
-        raise ValueError(f"{name} column: {shape[0]} rows do not fit in the file")
-    column = np.frombuffer(data, dtype, size, fh.tell()).reshape(shape)
-    fh.seek(column.nbytes, io.SEEK_CUR)
-    return column
+    return _read(Path(dataset_dir) / FRAMES_FILE, _frames, _FRAME_COLUMNS)
 
 
 def _frames(camera, frame, count, classes, boxes, confidence) -> FrameTable:
@@ -719,6 +584,8 @@ def _frames(camera, frame, count, classes, boxes, confidence) -> FrameTable:
     n = len(classes)
     _require(len(camera) == len(frame) == len(count) and len(boxes) == len(confidence) == n,
              "the columns of frames, or of detections, differ in length")
+    _require((1 <= camera) & (camera <= 6), "a camera outside 1..6")
+    _require((0 <= frame) & (frame < 2**32), "a frame number outside 0..2**32 - 1")
     _require((0 <= count) & (count <= n), "a count below 0 or above the detection rows")
     _require(count.sum() == n, f"the counts sum to {count.sum()}, not the {n} detection rows")
     _require((0 <= classes) & (classes < len(CLASSES)), "an unknown class code")
@@ -735,41 +602,77 @@ def _frames(camera, frame, count, classes, boxes, confidence) -> FrameTable:
                       boxes.astype(np.float64), confidence)
 
 
+def _windows(camera, user, t_end, beams, future) -> WindowTable:
+    """The table of the columns of a window group, its beams and statuses as
+    int64, every check made in bulk."""
+    _require(len(camera) == len(user) == len(t_end) == len(beams) == len(future),
+             "the columns of windows differ in length")
+    _require((1 <= camera) & (camera <= 6), "a camera outside 1..6")
+    _require((future == 0) | (future == 1),
+             "a future link status other than 0 (LOS) or 1 (NLOS)")
+    return WindowTable(camera, user, t_end, beams.astype(np.int64), future.astype(np.int64))
+
+
+def _pairs(*columns) -> tuple[WindowTable, WindowTable, np.ndarray]:
+    """The bs1 and bs2 windows of the two window groups of a pair file and the
+    categories of the pairs, 2 - the bs1 side's label, every check made in bulk."""
+    bs1, bs2 = _windows(*columns[:5]), _windows(*columns[5:])
+    _require(len(bs1) == len(bs2), f"{len(bs1)} bs1 and {len(bs2)} bs2 windows: a pair has one of each")
+    _require(bs1.label != bs2.label, "the statuses of its bs1, bs2 sides are equal: no category")
+    _require((camera_to_bs(bs1.camera) == 1) & (camera_to_bs(bs2.camera) == 2),
+             "the cameras of its bs1, bs2 sides are not of basestations 1, 2")
+    _require((bs1.user == bs2.user) & (bs1.t_end == bs2.t_end),
+             "user, t_end differ between its sides")
+    return bs1, bs2, 2 - bs1.label
+
+
+def _repeats(path: Path, table, keys, seen: list):
+    """``table``, read from ``path``, unless a key of it (a row of the int columns
+    ``keys(table)``) is that of an earlier row, of ``path`` or of a file of
+    ``seen``, (path, key columns) pairs that ``path`` then joins: a DataError
+    naming both rows.  One stable sort finds a repeat."""
+    seen.append((path, np.stack(keys(table))))
+    every = np.concatenate([k for _, k in seen], axis=1)
+    order = np.lexsort(every[::-1])   # stable: a key's first row leads its run
+    again = order[1:][np.all(np.diff(every[:, order]) == 0, axis=0)]
+    if len(again):   # the first row to repeat a key (of path), and that key's first row
+        key = every[:, again.min()]
+        i, j = int(again.min()) - every.shape[1] + seen[-1][1].shape[1], int(
+            np.all(every == key[:, None], axis=0).argmax())
+        for other, k in seen:   # the file of row j
+            if j < k.shape[1]:
+                break
+            j -= k.shape[1]
+        raise DataError(f"{path}: row {i} repeats key {tuple(key.tolist())} of {other}: row {j}")
+    return table
+
+
 def read_windows(dataset_dir, *splits: str) -> list[WindowTable]:
     """The windows of the named splits; no (camera, user, t_end) key repeats
     within or across them."""
     seen: list = []
-    return [_repeats(path, _read_table(path, _window_table, _scan),
+    return [_repeats(path, _read(path, _windows, _WINDOW_COLUMNS),
                      lambda w: (w.camera, w.user, w.t_end), seen)
-            for path in (Path(dataset_dir) / f"{split}.ndrec" for split in splits)]
+            for path in (Path(dataset_dir) / SPLIT_FILES[split] for split in splits)]
 
 
 def read_pair_table(path) -> tuple[WindowTable, WindowTable, np.ndarray]:
     """The bs1 and bs2 windows and the categories of a ``pairs.ndrec``'s pairs."""
     path = Path(path)
-    return _repeats(path, _read_table(path, _pair_table, functools.partial(_scan, pairs=True)),
+    return _repeats(path, _read(path, _pairs, _PAIR_COLUMNS),
                     lambda pairs: (pairs[0].user, pairs[0].t_end), [])
 
 
 def observe(path, windows: WindowTable, frames: FrameTable) -> WindowTable:
     """``windows``, read from ``path``, with the rows of ``frames`` they observe
     (frames t_end - r + 1 to t_end of their camera); a frame that ``frames``
-    lacks is a DataError naming the window's line."""
+    lacks is a DataError naming the window's row."""
     t = windows.t_end[:, None] + np.arange(1 - windows.beams.shape[1], 1)
-    camera = np.concatenate([frames.camera, np.repeat(windows.camera, t.shape[1])])
-    frame = np.concatenate([frames.frame, t.ravel()])
-    order = np.lexsort((frame, camera))   # stable, so a frame's row leads the run of its key
-    c, f = camera[order], frame[order]
-    new = np.r_[True, (c[1:] != c[:-1]) | (f[1:] != f[:-1])][:len(order)]
-    lead = order[new][np.cumsum(new) - 1]
-    rows = np.empty_like(order)
-    rows[order] = np.where(lead < len(frames), lead, -1)
-    rows = rows[len(frames):].reshape(t.shape)
+    rows = _frame_rows(frames, windows.camera[:, None], t)
     if (rows < 0).any():
         i, j = np.argwhere(rows < 0)[0].tolist()
-        raise DataError(f"{path}: line {_line_numbers(Path(path))[i]} is not a valid record: "
-                        f"window {windows.keys()[i]} observes frame {t[i, j]} of its camera, "
-                        f"which frames.cols lacks")
+        raise DataError(f"{path}: row {i}: window {windows.keys()[i]} observes frame {t[i, j]} "
+                        f"of its camera, which {FRAMES_FILE} lacks")
     return dataclasses.replace(windows, frames=frames, frame_rows=rows)
 
 
@@ -789,7 +692,7 @@ def read_splits(dataset_dir, *splits: str) -> list[LabeledDataset]:
     ``read_windows``; windows that observe one frame share its detection list."""
     frames = read_frames(dataset_dir)
     detections = frames.detections()
-    return [LabeledDataset(_samples(observe(Path(dataset_dir) / f"{split}.ndrec", windows,
+    return [LabeledDataset(_samples(observe(Path(dataset_dir) / SPLIT_FILES[split], windows,
                                             frames), detections), split)
             for split, windows in zip(splits, read_windows(dataset_dir, *splits))]
 
@@ -820,9 +723,9 @@ def read_manifest(dataset_dir) -> dict:
         sizes = (manifest["codebook"]["beams"], manifest["observed"], manifest["future"])
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{path}: not a dataset manifest: {exc!r}") from exc
-    if not all(type(v) is int and v > 0 for v in sizes):
-        raise DataError(f"{path}: codebook.beams, observed and future must be "
-                        f"positive integers, got {sizes}")
+    if not all(type(v) is int and v > 0 for v in sizes) or sizes[0] > MAX_BEAMS:
+        raise DataError(f"{path}: codebook.beams (at most {MAX_BEAMS}), observed and future "
+                        f"must be positive integers, got {sizes}")
     return manifest
 
 
@@ -831,96 +734,96 @@ def read_manifest(dataset_dir) -> dict:
 # ---------------------------------------------------------------------------
 
 def write_trace(trace_dir, cfg: ScenarioConfig, runs: list[tuple]) -> None:
-    """The trace of ``runs``, (objects, centres (frames, objects, 3)) pairs in frame
-    order; each line is formatted directly, since a finite float's JSON is its repr."""
+    """The trace of ``runs``, (objects, centres (frames, objects, 3)) pairs in
+    frame order: its manifest and ``trace.cols``, columns of each frame's run,
+    each run's objects once (id, class, dims, velocity, lane) and every frame's
+    centres as they are."""
     out = Path(trace_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {"format": 1, "frames": sum(len(centers) for _, centers in runs),
+    frames = [len(centers) for _, centers in runs]
+    manifest = {"format": TRACE_FORMAT, "frames": sum(frames),
                 "scenario": dataclasses.asdict(cfg)}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    frame = itertools.count()
-    with (out / "frames.ndjson").open("w") as fh:
-        for objects, centers in runs:
-            line = '{"frame":%d,"objects":[' + ",".join(
-                '[%d,"%s",%%r,%%r,%%r,%r,%r,%r,%r,%r,%r,%d]' % (r[0], r[1], *r[5:])
-                for r in map(object_to_record, objects)) + "]}\n"
-            fh.writelines(line % (next(frame), *row)
-                          for row in centers.reshape(len(centers), -1).tolist())
+    objects = [o for run, _ in runs for o in run]
+    _save(out / TRACE_FILE, _TRACE_COLUMNS, SimpleNamespace(
+        run=np.repeat(np.arange(len(runs)), frames), objects=[len(run) for run, _ in runs],
+        ids=[o.object_id for o in objects],
+        classes=[CLASS_CODES[o.object_class.value] for o in objects],
+        dims=np.reshape([o.dims for o in objects], (-1, 3)),
+        velocities=np.reshape([o.velocity for o in objects], (-1, 3)),
+        lanes=[o.lane for o in objects],
+        centers=np.concatenate([np.zeros((0, 3)), *(np.reshape(c, (-1, 3)) for _, c in runs)])))
 
 
-def _object_table(records: list) -> tuple[ObjectRows, np.ndarray, np.ndarray, np.ndarray]:
-    """Trace records ({"frame": n, "objects": [object_to_record lists]}) as their
-    objects' rows, velocities and lanes in record order, and each record's frame
-    number, every check made in bulk."""
-    frames, objects = [r["frame"] for r in records], [r["objects"] for r in records]
-    _require(_int64s(frames), "frame numbers must be integers within 64 bits")
-    _require(not set(map(type, objects)) - {list}, "objects must be a list of object records")
-    flat = list(itertools.chain.from_iterable(objects))
-    _require(not set(map(type, flat)) - {list} and not set(map(len, flat)) - {12},
-             "an object record does not hold 12 entries")
-    ids, classes, *fields, lanes = list(zip(*flat)) or [()] * 12
-    numbers = (ids, *fields, lanes)
-    if bad := set(map(type, itertools.chain(*numbers))) - {int, float}:
-        raise ValueError(f"{next(v for v in itertools.chain(*numbers) if type(v) in bad)!r} "
-                         "where an object record holds a number")
-    numbers = np.array(numbers, dtype=float).reshape(11, -1)   # id, centre, dims, velocity, lane
-    _require(np.isfinite(numbers), "an object holds a number that is not finite")
-    _require(_int64s(ids + lanes), "object ids and lanes must be integers within 64 bits")
-    if unknown := set(classes) - CLASS_CODES.keys():
-        raise ValueError(f"unknown object class {unknown.pop()!r}")
-    _require(numbers[4:7] > 0, "object dimensions must be positive")
-    record = np.repeat(np.arange(len(records)), list(map(len, objects)))
-    ids = np.array(ids, dtype=np.int64)
-    order = np.lexsort((ids, record))
-    _require((np.diff(ids[order]) != 0) | (np.diff(record[order]) != 0),
-             "an object id repeats within the frame")
-    frames = np.array(frames, dtype=np.int64)
-    rows = ObjectRows(frames[record], np.array([CLASS_CODES[c] for c in classes], dtype=np.int64),
-                      ids, numbers[1:4].T.copy(), numbers[4:7].T.copy())
-    return rows, numbers[7:10].T.copy(), np.array(lanes, dtype=np.int64), frames
+def _trace(run, objects, ids, classes, dims, velocities, lanes, centers) -> tuple:
+    """The columns of ``trace.cols``, every check made in bulk, and the objects
+    in (run, id) order."""
+    _require(len(ids) == len(classes) == len(dims) == len(velocities) == len(lanes),
+             "the object columns differ in length")
+    _require(np.isin(np.diff(run, prepend=0), (0, 1)) & (run[:1] == 0),
+             "a frame's run is neither the one before's nor the next: runs go 0, 1, 2, ...")
+    _require(len(objects) == (int(run[-1]) + 1 if len(run) else 0),
+             f"{len(objects)} object counts for the frames' runs: one a run")
+    _require((0 <= objects) & (objects <= len(ids)), "an object count below 0 or above the objects")
+    _require(objects.sum() == len(ids),
+             f"the object counts sum to {objects.sum()}, not the {len(ids)} objects")
+    _require(objects[run].sum() == len(centers),
+             f"the frames' runs hold {objects[run].sum()} objects, not the {len(centers)} centres")
+    _require((0 <= classes) & (classes < len(CLASSES)), "an unknown class code")
+    _require(np.isfinite(centers).all(axis=1), "a centre that is not finite")
+    _require(np.isfinite(velocities).all(axis=1), "a velocity that is not finite")
+    _require((dims > 0).all(axis=1) & np.isfinite(dims).all(axis=1),
+             "object dimensions must be positive and finite")
+    owner = np.repeat(np.arange(len(objects)), objects)   # each object's run
+    order = np.lexsort((ids, owner))
+    repeat = np.zeros(len(ids), dtype=bool)
+    repeat[order[1:]] = (np.diff(ids[order]) == 0) & (np.diff(owner[order]) == 0)
+    _require(~repeat, "an object id repeats within its run")
+    return run, objects, ids, classes, dims, velocities, lanes, centers, order
 
 
-def _read_trace(trace_dir, table) -> tuple[ScenarioConfig, World, tuple]:
-    """A trace's config, geometry (a world without objects) and ``table`` of its
-    frame records, a tuple that ends in each record's frame number, checked
-    to be its line's."""
-    manifest_path = Path(trace_dir) / "manifest.json"
+def _read_trace(trace_dir, by_id: bool) -> tuple:
+    """A trace's config, geometry (a world without objects), every frame's
+    objects as rows, frame after frame (its run's objects, by id if ``by_id``,
+    else in the run's order), their velocities and lanes, and each frame's
+    object count."""
+    manifest_path, path = Path(trace_dir) / "manifest.json", Path(trace_dir) / TRACE_FILE
     if not manifest_path.is_file():
         raise DataError(f"not a trace directory: {trace_dir}")
     try:
         manifest = json.loads(manifest_path.read_text())
-        scenario, frames = manifest["scenario"], manifest["frames"]
+        scenario, frames, form = manifest["scenario"], manifest["frames"], manifest["format"]
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{manifest_path}: not a trace manifest: {exc!r}") from exc
+    if form != TRACE_FORMAT:
+        raise DataError(f"{manifest_path}: trace format {form!r}, not {TRACE_FORMAT} (columns "
+                        f"in {path}): run simulate again")
     cfg = scenario_from_json(manifest_path, scenario)
-    path = Path(trace_dir) / "frames.ndjson"
-    found = _read_table(path, table)
-    numbers = found[-1]
-    if wrong := np.flatnonzero(numbers != np.arange(len(numbers))).tolist():
-        raise DataError(f"{path}: line {_line_numbers(path)[wrong[0]]} is not a valid record: "
-                        f"frame {numbers[wrong[0]]} where frame {wrong[0]} belongs")
-    if not len(numbers) or len(numbers) != frames:
-        raise DataError(f"{path}: {len(numbers)} frame lines, {manifest_path} says {frames}")
-    return cfg, world_from_objects(cfg, []), found
+    run, objects, ids, classes, dims, velocities, lanes, centers, order = _read(
+        path, _trace, _TRACE_COLUMNS)
+    if not len(run) or len(run) != frames:
+        raise DataError(f"{path}: {len(run)} frames, {manifest_path} says {frames}")
+    count = objects[run]   # each frame's objects, which start at its run's first object
+    shift = np.repeat((np.cumsum(objects) - objects)[run] - np.cumsum(count) + count, count)
+    pick = (order if by_id else np.arange(len(ids)))[np.arange(len(centers)) + shift]
+    rows = ObjectRows(np.repeat(np.arange(len(run)), count), classes[pick].astype(np.int64),
+                      ids[pick], centers[pick - shift], dims[pick])
+    return cfg, world_from_objects(cfg, []), rows, velocities[pick], lanes[pick], count
 
 
 def read_trace_rows(trace_dir) -> tuple[ScenarioConfig, World, ObjectRows]:
-    """A trace's config, geometry and objects as rows sorted by (frame, id), a chunk
-    at a time: its records are whole frames, checked to run in frame order."""
-    def table(records):
-        rows, _, _, frames = _object_table(records)
-        return rows[np.lexsort((rows.ids, rows.frame))], frames
-
-    cfg, world, (rows, _) = _read_trace(trace_dir, table)
+    """A trace's config, geometry and objects as rows sorted by (frame, id): each
+    frame's rows are its run's objects, sorted once a run."""
+    cfg, world, rows, *_ = _read_trace(trace_dir, by_id=True)
     return cfg, world, rows
 
 
 def read_trace(trace_dir) -> tuple[ScenarioConfig, list[World]]:
     """A trace's config and world states, which share one geometry, as step_world's
-    do; each state's objects in the order of its record."""
-    cfg, world, (rows, velocities, lanes, frames) = _read_trace(trace_dir, _object_table)
+    do; each state's objects in the order of its run's."""
+    cfg, world, rows, velocities, lanes, count = _read_trace(trace_dir, by_id=False)
     objects = list(map(SceneObject, rows.ids.tolist(), [CLASSES[c] for c in rows.classes.tolist()],
                        *(a.tolist() for a in (rows.centers, rows.dims, velocities, lanes))))
-    ends = np.searchsorted(rows.frame, frames, side="right").tolist()
-    return cfg, [dataclasses.replace(world, objects=objects[start:end])
-                 for start, end in zip([0, *ends], ends)]
+    ends = np.cumsum(count).tolist()
+    return cfg, [dataclasses.replace(world, objects=objects[end - n:end])
+                 for end, n in zip(ends, count.tolist())]

@@ -483,6 +483,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             raise ValueError(f"tensor dtypes {dtypes}: expected all '<f4' or all '<f8'")
         params = {}
         for entry in header["params"]:
+            if type(entry["name"]) is not str:
+                raise TypeError(f"tensor name {entry['name']!r} is not a string")
             shape = tuple(entry["shape"])  # frombuffer rejects a tensor past the end
             tensor = np.frombuffer(data, entry["dtype"], math.prod(shape), offset)
             params[entry["name"]] = tensor.reshape(shape).copy()

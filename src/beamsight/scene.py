@@ -83,12 +83,6 @@ class UlaGeometry:
     wavelength: float       # metres
     axis_azimuth: float = 0.0
 
-    def __post_init__(self):
-        if self.elements < 1:
-            raise ValueError("array needs at least one element")
-        if self.wavelength <= 0 or self.spacing <= 0:
-            raise ValueError("wavelength and spacing must be positive")
-
     @property
     def axis_vector(self) -> np.ndarray:
         return np.array([math.cos(self.axis_azimuth), math.sin(self.axis_azimuth), 0.0])
@@ -107,10 +101,6 @@ class Camera:
 
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float)
-        if not (0 < self.hfov < math.pi and 0 < self.vfov < math.pi):
-            raise ValueError("fields of view must lie in (0, pi)")
-        if self.image_width <= 0 or self.image_height <= 0:
-            raise ValueError("image size must be positive")
 
     @cached_property
     def rotation(self) -> np.ndarray:
@@ -533,12 +523,6 @@ def _detections(cam: Camera, rows: ObjectRows, boxes, shown, frames, rngs,
 # ---------------------------------------------------------------------------
 # Trace (de)serialization
 # ---------------------------------------------------------------------------
-
-def object_to_record(obj: SceneObject) -> list:
-    """An object as a trace record: [id, class, centre, dims, velocity, lane]."""
-    return [obj.object_id, obj.object_class.value, *obj.center.tolist(), *obj.dims.tolist(),
-            *obj.velocity.tolist(), obj.lane]
-
 
 def world_from_objects(cfg: ScenarioConfig, objects: list[SceneObject]) -> World:
     basestations, wall_south, wall_north = build_geometry(cfg)

@@ -15,17 +15,19 @@ is the GRU forward pass on batch-major arrays: whole (batch, T, 3H) input
 projections and a fresh array for every gate of every step.
 ``segment_sum_rows`` adds rows to their segments one at a time.
 ``simulate_trace`` is the simulate stage one world at a time: each frame
-stepped object by object, each trace line written by ``json.dumps``.
-``record_to_sample``, ``record_to_pair`` and ``_read_frames`` are the
-object reader of a dataset directory: one record at a time, one
+stepped object by object, and ``write_trace_columns`` writes the worlds'
+objects and centres as plain ``np.save`` arrays of Python lists.
+``read_records``, ``record_to_sample``, ``record_to_pair`` and
+``_read_frames`` are the object reader of a dataset directory: every file
+through plain ``np.load`` calls, then one record at a time, one
 ``Detection`` per box, each window's detection lists looked up in a dict.
 ``collect_windows``, ``balance_and_split``, ``conjugate_pairs``,
 ``write_dataset`` and ``build_dataset`` are its writer: one
-``LabeledSample`` per window, one ``ConjugateSample`` per pair, each record
-a dict written by ``json.dumps``, and ``frames.cols`` six ``np.save`` arrays
-built from ``Detection`` objects (which ``_read_frames`` reads back with six
-plain ``np.load`` calls); ``float32_corners`` rounds one box at a time,
-corner by corner.
+``LabeledSample`` per window, one ``ConjugateSample`` per pair, and every
+file ``np.save`` arrays built from those objects and from ``Detection``
+objects; ``float32_corners`` rounds one box at a time, corner by corner.
+``load_columns`` and ``save_columns`` read and write any column file, for
+the tests that damage one.
 
 ``window_tables`` is not an oracle: it is how tests build window tables
 from hand-made samples, and ``samples_of``, ``pairs_of`` and
@@ -75,7 +77,6 @@ from beamsight.scene import (
     VehicleClass,
     build_world,
     detect,
-    object_to_record,
     project_objects,
 )
 
@@ -444,16 +445,45 @@ def step_objects(world, dt):
     return dataclasses.replace(world, objects=stepped)
 
 
-def write_trace_json(trace_dir, cfg, worlds):
-    """The trace of ``worlds``, one frame each, through ``json.dumps``."""
+TRACE_COLUMNS = ("run", "objects", "ids", "classes", "dims", "velocities", "lanes", "centers")
+WINDOW_COLUMNS = ("camera", "user", "t_end", "beams", "future")
+
+
+def load_columns(path) -> list:
+    """Every ``np.save`` array of a column file, each through ``np.load``."""
+    with Path(path).open("rb") as fh:
+        size, columns = Path(path).stat().st_size, []
+        while fh.tell() < size:
+            columns.append(np.load(fh))
+        return columns
+
+
+def save_columns(path, columns) -> None:
+    """``columns`` as a column file, each through ``np.save``."""
+    with Path(path).open("wb") as fh:
+        for column in columns:
+            np.save(fh, column)
+
+
+def write_trace_columns(trace_dir, cfg, runs):
+    """The trace of ``runs``, lists of worlds whose frames hold the same
+    objects, each run's objects taken from its first world and every centre
+    from its world, object by object."""
     out = Path(trace_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {"format": 1, "frames": len(worlds), "scenario": dataclasses.asdict(cfg)}
+    manifest = {"format": 2, "frames": sum(map(len, runs)), "scenario": dataclasses.asdict(cfg)}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    with (out / "frames.ndjson").open("w") as fh:
-        for i, world in enumerate(worlds):
-            record = {"frame": i, "objects": [object_to_record(o) for o in world.objects]}
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+    objects = [o for run in runs for o in run[0].objects]
+    save_columns(out / "trace.cols", [
+        np.array([r for r, run in enumerate(runs) for _ in run], dtype="<i8"),
+        np.array([len(run[0].objects) for run in runs], dtype="<i8"),
+        np.array([o.object_id for o in objects], dtype="<i8"),
+        np.array([CLASS_CODES[o.object_class.value] for o in objects], dtype="|i1"),
+        np.array([o.dims.tolist() for o in objects], dtype="<f8").reshape(-1, 3),
+        np.array([o.velocity.tolist() for o in objects], dtype="<f8").reshape(-1, 3),
+        np.array([o.lane for o in objects], dtype="<i8"),
+        np.array([o.center.tolist() for run in runs for world in run for o in world.objects],
+                 dtype="<f8").reshape(-1, 3)])
 
 
 def simulate_trace(cfg, frames, trace_dir):
@@ -462,7 +492,7 @@ def simulate_trace(cfg, frames, trace_dir):
     worlds = [build_world(cfg)]
     for _ in range(frames - 1):
         worlds.append(step_objects(worlds[-1], cfg.dt))
-    write_trace_json(trace_dir, cfg, worlds)
+    write_trace_columns(trace_dir, cfg, [worlds])
 
 
 def record_to_sample(record, frames):
@@ -506,21 +536,19 @@ FRAME_COLUMNS = ("camera", "frame", "count", "classes", "boxes", "confidence")
 
 def frame_columns(path) -> dict:
     """The six columns of a ``frames.cols`` by name, each through ``np.load``."""
-    with Path(path).open("rb") as fh:
-        return {name: np.load(fh) for name in FRAME_COLUMNS}
+    return dict(zip(FRAME_COLUMNS, load_columns(path)))
 
 
 def save_frame_columns(path, columns: dict) -> None:
     """``columns`` (by name) as a ``frames.cols``, each through ``np.save``."""
-    with Path(path).open("wb") as fh:
-        for name in FRAME_COLUMNS:
-            np.save(fh, columns[name])
+    save_columns(path, [columns[name] for name in FRAME_COLUMNS])
 
 
 FRAME_DEFECTS = ["unknown class", "x1 = x2", "past the image", "nan corner", "inf corner",
                  "confidence below 0", "nan confidence", "inf confidence", "count one more",
                  "count negative", "key repeated", "keys swapped", "a camera short",
-                 "classes as <i8", "boxes as (n, 2)", "trailing bytes"]
+                 "classes as <i8", "boxes as (n, 2)", "trailing bytes", "camera 7",
+                 "frame negative", "frame 2**32"]
 
 
 def break_frame_columns(path, defect: str) -> None:
@@ -546,6 +574,10 @@ def break_frame_columns(path, defect: str) -> None:
     elif defect.startswith("key"):   # the second frame's key is the first's, or they swap
         for k in ("camera", "frame"):
             c[k][:2] = c[k][[0, 0] if defect == "key repeated" else [1, 0]]
+    elif defect == "camera 7":
+        c["camera"][-1] = 7
+    elif defect.startswith("frame "):
+        c["frame"][0] = -1 if defect == "frame negative" else 2**32
     elif defect == "a camera short":
         c["camera"] = c["camera"][:-1]
     elif defect == "classes as <i8":
@@ -565,8 +597,24 @@ def _read_frames(dataset_dir):
             for c, f, n in zip(camera.tolist(), frame.tolist(), count.tolist())}
 
 
+def window_groups(path) -> list[dict]:
+    """The window groups of a split file (one) or a pair file (bs1, then bs2),
+    each a dict of its columns by WINDOW_COLUMNS name."""
+    columns = load_columns(path)
+    return [dict(zip(WINDOW_COLUMNS, columns[i:i + 5])) for i in range(0, len(columns), 5)]
+
+
+def save_window_groups(path, groups) -> None:
+    save_columns(path, [group[name] for group in groups for name in WINDOW_COLUMNS])
+
+
 def read_records(path):
-    return [json.loads(line) for line in Path(path).read_text().splitlines()]
+    """A split file's windows as {"camera", "user", "t_end", "beams", "window"}
+    records, or a pair file's pairs as {"bs1", "bs2"} records of two windows."""
+    sides = [[{"camera": c, "user": u, "t_end": t, "beams": b, "window": w}
+              for c, u, t, b, w in zip(*(group[name].tolist() for name in WINDOW_COLUMNS))]
+             for group in window_groups(path)]
+    return sides[0] if len(sides) == 1 else [{"bs1": a, "bs2": b} for a, b in zip(*sides)]
 
 
 def collect_windows(seed, observed=8, future=5):
@@ -625,10 +673,13 @@ def conjugate_pairs(windows_bs1, windows_bs2, overlap_cameras=(3, 4), exclude_ke
             if index1[key].label.status != index2[key].label.status]
 
 
-def sample_to_record(sample):
-    seq, lab = sample.sequence, sample.label
-    return {"camera": seq.camera_id, "user": seq.user_id, "t_end": seq.t_end,
-            "beams": seq.beams, "window": list(lab.window)}
+def sample_columns(samples, observed, future) -> dict:
+    """The window columns of LabeledSamples, by WINDOW_COLUMNS name."""
+    return {"camera": np.array([s.sequence.camera_id for s in samples], dtype="<i8"),
+            "user": np.array([s.sequence.user_id for s in samples], dtype="<i8"),
+            "t_end": np.array([s.sequence.t_end for s in samples], dtype="<i8"),
+            "beams": np.array([s.sequence.beams for s in samples], dtype="<i2").reshape(-1, observed),
+            "future": np.array([s.label.window for s in samples], dtype="|i1").reshape(-1, future)}
 
 
 def float32_corners(bbox):
@@ -644,10 +695,10 @@ def float32_corners(bbox):
     return [float(c) for c in corners]
 
 
-def write_dataset(out_dir, train, val, pairs, manifest):
-    """Each record through ``json.dumps``; frames.cols holds the first
-    detection list seen for each observed (camera, frame), in key order, as
-    six columns, each through ``np.save``."""
+def write_dataset(out_dir, train, val, pairs, manifest, observed, future):
+    """Each file's columns through ``np.save``: a split's windows, the pairs'
+    bs1 windows then their bs2 windows, and in frames.cols the first detection
+    list seen for each observed (camera, frame), in key order."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     windows = [*train.samples, *val.samples,
@@ -665,15 +716,10 @@ def write_dataset(out_dir, train, val, pairs, manifest):
         "classes": np.array([CLASS_CODES[d.object_class.value] for d in flat], dtype="|i1"),
         "boxes": np.array([float32_corners(d.bbox) for d in flat], dtype="<f4").reshape(-1, 4),
         "confidence": np.array([d.confidence for d in flat], dtype="<f8")})
-    files = {
-        "train.ndrec": [sample_to_record(s) for s in train.samples],
-        "val.ndrec": [sample_to_record(s) for s in val.samples],
-        "pairs.ndrec": [{"bs1": sample_to_record(p.sample_bs1),
-                         "bs2": sample_to_record(p.sample_bs2)} for p in pairs],
-    }
-    for name, records in files.items():
-        (out / name).write_text("".join(json.dumps(r, separators=(",", ":")) + "\n"
-                                        for r in records))
+    for name, groups in (("train.ndrec", [train.samples]), ("val.ndrec", [val.samples]),
+                         ("pairs.ndrec", [[p.sample_bs1 for p in pairs],
+                                          [p.sample_bs2 for p in pairs]])):
+        save_window_groups(out / name, [sample_columns(g, observed, future) for g in groups])
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -697,7 +743,7 @@ def build_dataset(seed, ds_cfg, out_dir, manifest):
         "pairs_category2": sum(p.category == 2 for p in pairs),
         "shortfalls": {f"camera{c}_label{s}": ds_cfg.quota - n for (c, s), n in Counter(
             (w.sequence.camera_id, w.label.status) for w in everything).items()
-            if n < ds_cfg.quota}}))
+            if n < ds_cfg.quota}}), ds_cfg.observed, ds_cfg.future)
 
 
 def window_tables(*groups):

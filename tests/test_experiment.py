@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -47,6 +48,7 @@ from beamsight.experiment import (
 from beamsight.embedding import BeamEmbeddingTable, encode_dataset
 from beamsight.pipeline import (
     DATASET_FILES,
+    TRACE_FILE,
     observe,
     read_frames,
     read_manifest,
@@ -83,6 +85,33 @@ def frame_parses(monkeypatch) -> list:
     return parsed
 
 
+def edit_windows(path, edit) -> None:
+    """``edit`` of the window groups (dicts of columns) of a window or pair file, in place."""
+    groups = oracles.window_groups(path)
+    edit(groups)
+    oracles.save_window_groups(path, groups)
+
+
+def empty_windows(path) -> None:
+    """A window or pair file's columns cut to no rows."""
+    oracles.save_window_groups(path, [{name: column[:0] for name, column in group.items()}
+                                      for group in oracles.window_groups(path)])
+
+
+def cut_future(groups) -> None:
+    """The future statuses of window groups cut to two, the first one NLOS
+    where the window's label is."""
+    for group in groups:
+        group["future"] = np.stack([group["future"].any(axis=1),
+                                    np.zeros(len(group["future"]), bool)], axis=1).astype("|i1")
+
+
+def first_window(groups, side=0, **change) -> None:
+    """The first window of a window group changed by ``change``."""
+    for name, value in change.items():
+        groups[side][name][0] = value
+
+
 @pytest.fixture(scope="module")
 def mini_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("mini") / "run"
@@ -93,7 +122,7 @@ def mini_run(tmp_path_factory):
 class TestRunExperiment:
     def test_all_artifacts_present(self, mini_run):
         out, manifest = mini_run
-        for name in ("trace/manifest.json", "trace/frames.ndjson",
+        for name in ("trace/manifest.json", f"trace/{TRACE_FILE}",
                      *(f"dataset/{name}" for name in (*DATASET_FILES, "manifest.json")),
                      "bimodal.ckpt", "beam_only.ckpt",
                      "eval_bimodal.csv", "eval_bimodal_confusion.csv",
@@ -163,7 +192,7 @@ class TestRunExperiment:
         assert err.value.stage == "train-bimodal"
         assert "empty dataset" in str(err.value)
         # earlier stages' outputs survive
-        assert (out / "trace" / "frames.ndjson").is_file()
+        assert (out / "trace" / TRACE_FILE).is_file()
         assert (out / "dataset" / "train.ndrec").is_file()
 
 
@@ -545,40 +574,40 @@ class TestCli:
         err = capsys.readouterr().err
         assert str(ckpt) in err and "Traceback" not in err
 
-    def test_truncated_split_line_is_data_error(self, tmp_path, capsys, mini_run):
+    def test_truncated_split_is_data_error(self, tmp_path, capsys, mini_run):
         out, _ = mini_run
         ds = tmp_path / "ds"
         shutil.copytree(out / "dataset", ds)
         val = ds / "val.ndrec"
-        val.write_text(val.read_text()[:-40] + "\n")
+        val.write_bytes(val.read_bytes()[:-40])
         assert main(["train", "--dataset", str(ds), "--mode", "beam-only",
                      "--out", str(tmp_path / "m.ckpt")]) == 2
         err = capsys.readouterr().err
-        assert str(val) in err and "line" in err
+        assert f"{val}: future column: " in err and "rows do not fit in the file" in err
 
     def test_empty_val_split_under_train_is_data_error(self, tmp_path, capsys, mini_run):
         out, _ = mini_run
         ds = tmp_path / "ds"
         shutil.copytree(out / "dataset", ds)
-        (ds / "val.ndrec").write_text("")
+        empty_windows(ds / "val.ndrec")
         assert main(["train", "--dataset", str(ds), "--mode", "beam-only",
                      "--out", str(tmp_path / "m.ckpt")]) == 2
-        assert str(ds / "val.ndrec") in capsys.readouterr().err
+        assert f"{ds / 'val.ndrec'}: empty dataset" in capsys.readouterr().err
 
-    def test_pair_missing_key_is_data_error(self, tmp_path, capsys, mini_run):
+    def test_pair_missing_side_is_data_error(self, tmp_path, capsys, mini_run):
         out, _ = mini_run
-        shutil.copy(out / "dataset" / "frames.cols", tmp_path)
+        shutil.copytree(out / "dataset", tmp_path, dirs_exist_ok=True)
         pairs = tmp_path / "pairs.ndrec"
-        pairs.write_text('{"user": 1}\n')
+        oracles.save_window_groups(pairs, oracles.window_groups(pairs)[:1])
         ckpt = str(out / "bimodal.ckpt")
         assert main(["handoff-eval", "--ckpt1", ckpt, "--ckpt2", ckpt,
                      "--pairs", str(pairs), "--out", str(tmp_path / "h.csv")]) == 2
-        assert str(pairs) in capsys.readouterr().err
+        assert f"{pairs}: bs2 camera column: not a .npy header" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, name, beam", [
         ("eval", "val.ndrec", 0), ("handoff-eval", "pairs.ndrec", 0),
-        ("eval", "val.ndrec", 10**6), ("handoff-eval", "pairs.ndrec", 10**6),
-        ("eval", "val.ndrec", 10**30),    # past int64
+        ("eval", "val.ndrec", 65), ("handoff-eval", "pairs.ndrec", 65),   # past the codebook
+        ("eval", "val.ndrec", 2**15 - 1), ("eval", "val.ndrec", -2**15),
     ])
     def test_beam_out_of_range_is_data_error(self, tmp_path, capsys, mini_run,
                                              command, name, beam):
@@ -586,39 +615,7 @@ class TestCli:
         ds = tmp_path / "ds"
         shutil.copytree(out / "dataset", ds)
         path = ds / name
-        first, *rest = path.read_text().splitlines()
-        record = json.loads(first)
-        (record["bs2"] if name == "pairs.ndrec" else record)["beams"][0] = beam
-        path.write_text("\n".join([json.dumps(record), *rest]) + "\n")
-        ckpt = str(out / "bimodal.ckpt")
-        if command == "eval":
-            argv = ["eval", "--ckpt", ckpt, "--dataset", str(ds)]
-        else:
-            argv = ["handoff-eval", "--ckpt1", ckpt, "--ckpt2", ckpt, "--pairs", str(path)]
-        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
-        err = capsys.readouterr().err
-        assert str(path) in err and "beam index" in err
-
-    @pytest.mark.parametrize("command, name", [("eval", "val.ndrec"),
-                                               ("handoff-eval", "pairs.ndrec")])
-    def test_ragged_window_is_data_error(self, tmp_path, capsys, mini_run, command, name):
-        # a val window one beam short; a pairs bs1 window one beam long
-        out, _ = mini_run
-        ds = tmp_path / "ds"
-        shutil.copytree(out / "dataset", ds)
-        path = ds / name
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        if name == "val.ndrec":
-            records[0]["beams"] = records[0]["beams"][1:]
-        else:
-            # a window whose camera has the frame before it, so that only
-            # the length is wrong
-            frames = set(oracles._read_frames(ds))
-            longer = next(r["bs1"] for r in records
-                          if (r["bs1"]["camera"],
-                              r["bs1"]["t_end"] - len(r["bs1"]["beams"])) in frames)
-            longer["beams"] = [1, *longer["beams"]]
-        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        edit_windows(path, lambda groups: groups[-1]["beams"].__setitem__((0, 0), beam))
         ckpt = str(out / "bimodal.ckpt")
         if command == "eval":
             argv = ["eval", "--ckpt", ckpt, "--dataset", str(ds)]
@@ -633,14 +630,12 @@ class TestCli:
         ds = tmp_path / "ds"
         shutil.copytree(out / "dataset", ds)
         path = ds / "pairs.ndrec"
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        records[0]["bs2"]["window"] = records[0]["bs1"]["window"]
-        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        edit_windows(path, lambda g: g[1]["future"].__setitem__(0, g[0]["future"][0]))
         ckpt = str(out / "bimodal.ckpt")
         assert main(["handoff-eval", "--ckpt1", ckpt, "--ckpt2", ckpt, "--pairs", str(path),
                      "--out", str(tmp_path / "h.csv")]) == 2
         err = capsys.readouterr().err
-        assert str(path) in err and "line 1" in err and "category" in err
+        assert str(path) in err and "first at row 0" in err and "category" in err
 
     def test_pair_sides_on_the_wrong_basestations_is_data_error(self, tmp_path, capsys,
                                                                 mini_run):
@@ -648,20 +643,21 @@ class TestCli:
         ds = tmp_path / "ds"
         shutil.copytree(out / "dataset", ds)
         path = ds / "pairs.ndrec"
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        # swapped sides still have opposite statuses
-        first = records[0]
-        first["bs1"], first["bs2"] = first["bs2"], first["bs1"]
-        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+        def swap(groups):   # swapped sides still have opposite statuses
+            for name, bs1 in groups[0].items():
+                bs1[0], groups[1][name][0] = groups[1][name][0].copy(), bs1[0].copy()
+
+        edit_windows(path, swap)
         ckpt = str(out / "bimodal.ckpt")
         assert main(["handoff-eval", "--ckpt1", ckpt, "--ckpt2", ckpt, "--pairs", str(path),
                      "--out", str(tmp_path / "h.csv")]) == 2
         err = capsys.readouterr().err
-        assert f"{path}: line 1 " in err and "of basestation" in err
+        assert f"{path}: " in err and "of basestations 1, 2, first at row 0" in err
 
     @pytest.mark.parametrize("command, name, change", [
         ("eval", "val.ndrec", {"camera": 99}),
-        ("eval", "val.ndrec", {"window": [2, 0, 0, 0, 0]}),
+        ("eval", "val.ndrec", {"future": [2, 0, 0, 0, 0]}),
         ("handoff-eval", "pairs.ndrec", {"camera": 0}),   # camera_to_bs(0) is 1
     ])
     def test_window_out_of_range_under_beam_only_is_data_error(self, tmp_path, capsys, mini_run,
@@ -671,22 +667,21 @@ class TestCli:
         ds = tmp_path / "ds"
         shutil.copytree(out / "dataset", ds)
         path = ds / name
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        (records[0]["bs1"] if name == "pairs.ndrec" else records[0]).update(change)
-        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        edit_windows(path, lambda groups: first_window(groups, **change))
         ckpt = str(out / "beam_only.ckpt")
         if command == "eval":
             argv = ["eval", "--ckpt", ckpt, "--dataset", str(ds)]
         else:
             argv = ["handoff-eval", "--ckpt1", ckpt, "--ckpt2", ckpt, "--pairs", str(path)]
         assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
-        assert f"{path}: line 1 " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "first at row 0" in err
 
     def test_bad_checkpoint_with_empty_pairs_is_data_error(self, tmp_path, capsys, mini_run):
         out, _ = mini_run
-        shutil.copy(out / "dataset" / "frames.cols", tmp_path)
+        shutil.copytree(out / "dataset", tmp_path, dirs_exist_ok=True)
         pairs = tmp_path / "pairs.ndrec"
-        pairs.write_text("")
+        empty_windows(pairs)
         ckpt = tmp_path / "garbage.ckpt"
         ckpt.write_bytes(b"garbage")
         assert main(["handoff-eval", "--ckpt1", str(ckpt), "--ckpt2", str(ckpt),
@@ -750,7 +745,7 @@ class TestCli:
         out, _ = mini_run
         ds = tmp_path / "ds"
         shutil.copytree(out / "dataset", ds)
-        (ds / name).write_text("")
+        empty_windows(ds / name)
         if command == "train":
             argv = ["train", "--dataset", str(ds), "--mode", "beam-only",
                     "--out", str(tmp_path / "m.ckpt")]
@@ -758,7 +753,7 @@ class TestCli:
             argv = ["eval", "--ckpt", str(out / "bimodal.ckpt"), "--dataset", str(ds),
                     "--out", str(tmp_path / "out.csv")]
         assert main(argv) == 2
-        assert str(ds / name) in capsys.readouterr().err
+        assert f"{ds / name}: empty dataset" in capsys.readouterr().err
 
     @pytest.mark.parametrize("box", [
         [0.3, 0.2, 0.3, 0.4, 0.9],            # x1 = x2
@@ -803,7 +798,7 @@ class TestCli:
                                             for t in range(first, window["t_end"] + 1)])
 
         for name in ("val.ndrec", "pairs.ndrec"):
-            records = [json.loads(line) for line in (ds / name).read_text().splitlines()]
+            records = oracles.read_records(ds / name)
             records = [old(r) if name == "val.ndrec" else
                        dict(r, bs1=old(r["bs1"]), bs2=old(r["bs2"])) for r in records]
             (ds / name).write_text("".join(json.dumps(r) + "\n" for r in records))
@@ -835,11 +830,30 @@ class TestCli:
         assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
         assert f"missing file: {ds / 'frames.cols'}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["train.ndrec", "val.ndrec", "pairs.ndrec"])
+    def test_text_window_file_is_data_error(self, tmp_path, capsys, mini_run, name):
+        # the layout before the window columns: one JSON window (or pair) a line
+        out, _ = mini_run
+        ds = tmp_path / "ds"
+        shutil.copytree(out / "dataset", ds)
+        path = ds / name
+        path.write_text("".join(json.dumps(r) + "\n" for r in oracles.read_records(path)))
+        ckpt = str(out / "beam_only.ckpt")
+        argv = {"train.ndrec": ["train", "--dataset", str(ds), "--mode", "beam-only"],
+                "val.ndrec": ["eval", "--ckpt", ckpt, "--dataset", str(ds)],
+                "pairs.ndrec": ["handoff-eval", "--ckpt1", ckpt, "--ckpt2", ckpt,
+                                "--pairs", str(path)]}[name]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and "camera column: not a .npy header" in err
+
     @pytest.mark.parametrize("edit", [
         lambda m: '{"observed": 8}',                       # keys missing
         lambda m: m[:-20],                                 # not JSON
         lambda m: json.dumps(dict(json.loads(m), observed=0)),
         lambda m: json.dumps(dict(json.loads(m), future="5")),
+        lambda m: json.dumps(dict(json.loads(m), codebook=dict(json.loads(m)["codebook"],
+                                                               beams=2**15))),   # past <i2
     ])
     def test_bad_dataset_manifest_is_data_error(self, tmp_path, capsys, mini_run, edit):
         out, _ = mini_run
@@ -877,98 +891,114 @@ class TestCli:
         err = capsys.readouterr().err
         assert str(manifest_path) in err and "seed" in err
 
-    def test_truncated_trace_frame_is_data_error(self, tmp_path, capsys):
+    def test_truncated_trace_is_data_error(self, tmp_path, capsys):
         trace = tmp_path / "trace"
         assert main(["simulate", "--config", str(MINI), "--frames", "3",
                      "--out", str(trace)]) == 0
-        frames = trace / "frames.ndjson"
-        frames.write_text(frames.read_text()[:-40] + "\n")
+        path = trace / TRACE_FILE
+        path.write_bytes(path.read_bytes()[:-40])
         assert main(["build-dataset", "--trace", str(trace),
                      "--out", str(tmp_path / "ds")]) == 2
         err = capsys.readouterr().err
-        assert str(frames) in err and "line 3" in err
+        assert f"{path}: centers column: " in err and "rows do not fit in the file" in err
 
-    @pytest.mark.parametrize("edit, line, message", [
-        ("duplicate line", 3, "where frame 2 belongs"),
-        ("drop last line", None, "says 3"),
-        ("swap frame numbers", 2, "where frame 1 belongs"),
-        ("nan centre", 2, "not finite"),
-        ("infinite centre", 2, "not finite"),
-        ("infinite id", 2, "not finite"),
-        ("fractional id", 2, "must be integers"),
-        ("fractional lane", 2, "must be integers"),
-        ("repeated object id", 2, "object id repeats"),
-        ("boolean centre", 2, "True where an object record holds a number"),
-        ("boolean velocity", 2, "False where an object record holds a number"),
-        ("string centre", 2, "'1.5' where an object record holds a number"),
-        ("null velocity", 2, "None where an object record holds a number"),
-        ("13-entry record", 2, "does not hold 12 entries"),
-        ("11-entry record", 2, "does not hold 12 entries"),
-        ("unknown class", 2, "unknown object class 'boat'"),
-        ("70-bit id", 2, "must be integers within 64 bits"),
-        ("70-bit lane", 2, "must be integers within 64 bits"),
-        ("objects not a list", 2, "objects must be a list"),
-        ("zero dim", 2, "dimensions must be positive"),
-        ("negative dim", 2, "dimensions must be positive"),
-    ])
-    def test_corrupt_trace_is_data_error(self, tmp_path, capsys, edit, line, message):
+    @pytest.mark.parametrize("layout", ["format 1", "no format", "format 2 without columns"])
+    def test_older_trace_layout_is_data_error(self, tmp_path, capsys, layout):
+        # format 1: a text frames.ndjson, one JSON frame a line, beside the manifest
         trace = tmp_path / "trace"
         assert main(["simulate", "--config", str(MINI), "--frames", "3",
                      "--out", str(trace)]) == 0
-        frames = trace / "frames.ndjson"
-        records = [json.loads(text) for text in frames.read_text().splitlines()]
-        objects = records[1]["objects"]
-        if edit == "duplicate line":
-            records.insert(1, records[1])
-        elif edit == "drop last line":
-            records.pop()
-        elif edit == "swap frame numbers":
-            records[1]["frame"], records[2]["frame"] = 2, 1
-        elif edit == "nan centre":
-            objects[0][2] = float("nan")
-        elif edit == "infinite centre":
-            objects[0][3] = float("inf")
-        elif edit == "infinite id":
-            objects[0][0] = float("inf")
-        elif edit == "fractional id":
-            objects[0][0] += 0.5
-        elif edit == "fractional lane":
-            objects[0][11] = 0.5
-        elif edit == "boolean centre":
-            objects[0][2] = True
-        elif edit == "boolean velocity":
-            objects[1][9] = False
-        elif edit == "string centre":
-            objects[0][3] = "1.5"
-        elif edit == "null velocity":
-            objects[0][8] = None
-        elif edit == "13-entry record":
-            objects[0].append(0)
-        elif edit == "11-entry record":
-            objects[1].pop()
-        elif edit == "unknown class":
-            objects[0][1] = "boat"
-        elif edit == "70-bit id":
-            objects[0][0] = 2**70
-        elif edit == "70-bit lane":
-            objects[1][11] = -2**70
-        elif edit == "objects not a list":
-            records[1]["objects"] = {}
-        elif edit == "zero dim":
-            objects[0][5] = 0.0
-        elif edit == "negative dim":
-            objects[1][7] = -1.5
-        else:
-            objects[1][0] = objects[0][0]
-        frames.write_text("".join(json.dumps(r) + "\n" for r in records))
+        manifest_path = trace / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        if layout == "format 1":
+            manifest["format"] = 1
+            (trace / "frames.ndjson").write_text('{"frame":0,"objects":[]}\n' * 3)
+        elif layout == "no format":
+            del manifest["format"]
+        manifest_path.write_text(json.dumps(manifest))
+        (trace / TRACE_FILE).unlink()
         assert main(["build-dataset", "--trace", str(trace),
                      "--out", str(tmp_path / "ds")]) == 2
         err = capsys.readouterr().err
-        assert str(frames) in err and message in err
-        if line is not None:
-            assert f"line {line} " in err
+        assert "Traceback" not in err
+        if layout == "format 1":
+            assert f"{manifest_path}: trace format 1, not 2" in err and str(trace / TRACE_FILE) in err
+        elif layout == "no format":
+            assert f"{manifest_path}: not a trace manifest: KeyError('format')" in err
         else:
-            assert str(trace / "manifest.json") in err
+            assert f"missing file: {trace / TRACE_FILE}" in err
+
+    TRACE_DEFECTS = {   # a defect of trace.cols -> what the error names
+        "a frame dropped": "2 frames", "a frame added": "4 frames",
+        "a run skipped": "a frame's run is neither the one before's nor the next",
+        "runs from 1": "a frame's run is neither", "a run count more": "object counts for",
+        "object count one less": "the object counts sum to",
+        "object count negative": "an object count below 0",
+        "a centre dropped": "the frames' runs hold", "nan centre": "a centre that is not finite",
+        "infinite centre": "a centre that is not finite",
+        "nan velocity": "a velocity that is not finite",
+        "infinite dim": "dimensions must be positive and finite",
+        "zero dim": "dimensions must be positive", "negative dim": "dimensions must be positive",
+        "repeated object id": "an object id repeats within its run, first at row 1",
+        "unknown class": "an unknown class code, first at row 0",
+        "ids as <f8": "ids column: <f8 of shape", "centres as (n, 2)": "centers column: <f8",
+        "lanes short": "the object columns differ in length", "trailing bytes": "1 bytes follow",
+    }
+
+    @staticmethod
+    def break_trace(path: Path, defect: str) -> None:
+        """``defect``, a key of TRACE_DEFECTS, made in a three-frame trace.cols."""
+        if defect == "trailing bytes":
+            path.write_bytes(path.read_bytes() + b"\0")
+            return
+        run, objects, ids, classes, dims, velocities, lanes, centers = \
+            oracles.load_columns(path)
+        n = len(ids)
+        if defect == "a frame dropped":
+            run, centers = run[:-1], centers[:-n]
+        elif defect == "a frame added":
+            run, centers = np.append(run, 0), np.concatenate([centers, centers[:n]])
+        elif defect == "a run skipped":
+            run[-1] = 2
+        elif defect == "runs from 1":
+            run += 1
+        elif defect == "a run count more":
+            objects = np.append(objects, 0)
+        elif defect.startswith("object count"):
+            objects[0] = n - 1 if defect.endswith("less") else -1
+        elif defect == "a centre dropped":
+            centers = centers[:-1]
+        elif defect.endswith(" centre"):
+            centers[n + 1, 2] = math.nan if defect == "nan centre" else math.inf
+        elif defect == "nan velocity":
+            velocities[1, 0] = math.nan
+        elif defect.endswith(" dim"):
+            dims[1, 1] = {"infinite": math.inf, "zero": 0.0, "negative": -1.5}[defect.split()[0]]
+        elif defect == "repeated object id":
+            ids[1] = ids[0]
+        elif defect == "unknown class":
+            classes[0] = 3
+        elif defect == "ids as <f8":
+            ids = ids.astype("<f8")
+        elif defect == "centres as (n, 2)":
+            centers = centers[:, :2].copy()
+        else:
+            lanes = lanes[:-1]
+        oracles.save_columns(path, [run, objects, ids, classes, dims, velocities, lanes, centers])
+
+    @pytest.mark.parametrize("defect", TRACE_DEFECTS)
+    def test_corrupt_trace_is_data_error(self, tmp_path, capsys, defect):
+        trace = tmp_path / "trace"
+        assert main(["simulate", "--config", str(MINI), "--frames", "3",
+                     "--out", str(trace)]) == 0
+        path = trace / TRACE_FILE
+        self.break_trace(path, defect)
+        assert main(["build-dataset", "--trace", str(trace),
+                     "--out", str(tmp_path / "ds")]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and self.TRACE_DEFECTS[defect] in err, err
+        if defect.startswith("a frame "):
+            assert f"{trace / 'manifest.json'} says 3" in err
 
     def test_too_short_trace_names_its_file(self, tmp_path, capsys):
         trace = tmp_path / "trace"
@@ -977,26 +1007,27 @@ class TestCli:
         assert main(["build-dataset", "--trace", str(trace),
                      "--out", str(tmp_path / "ds")]) == 2
         err = capsys.readouterr().err
-        assert f"{trace / 'frames.ndjson'}: trace too short" in err
+        assert f"{trace / TRACE_FILE}: trace too short" in err
 
     @pytest.mark.parametrize("name, edit", [
-        ("val.ndrec", "repeat first line"),
+        ("val.ndrec", "repeat first row"),
         ("val.ndrec", "take a train key"),
-        ("pairs.ndrec", "repeat first line"),
+        ("pairs.ndrec", "repeat first row"),
     ])
     def test_repeated_key_is_data_error(self, tmp_path, capsys, mini_run, name, edit):
         out, _ = mini_run
         ds = tmp_path / "ds"
         shutil.copytree(out / "dataset", ds)
         path = ds / name
-        lines = path.read_text().splitlines()
-        if edit == "repeat first line":
-            lines.insert(1, lines[0])
-            where = "line 2 "
+        [train] = oracles.window_groups(ds / "train.ndrec")
+        groups = oracles.window_groups(path)
+        if edit == "repeat first row":
+            groups = [{k: np.insert(c, 1, c[0], axis=0) for k, c in g.items()} for g in groups]
+            where = "row 1 repeats key"
         else:
-            lines.append((ds / "train.ndrec").read_text().splitlines()[0])
-            where = f"line {len(lines)} "
-        path.write_text("\n".join(lines) + "\n")
+            groups = [{k: np.concatenate([c, train[k][:1]]) for k, c in groups[0].items()}]
+            where = f"row {len(groups[0]['camera']) - 1} repeats key"
+        oracles.save_window_groups(path, groups)
         ckpt = str(out / "bimodal.ckpt")
         if name == "pairs.ndrec":
             argv = ["handoff-eval", "--ckpt1", ckpt, "--ckpt2", ckpt, "--pairs", str(path)]
@@ -1006,7 +1037,7 @@ class TestCli:
             argv = ["eval", "--ckpt", ckpt, "--dataset", str(ds)]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert f"{path}: {where}" in err and "repeats key" in err
+        assert f"{path}: {where}" in err and err.rstrip().endswith(": row 0")
 
     @pytest.mark.parametrize("field", ["user", "t_end"])
     def test_pair_off_its_sides_is_data_error(self, tmp_path, capsys, mini_run, field):
@@ -1014,14 +1045,12 @@ class TestCli:
         ds = tmp_path / "ds"
         shutil.copytree(out / "dataset", ds)
         path = ds / "pairs.ndrec"
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        records[0]["bs2"][field] += 1
-        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        edit_windows(path, lambda groups: groups[1][field].__setitem__(0, groups[1][field][0] + 1))
         ckpt = str(out / "bimodal.ckpt")
         assert main(["handoff-eval", "--ckpt1", ckpt, "--ckpt2", ckpt, "--pairs", str(path),
                      "--out", str(tmp_path / "h.csv")]) == 2
         err = capsys.readouterr().err
-        assert f"{path}: line 1 " in err and "its sides" in err
+        assert f"{path}: user, t_end differ between its sides, first at row 0" in err
 
     @pytest.mark.parametrize("section, option, value", [
         ("detector", "p_miss", "1.5"),
@@ -1029,25 +1058,44 @@ class TestCli:
         ("detector", "min_visible_fraction", "1.2"),
         ("detector", "jitter_sigma", "-1"),
         ("phy", "beams", "0"),
+        ("phy", "beams", "32768"),   # past the <i2 beam column
         ("phy", "elements", "0"),
         ("phy", "subcarriers", "0"),
         ("phy", "cyclic_prefix", "0"),
         ("phy", "sample_time", "0"),
         ("phy", "carrier_hz", "-28e9"),
+        ("phy", "spacing_wavelengths", "0"),
+        ("cameras", "hfov_deg", "0"),
+        ("cameras", "vfov_deg", "180"),
+        ("cameras", "hfov_deg", "1e30"),
+        ("cameras", "image_width", "0"),
+        ("cameras", "image_height", "-720"),
         ("vehicles", "cars", "-3"),
         ("vehicles", "buses", "-1"),
         ("vehicles", "trucks", "-1"),
+        ("vehicles", "min_speed", "-1"),
+        ("vehicles", "max_speed", "1.5"),   # below the default min_speed
         ("simulation", "seed", "-1"),
     ])
     def test_bad_scenario_range_is_data_error(self, tmp_path, capsys,
                                               section, option, value):
+        # in an INI, and in the trace manifest that echoes the scenario
         ini = tmp_path / "scenario.ini"
         ini.write_text(f"[{section}]\n{option} = {value}\n")
         assert main(["simulate", "--config", str(ini), "--frames", "2",
                      "--out", str(tmp_path / "trace")]) == 2
         err = capsys.readouterr().err
-        assert str(ini) in err and option in err
+        assert str(ini) in err and option in err and "Traceback" not in err
         assert not (tmp_path / "trace").exists()
+        trace = tmp_path / "good"
+        assert main(["simulate", "--config", str(MINI), "--frames", "2", "--out", str(trace)]) == 0
+        manifest_path = trace / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["scenario"][option] = json.loads(value.replace("e30", "e+30"))
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["build-dataset", "--trace", str(trace), "--out", str(tmp_path / "ds")]) == 2
+        err = capsys.readouterr().err
+        assert f"{manifest_path}: " in err and option in err and "Traceback" not in err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("cls, option", [
@@ -1081,37 +1129,6 @@ class TestCli:
                          "--out", str(tmp_path / "ds")]) == 2
             err = capsys.readouterr().err
             assert f"{manifest_path}: {option} = {value} is not a finite number" in err
-
-    @pytest.mark.parametrize("name", ["train.ndrec", "val.ndrec", "pairs.ndrec"])
-    def test_dataset_byte_not_utf8_is_data_error(self, tmp_path, capsys, mini_run, name):
-        out, _ = mini_run
-        ds = tmp_path / "ds"
-        shutil.copytree(out / "dataset", ds)
-        path = ds / name
-        lines = path.read_bytes().split(b"\n")
-        lines[1] = lines[1].replace(b'"', b'"\xff', 1)
-        path.write_bytes(b"\n".join(lines))
-        ckpt = str(out / "bimodal.ckpt")
-        argv = {"train.ndrec": ["train", "--dataset", str(ds), "--mode", "beam-only"],
-                "val.ndrec": ["eval", "--ckpt", ckpt, "--dataset", str(ds)],
-                "pairs.ndrec": ["handoff-eval", "--ckpt1", ckpt, "--ckpt2", ckpt,
-                                "--pairs", str(path)]}[name]
-        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert f"{path}: line 2 is not JSON" in err and "0xff" in err
-
-    def test_trace_byte_not_utf8_is_data_error(self, tmp_path, capsys):
-        trace = tmp_path / "trace"
-        assert main(["simulate", "--config", str(MINI), "--frames", "3",
-                     "--out", str(trace)]) == 0
-        frames = trace / "frames.ndjson"
-        lines = frames.read_bytes().split(b"\n")
-        lines[2] = lines[2].replace(b'"car"', b'"c\xe9r"', 1)
-        frames.write_bytes(b"\n".join(lines))
-        assert main(["build-dataset", "--trace", str(trace),
-                     "--out", str(tmp_path / "ds")]) == 2
-        err = capsys.readouterr().err
-        assert f"{frames}: line 3 is not JSON" in err and "0xe9" in err
 
     @pytest.mark.parametrize("defect", ["nan tensor", "inf tensor", "n_beams 10**12",
                                         "n_beams one more", "n_beams true"])
@@ -1184,17 +1201,13 @@ class TestCli:
     @pytest.mark.parametrize("command", ["train", "eval", "handoff-eval"])
     def test_window_shorter_than_future_is_data_error(self, tmp_path, capsys, mini_run,
                                                       command):
-        # one non-pivotal window cut to two future frames
+        # the windows' future statuses cut to two, their labels kept
         out, _ = mini_run
         ds = tmp_path / "ds"
         shutil.copytree(out / "dataset", ds)
         path = ds / {"train": "train.ndrec", "eval": "val.ndrec",
                      "handoff-eval": "pairs.ndrec"}[command]
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        windows = ([side for r in records for side in (r["bs1"], r["bs2"])]
-                   if command == "handoff-eval" else records)
-        next(w for w in windows if not any(w["window"]))["window"] = [0, 0]
-        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        edit_windows(path, cut_future)
         ckpt = str(out / "bimodal.ckpt")
         argv = {"train": ["train", "--dataset", str(ds), "--mode", "beam-only"],
                 "eval": ["eval", "--ckpt", ckpt, "--dataset", str(ds)],
@@ -1214,14 +1227,10 @@ class TestCli:
         out, _ = mini_run
         ds = tmp_path / "ds"
         shutil.copytree(out / "dataset", ds)
-        records = [json.loads(line) for line in (ds / name).read_text().splitlines()]
-        bad = records[-1] if defect == "beam" else next(r for r in records[::-1]
-                                                        if not any(r["window"]))
         if defect == "beam":
-            bad["beams"][-1] = 10**6
+            edit_windows(ds / name, lambda groups: groups[0]["beams"].__setitem__((-1, -1), 99))
         else:
-            bad["window"] = [0, 0]
-        (ds / name).write_text("".join(json.dumps(r) + "\n" for r in records))
+            edit_windows(ds / name, cut_future)
         assert main(["train", "--dataset", str(ds), "--mode", "bimodal",
                      "--out", str(tmp_path / "m.ckpt")]) == 2
         err = capsys.readouterr().err
@@ -1250,82 +1259,38 @@ class TestCli:
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
-def _mutations(ints: tuple[str, ...], keys: tuple[str, ...], text: str) -> list[str]:
-    """The mutations of a JSON-lines file whose records hold ``keys``, the int
-    fields ``ints`` and, under ``text``, a list of entries with numbers."""
-    return ["truncated line", *(f"dropped {key}" for key in keys), f"{text} as text",
-            "frame as text", "true for a number",
-            *(f"{field} = {value}" for field in ints for value in ("0", "-1", "2**62", "2**64")),
-            "nan", "inf", "empty file", "duplicated line", "byte not UTF-8"]
+def _byte_mutations(names) -> list[str]:
+    """The byte-level mutations of a column file of the columns ``names``."""
+    return ["empty file", *(f"{name} {part} {kind}" for name in names
+                            for part in ("header", "data") for kind in ("byte flipped", "cut")),
+            "2**40 rows", "trailing bytes"]
+
+
+# mutations of a window group's values, which leave its columns readable
+_WINDOW_VALUES = [*(f"{field} = {value}" for field in ("camera", "user", "t_end")
+                    for value in ("0", "-1", "2**62")),
+                  "beams = 0", "beams = -1", "beams = 2**15 - 1", "future = 2", "future = -1",
+                  "repeated row", "beams narrower", "future wider", "user as <i4",
+                  "beams as <i8", "future as |u1"]
+_PAIR_COLUMNS = [f"{side} {name}" for side in ("bs1", "bs2") for name in oracles.WINDOW_COLUMNS]
+_TRACE_VALUES = [*(f"{column} = {value}" for column in ("run", "objects", "ids", "lanes")
+                   for value in ("-1", "2**62")),
+                 "classes = -1", "classes = 3", "centers = nan", "centers = inf",
+                 "centers = 1e300", "dims = 0", "dims = nan", "velocities = inf",
+                 "repeated row", "ids as <i4", "centers as <f4"]
+_VALUES = {"0": 0, "-1": -1, "2": 2, "3": 3, "2**62": 2**62, "2**15 - 1": 2**15 - 1,
+           "nan": math.nan, "inf": math.inf, "1e300": 1e300}
 
 
 class TestMutations:
-    """A fixed, seeded list of mutations of the files whose reader and writer
-    work on whole columns, ``frames.ndjson``, ``frames.cols``, ``train.ndrec``,
-    ``val.ndrec`` and ``pairs.ndrec``, and of both checkpoints, each run
-    through the CLI stage that reads the file: it exits 2 naming the file, or 0
-    where the mutation is harmless; never 1 (a usage error) and never a
-    traceback."""
+    """A fixed, seeded list of mutations of every column file, ``trace.cols``,
+    ``frames.cols``, ``train.ndrec``, ``val.ndrec`` and ``pairs.ndrec``, and of
+    both checkpoints, each run through the CLI stage that reads the file: it
+    exits 2 naming the file, or 0 where the mutation is harmless; never 1 (a
+    usage error) and never a traceback.  A header that claims 2**40 rows
+    allocates nothing."""
 
     SEED = 26
-    ENTRIES = {"frames.ndjson": "objects"}   # else beams
-    NUMBER = {"frames.ndjson": 2}   # a centre x
-    FIELDS = {"frame": "frame", "camera": "camera", "id": 0, "lane": 11,   # 0, 11: in an entry
-              "user": "user", "t_end": "t_end"}
-    INTS = {"0": 0, "-1": -1, "2**62": 2**62, "2**64": 2**64}
-    # edits of a window or pair line in place, which leave the rest of it in
-    # the writer's form: (pattern, the replacement of its first match)
-    IN_PLACE = {"camera 7 in place": (rb'"camera":\d+', rb'"camera":7'),
-                "leading zero in place": (rb'"user":', rb'"user":0'),
-                "20 digits in place": (rb'"t_end":\d+', rb'"t_end":10000000000000000000'),
-                "beam dropped in place": (rb'"beams":\[\d+,', rb'"beams":['),
-                "status null in place": (rb'"window":\[\d', rb'"window":[null')}
-    WINDOWS = [*_mutations(("camera", "user", "t_end"), ("camera", "beams", "window"), "beams"),
-               *IN_PLACE]
-
-    @classmethod
-    def mutate(cls, path: Path, mutation: str) -> None:
-        """``mutation`` of one record of ``path`` and one of its entries, both
-        drawn from SEED among the records after the first that hold entries
-        (of a pair, those of its bs1 side, which also holds the keys and int
-        fields that a pair record lacks).  An edit in place goes to the first
-        pivotal window's line from there."""
-        rng = np.random.default_rng(cls.SEED)
-        lines = path.read_bytes().splitlines(keepends=True)
-        records = [json.loads(line) for line in lines]
-        text = cls.ENTRIES.get(path.name, "beams")
-        i = int(rng.choice([n for n, r in enumerate(records) if n and r.get("bs1", r)[text]]))
-        record = records[i]
-        side = record.get("bs1", record)   # the record, or a pair's bs1 side
-        entries = side[text]
-        j = int(rng.integers(len(entries)))
-        entry, number = (entries, j) if text == "beams" else (entries[j], cls.NUMBER[path.name])
-        if mutation in cls.IN_PLACE:
-            i = next(n for n, line in enumerate(lines)
-                     if n >= i and re.search(rb'"window":\[[0-9,]*1', line))
-            lines[i] = re.sub(*cls.IN_PLACE[mutation], lines[i], count=1)
-        elif mutation == "empty file":
-            lines = []
-        elif mutation == "duplicated line":
-            lines.insert(i, lines[i])
-        elif mutation == "truncated line":
-            lines[i] = lines[i][:len(lines[i]) // 2] + b"\n"
-        elif mutation == "byte not UTF-8":
-            lines[i] = lines[i].replace(b'"', b'"\xff', 1)
-        else:
-            if mutation.startswith("dropped "):
-                key = mutation.split()[1]
-                del (record if key in record else side)[key]
-            elif mutation.endswith(" as text"):
-                record[mutation.split()[0]] = "1"
-            elif mutation in ("true for a number", "nan", "inf"):
-                entry[number] = {"nan": math.nan, "inf": math.inf}.get(mutation, True)
-            else:
-                field, value = mutation.split(" = ")
-                key = cls.FIELDS[field]
-                (entry if isinstance(key, int) else side)[key] = cls.INTS[value]
-            lines[i] = (json.dumps(record) + "\n").encode()
-        path.write_bytes(b"".join(lines))
 
     @staticmethod
     def assert_exit(code: int, err: str, path: Path) -> None:
@@ -1346,10 +1311,10 @@ class TestMutations:
         path.write_bytes(bytes(data))
 
     @staticmethod
-    def column_parts(path: Path) -> dict:
-        """The (start, end) of each column's header and data in a frames.cols."""
+    def column_parts(path: Path, names) -> dict:
+        """The (start, end) of each column's header and data in a column file."""
         parts, at = {}, 0
-        for name, column in oracles.frame_columns(path).items():
+        for name, column in zip(names, oracles.load_columns(path), strict=True):
             saved = io.BytesIO()
             np.save(saved, column)
             head = at + saved.tell() - column.nbytes
@@ -1357,21 +1322,90 @@ class TestMutations:
             at += saved.tell()
         return parts
 
+    @classmethod
+    def break_bytes(cls, path: Path, names, mutation: str) -> None:
+        """A mutation of ``_byte_mutations(names)`` made in ``path``."""
+        parts, data = cls.column_parts(path, names), path.read_bytes()
+        if mutation == "empty file":
+            path.write_bytes(b"")
+        elif mutation == "2**40 rows":   # the first column's header claims its rows fill TiBs
+            first = oracles.load_columns(path)[0]
+            header = io.BytesIO()
+            np.lib.format.write_array_header_1_0(header, {
+                "descr": first.dtype.str, "fortran_order": False,
+                "shape": (2**40, *first.shape[1:])})
+            path.write_bytes(header.getvalue() + data[parts[f"{names[0]} data"][1]:])
+        elif mutation == "trailing bytes":
+            path.write_bytes(data + bytes(3))
+        else:   # "<column> <header or data> <byte flipped or cut>"
+            column, part, kind = re.fullmatch(r"(.+) (header|data) (byte flipped|cut)",
+                                              mutation).groups()
+            cls.damage(path, parts[f"{column} {part}"], kind == "byte flipped", mutation)
+
+    @classmethod
+    def mutate(cls, path: Path, names, mutation: str) -> None:
+        """``mutation`` of the column file ``path``: one of ``_byte_mutations``, or a
+        change of a value in a row drawn from SEED among the rows after the first
+        (of a pair file, in its bs1 group, and in both for a repeated row)."""
+        if mutation in _byte_mutations(names):
+            cls.break_bytes(path, names, mutation)
+            return
+        columns = dict(zip(names, oracles.load_columns(path), strict=True))
+        side = "bs1 " if "bs1 camera" in columns else ""
+        rows = len(columns.get(f"{side}camera", columns.get("ids")))   # of windows, or objects
+        rng = np.random.default_rng(cls.SEED)
+        i = int(rng.integers(1, rows))
+        if mutation == "repeated row":
+            for name, column in columns.items():
+                if len(column) == rows:
+                    column[i] = column[i - 1]
+        elif " = " in mutation:
+            name, value = mutation.split(" = ")
+            column = columns[side + name]
+            at = (i,) if column.ndim == 1 else (i, int(rng.integers(column.shape[1])))
+            column[at if len(column) == rows else int(rng.integers(len(column)))] = _VALUES[value]
+        elif " as " in mutation:
+            name, dtype = mutation.split(" as ")
+            columns[side + name] = columns[side + name].astype(dtype)
+        elif mutation == "beams narrower":
+            columns[side + "beams"] = columns[side + "beams"][:, 1:].copy()
+        elif mutation == "future wider":
+            future = columns[side + "future"]
+            columns[side + "future"] = np.concatenate([future, future[:, :1]], axis=1)
+        elif mutation == "bs2 user off":
+            columns["bs2 user"][i] += 1
+        elif mutation == "bs2 short":
+            for name in oracles.WINDOW_COLUMNS:
+                columns[f"bs2 {name}"] = columns[f"bs2 {name}"][:-1]
+        else:   # the sides swapped
+            values = list(columns.values())
+            columns = dict(zip(columns, values[5:] + values[:5]))
+        oracles.save_columns(path, list(columns.values()))
+
     @pytest.fixture(scope="class")
     def trace(self, tmp_path_factory):
         return simulate_stage(load_experiment_config(MINI).scenario, 20,
                               tmp_path_factory.mktemp("mutations") / "trace")
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("mutation", _mutations(("frame", "id", "lane"),
-                                                    ("frame", "objects"), "objects"))
+    @pytest.mark.parametrize("mutation", [*_byte_mutations(oracles.TRACE_COLUMNS),
+                                          *_TRACE_VALUES])
     def test_trace(self, tmp_path, capsys, monkeypatch, trace, mutation, workers):
         monkeypatch.setattr(beamsight.config, "cpu_workers", lambda: workers)
         shutil.copytree(trace, tmp_path / "trace")
-        path = tmp_path / "trace" / "frames.ndjson"
-        self.mutate(path, mutation)
-        code = main(["build-dataset", "--trace", str(path.parent), "--out", str(tmp_path / "ds")])
-        self.assert_exit(code, capsys.readouterr().err, path)
+        path = tmp_path / "trace" / TRACE_FILE
+        self.mutate(path, oracles.TRACE_COLUMNS, mutation)
+        tracemalloc.start()
+        try:
+            code = main(["build-dataset", "--trace", str(path.parent),
+                         "--out", str(tmp_path / "ds")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        self.assert_exit(code, err := capsys.readouterr().err, path)
+        assert code == 2 or mutation in _TRACE_VALUES or mutation.endswith("data byte flipped")
+        assert mutation != "2**40 rows" or ("do not fit in the file" in err and peak < 2**20), \
+            (peak, err)
 
     COLUMNS = ["empty file", *(f"{name} {part} {kind}" for name in oracles.FRAME_COLUMNS
                                for part in ("header", "data")
@@ -1383,20 +1417,10 @@ class TestMutations:
         out, _ = mini_run
         shutil.copytree(out / "dataset", tmp_path / "ds")
         path = tmp_path / "ds" / "frames.cols"
-        parts = self.column_parts(path)
-        if mutation == "empty file":
-            path.write_bytes(b"")
-        elif mutation == "2**40 rows":   # the camera column's header claims 8 TiB
-            header = io.BytesIO()
-            np.lib.format.write_array_header_1_0(
-                header, {"descr": "<i8", "fortran_order": False, "shape": (2**40,)})
-            data = path.read_bytes()
-            path.write_bytes(header.getvalue() + data[parts["camera header"][1]:])
-        elif mutation in oracles.FRAME_DEFECTS:
+        if mutation in oracles.FRAME_DEFECTS:
             oracles.break_frame_columns(path, mutation)
-        else:   # "<column> <header or data> <byte flipped or cut>"
-            column, part, kind = mutation.split(" ", 2)
-            self.damage(path, parts[f"{column} {part}"], kind == "byte flipped", mutation)
+        else:
+            self.break_bytes(path, oracles.FRAME_COLUMNS, mutation)
         argv = ["eval", "--ckpt", str(out / "bimodal.ckpt"), "--dataset", str(path.parent),
                 "--out", str(tmp_path / "eval.csv")]
         tracemalloc.start()
@@ -1412,7 +1436,8 @@ class TestMutations:
 
     CHECKPOINTS = [f"{part} {kind}" for part in ("header", "tensors")
                    for kind in ("byte flipped", "cut")] + [
-        f"{part} byte flipped {k}" for part in ("header", "tensors") for k in (2, 3)]
+        f"{part} byte flipped {k}" for part in ("header", "tensors") for k in (2, 3)] + [
+        "tensor name an int"]
 
     @pytest.mark.parametrize("mutation", CHECKPOINTS)
     @pytest.mark.parametrize("name", ["bimodal.ckpt", "beam_only.ckpt"])
@@ -1422,46 +1447,91 @@ class TestMutations:
         shutil.copy(out / name, path)
         data = path.read_bytes()
         tensors = 16 + struct.unpack_from("<Q", data, 8)[0]   # magic, version, header length
-        span = (0, tensors) if mutation.startswith("header") else (tensors, len(data))
-        self.damage(path, span, "flipped" in mutation, mutation)
+        if mutation == "tensor name an int":
+            header = json.loads(data[16:tensors])
+            header["params"][0]["name"] = 0
+            text = json.dumps(header, sort_keys=True).encode()
+            path.write_bytes(data[:4] + struct.pack("<IQ", 3, len(text)) + text + data[tensors:])
+        else:
+            span = (0, tensors) if mutation.startswith("header") else (tensors, len(data))
+            self.damage(path, span, "flipped" in mutation, mutation)
         code = main(["eval", "--ckpt", str(path), "--dataset", str(out / "dataset"),
                      "--out", str(tmp_path / "eval.csv")])
-        self.assert_exit(code, capsys.readouterr().err, path)
+        self.assert_exit(code, err := capsys.readouterr().err, path)
+        assert mutation != "tensor name an int" or (code == 2 and "0 is not a string" in err)
+
+    WINDOWS = [*_byte_mutations(oracles.WINDOW_COLUMNS), *_WINDOW_VALUES]
+
+    def run_windows(self, tmp_path, capsys, out, name, names, mutation, argv) -> None:
+        shutil.copytree(out / "dataset", tmp_path / "ds")
+        path = tmp_path / "ds" / name
+        self.mutate(path, names, mutation)
+        tracemalloc.start()
+        try:
+            code = main(argv(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        self.assert_exit(code, err := capsys.readouterr().err, path)
+        assert code == 2 or mutation not in _byte_mutations(names) or \
+            mutation.endswith("data byte flipped"), err
+        assert mutation != "2**40 rows" or ("do not fit in the file" in err and peak < 2**20), \
+            (peak, err)
 
     @pytest.mark.parametrize("mutation", WINDOWS)
     def test_train_windows(self, tmp_path, capsys, mini_run, mutation):
         # one epoch of the mini model: a harmless mutation trains to its end
         out, _ = mini_run
-        shutil.copytree(out / "dataset", tmp_path / "ds")
-        path = tmp_path / "ds" / "train.ndrec"
-        self.mutate(path, mutation)
         ini = tmp_path / "train.ini"
         ini.write_text("[train]\nepochs = 1\nhidden = 16\nembed_dim = 64\nbatch_size = 32\n")
-        code = main(["train", "--dataset", str(path.parent), "--mode", "beam-only",
-                     "--config", str(ini), "--out", str(tmp_path / "m.ckpt")])
-        self.assert_exit(code, err := capsys.readouterr().err, path)
-        assert "64-bit integers" in err or not mutation.endswith("2**64"), err
+        self.run_windows(tmp_path, capsys, out, "train.ndrec", oracles.WINDOW_COLUMNS, mutation,
+                         lambda path: ["train", "--dataset", str(path.parent), "--mode",
+                                       "beam-only", "--config", str(ini),
+                                       "--out", str(tmp_path / "m.ckpt")])
 
     @pytest.mark.parametrize("mutation", WINDOWS)
     def test_windows(self, tmp_path, capsys, mini_run, mutation):
         out, _ = mini_run
-        shutil.copytree(out / "dataset", tmp_path / "ds")
-        path = tmp_path / "ds" / "val.ndrec"
-        self.mutate(path, mutation)
-        code = main(["eval", "--ckpt", str(out / "beam_only.ckpt"), "--dataset",
-                     str(path.parent), "--out", str(tmp_path / "eval.csv")])
-        self.assert_exit(code, err := capsys.readouterr().err, path)
-        assert "64-bit integers" in err or not mutation.endswith("2**64"), err
+        self.run_windows(tmp_path, capsys, out, "val.ndrec", oracles.WINDOW_COLUMNS, mutation,
+                         lambda path: ["eval", "--ckpt", str(out / "beam_only.ckpt"),
+                                       "--dataset", str(path.parent),
+                                       "--out", str(tmp_path / "eval.csv")])
 
-    @pytest.mark.parametrize("mutation", [*_mutations(("user", "t_end"), ("user", "bs1", "bs2"),
-                                                      "bs1"), *IN_PLACE])
+    @pytest.mark.parametrize("mutation", [*_byte_mutations(_PAIR_COLUMNS), *_WINDOW_VALUES,
+                                          "bs2 user off", "bs2 short", "sides swapped"])
     def test_pairs(self, tmp_path, capsys, mini_run, mutation):
         out, _ = mini_run
-        shutil.copytree(out / "dataset", tmp_path / "ds")
-        path = tmp_path / "ds" / "pairs.ndrec"
-        self.mutate(path, mutation)
         ckpt = str(out / "bimodal.ckpt")
-        code = main(["handoff-eval", "--ckpt1", ckpt, "--ckpt2", ckpt, "--pairs", str(path),
-                     "--out", str(tmp_path / "handoff.csv")])
-        self.assert_exit(code, err := capsys.readouterr().err, path)
-        assert "64-bit integers" in err or not mutation.endswith("2**64"), err
+        self.run_windows(tmp_path, capsys, out, "pairs.ndrec", _PAIR_COLUMNS, mutation,
+                         lambda path: ["handoff-eval", "--ckpt1", ckpt, "--ckpt2", ckpt,
+                                       "--pairs", str(path),
+                                       "--out", str(tmp_path / "handoff.csv")])
+
+    @pytest.mark.parametrize("name", ["frames.cols", "val.ndrec", TRACE_FILE])
+    def test_each_header_byte_xor_0x20(self, tmp_path, capsys, mini_run, trace, name):
+        # every byte of every column header, one at a time: the stage's one
+        # message, or nothing, on stderr (no warning of the header parse)
+        out, _ = mini_run
+        names = {"frames.cols": oracles.FRAME_COLUMNS, "val.ndrec": oracles.WINDOW_COLUMNS,
+                 TRACE_FILE: oracles.TRACE_COLUMNS}[name]
+        src = trace if name == TRACE_FILE else out / "dataset"
+        shutil.copytree(src, tmp_path / "in")
+        path = tmp_path / "in" / name
+        data = path.read_bytes()
+        argv = (["build-dataset", "--trace", str(path.parent), "--out", str(tmp_path / "ds")]
+                if name == TRACE_FILE else
+                ["eval", "--ckpt", str(out / "bimodal.ckpt"), "--dataset", str(path.parent),
+                 "--out", str(tmp_path / "eval.csv")])
+        spans = [span for part, span in self.column_parts(path, names).items()
+                 if part.endswith(" header")]
+        assert len(spans) == len(names)
+        with warnings.catch_warnings(record=True) as caught:   # each would print on stderr
+            warnings.simplefilter("always")
+            for at in (at for start, end in spans for at in range(start, end)):
+                path.write_bytes(data[:at] + bytes([data[at] ^ 0x20]) + data[at + 1:])
+                code = main(argv)
+                err = capsys.readouterr().err
+                assert (code, err) == (0, "") or (
+                    code == 2 and err.startswith(f"error: {path}: ") and err.count("\n") == 1), \
+                    (at, code, err)
+        assert [str(w.message) for w in caught] == []

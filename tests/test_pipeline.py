@@ -1,8 +1,8 @@
 import atexit
+import io
 import itertools
 import json
 import os
-import re
 import shutil
 import signal
 import time
@@ -32,8 +32,9 @@ from oracles import (
     sat_segment_box,
     scalar_channel,
     simulate_trace,
+    window_groups,
     window_tables,
-    write_trace_json,
+    write_trace_columns,
 )
 
 from beamsight.cli import main
@@ -52,6 +53,7 @@ from beamsight.pipeline import (
     BLOCK_FRAMES,
     DATASET_FILES,
     DETECT_STREAM,
+    TRACE_FILE,
     FutureLabel,
     LabeledDataset,
     LabeledSample,
@@ -87,7 +89,6 @@ from beamsight.scene import (
     build_world,
     detect,
     object_rows,
-    object_to_record,
     project_boxes,
     step_world,
     world_from_objects,
@@ -542,27 +543,34 @@ class TestTraceRows:
     """The seed pass's rows of a trace against object_rows of read_trace's worlds."""
 
     def test_rows_equal_object_rows_of_read_trace(self, tmp_path):
+        # runs of the simulated objects, cut by a run with no objects (frame 4),
+        # one whose objects are out of id order (frame 9) and one without users
         cfg = load_experiment_config(MINI).scenario
-        trace = simulate_stage(cfg, 2 * BLOCK_FRAMES + 3, tmp_path / "trace")
-        lines = [json.loads(line) for line in (trace / "frames.ndjson").read_text().splitlines()]
-        lines[4]["objects"] = []                                  # a frame with no objects
-        lines[9]["objects"].reverse()                             # one out of id order
-        lines[BLOCK_FRAMES]["objects"] = [r for r in lines[BLOCK_FRAMES]["objects"]
-                                          if r[1] != "car"]      # one without users
-        (trace / "frames.ndjson").write_text("".join(json.dumps(r) + "\n" for r in lines))
+        world, frames = build_world(cfg), 2 * BLOCK_FRAMES + 3
+        centers = beamsight.scene.roll_centers(world, cfg.dt, frames)
+        cars = np.array([o.is_user for o in world.objects])
+        runs = [(world.objects, centers[:4]), ([], np.zeros((1, 0, 3))),
+                (world.objects, centers[5:9]), (world.objects[::-1], centers[9:10, ::-1]),
+                (world.objects, centers[10:BLOCK_FRAMES]),
+                ([o for o in world.objects if not o.is_user], centers[BLOCK_FRAMES:][:1, ~cars]),
+                (world.objects, centers[BLOCK_FRAMES + 1:])]
+        write_trace(tmp_path / "trace", cfg, runs)
 
-        cfg_back, world, rows = read_trace_rows(trace)
-        _, worlds = read_trace(trace)
+        cfg_back, world, rows = read_trace_rows(tmp_path / "trace")
+        _, worlds = read_trace(tmp_path / "trace")
         want = object_rows([w.objects for w in worlds])
         for column in ("frame", "classes", "ids", "centers", "dims"):
             got, expected = getattr(rows, column), getattr(want, column)
             assert got.dtype == expected.dtype and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes(), column
-        assert cfg_back == cfg and world.objects == []
+        assert cfg_back == cfg and world.objects == [] and len(worlds) == frames
         assert 4 not in rows.frame.tolist()
         assert [o.object_id for o in worlds[9].objects] == sorted(rows.ids[rows.frame == 9],
                                                                    reverse=True)
         assert np.all(np.diff(rows.frame * 10**6 + rows.ids) > 0)   # sorted by (frame, id)
+        assert [[(o.object_id, o.center.tolist()) for o in w.objects] for w in worlds] == \
+            [[(o.object_id, c) for o, c in zip(objects, frame.tolist())]
+             for objects, run in runs for frame in run]   # each frame's objects, its run's
 
         seed, reference = seed_pass(rows, world, cfg), build_seed(worlds, cfg)
         assert as_tuples(seed) == as_tuples(reference)
@@ -570,28 +578,10 @@ class TestTraceRows:
         frames = set(seed.frame.tolist())
         assert 4 not in frames and BLOCK_FRAMES not in frames and 9 in frames
 
-    @pytest.mark.parametrize("chunk", ["one chunk", "512-byte chunks"])
-    def test_worlds_equal_each_line_parsed_alone(self, tmp_path, monkeypatch, chunk):
-        # read_trace's objects, in the order of their records, against json.loads of
-        # each line; 512 bytes puts a frame's sequence check across many chunks
-        if chunk != "one chunk":
-            monkeypatch.setattr(beamsight.pipeline, "CHUNK_BYTES", 512)
-        cfg = load_experiment_config(MINI).scenario
-        trace = simulate_stage(cfg, 20, tmp_path / "trace")
-        lines = [json.loads(line) for line in (trace / "frames.ndjson").read_text().splitlines()]
-        lines[3]["objects"].reverse()
-        lines[5]["objects"] = []
-        (trace / "frames.ndjson").write_text("".join(json.dumps(r) + "\n" for r in lines))
-        cfg_back, worlds = read_trace(trace)
-        assert cfg_back == cfg and len(worlds) == 20
-        assert [[object_to_record(o) for o in w.objects] for w in worlds] == \
-            [r["objects"] for r in lines]
-
     def test_read_peak_is_near_the_rows(self, tmp_path):
-        # a 1,200-frame desk trace (3.0 MB) is read CHUNK_BYTES at a time, so no
-        # record outlives its chunk: the peak is the rows, twice while the
-        # chunks' tables are joined and sorted (reading every record first
-        # peaked at 9.4 times the rows)
+        # a 1,200-frame desk trace's rows are taken from the file's columns in
+        # place, each run's objects sorted by id once: the peak is the file,
+        # the rows and a few int columns of them
         trace = simulate_stage(load_experiment_config(DESK).scenario, 1200, tmp_path / "trace")
         tracemalloc.start()
         try:
@@ -605,12 +595,12 @@ class TestTraceRows:
 
 
 class TestSimulateOracle:
-    """The simulate stage's array rollout and direct line formatting against the
-    per-object stepping and json.dumps writer of ``oracles.simulate_trace``."""
+    """The simulate stage's array rollout and column writer against the
+    per-object stepping and list writer of ``oracles.simulate_trace``."""
 
     @staticmethod
     def assert_same_trace(a, b):
-        for name in ("manifest.json", "frames.ndjson"):
+        for name in ("manifest.json", TRACE_FILE):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     @pytest.mark.parametrize("config, frames", [(DESK, 1), (DESK, 2), (DESK, BLOCK_FRAMES + 3),
@@ -621,7 +611,7 @@ class TestSimulateOracle:
         simulate_stage(experiment.scenario, frames, tmp_path / "lib")
         simulate_trace(experiment.scenario, frames, tmp_path / "oracle")
         self.assert_same_trace(tmp_path / "lib", tmp_path / "oracle")
-        assert len((tmp_path / "lib" / "frames.ndjson").read_text().splitlines()) == frames
+        assert len(oracles.load_columns(tmp_path / "lib" / TRACE_FILE)[0]) == frames
 
     def test_vehicles_wrap_at_both_ends(self, tmp_path):
         cfg = small_cfg(cars=8, buses=2, trucks=1, min_speed=25.0, max_speed=40.0, seed=5)
@@ -643,7 +633,7 @@ class TestSimulateOracle:
         worlds[2] = world_from_objects(cfg, [o for o in worlds[2].objects if o.is_user])
         worlds[4] = world_from_objects(cfg, [])
         write_worlds(tmp_path / "lib", cfg, worlds)
-        write_trace_json(tmp_path / "oracle", cfg, worlds)
+        write_trace_columns(tmp_path / "oracle", cfg, [[w] for w in worlds])
         self.assert_same_trace(tmp_path / "lib", tmp_path / "oracle")
 
 
@@ -915,9 +905,8 @@ class TestSerialization:
                     for s in windows
                     for t in range(s.sequence.t_end - 7, s.sequence.t_end + 1)}
         assert list(_read_frames(tmp_path)) == sorted(observed)
-        for name in ("train.ndrec", "val.ndrec"):
-            for line in (tmp_path / name).read_text().splitlines():
-                assert "detections" not in json.loads(line)
+        for name in ("train.ndrec", "val.ndrec"):   # key, beams and statuses only
+            assert len(oracles.load_columns(tmp_path / name)) == 5
         # within one read, windows that observe one frame share its detection
         # list, also across splits read together
         lists = {}
@@ -952,55 +941,50 @@ class TestSerialization:
                 assert np.array_equal(oa.velocity, ob.velocity)
 
     def test_split_files_readable(self, tmp_path):
-        samples = [make_sample(1, 0, t, t % 2) for t in range(10)]
+        samples = [make_sample(1, 0, t, t % 2) for t in range(7, 17)]   # frames from 0
         train, val = split(samples, quota=4, seed=2)
         write_samples(tmp_path, train.samples, val.samples, [], {"q": 4})
         assert [s.key for s in read_split(tmp_path, "train").samples] == \
             [s.key for s in train.samples]
         assert read_pairs(tmp_path / "pairs.ndrec") == []
 
-    @pytest.mark.parametrize("change", [
-        {"t_end": "9"}, {"beams": 3}, {"window": [0, "1", 0, 0, 0]},
-        {"t_end": 500},   # observes frames that frames.cols lacks
-        {"camera": None}, {"t_end": 20.0}, {"user": True},
-        {"window": [2, 0, 0, 0, 0]}, {"window": [-1, 0, 0, 0, 0]},
+    @staticmethod
+    def write_two_windows(out_dir, change: dict) -> Path:
+        """A val.ndrec of two windows, the second one's columns changed by ``change``,
+        in a dataset whose frames.cols holds the first one's frames."""
+        write_samples(out_dir, [make_sample(1, 0, 20, 1)], [], [], {})
+        [group] = window_groups(out_dir / "train.ndrec")
+        two = {name: np.concatenate([column, column]) for name, column in group.items()}
+        two["user"][1] = 1
+        for name, value in change.items():
+            two[name][1] = value
+        oracles.save_window_groups(path := out_dir / "val.ndrec", [two])
+        return path
+
+    @pytest.mark.parametrize("change, check", [
+        ({"t_end": 500}, "row 1: window (1, 1, 500) observes frame 493 of its camera, "
+                         "which frames.cols lacks"),
+        ({"t_end": 3}, "row 1: window (1, 1, 3) observes frame -4 of its camera"),   # t below 0
+        ({"t_end": 2**62}, "row 1: window (1, 1, 4611686018427387904) observes frame"),
+        ({"camera": 2}, "row 1: window (2, 1, 20) observes frame 13 of its camera"),
+        ({"future": 2}, "a future link status other than 0 (LOS) or 1 (NLOS), first at row 1"),
+        ({"future": -1}, "a future link status other than 0 (LOS) or 1 (NLOS), first at row 1"),
+        ({"camera": 7}, "a camera outside 1..6, first at row 1"),
     ])
-    def test_malformed_record_names_file_and_line(self, tmp_path, change):
-        sample = make_sample(1, 0, 20, 1)
-        write_samples(tmp_path, [sample], [], [], {})
-        good = json.loads((tmp_path / "train.ndrec").read_text())
-        bad = dict(good, **change)
-        path = tmp_path / "val.ndrec"
-        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    def test_malformed_window_names_file_and_row(self, tmp_path, change, check):
+        path = self.write_two_windows(tmp_path, change)
         with pytest.raises(DataError) as err:
             read_split(tmp_path, "val")
-        assert f"{path}: line 2 " in str(err.value)
+        assert str(err.value).startswith(f"{path}: ") and check in str(err.value)
 
-    @pytest.mark.parametrize("change", [
-        {"camera": 99}, {"camera": 0}, {"window": [2, 0, 0, 0, 0]}, {"window": [-1, 0, 0, 0, 0]},
-    ])
-    def test_window_out_of_range_names_file_and_line(self, tmp_path, change):
+    @pytest.mark.parametrize("change", [{"camera": 99}, {"camera": 0}, {"camera": -1},
+                                        {"future": 2}, {"future": -1}])
+    def test_window_out_of_range_names_file_and_row(self, tmp_path, change):
         # read without its frames, as a beam-only stage reads it
-        write_samples(tmp_path, [make_sample(1, 0, 20, 1)], [], [], {})
-        good = json.loads((tmp_path / "train.ndrec").read_text())
-        path = tmp_path / "val.ndrec"
-        path.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, **change)) + "\n")
+        path = self.write_two_windows(tmp_path, change)
         with pytest.raises(DataError) as err:
             read_windows(tmp_path, "val")
-        assert f"{path}: line 2 " in str(err.value)
-
-    def test_two_records_on_one_line_name_it(self, tmp_path):
-        # parsed in bulk, the line still holds one record or names itself
-        sample = make_sample(1, 0, 20, 1)
-        write_samples(tmp_path, [sample], [], [], {})
-        record = json.loads((tmp_path / "train.ndrec").read_text())
-        first, *more = (json.dumps(dict(record, user=u)) for u in range(3))
-        path = tmp_path / "val.ndrec"
-        path.write_text(f"{first}\n{', '.join(more)}\n")
-        for read in (lambda: read_windows(tmp_path, "val"), lambda: read_split(tmp_path, "val")):
-            with pytest.raises(DataError) as err:
-                read()
-            assert f"{path}: line 2 is not JSON" in str(err.value)
+        assert str(err.value).startswith(f"{path}: ") and str(err.value).endswith("first at row 1")
 
     FRAME_CHECKS = {   # what the error names, by the defect of frames.cols
         "unknown class": "unknown class code", "x1 = x2": "a box not within",
@@ -1011,6 +995,8 @@ class TestSerialization:
         "key repeated": "of frame 1 repeats or is below", "keys swapped": "of frame 1 repeats or",
         "a camera short": "differ in length", "classes as <i8": "classes column: <i8 of shape",
         "boxes as (n, 2)": "boxes column: <f4 of shape", "trailing bytes": "8 bytes follow",
+        "camera 7": "a camera outside 1..6, first at row", "frame negative": "a frame number",
+        "frame 2**32": "a frame number outside 0..2**32 - 1, first at row 0",
     }
 
     @pytest.mark.parametrize("defect", FRAME_DEFECTS)
@@ -1038,15 +1024,6 @@ def dataset(tmp_path_factory):
     return out / "dataset"
 
 
-@pytest.fixture(params=["one chunk", "512-byte chunks"])
-def chunks(request, monkeypatch):
-    """The readers parse a file in chunks of about CHUNK_BYTES; 512 bytes
-    makes many chunks of every file."""
-    if request.param != "one chunk":
-        monkeypatch.setattr(beamsight.pipeline, "CHUNK_BYTES", 512)
-
-
-@pytest.mark.usefixtures("chunks")
 class TestReaderOracle:
     """The column readers against the object reader of ``oracles``: one
     record at a time, one Detection per box."""
@@ -1108,190 +1085,103 @@ class TestReaderOracle:
         assert x.index.tobytes() == expected.index.tobytes()
         assert y.tobytes() == labels.tobytes()
 
-    @pytest.mark.parametrize("name", ["val.ndrec", "pairs.ndrec"])
-    def test_window_unlike_the_first_names_its_line(self, dataset, tmp_path, name):
-        # a window one beam short, in a later chunk than the first window
-        ds = tmp_path / "ds"
-        ds.mkdir()
-        for path in dataset.iterdir():
-            (ds / path.name).write_bytes(path.read_bytes())
-        records = read_records(ds / name)
-        (records[6]["bs2"] if name == "pairs.ndrec" else records[6])["beams"].pop()
-        (ds / name).write_text("".join(json.dumps(r) + "\n" for r in records))
-        with pytest.raises(DataError) as err:
-            if name == "val.ndrec":
-                read_windows(ds, "val")
-            else:
-                read_pair_table(ds / name)
-        assert f"{ds / name}: line 7 " in str(err.value) and "beam index" in str(err.value)
 
-
-def columns(found) -> list:
-    """The int columns of a window table, or of a list or tuple of them and arrays."""
-    if isinstance(found, np.ndarray):
-        return [found]
-    if isinstance(found, (list, tuple)):
-        return [c for part in found for c in columns(part)]
-    return [found.camera, found.user, found.t_end, found.beams, found.future]
-
-
-def outcome(read) -> list | str:
-    """Each column of what ``read()`` gives as (dtype, shape, bytes), or the
-    text of the DataError it raises."""
-    try:
-        return [(c.dtype.str, c.shape, c.tobytes()) for c in columns(read())]
-    except DataError as exc:
-        return str(exc)
-
-
-def json_only(monkeypatch) -> None:
-    """From now on the window and pair readers scan nothing: every chunk goes
-    to the JSON parser, the reference."""
-    monkeypatch.setattr(beamsight.pipeline, "_scan", lambda chunk, pairs=False: None)
-
-
-def json_texts(monkeypatch) -> list:
-    """The texts handed to ``json.loads`` from now on."""
-    texts, loads = [], json.loads
-    monkeypatch.setattr(beamsight.pipeline.json, "loads", lambda text: texts.append(text)
-                        or loads(text))
-    return texts
-
-
-def window_reads(ds: Path) -> dict:
-    """A read of each window and pair file of a dataset directory."""
-    return {"train.ndrec": lambda: read_windows(ds, "train"),
-            "val.ndrec": lambda: read_windows(ds, "val"),
-            "pairs.ndrec": lambda: read_pair_table(ds / "pairs.ndrec")}
-
-
-def chunk_count(path: Path) -> int:
-    with path.open("rb") as fh:
-        return sum(1 for _ in iter(lambda: fh.readlines(beamsight.pipeline.CHUNK_BYTES), []))
-
-
-# Edits of one line of a window or pair file, each of a single token or byte,
-# so that the rest of the line stays in the writer's form: (pattern, the
-# replacement of its first match).  The line is the last one the pattern
-# matches, or the first one where the name says so.
-IN_PLACE = {
-    "camera 7": (rb'"camera":\d+', rb'"camera":7'),
-    "camera 0": (rb'"camera":\d+', rb'"camera":0'),
-    "future status 2": (rb'"window":\[\d', rb'"window":[2'),
-    "leading zero": (rb'"user":', rb'"user":0'),
-    "minus": (rb'"user":', rb'"user":-'),
-    "19 digits": (rb'"user":\d+', rb'"user":1000000000000000000'),
-    "19 digits beyond 64 bits": (rb'"user":\d+', rb'"user":9999999999999999999'),
-    "20 digits": (rb'"user":\d+', rb'"user":10000000000000000000'),
-    "float": (rb'"t_end":\d+', rb'\g<0>.0'),
-    "exponent": (rb'"t_end":\d+', rb'\g<0>e0'),
-    "true": (rb'"camera":\d', rb'"camera":true'),
-    "string": (rb'"user":(\d+)', rb'"user":"\1"'),
-    "null for an int": (rb'"user":\d+', rb'"user":null'),
-    "null after digits": (rb'"t_end":\d+', rb'\g<0>null'),
-    "slash for a digit": (rb'"t_end":\d', rb'"t_end":/'),
-    "digit moved into a key": (rb'"camera":(\d+),"user"', rb'"camera":,"us\1er"'),
-    "beam added": (rb'"beams":\[', rb'"beams":[1,'),
-    "beam dropped": (rb'"beams":\[\d+,', rb'"beams":['),
-    "first line beam added": (rb'"beams":\[', rb'"beams":[1,'),
-    "first line beam dropped": (rb'"beams":\[\d+,', rb'"beams":['),
-    "key renamed": (rb'"user"', rb'"usr"'),
-    "key letter changed": (rb'"user"', rb'"uses"'),
-    "keys swapped": (rb'"user":(\d+),"t_end":(\d+)', rb'"t_end":\2,"user":\1'),
-    "space": (rb'"camera":', rb'"camera": '),
-    "CRLF": (rb'\n', b'\r\n'),
-    "blank line": (rb'\n', b'\n\n'),
-    "no final newline": None,
+WINDOW_DEFECTS = {   # a defect of a window or pair file -> what the error names
+    "t_end as <f8": "t_end column: <f8 of shape", "beams as <i8": "beams column: <i8 of shape",
+    "future as (n,)": "future column: |i1 of shape", "beams as Fortran": "beams column: <i2",
+    "user short": "the columns of windows differ in length", "trailing bytes": "2 bytes follow",
+    "cut in a header": "not a .npy header", "cut in the data": "rows do not fit in the file",
+    "2**40 rows": "camera column: 1099511627776 rows do not fit in the file",
+    "a negative row count": "camera column: <i8 of shape (-1,)",
 }
-PAIR_IN_PLACE = {
-    "bs1 and bs2 swapped": (rb'"bs1"(.*)"bs2"', rb'"bs2"\1"bs1"'),
-    "bs3": (rb'"bs2"', rb'"bs3"'),
-    "bs2 user off bs1's": (rb'"bs2":\{"camera":\d+,"user":', rb'\g<0>1'),
-    "bs2 t_end off bs1's": (rb'"bs2":.*"t_end":', rb'\g<0>1'),
-    "bs2 window as bs1's": (rb'"window":(\[[0-9,]*\])(.*"window":)\[[0-9,]*\]',
-                            rb'"window":\1\2\1'),
-}
+PAIR_DEFECTS = {**WINDOW_DEFECTS,
+                "bs2 short": "bs2 windows: a pair has one of each",
+                "bs2 group missing": "bs2 camera column: not a .npy header",
+                "bs2 beams narrower": None}
 
 
-def edit_in_place(path: Path, name: str) -> None:
-    """The IN_PLACE (or PAIR_IN_PLACE) edit ``name`` of a window or pair file."""
-    text = path.read_bytes()
-    if name == "no final newline":
-        path.write_bytes(text[:-1])
+def break_window_columns(path: Path, defect: str) -> None:
+    """``defect``, a key of PAIR_DEFECTS, made in a window or pair file."""
+    data = path.read_bytes()
+    if defect.startswith("cut") or defect == "trailing bytes":
+        head = 128   # np.save pads each header to a multiple of 64 bytes
+        path.write_bytes({"cut in a header": data[:head // 2], "cut in the data": data[:head + 4],
+                          "trailing bytes": data + b"\0\0"}[defect])
         return
-    lines = text.splitlines(keepends=True)
-    pattern, replacement = {**IN_PLACE, **PAIR_IN_PLACE}[name]
-    i = [n for n, line in enumerate(lines) if re.search(pattern, line)][
-        0 if name.startswith("first line") else -1]
-    lines[i] = re.sub(pattern, replacement, lines[i], count=1)
-    path.write_bytes(b"".join(lines))
+    groups = window_groups(path)
+    first = groups[0]
+    if defect.startswith(("2**40", "a negative")):
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(header, {
+            "descr": "<i8", "fortran_order": False,
+            "shape": (2**40,) if defect.startswith("2**40") else (-1,)})
+        path.write_bytes(header.getvalue() + data[128 + first["camera"].nbytes:])
+        return
+    if defect == "t_end as <f8":
+        first["t_end"] = first["t_end"].astype("<f8")
+    elif defect == "beams as <i8":
+        first["beams"] = first["beams"].astype("<i8")
+    elif defect == "future as (n,)":
+        first["future"] = first["future"][:, 0].copy()
+    elif defect == "beams as Fortran":
+        first["beams"] = np.asfortranarray(first["beams"])
+    elif defect == "user short":
+        first["user"] = first["user"][:-1]
+    elif defect == "bs2 short":
+        groups[1] = {name: column[:-1] for name, column in groups[1].items()}
+    elif defect == "bs2 group missing":
+        groups = groups[:1]
+    else:
+        groups[1]["beams"] = groups[1]["beams"][:, 1:].copy()
+    oracles.save_window_groups(path, groups)
 
 
-@pytest.mark.usefixtures("chunks")
-class TestScan:
-    """Window and pair lines in the writer's form are scanned, any other text
-    goes to the JSON parser: either way a read ends as the JSON parser alone
-    ends it, in the same table bytes or the same DataError text."""
+class TestColumnFiles:
+    """A window or pair file is read by the one column reader into the columns
+    ``np.load`` gives, every value checked; any other file is a DataError
+    naming it and the check."""
 
-    def test_tables_equal_the_json_parsers(self, dataset, monkeypatch):
-        texts = json_texts(monkeypatch)
-        scanned = {name: outcome(read) for name, read in window_reads(dataset).items()}
-        assert texts == []   # every chunk scanned
-        json_only(monkeypatch)
-        for name, read in window_reads(dataset).items():
-            assert isinstance(scanned[name], list) and outcome(read) == scanned[name], name
-        assert len(texts) == sum(chunk_count(dataset / name) for name in scanned) >= 3
+    @pytest.mark.parametrize("name", ["train.ndrec", "val.ndrec", "pairs.ndrec"])
+    def test_tables_hold_np_loads_columns(self, dataset, name):
+        read = (read_pair_table(dataset / name)[:2] if name == "pairs.ndrec"
+                else read_windows(dataset, name.split(".")[0]))
+        for windows, group in zip(read, window_groups(dataset / name), strict=True):
+            assert len(windows) > 0
+            for column in oracles.WINDOW_COLUMNS:
+                found = getattr(windows, column)
+                assert found.dtype == np.int64 and np.array_equal(found, group[column]), column
 
-    def test_earlier_form_reads_into_the_same_tables(self, dataset, tmp_path, monkeypatch):
-        # the form of earlier datasets: a window record also holds its label and
-        # first NLOS instance, a pair record its user, t_end and category
-        def window(record):
-            nlos = [i for i, status in enumerate(record["window"], 1) if status]
-            return {**{key: record[key] for key in ("camera", "user", "t_end", "beams")},
-                    "label": 1 if nlos else 0, "window": record["window"],
-                    "instance": nlos[0] if nlos else None}
-
-        def pair(record):
-            bs1 = window(record["bs1"])
-            return {"user": bs1["user"], "t_end": bs1["t_end"], "category": 2 - bs1["label"],
-                    "bs1": bs1, "bs2": window(record["bs2"])}
-
-        for name, form in (("train.ndrec", window), ("val.ndrec", window), ("pairs.ndrec", pair)):
-            (tmp_path / name).write_text("".join(
-                json.dumps(form(r), separators=(",", ":")) + "\n"
-                for r in read_records(dataset / name)))
-        expected = {name: outcome(read) for name, read in window_reads(dataset).items()}
-        texts = json_texts(monkeypatch)
-        for name, read in window_reads(tmp_path).items():
-            assert isinstance(expected[name], list) and outcome(read) == expected[name], name
-        assert len(texts) == sum(chunk_count(tmp_path / name) for name in expected)
-
-    @pytest.mark.parametrize("name", ["val.ndrec", "pairs.ndrec"])
-    def test_json_dumps_lines_go_to_the_json_parser(self, dataset, tmp_path, monkeypatch, name):
-        (tmp_path / name).write_text("".join(json.dumps(json.loads(line)) + "\n" for line in
-                                             (dataset / name).read_text().splitlines()))
-        expected = outcome(window_reads(dataset)[name])
-        texts = json_texts(monkeypatch)
-        assert outcome(window_reads(tmp_path)[name]) == expected
-        assert len(texts) == chunk_count(tmp_path / name)
-
-    @pytest.mark.parametrize("name, edit", [(name, edit) for name in ("val.ndrec", "pairs.ndrec")
-                                            for edit in IN_PLACE]
-                             + [("pairs.ndrec", edit) for edit in PAIR_IN_PLACE])
-    def test_in_place_edit_ends_as_the_json_parser_ends(self, dataset, tmp_path, monkeypatch,
-                                                         name, edit):
-        shutil.copy(dataset / name, tmp_path / name)
-        edit_in_place(tmp_path / name, edit)
-        read = window_reads(tmp_path)[name]
-        scanned = outcome(read)
-        json_only(monkeypatch)
-        assert outcome(read) == scanned
+    @pytest.mark.parametrize("name, defect", [("val.ndrec", d) for d in WINDOW_DEFECTS]
+                             + [("pairs.ndrec", d) for d in PAIR_DEFECTS])
+    def test_defect_names_file_and_check(self, dataset, tmp_path, name, defect):
+        shutil.copytree(dataset, tmp_path / "ds")
+        path = tmp_path / "ds" / name
+        break_window_columns(path, defect)
+        check = PAIR_DEFECTS[defect]
+        read = ((lambda: read_pair_table(path)) if name == "pairs.ndrec"
+                else lambda: read_windows(tmp_path / "ds", "val"))
+        if check is None:   # the sides' beam widths need not agree
+            bs1, bs2, _ = read()
+            assert bs1.beams.shape[1] == bs2.beams.shape[1] + 1
+            return
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError) as err:
+                read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        message = str(err.value)
+        assert message.startswith(f"{path}: ") and check in message, message
+        if name == "pairs.ndrec" and not defect.startswith(("bs2", "cut", "trailing")):
+            assert message.startswith(f"{path}: bs1 ") or "windows differ" in message
+        assert peak < 2**20 + 2 * path.stat().st_size
 
 
 class TestRepeats:
-    """The bulk repeated-key check against a record loop, the reference: the
-    first record to repeat a key of its own file or of an earlier file read
-    with it, and that key's first record."""
+    """The bulk repeated-key check against a row loop, the reference: the
+    first row to repeat a key of its own file or of an earlier file read
+    with it, and that key's first row."""
 
     @staticmethod
     def first_repeat(files) -> str | None:
@@ -1300,20 +1190,18 @@ class TestRepeats:
             for i, key in enumerate(zip(*(column.tolist() for column in keys))):
                 if key in seen:
                     other, j = seen[key]
-                    return f"{path}: line {i + 1} repeats key {key} of {other}: line {j + 1}"
+                    return f"{path}: row {i} repeats key {key} of {other}: row {j}"
                 seen[key] = (path, i)
         return None
 
-    def test_seeded_files_name_the_loops_lines(self, tmp_path):
+    def test_seeded_files_name_the_loops_rows(self, tmp_path):
         rng = np.random.default_rng(30)
         for case in range(500):
             width, files = int(rng.integers(1, 4)), []   # key columns; 1 to 3 files
-            for f in range(int(rng.integers(1, 4))):   # of 0 to 7 records
-                records = int(rng.integers(0, 8))
+            for f in range(int(rng.integers(1, 4))):   # of 0 to 7 rows
+                rows = int(rng.integers(0, 8))
                 files.append((tmp_path / f"{case}-{f}",
-                              tuple(rng.integers(0, 3, records) for _ in range(width))))
-            for path, keys in files:
-                path.write_text("{}\n" * len(keys[0]))   # record i on line i + 1
+                              tuple(rng.integers(0, 3, rows) for _ in range(width))))
             seen, found = [], None
             try:
                 for path, keys in files:
@@ -1350,7 +1238,7 @@ def differing_files(a, b, names=(*DATASET_FILES, "manifest.json")):
 
 class TestBuildOracle:
     """The table build path against the object writer of ``oracles``: one
-    LabeledSample per window, each record through ``json.dumps``."""
+    LabeledSample per window, the columns built from them through ``np.save``."""
 
     CASES = ["mini", "quota 0", "no pairs", "desk street 3", "desk street 4", "desk street 5"]
 
@@ -1383,14 +1271,20 @@ class TestBuildOracle:
         assert (manifest["counts"]["train"] == {}) == (case == "quota 0")
 
     @pytest.mark.parametrize("case", CASES)
-    def test_scanned_tables_equal_the_json_parsers(self, built, case, monkeypatch):
+    def test_read_tables_equal_the_object_reader(self, built, case):
+        # every window and pair the readers give, against the records of np.load
         out, _ = built
-        texts = json_texts(monkeypatch)
-        scanned = {name: outcome(read) for name, read in window_reads(out / case).items()}
-        assert texts == []   # every chunk scanned
-        json_only(monkeypatch)
-        assert {name: outcome(read) for name, read in window_reads(out / case).items()} == scanned
-        assert all(isinstance(found, list) for found in scanned.values())
+        ds = out / case
+        for split, windows in zip(("train", "val"), read_windows(ds, "train", "val")):
+            records = oracles.read_records(ds / f"{split}.ndrec")
+            assert [list(w.values()) for w in records] == [
+                [*key, b, f] for key, b, f in zip(windows.keys(), windows.beams.tolist(),
+                                                  windows.future.tolist())]
+        bs1, bs2, category = read_pair_table(ds / "pairs.ndrec")
+        records = oracles.read_records(ds / "pairs.ndrec")
+        assert [(r["bs1"]["user"], r["bs1"]["t_end"]) for r in records] == \
+            list(zip(bs1.user.tolist(), bs2.t_end.tolist()))
+        assert category.tolist() == [1 if any(r["bs1"]["window"]) else 2 for r in records]
 
     @pytest.mark.parametrize("quota", [0, 2, 100])
     def test_hand_built_seed_byte_identical(self, tmp_path, quota):
@@ -1427,8 +1321,8 @@ class TestBuildOracle:
 
     def test_build_peak_is_bounded(self, built, tmp_path, monkeypatch):
         # Python allocations of one seed-pass benchmark street's build: windows
-        # stay columns, and the writer formats lines a few hundred at a time
-        # (in one process, so tracemalloc sees both basestations' halves)
+        # stay columns from the seed pass to the files (in one process, so
+        # tracemalloc sees both basestations' halves)
         out, cases = built
         trace, cfg = cases["desk street 3"]
         pin_processes(monkeypatch)

@@ -12,7 +12,7 @@ from oracles import (
 
 from beamsight import scene
 from beamsight.config import ScenarioConfig
-from beamsight.pipeline import _object_table
+from beamsight.pipeline import read_trace, read_trace_rows, write_trace
 from beamsight.scene import (
     OCCLUSION_GRID,
     Camera,
@@ -22,7 +22,6 @@ from beamsight.scene import (
     World,
     build_world,
     detect,
-    object_to_record,
     project_boxes,
     project_object,
     project_objects,
@@ -558,14 +557,19 @@ class TestBuildWorld:
 
 
 class TestRecordRoundtrip:
-    def test_object_roundtrip(self):
+    def test_object_roundtrip(self, tmp_path):
+        # every field of an object through the trace's columns
         obj = make_object(object_id=17, cls=VehicleClass.TRUCK,
                           center=(12.5, 8.75, 1.8), velocity=(-9.5, 0, 0), lane=4)
-        record = object_to_record(obj)
-        rows, velocities, lanes, frames = _object_table([{"frame": 0, "objects": [record]}])
+        cfg = ScenarioConfig()
+        write_trace(tmp_path, cfg, [([obj], np.reshape(obj.center, (1, 1, 3)))])
+        rows = read_trace_rows(tmp_path)[2]
         assert rows.ids.tolist() == [obj.object_id] and rows.frame.tolist() == [0]
         assert scene.CLASSES[rows.classes[0]] is obj.object_class
         assert np.array_equal(rows.centers, [obj.center])
         assert np.array_equal(rows.dims, [obj.dims])
-        assert np.array_equal(velocities, [obj.velocity]) and lanes.tolist() == [obj.lane]
-        assert record[8:] == [*obj.velocity, obj.lane] and frames.tolist() == [0]
+        [[back]] = [w.objects for w in read_trace(tmp_path)[1]]
+        assert (back.object_id, back.object_class, back.lane) == \
+            (obj.object_id, obj.object_class, obj.lane)
+        for field in ("center", "dims", "velocity"):
+            assert np.array_equal(getattr(back, field), getattr(obj, field)), field
