@@ -7,10 +7,9 @@ run-experiment.  Exit codes: 0 success, 1 usage error, 2 data error,
 Heavy imports happen inside the command handlers so the global
 ``--threads`` flag can cap each process's BLAS thread pool before numpy
 loads; results are identical at any fixed thread count.  The seed pass
-may run basestation 2's half in a second process (``pipeline``), and
-scoring may run every other chunk of windows on a second thread
-(``predictor``), both under one CPU rule (``config.cpu_workers``); the
-outputs are identical at any process or thread count.
+may run basestation 2's half in a second process (``pipeline``) under one
+CPU rule (``config.cpu_workers``); the outputs are identical at any process
+count.  Scoring runs on the calling thread.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ MAX_BEAMS = 2**15 - 1     # the largest 1-based beam index the dataset's <i2 bea
 
 
 def cpu_workers() -> int:
-    """2 where a second worker, a forked process or a thread, can run beside
+    """2 where a second worker, the seed pass's forked process, can run beside
     this one with CPUs of its own for its BLAS threads, else 1.  OpenBLAS runs
     OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else one thread per CPU, and
     its idle threads spin: two workers with more threads than CPUs run slower
@@ -33,11 +33,14 @@ def cpu_workers() -> int:
     return 2 if cpus >= 2 * (int(blas) if blas.isdigit() and int(blas) > 0 else cpus) else 1
 
 
-def _require_finite(config) -> None:
-    """DataError naming a float field that is NaN (which every range check lets pass) or inf."""
+def _check_numbers(config) -> None:
+    """DataError naming a float field that is NaN (which every range check lets pass)
+    or inf, or an int field that a signed 64-bit integer cannot hold."""
     for f in dataclasses.fields(config):
         if isinstance(value := getattr(config, f.name), float) and not math.isfinite(value):
             raise DataError(f"{f.name} = {value} is not a finite number")
+        if isinstance(value, int) and not -2**63 <= value < 2**63:
+            raise DataError(f"{f.name} = {value} does not fit a signed 64-bit integer")
 
 
 @dataclass
@@ -83,7 +86,7 @@ class ScenarioConfig:
     dt: float = 0.1
 
     def __post_init__(self):
-        _require_finite(self)
+        _check_numbers(self)
         if self.lanes < 1 or self.street_length <= 0 or self.lane_width <= 0:
             raise DataError("street geometry must be positive")
         if self.dt <= 0:
@@ -129,7 +132,7 @@ class DatasetConfig:
     overlap_cameras: tuple[int, int] = (3, 4)
 
     def __post_init__(self):
-        _require_finite(self)
+        _check_numbers(self)
         if self.observed < 1 or self.future < 1:
             raise DataError("observed and future window lengths must be >= 1")
         if not 0.0 < self.split_fraction < 1.0:
@@ -156,7 +159,7 @@ class TrainConfig:
     table_seed: int = 11      # beam embedding lookup table
 
     def __post_init__(self):
-        _require_finite(self)
+        _check_numbers(self)
         if self.hidden < 1 or self.layers < 1:
             raise DataError("hidden and layers must be >= 1")
         if self.embed_dim < BBOX_FEATURE_SIZE:
@@ -182,6 +185,7 @@ class ExperimentConfig:
     frames: int = 700
 
     def __post_init__(self):
+        _check_numbers(self)
         if self.frames < 1:
             raise DataError("frames must be >= 1")
 

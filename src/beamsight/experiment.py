@@ -51,7 +51,7 @@ from .pipeline import (
     write_dataset,
     write_trace,
 )
-from .predictor import model_from_checkpoint, save_checkpoint, scoring_threads, train_model
+from .predictor import model_from_checkpoint, save_checkpoint, train_model
 from .scene import USER_CLASS, build_world, roll_centers
 
 log = logging.getLogger(__name__)
@@ -88,7 +88,7 @@ def _encode(files, table: BeamEmbeddingTable, mode: str, observed: int, future: 
         if r != observed:
             raise DataError(f"{path}: windows observe {r} frames, the model takes {observed}")
         if f != future:
-            raise DataError(f"{path}: window {windows.keys()[0]} labels {f} future frames, "
+            raise DataError(f"{path}: every window labels {f} future frames, "
                             f"the dataset's manifest says {future}")
     if mode == "bimodal":
         files = [(path, observe(path, windows, frames)) for path, windows in files]
@@ -265,8 +265,8 @@ def eval_stage(ckpt_path, dataset_dir, out_csv) -> tuple[MetricReport, dict]:
     x, _ = _encode([(Path(dataset_dir) / SPLIT_FILES["val"], val)], table, meta["mode"],
                    meta["observed"], manifest["future"], frames)
     preds = model.predict(x)
-    log.info("eval: %d windows scored in %.2f s (threads: %d)", len(val),
-             time.perf_counter() - t0, scoring_threads(len(val)))
+    log.info("eval: %d windows scored in %.2f s (steps advanced: %d of %d)", len(val),
+             time.perf_counter() - t0, *model.steps_advanced)
     rep, cm = report(preds, val, future=manifest["future"])
 
     out_csv = Path(out_csv)
@@ -318,13 +318,14 @@ def handoff_eval(ckpt1_path, ckpt2_path, pairs_path) -> HandoffReport:
     def predict(model, meta, table, windows):
         x, _ = _encode([(pairs_path, windows)], table, meta["mode"], meta["observed"],
                        future, frames)
-        return model.predict(x)
+        return model.predict(x), model.steps_advanced
 
     t0 = time.perf_counter()
-    preds = predict(model1, meta1, table1, bs1), predict(model2, meta2, table2, bs2)
-    log.info("handoff: %d windows scored in %.2f s (threads: %d)", 2 * len(category),
-             time.perf_counter() - t0, scoring_threads(len(category)))
-    return score_handoff(*preds, bs1.label, bs2.label, category)
+    (pred1, steps1), (pred2, steps2) = (predict(model1, meta1, table1, bs1),
+                                        predict(model2, meta2, table2, bs2))
+    log.info("handoff: %d windows scored in %.2f s (steps advanced: %d of %d)",
+             2 * len(category), time.perf_counter() - t0, *np.add(steps1, steps2))
+    return score_handoff(pred1, pred2, bs1.label, bs2.label, category)
 
 
 def handoff_row(label: str, rep: HandoffReport) -> list:

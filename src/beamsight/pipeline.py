@@ -332,8 +332,8 @@ def _forked(child, parent):
     ends with ``os._exit`` (no atexit handlers, no stdio flush).  An exception
     is raised here as its own type and message; a child that dies without a
     result is an error naming its exit status.  No child outlives the call.
-    The only threads here are OpenBLAS's, and it stops them around a fork: no
-    Python thread is alive, since scoring joins its thread before it returns."""
+    The only threads here are OpenBLAS's, and it stops them around a fork: the
+    package starts no Python thread."""
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -536,9 +536,11 @@ def _column(fh: io.BytesIO, data: bytes, name: str, dtype: str, row: tuple) -> n
             or any(n not in (None, m) for n, m in zip(row, shape[1:]))):
         raise ValueError(f"{name} column: {found.str} of shape {shape}, not {dtype} of shape "
                          f"{('n', *row)}")
-    if (size := math.prod(shape)) * found.itemsize > len(data) - fh.tell():
+    if (width := math.prod(shape[1:]) * found.itemsize) > len(data):
+        raise ValueError(f"{name} column: a row of shape {shape[1:]} is longer than the file")
+    if shape[0] * width > len(data) - fh.tell():
         raise ValueError(f"{name} column: {shape[0]} rows do not fit in the file")
-    column = np.frombuffer(data, dtype, size, fh.tell()).reshape(shape)
+    column = np.frombuffer(data, dtype, math.prod(shape), fh.tell()).reshape(shape)
     fh.seek(column.nbytes, io.SEEK_CUR)
     return column
 

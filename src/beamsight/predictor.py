@@ -14,13 +14,14 @@ the same blocks:
     r = sigmoid(a_r + u_r)
     c = tanh(a_c + r * u_c)
     h' = (1 - z) * h + z * c
-The input projection a is one GEMM over a block of steps of a layer, as are
-dW, dU, db and dx after the backward time loop (Appleyard et al.,
+In training, the input projection a is one GEMM over all steps of a layer,
+as are dW, dU, db and dx after the backward time loop (Appleyard et al.,
 arXiv:1604.01946); only h U^T and its gradient run step by step, on
 time-major (batch, .) buffers written in place.  Layer 0 projects each
 distinct input row of a ``Sequences`` batch once, and dW0 is one GEMM over
-those rows of da summed per row.  Scoring advances every layer a block of
-steps at a time and runs its chunks of windows on up to two threads.
+those rows of da summed per row.  Scoring, on the calling thread, advances
+each distinct window prefix once (``_logits``), since windows that share
+their first t rows share their eval-mode states up to step t.
 """
 
 from __future__ import annotations
@@ -30,13 +31,11 @@ import json
 import logging
 import math
 import struct
-import threading
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import config
 from .config import TrainConfig
 from .errors import DataError, NumericError
 
@@ -143,14 +142,22 @@ def gru_cell(a: np.ndarray, h_prev: np.ndarray, U: np.ndarray, out=None):
     return h, (z, r, c, uc)
 
 
-# rows per product when scoring projects a deeper layer's input block by block
-PROJECT_ROWS = 512
-
-
-def scoring_threads(windows: int, batch_size: int = 512) -> int:
-    """Threads that score ``windows`` windows: one per chunk of ``batch_size``,
-    up to ``config.cpu_workers()``."""
-    return max(1, min(-(-windows // batch_size), config.cpu_workers()))
+def prefix_plan(index: np.ndarray) -> tuple[list, np.ndarray]:
+    """The distinct prefixes of a row index (n, T) as nodes, the windows sorted
+    once: at step t a window starts a node where its rows up to t differ from the
+    window's before it.  Returns each step's nodes as (parent, row) arrays, the
+    node of step t - 1 each extends (0 at step 0), and each window's last node."""
+    order = np.lexsort(index.T[::-1])
+    ranked = index[order]
+    new = np.ones(index.shape, bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    np.logical_or.accumulate(new, axis=1, out=new)
+    ids = np.cumsum(new, axis=0, dtype=np.int32) - 1   # each sorted window's node per step
+    nodes = [(ids[first, t - 1] if t else np.zeros_like(first), ranked[first, t])
+             for t, first in enumerate(map(np.flatnonzero, new.T))]
+    last = np.empty_like(ids[:, -1])
+    last[order] = ids[:, -1]
+    return nodes, last
 
 
 class GruPredictor:
@@ -171,11 +178,9 @@ class GruPredictor:
 
     def _run(self, x: Sequences, train: bool, rng: np.random.Generator | None,
              caches: list | None = None):
-        """Forward pass over a ``Sequences`` batch, one step of every window at
-        a time, in blocks of steps: every layer advances a block before the
-        next one starts, so a layer holds step-sized buffers and the hidden
-        states of a block and the step before it.  With ``caches`` one block
-        takes all T steps.  Dropout masks are drawn before the first step.
+        """Forward pass over a ``Sequences`` batch, a layer at a time and a step of
+        every window at a time, on time-major (batch, .) buffers; a deeper layer's
+        input projection is one product.  Dropout masks are drawn before the first step.
 
         Appends to ``caches``, if given, each layer's input (layer 0: its
         distinct rows and each step's position among them), hidden states
@@ -197,38 +202,27 @@ class GruPredictor:
         inputs = [(x.rows[uniq], positions.T)] + [None] * (self.layers - 1)
         table = inputs[0][0] @ self.params["l0.W"].T   # each step gathers its rows of it
         table += self.params["l0.b"]
-        inputs[0] = inputs[0] if cache else None
-        # steps per block, and so per deeper-layer projection; the last block takes
-        # the rest, since OpenBLAS rounds a product of a few rows unlike the whole layer's
-        block = steps if cache else min(steps, max(1, PROJECT_ROWS // batch))
-        bounds = [*range(0, steps - block + 1, block), steps]
-        held = steps - bounds[-2] + 1   # hidden states per layer: a block's and the one before
-        hs = [np.zeros((batch, held, hidden), dtype).transpose(1, 0, 2) if cache
-              else np.zeros((held, batch, hidden), dtype) for _ in range(self.layers)]
+        hs = [np.zeros((batch, steps + 1, hidden), dtype).transpose(1, 0, 2)
+              for _ in range(self.layers)]
         gates = [[] for _ in range(self.layers)]
-        a = np.empty((held - 1, batch, 3 * hidden), dtype)
+        a = np.empty((steps, batch, 3 * hidden), dtype)
         u, scratch = np.empty((batch, 3 * hidden), dtype), np.empty((batch, hidden), dtype)
-        for start, end in zip(bounds, bounds[1:]):
-            for layer in range(self.layers):
-                U, h = self.params[f"l{layer}.U"], hs[layer]
-                if start:   # the state before this block is the last of the one before
-                    np.copyto(h[0], h[block])
-                if layer:
-                    below = hs[layer - 1][1:end - start + 1]
-                    if layer - 1 in masks:
-                        below = below * masks[layer - 1][:, start:end].transpose(1, 0, 2)
-                    inputs[layer] = below.transpose(1, 0, 2)
-                    np.matmul(below.reshape(-1, hidden), self.params[f"l{layer}.W"].T,
-                              out=a[:end - start].reshape(-1, 3 * hidden))
-                    a[:end - start] += self.params[f"l{layer}.b"]
-                for t in range(start, end):
-                    if layer == 0:
-                        np.take(table, positions[t], axis=0, out=a[t - start],
-                                mode="clip")   # unbuffered
-                    if cache or not (layer or t):   # the caches keep every step's gates
-                        zr, c, uc = (np.empty((batch, k * hidden), dtype) for k in (2, 1, 1))
-                    gates[layer].append(gru_cell(a[t - start], h[t - start], U, (
-                        h[t - start + 1], u, zr, c, uc, scratch))[1])
+        for layer in range(self.layers):
+            U, h = self.params[f"l{layer}.U"], hs[layer]
+            if layer:
+                below = hs[layer - 1][1:]
+                if layer - 1 in masks:
+                    below = below * masks[layer - 1].transpose(1, 0, 2)
+                inputs[layer] = below.transpose(1, 0, 2)
+                np.matmul(below.reshape(-1, hidden), self.params[f"l{layer}.W"].T,
+                          out=a.reshape(-1, 3 * hidden))
+                a += self.params[f"l{layer}.b"]
+            for t in range(steps):
+                if layer == 0:
+                    np.take(table, positions[t], axis=0, out=a[t], mode="clip")  # unbuffered
+                if cache or not (layer or t):   # the caches keep every step's gates
+                    zr, c, uc = (np.empty((batch, k * hidden), dtype) for k in (2, 1, 1))
+                gates[layer].append(gru_cell(a[t], h[t], U, (h[t + 1], u, zr, c, uc, scratch))[1])
         if cache:
             caches.extend(zip(inputs, (h.transpose(1, 0, 2) for h in hs), gates))
         last = hs[-1][-1]
@@ -245,35 +239,44 @@ class GruPredictor:
         probs = softmax(self._run(Sequences.of(x), train, rng)[0])
         return probs[0] if single else probs
 
-    def _logits(self, x, batch_size: int = 512) -> np.ndarray:
-        """Eval-mode logits (n, classes) in chunks of ``batch_size`` windows: with
-        ``scoring_threads`` of 2, a thread started and joined here takes the odd
-        chunks.  A chunk's logits are the same on either thread; an exception on
-        either is raised here once both have stopped."""
+    def _logits(self, x) -> np.ndarray:
+        """Eval-mode logits (n, classes): each node of ``prefix_plan`` advanced once,
+        a step at a time through every layer, on gate-major (3, m, H) buffers of
+        the step's m nodes through (3, H, .) views of ``l{k}.W`` and ``l{k}.U``
+        (as in RNN lattice rescoring, Liu et al., ICASSP 2014).  Sets
+        ``steps_advanced`` to (nodes advanced, window steps)."""
         x = Sequences.of(x)
-        chunks = [x[start:start + batch_size] for start in range(0, len(x), batch_size)]
-        threads, errors = scoring_threads(len(x), batch_size), []
+        nodes, last = prefix_plan(x.index)
+        sizes = [len(parent) for parent, _ in nodes]
+        self.steps_advanced = (sum(sizes), x.index.size)
+        hidden, dtype = self.hidden, np.result_type(x.rows, *self.params.values())
+        W, U, b = ([self.params[f"l{k}.{name}"].reshape(3, hidden, -1).transpose(0, 2, 1)
+                    for k in range(self.layers)] for name in "WUb")   # (3, in, H), (3, 1, H)
+        used, inv = np.unique(np.concatenate([row for _, row in nodes]), return_inverse=True)
+        table = np.matmul(x.rows[used], W[0]) + b[0]   # (3, R, H)
+        flat = [np.empty(k * max(sizes) * hidden, dtype) for k in (3, 3, 1, 1)]   # step buffers
+        states = [np.zeros((max(sizes), hidden), dtype) for _ in range(self.layers)]
+        for (parent, _), rows in zip(nodes, np.split(inv, np.cumsum(sizes)[:-1])):
+            m = len(parent)
+            a, u = (buf[:3 * m * hidden].reshape(3, m, hidden) for buf in flat[:2])
+            h_prev, rest = (buf[:m * hidden].reshape(m, hidden) for buf in flat[2:])
+            for layer, state in enumerate(states):
+                if layer:   # layer - 1's states of this step
+                    np.add(np.matmul(h, W[layer], out=a), b[layer], out=a)
+                else:
+                    np.take(table, rows, axis=1, out=a, mode="clip")   # unbuffered
+                np.take(state, parent, axis=0, out=h_prev, mode="clip")
+                np.matmul(h_prev, U[layer], out=u)
+                z, r = sigmoid(np.add(a[:2], u[:2], out=a[:2]), out=a[:2])
+                c = np.tanh(np.add(a[2], np.multiply(r, u[2], out=u[2]), out=u[2]), out=u[2])
+                np.multiply(np.subtract(1.0, z, out=rest), h_prev, out=rest)
+                h = np.add(rest, np.multiply(z, c, out=state[:m]), out=state[:m])
+        logits = h @ self.params["out.W"].T + self.params["out.b"]
+        return logits[last]
 
-        def score(first):   # every threads-th chunk from the first-th, in place
-            try:
-                for i in range(first, len(chunks), threads):
-                    chunks[i] = self._run(chunks[i], False, None)[0]
-            except BaseException as exc:
-                errors.append(exc)
-
-        workers = [threading.Thread(target=score, args=(i,)) for i in range(1, threads)]
-        for worker in workers:
-            worker.start()
-        score(0)
-        for worker in workers:
-            worker.join()
-        if errors:
-            raise errors[0]
-        return np.concatenate(chunks) if chunks else np.empty((0, self.classes))
-
-    def predict(self, x, batch_size: int = 512) -> np.ndarray:
+    def predict(self, x) -> np.ndarray:
         """Argmax class per sample, evaluated in eval mode."""
-        return np.argmax(softmax(self._logits(x, batch_size)), axis=1)
+        return np.argmax(softmax(self._logits(x)), axis=1)
 
     def loss_and_grads(self, x, y: np.ndarray, train: bool = False,
                        rng: np.random.Generator | None = None):

@@ -9,7 +9,6 @@ import shutil
 import struct
 import subprocess
 import sys
-import threading
 import tracemalloc
 import warnings
 from collections import Counter
@@ -161,20 +160,10 @@ class TestRunExperiment:
             assert (out / name).read_bytes() == (again / name).read_bytes(), name
 
     def test_files_identical_on_one_and_two_workers(self, tmp_path, monkeypatch):
-        # chunks of 16 windows, so that two threads score every stage's windows
-        real_logits, real_run, on_main = GruPredictor._logits, GruPredictor._run, set()
-
-        def run(model, *args, **kwargs):
-            on_main.add(threading.current_thread() is threading.main_thread())
-            return real_run(model, *args, **kwargs)
-
-        monkeypatch.setattr(GruPredictor, "_logits", lambda model, x, batch_size=512:
-                            real_logits(model, x, 16))
-        monkeypatch.setattr(GruPredictor, "_run", run)
+        # two workers fork the seed pass; scoring runs on the calling thread
         for workers in (1, 2):
             monkeypatch.setattr(beamsight.config, "cpu_workers", lambda: workers)
             run_experiment(load_experiment_config(MINI), tmp_path / str(workers))
-            assert len(on_main) == workers   # {True}, then {True, False}
         files = sorted(p.relative_to(tmp_path / "1") for p in (tmp_path / "1").rglob("*"))
         assert files == sorted(p.relative_to(tmp_path / "2") for p in (tmp_path / "2").rglob("*"))
         for name in files:
@@ -314,23 +303,28 @@ class TestBuildDiagnostics:
         for name in (*DATASET_FILES, "manifest.json"):
             assert (tmp_path / name).read_bytes() == (out / "dataset" / name).read_bytes(), name
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_info_lines_report_scoring_threads(self, tmp_path, mini_run, caplog, monkeypatch,
-                                               workers):
-        # 750 validation windows make two chunks of 512; 23 pairs one
+    def test_info_lines_report_steps_advanced(self, tmp_path, mini_run, caplog, monkeypatch):
+        # each distinct prefix of the scored windows is one step advanced
         out, _ = mini_run
         manifest = build_dataset_stage(out / "trace", tmp_path, DatasetConfig(quota=300, seed=7))
         val, pairs = sum(manifest["counts"]["val"].values()), manifest["counts"]["pairs"]
-        assert 512 < val <= 1024 and pairs <= 512
-        monkeypatch.setattr(beamsight.config, "cpu_workers", lambda: workers)
+        scored, real = [], GruPredictor._logits
+        monkeypatch.setattr(GruPredictor, "_logits",
+                            lambda model, x: scored.append(x.index) or real(model, x))
         with caplog.at_level(logging.INFO, logger="beamsight.experiment"):
             eval_stage(out / "bimodal.ckpt", tmp_path, tmp_path / "eval.csv")
             handoff_eval(out / "bimodal.ckpt", out / "beam_only.ckpt", tmp_path / "pairs.ndrec")
         info = [r.getMessage() for r in caplog.records if r.name == "beamsight.experiment"]
-        assert re.fullmatch(rf"eval: {val} windows scored in \d+\.\d\d s \(threads: {workers}\)",
-                            info[-2])
-        assert re.fullmatch(rf"handoff: {2 * pairs} windows scored in \d+\.\d\d s \(threads: 1\)",
-                            info[-1])
+        counts = [(sum(len({tuple(w[:t + 1]) for w in index.tolist()})
+                       for t in range(index.shape[1])), index.size) for index in scored]
+        assert [len(index) for index in scored] == [val, pairs, pairs]
+        assert all(advanced < size for advanced, size in counts)   # windows share prefixes
+        assert re.fullmatch(rf"eval: {val} windows scored in \d+\.\d\d s "
+                            rf"\(steps advanced: {counts[0][0]} of {counts[0][1]}\)", info[-2])
+        assert re.fullmatch(rf"handoff: {2 * pairs} windows scored in \d+\.\d\d s "
+                            rf"\(steps advanced: {counts[1][0] + counts[2][0]} of "
+                            rf"{counts[1][1] + counts[2][1]}\)", info[-1])
+
 
 class TestBoxText:
     """frames.cols stores each box corner as its nearest float32, moved one
@@ -1076,6 +1070,9 @@ class TestCli:
         ("vehicles", "min_speed", "-1"),
         ("vehicles", "max_speed", "1.5"),   # below the default min_speed
         ("simulation", "seed", "-1"),
+        *((section, option, str(value)) for value in (2**64, 2**70)   # past 64 bits
+          for section, option in (("vehicles", "cars"), ("vehicles", "buses"),
+                                  ("vehicles", "trucks"), ("phy", "elements"))),
     ])
     def test_bad_scenario_range_is_data_error(self, tmp_path, capsys,
                                               section, option, value):
@@ -1175,13 +1172,17 @@ class TestCli:
         assert not (out / "dataset").exists()
 
     @pytest.mark.parametrize("line", ["hidden = 0", "layers = 0", "embed_dim = 5",
-                                      "seed = -4", "table_seed = -1"])
+                                      "seed = -4", "table_seed = -1",
+                                      *(f"{option} = {value}" for value in (2**64, 2**70)
+                                        for option in ("hidden", "embed_dim"))])
     def test_bad_train_config_is_data_error(self, tmp_path, capsys, line):
         ini = tmp_path / "train.ini"
         ini.write_text(f"[train]\n{line}\n")
         assert main(["train", "--dataset", str(tmp_path), "--mode", "bimodal",
                      "--config", str(ini), "--out", str(tmp_path / "m.ckpt")]) == 2
-        assert str(ini) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(ini) in err and line.split()[0] in err and "Traceback" not in err
+        assert int(line.split()[-1]) < 2**63 or f"{ini}: {line} does not fit a signed 64-bit" in err
 
     @pytest.mark.parametrize("edit", ["seed = -2", "quota = -1", "overlap_cameras = 3",
                                       "overlap_cameras = 3 4 5", "overlap_cameras = 4 3",
@@ -1215,7 +1216,9 @@ class TestCli:
                                  "--pairs", str(path)]}[command]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert str(path) in err and "labels 2 future frames" in err
+        future = json.loads((ds / "manifest.json").read_text())["future"]
+        assert f"{path}: every window labels 2 future frames, the dataset's manifest says " \
+            f"{future}" in err   # the file's width: every window of a column file has it
 
     @pytest.mark.parametrize("defect", ["future", "beam"])
     @pytest.mark.parametrize("name, other", [("train.ndrec", "val.ndrec"),

@@ -1093,6 +1093,8 @@ WINDOW_DEFECTS = {   # a defect of a window or pair file -> what the error names
     "cut in a header": "not a .npy header", "cut in the data": "rows do not fit in the file",
     "2**40 rows": "camera column: 1099511627776 rows do not fit in the file",
     "a negative row count": "camera column: <i8 of shape (-1,)",
+    **{f"beams (0, {name})": f"beams column: a row of shape ({width},) is longer than the file"
+       for name, width in (("2**62", 2**62), ("2**70", 2**70))},   # no rows, a huge width
 }
 PAIR_DEFECTS = {**WINDOW_DEFECTS,
                 "bs2 short": "bs2 windows: a pair has one of each",
@@ -1116,6 +1118,15 @@ def break_window_columns(path: Path, defect: str) -> None:
             "descr": "<i8", "fortran_order": False,
             "shape": (2**40,) if defect.startswith("2**40") else (-1,)})
         path.write_bytes(header.getvalue() + data[128 + first["camera"].nbytes:])
+        return
+    if defect.startswith("beams (0, "):
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(header, {
+            "descr": "<i2", "fortran_order": False,
+            "shape": (0, 2**62 if defect.endswith("2**62)") else 2**70)})
+        empty = [np.save(buffer := io.BytesIO(), first[name][:0]) or buffer.getvalue()
+                 for name in oracles.WINDOW_COLUMNS]
+        path.write_bytes(b"".join(empty[:3]) + header.getvalue() + empty[4])
         return
     if defect == "t_end as <f8":
         first["t_end"] = first["t_end"].astype("<f8")

@@ -3,14 +3,11 @@ import logging
 import math
 import re
 import struct
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-import beamsight.config
 import beamsight.predictor
 from beamsight.config import TrainConfig
 from beamsight.errors import DataError, NumericError
@@ -23,6 +20,7 @@ from beamsight.predictor import (
     init_params,
     load_checkpoint,
     model_from_checkpoint,
+    prefix_plan,
     save_checkpoint,
     train_model,
 )
@@ -155,8 +153,7 @@ class TestForwardOracle:
     """The step-buffer forward pass against the batch-major one it replaced,
     bit for bit.  H = 32 makes OpenBLAS 0.3.31 round a deeper layer's product
     of up to 12 rows differently from a longer one, so this also pins that a
-    chunk of few windows is projected whole; chunks of 511-513 windows are
-    projected a step at a time."""
+    layer's input is projected whole, in one product over all its steps."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("layers", [1, 2, 3])
@@ -202,42 +199,22 @@ class TestForwardOracle:
                 for layer in want[2]:
                     assert got[2][layer].tobytes() == want[2][layer].tobytes(), (shape, layer)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("layers", [1, 2, 3])
-    def test_scores_same_on_one_and_two_threads(self, dtype, layers, monkeypatch):
-        model = GruPredictor(input_dim=8, hidden=32, layers=layers, seed=layers)
-        model.params = {k: v.astype(dtype) for k, v in model.params.items()}
-        rng = np.random.default_rng(layers)
-        x = Sequences(rng.normal(size=(600, 8)).astype(dtype),
-                      rng.integers(0, 600, size=(5 * 512, 6)))
-        for chunks in range(1, 6):
-            part = x[:chunks * 512 - 3]
-            want = np.concatenate([model._run(part[start:start + 512], False, None)[0]
-                                   for start in range(0, len(part), 512)])
-            for workers in (1, 2):
-                monkeypatch.setattr(beamsight.config, "cpu_workers", lambda: workers)
-                assert model._logits(part).tobytes() == want.tobytes(), (chunks, workers)
-                assert model.predict(part).tobytes() == np.argmax(want, axis=1).tobytes()
-
-    def test_scoring_holds_step_sized_state(self, monkeypatch):
+    def test_scoring_holds_step_sized_state(self):
         # 1,024 windows of 16 steps over 1,088 rows, about a replay street's
         # bimodal validation split (1,089 windows); the batch-major pass
-        # peaked at 21.8 MiB here and the step-buffer pass at 5.2 MiB; on two
-        # threads each scores a chunk at a time
+        # peaked at 21.8 MiB here and the step-buffer pass at 5.2 MiB
         model = GruPredictor(input_dim=256, hidden=64, seed=0)
         model.params = {k: v.astype(np.float32) for k, v in model.params.items()}
         rng = np.random.default_rng(0)
         x = Sequences(rng.normal(size=(1088, 256)).astype(np.float32),
                       rng.integers(0, 1088, size=(1024, 16)))
-        for workers in (1, 2):
-            monkeypatch.setattr(beamsight.config, "cpu_workers", lambda: workers)
-            tracemalloc.start()
-            try:
-                model.predict(x)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 8 * 2**20, f"predict peaked at {peak / 2**20:.1f} MiB on {workers}"
+        tracemalloc.start()
+        try:
+            model.predict(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20, f"predict peaked at {peak / 2**20:.1f} MiB"
 
     def test_training_step_frees_each_layer_cache(self):
         # one bimodal training step of 200 windows of 16 steps; it peaked at
@@ -258,50 +235,77 @@ class TestForwardOracle:
         assert peak <= 20 * 2**20, f"a training step peaked at {peak / 2**20:.1f} MiB"
 
 
-class TestScoringThreads:
-    @pytest.mark.parametrize("failing", ["worker", "caller"])
-    def test_error_is_raised_as_its_own_and_no_thread_outlives_the_call(self, failing,
-                                                                         monkeypatch):
-        monkeypatch.setattr(beamsight.config, "cpu_workers", lambda: 2)
+def shared_windows(kind, rng, count, steps, rows):
+    """A row index (count, steps) over ``rows`` rows: one window, ``count``
+    identical ones, ones that share no prefix, or a half that shares its
+    first (steps + 1) // 2 rows."""
+    index = rng.integers(0, rows, size=(count, steps))
+    if kind == "one":
+        return index[:1]
+    if kind == "identical":
+        index[:] = index[0]
+    elif kind == "distinct":
+        index[:, 0] = rng.permutation(rows)[:count]
+    elif kind == "half sharing":
+        index[:count // 2, :(steps + 1) // 2] = index[0, :(steps + 1) // 2]
+    return index
+
+
+def distinct_prefixes(index):
+    """Each step's distinct prefixes of the windows of ``index``, as sets of tuples."""
+    windows = [tuple(w) for w in index.tolist()]
+    return [{w[:t + 1] for w in windows} for t in range(index.shape[1])]
+
+
+class TestPrefixPlan:
+    """Scoring advances each distinct prefix once on gate-major buffers, so
+    OpenBLAS may round its logits unlike a window's own ``_run`` in the
+    low-order bits: they agree within a tolerance set by the dtype."""
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("steps", [1, 5, 16])
+    @pytest.mark.parametrize("kind", ["one", "identical", "distinct", "half sharing"])
+    def test_scores_match_each_window_on_its_own(self, dtype, tol, layers, steps, kind):
+        model = GruPredictor(input_dim=8, hidden=32, layers=layers, seed=layers)
+        model.params = {k: v.astype(dtype) for k, v in model.params.items()}
+        rng = np.random.default_rng([layers, steps])
+        x = Sequences(rng.normal(size=(300, 8)).astype(dtype),
+                      shared_windows(kind, rng, 200, steps, 300))
+        want = np.concatenate([model._run(x[i:i + 1], False, None)[0] for i in range(len(x))])
+        got = model._logits(x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=tol, atol=tol)   # atol: logits near 0
+        clear = np.abs(want[:, 0] - want[:, 1]) > 10 * tol   # no near-tie to round either way
+        assert np.array_equal(model.predict(x)[clear], np.argmax(want, axis=1)[clear])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_window_order_leaves_the_bytes(self, dtype, layers):
+        model = GruPredictor(input_dim=8, hidden=32, layers=layers, seed=layers)
+        model.params = {k: v.astype(dtype) for k, v in model.params.items()}
+        rng = np.random.default_rng(layers)
+        x = Sequences(rng.normal(size=(40, 8)).astype(dtype), rng.integers(0, 4, size=(600, 6)))
+        want = model._logits(x)
+        for seed in range(3):
+            order = np.random.default_rng(seed).permutation(len(x))
+            assert model._logits(x[order]).tobytes() == want[order].tobytes(), seed
+
+    @pytest.mark.parametrize("vocabulary", [1, 2, 3, 50])
+    @pytest.mark.parametrize("steps", [1, 5, 16])
+    def test_plan_advances_each_distinct_prefix_once(self, vocabulary, steps):
+        index = np.random.default_rng([vocabulary, steps]).integers(0, vocabulary, (300, steps))
+        nodes, last = prefix_plan(index)
+        prefixes = distinct_prefixes(index)
+        assert [len(parent) for parent, _ in nodes] == list(map(len, prefixes))
+        built = [()]   # each node's prefix, rebuilt from its parent and row
+        for (parent, row), want in zip(nodes, prefixes):
+            built = [built[p] + (r,) for p, r in zip(parent.tolist(), row.tolist())]
+            assert len(set(built)) == len(built) and set(built) == want
+        assert [built[k] for k in last.tolist()] == [tuple(w) for w in index.tolist()]
         model = GruPredictor(input_dim=3, hidden=4, seed=0)
-        x = Sequences(np.ones((10, 3)), np.zeros((40, 2), dtype=int))
-        caller, before = threading.current_thread(), threading.active_count()
-        real = model._run
-
-        def run(chunk, *args):
-            if (threading.current_thread() is caller) == (failing == "caller"):
-                raise ZeroDivisionError(f"{failing} failed")
-            return real(chunk, *args)
-
-        assert model._logits(x, 10).shape == (40, 2)
-        assert threading.active_count() == before
-        monkeypatch.setattr(model, "_run", run)
-        with pytest.raises(ZeroDivisionError, match=f"^{failing} failed$"):
-            model._logits(x, 10)
-        assert threading.active_count() == before
-
-    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
-        # each chunk's logits land in its own slot, whichever thread runs it
-        model = GruPredictor(input_dim=8, hidden=16, seed=1)
-        rng = np.random.default_rng(1)
-        x = Sequences(rng.normal(size=(300, 8)), rng.integers(0, 300, size=(400, 5)))
-        want = np.concatenate([model._run(x[start:start + 20], False, None)[0]
-                               for start in range(0, len(x), 20)])
-        monkeypatch.setattr(beamsight.config, "cpu_workers", lambda: 4)
-        interval, before = sys.getswitchinterval(), threading.active_count()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(20):
-                assert model._logits(x, 20).tobytes() == want.tobytes()
-        finally:
-            sys.setswitchinterval(interval)
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("windows, workers, threads", [
-        (0, 2, 1), (1, 2, 1), (512, 2, 1), (513, 2, 2), (5000, 2, 2), (5000, 1, 1)])
-    def test_thread_count(self, windows, workers, threads, monkeypatch):
-        monkeypatch.setattr(beamsight.config, "cpu_workers", lambda: workers)
-        assert beamsight.predictor.scoring_threads(windows) == threads
+        model.predict(Sequences(np.ones((vocabulary, 3)), index))
+        assert model.steps_advanced == (sum(map(len, prefixes)), index.size)
 
 
 class TestLossAndGrads:
