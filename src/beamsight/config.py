@@ -20,6 +20,7 @@ from .errors import DataError
 
 BBOX_FEATURE_SIZE = 6     # [x_cent, y_cent, x1, y1, x2, y2] per detection box
 MAX_BEAMS = 2**15 - 1     # the largest 1-based beam index the dataset's <i2 beam column holds
+MAX_FRAMES = 2**32        # the most frames of a trace: frames.cols numbers them 0..2**32 - 1
 
 
 def cpu_workers() -> int:
@@ -186,8 +187,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_numbers(self)
-        if self.frames < 1:
-            raise DataError("frames must be >= 1")
+        if not 1 <= self.frames <= MAX_FRAMES:
+            raise DataError(f"frames must be in 1..{MAX_FRAMES}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import DatasetConfig, ExperimentConfig, ScenarioConfig, TrainConfig
+from .config import MAX_FRAMES, DatasetConfig, ExperimentConfig, ScenarioConfig, TrainConfig
 from .embedding import BeamEmbeddingTable, check_beams, encode_dataset
 from .errors import BeamsightError, DataError
 from .handoff import HandoffReport, score_handoff
@@ -115,11 +115,11 @@ def _write_csv(path, header: list[str], rows: list[list]) -> None:
 
 def simulate_stage(cfg: ScenarioConfig, frames: int, out_dir) -> Path:
     """Roll the world forward and write the trace."""
-    if frames < 1:
-        raise DataError("frames must be >= 1")
+    if not 1 <= frames <= MAX_FRAMES:
+        raise DataError(f"frames must be in 1..{MAX_FRAMES}")
     world = build_world(cfg)
     out = Path(out_dir)
-    write_trace(out, cfg, [(world.objects, roll_centers(world, cfg.dt, frames))])
+    write_trace(out, cfg, world.objects, roll_centers(world, cfg.dt, frames))
     log.info("simulated %d frames into %s", frames, out)
     return out
 

@@ -15,8 +15,8 @@ identical inputs make byte-identical.  Every array file is ``.npy`` columns,
 one ``np.save`` array after another: ``frames.cols`` the observed frames'
 ``FrameTable``, box corners as float32; ``train.ndrec`` and ``val.ndrec`` a
 window group each (key, beams and future statuses); ``pairs.ndrec`` the bs1
-group, then the bs2 group; a trace's ``trace.cols`` each run's objects once
-and every frame's centres.  One reader, ``_read``, checks each column's
+group, then the bs2 group; a trace's ``trace.cols`` its objects once and
+every frame's centres.  One reader, ``_read``, checks each column's
 header and views its rows in place; every check runs on whole columns, and
 an error names the file, the check and the first row at fault.  The object
 types (``LabeledSample``, ``ConjugateSample`` and their parts) are a read
@@ -43,7 +43,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import config
-from .config import MAX_BEAMS, ScenarioConfig, scenario_from_json
+from .config import MAX_BEAMS, MAX_FRAMES, ScenarioConfig, scenario_from_json
 from .errors import DataError
 from .phy import Codebook, path_arrays, path_beams, segments_blocked
 from .scene import (
@@ -73,7 +73,7 @@ LINK_CHUNK = 24       # owned users per link-kernel call, which bounds their mem
 FRAMES_FILE, PAIRS_FILE = "frames.cols", "pairs.ndrec"
 SPLIT_FILES = {"train": "train.ndrec", "val": "val.ndrec"}
 DATASET_FILES = (FRAMES_FILE, *SPLIT_FILES.values(), PAIRS_FILE)
-TRACE_FILE, TRACE_FORMAT = "trace.cols", 2   # beside a trace's manifest.json, which names the format
+TRACE_FILE, TRACE_FORMAT = "trace.cols", 3   # beside a trace's manifest.json, which names the format
 # The .npy columns of each file in order: name, dtype and the shape of a row
 # (None: any length, the same in every row).
 _FRAME_COLUMNS = (("camera", "<i8", ()), ("frame", "<i8", ()), ("count", "<i8", ()),
@@ -83,11 +83,9 @@ _WINDOW_COLUMNS = (("camera", "<i8", ()), ("user", "<i8", ()), ("t_end", "<i8", 
                    ("beams", "<i2", (None,)), ("future", "|i1", (None,)))
 _PAIR_COLUMNS = tuple((f"{side} {name}", dtype, row) for side in ("bs1", "bs2")
                       for name, dtype, row in _WINDOW_COLUMNS)
-# run: the run of each frame; objects: each run's object count; then each
-# run's objects, run after run; centres: each frame's, in its run's order
-_TRACE_COLUMNS = (("run", "<i8", ()), ("objects", "<i8", ()), ("ids", "<i8", ()),
-                  ("classes", "|i1", ()), ("dims", "<f8", (3,)), ("velocities", "<f8", (3,)),
-                  ("lanes", "<i8", ()), ("centers", "<f8", (3,)))
+# the objects once, in ascending id order; then every frame's centres, in that order
+_TRACE_COLUMNS = (("ids", "<i8", ()), ("classes", "|i1", ()), ("dims", "<f8", (3,)),
+                  ("velocities", "<f8", (3,)), ("lanes", "<i8", ()), ("centers", "<f8", (3,)))
 
 
 def camera_to_bs(camera_id):
@@ -538,6 +536,8 @@ def _column(fh: io.BytesIO, data: bytes, name: str, dtype: str, row: tuple) -> n
                          f"{('n', *row)}")
     if (width := math.prod(shape[1:]) * found.itemsize) > len(data):
         raise ValueError(f"{name} column: a row of shape {shape[1:]} is longer than the file")
+    if width == 0 < shape[0]:   # no writer makes them; numpy cannot view 2**62 of them
+        raise ValueError(f"{name} column: {shape[0]} rows of shape {shape[1:]} hold no values")
     if shape[0] * width > len(data) - fh.tell():
         raise ValueError(f"{name} column: {shape[0]} rows do not fit in the file")
     column = np.frombuffer(data, dtype, math.prod(shape), fh.tell()).reshape(shape)
@@ -735,60 +735,40 @@ def read_manifest(dataset_dir) -> dict:
 # Trace (simulate stage output)
 # ---------------------------------------------------------------------------
 
-def write_trace(trace_dir, cfg: ScenarioConfig, runs: list[tuple]) -> None:
-    """The trace of ``runs``, (objects, centres (frames, objects, 3)) pairs in
-    frame order: its manifest and ``trace.cols``, columns of each frame's run,
-    each run's objects once (id, class, dims, velocity, lane) and every frame's
-    centres as they are."""
+def write_trace(trace_dir, cfg: ScenarioConfig, objects: list[SceneObject],
+                centers: np.ndarray) -> None:
+    """The trace of ``objects``, ids ascending, and their ``centers`` (frames, objects, 3):
+    its manifest and ``trace.cols``, the objects once, then every frame's centres."""
     out = Path(trace_dir)
     out.mkdir(parents=True, exist_ok=True)
-    frames = [len(centers) for _, centers in runs]
-    manifest = {"format": TRACE_FORMAT, "frames": sum(frames),
+    manifest = {"format": TRACE_FORMAT, "frames": len(centers),
                 "scenario": dataclasses.asdict(cfg)}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    objects = [o for run, _ in runs for o in run]
     _save(out / TRACE_FILE, _TRACE_COLUMNS, SimpleNamespace(
-        run=np.repeat(np.arange(len(runs)), frames), objects=[len(run) for run, _ in runs],
         ids=[o.object_id for o in objects],
         classes=[CLASS_CODES[o.object_class.value] for o in objects],
         dims=np.reshape([o.dims for o in objects], (-1, 3)),
         velocities=np.reshape([o.velocity for o in objects], (-1, 3)),
-        lanes=[o.lane for o in objects],
-        centers=np.concatenate([np.zeros((0, 3)), *(np.reshape(c, (-1, 3)) for _, c in runs)])))
+        lanes=[o.lane for o in objects], centers=np.reshape(centers, (-1, 3))))
 
 
-def _trace(run, objects, ids, classes, dims, velocities, lanes, centers) -> tuple:
-    """The columns of ``trace.cols``, every check made in bulk, and the objects
-    in (run, id) order."""
+def _trace(ids, classes, dims, velocities, lanes, centers) -> tuple:
+    """The columns of ``trace.cols``, every check made in bulk."""
     _require(len(ids) == len(classes) == len(dims) == len(velocities) == len(lanes),
              "the object columns differ in length")
-    _require(np.isin(np.diff(run, prepend=0), (0, 1)) & (run[:1] == 0),
-             "a frame's run is neither the one before's nor the next: runs go 0, 1, 2, ...")
-    _require(len(objects) == (int(run[-1]) + 1 if len(run) else 0),
-             f"{len(objects)} object counts for the frames' runs: one a run")
-    _require((0 <= objects) & (objects <= len(ids)), "an object count below 0 or above the objects")
-    _require(objects.sum() == len(ids),
-             f"the object counts sum to {objects.sum()}, not the {len(ids)} objects")
-    _require(objects[run].sum() == len(centers),
-             f"the frames' runs hold {objects[run].sum()} objects, not the {len(centers)} centres")
+    _require(np.append(True, ids[1:] > ids[:-1]),
+             "an object id not above the one before: the ids must ascend")
     _require((0 <= classes) & (classes < len(CLASSES)), "an unknown class code")
     _require(np.isfinite(centers).all(axis=1), "a centre that is not finite")
     _require(np.isfinite(velocities).all(axis=1), "a velocity that is not finite")
     _require((dims > 0).all(axis=1) & np.isfinite(dims).all(axis=1),
              "object dimensions must be positive and finite")
-    owner = np.repeat(np.arange(len(objects)), objects)   # each object's run
-    order = np.lexsort((ids, owner))
-    repeat = np.zeros(len(ids), dtype=bool)
-    repeat[order[1:]] = (np.diff(ids[order]) == 0) & (np.diff(owner[order]) == 0)
-    _require(~repeat, "an object id repeats within its run")
-    return run, objects, ids, classes, dims, velocities, lanes, centers, order
+    return ids, classes, dims, velocities, lanes, centers
 
 
-def _read_trace(trace_dir, by_id: bool) -> tuple:
-    """A trace's config, geometry (a world without objects), every frame's
-    objects as rows, frame after frame (its run's objects, by id if ``by_id``,
-    else in the run's order), their velocities and lanes, and each frame's
-    object count."""
+def _read_trace(trace_dir) -> tuple:
+    """A trace's config, geometry (a world without objects), frame count and columns:
+    the objects' ids, classes, dims, velocities and lanes, then every frame's centres."""
     manifest_path, path = Path(trace_dir) / "manifest.json", Path(trace_dir) / TRACE_FILE
     if not manifest_path.is_file():
         raise DataError(f"not a trace directory: {trace_dir}")
@@ -800,32 +780,31 @@ def _read_trace(trace_dir, by_id: bool) -> tuple:
     if form != TRACE_FORMAT:
         raise DataError(f"{manifest_path}: trace format {form!r}, not {TRACE_FORMAT} (columns "
                         f"in {path}): run simulate again")
+    if type(frames) is not int or not 1 <= frames <= MAX_FRAMES:
+        raise DataError(f"{manifest_path}: frames = {frames!r}, not an integer in 1..{MAX_FRAMES}")
     cfg = scenario_from_json(manifest_path, scenario)
-    run, objects, ids, classes, dims, velocities, lanes, centers, order = _read(
-        path, _trace, _TRACE_COLUMNS)
-    if not len(run) or len(run) != frames:
-        raise DataError(f"{path}: {len(run)} frames, {manifest_path} says {frames}")
-    count = objects[run]   # each frame's objects, which start at its run's first object
-    shift = np.repeat((np.cumsum(objects) - objects)[run] - np.cumsum(count) + count, count)
-    pick = (order if by_id else np.arange(len(ids)))[np.arange(len(centers)) + shift]
-    rows = ObjectRows(np.repeat(np.arange(len(run)), count), classes[pick].astype(np.int64),
-                      ids[pick], centers[pick - shift], dims[pick])
-    return cfg, world_from_objects(cfg, []), rows, velocities[pick], lanes[pick], count
+    ids, *_, centers = columns = _read(path, _trace, _TRACE_COLUMNS)
+    if len(centers) != frames * len(ids):
+        raise DataError(f"{path}: {len(centers)} centre rows, not the {frames} frames x "
+                        f"{len(ids)} objects that {manifest_path} says")
+    return cfg, world_from_objects(cfg, []), frames, columns
 
 
 def read_trace_rows(trace_dir) -> tuple[ScenarioConfig, World, ObjectRows]:
-    """A trace's config, geometry and objects as rows sorted by (frame, id): each
-    frame's rows are its run's objects, sorted once a run."""
-    cfg, world, rows, *_ = _read_trace(trace_dir, by_id=True)
-    return cfg, world, rows
+    """A trace's config, geometry and objects as rows sorted by (frame, id):
+    every frame's rows are the one object list, its ids ascending."""
+    cfg, world, frames, (ids, classes, dims, _, _, centers) = _read_trace(trace_dir)
+    frame = np.arange(len(centers)) // max(len(ids), 1)   # no objects: no rows, at any frames
+    return cfg, world, ObjectRows(frame, np.tile(classes.astype(np.int64), frames),
+                                  np.tile(ids, frames), centers, np.tile(dims, (frames, 1)))
 
 
 def read_trace(trace_dir) -> tuple[ScenarioConfig, list[World]]:
     """A trace's config and world states, which share one geometry, as step_world's
-    do; each state's objects in the order of its run's."""
-    cfg, world, rows, velocities, lanes, count = _read_trace(trace_dir, by_id=False)
-    objects = list(map(SceneObject, rows.ids.tolist(), [CLASSES[c] for c in rows.classes.tolist()],
-                       *(a.tolist() for a in (rows.centers, rows.dims, velocities, lanes))))
-    ends = np.cumsum(count).tolist()
-    return cfg, [dataclasses.replace(world, objects=objects[end - n:end])
-                 for end, n in zip(ends, count.tolist())]
+    do; each state's objects in ascending id order."""
+    cfg, world, frames, (ids, classes, dims, velocities, lanes, centers) = _read_trace(trace_dir)
+    ids, dims, velocities, lanes = (a.tolist() for a in (ids, dims, velocities, lanes))
+    classes = [CLASSES[c] for c in classes.tolist()]
+    return cfg, [dataclasses.replace(world, objects=list(map(
+        SceneObject, ids, classes, frame, dims, velocities, lanes)))
+        for frame in centers.reshape(frames, len(ids), 3).tolist()]

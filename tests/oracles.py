@@ -445,7 +445,7 @@ def step_objects(world, dt):
     return dataclasses.replace(world, objects=stepped)
 
 
-TRACE_COLUMNS = ("run", "objects", "ids", "classes", "dims", "velocities", "lanes", "centers")
+TRACE_COLUMNS = ("ids", "classes", "dims", "velocities", "lanes", "centers")
 WINDOW_COLUMNS = ("camera", "user", "t_end", "beams", "future")
 
 
@@ -465,24 +465,22 @@ def save_columns(path, columns) -> None:
             np.save(fh, column)
 
 
-def write_trace_columns(trace_dir, cfg, runs):
-    """The trace of ``runs``, lists of worlds whose frames hold the same
-    objects, each run's objects taken from its first world and every centre
-    from its world, object by object."""
+def write_trace_columns(trace_dir, cfg, worlds):
+    """The trace of ``worlds``, whose frames hold the same objects in ascending
+    id order: the objects taken from the first world, every centre from its
+    world, object by object."""
     out = Path(trace_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {"format": 2, "frames": sum(map(len, runs)), "scenario": dataclasses.asdict(cfg)}
+    manifest = {"format": 3, "frames": len(worlds), "scenario": dataclasses.asdict(cfg)}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    objects = [o for run in runs for o in run[0].objects]
+    objects = worlds[0].objects
     save_columns(out / "trace.cols", [
-        np.array([r for r, run in enumerate(runs) for _ in run], dtype="<i8"),
-        np.array([len(run[0].objects) for run in runs], dtype="<i8"),
         np.array([o.object_id for o in objects], dtype="<i8"),
         np.array([CLASS_CODES[o.object_class.value] for o in objects], dtype="|i1"),
         np.array([o.dims.tolist() for o in objects], dtype="<f8").reshape(-1, 3),
         np.array([o.velocity.tolist() for o in objects], dtype="<f8").reshape(-1, 3),
         np.array([o.lane for o in objects], dtype="<i8"),
-        np.array([o.center.tolist() for run in runs for world in run for o in world.objects],
+        np.array([o.center.tolist() for world in worlds for o in world.objects],
                  dtype="<f8").reshape(-1, 3)])
 
 
@@ -492,7 +490,7 @@ def simulate_trace(cfg, frames, trace_dir):
     worlds = [build_world(cfg)]
     for _ in range(frames - 1):
         worlds.append(step_objects(worlds[-1], cfg.dt))
-    write_trace_columns(trace_dir, cfg, [worlds])
+    write_trace_columns(trace_dir, cfg, worlds)
 
 
 def record_to_sample(record, frames):

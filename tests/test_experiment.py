@@ -896,9 +896,11 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{path}: centers column: " in err and "rows do not fit in the file" in err
 
-    @pytest.mark.parametrize("layout", ["format 1", "no format", "format 2 without columns"])
+    @pytest.mark.parametrize("layout", ["format 1", "format 2", "no format",
+                                        "format 3 without columns"])
     def test_older_trace_layout_is_data_error(self, tmp_path, capsys, layout):
-        # format 1: a text frames.ndjson, one JSON frame a line, beside the manifest
+        # format 1: a text frames.ndjson, one JSON frame a line, beside the manifest;
+        # format 2: trace.cols with each run's objects once, the runs' columns first
         trace = tmp_path / "trace"
         assert main(["simulate", "--config", str(MINI), "--frames", "3",
                      "--out", str(trace)]) == 0
@@ -907,33 +909,34 @@ class TestCli:
         if layout == "format 1":
             manifest["format"] = 1
             (trace / "frames.ndjson").write_text('{"frame":0,"objects":[]}\n' * 3)
+        elif layout == "format 2":
+            manifest["format"] = 2
         elif layout == "no format":
             del manifest["format"]
         manifest_path.write_text(json.dumps(manifest))
-        (trace / TRACE_FILE).unlink()
+        if layout != "format 2":
+            (trace / TRACE_FILE).unlink()
         assert main(["build-dataset", "--trace", str(trace),
                      "--out", str(tmp_path / "ds")]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        if layout == "format 1":
-            assert f"{manifest_path}: trace format 1, not 2" in err and str(trace / TRACE_FILE) in err
+        if layout.startswith("format") and layout[-1] in "12":
+            assert f"{manifest_path}: trace format {layout[-1]}, not 3" in err
+            assert str(trace / TRACE_FILE) in err and "run simulate again" in err
         elif layout == "no format":
             assert f"{manifest_path}: not a trace manifest: KeyError('format')" in err
         else:
             assert f"missing file: {trace / TRACE_FILE}" in err
 
     TRACE_DEFECTS = {   # a defect of trace.cols -> what the error names
-        "a frame dropped": "2 frames", "a frame added": "4 frames",
-        "a run skipped": "a frame's run is neither the one before's nor the next",
-        "runs from 1": "a frame's run is neither", "a run count more": "object counts for",
-        "object count one less": "the object counts sum to",
-        "object count negative": "an object count below 0",
-        "a centre dropped": "the frames' runs hold", "nan centre": "a centre that is not finite",
-        "infinite centre": "a centre that is not finite",
+        "a frame dropped": "centre rows, not the 3 frames x", "a frame added": "not the 3 frames x",
+        "one centre row short": "centre rows, not the 3 frames x",
+        "nan centre": "a centre that is not finite", "infinite centre": "a centre that is not finite",
         "nan velocity": "a velocity that is not finite",
         "infinite dim": "dimensions must be positive and finite",
         "zero dim": "dimensions must be positive", "negative dim": "dimensions must be positive",
-        "repeated object id": "an object id repeats within its run, first at row 1",
+        "repeated object id": "the ids must ascend, first at row 1",
+        "ids out of id order": "the ids must ascend, first at row 1",
         "unknown class": "an unknown class code, first at row 0",
         "ids as <f8": "ids column: <f8 of shape", "centres as (n, 2)": "centers column: <f8",
         "lanes short": "the object columns differ in length", "trailing bytes": "1 bytes follow",
@@ -945,22 +948,13 @@ class TestCli:
         if defect == "trailing bytes":
             path.write_bytes(path.read_bytes() + b"\0")
             return
-        run, objects, ids, classes, dims, velocities, lanes, centers = \
-            oracles.load_columns(path)
+        ids, classes, dims, velocities, lanes, centers = oracles.load_columns(path)
         n = len(ids)
         if defect == "a frame dropped":
-            run, centers = run[:-1], centers[:-n]
+            centers = centers[:-n]
         elif defect == "a frame added":
-            run, centers = np.append(run, 0), np.concatenate([centers, centers[:n]])
-        elif defect == "a run skipped":
-            run[-1] = 2
-        elif defect == "runs from 1":
-            run += 1
-        elif defect == "a run count more":
-            objects = np.append(objects, 0)
-        elif defect.startswith("object count"):
-            objects[0] = n - 1 if defect.endswith("less") else -1
-        elif defect == "a centre dropped":
+            centers = np.concatenate([centers, centers[:n]])
+        elif defect == "one centre row short":
             centers = centers[:-1]
         elif defect.endswith(" centre"):
             centers[n + 1, 2] = math.nan if defect == "nan centre" else math.inf
@@ -970,6 +964,8 @@ class TestCli:
             dims[1, 1] = {"infinite": math.inf, "zero": 0.0, "negative": -1.5}[defect.split()[0]]
         elif defect == "repeated object id":
             ids[1] = ids[0]
+        elif defect == "ids out of id order":
+            ids[:2] = ids[1::-1].copy()
         elif defect == "unknown class":
             classes[0] = 3
         elif defect == "ids as <f8":
@@ -978,7 +974,7 @@ class TestCli:
             centers = centers[:, :2].copy()
         else:
             lanes = lanes[:-1]
-        oracles.save_columns(path, [run, objects, ids, classes, dims, velocities, lanes, centers])
+        oracles.save_columns(path, [ids, classes, dims, velocities, lanes, centers])
 
     @pytest.mark.parametrize("defect", TRACE_DEFECTS)
     def test_corrupt_trace_is_data_error(self, tmp_path, capsys, defect):
@@ -991,8 +987,8 @@ class TestCli:
                      "--out", str(tmp_path / "ds")]) == 2
         err = capsys.readouterr().err
         assert f"{path}: " in err and self.TRACE_DEFECTS[defect] in err, err
-        if defect.startswith("a frame "):
-            assert f"{trace / 'manifest.json'} says 3" in err
+        if "frame" in defect:
+            assert f"objects that {trace / 'manifest.json'} says" in err
 
     def test_too_short_trace_names_its_file(self, tmp_path, capsys):
         trace = tmp_path / "trace"
@@ -1093,6 +1089,22 @@ class TestCli:
         assert main(["build-dataset", "--trace", str(trace), "--out", str(tmp_path / "ds")]) == 2
         err = capsys.readouterr().err
         assert f"{manifest_path}: " in err and option in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("frames", [0, -1, 2**32 + 1, 2**62, 2**70])
+    def test_frame_count_out_of_range_is_data_error(self, tmp_path, capsys, frames):
+        # frames.cols numbers frames 0..2**32 - 1: a count past 2**32 is refused
+        # before anything is allocated, on the command line and in an INI
+        assert main(["simulate", "--config", str(MINI), "--frames", str(frames),
+                     "--out", str(tmp_path / "trace")]) == 2
+        err = capsys.readouterr().err
+        assert "frames must be in 1..4294967296" in err and "Traceback" not in err
+        assert not (tmp_path / "trace").exists()
+        ini = tmp_path / "experiment.ini"
+        ini.write_text(f"[experiment]\nframes = {frames}\n")
+        assert main(["run-experiment", "--config", str(ini), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert f"{ini}: frames" in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("cls, option", [
@@ -1276,11 +1288,15 @@ _WINDOW_VALUES = [*(f"{field} = {value}" for field in ("camera", "user", "t_end"
                   "repeated row", "beams narrower", "future wider", "user as <i4",
                   "beams as <i8", "future as |u1"]
 _PAIR_COLUMNS = [f"{side} {name}" for side in ("bs1", "bs2") for name in oracles.WINDOW_COLUMNS]
-_TRACE_VALUES = [*(f"{column} = {value}" for column in ("run", "objects", "ids", "lanes")
+_TRACE_VALUES = [*(f"{column} = {value}" for column in ("ids", "lanes")
                    for value in ("-1", "2**62")),
                  "classes = -1", "classes = 3", "centers = nan", "centers = inf",
                  "centers = 1e300", "dims = 0", "dims = nan", "velocities = inf",
                  "repeated row", "ids as <i4", "centers as <f4"]
+# what a trace manifest key is set to, or "dropped"
+_MANIFEST_VALUES = {"a string": "abc", "-1": -1, "0": 0, "2**70": 2**70, "1.5": 1.5,
+                    "NaN": math.nan, "inf": math.inf, "a list": [3], "an object": {"frames": 3},
+                    "null": None, "true": True}
 _VALUES = {"0": 0, "-1": -1, "2": 2, "3": 3, "2**62": 2**62, "2**15 - 1": 2**15 - 1,
            "nan": math.nan, "inf": math.inf, "1e300": 1e300}
 
@@ -1409,6 +1425,40 @@ class TestMutations:
         assert code == 2 or mutation in _TRACE_VALUES or mutation.endswith("data byte flipped")
         assert mutation != "2**40 rows" or ("do not fit in the file" in err and peak < 2**20), \
             (peak, err)
+
+    @pytest.mark.parametrize("value", ["dropped", *_MANIFEST_VALUES])
+    @pytest.mark.parametrize("key", ["format", "frames", *(
+        f"scenario {f.name}" for f in dataclasses.fields(ScenarioConfig))])
+    def test_trace_manifest(self, tmp_path, capsys, monkeypatch, trace, key, value):
+        # a key of the trace manifest or of its scenario echo, dropped or set to
+        # a value of another type or range; a case that reaches the seed pass
+        # runs at one and at two workers, to the same end
+        shutil.copytree(trace, tmp_path / "trace")
+        path = tmp_path / "trace" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        *within, name = key.split()
+        owner = manifest[within[0]] if within else manifest
+        if value == "dropped":
+            del owner[name]
+        else:
+            owner[name] = _MANIFEST_VALUES[value]
+        path.write_text(json.dumps(manifest))
+        reached, seed_pass = [], beamsight.experiment.seed_pass
+        monkeypatch.setattr(beamsight.experiment, "seed_pass",
+                            lambda *args: reached.append(args) or seed_pass(*args))
+        ends = []
+        for workers in (1, 2):
+            monkeypatch.setattr(beamsight.config, "cpu_workers", lambda: workers)
+            out = tmp_path / f"ds{workers}"
+            code = main(["build-dataset", "--trace", str(path.parent), "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code == 0 or (code == 2 and str(path) in err), (code, err)
+            assert "Traceback" not in err, err
+            ends.append((code, err.replace(str(out), "out"),
+                         [f.read_bytes() for f in sorted(out.glob("*"))]))
+            if not reached:
+                break
+        assert ends[1:] in ([], ends[:1]), ends
 
     COLUMNS = ["empty file", *(f"{name} {part} {kind}" for name in oracles.FRAME_COLUMNS
                                for part in ("header", "data")

@@ -34,7 +34,6 @@ from oracles import (
     simulate_trace,
     window_groups,
     window_tables,
-    write_trace_columns,
 )
 
 from beamsight.cli import main
@@ -121,9 +120,10 @@ def static_worlds(cfg, objects, frames):
 
 
 def write_worlds(trace_dir, cfg, worlds):
-    """``write_trace`` of hand-built worlds, each its own one-frame run."""
-    write_trace(trace_dir, cfg, [(w.objects, np.reshape([o.center for o in w.objects], (1, -1, 3)))
-                                 for w in worlds])
+    """``write_trace`` of hand-built worlds, which hold the same objects in
+    ascending id order: the first world's objects, every world's centres."""
+    write_trace(trace_dir, cfg, worlds[0].objects,
+                np.reshape([[o.center for o in w.objects] for w in worlds], (len(worlds), -1, 3)))
 
 
 def pin_processes(monkeypatch, processes=1):
@@ -543,18 +543,11 @@ class TestTraceRows:
     """The seed pass's rows of a trace against object_rows of read_trace's worlds."""
 
     def test_rows_equal_object_rows_of_read_trace(self, tmp_path):
-        # runs of the simulated objects, cut by a run with no objects (frame 4),
-        # one whose objects are out of id order (frame 9) and one without users
+        # one run of the simulated objects over three blocks, the last one short
         cfg = load_experiment_config(MINI).scenario
         world, frames = build_world(cfg), 2 * BLOCK_FRAMES + 3
         centers = beamsight.scene.roll_centers(world, cfg.dt, frames)
-        cars = np.array([o.is_user for o in world.objects])
-        runs = [(world.objects, centers[:4]), ([], np.zeros((1, 0, 3))),
-                (world.objects, centers[5:9]), (world.objects[::-1], centers[9:10, ::-1]),
-                (world.objects, centers[10:BLOCK_FRAMES]),
-                ([o for o in world.objects if not o.is_user], centers[BLOCK_FRAMES:][:1, ~cars]),
-                (world.objects, centers[BLOCK_FRAMES + 1:])]
-        write_trace(tmp_path / "trace", cfg, runs)
+        write_trace(tmp_path / "trace", cfg, world.objects, centers)
 
         cfg_back, world, rows = read_trace_rows(tmp_path / "trace")
         _, worlds = read_trace(tmp_path / "trace")
@@ -564,24 +557,20 @@ class TestTraceRows:
             assert got.dtype == expected.dtype and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes(), column
         assert cfg_back == cfg and world.objects == [] and len(worlds) == frames
-        assert 4 not in rows.frame.tolist()
-        assert [o.object_id for o in worlds[9].objects] == sorted(rows.ids[rows.frame == 9],
-                                                                   reverse=True)
         assert np.all(np.diff(rows.frame * 10**6 + rows.ids) > 0)   # sorted by (frame, id)
+        ids = sorted(o.object_id for o in build_world(cfg).objects)
         assert [[(o.object_id, o.center.tolist()) for o in w.objects] for w in worlds] == \
-            [[(o.object_id, c) for o, c in zip(objects, frame.tolist())]
-             for objects, run in runs for frame in run]   # each frame's objects, its run's
+            [list(zip(ids, frame.tolist())) for frame in centers]   # every frame's, by id
 
         seed, reference = seed_pass(rows, world, cfg), build_seed(worlds, cfg)
         assert as_tuples(seed) == as_tuples(reference)
         assert detections_by_key(seed.frames) == detections_by_key(reference.frames)
-        frames = set(seed.frame.tolist())
-        assert 4 not in frames and BLOCK_FRAMES not in frames and 9 in frames
+        assert {0, frames - 1} <= set(seed.frame.tolist())
 
     def test_read_peak_is_near_the_rows(self, tmp_path):
-        # a 1,200-frame desk trace's rows are taken from the file's columns in
-        # place, each run's objects sorted by id once: the peak is the file,
-        # the rows and a few int columns of them
+        # a 1,200-frame desk trace's rows are the file's centres in place and
+        # the one object list tiled: the peak is the file, the rows and a few
+        # int columns of them
         trace = simulate_stage(load_experiment_config(DESK).scenario, 1200, tmp_path / "trace")
         tracemalloc.start()
         try:
@@ -611,7 +600,8 @@ class TestSimulateOracle:
         simulate_stage(experiment.scenario, frames, tmp_path / "lib")
         simulate_trace(experiment.scenario, frames, tmp_path / "oracle")
         self.assert_same_trace(tmp_path / "lib", tmp_path / "oracle")
-        assert len(oracles.load_columns(tmp_path / "lib" / TRACE_FILE)[0]) == frames
+        objects = len(build_world(experiment.scenario).objects)
+        assert len(oracles.load_columns(tmp_path / "lib" / TRACE_FILE)[-1]) == frames * objects
 
     def test_vehicles_wrap_at_both_ends(self, tmp_path):
         cfg = small_cfg(cars=8, buses=2, trucks=1, min_speed=25.0, max_speed=40.0, seed=5)
@@ -625,16 +615,6 @@ class TestSimulateOracle:
         assert (jumps[:, forward] < 0).any()              # past street_length back to 0
         assert (jumps[:, ~forward] > 0).any()             # backward lanes across x = 0
         assert x.min() >= 0.0 and x.max() < cfg.street_length
-
-    def test_hand_built_worlds(self, tmp_path):
-        # runs of one frame each, with per-frame object sets and an empty frame
-        cfg = load_experiment_config(MINI).scenario
-        worlds = street(cfg, 6)
-        worlds[2] = world_from_objects(cfg, [o for o in worlds[2].objects if o.is_user])
-        worlds[4] = world_from_objects(cfg, [])
-        write_worlds(tmp_path / "lib", cfg, worlds)
-        write_trace_columns(tmp_path / "oracle", cfg, [[w] for w in worlds])
-        self.assert_same_trace(tmp_path / "lib", tmp_path / "oracle")
 
 
 def make_seed(statuses, camera_id=2, user_id=0, beams=None, start_frame=0):
@@ -838,14 +818,15 @@ class TestConjugatePairs:
 class TestSeedCounters:
     def test_hand_built_trace(self, tmp_path):
         # a user parked behind a bus at basestation 1, out of every view at
-        # frame 3, and a second user never in view
+        # frame 3 (lifted, as the second user is), and a second user never in view
         cfg = small_cfg()
         x = float(world_from_objects(cfg, []).basestations[0].position[0])
         hidden = SceneObject(object_id=2, object_class=VehicleClass.CAR,
                              center=np.array([80.0, 8.75, 1000.0]),
                              dims=np.array([4.6, 1.8, 1.5]), velocity=np.zeros(3), lane=0)
         worlds = static_worlds(cfg, [car(0, x, 15.75), bus(1, x, 5.25), hidden], 20)
-        worlds[3] = world_from_objects(cfg, [bus(1, x, 5.25), hidden])
+        worlds[3] = world_from_objects(cfg, [replace(car(0, x, 15.75), center=np.array(
+            [x, 15.75, 1000.0])), bus(1, x, 5.25), hidden])
         write_worlds(tmp_path / "trace", cfg, worlds)
         manifest = build_dataset_stage(tmp_path / "trace", tmp_path / "ds",
                                        DatasetConfig(quota=2))
@@ -1095,6 +1076,8 @@ WINDOW_DEFECTS = {   # a defect of a window or pair file -> what the error names
     "a negative row count": "camera column: <i8 of shape (-1,)",
     **{f"beams (0, {name})": f"beams column: a row of shape ({width},) is longer than the file"
        for name, width in (("2**62", 2**62), ("2**70", 2**70))},   # no rows, a huge width
+    **{f"beams ({name}, 0)": f"beams column: {rows} rows of shape (0,) hold no values"
+       for name, rows in (("2**62", 2**62), ("2**70", 2**70))},   # no width, a huge row count
 }
 PAIR_DEFECTS = {**WINDOW_DEFECTS,
                 "bs2 short": "bs2 windows: a pair has one of each",
@@ -1119,11 +1102,12 @@ def break_window_columns(path: Path, defect: str) -> None:
             "shape": (2**40,) if defect.startswith("2**40") else (-1,)})
         path.write_bytes(header.getvalue() + data[128 + first["camera"].nbytes:])
         return
-    if defect.startswith("beams (0, "):
+    if defect.startswith("beams ("):
         header = io.BytesIO()
         np.lib.format.write_array_header_1_0(header, {
             "descr": "<i2", "fortran_order": False,
-            "shape": (0, 2**62 if defect.endswith("2**62)") else 2**70)})
+            "shape": tuple({"0": 0, "2**62": 2**62, "2**70": 2**70}[n]
+                           for n in defect[len("beams ("):-1].split(", "))})
         empty = [np.save(buffer := io.BytesIO(), first[name][:0]) or buffer.getvalue()
                  for name in oracles.WINDOW_COLUMNS]
         path.write_bytes(b"".join(empty[:3]) + header.getvalue() + empty[4])

@@ -562,7 +562,7 @@ class TestRecordRoundtrip:
         obj = make_object(object_id=17, cls=VehicleClass.TRUCK,
                           center=(12.5, 8.75, 1.8), velocity=(-9.5, 0, 0), lane=4)
         cfg = ScenarioConfig()
-        write_trace(tmp_path, cfg, [([obj], np.reshape(obj.center, (1, 1, 3)))])
+        write_trace(tmp_path, cfg, [obj], np.reshape(obj.center, (1, 1, 3)))
         rows = read_trace_rows(tmp_path)[2]
         assert rows.ids.tolist() == [obj.object_id] and rows.frame.tolist() == [0]
         assert scene.CLASSES[rows.classes[0]] is obj.object_class
