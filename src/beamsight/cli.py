@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: simulate, build-dataset, train, eval, handoff-eval,
-run-experiment.  Exit codes: 0 success, 1 usage error, 2 data error,
-3 numeric failure.
+run-experiment.  Exit codes: 0 success, 1 usage error, 2 data error or
+failed write, 3 numeric failure.
 
 Heavy imports happen inside the command handlers so the global
 ``--threads`` flag can cap each process's BLAS thread pool before numpy

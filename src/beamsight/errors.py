@@ -10,7 +10,7 @@ class BeamsightError(Exception):
 
 
 class DataError(BeamsightError):
-    """Missing, empty, or malformed input data."""
+    """Missing, empty, or malformed input data, or an output that cannot be written."""
 
 
 class NumericError(BeamsightError):

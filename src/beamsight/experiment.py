@@ -18,6 +18,7 @@ no timestamps; reruns of one config are byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import logging
@@ -103,10 +104,20 @@ def _encode(files, table: BeamEmbeddingTable, mode: str, observed: int, future: 
         raise
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """A write to ``path`` that fails with an OSError ends as a DataError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_csv(path, header: list[str], rows: list[list]) -> None:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows]))
+    with _writing(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +130,8 @@ def simulate_stage(cfg: ScenarioConfig, frames: int, out_dir) -> Path:
         raise DataError(f"frames must be in 1..{MAX_FRAMES}")
     world = build_world(cfg)
     out = Path(out_dir)
-    write_trace(out, cfg, world.objects, roll_centers(world, cfg.dt, frames))
+    with _writing(out):
+        write_trace(out, cfg, world.objects, roll_centers(world, cfg.dt, frames))
     log.info("simulated %d frames into %s", frames, out)
     return out
 
@@ -176,7 +188,8 @@ def build_dataset_stage(trace_dir, out_dir, ds_cfg: DatasetConfig) -> dict:
         },
     }
     write = time.perf_counter()
-    write_dataset(out_dir, train, val, pairs, manifest)
+    with _writing(out_dir):
+        write_dataset(out_dir, train, val, pairs, manifest)
     log.info("dataset: trace %.2f s, seed pass %.2f s (processes: %d), write %.2f s; %d train, "
              "%d val, %d conjugate pairs; %s", read - start, seeded - read, seed.processes,
              time.perf_counter() - write, len(train), len(val), len(category),
@@ -216,7 +229,8 @@ def train_stage(dataset_dir, mode: str, cfg: TrainConfig, out_ckpt,
         "best_val_top1": result.best_val_top1,
         "train_config": dataclasses.asdict(cfg),
     }
-    save_checkpoint(out_ckpt, result.params, meta)
+    with _writing(out_ckpt):
+        save_checkpoint(out_ckpt, result.params, meta)
     if history_csv is not None:
         _write_csv(history_csv,
                    ["epoch", "train_loss", "train_top1", "val_loss", "val_top1"],
@@ -234,19 +248,22 @@ def _load_model(ckpt_path):
         if meta["mode"] not in ("bimodal", "beam-only") or \
                 meta["embed_dim"] != model.input_dim:
             raise ValueError("mode or embed_dim does not fit the model")
-        for key, least in (("observed", 1), ("table_seed", 0)):
-            if type(meta[key]) is not int or meta[key] < least:
-                raise ValueError(f"{key} = {meta[key]!r} is not an int >= {least}")
+        if type(meta["table_seed"]) is not int or meta["table_seed"] < 0:
+            raise ValueError(f"table_seed = {meta['table_seed']!r} is not an int >= 0")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"checkpoint {ckpt_path}: bad header: {exc!r}") from exc
     return model, meta
 
 
-def _beam_table(ckpt_path, meta: dict, n_beams: int) -> BeamEmbeddingTable:
-    """A checkpoint's beam table, once its n_beams is found to be the dataset's ``n_beams``."""
-    if type(meta.get("n_beams")) is not int or meta["n_beams"] != n_beams:
-        raise DataError(f"checkpoint {ckpt_path}: bad header: n_beams = {meta.get('n_beams')!r}"
-                        f", but the dataset's codebook has {n_beams} beams")
+def _beam_table(ckpt_path, meta: dict, dataset_dir, manifest: dict) -> BeamEmbeddingTable:
+    """A checkpoint's beam table, once its n_beams and observed are found to be
+    the codebook size and the window length of the dataset's ``manifest``."""
+    n_beams = manifest["codebook"]["beams"]
+    for key, value, unit in (("n_beams", n_beams, "codebook beams"),
+                             ("observed", manifest["observed"], "observed frames")):
+        if type(meta.get(key)) is not int or meta[key] != value:
+            raise DataError(f"checkpoint {ckpt_path}: bad header: {key} = {meta.get(key)!r}, "
+                            f"but {Path(dataset_dir) / 'manifest.json'} has {value} {unit}")
     return BeamEmbeddingTable(n_beams, meta["embed_dim"], meta["table_seed"])
 
 
@@ -258,7 +275,7 @@ def eval_stage(ckpt_path, dataset_dir, out_csv) -> tuple[MetricReport, dict]:
     """
     model, meta = _load_model(ckpt_path)
     manifest = read_manifest(dataset_dir)
-    table = _beam_table(ckpt_path, meta, manifest["codebook"]["beams"])
+    table = _beam_table(ckpt_path, meta, dataset_dir, manifest)
     frames = read_frames(dataset_dir) if meta["mode"] == "bimodal" else None
     [val] = read_windows(dataset_dir, "val")
     t0 = time.perf_counter()
@@ -309,9 +326,9 @@ def handoff_eval(ckpt1_path, ckpt2_path, pairs_path) -> HandoffReport:
     frames = read_frames(dataset_dir) if bimodal else None
     bs1, bs2, category = read_pair_table(pairs_path)
     manifest = read_manifest(dataset_dir)
-    future, n_beams = manifest["future"], manifest["codebook"]["beams"]
-    table1 = _beam_table(ckpt1_path, meta1, n_beams)
-    table2 = table1 if same else _beam_table(ckpt2_path, meta2, n_beams)
+    future = manifest["future"]
+    table1 = _beam_table(ckpt1_path, meta1, dataset_dir, manifest)
+    table2 = table1 if same else _beam_table(ckpt2_path, meta2, dataset_dir, manifest)
     if not len(category):
         return score_handoff([], [], [], [], [])
 
@@ -358,7 +375,8 @@ def handoff_stage(ckpt1_path, ckpt2_path, pairs_path, out_csv,
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     """All stages in sequence; returns the experiment manifest."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
     manifest: dict = {
         "version": __version__,
         "config": cfg.to_dict(),
@@ -426,6 +444,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         "pairs": ds_manifest["counts"]["pairs"],
     }
 
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with _writing(out / "manifest.json"):
+        (out / "manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pipeline import ConjugateSample
-
 
 @dataclass(frozen=True)
 class HandoffEvent:
@@ -85,15 +83,3 @@ def score_handoff(pred_bs1, pred_bs2, status_bs1, status_bs2, category) -> Hando
         bs_nlos_accuracy={bs: mean(p[s == 1] == 1) for bs, p, s in ((1, p1, s1), (2, p2, s2))},
         bs_los_accuracy={bs: mean(p[s == 0] == 0) for bs, p, s in ((1, p1, s1), (2, p2, s2))},
     )
-
-
-def evaluate_handoff(predict_bs1, predict_bs2,
-                     pairs: list[ConjugateSample]) -> HandoffReport:
-    """``score_handoff`` of ConjugateSamples: ``predict_bs1`` / ``predict_bs2``
-    map a LabeledSample to a binary future-link-status prediction; the two
-    are evaluated independently."""
-    return score_handoff([int(predict_bs1(p.sample_bs1)) for p in pairs],
-                         [int(predict_bs2(p.sample_bs2)) for p in pairs],
-                         [p.sample_bs1.label.status for p in pairs],
-                         [p.sample_bs2.label.status for p in pairs],
-                         [p.category for p in pairs])

@@ -14,14 +14,17 @@ the same blocks:
     r = sigmoid(a_r + u_r)
     c = tanh(a_c + r * u_c)
     h' = (1 - z) * h + z * c
-In training, the input projection a is one GEMM over all steps of a layer,
-as are dW, dU, db and dx after the backward time loop (Appleyard et al.,
-arXiv:1604.01946); only h U^T and its gradient run step by step, on
-time-major (batch, .) buffers written in place.  Layer 0 projects each
-distinct input row of a ``Sequences`` batch once, and dW0 is one GEMM over
-those rows of da summed per row.  Scoring, on the calling thread, advances
-each distinct window prefix once (``_logits``), since windows that share
-their first t rows share their eval-mode states up to step t.
+Training (``_run``) and scoring (``_logits``) take one step, ``_gru_step``,
+on gate-major (3, m, H) buffers through (3, ., H) views of the fused
+tensors, so each gate is a contiguous (m, H) block.  In training, a layer's
+input projection a is one (3, T, batch, H) block, a product per gate over
+all its steps (layer 0 projects each distinct input row of a ``Sequences``
+batch once and gathers); the steps overwrite it with the gates the backward
+pass reads.  dW, dU, db and dx are one GEMM each after the backward time
+loop (Appleyard et al., arXiv:1604.01946), and dW0 one GEMM over the
+distinct rows of da summed per row.  Scoring, on the calling thread,
+advances each distinct window prefix once, since windows that share their
+first t rows share their eval-mode states up to step t.
 """
 
 from __future__ import annotations
@@ -119,27 +122,17 @@ def init_params(input_dim: int, hidden: int, layers: int = 2, classes: int = 2,
     return params
 
 
-def gru_cell(a: np.ndarray, h_prev: np.ndarray, U: np.ndarray, out=None):
-    """One GRU step from the input projection ``a = x W^T + b``.
-
-    ``a`` is (3H,) or (batch, 3H) and ``h_prev`` (H,) or (batch, H).
-    Returns the new hidden state plus the (z, r, c, u_c) blocks needed by
-    the backward pass.  ``out``, if given, holds the arrays the step writes:
-    h', u (3H wide), z and r side by side (2H), c, u_c and a scratch row.
-    """
-    hidden = U.shape[1]
-    if a.shape[-1] != 3 * hidden or h_prev.shape[-1] != hidden:
-        raise ValueError(f"shape mismatch: a {a.shape}, h {h_prev.shape}, U {U.shape}")
-    h, u, zr, c, uc, scratch = out or [np.empty(
-        (*a.shape[:-1], k * hidden), np.result_type(a, h_prev, U)) for k in (1, 3, 2, 1, 1, 1)]
-    np.matmul(h_prev, U.T, out=u)
-    sigmoid(np.add(a[..., :2 * hidden], u[..., :2 * hidden], out=zr), out=zr)
-    z, r = zr[..., :hidden], zr[..., hidden:]
-    np.copyto(uc, u[..., 2 * hidden:])  # a view would keep all of u alive in caches
-    np.tanh(np.add(a[..., 2 * hidden:], np.multiply(r, uc, out=c), out=c), out=c)
-    np.multiply(np.subtract(1.0, z, out=scratch), h_prev, out=scratch)
-    np.add(scratch, np.multiply(z, c, out=h), out=h)
-    return h, (z, r, c, uc)
+def _gru_step(a: np.ndarray, h_prev: np.ndarray, U: np.ndarray, h: np.ndarray,
+              u: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """One GRU step of m rows on gate-major buffers.  ``a`` (3, m, H), the input
+    projection, is overwritten with (z, r, c); ``u`` (3, m, H) gets ``h_prev``
+    (m, H) through the (3, H, H) gate views ``U`` and keeps u_c in ``u[2]``; h'
+    goes into ``h`` (m, H), which is returned; ``rest`` (m, H) is scratch."""
+    np.matmul(h_prev, U, out=u)
+    z, r = sigmoid(np.add(a[:2], u[:2], out=a[:2]), out=a[:2])
+    c = np.tanh(np.add(a[2], np.multiply(r, u[2], out=rest), out=a[2]), out=a[2])
+    np.multiply(np.subtract(1.0, z, out=rest), h_prev, out=rest)
+    return np.add(rest, np.multiply(z, c, out=h), out=h)
 
 
 def prefix_plan(index: np.ndarray) -> tuple[list, np.ndarray]:
@@ -176,20 +169,29 @@ class GruPredictor:
         self.params = params if params is not None else init_params(
             input_dim, hidden, layers, classes, seed)
 
+    def _gate_views(self):
+        """Per layer, the gate-major views of its parameters: (3, in, H) of
+        ``l{k}.W``, (3, H, H) of ``l{k}.U`` and (3, 1, H) of ``l{k}.b``."""
+        return ([self.params[f"l{k}.{name}"].reshape(3, self.hidden, -1).transpose(0, 2, 1)
+                 for k in range(self.layers)] for name in "WUb")
+
     def _run(self, x: Sequences, train: bool, rng: np.random.Generator | None,
              caches: list | None = None):
         """Forward pass over a ``Sequences`` batch, a layer at a time and a step of
-        every window at a time, on time-major (batch, .) buffers; a deeper layer's
-        input projection is one product.  Dropout masks are drawn before the first step.
+        every window at a time, through ``_gru_step``.  A layer's input projection
+        is one (3, T, batch, H) block: layer 0's gathered from the (3, R, H)
+        projection of its distinct rows, a deeper one's a product per gate over
+        all its steps.  Dropout masks are drawn before the first step.
 
         Appends to ``caches``, if given, each layer's input (layer 0: its
         distinct rows and each step's position among them), hidden states
-        (batch, T+1, H) from zeros and per-step gates, for the backward pass.
+        (batch, T+1, H) from zeros, the (3, T, batch, H) block of gates z, r, c
+        and u_c (T, batch, H), for the backward pass.
         """
         if x.rows.shape[1:] != (self.input_dim,):
             raise ValueError(f"expected rows (R, {self.input_dim}), got {x.rows.shape}")
         batch, steps = x.index.shape
-        hidden, cache = self.hidden, caches is not None
+        hidden = self.hidden
         dtype = np.result_type(x.rows, *self.params.values())
         masks = {}  # dropout mask per layer output, train only
         for layer in range(self.layers - 1) if train and self.dropout > 0.0 else ():
@@ -198,33 +200,29 @@ class GruPredictor:
             keep = 1.0 - self.dropout
             masks[layer] = (rng.random((batch, steps, hidden)) < keep).astype(dtype) / keep
         uniq, inv = np.unique(x.index, return_inverse=True)
-        positions = inv.reshape(batch, steps).T.copy()
-        inputs = [(x.rows[uniq], positions.T)] + [None] * (self.layers - 1)
-        table = inputs[0][0] @ self.params["l0.W"].T   # each step gathers its rows of it
-        table += self.params["l0.b"]
+        inputs = [(x.rows[uniq], inv.reshape(batch, steps))] + [None] * (self.layers - 1)
+        W, U, b = self._gate_views()
         hs = [np.zeros((batch, steps + 1, hidden), dtype).transpose(1, 0, 2)
               for _ in range(self.layers)]
-        gates = [[] for _ in range(self.layers)]
-        a = np.empty((steps, batch, 3 * hidden), dtype)
-        u, scratch = np.empty((batch, 3 * hidden), dtype), np.empty((batch, hidden), dtype)
-        for layer in range(self.layers):
-            U, h = self.params[f"l{layer}.U"], hs[layer]
+        rest = np.empty((batch, hidden), dtype)
+        for layer, h in enumerate(hs):
             if layer:
                 below = hs[layer - 1][1:]
                 if layer - 1 in masks:
                     below = below * masks[layer - 1].transpose(1, 0, 2)
                 inputs[layer] = below.transpose(1, 0, 2)
-                np.matmul(below.reshape(-1, hidden), self.params[f"l{layer}.W"].T,
-                          out=a.reshape(-1, 3 * hidden))
-                a += self.params[f"l{layer}.b"]
+                a = np.matmul(below.reshape(-1, hidden), W[layer])
+                a = np.add(a, b[layer], out=a).reshape(3, steps, batch, hidden)
+            else:   # the (3, R, H) projection of the distinct rows, gathered
+                distinct, positions = inputs[0]
+                a = np.take(np.matmul(distinct, W[0]) + b[0], positions.T, axis=1)
+            # step t keeps its u_c in ucs[t]; its z and r products go to the two
+            # rows after, which the next steps overwrite
+            ucs = np.empty((steps + 2, batch, hidden), dtype)
             for t in range(steps):
-                if layer == 0:
-                    np.take(table, positions[t], axis=0, out=a[t], mode="clip")  # unbuffered
-                if cache or not (layer or t):   # the caches keep every step's gates
-                    zr, c, uc = (np.empty((batch, k * hidden), dtype) for k in (2, 1, 1))
-                gates[layer].append(gru_cell(a[t], h[t], U, (h[t + 1], u, zr, c, uc, scratch))[1])
-        if cache:
-            caches.extend(zip(inputs, (h.transpose(1, 0, 2) for h in hs), gates))
+                _gru_step(a[:, t], h[t], U[layer], h[t + 1], ucs[t:t + 3][::-1], rest)
+            if caches is not None:
+                caches.append((inputs[layer], h.transpose(1, 0, 2), a, ucs[:steps]))
         last = hs[-1][-1]
         logits = last @ self.params["out.W"].T + self.params["out.b"]
         return logits, last, masks
@@ -241,17 +239,15 @@ class GruPredictor:
 
     def _logits(self, x) -> np.ndarray:
         """Eval-mode logits (n, classes): each node of ``prefix_plan`` advanced once,
-        a step at a time through every layer, on gate-major (3, m, H) buffers of
-        the step's m nodes through (3, H, .) views of ``l{k}.W`` and ``l{k}.U``
-        (as in RNN lattice rescoring, Liu et al., ICASSP 2014).  Sets
-        ``steps_advanced`` to (nodes advanced, window steps)."""
+        a step at a time through every layer, ``_gru_step`` on (3, m, H) buffers of
+        the step's m nodes (as in RNN lattice rescoring, Liu et al., ICASSP 2014).
+        Sets ``steps_advanced`` to (nodes advanced, window steps)."""
         x = Sequences.of(x)
         nodes, last = prefix_plan(x.index)
         sizes = [len(parent) for parent, _ in nodes]
         self.steps_advanced = (sum(sizes), x.index.size)
         hidden, dtype = self.hidden, np.result_type(x.rows, *self.params.values())
-        W, U, b = ([self.params[f"l{k}.{name}"].reshape(3, hidden, -1).transpose(0, 2, 1)
-                    for k in range(self.layers)] for name in "WUb")   # (3, in, H), (3, 1, H)
+        W, U, b = self._gate_views()
         used, inv = np.unique(np.concatenate([row for _, row in nodes]), return_inverse=True)
         table = np.matmul(x.rows[used], W[0]) + b[0]   # (3, R, H)
         flat = [np.empty(k * max(sizes) * hidden, dtype) for k in (3, 3, 1, 1)]   # step buffers
@@ -266,11 +262,7 @@ class GruPredictor:
                 else:
                     np.take(table, rows, axis=1, out=a, mode="clip")   # unbuffered
                 np.take(state, parent, axis=0, out=h_prev, mode="clip")
-                np.matmul(h_prev, U[layer], out=u)
-                z, r = sigmoid(np.add(a[:2], u[:2], out=a[:2]), out=a[:2])
-                c = np.tanh(np.add(a[2], np.multiply(r, u[2], out=u[2]), out=u[2]), out=u[2])
-                np.multiply(np.subtract(1.0, z, out=rest), h_prev, out=rest)
-                h = np.add(rest, np.multiply(z, c, out=state[:m]), out=state[:m])
+                h = _gru_step(a, h_prev, U[layer], state[:m], u, rest)
         logits = h @ self.params["out.W"].T + self.params["out.b"]
         return logits[last]
 
@@ -306,13 +298,13 @@ class GruPredictor:
         dout[:, -1] = dlogits @ self.params["out.W"]
         for layer in reversed(range(self.layers)):
             W, U = self.params[f"l{layer}.W"], self.params[f"l{layer}.U"]
-            layer_input, hs, gates = caches.pop()   # freed once its layer is done
+            layer_input, hs, gates, ucs = caches.pop()   # freed once its layer is done
             da = np.empty((batch, steps, 3 * hidden), dtype=dout.dtype)  # d loss / d a
             du = np.empty_like(da)                                       # d loss / d u
             dh = np.zeros_like(dout[:, 0])
             for t in reversed(range(steps)):
                 dh = dh + dout[:, t]
-                z, r, c, uc = gates[t]
+                (z, r, c), uc = gates[:, t], ucs[t]
                 dc = dh * z * (1.0 - c * c)
                 da[:, t, :hidden] = dh * (c - hs[:, t]) * z * (1.0 - z)
                 da[:, t, hidden:2 * hidden] = dc * uc * r * (1.0 - r)
@@ -320,6 +312,7 @@ class GruPredictor:
                 du[:, t, :2 * hidden] = da[:, t, :2 * hidden]
                 du[:, t, 2 * hidden:] = dc * r
                 dh = dh * (1.0 - z) + du[:, t] @ U
+            del gates, ucs, z, r, c, uc   # the gate blocks go before the weight gradients
             da = da.reshape(batch * steps, 3 * hidden)
             if layer == 0:
                 distinct, positions = layer_input

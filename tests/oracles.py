@@ -11,7 +11,7 @@ the slab test and, per owned user, the per-subcarrier beam scan
 (``select_beam`` of ``channel_vector``), and pins the block-wise
 ``build_seed`` to it.  ``embed_bboxes`` embeds one frame with Python sorts
 instead of the encoder's one array pass over all frames.  ``batch_major_run``
-is the GRU forward pass on batch-major arrays: whole (batch, T, 3H) input
+is the GRU forward pass on batch-major arrays: whole (3, batch, T, H) input
 projections and a fresh array for every gate of every step.
 ``segment_sum_rows`` adds rows to their segments one at a time.
 ``simulate_trace`` is the simulate stage one world at a time: each frame
@@ -27,7 +27,8 @@ through plain ``np.load`` calls, then one record at a time, one
 file ``np.save`` arrays built from those objects and from ``Detection``
 objects; ``float32_corners`` rounds one box at a time, corner by corner.
 ``load_columns`` and ``save_columns`` read and write any column file, for
-the tests that damage one.
+the tests that damage one.  ``evaluate_handoff`` scores a handoff one
+``ConjugateSample`` at a time, each side through a per-sample predictor.
 
 ``window_tables`` is not an oracle: it is how tests build window tables
 from hand-made samples, and ``samples_of``, ``pairs_of`` and
@@ -52,6 +53,7 @@ from beamsight.phy import (
     synthesize_paths,
 )
 from beamsight.config import BBOX_FEATURE_SIZE
+from beamsight.handoff import score_handoff
 from beamsight.pipeline import (
     DETECT_STREAM,
     ConjugateSample,
@@ -356,41 +358,42 @@ def per_frame_seed(worlds, cfg):
 
 def batch_major_run(model, x, train, rng, caches=None):
     """``GruPredictor._run`` on batch-major arrays: layer 0's projection of
-    the distinct rows gathered to (batch, T, 3H), each deeper layer's one
-    product over all (batch * T) rows, hidden states (batch, T+1, H) and new
-    arrays for every step's gates.  Appends to ``caches`` what the backward
-    pass of ``logits_and_grads`` reads."""
+    the distinct rows gathered to (3, batch, T, H), each deeper layer's one
+    product per gate over all (batch * T) rows, hidden states (batch, T+1, H)
+    and new arrays for every step's gates, its h U^T a product per gate.
+    Appends to ``caches`` what the backward pass of ``logits_and_grads``
+    reads: the gates stacked to (3, T, batch, H) and u_c to (T, batch, H)."""
     def sigmoid(v):
         return 0.5 * (1.0 + np.tanh(0.5 * v))
 
     def cell(a, h_prev, U):
-        hidden = U.shape[1]
-        u = h_prev @ U.T
-        zr = sigmoid(a[..., :2 * hidden] + u[..., :2 * hidden])
-        z, r = zr[..., :hidden], zr[..., hidden:]
-        uc = u[..., 2 * hidden:].copy()
-        c = np.tanh(a[..., 2 * hidden:] + r * uc)
-        return (1.0 - z) * h_prev + z * c, (z, r, c, uc)
+        u = h_prev @ U
+        z, r = sigmoid(a[0] + u[0]), sigmoid(a[1] + u[1])
+        c = np.tanh(a[2] + r * u[2])
+        return (1.0 - z) * h_prev + z * c, (z, r, c, u[2])
 
     batch, steps = x.index.shape
+    hidden = model.hidden
     masks = {}
     uniq, inv = np.unique(x.index, return_inverse=True)
     layer_input = (x.rows[uniq], inv.reshape(batch, steps))
     for layer in range(model.layers):
-        W, U, b = (model.params[f"l{layer}.{n}"] for n in "WUb")
+        W, U, b = (model.params[f"l{layer}.{n}"].reshape(3, hidden, -1).transpose(0, 2, 1)
+                   for n in "WUb")   # (3, in, H), (3, H, H), (3, 1, H)
         if layer == 0:
             distinct, positions = layer_input
-            a = (distinct @ W.T + b)[positions]
+            a = (distinct @ W + b)[:, positions]
         else:
-            a = layer_input.reshape(batch * steps, W.shape[1]) @ W.T + b
-            a = a.reshape(batch, steps, 3 * model.hidden)
-        hs = np.zeros((batch, steps + 1, model.hidden), dtype=x.rows.dtype)
+            a = layer_input.reshape(batch * steps, hidden) @ W + b
+            a = a.reshape(3, batch, steps, hidden)
+        hs = np.zeros((batch, steps + 1, hidden), dtype=x.rows.dtype)
         gates = []
         for t in range(steps):
-            hs[:, t + 1], step_gates = cell(a[:, t], hs[:, t], U)
+            hs[:, t + 1], step_gates = cell(a[:, :, t], hs[:, t], U)
             gates.append(step_gates)
         if caches is not None:
-            caches.append((layer_input, hs, gates))
+            caches.append((layer_input, hs, np.stack([np.stack(g[:3]) for g in gates], axis=1),
+                           np.stack([g[3] for g in gates])))
         outputs = hs[:, 1:]
         if layer < model.layers - 1 and train and model.dropout > 0.0:
             keep = 1.0 - model.dropout
@@ -781,3 +784,14 @@ def pairs_of(pairs):
     bs1, bs2, category = pairs
     return [ConjugateSample(s1.sequence.user_id, s1.sequence.t_end, s1, s2, c)
             for s1, s2, c in zip(samples_of(bs1), samples_of(bs2), category.tolist())]
+
+
+def evaluate_handoff(predict_bs1, predict_bs2, pairs):
+    """``score_handoff`` of ``ConjugateSample``s: ``predict_bs1`` and
+    ``predict_bs2`` map a ``LabeledSample`` to a binary future-link-status
+    prediction; the two are evaluated independently."""
+    return score_handoff([int(predict_bs1(p.sample_bs1)) for p in pairs],
+                         [int(predict_bs2(p.sample_bs2)) for p in pairs],
+                         [p.sample_bs1.label.status for p in pairs],
+                         [p.sample_bs2.label.status for p in pairs],
+                         [p.category for p in pairs])

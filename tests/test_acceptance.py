@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    evaluate_handoff,
     exhaustive_beam_scan,
     sampled_segment_oracle,
     samples_of,
@@ -24,7 +25,7 @@ from oracles import (
 from beamsight.cli import main
 from beamsight.config import ScenarioConfig, TrainConfig, load_experiment_config
 from beamsight.experiment import run_experiment
-from beamsight.handoff import HandoffEvent, classify_event, decide, evaluate_handoff
+from beamsight.handoff import HandoffEvent, classify_event, decide
 from beamsight.metrics import average_precision, iou, mean_average_precision
 from beamsight.phy import ChannelPath, Codebook, channel_vector, los_status, select_beam
 from beamsight.pipeline import FrameTable, Seed, collect_windows

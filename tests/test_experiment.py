@@ -492,6 +492,28 @@ class TestCli:
                      "--out", str(out)]) == 0
         assert (out / "manifest.json").is_file()
 
+    @pytest.mark.parametrize("command", ["simulate", "build-dataset", "train", "eval",
+                                         "run-experiment"])
+    def test_failed_write_is_data_error(self, tmp_path, capsys, mini_run, command):
+        # an output path under a regular file, or a checkpoint path that is a directory
+        out, _ = mini_run
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        one_epoch = tmp_path / "one.ini"
+        one_epoch.write_text("[train]\nepochs = 1\n")
+        dataset = str(out / "dataset")
+        target, argv = {
+            "simulate": (afile / "x", ["simulate", "--config", str(MINI), "--frames", "5"]),
+            "build-dataset": (afile / "ds", ["build-dataset", "--trace", str(out / "trace")]),
+            "train": (tmp_path, ["train", "--dataset", dataset, "--mode", "beam-only",
+                                 "--config", str(one_epoch)]),
+            "eval": (afile / "e.csv", ["eval", "--ckpt", str(out / "beam_only.ckpt"),
+                                       "--dataset", dataset]),
+            "run-experiment": (afile / "r", ["run-experiment", "--config", str(MINI)]),
+        }[command]
+        assert main(argv + ["--out", str(target)]) == 2
+        assert f"error: cannot write {target}: " in capsys.readouterr().err
+
     def test_threads_flag_validated(self):
         assert main(["--threads", "0", "simulate", "--config", "x",
                      "--frames", "1", "--out", "y"]) == 1
@@ -698,7 +720,8 @@ class TestCli:
                                                ("handoff-eval", "pairs.ndrec")])
     def test_window_length_other_than_checkpoint_is_data_error(
             self, tmp_path, capsys, mini_run, command, name):
-        # windows of 4 frames against a checkpoint trained on 8
+        # windows of 4 frames against a checkpoint trained on 8: the checkpoint
+        # disagrees with the manifest, and once the manifest says 8, the windows do
         out, _ = mini_run
         ds = tmp_path / "ds"
         build_dataset_stage(out / "trace", ds, replace(mini_config().dataset, observed=4))
@@ -709,14 +732,21 @@ class TestCli:
         else:
             argv = ["handoff-eval", "--ckpt1", ckpt, "--ckpt2", ckpt,
                     "--pairs", str(ds / name)]
-        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+        argv += ["--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 2
+        assert (f"checkpoint {ckpt}: bad header: observed = 8, but {ds / 'manifest.json'} "
+                "has 4 observed frames") in capsys.readouterr().err
+        manifest = json.loads((ds / "manifest.json").read_text())
+        (ds / "manifest.json").write_text(json.dumps(dict(manifest, observed=8)))
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert str(ds / name) in err and "observe 4 frames" in err
 
-    @pytest.mark.parametrize("observed", [None, 0, -8, "8", 8.0, True])
+    @pytest.mark.parametrize("observed", [None, 0, -8, "8", 8.0, True, 7])
     @pytest.mark.parametrize("command", ["eval", "handoff-eval"])
     def test_checkpoint_observed_is_data_error(self, tmp_path, capsys, mini_run,
                                                observed, command):
+        # the mini dataset's windows observe 8 frames
         out, _ = mini_run
         params, meta = load_checkpoint(out / "bimodal.ckpt")
         if observed is None:
@@ -731,7 +761,9 @@ class TestCli:
             argv = ["handoff-eval", "--ckpt1", str(ckpt), "--ckpt2", str(ckpt),
                     "--pairs", str(out / "dataset" / "pairs.ndrec")]
         assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
-        assert str(ckpt) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"checkpoint {ckpt}: bad header: observed = " in err
+        assert str(out / "dataset" / "manifest.json") in err
 
     @pytest.mark.parametrize("command, name", [("train", "train.ndrec"),
                                                ("eval", "val.ndrec")])

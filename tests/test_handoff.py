@@ -3,13 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from beamsight.handoff import (
-    HandoffEvent,
-    classify_event,
-    decide,
-    evaluate_handoff,
-)
+from beamsight.handoff import HandoffEvent, classify_event, decide
 from beamsight.pipeline import ConjugateSample, FutureLabel, LabeledSample, ObservedSequence
+from oracles import evaluate_handoff
 
 
 class TestDecide:

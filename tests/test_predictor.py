@@ -15,8 +15,8 @@ from beamsight.predictor import (
     AdamState,
     GruPredictor,
     Sequences,
+    _gru_step,
     adam_step,
-    gru_cell,
     init_params,
     load_checkpoint,
     model_from_checkpoint,
@@ -32,24 +32,27 @@ def zero_params(input_dim, hidden, layers=2, classes=2):
     return {k: np.zeros_like(v) for k, v in params.items()}
 
 
-def cell(x, h_prev, params, layer=0):
-    """One step of ``gru_cell`` from a raw input, as the forward pass feeds it."""
-    W, U, b = (params[f"l{layer}.{n}"] for n in "WUb")
-    return gru_cell(x @ W.T + b, h_prev, U)
+def step(x, h_prev, params, layer=0):
+    """h' of one ``_gru_step`` from raw input rows, as the forward pass feeds it."""
+    hidden = params[f"l{layer}.U"].shape[1]
+    W, U, b = (params[f"l{layer}.{n}"].reshape(3, hidden, -1).transpose(0, 2, 1)
+               for n in "WUb")
+    x, h_prev = np.atleast_2d(x, h_prev)
+    a = x @ W + b
+    return _gru_step(a, h_prev, U, np.empty_like(h_prev), np.empty_like(a),
+                     np.empty_like(h_prev))
 
 
-class TestGruCell:
+class TestGruStep:
     def test_zero_everything_is_fixed_point(self):
         params = zero_params(3, 2)
-        h, _ = cell(np.zeros(3), np.zeros(2), params)
-        assert np.allclose(h, 0.0)
+        assert np.allclose(step(np.zeros(3), np.zeros(2), params), 0.0)
 
     def test_saturated_update_gate_keeps_hidden_state(self):
         params = zero_params(3, 2)
         params["l0.b"][:2] = -50.0  # z block -> 0, so h' = h_prev
         h_prev = np.array([0.3, -0.7])
-        h, _ = cell(np.ones(3), h_prev, params)
-        assert np.allclose(h, h_prev, atol=1e-12)
+        assert np.allclose(step(np.ones(3), h_prev, params), h_prev, atol=1e-12)
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(8)
@@ -57,16 +60,21 @@ class TestGruCell:
         for _ in range(20):
             x = rng.normal(size=3)
             h_prev = rng.normal(size=2)
-            got, _ = cell(x, h_prev, params)
+            got = step(x, h_prev, params)
             want = _scalar_gru_step(params, 0, x, h_prev)
             assert np.max(np.abs(got - want)) < 1e-12
 
     def test_shape_mismatch_rejected(self):
-        params = zero_params(3, 2)
+        U = zero_params(3, 2)["l0.U"].reshape(3, 2, 2)
+
+        def run(a, h_prev):
+            return _gru_step(a, h_prev, U, np.empty((1, 2)), np.empty((3, 1, 2)),
+                             np.empty((1, 2)))
+
         with pytest.raises(ValueError):
-            gru_cell(np.zeros(4), np.zeros(2), params["l0.U"])  # needs 3H = 6
+            run(np.zeros((3, 1, 4)), np.zeros((1, 2)))   # a needs (3, m, H) = (3, 1, 2)
         with pytest.raises(ValueError):
-            gru_cell(np.zeros(6), np.zeros(3), params["l0.U"])
+            run(np.zeros((3, 1, 2)), np.zeros((1, 3)))   # h_prev needs (m, H) = (1, 2)
 
 
 def _scalar_gru_step(params, layer, x, h_prev):
@@ -153,7 +161,7 @@ class TestForwardOracle:
     """The step-buffer forward pass against the batch-major one it replaced,
     bit for bit.  H = 32 makes OpenBLAS 0.3.31 round a deeper layer's product
     of up to 12 rows differently from a longer one, so this also pins that a
-    layer's input is projected whole, in one product over all its steps."""
+    layer's input is projected whole, in one product per gate over all its steps."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("layers", [1, 2, 3])
