@@ -244,9 +244,9 @@ def _plain_fields(cls) -> dict[str, type]:
             if f.default is not dataclasses.MISSING}
 
 
-def _construct(path, cls, fields: dict):
+def _construct(path, make, fields: dict):
     try:
-        return cls(**fields)
+        return make(**fields)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
@@ -277,7 +277,10 @@ def _load(path, cls, sections: dict[str, tuple[str, ...]] | str, **fields):
 
 
 def load_scenario_config(path: str | Path) -> ScenarioConfig:
-    return _load(path, ScenarioConfig, _SCENARIO_SECTIONS)
+    from .scene import build_world   # scene imports this module
+    cfg = _load(path, ScenarioConfig, _SCENARIO_SECTIONS)
+    _construct(path, build_world, {"cfg": cfg})   # whether the seeded vehicles fit their lanes
+    return cfg
 
 
 def load_dataset_config(path: str | Path) -> DatasetConfig:

@@ -203,6 +203,13 @@ def train_stage(dataset_dir, mode: str, cfg: TrainConfig, out_ckpt,
     """Train one mode on a dataset directory and save the best checkpoint."""
     if mode not in ("bimodal", "beam-only"):
         raise DataError(f"unknown mode {mode!r}")
+    for path in map(Path, filter(None, (out_ckpt, history_csv))):   # fail before training
+        made = not path.exists()
+        with _writing(path):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.open("ab").close()
+        if made:
+            path.unlink()
     manifest = read_manifest(dataset_dir)
     frames = read_frames(dataset_dir) if mode == "bimodal" else None
     train, val = read_windows(dataset_dir, "train", "val")

@@ -16,15 +16,14 @@ the same blocks:
     h' = (1 - z) * h + z * c
 Training (``_run``) and scoring (``_logits``) take one step, ``_gru_step``,
 on gate-major (3, m, H) buffers through (3, ., H) views of the fused
-tensors, so each gate is a contiguous (m, H) block.  In training, a layer's
-input projection a is one (3, T, batch, H) block, a product per gate over
-all its steps (layer 0 projects each distinct input row of a ``Sequences``
-batch once and gathers); the steps overwrite it with the gates the backward
-pass reads.  dW, dU, db and dx are one GEMM each after the backward time
-loop (Appleyard et al., arXiv:1604.01946), and dW0 one GEMM over the
-distinct rows of da summed per row.  Scoring, on the calling thread,
-advances each distinct window prefix once, since windows that share their
-first t rows share their eval-mode states up to step t.
+tensors, so each gate is a contiguous (m, H) block.  A training minibatch
+works in blocks the model keeps (``_block``).  A layer's input projection is
+one (3, T, batch, H) block (layer 0 projects each distinct row once and
+gathers), which the steps overwrite with the gates and the backward pass
+with their gradients; dW, dU, db and dx are a product per gate after its
+time loop (Appleyard et al., arXiv:1604.01946), dW0 over da summed per
+distinct row.  Scoring advances each distinct window prefix once, since
+windows that share their first t rows share their states up to step t.
 """
 
 from __future__ import annotations
@@ -62,15 +61,20 @@ def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
     return float(-log_probs[np.arange(len(y)), y].mean())
 
 
-def _segment_sum(values: np.ndarray, segments: np.ndarray, count: int) -> np.ndarray:
-    """Rows of ``values`` (m, k) summed by ``segments`` (m,) into (count, k): one float64
-    ``bincount`` per block of 64 columns, which adds each column's rows in row order."""
-    sums = np.empty((count, values.shape[1]), values.dtype)
-    keys = segments[:, None] * 64 + np.arange(64)
-    for start in range(0, values.shape[1], 64):
-        block = values[:, start:start + 64].astype(np.float64)
-        sums[:, start:start + 64] = np.bincount(keys[:, :block.shape[1]].ravel(), block.ravel(),
-                                                count * 64).reshape(count, 64)[:, :block.shape[1]]
+def _segment_sum(values: np.ndarray, segments: np.ndarray, count: int,
+                 block=lambda name, shape, dtype: np.empty(shape, dtype)) -> np.ndarray:
+    """Rows of each (m, k) matrix of ``values`` (..., m, k) summed by ``segments`` (m,) into
+    (count, ..., k): one float64 ``bincount`` per block of 64 columns, which adds each
+    column's rows in row order.  Its keys, float64 columns and sums come from ``block``."""
+    *lead, m, k = values.shape
+    keys = np.add(segments[:, None] * 64, np.arange(64), out=block("keys", (m, 64), np.intp))
+    sums = block("sums", (count, *lead, k), values.dtype)
+    for matrix, out in zip(values.reshape(-1, m, k), sums.reshape(count, -1, k).transpose(1, 0, 2)):
+        for start in range(0, k, 64):
+            wide = block("columns", (m, 64), np.float64)[:, :min(k - start, 64)]
+            np.copyto(wide, matrix[:, start:start + 64])
+            out[:, start:start + 64] = np.bincount(keys[:, :wide.shape[1]].ravel(), wide.ravel(),
+                                                   count * 64).reshape(count, 64)[:, :wide.shape[1]]
     return sums
 
 
@@ -168,6 +172,14 @@ class GruPredictor:
         self.dropout = dropout
         self.params = params if params is not None else init_params(
             input_dim, hidden, layers, classes, seed)
+        self._buffers: dict[str, np.ndarray] = {}   # name -> bytes, see _block
+
+    def _block(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        """A (shape, dtype) view of the model's byte buffer ``name``, grown when too small."""
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        if name not in self._buffers or self._buffers[name].size < size:
+            self._buffers[name] = np.empty(size, np.uint8)
+        return self._buffers[name][:size].view(dtype).reshape(shape)
 
     def _gate_views(self):
         """Per layer, the gate-major views of its parameters: (3, in, H) of
@@ -177,55 +189,60 @@ class GruPredictor:
 
     def _run(self, x: Sequences, train: bool, rng: np.random.Generator | None,
              caches: list | None = None):
-        """Forward pass over a ``Sequences`` batch, a layer at a time and a step of
-        every window at a time, through ``_gru_step``.  A layer's input projection
-        is one (3, T, batch, H) block: layer 0's gathered from the (3, R, H)
-        projection of its distinct rows, a deeper one's a product per gate over
-        all its steps.  Dropout masks are drawn before the first step.
+        """Forward pass over a ``Sequences`` batch in ``_block`` blocks, a layer at a
+        time and a step of every window at a time, through ``_gru_step``.  A layer's
+        input projection is one (3, T, batch, H) block: layer 0's gathered from the
+        (3, R, H) projection of its distinct rows, a deeper one's a product per gate
+        over all its steps.  Dropout masks are drawn before the first step.
 
-        Appends to ``caches``, if given, each layer's input (layer 0: its
-        distinct rows and each step's position among them), hidden states
-        (batch, T+1, H) from zeros, the (3, T, batch, H) block of gates z, r, c
-        and u_c (T, batch, H), for the backward pass.
+        Appends to ``caches``, if given, each layer's input (layer 0: its distinct
+        rows and each step's position among them), time-major hidden states (T+1,
+        batch, H) from zeros, the (3, T, batch, H) block of gates z, r, c and u_c
+        (T, batch, H), for the backward pass.
         """
         if x.rows.shape[1:] != (self.input_dim,):
             raise ValueError(f"expected rows (R, {self.input_dim}), got {x.rows.shape}")
         batch, steps = x.index.shape
-        hidden = self.hidden
+        hidden, block = self.hidden, self._block
         dtype = np.result_type(x.rows, *self.params.values())
         masks = {}  # dropout mask per layer output, train only
         for layer in range(self.layers - 1) if train and self.dropout > 0.0 else ():
             if rng is None:
                 raise ValueError("training forward pass needs an rng for dropout")
             keep = 1.0 - self.dropout
-            masks[layer] = (rng.random((batch, steps, hidden)) < keep).astype(dtype) / keep
+            # drawn into the segment sum's float64 block, which is idle until the backward pass
+            draw = rng.random(out=block("columns", (batch, steps, hidden), float)).transpose(1, 0, 2)
+            mask = np.less(draw, keep, out=block(f"mask{layer}", draw.shape, dtype))
+            masks[layer] = np.divide(mask, keep, out=mask).transpose(1, 0, 2)
         uniq, inv = np.unique(x.index, return_inverse=True)
-        inputs = [(x.rows[uniq], inv.reshape(batch, steps))] + [None] * (self.layers - 1)
+        layer_input = (np.take(x.rows, uniq, axis=0, mode="clip", out=block(
+            "rows", (len(uniq), self.input_dim), x.rows.dtype)), inv.reshape(batch, steps))
         W, U, b = self._gate_views()
-        hs = [np.zeros((batch, steps + 1, hidden), dtype).transpose(1, 0, 2)
-              for _ in range(self.layers)]
         rest = np.empty((batch, hidden), dtype)
-        for layer, h in enumerate(hs):
+        for layer in range(self.layers):
+            a = block(f"a{layer}", (3, steps, batch, hidden), dtype)
             if layer:
-                below = hs[layer - 1][1:]
+                layer_input = h[1:]
                 if layer - 1 in masks:
-                    below = below * masks[layer - 1].transpose(1, 0, 2)
-                inputs[layer] = below.transpose(1, 0, 2)
-                a = np.matmul(below.reshape(-1, hidden), W[layer])
-                a = np.add(a, b[layer], out=a).reshape(3, steps, batch, hidden)
+                    layer_input = np.multiply(h[1:], masks[layer - 1].transpose(1, 0, 2),
+                                              out=block(f"x{layer}", h[1:].shape, dtype))
+                flat = np.matmul(layer_input.reshape(-1, hidden), W[layer],
+                                 out=a.reshape(3, -1, hidden))
+                np.add(flat, b[layer], out=flat)
             else:   # the (3, R, H) projection of the distinct rows, gathered
-                distinct, positions = inputs[0]
-                a = np.take(np.matmul(distinct, W[0]) + b[0], positions.T, axis=1)
-            # step t keeps its u_c in ucs[t]; its z and r products go to the two
-            # rows after, which the next steps overwrite
-            ucs = np.empty((steps + 2, batch, hidden), dtype)
+                distinct, positions = layer_input
+                table = np.matmul(distinct, W[0], out=block("table", (3, len(uniq), hidden), dtype))
+                np.take(np.add(table, b[0], out=table), positions.T, axis=1, out=a, mode="clip")
+            h = block(f"h{layer}", (steps + 1, batch, hidden), dtype)
+            h[0] = 0.0
+            # step t keeps its u_c in ucs[t]; its z and r products go to the next two rows
+            ucs = block(f"u{layer}", (steps + 2, batch, hidden), dtype)
             for t in range(steps):
                 _gru_step(a[:, t], h[t], U[layer], h[t + 1], ucs[t:t + 3][::-1], rest)
             if caches is not None:
-                caches.append((inputs[layer], h.transpose(1, 0, 2), a, ucs[:steps]))
-        last = hs[-1][-1]
-        logits = last @ self.params["out.W"].T + self.params["out.b"]
-        return logits, last, masks
+                caches.append((layer_input, h, a, ucs[:steps]))
+        logits = h[-1] @ self.params["out.W"].T + self.params["out.b"]
+        return logits, h[-1], masks
 
     def forward(self, x, train: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
@@ -286,47 +303,52 @@ class GruPredictor:
         caches = []
         logits, last_hidden, masks = self._run(x, train, rng, caches)
         batch, steps = x.index.shape
-        hidden = self.hidden
+        hidden, dtype = self.hidden, logits.dtype
 
         dlogits = softmax(logits)
         dlogits[np.arange(batch), y] -= 1.0
         dlogits /= batch
         grads = {"out.W": dlogits.T @ last_hidden, "out.b": dlogits.sum(axis=0)}
 
-        # gradient reaching each layer's outputs, one (batch, H) row per step
-        dout = np.zeros((batch, steps, hidden), dtype=x.rows.dtype)
-        dout[:, -1] = dlogits @ self.params["out.W"]
+        dh = dlogits @ self.params["out.W"]   # d loss / d h, at the top layer's last step
+        omz, s1, s2 = (np.empty_like(dh) for _ in range(3))   # 1 - z and scratch
+        dout = None
         for layer in reversed(range(self.layers)):
-            W, U = self.params[f"l{layer}.W"], self.params[f"l{layer}.U"]
-            layer_input, hs, gates, ucs = caches.pop()   # freed once its layer is done
-            da = np.empty((batch, steps, 3 * hidden), dtype=dout.dtype)  # d loss / d a
-            du = np.empty_like(da)                                       # d loss / d u
-            dh = np.zeros_like(dout[:, 0])
-            for t in reversed(range(steps)):
-                dh = dh + dout[:, t]
+            W, U = (self.params[f"l{layer}.{n}"].reshape(3, hidden, -1) for n in "WU")
+            layer_input, hs, gates, ucs = caches.pop()
+            for t in reversed(range(steps)):   # z, r, c, u_c become da_z, da_r, da_c, du_c
                 (z, r, c), uc = gates[:, t], ucs[t]
-                dc = dh * z * (1.0 - c * c)
-                da[:, t, :hidden] = dh * (c - hs[:, t]) * z * (1.0 - z)
-                da[:, t, hidden:2 * hidden] = dc * uc * r * (1.0 - r)
-                da[:, t, 2 * hidden:] = dc
-                du[:, t, :2 * hidden] = da[:, t, :2 * hidden]
-                du[:, t, 2 * hidden:] = dc * r
-                dh = dh * (1.0 - z) + du[:, t] @ U
-            del gates, ucs, z, r, c, uc   # the gate blocks go before the weight gradients
-            da = da.reshape(batch * steps, 3 * hidden)
-            if layer == 0:
+                if dout is not None:
+                    np.add(dh, dout[t], out=dh)
+                np.subtract(1.0, np.multiply(c, c, out=s1), out=s1)
+                np.multiply(np.multiply(dh, np.subtract(c, hs[t], out=s2), out=s2), z, out=s2)
+                np.multiply(np.multiply(dh, z, out=c), s1, out=c)
+                np.multiply(s2, np.subtract(1.0, z, out=omz), out=z)
+                np.multiply(np.multiply(c, uc, out=s1), r, out=s1)
+                np.multiply(c, r, out=uc)
+                np.multiply(s1, np.subtract(1.0, r, out=s2), out=r)
+                np.multiply(dh, omz, out=dh)
+                for gate, du in enumerate((z, r, uc)):
+                    np.add(dh, np.matmul(du, U[gate], out=s1), out=dh)
+            da, h_prev = gates.reshape(3, -1, hidden), hs[:-1].reshape(-1, hidden)
+            if layer == 0:   # over each distinct row once, one product for all gates
                 distinct, positions = layer_input
-                grads["l0.W"] = (_segment_sum(da, positions.ravel(), len(distinct)).T
-                                 @ distinct)
+                sums = _segment_sum(da, positions.T.ravel(), len(distinct), self._block)
+                grads["l0.W"] = sums.reshape(len(distinct), -1).T @ distinct
             else:
-                grads[f"l{layer}.W"] = da.T @ layer_input.reshape(batch * steps, -1)
-            grads[f"l{layer}.U"] = (du.reshape(batch * steps, 3 * hidden).T
-                                    @ hs[:, :-1].reshape(batch * steps, hidden))
-            grads[f"l{layer}.b"] = da.sum(axis=0)
-            if layer > 0:
-                dout = (da @ W).reshape(batch, steps, -1)
+                dW = np.matmul(da.transpose(0, 2, 1), layer_input.reshape(-1, hidden))
+                grads[f"l{layer}.W"] = dW.reshape(3 * hidden, -1)
+            dU = grads[f"l{layer}.U"] = np.empty((3 * hidden, hidden), dtype)
+            np.matmul(da[:2].transpose(0, 2, 1), h_prev, out=dU[:2 * hidden].reshape(2, hidden, -1))
+            np.matmul(ucs.reshape(-1, hidden).T, h_prev, out=dU[2 * hidden:])
+            grads[f"l{layer}.b"] = (np.ones(len(h_prev), dtype) @ da).reshape(-1)   # one GEMV
+            if layer:   # dx, each gate's da W summed, with the spent u_c block for a term
+                dout = np.matmul(gates[0], W[0], out=self._block("dx", ucs.shape, dtype))
+                for gate in (1, 2):
+                    np.add(dout, np.matmul(gates[gate], W[gate], out=ucs), out=dout)
                 if layer - 1 in masks:
-                    dout = dout * masks[layer - 1]
+                    np.multiply(dout, masks[layer - 1].transpose(1, 0, 2), out=dout)
+                dh.fill(0.0)
         return logits, grads
 
 
@@ -352,12 +374,10 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
     state.step += 1
     t = state.step
     for key, p in params.items():
-        g = grads[key]
-        state.m[key] = beta1 * state.m[key] + (1.0 - beta1) * g
-        state.v[key] = beta2 * state.v[key] + (1.0 - beta2) * g * g
-        m_hat = state.m[key] / (1.0 - beta1**t)
-        v_hat = state.v[key] / (1.0 - beta2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        g, m, v = grads[key], state.m[key], state.v[key]   # moments updated in place
+        np.add(np.multiply(m, beta1, out=m), (1.0 - beta1) * g, out=m)
+        np.add(np.multiply(v, beta2, out=v), (1.0 - beta2) * g * g, out=v)
+        p -= lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
 
 
 # ---------------------------------------------------------------------------

@@ -323,7 +323,7 @@ def build_world(cfg: ScenarioConfig) -> World:
         if spacing < longest + 2.0:
             raise DataError(
                 f"lane {lane} too dense: {len(members)} vehicles on "
-                f"{cfg.street_length:.0f} m"
+                f"{cfg.street_length:g} m"
             )
         phase = rng.uniform(0.0, spacing)
         direction = 1.0 if lane < cfg.lanes // 2 else -1.0

@@ -362,7 +362,9 @@ def batch_major_run(model, x, train, rng, caches=None):
     product per gate over all (batch * T) rows, hidden states (batch, T+1, H)
     and new arrays for every step's gates, its h U^T a product per gate.
     Appends to ``caches`` what the backward pass of ``logits_and_grads``
-    reads: the gates stacked to (3, T, batch, H) and u_c to (T, batch, H)."""
+    reads: a deeper layer's input and the hidden states time-major, (T, batch,
+    H) and (T+1, batch, H), the gates stacked to (3, T, batch, H) and u_c to
+    (T, batch, H)."""
     def sigmoid(v):
         return 0.5 * (1.0 + np.tanh(0.5 * v))
 
@@ -392,7 +394,10 @@ def batch_major_run(model, x, train, rng, caches=None):
             hs[:, t + 1], step_gates = cell(a[:, :, t], hs[:, t], U)
             gates.append(step_gates)
         if caches is not None:
-            caches.append((layer_input, hs, np.stack([np.stack(g[:3]) for g in gates], axis=1),
+            time_major = layer_input if layer == 0 else np.ascontiguousarray(
+                layer_input.transpose(1, 0, 2))
+            caches.append((time_major, np.ascontiguousarray(hs.transpose(1, 0, 2)),
+                           np.stack([np.stack(g[:3]) for g in gates], axis=1),
                            np.stack([g[3] for g in gates])))
         outputs = hs[:, 1:]
         if layer < model.layers - 1 and train and model.dropout > 0.0:

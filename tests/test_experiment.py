@@ -33,7 +33,7 @@ from beamsight.config import (
     TrainConfig,
     load_experiment_config,
 )
-from beamsight.errors import DataError
+from beamsight.errors import DataError, NumericError
 from beamsight.experiment import (
     StageFailure,
     build_dataset_stage,
@@ -513,6 +513,51 @@ class TestCli:
         }[command]
         assert main(argv + ["--out", str(target)]) == 2
         assert f"error: cannot write {target}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["directory", "under a file"])
+    @pytest.mark.parametrize("output", ["--out", "--history"])
+    def test_unwritable_train_output_fails_before_training(self, tmp_path, capsys, mini_run,
+                                                           monkeypatch, output, target):
+        def never(*args, **kwargs):
+            raise AssertionError("train_model ran although an output cannot be written")
+
+        out, _ = mini_run
+        monkeypatch.setattr(beamsight.experiment, "train_model", never)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        bad = {"directory": tmp_path, "under a file": afile / "x"}[target]
+        paths = {"--out": tmp_path / "m.ckpt", "--history": tmp_path / "h.csv", output: bad}
+        argv = ["train", "--dataset", str(out / "dataset"), "--mode", "beam-only"]
+        assert main(argv + [item for pair in paths.items() for item in map(str, pair)]) == 2
+        assert f"error: cannot write {bad}: " in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists() and not (tmp_path / "h.csv").exists()
+
+    def test_failed_training_leaves_no_output_behind(self, tmp_path, mini_run, monkeypatch):
+        # the outputs are opened before training and removed again; an existing
+        # checkpoint keeps its bytes
+        def diverge(*args, **kwargs):
+            raise NumericError("non-finite loss at epoch 0")
+
+        out, _ = mini_run
+        monkeypatch.setattr(beamsight.experiment, "train_model", diverge)
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(b"kept")
+        for ckpt in (tmp_path / "new" / "m.ckpt", old):
+            history = tmp_path / "new" / "h.csv"
+            assert main(["train", "--dataset", str(out / "dataset"), "--mode", "beam-only",
+                         "--out", str(ckpt), "--history", str(history)]) == 3
+            assert not history.exists()
+        assert not (tmp_path / "new" / "m.ckpt").exists() and old.read_bytes() == b"kept"
+
+    @pytest.mark.parametrize("command", ["simulate", "run-experiment"])
+    def test_too_dense_lane_names_the_config(self, tmp_path, capsys, command):
+        ini = tmp_path / "dense.ini"
+        ini.write_text(MINI.read_text() + "\n[street]\nstreet_length = 1.5\n")
+        argv = {"simulate": ["simulate", "--frames", "5"], "run-experiment": ["run-experiment"]}
+        assert main(argv[command] + ["--config", str(ini), "--out", str(tmp_path / "o")]) == 2
+        assert re.fullmatch(rf"error: {re.escape(str(ini))}: lane \d+ too dense: \d+ vehicles "
+                            r"on 1\.5 m\n", capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
 
     def test_threads_flag_validated(self):
         assert main(["--threads", "0", "simulate", "--config", "x",

@@ -243,6 +243,54 @@ class TestForwardOracle:
         assert peak <= 20 * 2**20, f"a training step peaked at {peak / 2**20:.1f} MiB"
 
 
+class TestBlocks:
+    """A model keeps its minibatch blocks (``_block``) from one training step to
+    the next, so only the first step of a shape allocates them."""
+
+    def test_later_training_steps_allocate_no_large_array(self):
+        # one bimodal training step of 200 windows of 16 steps peaked at 16.6 MiB
+        # on every call while each call allocated its own gate blocks
+        model = GruPredictor(input_dim=256, hidden=64, seed=0)
+        model.params = {k: v.astype(np.float32) for k, v in model.params.items()}
+        rng = np.random.default_rng(0)
+        x = Sequences(rng.normal(size=(1409, 256)).astype(np.float32),
+                      rng.integers(0, 1409, size=(200, 16)))
+        y = rng.integers(0, 2, size=200)
+        model.logits_and_grads(x, y, True, np.random.default_rng(1))
+        for call in (2, 3):
+            tracemalloc.start()
+            try:
+                model.logits_and_grads(x, y, True, np.random.default_rng(call))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * 2**20, f"training step {call} peaked at {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_reused_blocks_give_a_fresh_models_bytes(self, dtype, layers):
+        # batches of 200, 37 and 200 windows: the blocks shrink, then grow back;
+        # the outputs are compared after the last call, so none may be a block
+        rng = np.random.default_rng(layers)
+        params = init_params(256, 64, layers, seed=layers)
+        model = GruPredictor(input_dim=256, hidden=64, layers=layers, dropout=0.3,
+                             params={k: v.astype(dtype) for k, v in params.items()})
+        rows = rng.normal(size=(1409, 256)).astype(dtype)
+        got, want = [], []
+        for batch in (200, 37, 200):
+            x = Sequences(rows, rng.integers(0, 1409, size=(batch, 16)))
+            y = rng.integers(0, 2, size=batch)
+            fresh = GruPredictor(input_dim=256, hidden=64, layers=layers, dropout=0.3,
+                                 params=model.params)
+            got.append(model.logits_and_grads(x, y, True, np.random.default_rng(batch)))
+            want.append(fresh.logits_and_grads(x, y, True, np.random.default_rng(batch)))
+        for batch, (logits, grads), (fresh_logits, fresh_grads) in zip((200, 37, 200), got, want):
+            assert logits.tobytes() == fresh_logits.tobytes(), batch
+            assert grads.keys() == fresh_grads.keys() == model.params.keys()
+            for key in grads:
+                assert grads[key].tobytes() == fresh_grads[key].tobytes(), (batch, key)
+
+
 def shared_windows(kind, rng, count, steps, rows):
     """A row index (count, steps) over ``rows`` rows: one window, ``count``
     identical ones, ones that share no prefix, or a half that shares its
