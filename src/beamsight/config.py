@@ -166,6 +166,14 @@ class TrainConfig:
         if self.embed_dim < BBOX_FEATURE_SIZE:
             raise DataError(f"embed_dim must be >= {BBOX_FEATURE_SIZE} to hold "
                             "one detection box")
+        # init_params' float64 draws: 3 gates a layer, the first on embed_dim inputs, 2 outputs
+        h, e, layers = self.hidden, self.embed_dim, self.layers
+        params = 3 * h * (e + h + 1 + (layers - 1) * (2 * h + 1)) + 2 * h + 2
+        memory = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+                  if hasattr(os, "sysconf") else math.inf)
+        if 8 * params > memory:
+            raise DataError(f"hidden = {h}, embed_dim = {e} and layers = {layers} need "
+                            f"{8 * params} B of parameters, more than {memory} B of memory")
         if self.learning_rate <= 0:
             raise DataError("learning rate must be > 0")
         if not 0.0 <= self.dropout < 1.0:
@@ -235,6 +243,9 @@ def _read_ini(path: str | Path) -> configparser.ConfigParser:
             parser.read_file(fh)
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise DataError(f"malformed config file {path}: {exc}") from exc
+    for section in parser.sections():
+        if section not in (*_SCENARIO_SECTIONS, "dataset", "train", "experiment"):
+            raise DataError(f"{path}: unknown section [{section}]")
     return parser
 
 

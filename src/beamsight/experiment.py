@@ -1,5 +1,5 @@
-"""End-to-end experiment orchestration: simulate -> build-dataset ->
-train (both modes) -> eval -> handoff-eval.
+"""End-to-end experiment orchestration: simulate -> build-dataset, then for
+each mode in turn train -> eval -> handoff-eval.
 
 Every stage reads its inputs from disk and writes its outputs to disk, so
 the in-process pipeline and the stage-by-stage CLI produce identical
@@ -56,6 +56,7 @@ from .predictor import model_from_checkpoint, save_checkpoint, train_model
 from .scene import USER_CLASS, build_world, roll_centers
 
 log = logging.getLogger(__name__)
+_MODES = ("bimodal", "beam-only")   # in run order; each trains with its index added to the seed
 
 
 class StageFailure(BeamsightError):
@@ -198,18 +199,24 @@ def build_dataset_stage(trace_dir, out_dir, ds_cfg: DatasetConfig) -> dict:
     return manifest
 
 
-def train_stage(dataset_dir, mode: str, cfg: TrainConfig, out_ckpt,
-                history_csv=None) -> dict:
-    """Train one mode on a dataset directory and save the best checkpoint."""
-    if mode not in ("bimodal", "beam-only"):
-        raise DataError(f"unknown mode {mode!r}")
-    for path in map(Path, filter(None, (out_ckpt, history_csv))):   # fail before training
+def _check_writable(*paths) -> None:
+    """A DataError naming the first of ``paths`` (None skipped) that cannot be
+    opened for writing; a file that was not there is removed again."""
+    for path in map(Path, filter(None, paths)):
         made = not path.exists()
         with _writing(path):
             path.parent.mkdir(parents=True, exist_ok=True)
             path.open("ab").close()
         if made:
             path.unlink()
+
+
+def train_stage(dataset_dir, mode: str, cfg: TrainConfig, out_ckpt,
+                history_csv=None) -> dict:
+    """Train one mode on a dataset directory and save the best checkpoint."""
+    if mode not in _MODES:
+        raise DataError(f"unknown mode {mode!r}")
+    _check_writable(out_ckpt, history_csv)   # fail before training
     manifest = read_manifest(dataset_dir)
     frames = read_frames(dataset_dir) if mode == "bimodal" else None
     train, val = read_windows(dataset_dir, "train", "val")
@@ -239,39 +246,48 @@ def train_stage(dataset_dir, mode: str, cfg: TrainConfig, out_ckpt,
     with _writing(out_ckpt):
         save_checkpoint(out_ckpt, result.params, meta)
     if history_csv is not None:
-        _write_csv(history_csv,
-                   ["epoch", "train_loss", "train_top1", "val_loss", "val_top1"],
-                   [[r["epoch"], r["train_loss"], r["train_top1"],
-                     r["val_loss"], r["val_top1"]] for r in result.history])
+        columns = ["epoch", "train_loss", "train_top1", "val_loss", "val_top1"]
+        _write_csv(history_csv, columns, [[r[c] for c in columns] for r in result.history])
     log.info("trained %s: best val top-1 %.4f at epoch %d",
              mode, result.best_val_top1, result.best_epoch)
     return meta
 
 
-def _load_model(ckpt_path):
-    """A checkpoint's model and its header, which must fit the model and its beam table."""
+def _scorer(ckpt_path, dataset_dir) -> tuple:
+    """A checkpoint's model, header and beam table, and the dataset's manifest, once
+    the header fits the model and the manifest's codebook size and window length."""
     model, meta = model_from_checkpoint(ckpt_path)
     try:
-        if meta["mode"] not in ("bimodal", "beam-only") or \
-                meta["embed_dim"] != model.input_dim:
+        if meta["mode"] not in _MODES or meta["embed_dim"] != model.input_dim:
             raise ValueError("mode or embed_dim does not fit the model")
         if type(meta["table_seed"]) is not int or meta["table_seed"] < 0:
             raise ValueError(f"table_seed = {meta['table_seed']!r} is not an int >= 0")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"checkpoint {ckpt_path}: bad header: {exc!r}") from exc
-    return model, meta
-
-
-def _beam_table(ckpt_path, meta: dict, dataset_dir, manifest: dict) -> BeamEmbeddingTable:
-    """A checkpoint's beam table, once its n_beams and observed are found to be
-    the codebook size and the window length of the dataset's ``manifest``."""
+    manifest = read_manifest(dataset_dir)
     n_beams = manifest["codebook"]["beams"]
     for key, value, unit in (("n_beams", n_beams, "codebook beams"),
                              ("observed", manifest["observed"], "observed frames")):
         if type(meta.get(key)) is not int or meta[key] != value:
             raise DataError(f"checkpoint {ckpt_path}: bad header: {key} = {meta.get(key)!r}, "
                             f"but {Path(dataset_dir) / 'manifest.json'} has {value} {unit}")
-    return BeamEmbeddingTable(n_beams, meta["embed_dim"], meta["table_seed"])
+    return model, meta, BeamEmbeddingTable(n_beams, meta["embed_dim"], meta["table_seed"]), manifest
+
+
+def _predict(scorer: tuple, path, windows, frames) -> tuple:
+    """A ``_scorer``'s predictions for the windows of the file at ``path``, and
+    the steps its model advanced."""
+    model, meta, table, manifest = scorer
+    x, _ = _encode([(path, windows)], table, meta["mode"], meta["observed"],
+                   manifest["future"], frames)
+    return model.predict(x), model.steps_advanced
+
+
+def _eval_tables(out_csv) -> list[Path]:
+    """The summary ``out_csv``, then its confusion, per-camera and per-instance tables."""
+    stem = Path(out_csv).with_suffix("")
+    return [Path(out_csv), *(Path(f"{stem}_{name}.csv")
+                             for name in ("confusion", "per_camera", "per_instance"))]
 
 
 def eval_stage(ckpt_path, dataset_dir, out_csv) -> tuple[MetricReport, dict]:
@@ -280,73 +296,47 @@ def eval_stage(ckpt_path, dataset_dir, out_csv) -> tuple[MetricReport, dict]:
     The summary lands at ``out_csv``; the confusion, per-camera, and
     per-instance tables become sibling files with suffixed names.
     """
-    model, meta = _load_model(ckpt_path)
-    manifest = read_manifest(dataset_dir)
-    table = _beam_table(ckpt_path, meta, dataset_dir, manifest)
+    scorer = _scorer(ckpt_path, dataset_dir)
+    _, meta, _, manifest = scorer
     frames = read_frames(dataset_dir) if meta["mode"] == "bimodal" else None
     [val] = read_windows(dataset_dir, "val")
     t0 = time.perf_counter()
-    x, _ = _encode([(Path(dataset_dir) / SPLIT_FILES["val"], val)], table, meta["mode"],
-                   meta["observed"], manifest["future"], frames)
-    preds = model.predict(x)
+    preds, steps = _predict(scorer, Path(dataset_dir) / SPLIT_FILES["val"], val, frames)
     log.info("eval: %d windows scored in %.2f s (steps advanced: %d of %d)", len(val),
-             time.perf_counter() - t0, *model.steps_advanced)
+             time.perf_counter() - t0, *steps)
     rep, cm = report(preds, val, future=manifest["future"])
 
-    out_csv = Path(out_csv)
-    _write_csv(out_csv, ["metric", "value"], [
-        ["mode", meta["mode"]],
-        ["n_samples", rep.n_samples],
-        ["top1", rep.top1],
-        ["precision", rep.precision],
-        ["recall", rep.recall],
-        ["pivotal_accuracy", rep.pivotal_accuracy],
-    ])
-    stem = out_csv.with_suffix("")
-    _write_csv(Path(f"{stem}_confusion.csv"),
-               ["tp", "fp", "tn", "fn", "total", "accuracy"],
+    summary, confusion, per_camera, per_instance = _eval_tables(out_csv)
+    _write_csv(summary, ["metric", "value"], [["mode", meta["mode"]]] + [
+        [name, getattr(rep, name)]
+        for name in ("n_samples", "top1", "precision", "recall", "pivotal_accuracy")])
+    _write_csv(confusion, ["tp", "fp", "tn", "fn", "total", "accuracy"],
                [[cm.tp, cm.fp, cm.tn, cm.fn, cm.total, cm.accuracy]])
-    _write_csv(Path(f"{stem}_per_camera.csv"),
-               ["camera", "pivotal_accuracy", "pivotal_count"],
+    _write_csv(per_camera, ["camera", "pivotal_accuracy", "pivotal_count"],
                [[cam, rep.per_camera_pivotal[cam], rep.per_camera_counts[cam]]
                 for cam in sorted(rep.per_camera_pivotal)])
-    _write_csv(Path(f"{stem}_per_instance.csv"),
-               ["blockage_instance", "accuracy", "count"],
+    _write_csv(per_instance, ["blockage_instance", "accuracy", "count"],
                [[i, rep.per_instance[i], rep.per_instance_counts[i]]
                 for i in sorted(rep.per_instance)])
     return rep, meta
 
 
 def handoff_eval(ckpt1_path, ckpt2_path, pairs_path) -> HandoffReport:
-    """Run the two per-basestation models over the conjugate pairs; two paths
-    to one file load it once, and ``frames.cols`` is read only for a
-    bimodal model.
-
-    An empty pairs file yields an all-undefined report (n/a categories),
-    mirroring the per-category degenerate case.
-    """
-    model1, meta1 = _load_model(ckpt1_path)
-    same = Path(ckpt1_path).resolve() == Path(ckpt2_path).resolve()
-    model2, meta2 = (model1, meta1) if same else _load_model(ckpt2_path)
+    """Run the two per-basestation models over the conjugate pairs; two paths to
+    one file load it once, and ``frames.cols`` is read only for a bimodal model.
+    An empty pairs file yields an all-undefined report (n/a categories)."""
     dataset_dir = Path(pairs_path).parent
-    bimodal = "bimodal" in (meta1["mode"], meta2["mode"])
+    scorer1 = _scorer(ckpt1_path, dataset_dir)
+    same = Path(ckpt1_path).resolve() == Path(ckpt2_path).resolve()
+    scorer2 = scorer1 if same else _scorer(ckpt2_path, dataset_dir)
+    bimodal = "bimodal" in (scorer1[1]["mode"], scorer2[1]["mode"])
     frames = read_frames(dataset_dir) if bimodal else None
     bs1, bs2, category = read_pair_table(pairs_path)
-    manifest = read_manifest(dataset_dir)
-    future = manifest["future"]
-    table1 = _beam_table(ckpt1_path, meta1, dataset_dir, manifest)
-    table2 = table1 if same else _beam_table(ckpt2_path, meta2, dataset_dir, manifest)
     if not len(category):
         return score_handoff([], [], [], [], [])
-
-    def predict(model, meta, table, windows):
-        x, _ = _encode([(pairs_path, windows)], table, meta["mode"], meta["observed"],
-                       future, frames)
-        return model.predict(x), model.steps_advanced
-
     t0 = time.perf_counter()
-    (pred1, steps1), (pred2, steps2) = (predict(model1, meta1, table1, bs1),
-                                        predict(model2, meta2, table2, bs2))
+    (pred1, steps1), (pred2, steps2) = (_predict(scorer1, pairs_path, bs1, frames),
+                                        _predict(scorer2, pairs_path, bs2, frames))
     log.info("handoff: %d windows scored in %.2f s (steps advanced: %d of %d)",
              2 * len(category), time.perf_counter() - t0, *np.add(steps1, steps2))
     return score_handoff(pred1, pred2, bs1.label, bs2.label, category)
@@ -379,79 +369,71 @@ def handoff_stage(ckpt1_path, ckpt2_path, pairs_path, out_csv,
 # Full experiment
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def _stage(name: str):
+    """A BeamsightError raised in the block ends as a StageFailure of stage ``name``."""
+    try:
+        yield
+    except BeamsightError as exc:
+        raise StageFailure(name, exc) from exc
+
+
+def _lane_files(out: Path, mode: str) -> list[Path]:
+    """The files a mode's lane writes in ``out``: its checkpoint, its training
+    history, then its eval tables, the summary first."""
+    slug = mode.replace("-", "_")
+    return [out / f"{slug}.ckpt", out / f"train_{slug}_history.csv",
+            *_eval_tables(out / f"eval_{slug}.csv")]
+
+
+def _lane(out: Path, mode: str, train_cfg: TrainConfig) -> tuple:
+    """One mode's train, eval and handoff stages on ``out``'s dataset: the
+    checkpoint header, the MetricReport and the HandoffReport."""
+    dataset_dir = out / "dataset"
+    ckpt, history, eval_csv, *_ = _lane_files(out, mode)
+    with _stage(f"train-{mode}"):
+        meta = train_stage(dataset_dir, mode, train_cfg, ckpt, history)
+    with _stage(f"eval-{mode}"):
+        rep, _ = eval_stage(ckpt, dataset_dir, eval_csv)
+    with _stage(f"handoff-{mode}"):
+        handoff = handoff_eval(ckpt, ckpt, dataset_dir / PAIRS_FILE)
+    return meta, rep, handoff
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
-    """All stages in sequence; returns the experiment manifest."""
+    """simulate and build-dataset, then each mode's lane; returns the experiment
+    manifest.  Every top-level output is found writable before the first stage."""
     out = Path(out_dir)
     with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
-    manifest: dict = {
-        "version": __version__,
-        "config": cfg.to_dict(),
-        "config_hash": cfg.config_hash(),
-        "stages": {},
-    }
+    _check_writable(*(path for mode in _MODES for path in _lane_files(out, mode)),
+                    out / "handoff.csv", out / "manifest.json")
+    stages: dict = {}
+    manifest = {"version": __version__, "config": cfg.to_dict(),
+                "config_hash": cfg.config_hash(), "stages": stages}
 
-    def run(stage_name, fn):
-        try:
-            return fn()
-        except BeamsightError as exc:
-            raise StageFailure(stage_name, exc) from exc
+    trace_dir, dataset_dir = out / "trace", out / "dataset"
+    with _stage("simulate"):
+        simulate_stage(cfg.scenario, cfg.frames, trace_dir)
+    stages["simulate"] = {"out": "trace", "frames": cfg.frames, "seed": cfg.scenario.seed}
+    with _stage("build-dataset"):
+        ds_manifest = build_dataset_stage(trace_dir, dataset_dir, cfg.dataset)
+    stages["build-dataset"] = {"out": "dataset", "counts": ds_manifest["counts"],
+                               "seed": cfg.dataset.seed}
 
-    trace_dir = out / "trace"
-    run("simulate", lambda: simulate_stage(cfg.scenario, cfg.frames, trace_dir))
-    manifest["stages"]["simulate"] = {"out": "trace", "frames": cfg.frames,
-                                      "seed": cfg.scenario.seed}
-
-    dataset_dir = out / "dataset"
-    ds_manifest = run("build-dataset",
-                      lambda: build_dataset_stage(trace_dir, dataset_dir, cfg.dataset))
-    manifest["stages"]["build-dataset"] = {"out": "dataset",
-                                           "counts": ds_manifest["counts"],
-                                           "seed": cfg.dataset.seed}
-
-    checkpoints = {}
-    for mode, fname, seed_offset in (("bimodal", "bimodal.ckpt", 0),
-                                     ("beam-only", "beam_only.ckpt", 1)):
-        ckpt = out / fname
-        train_cfg = dataclasses.replace(cfg.train, seed=cfg.train.seed + seed_offset)
-        history = out / f"train_{mode.replace('-', '_')}_history.csv"
-        meta = run(f"train-{mode}",
-                   lambda m=mode, c=ckpt, t=train_cfg, h=history:
-                   train_stage(dataset_dir, m, t, c, h))
-        checkpoints[mode] = ckpt
-        manifest["stages"][f"train-{mode}"] = {
-            "out": fname, "seed": train_cfg.seed,
-            "best_epoch": meta["best_epoch"],
-            "best_val_top1": meta["best_val_top1"],
-        }
-
-    reports = {}
-    for mode, ckpt in checkpoints.items():
-        csv_path = out / f"eval_{mode.replace('-', '_')}.csv"
-        rep, _ = run(f"eval-{mode}",
-                     lambda c=ckpt, p=csv_path: eval_stage(c, dataset_dir, p))
-        reports[mode] = rep
-        manifest["stages"][f"eval-{mode}"] = {
-            "out": csv_path.name,
-            "top1": rep.top1,
-            "recall": rep.recall,
-        }
-
-    pairs_path = dataset_dir / PAIRS_FILE
     rows = []
-    handoff_reports = {}
-    for mode, ckpt in checkpoints.items():
-        rep = run(f"handoff-{mode}",
-                  lambda c=ckpt: handoff_eval(c, c, pairs_path))
-        handoff_reports[mode] = rep
-        rows.append(handoff_row(mode, rep))
+    for seed_offset, mode in enumerate(_MODES):
+        ckpt, _, eval_csv, *_ = _lane_files(out, mode)
+        train_cfg = dataclasses.replace(cfg.train, seed=cfg.train.seed + seed_offset)
+        meta, rep, handoff = _lane(out, mode, train_cfg)
+        stages[f"train-{mode}"] = {"out": ckpt.name, "seed": train_cfg.seed,
+                                   "best_epoch": meta["best_epoch"],
+                                   "best_val_top1": meta["best_val_top1"]}
+        stages[f"eval-{mode}"] = {"out": eval_csv.name, "top1": rep.top1, "recall": rep.recall}
+        rows.append(handoff_row(mode, handoff))
     _write_csv(out / "handoff.csv", HANDOFF_HEADER, rows)
-    manifest["stages"]["handoff-eval"] = {
-        "out": "handoff.csv",
-        "pairs": ds_manifest["counts"]["pairs"],
-    }
+    stages["handoff-eval"] = {"out": "handoff.csv", "pairs": ds_manifest["counts"]["pairs"]}
 
     with _writing(out / "manifest.json"):
-        (out / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest

@@ -299,13 +299,24 @@ def build_geometry(cfg: ScenarioConfig) -> tuple[list[Basestation], float, float
     return [bs1, bs2], wall_south, wall_north
 
 
+def _lane_spacing(cfg: ScenarioConfig, lane: int, count: int, longest: float) -> float:
+    """``count`` vehicles' spacing on a lane, if the ``longest`` leaves 2 m to the next."""
+    spacing = cfg.street_length / count
+    if spacing < longest + 2.0:
+        raise DataError(f"lane {lane} too dense: {count} vehicles on {cfg.street_length:g} m")
+    return spacing
+
+
 def build_world(cfg: ScenarioConfig) -> World:
     """Procedurally place vehicles and return the initial world state."""
     rng = np.random.default_rng([cfg.seed, 0])
+    vehicles = cfg.cars + cfg.buses + cfg.trucks
+    if not vehicles:
+        raise DataError("vehicle mix is empty")
+    # lane 0 holds the most vehicles: too dense for the shortest, too dense for any mix
+    _lane_spacing(cfg, 0, -(-vehicles // cfg.lanes), min(d[0] for d in VEHICLE_DIMS.values()))
     classes = ([VehicleClass.CAR] * cfg.cars + [VehicleClass.BUS] * cfg.buses
                + [VehicleClass.TRUCK] * cfg.trucks)
-    if not classes:
-        raise DataError("vehicle mix is empty")
     order = rng.permutation(len(classes))
     classes = [classes[i] for i in order]
 
@@ -318,13 +329,8 @@ def build_world(cfg: ScenarioConfig) -> World:
     for lane, members in enumerate(per_lane):
         if not members:
             continue
-        spacing = cfg.street_length / len(members)
-        longest = max(VEHICLE_DIMS[classes[i]][0] for i in members)
-        if spacing < longest + 2.0:
-            raise DataError(
-                f"lane {lane} too dense: {len(members)} vehicles on "
-                f"{cfg.street_length:g} m"
-            )
+        spacing = _lane_spacing(cfg, lane, len(members),
+                                max(VEHICLE_DIMS[classes[i]][0] for i in members))
         phase = rng.uniform(0.0, spacing)
         direction = 1.0 if lane < cfg.lanes // 2 else -1.0
         y = (lane + 0.5) * cfg.lane_width

@@ -184,6 +184,44 @@ class TestRunExperiment:
         assert (out / "trace" / TRACE_FILE).is_file()
         assert (out / "dataset" / "train.ndrec").is_file()
 
+    def test_each_mode_runs_its_lane_in_turn(self, tmp_path, monkeypatch):
+        # simulate, build, then train, eval and handoff of one mode before the next
+        calls = []
+
+        def recorded(name, stage):
+            return lambda *args, **kwargs: calls.append((name, args)) or stage(*args, **kwargs)
+
+        for name in ("simulate_stage", "build_dataset_stage", "train_stage", "eval_stage",
+                     "handoff_eval"):
+            monkeypatch.setattr(beamsight.experiment, name,
+                                recorded(name, getattr(beamsight.experiment, name)))
+        run_experiment(load_experiment_config(MINI), tmp_path / "run")
+        assert [name for name, _ in calls[:2]] == ["simulate_stage", "build_dataset_stage"]
+        assert [(name, Path(args[3] if name == "train_stage" else args[0]).name)
+                for name, args in calls[2:]] == [
+            (name, ckpt) for ckpt in ("bimodal.ckpt", "beam_only.ckpt")
+            for name in ("train_stage", "eval_stage", "handoff_eval")]
+
+    def test_failed_lane_leaves_the_lanes_before_it(self, tmp_path, monkeypatch):
+        # the bimodal lane has trained and evaluated; nothing is written that
+        # needs both lanes
+        train = beamsight.experiment.train_stage
+
+        def beam_only_fails(dataset_dir, mode, *args):
+            if mode == "beam-only":
+                raise DataError("no beam-only model")
+            return train(dataset_dir, mode, *args)
+
+        monkeypatch.setattr(beamsight.experiment, "train_stage", beam_only_fails)
+        out = tmp_path / "run"
+        with pytest.raises(StageFailure) as err:
+            run_experiment(load_experiment_config(MINI), out)
+        assert err.value.stage == "train-beam-only" and isinstance(err.value.cause, DataError)
+        for name in ("eval_bimodal.csv", "eval_bimodal_confusion.csv",
+                     "eval_bimodal_per_camera.csv", "eval_bimodal_per_instance.csv"):
+            assert (out / name).is_file(), name
+        assert not (out / "handoff.csv").exists() and not (out / "manifest.json").exists()
+
 
 class TestStages:
     def test_simulate_then_build(self, tmp_path):
@@ -558,6 +596,59 @@ class TestCli:
         assert re.fullmatch(rf"error: {re.escape(str(ini))}: lane \d+ too dense: \d+ vehicles "
                             r"on 1\.5 m\n", capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [["simulate", "--frames", "5"],
+                                         ["train", "--dataset", "d", "--mode", "bimodal"],
+                                         ["run-experiment"]])
+    def test_unknown_section_is_data_error(self, tmp_path, capsys, command):
+        # a misspelled section would otherwise leave its options at their defaults
+        ini = tmp_path / "typo.ini"
+        ini.write_text(MINI.read_text() + "\n[trian]\nepochs = 1\n")
+        assert main(command + ["--config", str(ini), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {ini}: unknown section [trian]\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, option", [
+        (["simulate", "--frames", "5"], "cars"),
+        (["run-experiment"], "cars"),
+        (["train", "--dataset", "d", "--mode", "bimodal"], "hidden"),
+        (["train", "--dataset", "d", "--mode", "bimodal"], "embed_dim"),
+    ])
+    def test_size_beyond_the_machine_is_data_error(self, tmp_path, capsys, command, option):
+        # 2**40 fits 64 bits, but not the vehicles or the parameters it asks for:
+        # the loader rejects it before anything of that size is allocated
+        ini = tmp_path / "big.ini"
+        text, n = re.subn(rf"(?m)^{option} = \d+$", f"{option} = {2**40}", MINI.read_text())
+        ini.write_text(text)
+        assert n == 1
+        tracemalloc.start()
+        try:
+            code = main(command + ["--config", str(ini), "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 2**26
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ini}: ") and "Traceback" not in err
+        if option == "cars":
+            assert re.fullmatch(r"lane 0 too dense: \d+ vehicles on 200 m\n",
+                                err.removeprefix(f"error: {ini}: "))
+        else:
+            assert all(f"{name} = " in err for name in ("hidden", "embed_dim", "layers"))
+            assert "B of memory" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name", ["beam_only.ckpt", "train_bimodal_history.csv",
+                                      "eval_beam_only_per_instance.csv", "handoff.csv",
+                                      "manifest.json"])
+    def test_unwritable_experiment_output_fails_before_simulate(self, tmp_path, capsys, name):
+        # every top-level output is opened before the first stage; the ones
+        # opened before it are removed again
+        out = tmp_path / "exp"
+        (out / name).mkdir(parents=True)
+        assert main(["run-experiment", "--config", str(MINI), "--out", str(out)]) == 2
+        assert f"error: cannot write {out / name}: " in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == [name]
 
     def test_threads_flag_validated(self):
         assert main(["--threads", "0", "simulate", "--config", "x",
